@@ -5,14 +5,13 @@ paper's SEU hot path: the plain SEU keeps the pre-registry single-flip code
 path, MBU clusters only add flips at activation, and the forcing models
 (stuck-at, intermittent) pay a per-cycle re-force write — plus the loss of
 convergence-based early retirement while their duty cycle is live.  This
-benchmark quantifies all of that per backend:
+benchmark quantifies all of that:
 
     python benchmarks/bench_fault_models.py --out fault_models.json
 
 It measures full ``FaultInjector.run_batch`` sweeps (all flip-flops, one
 injection cycle) on the tiny MAC workload for every registered FF-campaign
-model and reports lane-cycles/second normalized to the SEU baseline of the
-same backend.
+model and reports lane-cycles/second normalized to the SEU baseline.
 
 Through pytest(-benchmark) the module keeps a small MBU sweep in CI so the
 plan-compilation path stays on the perf radar.
@@ -26,12 +25,11 @@ import time
 from typing import Dict, List, Optional
 
 from repro.faultinjection import FaultInjector
-from repro.sim import BACKEND_NAMES
 
 from common import add_result_args, build_workload_parts, emit_result
 
 #: Registry spec strings swept by the standalone benchmark; ``seu`` is the
-#: per-backend baseline every other row is normalized against.
+#: baseline every other row is normalized against.
 MODEL_SPECS = [
     "seu",
     "mbu:size=3,radius=1,seed=0",
@@ -40,20 +38,17 @@ MODEL_SPECS = [
 ]
 
 
-def measure_model_throughput(
-    parts, backend: str, model: str, repeats: int = 3
-) -> Dict:
+def measure_model_throughput(parts, model: str, repeats: int = 3) -> Dict:
     """Lane-cycles/second of full ``run_batch`` sweeps under *model*."""
     injector = FaultInjector(
         parts.netlist,
         parts.testbench,
         parts.golden,
         parts.criterion,
-        backend=backend,
         fault_model=model,
     )
     lanes = list(range(injector.sim.n_flip_flops))
-    warm = injector.run_batch(parts.inject_cycle, lanes)  # fused: compile kernel
+    warm = injector.run_batch(parts.inject_cycle, lanes)
     start = time.perf_counter()
     lane_cycles = 0
     failures = 0
@@ -70,7 +65,7 @@ def measure_model_throughput(
 
 
 def run_fault_model_sweep(circuit: str = "xgmac_tiny", repeats: int = 3) -> Dict:
-    """Measure every model x backend on *circuit*; JSON-ready report."""
+    """Measure every model on *circuit*; JSON-ready report."""
     parts = build_workload_parts(
         circuit=circuit, n_frames=4, min_len=2, max_len=4, gap=12, seed=7
     )
@@ -81,19 +76,16 @@ def run_fault_model_sweep(circuit: str = "xgmac_tiny", repeats: int = 3) -> Dict
         "n_ffs": stats.n_sequential,
         "rows": [],
     }
-    for backend in BACKEND_NAMES:
-        baseline: Optional[float] = None
-        for model in MODEL_SPECS:
-            row = measure_model_throughput(parts, backend, model, repeats=repeats)
-            row["backend"] = backend
-            row["model"] = model
-            if model == "seu":
-                baseline = row["lane_cycles_per_sec"]
-            row["relative_to_seu"] = round(
-                row["lane_cycles_per_sec"] / (baseline or row["lane_cycles_per_sec"]),
-                3,
-            )
-            report["rows"].append(row)
+    baseline: Optional[float] = None
+    for model in MODEL_SPECS:
+        row = measure_model_throughput(parts, model, repeats=repeats)
+        row["model"] = model
+        if model == "seu":
+            baseline = row["lane_cycles_per_sec"]
+        row["relative_to_seu"] = round(
+            row["lane_cycles_per_sec"] / (baseline or row["lane_cycles_per_sec"]), 3
+        )
+        report["rows"].append(row)
     report["worst_relative_to_seu"] = min(
         row["relative_to_seu"] for row in report["rows"]
     )
@@ -113,10 +105,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"circuit={report['circuit']} cells={report['n_cells']} ffs={report['n_ffs']}"
     )
-    print(f"{'backend':>9} {'model':>32} {'Mlc/s':>8} {'vs seu':>7} {'cycles':>7}")
+    print(f"{'model':>32} {'Mlc/s':>8} {'vs seu':>7} {'cycles':>7}")
     for row in report["rows"]:
         print(
-            f"{row['backend']:>9} {row['model']:>32} "
+            f"{row['model']:>32} "
             f"{row['lane_cycles_per_sec'] / 1e6:>8.2f} "
             f"{row['relative_to_seu']:>6.2f}x {row['cycles_simulated']:>7}"
         )

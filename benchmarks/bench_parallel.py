@@ -4,12 +4,10 @@ Measures wall-clock speedup of sharded multi-process fault injection on the
 xgmac workload.  Run standalone for the full sweep::
 
     python benchmarks/bench_parallel.py --scale mini --jobs 1 2 4
-    python benchmarks/bench_parallel.py --scale mini --backends compiled fused
 
 or through pytest-benchmark with the rest of the suite (tiny scale, so CI
-stays fast).  Results are bit-identical across ``jobs`` counts *and*
-simulation backends — both sweeps assert it — so the speedups are free of
-any accuracy trade-off.  Every row reports effective campaign throughput as
+stays fast).  Results are bit-identical across ``jobs`` counts — the sweep
+asserts it — so the speedups are free of any accuracy trade-off.  Every row reports effective campaign throughput as
 lanes/sec (simulated lane-cycles per wall second).
 """
 
@@ -25,18 +23,15 @@ import pytest
 
 from repro.campaigns import CampaignEngine
 from repro.data import DATASET_PRESETS
-from repro.sim import BACKEND_NAMES
 
 from common import campaign_spec as _spec_for_scale
 from common import result_counters as _result_key
 from common import add_result_args, emit_result
 
 
-def run_sweep(
-    scale: str, jobs_list: List[int], backend: str = "compiled"
-) -> List[Dict]:
+def run_sweep(scale: str, jobs_list: List[int]) -> List[Dict]:
     """Time the campaign at each jobs count; verify bit-identical results."""
-    spec = _spec_for_scale(scale, backend=backend)
+    spec = _spec_for_scale(scale)
     rows: List[Dict] = []
     reference = None
     serial_wall = None
@@ -53,39 +48,9 @@ def run_sweep(
             serial_wall = wall
         rows.append(
             {
-                "backend": backend,
                 "jobs": jobs,
                 "wall_seconds": round(wall, 3),
                 "speedup": round(serial_wall / wall, 2),
-                "forward_runs": result.n_forward_runs,
-                "lane_cycles_per_sec": round(result.total_lane_cycles / wall),
-                "identical": True,
-            }
-        )
-    return rows
-
-
-def run_backend_sweep(scale: str, backends: List[str]) -> List[Dict]:
-    """Time the serial campaign per backend; verify bit-identical results."""
-    rows: List[Dict] = []
-    reference = None
-    base_wall = None
-    for backend in backends:
-        spec = _spec_for_scale(scale, backend=backend)
-        start = time.perf_counter()
-        result = CampaignEngine(spec, jobs=1).run()
-        wall = time.perf_counter() - start
-        if reference is None:
-            reference = _result_key(result)
-            base_wall = wall
-        elif _result_key(result) != reference:
-            raise AssertionError(f"backend={backend} result differs")
-        rows.append(
-            {
-                "backend": backend,
-                "jobs": 1,
-                "wall_seconds": round(wall, 3),
-                "speedup": round(base_wall / wall, 2),
                 "forward_runs": result.n_forward_runs,
                 "lane_cycles_per_sec": round(result.total_lane_cycles / wall),
                 "identical": True,
@@ -98,24 +63,15 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="mini", choices=sorted(DATASET_PRESETS))
     parser.add_argument("--jobs", type=int, nargs="+", default=[1, 2, 4])
-    parser.add_argument(
-        "--backends",
-        nargs="+",
-        default=None,
-        choices=list(BACKEND_NAMES),
-        help="also sweep the serial campaign over these simulation backends",
-    )
     add_result_args(parser)
     args = parser.parse_args(argv)
 
     print(f"scale={args.scale} cpus={multiprocessing.cpu_count()}")
     rows = run_sweep(args.scale, args.jobs)
-    if args.backends:
-        rows += run_backend_sweep(args.scale, args.backends)
-    print(f"{'backend':>9} {'jobs':>5} {'wall [s]':>10} {'speedup':>8} {'fwd runs':>9} {'Mlanes/s':>9}")
+    print(f"{'jobs':>5} {'wall [s]':>10} {'speedup':>8} {'fwd runs':>9} {'Mlanes/s':>9}")
     for row in rows:
         print(
-            f"{row['backend']:>9} {row['jobs']:>5} {row['wall_seconds']:>10.3f} "
+            f"{row['jobs']:>5} {row['wall_seconds']:>10.3f} "
             f"{row['speedup']:>7.2f}x {row['forward_runs']:>9} "
             f"{row['lane_cycles_per_sec'] / 1e6:>9.2f}"
         )

@@ -37,9 +37,9 @@ def _margins(result) -> List[float]:
     ]
 
 
-def run_flat_row(scale: str, n_injections: int, backend: str, jobs: int) -> Dict:
+def run_flat_row(scale: str, n_injections: int, jobs: int) -> Dict:
     """Time one cold flat campaign; report its realized Wilson margins."""
-    spec = campaign_spec(scale, n_injections, backend=backend)
+    spec = campaign_spec(scale, n_injections)
     with tempfile.TemporaryDirectory() as cache:
         engine = CampaignEngine(spec, jobs=jobs, cache_dir=Path(cache))
         start = time.perf_counter()
@@ -57,15 +57,11 @@ def run_flat_row(scale: str, n_injections: int, backend: str, jobs: int) -> Dict
 
 
 def run_sequential_row(
-    scale: str, n_injections: int, target_margin: float, backend: str, jobs: int
+    scale: str, n_injections: int, target_margin: float, jobs: int
 ) -> Dict:
     """Time one cold sequential campaign at *target_margin*."""
     spec = campaign_spec(
-        scale,
-        n_injections,
-        backend=backend,
-        policy="sequential",
-        target_margin=target_margin,
+        scale, n_injections, policy="sequential", target_margin=target_margin
     )
     with tempfile.TemporaryDirectory() as cache:
         engine = CampaignEngine(spec, jobs=jobs, cache_dir=Path(cache))
@@ -88,7 +84,6 @@ def run_comparison(
     scale: str,
     n_injections: int,
     target_margin: Optional[float] = None,
-    backend: str = "compiled",
     jobs: int = 1,
 ) -> Dict:
     """Flat vs. sequential at the flat protocol's realized margin.
@@ -97,16 +92,15 @@ def run_comparison(
     the flat run's worst flip-flop — the weakest guarantee the fixed budget
     actually delivered — so the injection ratio is an equal-quality figure.
     """
-    flat = run_flat_row(scale, n_injections, backend, jobs)
+    flat = run_flat_row(scale, n_injections, jobs)
     if target_margin is None:
         target_margin = flat["realized_margin_max"]
-    sequential = run_sequential_row(scale, n_injections, target_margin, backend, jobs)
+    sequential = run_sequential_row(scale, n_injections, target_margin, jobs)
     savings = flat["injections"] / max(1, sequential["injections"])
     return {
         "scale": scale,
         "circuit": flat.pop("circuit"),
         "n_injections_per_ff": n_injections,
-        "backend": backend,
         "jobs": jobs,
         "target_margin": target_margin,
         "rows": [flat, sequential],
@@ -126,7 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="sequential stopping margin (default: the flat run's realized max)",
     )
-    parser.add_argument("--backend", default="compiled")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--min-savings",
@@ -148,7 +141,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.scale,
         args.injections,
         target_margin=args.target_margin,
-        backend=args.backend,
         jobs=args.jobs,
     )
     print(

@@ -1,18 +1,17 @@
-"""Benchmark: adaptive injection scheduler vs. per-time-slot batches.
+"""Benchmark: adaptive injection scheduler lane width.
 
-The acceptance benchmark of the scheduler work: one full flat campaign on
-the synthesized xgmac MAC (every flip-flop, paper-style injection draws),
-executed once with the PR-3 baseline (``scheduler="batch"``: one forward
-run per time slot, drained batches) and once per adaptive configuration
-(``scheduler="adaptive"``: mixed-cycle lane refill, compaction, wide
-passes).  Run standalone to reproduce ``benchmarks/results/scheduler.json``::
+One full flat campaign on the synthesized xgmac MAC (every flip-flop,
+paper-style injection draws) per pass-width configuration of the adaptive
+scheduler (mixed-cycle lane refill, compaction, wide passes).  Run
+standalone::
 
     python benchmarks/bench_scheduler.py --scale full --injections 170 \
-        --out benchmarks/results/scheduler.json
+        --out scheduler.json
 
-Per-flip-flop counters are asserted identical across every row — the
-speedups carry no accuracy trade-off.  Through pytest the module keeps a
-tiny-scale smoke row so CI stays fast.
+Per-flip-flop counters are asserted identical across every row — lane width
+is pure scheduling.  ``benchmarks/results/scheduler.json`` is the historical
+record of the retired batch/fused comparison; through pytest the module
+keeps a tiny-scale smoke row so CI stays fast.
 """
 
 from __future__ import annotations
@@ -23,23 +22,17 @@ import time
 from typing import Dict, List, Optional
 
 from repro.faultinjection import StatisticalFaultCampaign
+from repro.faultinjection.scheduler import AUTO_MAX_LANES
 
 from common import add_result_args, emit_result, preset_workload_parts, result_counters
 
-#: The PR-3 configuration every row is normalized against.
-BASELINE = ("fused", "batch")
-
-#: (backend, scheduler) rows measured by default.
-DEFAULT_CONFIGS = [
-    ("fused", "batch"),
-    ("compiled", "batch"),
-    ("fused", "adaptive"),
-    ("compiled", "adaptive"),
-]
+#: Pass widths measured by default; the first (the scheduler's own default)
+#: is the baseline every row is normalized against.
+DEFAULT_LANES = (AUTO_MAX_LANES, 1024, 256)
 
 
 def run_campaign_row(
-    parts, backend: str, scheduler: str, n_injections: int, seed: int = 0
+    parts, n_injections: int, max_lanes: Optional[int] = None, seed: int = 0
 ) -> Dict:
     """Time one full flat campaign; return the JSON-ready row."""
     campaign = StatisticalFaultCampaign(
@@ -48,16 +41,14 @@ def run_campaign_row(
         parts.criterion,
         active_window=parts.active_window,
         golden=parts.golden,
-        backend=backend,
-        scheduler=scheduler,
+        scheduler_lanes=max_lanes,
     )
     start = time.perf_counter()
     result = campaign.run(n_injections=n_injections, seed=seed)
     wall = time.perf_counter() - start
     total = sum(r.n_injections for r in result.results.values())
     return {
-        "backend": backend,
-        "scheduler": scheduler,
+        "max_lanes": max_lanes or AUTO_MAX_LANES,
         "wall_seconds": round(wall, 3),
         "injections": total,
         "injections_per_sec": round(total / wall),
@@ -68,9 +59,9 @@ def run_campaign_row(
 
 
 def run_sweep(
-    scale: str, n_injections: int, configs=DEFAULT_CONFIGS, seed: int = 0
+    scale: str, n_injections: int, lanes=DEFAULT_LANES, seed: int = 0
 ) -> Dict:
-    """Measure every configuration; assert bit-identical per-ff counters."""
+    """Measure every pass width; assert bit-identical per-ff counters."""
     parts = preset_workload_parts(scale)
     stats = parts.netlist.stats()
     report: Dict = {
@@ -79,33 +70,21 @@ def run_sweep(
         "n_cells": stats.n_cells,
         "n_ffs": stats.n_sequential,
         "n_injections_per_ff": n_injections,
-        "baseline": {"backend": BASELINE[0], "scheduler": BASELINE[1]},
         "rows": [],
     }
-    reference = None
-    baseline_ips: Optional[float] = None
-    for backend, scheduler in configs:
-        row = run_campaign_row(parts, backend, scheduler, n_injections, seed)
+    reference = baseline_ips = None
+    for max_lanes in lanes:
+        row = run_campaign_row(parts, n_injections, max_lanes, seed)
         counters = row.pop("counters")
         if reference is None:
-            reference = counters
+            reference, baseline_ips = counters, row["injections_per_sec"]
         elif counters != reference:
             raise AssertionError(
-                f"{backend}/{scheduler} per-ff counters differ from "
-                f"{configs[0][0]}/{configs[0][1]}"
+                f"max_lanes={max_lanes} per-ff counters differ from max_lanes={lanes[0]}"
             )
         row["identical"] = True
-        if (backend, scheduler) == BASELINE:
-            baseline_ips = row["injections_per_sec"]
+        row["speedup_vs_baseline"] = round(row["injections_per_sec"] / baseline_ips, 2)
         report["rows"].append(row)
-    if baseline_ips:
-        for row in report["rows"]:
-            row["speedup_vs_baseline"] = round(
-                row["injections_per_sec"] / baseline_ips, 2
-            )
-        report["best_speedup_vs_baseline"] = max(
-            row["speedup_vs_baseline"] for row in report["rows"]
-        )
     return report
 
 
@@ -124,12 +103,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"circuit={report['circuit']} cells={report['n_cells']} "
         f"ffs={report['n_ffs']} injections/ff={report['n_injections_per_ff']}"
     )
-    print(f"{'backend':>9} {'scheduler':>9} {'wall [s]':>9} {'inj/s':>8} {'fwd':>6} {'vs base':>8}")
+    print(f"{'lanes':>6} {'wall [s]':>9} {'inj/s':>8} {'fwd':>6} {'vs base':>8}")
     for row in report["rows"]:
         print(
-            f"{row['backend']:>9} {row['scheduler']:>9} {row['wall_seconds']:>9.2f} "
+            f"{row['max_lanes']:>6} {row['wall_seconds']:>9.2f} "
             f"{row['injections_per_sec']:>8} {row['forward_runs']:>6} "
-            f"{row.get('speedup_vs_baseline', 1.0):>7.2f}x"
+            f"{row['speedup_vs_baseline']:>7.2f}x"
         )
     emit_result(args, "scheduler", report)
     return 0
@@ -139,12 +118,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def test_bench_scheduler_smoke(benchmark):
-    """Tiny-scale sweep: adaptive and batch agree bit-for-bit."""
+    """Tiny-scale sweep: every pass width agrees bit-for-bit."""
     report = benchmark.pedantic(
         lambda: run_sweep("tiny", 6), rounds=1, iterations=1
     )
     assert all(row["identical"] for row in report["rows"])
-    assert report["best_speedup_vs_baseline"] > 0
 
 
 if __name__ == "__main__":

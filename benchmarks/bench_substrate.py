@@ -2,23 +2,24 @@
 
 Throughput numbers for the pieces whose cost the paper's methodology is
 designed to avoid or amortize: synthesis, golden simulation, the bit-parallel
-fault-injection campaign, and feature extraction — plus the **per-backend
-lanes/sec sweep** that justifies the pluggable simulation substrate.
+fault-injection campaign, and feature extraction — plus a **lane-width
+sweep** of the compiled simulator.
 
-Run the sweep standalone (this is where the acceptance numbers come from)::
+Run the sweep standalone::
 
     python benchmarks/bench_substrate.py --circuit xgmac --out substrate.json
 
 It measures, on the chosen seed circuit:
 
-* ``eval_comb``+``tick`` throughput (lane-cycles/second) for every cycle
-  backend at several lane widths, normalized against the **seed baseline**
-  (``CompiledSimulator`` at the campaign default of 256 lanes), and
-* full ``FaultInjector.run_batch`` sweep throughput for the compiled,
-  numpy and fused substrates.
+* ``eval_comb``+``tick`` throughput (lane-cycles/second) at several lane
+  widths, normalized against the **seed baseline** (the campaign default of
+  256 lanes), and
+* full ``FaultInjector.run_batch`` sweep throughput (all flip-flops, one
+  injection cycle).
 
-Through pytest(-benchmark) the module keeps the original micro-benchmarks
-on the tiny MAC so CI stays fast.
+``benchmarks/results/substrate.json`` is the historical record of the
+retired NumPy and fused engines.  Through pytest(-benchmark) the module
+keeps the original micro-benchmarks on the tiny MAC so CI stays fast.
 """
 
 from __future__ import annotations
@@ -28,32 +29,24 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-import pytest
-
 from repro.circuits import make_xgmac
-from repro.faultinjection import FaultInjector, PacketInterfaceCriterion
+from repro.faultinjection import FaultInjector
 from repro.features import FeatureExtractor
-from repro.sim import BACKEND_NAMES, CompiledSimulator, create_backend
+from repro.sim import CompiledSimulator
 
 from common import add_result_args, build_workload_parts, emit_result
 
-#: The seed repo ran every campaign on the compiled backend at this width;
-#: all speedups are reported relative to it.
-SEED_BACKEND = "compiled"
+#: The seed repo ran every campaign at this width; all speedups are
+#: reported relative to it.
 SEED_LANES = 256
 
-#: (backend, lane widths) measured by the standalone sweep.
-SWEEP_CONFIGS = [
-    ("compiled", (256, 1024)),
-    ("numpy", (4096, 16384, 65536, 131072)),
-]
+#: Lane widths measured by the standalone sweep.
+SWEEP_LANES = (256, 1024, 4096)
 
 
-def measure_cycle_throughput(
-    netlist, backend: str, n_lanes: int, n_cycles: int = 20
-) -> float:
-    """Lane-cycles/second of a bare eval+tick loop on *backend*."""
-    sim = create_backend(backend, netlist, n_lanes=n_lanes)
+def measure_cycle_throughput(netlist, n_lanes: int, n_cycles: int = 20) -> float:
+    """Lane-cycles/second of a bare eval+tick loop at *n_lanes*."""
+    sim = CompiledSimulator(netlist, n_lanes=n_lanes)
     sim.reset()
     start = time.perf_counter()
     for _ in range(n_cycles):
@@ -63,14 +56,12 @@ def measure_cycle_throughput(
     return n_lanes * n_cycles / wall
 
 
-def measure_sweep_throughput(workload_parts, backend: str, repeats: int = 3) -> float:
+def measure_sweep_throughput(workload_parts, repeats: int = 3) -> float:
     """Lane-cycles/second of full ``run_batch`` sweeps (all FFs, one cycle)."""
     netlist, testbench, golden, criterion, inject_cycle = workload_parts
-    injector = FaultInjector(
-        netlist, testbench, golden, criterion, backend=backend
-    )
+    injector = FaultInjector(netlist, testbench, golden, criterion)
     lanes = list(range(injector.sim.n_flip_flops))
-    injector.run_batch(inject_cycle, lanes)  # warm up (fused: compile kernel)
+    injector.run_batch(inject_cycle, lanes)  # warm up
     start = time.perf_counter()
     lane_cycles = 0
     for _ in range(repeats):
@@ -81,7 +72,7 @@ def measure_sweep_throughput(workload_parts, backend: str, repeats: int = 3) -> 
 
 
 def run_substrate_sweep(circuit: str = "xgmac", n_cycles: int = 20) -> Dict:
-    """Measure every backend on *circuit*; returns the JSON-ready report."""
+    """Measure the simulator on *circuit*; returns the JSON-ready report."""
     workload_parts = build_workload_parts(
         circuit=circuit, n_frames=4, min_len=2, max_len=4, gap=12, seed=7
     )
@@ -91,27 +82,23 @@ def run_substrate_sweep(circuit: str = "xgmac", n_cycles: int = 20) -> Dict:
         "circuit": circuit,
         "n_cells": stats.n_cells,
         "n_ffs": stats.n_sequential,
-        "seed_baseline": {"backend": SEED_BACKEND, "n_lanes": SEED_LANES},
+        "seed_baseline": {"n_lanes": SEED_LANES},
         "cycle_rows": [],
-        "sweep_rows": [],
     }
 
-    baseline = measure_cycle_throughput(netlist, SEED_BACKEND, SEED_LANES, n_cycles)
+    baseline = measure_cycle_throughput(netlist, SEED_LANES, n_cycles)
     report["seed_baseline"]["lane_cycles_per_sec"] = round(baseline)
-    for backend, widths in SWEEP_CONFIGS:
-        for n_lanes in widths:
-            cycles = max(4, n_cycles // max(1, n_lanes // 16384))
-            lps = measure_cycle_throughput(netlist, backend, n_lanes, cycles)
-            report["cycle_rows"].append(
-                {
-                    "backend": backend,
-                    "n_lanes": n_lanes,
-                    "lane_cycles_per_sec": round(lps),
-                    "speedup_vs_seed": round(lps / baseline, 2),
-                }
-            )
+    for n_lanes in SWEEP_LANES:
+        lps = measure_cycle_throughput(netlist, n_lanes, n_cycles)
+        report["cycle_rows"].append(
+            {
+                "n_lanes": n_lanes,
+                "lane_cycles_per_sec": round(lps),
+                "speedup_vs_seed": round(lps / baseline, 2),
+            }
+        )
 
-    # Sweep-level comparison on a real workload (criterion + loopback + early
+    # Sweep-level throughput on a real workload (criterion + loopback + early
     # retirement), sized down so the full circuit stays minutes-free.
     parts = (
         netlist,
@@ -120,30 +107,13 @@ def run_substrate_sweep(circuit: str = "xgmac", n_cycles: int = 20) -> Dict:
         workload_parts.criterion,
         workload_parts.inject_cycle,
     )
-    sweep_base: Optional[float] = None
-    for backend in BACKEND_NAMES:
-        lps = measure_sweep_throughput(parts, backend)
-        if backend == SEED_BACKEND:
-            sweep_base = lps
-        report["sweep_rows"].append(
-            {
-                "backend": backend,
-                "lane_cycles_per_sec": round(lps),
-                "speedup_vs_seed": round(lps / (sweep_base or lps), 2),
-            }
-        )
-    report["best_cycle_speedup"] = max(
-        row["speedup_vs_seed"] for row in report["cycle_rows"]
-    )
-    report["best_sweep_speedup"] = max(
-        row["speedup_vs_seed"] for row in report["sweep_rows"]
-    )
+    report["sweep_lane_cycles_per_sec"] = round(measure_sweep_throughput(parts))
     return report
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Per-backend lanes/sec sweep of the simulation substrate."
+        description="Lane-width sweep of the compiled simulator."
     )
     parser.add_argument(
         "--circuit", default="xgmac", help="seed circuit (default: the largest, xgmac)"
@@ -158,21 +128,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"circuit={report['circuit']} cells={report['n_cells']} ffs={report['n_ffs']}"
     )
     print(
-        f"seed baseline: {base['backend']}@{base['n_lanes']} = "
+        f"seed baseline: {base['n_lanes']} lanes = "
         f"{base['lane_cycles_per_sec'] / 1e6:.2f} M lane-cycles/s"
     )
-    print(f"{'backend':>9} {'lanes':>7} {'Mlc/s':>8} {'vs seed':>8}")
+    print(f"{'lanes':>7} {'Mlc/s':>8} {'vs seed':>8}")
     for row in report["cycle_rows"]:
         print(
-            f"{row['backend']:>9} {row['n_lanes']:>7} "
+            f"{row['n_lanes']:>7} "
             f"{row['lane_cycles_per_sec'] / 1e6:>8.2f} {row['speedup_vs_seed']:>7.2f}x"
         )
-    print("injection sweeps (run_batch, all flip-flops):")
-    for row in report["sweep_rows"]:
-        print(
-            f"{row['backend']:>9} {'-':>7} "
-            f"{row['lane_cycles_per_sec'] / 1e6:>8.2f} {row['speedup_vs_seed']:>7.2f}x"
-        )
+    print(
+        "injection sweep (run_batch, all flip-flops): "
+        f"{report['sweep_lane_cycles_per_sec'] / 1e6:.2f} M lane-cycles/s"
+    )
     emit_result(args, "substrate", report)
     return 0
 
@@ -218,24 +186,6 @@ def test_bench_single_injection_batch(benchmark, bench_campaign_runner):
 
     outcome = benchmark(lambda: injector.run_batch(first + 4, lanes))
     assert outcome.n_lanes == 64
-
-
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_bench_backend_sweep(benchmark, bench_mac, bench_campaign_runner, backend):
-    """Per-backend all-flip-flop sweep throughput on the tiny MAC."""
-    netlist, workload = bench_mac
-    criterion = PacketInterfaceCriterion(workload.valid_nets, workload.data_nets)
-    injector = FaultInjector(
-        netlist, workload.testbench, bench_campaign_runner.golden, criterion,
-        backend=backend,
-    )
-    first, _ = bench_campaign_runner.active_window
-    lanes = list(range(injector.sim.n_flip_flops))
-    injector.run_batch(first + 4, lanes)  # warm-up: fused compiles here
-    outcome = benchmark.pedantic(
-        lambda: injector.run_batch(first + 4, lanes), rounds=2, iterations=1
-    )
-    assert outcome.n_lanes == len(lanes)
 
 
 def test_bench_feature_extraction(benchmark, bench_mac, bench_campaign_runner):

@@ -28,8 +28,6 @@ from repro.sim.testbench import GoldenTrace, Testbench
 def campaign_spec(
     scale: str,
     n_injections: Optional[int] = None,
-    backend: str = "compiled",
-    scheduler: str = "adaptive",
     schedule: str = "stream",
     policy: str = "flat",
     target_margin: Optional[float] = None,
@@ -40,8 +38,6 @@ def campaign_spec(
         DATASET_PRESETS[scale],
         schedule=schedule,
         n_injections=n_injections,
-        backend=backend,
-        scheduler=scheduler,
         policy=policy,
         **kwargs,
     )

@@ -12,10 +12,9 @@ The package is organized bottom-up, mirroring the paper's flow (Fig. 1):
     Benchmark designs, most importantly the 10GE-MAC-style core and its
     frame-streaming workload.
 ``repro.sim``
-    The pluggable simulation substrate (:mod:`repro.sim.backend`): compiled
-    bit-parallel, NumPy wide-batch and fused-sweep production engines plus
-    the event-driven (0/1/X) simulator, testbench framework and activity
-    tracing.  See ``docs/simulators.md`` for the backend comparison.
+    The compiled bit-parallel cycle simulator every campaign runs on, plus
+    the event-driven (0/1/X) reference simulator, testbench framework and
+    activity tracing.  See ``docs/simulators.md``.
 ``repro.faultinjection``
     SEU campaigns: golden-trajectory replay, bit-parallel forward fault
     simulation, failure classification, FDR statistics.
@@ -38,7 +37,7 @@ The package is organized bottom-up, mirroring the paper's flow (Fig. 1):
     Cached dataset generation at three scales (tiny / mini / full).
 ``repro.verify``
     Differential verification: seeded circuit fuzzer, independent
-    reference oracle, cross-backend diff harness with shrinking.
+    reference oracle, engine-vs-oracle diff harness with shrinking.
 """
 
 # Defined before the submodule imports: repro.data records it as dataset

@@ -195,12 +195,10 @@ def _shard_payload_error(payload: object) -> Optional[str]:
 class _ShardRunner:
     """Executes buckets against one injector (one per process).
 
-    With the default ``adaptive`` scheduler a shard's buckets all feed one
-    long-lived :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`,
-    so lanes freed by early retirement are refilled with the shard's later
-    injections instead of draining per-bucket batches.  ``scheduler="batch"``
-    keeps the original one-forward-run-per-time-slot execution.  Per-lane
-    verdicts are identical either way, so shard merges stay bit-exact.
+    A shard's buckets all feed one long-lived
+    :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`, so lanes
+    freed by early retirement are refilled with the shard's later
+    injections instead of draining per-bucket batches.
     """
 
     def __init__(self, spec: CampaignSpec, context: CampaignContext) -> None:
@@ -212,14 +210,11 @@ class _ShardRunner:
             golden,
             context.criterion,
             check_interval=spec.check_interval,
-            backend=spec.backend,
             fault_model=spec.fault_model,
         )
-        self.scheduler: Optional[AdaptiveScheduler] = None
-        if spec.scheduler == "adaptive":
-            # max_lanes=None: backend-tuned wide passes (spec.max_lanes is
-            # the *batch* chunk width; refill keeps wider passes saturated).
-            self.scheduler = AdaptiveScheduler(self.injector, max_lanes=None)
+        # max_lanes=None: the scheduler's tuned wide passes (refill keeps
+        # them saturated); spec.max_lanes only addresses the store.
+        self.scheduler = AdaptiveScheduler(self.injector, max_lanes=None)
 
     @classmethod
     def from_spec(cls, spec: CampaignSpec) -> "_ShardRunner":
@@ -245,18 +240,14 @@ class _ShardRunner:
         decisions deterministic per (shard, attempt).
 
         The payload also carries the shard's wall time (feeds the engine's
-        worker-utilization gauge) and, per backend, a lane-cycles/sec gauge
-        observation in the *current* telemetry registry — which is the
-        worker's own throwaway registry when running in a pool process, and
-        the engine's when running serially.
+        worker-utilization gauge) and a lane-cycles/sec gauge observation
+        in the *current* telemetry registry — which is the worker's own
+        throwaway registry when running in a pool process, and the engine's
+        when running serially.
         """
         del attempt  # real simulation never varies across retries
         start = time.perf_counter()
-        payload = (
-            self._run_shard_scheduled(buckets, gate)
-            if self.scheduler is not None
-            else self._run_shard_batches(buckets, gate)
-        )
+        payload = self._run_shard_scheduled(buckets, gate)
         wall = time.perf_counter() - start
         payload["wall_seconds"] = wall
         # Dense index/counts transport instead of a name-keyed dict: on wide
@@ -266,49 +257,10 @@ class _ShardRunner:
         registry = get_telemetry().registry
         registry.timer("executor.shard_seconds").observe(wall)
         if wall > 0:
-            registry.gauge(f"sim.{self.spec.backend}.lane_cycles_per_sec").set(
+            registry.gauge("sim.compiled.lane_cycles_per_sec").set(
                 payload["total_lane_cycles"] / wall
             )
         return payload
-
-    def _run_shard_batches(
-        self,
-        buckets: Sequence[Tuple[int, Sequence[str]]],
-        gate: Optional[ShardGate] = None,
-    ) -> Dict:
-        spec = self.spec
-        injector = self.injector
-        ff: Dict[str, List[int]] = {}
-        n_runs = 0
-        lane_cycles = 0
-        for cycle, lanes in buckets:
-            if gate is not None:
-                lanes = tuple(name for name in lanes if gate.admit(name))
-                if not lanes:
-                    continue
-            indices = [injector.ff_index(name) for name in lanes]
-            for start in range(0, len(indices), spec.max_lanes):
-                chunk = indices[start : start + spec.max_lanes]
-                names = lanes[start : start + spec.max_lanes]
-                outcome = injector.run_batch(cycle, chunk, horizon=spec.horizon)
-                n_runs += 1
-                lane_cycles += outcome.cycles_simulated * len(chunk)
-                for lane, name in enumerate(names):
-                    failed = bool((outcome.failed_mask >> lane) & 1)
-                    if gate is not None:
-                        gate.record(name, failed)
-                    rec = ff.setdefault(name, [0, 0, 0])
-                    rec[0] += 1
-                    if failed:
-                        rec[1] += 1
-                        rec[2] += outcome.latencies.get(lane, 0)
-        return {
-            "ff": ff,
-            "n_forward_runs": n_runs,
-            "total_lane_cycles": lane_cycles,
-            "done_cycles": [cycle for cycle, _ in buckets],
-            "skipped": dict(gate.skipped) if gate is not None else {},
-        }
 
     def _run_shard_scheduled(
         self,
@@ -531,9 +483,10 @@ class CampaignEngine:
         """Guard the invariants a caller-supplied context must share with the
         spec: workers (jobs > 1) and the result store trust the spec alone,
         so a divergent context would silently poison both."""
+        from ..circuits.library import netlist_name
         from ..faultinjection.classify import AnyOutputCriterion, PacketInterfaceCriterion
 
-        if context.netlist.name != self.spec.circuit:
+        if context.netlist.name != netlist_name(self.spec.circuit):
             raise ValueError(
                 f"context netlist {context.netlist.name!r} does not match "
                 f"spec circuit {self.spec.circuit!r}"
@@ -632,8 +585,6 @@ class CampaignEngine:
             "campaign",
             circuit=spec.circuit,
             n_injections=spec.n_injections,
-            backend=spec.backend,
-            scheduler=spec.scheduler,
             schedule=spec.schedule,
             policy=spec.policy,
             jobs=self.jobs,

@@ -274,9 +274,8 @@ def make_policy(spec) -> SamplingPolicy:
 def policy_signature(spec) -> str:
     """Content address of everything that shapes a policy's decisions.
 
-    Policies are excluded from the campaign's *cache identity* (like the
-    backend and the execution scheduler) because per-draw verdicts are
-    policy-invariant; the signature instead namespaces the store's
+    Policies are excluded from the campaign's *cache identity* because
+    per-draw verdicts are policy-invariant; the signature instead namespaces the store's
     *policy snapshots*, whose realized per-flip-flop counts do depend on
     the stopping rule and its knobs.
     """

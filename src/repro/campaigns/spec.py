@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..circuits.library import get_circuit
 from ..circuits.workloads import Workload, build_workload_for, default_criterion
 from ..faultinjection.faults import FaultModelError, canonical_fault_model, parse_fault_model
-from ..faultinjection.scheduler import EXECUTION_SCHEDULERS
 from .policy import DEFAULT_TARGET_MARGIN, SAMPLING_POLICIES
 from ..faultinjection.classify import (
     AnyOutputCriterion,
@@ -29,7 +28,6 @@ from ..faultinjection.classify import (
     PacketInterfaceCriterion,
 )
 from ..netlist.core import Netlist
-from ..sim.backend import BACKEND_NAMES
 from ..sim.testbench import GoldenTrace
 
 __all__ = ["CampaignSpec", "CampaignContext", "build_context"]
@@ -53,15 +51,10 @@ class CampaignSpec:
       lets the result store extend a cached *n*-injection campaign to
       *m > n* injections by simulating only the ``m - n`` delta.
 
-    ``backend`` selects the simulation substrate (``"compiled"``,
-    ``"numpy"`` or ``"fused"``; see :mod:`repro.sim.backend`) and
-    ``scheduler`` the execution strategy (``"adaptive"`` lane refill across
-    injection cycles — the default — or ``"batch"`` per-time-slot forward
-    runs; see :mod:`repro.faultinjection.scheduler`).  Per-lane verdicts
-    and latencies are invariant under both knobs — differentially verified
-    by ``repro.verify`` — so they are execution details: both are
-    **excluded from the cache identity**, and snapshots produced with one
-    backend/scheduler seed or satisfy runs on any other.
+    ``max_lanes`` and ``check_interval`` are part of the store's content
+    address.  ``max_lanes`` no longer shapes execution (the adaptive
+    scheduler picks its own pass width); ``check_interval`` is the
+    injector's retirement-probe period.
     """
 
     circuit: str = "xgmac_mini"
@@ -79,8 +72,6 @@ class CampaignSpec:
     horizon: Optional[int] = None
     max_lanes: int = 256
     check_interval: int = 8
-    backend: str = "compiled"
-    scheduler: str = "adaptive"
     policy: str = "flat"
     target_margin: float = DEFAULT_TARGET_MARGIN
     #: Registered fault model applied at every drawn ``(cycle, ff)`` site
@@ -106,15 +97,6 @@ class CampaignSpec:
             )
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}; choose from {CRITERIA}")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKEND_NAMES}"
-            )
-        if self.scheduler not in EXECUTION_SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {EXECUTION_SCHEDULERS}"
-            )
         if self.n_injections <= 0:
             raise ValueError("n_injections must be positive")
         model = parse_fault_model(self.fault_model)
@@ -136,6 +118,10 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignSpec":
         data = dict(payload)
+        # Retired execution knobs: store documents written by older
+        # versions still carry them in their ``spec`` record.
+        data.pop("backend", None)
+        data.pop("scheduler", None)
         if data.get("ff_names") is not None:
             data["ff_names"] = tuple(data["ff_names"])  # type: ignore[arg-type]
         return cls(**data)  # type: ignore[arg-type]
@@ -148,20 +134,13 @@ class CampaignSpec:
     def _identity_dict(self) -> Dict[str, object]:
         """Fields that determine the campaign's *results*.
 
-        The simulation backend and the execution scheduler are deliberately
-        absent: every backend × scheduler combination produces bit-identical
-        per-lane outcomes (differentially verified), so cached results are
-        shared across all of them and the original compiled-backend cache
-        keys stay valid.  The sampling policy (and its target margin) is
-        excluded for the same reason: per-draw verdicts are
-        policy-invariant, so flat and sequential runs of one family share
-        draws and store documents — the store namespaces the policy's
-        *realized* snapshots separately (see
+        The sampling policy (and its target margin) is deliberately absent:
+        per-draw verdicts are policy-invariant, so flat and sequential runs
+        of one family share draws and store documents — the store
+        namespaces the policy's *realized* snapshots separately (see
         :func:`repro.campaigns.policy.policy_signature`).
         """
         payload = self.to_dict()
-        payload.pop("backend", None)
-        payload.pop("scheduler", None)
         payload.pop("policy", None)
         payload.pop("target_margin", None)
         if payload.get("fault_model") == "seu":
@@ -197,8 +176,6 @@ class CampaignSpec:
         dataset_spec,
         schedule: str = "legacy",
         n_injections: Optional[int] = None,
-        backend: str = "compiled",
-        scheduler: str = "adaptive",
         policy: str = "flat",
         target_margin: float = DEFAULT_TARGET_MARGIN,
         fault_model: Optional[str] = None,
@@ -219,8 +196,6 @@ class CampaignSpec:
         if fault_model is None:
             fault_model = getattr(dataset_spec, "fault_model", "seu")
         return cls(
-            backend=backend,
-            scheduler=scheduler,
             policy=policy,
             target_margin=target_margin,
             fault_model=fault_model,

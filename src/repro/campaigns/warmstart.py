@@ -14,11 +14,10 @@ forked workers inherit it.  Three pieces:
 
 * :func:`warm_context` — one :class:`~repro.campaigns.spec.CampaignContext`
   (netlist + workload + golden trace) per campaign *family*
-  (:meth:`CampaignSpec.family_key`), shared by every budget, backend,
-  scheduler and policy of that family;
+  (:meth:`CampaignSpec.family_key`), shared by every budget and policy of
+  that family;
 * :func:`ensure_runner` / :func:`resolve_runner` — one fully built shard
-  runner (injector + compiled/fused kernels) per
-  ``(family, backend, scheduler)``.  The parent calls
+  runner (injector + generated kernels) per family.  The parent calls
   :func:`ensure_runner` before creating a worker pool; ``_worker_init``
   calls :func:`resolve_runner` and only falls back to a cold
   ``build_context`` when the inherited cache has no entry (spawn platforms,
@@ -73,7 +72,6 @@ __all__ = [
     "pack_tallies",
     "release_warm_cache",
     "resolve_runner",
-    "runner_key",
     "share_golden_trace",
     "unpack_tallies",
     "validate_packed_tally",
@@ -93,7 +91,7 @@ class SharedPackedRows(Sequence):
     Drop-in replacement for the golden trace's ``List[int]`` fields: rows
     are stored as little-endian 64-bit words in a ``(n_rows, n_words)``
     block and reconstructed to arbitrary-precision ints on ``__getitem__``.
-    Hot readers (the injector, the fused kernels) touch a handful of rows
+    Hot readers (the injector, the scheduler) touch a handful of rows
     per simulated cycle, so reconstruction cost is noise next to the gate
     evaluation work — while the backing pages are physically shared by
     every forked worker with zero pickling and zero copy-on-write drift.
@@ -207,24 +205,13 @@ class _WarmFamily:
     context: CampaignContext
     segments: List[SharedPackedRows] = field(default_factory=list)
     build_seconds: float = 0.0
-    #: Fully built shard runners, keyed by ``"backend:scheduler"``.
-    runners: Dict[str, object] = field(default_factory=dict)
+    #: The fully built shard runner (``None`` until :func:`ensure_runner`).
+    runner: Optional[object] = None
 
 
 _FAMILIES: Dict[str, _WarmFamily] = {}
 _STATS = {"hits": 0, "misses": 0}
 _OWNER_PID = os.getpid()
-
-
-def runner_key(spec: CampaignSpec) -> str:
-    """Cache key of a spec's shard runner within its family.
-
-    The family key already covers everything that determines *results*;
-    backend and scheduler are excluded there (verdicts are invariant) but
-    they change the *built objects* — a fused kernel is not a compiled
-    injector — so the runner cache keys on them separately.
-    """
-    return f"{spec.backend}:{spec.scheduler}"
 
 
 def warm_context(
@@ -272,16 +259,15 @@ def ensure_runner(
     """
     registry = get_telemetry().registry
     key = spec.family_key()
-    rkey = runner_key(spec)
     family = _FAMILIES.get(key)
-    if family is not None and rkey in family.runners:
+    if family is not None and family.runner is not None:
         _STATS["hits"] += 1
         registry.counter("warmstart.hits").inc()
-        return family.runners[rkey], True, 0.0
+        return family.runner, True, 0.0
     start = time.perf_counter()
     ctx, _ctx_hit = warm_context(spec, context)
     runner = factory(spec, ctx)
-    _FAMILIES[key].runners[rkey] = runner
+    _FAMILIES[key].runner = runner
     warmup = time.perf_counter() - start
     _STATS["misses"] += 1
     registry.counter("warmstart.misses").inc()
@@ -298,7 +284,7 @@ def resolve_runner(spec: CampaignSpec) -> Optional[object]:
     family = _FAMILIES.get(spec.family_key())
     if family is None:
         return None
-    return family.runners.get(runner_key(spec))
+    return family.runner
 
 
 def warm_stats() -> Dict[str, int]:

@@ -4,7 +4,7 @@ The paper's pitch is that statistical fault injection stays affordable at
 *design* scale, but the handwritten library tops out at the ~1k-FF MAC —
 every scaling claim past that was extrapolation.  This module generates
 synthesizable composites whose flip-flop count is a free parameter, so the
-campaign substrate (compiled/fused kernels, the adaptive scheduler, the
+campaign substrate (the compiled simulator, the adaptive scheduler, the
 warm-start cache) is exercised two orders of magnitude past the MAC with
 *measured* numbers (see ``benchmarks/bench_scale.py``).
 
@@ -38,7 +38,7 @@ sweep that list, and a 100k-FF mesh does not belong in a tiny-preset sweep.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from ..netlist.core import Netlist
 from ..synth.module import Module
@@ -46,6 +46,8 @@ from ..synth.synthesis import synthesize
 from ..synth.wordlib import add, const_word, mux_word
 
 __all__ = [
+    "GENERATED_FF_COUNTS",
+    "GENERATED_NETLIST_NAMES",
     "GENERATED_PRESETS",
     "make_mesh_mac",
     "make_pipeline",
@@ -156,28 +158,39 @@ def _pipe_preset(stages: int, width: int) -> Callable[[], Netlist]:
     return build
 
 
-#: Named generated circuits spanning ~128 to 100k flip-flops.  The suffix is
-#: the flip-flop count; ``mesh_tiny`` exists for tests and the verify oracle
-#: (small enough to brute-force), the 2k presets are the CI scale-smoke
-#: budget, and the 10k/100k presets are the headline scaling measurements.
+#: Shapes of the named generated circuits, spanning ~128 to 100k flip-flops.
+#: The suffix is the flip-flop count; ``mesh_tiny`` exists for tests and the
+#: verify oracle (small enough to brute-force), the 2k presets are the CI
+#: scale-smoke budget, and the 10k/100k presets are the headline scaling
+#: measurements.
+_MESH_SHAPES: Dict[str, Tuple[int, int, int]] = {
+    "mesh_tiny": (2, 4, 8),  # 128 FFs
+    "mesh_2k": (8, 16, 8),  # 2,048 FFs
+    "mesh_10k": (16, 40, 8),  # 10,240 FFs
+    "mesh_100k": (50, 125, 8),  # 100,000 FFs
+}
+_PIPE_SHAPES: Dict[str, Tuple[int, int]] = {
+    "pipe_2k": (128, 16),  # 2,048 FFs
+    "pipe_10k": (320, 32),  # 10,240 FFs
+}
+
 GENERATED_PRESETS: Dict[str, Callable[[], Netlist]] = {
-    "mesh_tiny": _mesh_preset(2, 4, 8),  # 128 FFs
-    "mesh_2k": _mesh_preset(8, 16, 8),  # 2,048 FFs
-    "mesh_10k": _mesh_preset(16, 40, 8),  # 10,240 FFs
-    "mesh_100k": _mesh_preset(50, 125, 8),  # 100,000 FFs
-    "pipe_2k": _pipe_preset(128, 16),  # 2,048 FFs
-    "pipe_10k": _pipe_preset(320, 32),  # 10,240 FFs
+    **{name: _mesh_preset(*shape) for name, shape in _MESH_SHAPES.items()},
+    **{name: _pipe_preset(*shape) for name, shape in _PIPE_SHAPES.items()},
 }
 
 #: Flip-flop counts per preset, for size-aware consumers (benchmarks, docs)
 #: that should not have to synthesize a 100k-FF netlist to learn its size.
 GENERATED_FF_COUNTS: Dict[str, int] = {
-    "mesh_tiny": mesh_ff_count(2, 4, 8),
-    "mesh_2k": mesh_ff_count(8, 16, 8),
-    "mesh_10k": mesh_ff_count(16, 40, 8),
-    "mesh_100k": mesh_ff_count(50, 125, 8),
-    "pipe_2k": pipeline_ff_count(128, 16),
-    "pipe_10k": pipeline_ff_count(320, 32),
+    **{name: mesh_ff_count(*shape) for name, shape in _MESH_SHAPES.items()},
+    **{name: pipeline_ff_count(*shape) for name, shape in _PIPE_SHAPES.items()},
+}
+
+#: Name of the netlist each preset builds (the module name encodes the
+#: shape, e.g. ``mesh_tiny`` builds ``mesh2x4x8``).
+GENERATED_NETLIST_NAMES: Dict[str, str] = {
+    **{name: "mesh{}x{}x{}".format(*shape) for name, shape in _MESH_SHAPES.items()},
+    **{name: "pipe{}x{}".format(*shape) for name, shape in _PIPE_SHAPES.items()},
 }
 
 #: Registration order for the library (sorted for a stable registry layout).

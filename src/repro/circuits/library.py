@@ -13,7 +13,7 @@ from .counters import make_counter, make_gray_counter, make_lfsr, make_shift_reg
 from .crc import make_crc32
 from .fifo import make_fifo
 from .fsm import make_fsm_controller
-from .generator import GENERATED_CIRCUITS, GENERATED_PRESETS
+from .generator import GENERATED_CIRCUITS, GENERATED_NETLIST_NAMES, GENERATED_PRESETS
 from .xgmac import XGMAC_PRESETS, make_xgmac
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "LIBRARY_CIRCUITS",
     "get_circuit",
     "available_circuits",
+    "netlist_name",
 ]
 
 
@@ -67,6 +68,12 @@ def get_circuit(name: str) -> Netlist:
     except KeyError:
         raise KeyError(f"unknown circuit {name!r}; available: {available_circuits()}") from None
     return builder()
+
+
+def netlist_name(circuit: str) -> str:
+    """Name of the netlist :func:`get_circuit` builds for *circuit*, without
+    building it (generated presets name their netlist after its shape)."""
+    return GENERATED_NETLIST_NAMES.get(circuit, circuit)
 
 
 def available_circuits() -> List[str]:

@@ -20,8 +20,8 @@ for every library circuit — the inputs of the cross-circuit transfer
 experiment.
 
 Every cached dataset records its provenance in ``Dataset.meta`` — the
-generating spec, the campaign content address, the backend/scheduler and
-the code version — plus a ``schema_version``; caches written by an older
+generating spec, the campaign content address, the schedule and the code
+version — plus a ``schema_version``; caches written by an older
 schema self-invalidate instead of silently loading.
 """
 
@@ -187,24 +187,20 @@ def generate_dataset(
     spec: DatasetSpec,
     jobs: int = 1,
     campaign_cache_dir: Optional[Path] = None,
-    backend: str = "compiled",
-    scheduler: str = "adaptive",
 ) -> Tuple[Dataset, CampaignResult]:
     """Run the full reference flow for *spec* (no dataset caching).
 
     The fault campaign runs on the :class:`~repro.campaigns.CampaignEngine`
     in ``legacy`` schedule mode, which is draw-for-draw identical to the
     historical serial runner — so datasets are bit-stable across ``jobs``
-    counts, backends and schedulers — while gaining sharded execution and
+    counts — while gaining sharded execution and
     (when *campaign_cache_dir* is set) snapshot reuse and resumability.
 
     The returned dataset's ``meta`` records full label provenance: the
-    generating spec, the campaign spec's content address, the simulation
-    backend and execution scheduler, and the package version.
+    generating spec, the campaign spec's content address, the draw
+    schedule and the package version.
     """
-    campaign_spec = CampaignSpec.from_dataset_spec(
-        spec, schedule="legacy", backend=backend, scheduler=scheduler
-    )
+    campaign_spec = CampaignSpec.from_dataset_spec(spec, schedule="legacy")
     # Instantiate the environment exactly as sharded worker processes do
     # (circuit, workload and criterion all resolve from the campaign spec),
     # so serial and jobs > 1 runs can never diverge in construction.
@@ -229,8 +225,6 @@ def generate_dataset(
                 "criterion": campaign_spec.criterion,
                 "fault_model": campaign_spec.fault_model,
                 "campaign_key": campaign_spec.cache_key(),
-                "backend": backend,
-                "scheduler": scheduler,
                 "schedule": campaign_spec.schedule,
                 "code_version": __version__,
             },
@@ -244,8 +238,6 @@ def get_dataset(
     cache_dir: Optional[Path] = None,
     regenerate: bool = False,
     jobs: int = 1,
-    backend: str = "compiled",
-    scheduler: str = "adaptive",
 ) -> Dataset:
     """Load (or generate and cache) a labelled dataset.
 
@@ -289,11 +281,7 @@ def get_dataset(
         "dataset", circuit=spec.circuit, n_injections=spec.n_injections
     ):
         dataset, _campaign = generate_dataset(
-            spec,
-            jobs=jobs,
-            campaign_cache_dir=cache_dir,
-            backend=backend,
-            scheduler=scheduler,
+            spec, jobs=jobs, campaign_cache_dir=cache_dir
         )
         cache_dir.mkdir(parents=True, exist_ok=True)
         cache_file.write_text(dataset.to_json())

@@ -35,11 +35,8 @@ same circuit (``--fault-model`` picks the target label family; default
 ``mbu:size=3,radius=1,seed=0`` — see ``docs/fault_models.md``).
 The ``campaign`` command runs the parallel campaign engine directly
 (``stream`` schedule, so repeated runs with growing ``--injections`` only
-simulate the delta) and prints its economics; ``--backend
-{compiled,numpy,fused}`` selects the simulation substrate (see
-``docs/simulators.md``) without affecting results, and ``--fault-model``
-swaps the injected fault family (cache identities stay separate per
-model).
+simulate the delta) and prints its economics; ``--fault-model`` swaps the
+injected fault family (cache identities stay separate per model).
 
 The ``verify`` command fuzzes ``--seeds`` random circuits and cross-checks
 the compiled simulator, the event-driven simulator, the reference oracle and
@@ -62,10 +59,8 @@ from ..campaigns import (
     CampaignEngine,
     CampaignSpec,
 )
-from ..faultinjection.scheduler import EXECUTION_SCHEDULERS
 from ..data import DATASET_PRESETS, default_cache_dir
 from ..obs import JsonlSink, LiveProgressSink, Telemetry, get_telemetry, use_telemetry
-from ..sim.backend import BACKEND_NAMES
 from ..verify import verify_seeds
 from .spec import ExperimentContext, ExperimentRunner, ExperimentSpec
 
@@ -101,8 +96,6 @@ def run_campaign_command(args, cache_dir: Path, out_dir: Optional[Path]) -> None
         dataset_spec,
         schedule="stream",
         n_injections=args.injections,
-        backend=args.backend,
-        scheduler=args.scheduler,
         policy=args.policy,
         target_margin=args.target_margin,
         fault_model=args.fault_model,
@@ -123,7 +116,6 @@ def run_campaign_command(args, cache_dir: Path, out_dir: Optional[Path]) -> None
     print(
         f"=== campaign === circuit={spec.circuit} injections={spec.n_injections} "
         f"fault_model={spec.fault_model} "
-        f"backend={spec.backend} scheduler={spec.scheduler} "
         f"policy={policy_label} jobs={args.jobs} "
         f"cache={cache_dir}",
         flush=True,
@@ -235,7 +227,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         args.seeds, scale=args.scale, seed_base=args.seed, progress=progress
     )
     print(
-        f"checked {summary.n_seeds} circuits: {summary.n_comparisons} cross-backend "
+        f"checked {summary.n_seeds} circuits: {summary.n_comparisons} engine-vs-oracle "
         f"comparisons, {summary.n_injections_checked} injector replays "
         f"in {summary.wall_seconds:.2f}s "
         f"({summary.comparisons_per_second():,.0f} comparisons/s)"
@@ -259,7 +251,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
             f"--seed {summary.failing[0].seed} --scale {args.scale}`"
         )
         return 1
-    print("all backends agree")
+    print("all engines agree with the oracle")
 
     from ..verify.diff import run_generated_check
 
@@ -358,7 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=EXPERIMENTS + ["all", "campaign", "verify"],
         help="which experiments to run ('transfer' sweeps the cross-circuit "
         "matrix; 'campaign' drives the parallel fault-injection engine "
-        "directly; 'verify' differential-tests the simulation backends on "
+        "directly; 'verify' differential-tests the simulation engines on "
         "fuzzed circuits)",
     )
     parser.add_argument("--scale", default="mini", choices=["tiny", "mini", "full"])
@@ -396,21 +388,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--regenerate", action="store_true", help="ignore the dataset cache")
     parser.add_argument(
         "--jobs", type=int, default=1, help="campaign worker processes (default: 1, serial)"
-    )
-    parser.add_argument(
-        "--backend",
-        default="compiled",
-        choices=list(BACKEND_NAMES),
-        help="campaign simulation substrate (results are backend-invariant; "
-        "see docs/simulators.md)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        default="adaptive",
-        choices=list(EXECUTION_SCHEDULERS),
-        help="campaign execution strategy: 'adaptive' keeps lanes full via "
-        "mixed-cycle refill, 'batch' runs one forward simulation per time "
-        "slot (results are scheduler-invariant; see docs/performance.md)",
     )
     parser.add_argument(
         "--policy",
@@ -558,8 +535,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 experiments=args.experiments,
                 scale=args.scale,
                 jobs=args.jobs,
-                backend=args.backend,
-                scheduler=args.scheduler,
                 policy=args.policy,
             )
             return dispatch(args, cache_dir, out_dir)
@@ -624,8 +599,6 @@ def dispatch(args, cache_dir: Path, out_dir: Optional[Path]) -> int:
             cache_dir=cache_dir,
             jobs=args.jobs,
             regenerate=args.regenerate,
-            backend=args.backend,
-            scheduler=args.scheduler,
         )
     )
     if any(e != "transfer" for e in requested):

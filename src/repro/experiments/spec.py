@@ -119,14 +119,10 @@ class ExperimentContext:
         cache_dir: Optional[Path] = None,
         jobs: int = 1,
         regenerate: bool = False,
-        backend: str = "compiled",
-        scheduler: str = "adaptive",
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.jobs = jobs
         self.regenerate = regenerate
-        self.backend = backend
-        self.scheduler = scheduler
         self._datasets: Dict[DatasetSpec, Dataset] = {}
 
     def dataset(
@@ -146,8 +142,6 @@ class ExperimentContext:
                 cache_dir=self.cache_dir,
                 regenerate=self.regenerate,
                 jobs=self.jobs,
-                backend=self.backend,
-                scheduler=self.scheduler,
             )
             self._datasets[spec] = cached
         return cached

@@ -7,27 +7,14 @@ injected "at different times during the active phase of the simulation".
 Scheduling strategy
 -------------------
 Injection times are drawn per flip-flop, without replacement, from a pool of
-*time slots* sampled uniformly inside the active window.  How the draws are
-*executed* is a separate knob (``scheduler=``):
-
-``adaptive`` (default)
-    All draws feed one long-lived
-    :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: lanes are
-    activated at their own injection cycles, retired lanes are refilled
-    from the pending queue, and drained passes are compacted — so the
-    whole campaign runs in a handful of saturated forward passes.
-
-``batch``
-    The paper-faithful reference execution: all injections sharing a time
-    slot are simulated together as bit-parallel lanes of a single forward
-    run (see :class:`~repro.faultinjection.injector.FaultInjector`), so the
-    number of forward simulations is bounded by ``n_time_slots ×
-    ceil(lanes / max_lanes)`` instead of ``n_ffs × n_injections``.
-
-Per-injection verdicts and latencies are bit-identical between the two
-(differentially verified per fuzz seed), so the per-flip-flop FDR results do
-not depend on the choice; only the engine-cost metrics
-(``n_forward_runs``, ``total_lane_cycles``) reflect the execution shape.
+*time slots* sampled uniformly inside the active window.  All draws feed one
+long-lived :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: lanes
+are activated at their own injection cycles, retired lanes are refilled from
+the pending queue, and drained passes are compacted — so the whole campaign
+runs in a handful of saturated forward passes.  Per-injection verdicts and
+latencies equal one naive
+:meth:`~repro.faultinjection.injector.FaultInjector.run_batch` lane per
+injection (differentially verified per fuzz seed).
 """
 
 from __future__ import annotations
@@ -43,7 +30,6 @@ from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .fdr import FdrEstimate
 from .injector import FaultInjector
-from .scheduler import EXECUTION_SCHEDULERS
 
 __all__ = ["FlipFlopResult", "CampaignResult", "StatisticalFaultCampaign"]
 
@@ -178,31 +164,17 @@ class StatisticalFaultCampaign:
         trace minus a small warm-up.
     golden:
         Reuse a previously recorded golden trace (otherwise recorded here).
-    max_lanes:
-        Cap on bit-parallel lanes per forward run.  256 is a good trade-off
-        for the default compiled backend in CPython; the ``numpy`` backend
-        profits from much wider batches (thousands of lanes).
     check_interval:
         Cycles between the injector's early-retirement checks.
-    backend:
-        Simulation substrate (``"compiled"``, ``"numpy"`` or ``"fused"``,
-        see :mod:`repro.sim.backend`); results are backend-invariant.
-    scheduler:
-        Execution strategy: ``"adaptive"`` (lane refill across injection
-        cycles, default) or ``"batch"`` (one forward run per time slot).
-        Per-flip-flop results are scheduler-invariant.
     scheduler_lanes:
         Lane capacity of the adaptive scheduler's passes; ``None``
-        (default) picks the backend-tuned width — refill keeps wide
-        batches full, so the adaptive default is much wider than
-        ``max_lanes``.
+        (default) picks the scheduler's tuned width
+        (:data:`~repro.faultinjection.scheduler.AUTO_MAX_LANES`).
     fault_model:
         Registered fault model applied at every drawn ``(cycle, ff)``
         site (see :mod:`repro.faultinjection.faults`); ``None`` keeps
         the paper's single-bit SEU semantics.
     """
-
-    SCHEDULERS = EXECUTION_SCHEDULERS
 
     def __init__(
         self,
@@ -211,18 +183,10 @@ class StatisticalFaultCampaign:
         criterion: FailureCriterion,
         active_window: Optional[Tuple[int, int]] = None,
         golden: Optional[GoldenTrace] = None,
-        max_lanes: int = 256,
         check_interval: int = 8,
-        backend: str = "compiled",
-        scheduler: str = "adaptive",
         scheduler_lanes: Optional[int] = None,
         fault_model: Optional[object] = None,
     ) -> None:
-        if scheduler not in self.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose from {self.SCHEDULERS}"
-            )
-        self.scheduler = scheduler
         self.scheduler_lanes = scheduler_lanes
         self.netlist = netlist
         self.testbench = testbench
@@ -237,14 +201,12 @@ class StatisticalFaultCampaign:
         if not 0 <= first < last <= self.golden.n_cycles:
             raise ValueError(f"invalid active window {active_window}")
         self.active_window = (first, last)
-        self.max_lanes = max_lanes
         self.injector = FaultInjector(
             netlist,
             testbench,
             self.golden,
             criterion,
             check_interval=check_interval,
-            backend=backend,
             fault_model=fault_model,
         )
 
@@ -288,53 +250,30 @@ class StatisticalFaultCampaign:
                 buckets.setdefault(cycle, []).append(ff_idx)
 
         ff_order = [ff.name for ff in self.netlist.flip_flops()]
-        if self.scheduler == "adaptive":
-            requests = [
-                (cycle, ff_idx)
-                for cycle in sorted(buckets)
-                for ff_idx in buckets[cycle]
-            ]
-            scheduler_progress = None
-            if progress is not None:
-                n_buckets = len(buckets)
+        requests = [
+            (cycle, ff_idx) for cycle in sorted(buckets) for ff_idx in buckets[cycle]
+        ]
+        scheduler_progress = None
+        if progress is not None:
+            n_buckets = len(buckets)
 
-                def scheduler_progress(done: int, total: int) -> None:
-                    # Map completed injections onto the bucket scale so both
-                    # schedulers report comparable (done, total) ticks.
-                    progress(round(done / max(1, total) * n_buckets), n_buckets)
+            def scheduler_progress(done: int, total: int) -> None:
+                # Map completed injections onto the time-slot scale.
+                progress(round(done / max(1, total) * n_buckets), n_buckets)
 
-            outcome = self.injector.run_scheduled(
-                requests,
-                horizon=horizon,
-                max_lanes=self.scheduler_lanes,
-                progress=scheduler_progress,
-            )
-            for (cycle, ff_idx), (failed, latency) in zip(requests, outcome.verdicts):
-                record = result.results[ff_order[ff_idx]]
-                record.n_injections += 1
-                if failed:
-                    record.n_failures += 1
-                    record.latency_sum += latency
-            result.n_forward_runs = outcome.stats.n_passes
-            result.total_lane_cycles = outcome.stats.lane_cycles
-        else:
-            done = 0
-            total = len(buckets)
-            for cycle in sorted(buckets):
-                lanes = buckets[cycle]
-                for chunk_start in range(0, len(lanes), self.max_lanes):
-                    chunk = lanes[chunk_start : chunk_start + self.max_lanes]
-                    outcome = self.injector.run_batch(cycle, chunk, horizon=horizon)
-                    result.n_forward_runs += 1
-                    result.total_lane_cycles += outcome.cycles_simulated * len(chunk)
-                    for lane, ff_idx in enumerate(chunk):
-                        record = result.results[ff_order[ff_idx]]
-                        record.n_injections += 1
-                        if (outcome.failed_mask >> lane) & 1:
-                            record.n_failures += 1
-                            record.latency_sum += outcome.latencies.get(lane, 0)
-                done += 1
-                if progress is not None:
-                    progress(done, total)
+        outcome = self.injector.run_scheduled(
+            requests,
+            horizon=horizon,
+            max_lanes=self.scheduler_lanes,
+            progress=scheduler_progress,
+        )
+        for (_cycle, ff_idx), (failed, latency) in zip(requests, outcome.verdicts):
+            record = result.results[ff_order[ff_idx]]
+            record.n_injections += 1
+            if failed:
+                record.n_failures += 1
+                record.latency_sum += latency
+        result.n_forward_runs = outcome.stats.n_passes
+        result.total_lane_cycles = outcome.stats.lane_cycles
         result.wall_seconds = time.monotonic() - start_time
         return result

@@ -11,11 +11,8 @@ exactly this over the packet receive interface:
   corruption").
 
 Criteria are *bound* to a simulator once (resolving net names to indices)
-and then evaluated per cycle over all bit-parallel fault lanes at once.
-Binding and evaluation are backend-agnostic: any
-:class:`~repro.sim.backend.SimBackend` works, because evaluation only uses
-``& | ^`` on lane vectors (Python ints on the compiled backend, ``uint64``
-lane blocks on the numpy backend).
+and then evaluated per cycle over all bit-parallel fault lanes at once
+(lane vectors are Python ints; evaluation only uses ``& | ^``).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..netlist.core import Netlist
-from ..sim.backend import SimBackend
+from ..sim.compiled import CompiledSimulator
 
 __all__ = [
     "FailureCriterion",
@@ -60,7 +57,7 @@ class BoundCriterion:
         """Per-lane failure mask for one cycle.
 
         ``values`` is the simulator's net-value array after combinational
-        settle (lane vectors in the backend's native representation);
+        settle (Python-int lane vectors);
         ``golden_outputs`` the packed golden output vector for the same
         cycle.  Returns a lane vector of failing lanes.
         """
@@ -84,7 +81,7 @@ class FailureCriterion:
         """Outputs whose deviation can constitute a failure."""
         raise NotImplementedError
 
-    def bind(self, netlist: Netlist, sim: SimBackend) -> BoundCriterion:
+    def bind(self, netlist: Netlist, sim: CompiledSimulator) -> BoundCriterion:
         raise NotImplementedError
 
 
@@ -107,7 +104,7 @@ class PacketInterfaceCriterion(FailureCriterion):
     def observable_nets(self) -> List[str]:
         return list(self.valid_nets) + list(self.data_nets)
 
-    def bind(self, netlist: Netlist, sim: SimBackend) -> BoundCriterion:
+    def bind(self, netlist: Netlist, sim: CompiledSimulator) -> BoundCriterion:
         out_bit = {name: i for i, name in enumerate(netlist.outputs)}
         valid_pairs = [(sim.net_index[n], out_bit[n]) for n in self.valid_nets]
         data_pairs = [(sim.net_index[n], out_bit[n]) for n in self.data_nets]
@@ -131,7 +128,7 @@ class AnyOutputCriterion(FailureCriterion):
     def observable_nets(self) -> List[str]:
         return list(self.nets)
 
-    def bind(self, netlist: Netlist, sim: SimBackend) -> BoundCriterion:
+    def bind(self, netlist: Netlist, sim: CompiledSimulator) -> BoundCriterion:
         out_bit = {name: i for i, name in enumerate(netlist.outputs)}
         valid_pairs = [(sim.net_index[n], out_bit[n]) for n in self.nets]
         return BoundCriterion(valid_pairs, [])

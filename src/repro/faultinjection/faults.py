@@ -35,8 +35,8 @@ Registered models
     (see :class:`SetSweepModel` for the enforced contract).
 
 Plans are pure functions of ``(model parameters, site, cycle)`` — no state
-leaks from execution order — which is what makes scheduled, batched, fused
-and oracle executions of the same injection comparable bit-for-bit.
+leaks from execution order — which is what makes scheduled, batched and
+oracle executions of the same injection comparable bit-for-bit.
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ class FaultModel:
 
     #: Registry name; doubles as the spec-string head.
     name: str = "?"
-    #: Whether plans carry per-cycle forcing.  Forcing needs the cycle
-    #: substrate's re-force hook, so the injector routes these models off
-    #: the fused sweep kernel.
-    has_forces: bool = False
     #: Whether the model targets flip-flops (the statistical campaign).
     #: SET sweeps target combinational nets and set this to False.
     supports_ff_campaign: bool = True
@@ -217,10 +213,6 @@ class BoundFaultModel:
     @property
     def name(self) -> str:
         return self.model.name
-
-    @property
-    def has_forces(self) -> bool:
-        return self.model.has_forces
 
     def plan(self, ff_index: int, cycle: int) -> InjectionPlan:
         """The deterministic plan for striking *ff_index* at *cycle*."""
@@ -312,7 +304,6 @@ class MbuModel(FaultModel):
     """
 
     name = "mbu"
-    has_forces = False
 
     def __init__(self, size: int = 3, radius: int = 1, seed: int = 0) -> None:
         if size < 1:
@@ -373,14 +364,10 @@ class StuckAtModel(FaultModel):
     """Persistent stuck-at fault: Q forced to a constant from injection on.
 
     The forcing is re-asserted at the start of every cycle of the
-    observation window (before the combinational settle), on compiled and
-    NumPy backends alike; the injector falls back from the fused sweep
-    kernel to the cycle substrate for these lanes.  Stuck lanes are
+    observation window (before the combinational settle).  Stuck lanes are
     excluded from convergence-based early retirement — a stuck bit that
     currently matches golden can still diverge later.
     """
-
-    has_forces = True
 
     def __init__(self, value: int) -> None:
         if value not in (0, 1):
@@ -410,7 +397,6 @@ class IntermittentModel(FaultModel):
     """
 
     name = "intermittent"
-    has_forces = True
 
     def __init__(
         self, period: int = 8, on: int = 2, value: int = 0, seed: int = 0

@@ -18,14 +18,10 @@ ingredients make the paper's full flat campaign tractable:
    only in, say, a statistics counter is provably benign and does not keep
    the batch alive.
 
-The forward simulation runs on a pluggable substrate (see
-:mod:`repro.sim.backend`): ``backend="compiled"`` packs lanes into Python
-integers, ``backend="numpy"`` evaluates ``uint64`` lane blocks for wide
-batches, and ``backend="fused"`` code-generates one specialized sweep kernel
-per (circuit, workload) that runs the whole batch loop in a single generated
-function (:mod:`repro.sim.fused`).  All three produce bit-identical
-verdicts and latencies — cross-checked per fuzz seed by
-:mod:`repro.verify.diff`.
+The forward simulation runs on the compiled bit-parallel simulator
+(:class:`~repro.sim.compiled.CompiledSimulator`), lanes packed into Python
+integers.  Verdicts and latencies are cross-checked per fuzz seed against a
+brute-force oracle by :mod:`repro.verify.diff`.
 
 Campaigns should prefer :meth:`FaultInjector.run_scheduled` over many
 :meth:`run_batch` calls: the adaptive scheduler
@@ -43,8 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netlist.core import Netlist
 from ..obs import get_telemetry
-from ..sim.backend import BACKEND_NAMES, create_backend
-from ..sim.fused import FusedSweepKernel
+from ..sim.compiled import CompiledSimulator
 from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_model
@@ -135,17 +130,12 @@ class FaultInjector:
     check_interval:
         Cycles between early-retirement convergence checks (trade-off:
         smaller intervals retire lanes sooner but check more often).
-    backend:
-        Simulation substrate: ``"compiled"`` (default), ``"numpy"``, or
-        ``"fused"``.  Verdicts and latencies are backend-invariant.
     fault_model:
         A :class:`~repro.faultinjection.faults.FaultModel`, a registry spec
         string (``"mbu:size=3,radius=1,seed=0"``), or ``None`` for the
-        paper's single-bit SEU.  Models whose plans carry per-cycle forcing
-        (stuck-at, intermittent) run on the cycle substrate even under
-        ``backend="fused"`` — the generated sweep kernel has no re-force
-        hook — and their lanes are excluded from convergence-based early
-        retirement.
+        paper's single-bit SEU.  Lanes of models whose plans carry
+        per-cycle forcing (stuck-at, intermittent) are excluded from
+        convergence-based early retirement.
     """
 
     def __init__(
@@ -155,18 +145,12 @@ class FaultInjector:
         golden: GoldenTrace,
         criterion: FailureCriterion,
         check_interval: int = 8,
-        backend: str = "compiled",
         fault_model: "FaultModel | str | None" = None,
     ) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKEND_NAMES}"
-            )
         self.netlist = netlist
         self.testbench = testbench
         self.golden = golden
         self.check_interval = max(1, check_interval)
-        self.backend = backend
         self.fault_model: Optional[FaultModel] = (
             None if fault_model is None else parse_fault_model(fault_model)
         )
@@ -177,13 +161,8 @@ class FaultInjector:
             if self.fault_model is not None and self.fault_model.name != "seu"
             else None
         )
-        # The fused engine replaces the per-cycle loop, not the cycle
-        # simulator itself; SET injection and net bookkeeping still run on
-        # the compiled substrate underneath it.
-        cycle_backend = "compiled" if backend == "fused" else backend
-        self.sim = create_backend(cycle_backend, netlist, n_lanes=1)
+        self.sim = CompiledSimulator(netlist, n_lanes=1)
         self._criterion = criterion.bind(netlist, self.sim)
-        self._fused: Optional[FusedSweepKernel] = None
 
         self._input_value_idx = [self.sim.net_index[n] for n in testbench.input_names]
         out_bit = {name: i for i, name in enumerate(netlist.outputs)}
@@ -295,30 +274,6 @@ class FaultInjector:
         )
         return scheduler.run(injections, horizon=horizon, progress=progress)
 
-    def fused_kernel(self) -> FusedSweepKernel:
-        """Build (once) the generated sweep kernel for this workload."""
-        if self._fused is None:
-            self._fused = FusedSweepKernel(
-                self.netlist,
-                self.golden,
-                open_inputs=self._open_inputs,
-                clock_value_idx=[
-                    self.sim.net_index[c]
-                    for c in self.netlist.clocks
-                    if c in self.sim.net_index
-                ],
-                taps=[
-                    (t.source_value_idx, t.target_value_idx, t.source_out_bit, t.delay)
-                    for t in self._taps
-                ],
-                valid_pairs=self._criterion.valid_pairs,
-                data_pairs=self._criterion.data_pairs,
-                relevant_pairs=self._relevant_pairs,
-                check_interval=self.check_interval,
-                tap_golden=[tap.golden_bits for tap in self._taps],
-            )
-        return self._fused
-
     def _record_outcome(self, outcome: BatchOutcome) -> BatchOutcome:
         """Report one forward run's lane-cycle volume to the telemetry layer.
 
@@ -327,10 +282,10 @@ class FaultInjector:
         with telemetry sinks detached.
         """
         registry = get_telemetry().registry
-        registry.counter(f"sim.{self.backend}.lane_cycles").inc(
+        registry.counter("sim.compiled.lane_cycles").inc(
             outcome.cycles_simulated * outcome.n_lanes
         )
-        registry.counter(f"sim.{self.backend}.forward_runs").inc()
+        registry.counter("sim.compiled.forward_runs").inc()
         if self.fault_model is not None:
             registry.counter(f"fault.{self.fault_model.name}.injections").inc(
                 outcome.n_lanes
@@ -361,28 +316,6 @@ class FaultInjector:
         plans: Optional[List[InjectionPlan]] = None
         if bound is not None:
             plans = [bound.plan(ff_idx, cycle) for ff_idx in ff_indices]
-
-        if self.backend == "fused" and (
-            plans is None or not any(p.forces for p in plans)
-        ):
-            # Pure flip plans ride the generated sweep kernel (MBU clusters
-            # are just multi-bit flip specs); forcing falls back to the
-            # cycle substrate below.
-            end = golden.n_cycles
-            if horizon is not None:
-                end = min(end, cycle + horizon)
-            flip_spec = ff_indices if plans is None else [p.flips for p in plans]
-            failed, latencies, cycles = self.fused_kernel().run_sweep(
-                cycle, end, flip_spec
-            )
-            return self._record_outcome(
-                BatchOutcome(
-                    failed_mask=failed,
-                    n_lanes=n,
-                    cycles_simulated=cycles,
-                    latencies=latencies,
-                )
-            )
 
         sim = self.sim
         sim.resize_lanes(n)
@@ -493,9 +426,6 @@ class FaultInjector:
         next cycle on the run continues exactly like an SEU forward
         simulation.  Electrical and sub-cycle temporal de-rating are below
         this model's time resolution, as discussed in the paper's section II.
-
-        SET sweeps always run on the cycle substrate (compiled or numpy);
-        the fused kernel only specializes flip-flop SEU sweeps.
         """
         golden = self.golden
         if not 0 <= cycle < golden.n_cycles:
@@ -620,8 +550,8 @@ class FaultInjector:
         values = sim.values
         grel = self.relevant_golden(cycle)
         # Early-exit once every lane diverged, but only probe periodically:
-        # vec_is_full is a method call (and an array reduction on the numpy
-        # backend), so checking per flip-flop would dominate the sweep.
+        # vec_is_full is a method call, so checking per flip-flop would
+        # dominate the sweep.
         for k, (q_idx, _ff_index) in enumerate(self._relevant_pairs):
             golden = mask if (grel >> k) & 1 else 0
             diff = diff | (values[q_idx] ^ golden)

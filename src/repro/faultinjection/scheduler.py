@@ -16,9 +16,9 @@ per-cycle batches with one long-lived forward simulation per *pass*:
 * **lane compaction + refill** — retirement checks free lanes for the
   pending queue; once the queue can no longer refill a drained pass, the
   surviving lanes are *repacked* into a narrower batch
-  (:meth:`~repro.sim.backend.SimBackend.gather_lanes` /
-  :meth:`~repro.sim.backend.SimBackend.scatter_lanes`), which shrinks every
-  subsequent big-int/array operation;
+  (:meth:`~repro.sim.compiled.CompiledSimulator.gather_lanes` /
+  :meth:`~repro.sim.compiled.CompiledSimulator.scatter_lanes`), which
+  shrinks every subsequent big-int operation;
 * **cone-gated evaluation** — the netlist is levelized into topologically
   ordered partitions at build time (:mod:`repro.netlist.levelize`), each
   compiled into its own callable.  A divergence frontier (which relevant
@@ -58,14 +58,7 @@ __all__ = [
     "SchedulerStats",
     "AdaptiveScheduler",
     "CONE_GATING_MODES",
-    "EXECUTION_SCHEDULERS",
 ]
-
-#: The campaign-level execution strategies: ``"adaptive"`` (this module) or
-#: ``"batch"`` (one forward run per time slot).  Single source of truth for
-#: :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign` and
-#: :class:`~repro.campaigns.spec.CampaignSpec` validation.
-EXECUTION_SCHEDULERS = ("adaptive", "batch")
 
 #: Valid ``cone_gating`` modes: ``auto`` gates only when few lanes are
 #: active (wide batches almost always have a wide frontier), ``on`` always
@@ -91,13 +84,13 @@ FALLBACK_FRONTIER_FRACTION = 0.5
 #: gather/scatter pass is O(flip-flops × survivors)).
 MIN_REPACK_GAIN = 16
 
-#: Default lane-slot capacity per backend when ``max_lanes`` is ``None``.
-#: Wider batches amortize the per-statement interpreter cost over more
-#: lanes — but only pay off when the batch stays *full*, which is exactly
-#: what refill provides (a naive batch this wide would drain to a few
-#: stragglers and waste almost the whole width).  Pass width is always
-#: additionally capped by the pending-request count.
-AUTO_MAX_LANES = {"compiled": 4096, "fused": 4096, "numpy": 16384}
+#: Default lane-slot capacity when ``max_lanes`` is ``None``.  Wider
+#: batches amortize the per-statement interpreter cost over more lanes —
+#: but only pay off when the batch stays *full*, which is exactly what
+#: refill provides (a naive batch this wide would drain to a few stragglers
+#: and waste almost the whole width).  Pass width is always additionally
+#: capped by the pending-request count.
+AUTO_MAX_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -119,9 +112,7 @@ class SchedulerStats:
     same pass (the lanes early retirement gave back), ``early_retired``
     the lanes retired at a divergence probe before the end of the trace
     without having failed (i.e. re-converged to golden), and
-    ``peak_width`` the widest lane batch any pass allocated.  The fused
-    backend's generated kernel reports the core counters only (passes,
-    cycles, lane-cycles, activations, deferrals).
+    ``peak_width`` the widest lane batch any pass allocated.
     """
 
     n_injections: int = 0
@@ -145,8 +136,7 @@ class SchedulerStats:
 
         ``lane_cycles / (cycles_simulated * peak_width)`` — the quantity
         refill and repack exist to maximize (a naive drained batch decays
-        toward 1/width).  0.0 when nothing was simulated or the width is
-        unknown (fused kernel).
+        toward 1/width).  0.0 when nothing was simulated.
         """
         if not self.cycles_simulated or not self.peak_width:
             return 0.0
@@ -205,8 +195,8 @@ class ScheduledOutcome:
 class _GatingPlan:
     """Build-time artifacts of cone-gated evaluation for one injector.
 
-    Everything here is derived once per (netlist, backend, criterion,
-    testbench) binding: the levelized partitions compiled into callables,
+    Everything here is derived once per (netlist, criterion, testbench)
+    binding: the levelized partitions compiled into callables,
     the per-consumer source masks/closures, the gated tick, and the
     frontier spread masks.
     """
@@ -366,16 +356,13 @@ class AdaptiveScheduler:
     Parameters
     ----------
     injector:
-        The bound forward simulator.  All backends are supported; the
-        ``fused`` backend delegates to the generated scheduled-sweep kernel
-        (:meth:`repro.sim.fused.FusedSweepKernel.run_scheduled`), which
-        implements refill/retirement but not cone gating.
+        The bound forward simulator.
     max_lanes:
-        Lane-slot capacity of one pass; ``None`` (default) picks the
-        backend's tuned width from :data:`AUTO_MAX_LANES`.
+        Lane-slot capacity of one pass; ``None`` (default) picks
+        :data:`AUTO_MAX_LANES`.
     cone_gating:
         ``"auto"`` (default), ``"on"`` or ``"off"`` — see
-        :data:`CONE_GATING_MODES`.  Ignored by the fused backend.
+        :data:`CONE_GATING_MODES`.
     repack:
         Allow shrinking a drained pass via gather/scatter lane compaction.
     """
@@ -388,7 +375,7 @@ class AdaptiveScheduler:
         repack: bool = True,
     ) -> None:
         if max_lanes is None:
-            max_lanes = AUTO_MAX_LANES.get(injector.backend, 4096)
+            max_lanes = AUTO_MAX_LANES
         if max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
         if cone_gating not in CONE_GATING_MODES:
@@ -429,9 +416,7 @@ class AdaptiveScheduler:
         :attr:`ScheduledOutcome.skipped` and never simulated — and
         ``on_verdict(request, failed)`` fires as each lane retires, so the
         gate sees results in execution order.  The simulated requests'
-        verdicts stay bit-identical to an ungated run.  The fused
-        backend's generated kernel does not support the hooks (they are
-        ignored there; campaign-level policies still stop between rounds).
+        verdicts stay bit-identical to an ungated run.
         """
         golden = self.injector.golden
         n_cycles = golden.n_cycles
@@ -451,30 +436,19 @@ class AdaptiveScheduler:
 
         total = len(requests)
         skipped: List[int] = []
-        bound = self.injector.bound_model
-        if self.injector.backend == "fused" and (
-            bound is None or not bound.has_forces
-        ):
-            # Pure flip models (SEU, MBU clusters) ride the generated
-            # scheduled-sweep kernel; forcing models need the cycle
-            # substrate's per-cycle re-force hook and take the pass loop
-            # below (the injector's cycle sim is compiled under "fused").
-            self.stats.peak_width = min(self.max_lanes, total)
-            self._run_fused(requests, verdicts, horizon, progress)
-        else:
-            pending = requests
-            while pending:
-                pending = self._run_pass(
-                    pending, verdicts, horizon, admit, on_verdict, skipped
-                )
-                self.stats.n_passes += 1
-                if progress is not None:
-                    progress(total - len(pending), total)
+        pending = requests
+        while pending:
+            pending = self._run_pass(
+                pending, verdicts, horizon, admit, on_verdict, skipped
+            )
+            self.stats.n_passes += 1
+            if progress is not None:
+                progress(total - len(pending), total)
         from ..obs import get_telemetry
 
         registry = get_telemetry().registry
         self.stats.record_to(registry)
-        registry.counter(f"sim.{self.injector.backend}.lane_cycles").inc(
+        registry.counter("sim.compiled.lane_cycles").inc(
             self.stats.lane_cycles
         )
         if self.injector.fault_model is not None:
@@ -483,40 +457,11 @@ class AdaptiveScheduler:
             ).inc(total - len(skipped))
         return ScheduledOutcome(verdicts=verdicts, stats=self.stats, skipped=skipped)
 
-    # ---------------------------------------------------------- fused path
-
-    def _run_fused(
-        self,
-        requests: List[InjectionRequest],
-        verdicts: List[Tuple[bool, Optional[int]]],
-        horizon: Optional[int],
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> None:
-        kernel = self.injector.fused_kernel()
-        bound = self.injector.bound_model
-        kernel.run_scheduled(
-            [
-                (
-                    r.cycle,
-                    r.ff_index
-                    if bound is None
-                    else bound.plan(r.ff_index, r.cycle).flips,
-                    r.key,
-                )
-                for r in requests
-            ],
-            verdicts,
-            max_lanes=self.max_lanes,
-            horizon=horizon,
-            stats=self.stats,
-            progress=progress,
-        )
-
     # ---------------------------------------------------------- cycle path
 
     def _gating_plan(self) -> _GatingPlan:
         # Cached on the injector: plans are a function of the (netlist,
-        # backend, criterion, testbench) binding, so repeated schedulers on
+        # criterion, testbench) binding, so repeated schedulers on
         # one injector (campaign top-ups, API users) must not re-levelize
         # and re-exec ~50 partition callables per run.
         if self._plan is None:
@@ -531,7 +476,7 @@ class AdaptiveScheduler:
         """Generated per-lane golden-state loader (one line per flip-flop).
 
         ``_load(v, z, am, nam, gs)`` sets, on the lanes selected by the
-        native vectors ``am``/``nam = am ^ mask``, every flip-flop Q to its
+        lane vectors ``am``/``nam = am ^ mask``, every flip-flop Q to its
         golden bit from the packed state ``gs`` — the scatter half of
         mixed-cycle activation, without a per-flip-flop Python loop.
         """
@@ -553,14 +498,9 @@ class AdaptiveScheduler:
             self._load_fn = load_fn
         return self._load_fn
 
-    def _native(self, packed: int):
-        """Packed Python-int lane mask -> backend-native lane vector."""
-        sim = self.injector.sim
-        if isinstance(sim.values, list):  # compiled: ints are native
-            return packed & sim.mask
-        from ..sim.vectorized import int_to_words
-
-        return int_to_words(packed & lane_mask(sim.n_lanes), sim.n_words)
+    def _masked(self, packed: int) -> int:
+        """Packed lane mask restricted to the simulator's current lanes."""
+        return packed & self.injector.sim.mask
 
     def _run_pass(
         self,
@@ -656,8 +596,8 @@ class AdaptiveScheduler:
             active_int &= ~retire_bits
             failed_int &= ~retire_bits
             force_int &= ~retire_bits
-            active_vec = self._native(active_int)
-            failed = self._native(failed_int)
+            active_vec = self._masked(active_int)
+            failed = self._masked(failed_int)
 
         c = pending[0].cycle
         next_check = c + check
@@ -705,7 +645,7 @@ class AdaptiveScheduler:
             if activated:
                 stats.refills += (activated & ever_used).bit_count()
                 ever_used |= activated
-                am = self._native(activated)
+                am = self._masked(activated)
                 nam = am ^ mask
                 load_fn(values, zero, am, nam, golden.ff_state[c])
                 for request, lane in act_requests:
@@ -733,7 +673,7 @@ class AdaptiveScheduler:
                         slot = slots[t][past % tap.delay]
                         slots[t][past % tap.delay] = (slot & nam) | (am if bit else zero)
                 active_int |= activated
-                active_vec = self._native(active_int)
+                active_vec = self._masked(active_int)
                 stats.activations += len(act_requests)
                 if gate_on or (gate_auto and active_int.bit_count() <= AUTO_GATE_MAX_LANES):
                     if plan is None:
@@ -850,8 +790,8 @@ class AdaptiveScheduler:
                     )
                     active_int = all_lanes  # every surviving lane is live
                     ever_used = all_lanes  # survivors all carry injections
-                    active_vec = self._native(active_int)
-                    failed = self._native(failed_int)
+                    active_vec = self._masked(active_int)
+                    failed = self._masked(failed_int)
                     force_int = 0
                     for lane, entry in enumerate(lane_force):
                         if entry is not None:
@@ -1019,11 +959,9 @@ class AdaptiveScheduler:
         sim.resize_lanes(new_width)
         mask = sim.mask
         zero = sim.broadcast(0)
-        values = sim.values  # numpy reallocates on resize
-        # FF rows use the bulk int->native conversion (O(width/64) words);
-        # the handful of tap slots go through the generic per-lane scatter.
+        values = sim.values
         for q, packed in zip(sim._ff_q, ff_states):
-            values[q] = self._native(packed)
+            values[q] = self._masked(packed)
         for t, pipeline in enumerate(slot_states):
             for k, packed in enumerate(pipeline):
                 slots[t][k] = sim.scatter_lanes(zero, range(new_width), packed)

@@ -55,9 +55,6 @@ def _fn_buf(inputs: Sequence[int], mask: int) -> int:
 
 
 def _fn_and(inputs: Sequence[int], mask: int) -> int:
-    # No in-place ops on `mask`: lane vectors may be mutable ndarray blocks
-    # (see repro.sim.vectorized), and `value &= term` would corrupt the
-    # caller's shared mask.
     value = mask
     for term in inputs:
         value = value & term

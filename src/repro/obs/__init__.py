@@ -2,7 +2,7 @@
 
 This package is the engine's first-class observability surface (the
 "metrics surface" item on the roadmap): every layer — campaign executor,
-adaptive scheduler, result store, simulation backends, dataset layer,
+adaptive scheduler, result store, simulator, dataset layer,
 experiment runner — reports into the *current* :class:`Telemetry`:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges,

@@ -1,34 +1,23 @@
-"""Simulation engines behind the pluggable cycle substrate.
+"""Simulation engines.
 
-Three production engines (compiled bit-parallel, NumPy wide-batch, fused
-sweep kernel) plus the event-driven 0/1/X simulator, the testbench
-framework, and activity tracing.  See :mod:`repro.sim.backend` for the
-:class:`SimBackend` protocol and ``docs/simulators.md`` for when to use
-which engine.
+The compiled bit-parallel simulator is the one production engine; the
+event-driven 0/1/X simulator is an independent verification reference.
+The package also holds the testbench framework and activity tracing.  See
+``docs/simulators.md`` for when to use which engine.
 """
 
 from .activity import ActivityTrace, NetActivity, collect_net_activity, write_vcd
-from .backend import BACKEND_NAMES, CYCLE_BACKENDS, SimBackend, available_backends, create_backend
 from .compiled import CompiledSimulator
 from .event import ClockGenerator, EventDrivenSimulator
-from .fused import FusedSweepKernel
 from .logic import ONE, X, ZERO, broadcast, eval3, extract_lane, lane_mask, popcount
 from .testbench import GoldenTrace, LoopbackPath, ScheduleBuilder, Testbench
-from .vectorized import NumPyWideSimulator
 
 __all__ = [
     "ActivityTrace",
     "NetActivity",
     "collect_net_activity",
     "write_vcd",
-    "BACKEND_NAMES",
-    "CYCLE_BACKENDS",
-    "SimBackend",
-    "available_backends",
-    "create_backend",
     "CompiledSimulator",
-    "NumPyWideSimulator",
-    "FusedSweepKernel",
     "ClockGenerator",
     "EventDrivenSimulator",
     "ONE",

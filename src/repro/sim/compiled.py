@@ -1,23 +1,18 @@
 """Compiled, levelized, bit-parallel cycle simulator.
 
-This is the reference production backend of the simulation substrate (see
-:mod:`repro.sim.backend` for the :class:`SimBackend` protocol and the
-registry).  The netlist's combinational logic is levelized (topologically
-ordered) once and translated into a single generated Python function — one
-statement per gate, operating on Python integers whose bit lanes are
-independent simulation runs.  A clock ``tick`` latches every flip-flop
-simultaneously (two-phase: all next states are computed before any Q is
-updated).
+This is the simulation substrate every fault-injection engine runs on.  The
+netlist's combinational logic is levelized (topologically ordered) once and
+translated into a single generated Python function — one statement per
+gate, operating on Python integers whose bit lanes are independent
+simulation runs.  A clock ``tick`` latches every flip-flop simultaneously
+(two-phase: all next states are computed before any Q is updated).
 
 With *n* lanes, one pass of the generated code simulates *n* circuit
 instances at once.  Because every gate evaluation is a CPython big-int
-operation, cost grows with the integer width: the sweet spot is a few
-hundred lanes (the campaign default is 256), which is what makes the paper's
-full flat campaign (≈1054 flip-flops × 170 injections) feasible in pure
-Python.  For thousands of lanes per pass use the NumPy wide-batch backend
-(:class:`~repro.sim.vectorized.NumPyWideSimulator`), which evaluates the
-same generated statements over ``uint64`` lane-block arrays; for whole
-injection sweeps use the fused kernel (:mod:`repro.sim.fused`).
+operation, cost grows with the integer width; the adaptive injection
+scheduler (:mod:`repro.faultinjection.scheduler`) keeps wide passes full by
+refilling retired lanes, which is what makes the paper's full flat campaign
+(≈1054 flip-flops × 170 injections) feasible in pure Python.
 
 Clock handling is cycle-based: clock nets are forced to 0 and every call to
 :meth:`CompiledSimulator.tick` represents one rising edge.
@@ -26,10 +21,9 @@ Clock handling is cycle-based: clock nets are forced to 0 and every call to
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..netlist.core import Cell, Netlist, NetlistError
-from .backend import PackedLaneMixin
+from ..netlist.core import Cell, Netlist
 from .logic import broadcast, lane_mask
 
 __all__ = [
@@ -71,34 +65,27 @@ def build_eval_source(
     netlist: Netlist,
     net_index: Mapping[str, int],
     fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
-    templates: Optional[Dict[str, str]] = None,
     cells: Optional[Sequence[str]] = None,
 ) -> str:
     """Generate the combinational-settle function source for *netlist*.
 
     Returns the source of ``_eval(v, m, fb)``: one statement per gate in
     levelized order, reading and writing ``v[i]`` lane vectors under the
-    all-ones mask ``m``.  The statements only use ``& | ^ ~`` and indexing,
-    so the same source works for any lane representation whose rows support
-    those operators — Python integers (:class:`CompiledSimulator`) and
-    ``uint64`` ndarray blocks (:class:`~repro.sim.vectorized.NumPyWideSimulator`)
-    alike.  Cells without a template are appended to *fallback_cells* as
-    ``(function, out_index, in_indices)`` and dispatched through ``fb``.
+    all-ones mask ``m``.  Cells without a template are appended to
+    *fallback_cells* as ``(function, out_index, in_indices)`` and dispatched
+    through ``fb``.
 
-    *templates* overrides the default expression table (the numpy backend
-    substitutes cheaper ``^ m`` forms for the inverting gates).  *cells*
-    restricts generation to a subset of combinational cells (must already be
+    *cells* restricts generation to a subset of combinational cells (must already be
     in a valid evaluation order) — this is how one callable per levelized
     partition is built for cone-gated evaluation.
     """
-    table = _TEMPLATES if templates is None else templates
     lines = ["def _eval(v, m, fb):"]
     order = netlist.topological_comb_order() if cells is None else list(cells)
     for cell_name in order:
         cell = netlist.cells[cell_name]
         out = net_index[cell.output_net()]
         ins = [net_index[n] for n in cell.input_nets()]
-        template = table.get(cell.ctype.name)
+        template = _TEMPLATES.get(cell.ctype.name)
         if template is None:
             idx = len(fallback_cells)
             fallback_cells.append((cell.ctype.function, out, tuple(ins)))
@@ -122,7 +109,7 @@ def build_eval_source(
 # cost seconds).  Every simulator built for the same netlist generates the
 # *same* source — the net index is the netlist's own deterministic
 # enumeration — so the compiled code objects are cached per netlist and
-# per flavor ("int" vs "numpy" templates, plain vs gated tick).  Keyed
+# per generated function (eval, plain tick, gated tick).  Keyed
 # weakly: dropping the last netlist reference drops its code objects.
 # ``exec`` of a cached code object only materializes a function object,
 # which is orders of magnitude cheaper than parsing the source again.
@@ -144,25 +131,22 @@ def cached_eval_fn(
     netlist: Netlist,
     net_index: Mapping[str, int],
     fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
-    templates: Optional[Dict[str, str]] = None,
-    flavor: str = "int",
 ) -> Callable:
     """Compile-once-per-netlist variant of :func:`build_eval_source` + exec.
 
     The generated source bakes fallback-dispatch indices starting at 0, so
     *fallback_cells* must be the (empty) per-instance table the returned
     function will be called with; the cached fallback entries are re-extended
-    into it.  *flavor* namespaces the cache per template table ("int" /
-    "numpy") — the cell/net counts in the key guard against a netlist
-    mutated after its code was cached.
+    into it.  The cell/net counts in the key guard against a netlist mutated
+    after its code was cached.
     """
-    key = ("eval", flavor, len(netlist.cells), len(netlist.nets))
+    key = ("eval", len(netlist.cells), len(netlist.nets))
     cache = _cache_for(netlist)
     entry = cache.get(key)
     if entry is None:
         fresh: List[Tuple[Callable, int, Tuple[int, ...]]] = []
-        source = build_eval_source(netlist, net_index, fresh, templates=templates)
-        code = compile(source, f"<repro-eval-{flavor}:{netlist.name}>", "exec")
+        source = build_eval_source(netlist, net_index, fresh)
+        code = compile(source, f"<repro-eval:{netlist.name}>", "exec")
         entry = (code, tuple(fresh))
         cache[key] = entry
     code, entries = entry
@@ -191,7 +175,7 @@ def cached_codegen(
     return namespace[fn_name]  # type: ignore[return-value]
 
 
-class CompiledSimulator(PackedLaneMixin):
+class CompiledSimulator:
     """Cycle-based bit-parallel simulator for a mapped :class:`Netlist`.
 
     Parameters
@@ -216,10 +200,6 @@ class CompiledSimulator(PackedLaneMixin):
     :meth:`load_ff_state_packed`), call :meth:`eval_comb` before observing
     nets.
     """
-
-    #: Registry name under which :func:`repro.sim.backend.create_backend`
-    #: builds this class.
-    name = "compiled"
 
     def __init__(self, netlist: Netlist, n_lanes: int = 1) -> None:
         netlist.validate()
@@ -268,7 +248,7 @@ class CompiledSimulator(PackedLaneMixin):
         return "\n".join(lines)
 
     def _compile_tick(self) -> Callable[[List[int], int], None]:
-        key = ("tick", "int", len(self.netlist.cells))
+        key = ("tick", len(self.netlist.cells))
         return cached_codegen(self.netlist, key, "_tick", self._build_tick_source)
 
     # ------------------------------------------------- partitioned evaluation
@@ -303,7 +283,7 @@ class CompiledSimulator(PackedLaneMixin):
         the edge) when set.  The scheduler uses this to avoid evaluating the
         D-cone of flip-flops that provably hold golden values.
         """
-        key = ("tick", "int-gated", len(self.netlist.cells))
+        key = ("tick-gated", len(self.netlist.cells))
         return cached_codegen(
             self.netlist, key, "_tick_gated", self._build_gated_tick_source
         )
@@ -366,8 +346,22 @@ class CompiledSimulator(PackedLaneMixin):
         """Rising clock edge: latch D (gated by sync RN) into every Q."""
         self._tick_fn(self.values, self.mask)
 
-    # apply_inputs / step / get_word / set_word / output_vector come from
-    # PackedLaneMixin.
+    def apply_inputs(self, assignments: Mapping[str, int]) -> None:
+        """Drive several inputs with scalar values at once."""
+        for name, bit in assignments.items():
+            self.set_input(name, bit)
+
+    def step(self, assignments: Mapping[str, int] | None = None) -> None:
+        """Convenience: drive inputs, settle logic, clock the registers."""
+        if assignments:
+            self.apply_inputs(assignments)
+        self.eval_comb()
+        self.tick()
+
+    def set_word(self, bus: str, width: int, value: int) -> None:
+        """Drive input nets ``bus[0..width-1]`` from an integer (broadcast)."""
+        for bit in range(width):
+            self.set_input(f"{bus}[{bit}]", (value >> bit) & 1)
 
     # ------------------------------------------------------------ observing
 
@@ -378,6 +372,20 @@ class CompiledSimulator(PackedLaneMixin):
     def get_bit(self, net_name: str, lane: int = 0) -> int:
         """Value of a net on one lane."""
         return (self.values[self.net_index[net_name]] >> lane) & 1
+
+    def get_word(self, bus: str, width: int, lane: int = 0) -> int:
+        """Read nets ``bus[0] .. bus[width-1]`` of one lane as an integer."""
+        word = 0
+        for bit in range(width):
+            word |= self.get_bit(f"{bus}[{bit}]", lane) << bit
+        return word
+
+    def output_vector(self, lane: int = 0) -> int:
+        """All primary outputs of one lane, packed in ``netlist.outputs`` order."""
+        packed = 0
+        for j, name in enumerate(self.netlist.outputs):
+            packed |= self.get_bit(name, lane) << j
+        return packed
 
     # ------------------------------------------------------- flip-flop state
 
@@ -422,9 +430,9 @@ class CompiledSimulator(PackedLaneMixin):
 
     # --------------------------------------------------------- lane algebra
     #
-    # For this backend a lane vector IS a Python int, so the SimBackend lane
-    # algebra collapses to (near-)identities; they exist so fault-simulation
-    # code can stay generic over the lane representation.
+    # A lane vector is a Python int (bit *j* = lane *j*).  The fault
+    # injector and the adaptive scheduler manipulate lanes only through
+    # these methods.
 
     def broadcast(self, bit: int) -> int:
         """Lane vector with every lane equal to *bit*."""

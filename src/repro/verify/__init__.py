@@ -4,7 +4,7 @@ The campaign results rest on the claim that the fast bit-parallel compiled
 simulator agrees with an HDL-style reference simulation.  This package turns
 that claim into an executable property: seeded random netlists over the
 whole cell library (:mod:`~repro.verify.fuzzer`), a tiny independent
-interpreter that shares no code with either backend
+interpreter that shares no code with either simulator
 (:mod:`~repro.verify.oracle`), and a harness that cross-checks all three
 engines plus the fault injector and pinpoints the first divergence
 (:mod:`~repro.verify.diff`).

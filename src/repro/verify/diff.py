@@ -2,11 +2,10 @@
 
 Runs every production simulation engine and the independent reference
 oracle on identical fuzzed stimulus and reports the *first divergence* as a
-(net, cycle, per-backend values) record:
+(net, cycle, per-engine values) record:
 
-* **lane differential** — each cycle backend
-  (:class:`~repro.sim.compiled.CompiledSimulator` and
-  :class:`~repro.sim.vectorized.NumPyWideSimulator`) with several
+* **lane differential** — the compiled simulator
+  (:class:`~repro.sim.compiled.CompiledSimulator`) with several
   bit-parallel lanes, each lane carrying a *different* random stimulus
   stream, checked net-by-net and cycle-by-cycle against one
   :class:`~repro.verify.oracle.OracleSimulator` per lane.  This covers both
@@ -19,15 +18,11 @@ oracle on identical fuzzed stimulus and reports the *first divergence* as a
   :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` (with its
   lane packing, early retirement and reactive loopback replay) is replayed
   as a single-lane brute-force oracle re-simulation that uses none of those
-  optimisations; verdict or error-latency mismatches are divergences.  The
-  check runs once per enrolled injector backend — ``compiled``, ``numpy``
-  and the ``fused`` sweep kernel — against a *shared* brute-force referee,
-  so swapping substrates can never silently change campaign outcomes;
+  optimisations; verdict or error-latency mismatches are divergences;
 * **scheduled-vs-naive replay** — the adaptive injection scheduler
   (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
   lane refill, compaction/repack, cone-gated evaluation) runs a
-  mixed-cycle request set per enrolled backend and every per-injection
-  verdict/latency is compared against a naive per-cycle
+  mixed-cycle request set and every per-injection verdict/latency is compared against a naive per-cycle
   :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` replay of
   the same injections.  Small lane budgets force multi-pass refill and
   repack; ``cone_gating="on"`` exercises the partition-skipping path.
@@ -48,7 +43,7 @@ from ..faultinjection.classify import AnyOutputCriterion
 from ..faultinjection.faults import InjectionPlan
 from ..faultinjection.injector import FaultInjector
 from ..netlist.core import Netlist
-from ..sim.backend import BACKEND_NAMES, CYCLE_BACKENDS, create_backend
+from ..sim.compiled import CompiledSimulator
 from ..sim.event import EventDrivenSimulator
 from ..sim.logic import ONE, X, ZERO
 from ..sim.testbench import GoldenTrace, Testbench
@@ -152,17 +147,14 @@ def run_lane_differential(
     spec: FuzzSpec,
     n_lanes: int = 3,
     stop_at_first: bool = True,
-    backend: str = "compiled",
 ) -> Tuple[List[Divergence], int]:
-    """One cycle backend (one stimulus per lane) vs. one oracle per lane.
+    """The compiled simulator (one stimulus per lane) vs. one oracle per lane.
 
-    *backend* names any cycle substrate from
-    :data:`repro.sim.backend.CYCLE_BACKENDS`.  Returns ``(divergences,
-    comparisons)``; with ``stop_at_first`` the run ends at the first
-    mismatching (net, cycle, lane).
+    Returns ``(divergences, comparisons)``; with ``stop_at_first`` the run
+    ends at the first mismatching (net, cycle, lane).
     """
     schedules = [generate_schedule(netlist, spec, lane=j) for j in range(n_lanes)]
-    sim = create_backend(backend, netlist, n_lanes=n_lanes)
+    sim = CompiledSimulator(netlist, n_lanes=n_lanes)
     sim.reset()
     oracles = [OracleSimulator(netlist) for _ in range(n_lanes)]
     for oracle in oracles:
@@ -194,10 +186,10 @@ def run_lane_differential(
                 if got != want:
                     divergences.append(
                         Divergence(
-                            kind=f"{backend}-vs-oracle",
+                            kind="compiled-vs-oracle",
                             cycle=cycle,
                             net=name,
-                            values={backend: got, "oracle": want},
+                            values={"compiled": got, "oracle": want},
                             detail=f"lane {j} of {n_lanes}",
                         )
                     )
@@ -347,26 +339,17 @@ def run_injector_check(
     spec: FuzzSpec,
     n_injection_cycles: int = 3,
     stop_at_first: bool = True,
-    backends: Sequence[str] = ("compiled",),
 ) -> Tuple[List[Divergence], int]:
     """Replay ``FaultInjector.run_batch`` verdicts against brute force.
 
     Every flip-flop is injected (one lane each) at a handful of cycles drawn
     deterministically from the spec seed; the bit-parallel batch verdict and
     error latency must match the oracle's single-lane re-simulation exactly.
-    One ``FaultInjector`` per entry of *backends* runs the same sweeps
-    against a **shared** brute-force referee, so enrolling another substrate
-    costs one extra batch per cycle, not another oracle re-simulation.
     """
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()
     criterion = AnyOutputCriterion.all_outputs(netlist)
-    injectors = {
-        backend: FaultInjector(
-            netlist, testbench, golden, criterion, check_interval=4, backend=backend
-        )
-        for backend in backends
-    }
+    injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
 
     rng = random.Random(f"inject:{spec.seed}")
     first = min(2, golden.n_cycles - 1)
@@ -378,40 +361,35 @@ def run_injector_check(
     divergences: List[Divergence] = []
     checked = 0
     for cycle in cycles:
-        outcomes = {
-            backend: injector.run_batch(cycle, ff_indices)
-            for backend, injector in injectors.items()
-        }
+        outcome = injector.run_batch(cycle, ff_indices)
         for lane, ff_idx in enumerate(ff_indices):
             ref_failed, ref_latency = brute_force_seu(
                 netlist, testbench, golden, cycle, ff_idx
             )
             ff_name = flip_flops[ff_idx].name
-            for backend, outcome in outcomes.items():
-                checked += 1
-                label = f"injector[{backend}]"
-                batch_failed = bool((outcome.failed_mask >> lane) & 1)
-                batch_latency = outcome.latencies.get(lane)
-                if batch_failed != ref_failed:
-                    divergences.append(
-                        Divergence(
-                            kind=f"{label}-vs-bruteforce",
-                            cycle=cycle,
-                            net=ff_name,
-                            values={label: batch_failed, "bruteforce": ref_failed},
-                            detail="failure verdict mismatch",
-                        )
+            checked += 1
+            batch_failed = bool((outcome.failed_mask >> lane) & 1)
+            batch_latency = outcome.latencies.get(lane)
+            if batch_failed != ref_failed:
+                divergences.append(
+                    Divergence(
+                        kind="injector-vs-bruteforce",
+                        cycle=cycle,
+                        net=ff_name,
+                        values={"injector": batch_failed, "bruteforce": ref_failed},
+                        detail="failure verdict mismatch",
                     )
-                elif batch_failed and batch_latency != ref_latency:
-                    divergences.append(
-                        Divergence(
-                            kind=f"{label}-vs-bruteforce",
-                            cycle=cycle,
-                            net=ff_name,
-                            values={label: batch_latency, "bruteforce": ref_latency},
-                            detail="error latency mismatch",
-                        )
+                )
+            elif batch_failed and batch_latency != ref_latency:
+                divergences.append(
+                    Divergence(
+                        kind="injector-vs-bruteforce",
+                        cycle=cycle,
+                        net=ff_name,
+                        values={"injector": batch_latency, "bruteforce": ref_latency},
+                        detail="error latency mismatch",
                     )
+                )
             if divergences and stop_at_first:
                 return divergences, checked
     return divergences, checked
@@ -425,18 +403,17 @@ def run_scheduler_check(
     spec: FuzzSpec,
     n_injection_cycles: int = 3,
     stop_at_first: bool = True,
-    backends: Sequence[str] = BACKEND_NAMES,
     max_lanes: int = 5,
 ) -> Tuple[List[Divergence], int]:
     """Replay :class:`AdaptiveScheduler` verdicts against naive batches.
 
     Every flip-flop is injected at a handful of seed-drawn cycles.  The
-    whole mixed-cycle request set runs through one scheduler per enrolled
-    backend — with a deliberately tiny ``max_lanes`` so activation refill,
-    deferral across passes and repack compaction all trigger, and with
-    ``cone_gating="on"`` on the cycle substrates so partition skipping and
-    the gated tick are exercised — and each verdict/latency is compared to
-    the naive same-cycle :meth:`FaultInjector.run_batch` replay.
+    whole mixed-cycle request set runs through the scheduler — with a
+    deliberately tiny ``max_lanes`` so activation refill, deferral across
+    passes and repack compaction all trigger, and with ``cone_gating="on"``
+    so partition skipping and the gated tick are exercised — and each
+    verdict/latency is compared to the naive same-cycle
+    :meth:`FaultInjector.run_batch` replay.
 
     When the fuzzed testbench has loopback paths, the criterion observes
     only the *non-loopback* outputs.  That keeps divergence that travels
@@ -468,45 +445,34 @@ def run_scheduler_check(
     if not requests:
         return [], 0
 
-    # Naive referee: one run_batch per injection cycle on the compiled
-    # substrate (itself cross-checked against brute force elsewhere).
-    referee = FaultInjector(
-        netlist, testbench, golden, criterion, check_interval=4, backend="compiled"
-    )
+    # Naive referee: one run_batch per injection cycle (itself
+    # cross-checked against brute force by run_injector_check).
+    injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
     expected: List[Tuple[bool, Optional[int]]] = []
     for cycle in cycles:
-        outcome = referee.run_batch(cycle, list(range(len(flip_flops))))
+        outcome = injector.run_batch(cycle, list(range(len(flip_flops))))
         for lane in range(len(flip_flops)):
             failed = bool((outcome.failed_mask >> lane) & 1)
             expected.append((failed, outcome.latencies.get(lane) if failed else None))
 
     divergences: List[Divergence] = []
     checked = 0
-    for backend in backends:
-        injector = FaultInjector(
-            netlist, testbench, golden, criterion, check_interval=4, backend=backend
-        )
-        scheduled = injector.run_scheduled(
-            requests, max_lanes=max_lanes, cone_gating="on"
-        )
-        label = f"scheduled[{backend}]"
-        for k, (request, want, got) in enumerate(
-            zip(requests, expected, scheduled.verdicts)
-        ):
-            checked += 1
-            if got != want:
-                cycle, ff_idx = request
-                divergences.append(
-                    Divergence(
-                        kind=f"{label}-vs-naive",
-                        cycle=cycle,
-                        net=flip_flops[ff_idx].name,
-                        values={label: got, "naive": want},
-                        detail=f"request {k} verdict/latency mismatch",
-                    )
+    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes, cone_gating="on")
+    for k, (request, want, got) in enumerate(zip(requests, expected, scheduled.verdicts)):
+        checked += 1
+        if got != want:
+            cycle, ff_idx = request
+            divergences.append(
+                Divergence(
+                    kind="scheduled-vs-naive",
+                    cycle=cycle,
+                    net=flip_flops[ff_idx].name,
+                    values={"scheduled": got, "naive": want},
+                    detail=f"request {k} verdict/latency mismatch",
                 )
-                if stop_at_first:
-                    return divergences, checked
+            )
+            if stop_at_first:
+                return divergences, checked
     return divergences, checked
 
 
@@ -547,9 +513,7 @@ def run_generated_check(
     testbench = workload.testbench
     golden = testbench.run_golden()
     criterion = AnyOutputCriterion.all_outputs(netlist)
-    injector = FaultInjector(
-        netlist, testbench, golden, criterion, check_interval=4, backend="compiled"
-    )
+    injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
 
     rng = random.Random(f"generated:{circuit}:{seed}")
     first, last = workload.active_window
@@ -636,21 +600,18 @@ def run_fault_model_check(
     model_specs: Sequence[str] = FAULT_MODEL_CHECK_SPECS,
     n_injection_cycles: int = 2,
     stop_at_first: bool = True,
-    backends: Sequence[str] = BACKEND_NAMES,
     max_lanes: int = 5,
 ) -> Tuple[List[Divergence], int]:
     """Replay every registered fault model against the brute-force oracle.
 
     For each model spec, every flip-flop is injected at a couple of
-    seed-drawn cycles.  Three comparisons per injection:
+    seed-drawn cycles.  Two comparisons per injection:
 
-    * the per-backend :meth:`FaultInjector.run_batch` verdict/latency vs. a
+    * the :meth:`FaultInjector.run_batch` verdict/latency vs. a
       single-lane :func:`brute_force_fault` replay of the *same*
       :class:`~repro.faultinjection.faults.InjectionPlan` (the plan is the
       shared contract — the oracle applies it with none of the engine's
       lane packing, early retirement or force vectorization);
-    * cross-backend agreement falls out of the above (all backends are
-      diffed against one referee);
     * the adaptive scheduler's mixed-cycle verdicts vs. the brute-force
       reference, with a tiny ``max_lanes`` and ``cone_gating="on"`` so
       refill, repack and the forced-frontier gating all trigger under
@@ -667,19 +628,14 @@ def run_fault_model_check(
     divergences: List[Divergence] = []
     checked = 0
     for model_spec in model_specs:
-        injectors = {
-            backend: FaultInjector(
-                netlist,
-                testbench,
-                golden,
-                criterion,
-                check_interval=4,
-                backend=backend,
-                fault_model=model_spec,
-            )
-            for backend in backends
-        }
-        planner = next(iter(injectors.values()))
+        injector = FaultInjector(
+            netlist,
+            testbench,
+            golden,
+            criterion,
+            check_interval=4,
+            fault_model=model_spec,
+        )
         rng = random.Random(f"fault:{model_spec}:{spec.seed}")
         first = min(2, golden.n_cycles - 1)
         candidates = list(range(first, golden.n_cycles))
@@ -689,67 +645,60 @@ def run_fault_model_check(
 
         reference: Dict[Tuple[int, int], Tuple[bool, Optional[int]]] = {}
         for cycle in cycles:
-            outcomes = {
-                backend: injector.run_batch(cycle, ff_indices)
-                for backend, injector in injectors.items()
-            }
+            outcome = injector.run_batch(cycle, ff_indices)
             for lane, ff_idx in enumerate(ff_indices):
-                plan = planner.injection_plan(ff_idx, cycle)
+                plan = injector.injection_plan(ff_idx, cycle)
                 ref_failed, ref_latency = brute_force_fault(
                     netlist, testbench, golden, cycle, plan
                 )
                 reference[(cycle, ff_idx)] = (ref_failed, ref_latency)
-                ff_name = flip_flops[ff_idx].name
-                for backend, outcome in outcomes.items():
-                    checked += 1
-                    label = f"{model_spec}[{backend}]"
-                    got_failed = bool((outcome.failed_mask >> lane) & 1)
-                    got_latency = outcome.latencies.get(lane)
-                    if got_failed != ref_failed or (
-                        got_failed and got_latency != ref_latency
-                    ):
-                        divergences.append(
-                            Divergence(
-                                kind=f"{label}-vs-bruteforce",
-                                cycle=cycle,
-                                net=ff_name,
-                                values={
-                                    label: (got_failed, got_latency),
-                                    "bruteforce": (ref_failed, ref_latency),
-                                },
-                                detail="fault-model verdict/latency mismatch",
-                            )
-                        )
-                        if stop_at_first:
-                            return divergences, checked
-
-        requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
-        expected = [reference[r] for r in requests]
-        normalized = [
-            (failed, latency if failed else None) for failed, latency in expected
-        ]
-        for backend, injector in injectors.items():
-            scheduled = injector.run_scheduled(
-                requests, max_lanes=max_lanes, cone_gating="on"
-            )
-            label = f"{model_spec}-scheduled[{backend}]"
-            for k, (request, want, got) in enumerate(
-                zip(requests, normalized, scheduled.verdicts)
-            ):
                 checked += 1
-                if got != want:
-                    cycle, ff_idx = request
+                got_failed = bool((outcome.failed_mask >> lane) & 1)
+                got_latency = outcome.latencies.get(lane)
+                if got_failed != ref_failed or (
+                    got_failed and got_latency != ref_latency
+                ):
                     divergences.append(
                         Divergence(
-                            kind=f"{label}-vs-bruteforce",
+                            kind=f"{model_spec}-vs-bruteforce",
                             cycle=cycle,
                             net=flip_flops[ff_idx].name,
-                            values={label: got, "bruteforce": want},
-                            detail=f"request {k} verdict/latency mismatch",
+                            values={
+                                model_spec: (got_failed, got_latency),
+                                "bruteforce": (ref_failed, ref_latency),
+                            },
+                            detail="fault-model verdict/latency mismatch",
                         )
                     )
                     if stop_at_first:
                         return divergences, checked
+
+        requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
+        expected = [
+            (failed, latency if failed else None)
+            for failed, latency in (reference[r] for r in requests)
+        ]
+        scheduled = injector.run_scheduled(
+            requests, max_lanes=max_lanes, cone_gating="on"
+        )
+        label = f"{model_spec}-scheduled"
+        for k, (request, want, got) in enumerate(
+            zip(requests, expected, scheduled.verdicts)
+        ):
+            checked += 1
+            if got != want:
+                cycle, ff_idx = request
+                divergences.append(
+                    Divergence(
+                        kind=f"{label}-vs-bruteforce",
+                        cycle=cycle,
+                        net=flip_flops[ff_idx].name,
+                        values={label: got, "bruteforce": want},
+                        detail=f"request {k} verdict/latency mismatch",
+                    )
+                )
+                if stop_at_first:
+                    return divergences, checked
     return divergences, checked
 
 
@@ -763,20 +712,17 @@ def verify_seed(
     with_scheduler: bool = True,
     with_fault_models: bool = True,
     n_lanes: int = 3,
-    cycle_backends: Sequence[str] = CYCLE_BACKENDS,
-    injector_backends: Sequence[str] = BACKEND_NAMES,
 ) -> SeedReport:
     """Run every differential check on one fuzzed circuit.
 
-    By default every cycle backend is lane-diffed against the oracle, every
-    injector substrate (including the fused sweep kernel) is replayed
-    against brute force, the adaptive scheduler's mixed-cycle verdicts
-    are replayed against naive batches on every backend, and every
+    By default the compiled simulator is lane-diffed against the oracle,
+    the injector is replayed against brute force, the adaptive scheduler's
+    mixed-cycle verdicts are replayed against naive batches, and every
     registered fault model (MBU clusters, stuck-at, intermittent) is
     replayed batch- and scheduler-side against its own brute-force oracle
     (:func:`run_fault_model_check`) — so a fuzz sweep certifies the whole
-    pluggable simulation substrate, naive and scheduled, across all fault
-    models at once.
+    simulation substrate, naive and scheduled, across all fault models at
+    once.
     """
     netlist = generate_netlist(spec)
     stats = netlist.stats()
@@ -786,32 +732,23 @@ def verify_seed(
         n_ffs=stats.n_sequential,
         n_cycles=spec.n_cycles,
     )
-    for backend in cycle_backends:
-        divergences, comparisons = run_lane_differential(
-            netlist, spec, n_lanes=n_lanes, backend=backend
-        )
-        report.divergences.extend(divergences)
-        report.comparisons += comparisons
+    divergences, comparisons = run_lane_differential(netlist, spec, n_lanes=n_lanes)
+    report.divergences.extend(divergences)
+    report.comparisons += comparisons
     if with_event:
         divergences, comparisons = run_event_differential(netlist, spec)
         report.divergences.extend(divergences)
         report.comparisons += comparisons
     if with_injector:
-        divergences, checked = run_injector_check(
-            netlist, spec, backends=injector_backends
-        )
+        divergences, checked = run_injector_check(netlist, spec)
         report.divergences.extend(divergences)
         report.injections_checked = checked
     if with_scheduler:
-        divergences, checked = run_scheduler_check(
-            netlist, spec, backends=injector_backends
-        )
+        divergences, checked = run_scheduler_check(netlist, spec)
         report.divergences.extend(divergences)
         report.injections_checked += checked
     if with_fault_models:
-        divergences, checked = run_fault_model_check(
-            netlist, spec, backends=injector_backends
-        )
+        divergences, checked = run_fault_model_check(netlist, spec)
         report.divergences.extend(divergences)
         report.injections_checked += checked
     return report

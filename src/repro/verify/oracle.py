@@ -3,7 +3,7 @@
 This is the referee of the differential harness: a deliberately naive,
 one-lane-per-run, two-valued simulator that evaluates cells straight off the
 :class:`~repro.netlist.core.Netlist` and shares **no evaluation code** with
-either production backend.  In particular it does not use the compiled
+either production simulator.  In particular it does not use the compiled
 simulator's expression templates, the cell library's bit-parallel
 ``function`` callables or the event engine's ``eval3`` — each cell archetype
 is re-specified here from its published truth behaviour.  A bug in any of
@@ -123,7 +123,7 @@ class OracleSimulator:
     The external protocol intentionally mirrors
     :class:`~repro.sim.compiled.CompiledSimulator` (``reset`` /
     ``set_input`` / ``eval_comb`` / ``tick``) so the differential harness can
-    drive all backends with the same stimulus loop, but the implementation is
+    drive both with the same stimulus loop, but the implementation is
     completely separate.
     """
 

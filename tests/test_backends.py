@@ -1,10 +1,10 @@
-"""Backend parity: the pluggable simulation substrate is an execution detail.
+"""The simulation substrate and the store identity it must not perturb.
 
-Every engine registered in :mod:`repro.sim.backend` must produce identical
-cycle-level net values, per-flip-flop failure verdicts and error latencies
-on the seed circuits — campaigns, caches and the paper's numbers may never
-depend on which substrate executed them.  (The fuzzed cross-checks live in
-``repro.verify``; these tests pin the real workloads.)
+Campaigns run on one engine, the compiled bit-parallel simulator.  These
+tests pin it against the independent reference oracle on the seed circuits
+(the fuzzed cross-checks live in ``repro.verify``), and pin the result
+store's content addresses, which must not move when execution internals
+change.
 """
 
 from __future__ import annotations
@@ -14,222 +14,81 @@ import random
 import pytest
 
 from repro.campaigns import CampaignSpec
+from repro.campaigns.policy import policy_signature
 from repro.circuits import get_circuit
-from repro.faultinjection import (
-    AnyOutputCriterion,
-    FaultInjector,
-    PacketInterfaceCriterion,
-    StatisticalFaultCampaign,
-)
-from repro.sim import (
-    BACKEND_NAMES,
-    CYCLE_BACKENDS,
-    NumPyWideSimulator,
-    ScheduleBuilder,
-    Testbench,
-    create_backend,
-)
-from repro.sim.vectorized import int_to_words, words_to_int
-
-NEW_BACKENDS = [b for b in BACKEND_NAMES if b != "compiled"]
-
+from repro.sim import CompiledSimulator
+from repro.verify import OracleSimulator
 
 # ------------------------------------------------------------ cycle parity
 
 
 @pytest.mark.parametrize("circuit", ["counter16", "lfsr16", "gray8"])
 def test_cycle_parity_random_stimulus(circuit):
-    """compiled and numpy backends agree net-for-net under random stimulus."""
+    """Every lane of the compiled simulator matches a one-lane oracle
+    net-for-net under independent random stimulus."""
     netlist = get_circuit(circuit)
     n_lanes = 5
-    sims = {name: create_backend(name, netlist, n_lanes=n_lanes) for name in CYCLE_BACKENDS}
-    for sim in sims.values():
-        sim.reset()
+    sim = CompiledSimulator(netlist, n_lanes=n_lanes)
+    sim.reset()
+    oracles = [OracleSimulator(netlist) for _ in range(n_lanes)]
+    for oracle in oracles:
+        oracle.reset()
     rng = random.Random(2024)
-    inputs = list(netlist.inputs)
+    clocks = set(netlist.clocks)
+    inputs = [name for name in netlist.inputs if name not in clocks]
     for _cycle in range(24):
-        drives = {name: rng.getrandbits(n_lanes) for name in inputs}
-        for sim in sims.values():
-            for name, lanes in drives.items():
-                sim.set_input_lanes(name, lanes)
-            sim.eval_comb()
-        reference = sims["compiled"]
-        for other_name in CYCLE_BACKENDS:
-            if other_name == "compiled":
-                continue
-            other = sims[other_name]
-            for net in netlist.nets:
-                assert other.get(net) == reference.get(net), (net, other_name)
-        for sim in sims.values():
-            sim.tick()
-
-
-def test_numpy_multiword_lanes():
-    """Lane counts beyond one 64-bit word stay lane-independent."""
-    netlist = get_circuit("counter8")
-    n_lanes = 130  # 3 words, partial tail
-    wide = NumPyWideSimulator(netlist, n_lanes=n_lanes)
-    narrow = create_backend("compiled", netlist, n_lanes=n_lanes)
-    for sim in (wide, narrow):
-        sim.reset()
-    rng = random.Random(7)
-    for _ in range(12):
-        for name in netlist.inputs:
+        for name in inputs:
             lanes = rng.getrandbits(n_lanes)
-            wide.set_input_lanes(name, lanes)
-            narrow.set_input_lanes(name, lanes)
-        wide.eval_comb()
-        narrow.eval_comb()
-        for net in netlist.outputs:
-            assert wide.get(net) == narrow.get(net)
-        assert wide.ff_state_packed(lane=129) == narrow.ff_state_packed(lane=129)
-        wide.tick()
-        narrow.tick()
+            sim.set_input_lanes(name, lanes)
+            for lane, oracle in enumerate(oracles):
+                oracle.set_input(name, (lanes >> lane) & 1)
+        sim.eval_comb()
+        for oracle in oracles:
+            oracle.eval_comb()
+        for net in netlist.nets:
+            if net in clocks:
+                continue
+            for lane, oracle in enumerate(oracles):
+                assert sim.get_bit(net, lane) == oracle.values[net], (net, lane)
+        sim.tick()
+        for oracle in oracles:
+            oracle.tick()
 
 
-def test_numpy_lane_algebra_and_words():
-    netlist = get_circuit("counter8")
-    sim = NumPyWideSimulator(netlist, n_lanes=70)
-    assert words_to_int(int_to_words(0x5A5A5A5A5A5A5A5A5A, 2)) == 0x5A5A5A5A5A5A5A5A5A
-    assert sim.vec_to_int(sim.broadcast(1)) == (1 << 70) - 1
-    assert sim.vec_to_int(sim.broadcast(0)) == 0
-    assert sim.vec_to_int(sim.lane_vec(69)) == 1 << 69
-    assert sim.vec_any(sim.lane_vec(0))
-    assert not sim.vec_any(sim.broadcast(0))
-    assert sim.vec_is_full(sim.broadcast(1))
-    assert not sim.vec_is_full(sim.lane_vec(3))
+# ----------------------------------------------------------- store identity
+
+#: ``(cache_key, family_key, policy_signature)`` of three ``xgmac_tiny``
+#: specs, recorded before the ``backend``/``scheduler`` execution knobs were
+#: removed from :class:`CampaignSpec`.  Every stored campaign stays
+#: addressable only while these literals hold.
+PINNED_IDENTITIES = {
+    "flat_legacy": (
+        dict(schedule="legacy"),
+        ("7be50880a85d1263", "7be50880a85d1263", "1a2977833a3a6707"),
+    ),
+    "flat_stream": (
+        dict(schedule="stream"),
+        ("8d58f1013e756020", "04d6e074c995ec52", "1a2977833a3a6707"),
+    ),
+    "sequential": (
+        dict(schedule="stream", policy="sequential", target_margin=0.1),
+        ("8d58f1013e756020", "04d6e074c995ec52", "9609220f165f8071"),
+    ),
+}
 
 
-def test_create_backend_rejects_fused_and_unknown():
-    netlist = get_circuit("counter8")
-    with pytest.raises(ValueError, match="fused"):
-        create_backend("fused", netlist)
-    with pytest.raises(ValueError, match="unknown backend"):
-        create_backend("verilator", netlist)
+@pytest.mark.parametrize("name", sorted(PINNED_IDENTITIES))
+def test_store_identity_is_pinned(name):
+    overrides, expected = PINNED_IDENTITIES[name]
+    spec = CampaignSpec(circuit="xgmac_tiny", n_injections=40, **overrides)
+    assert (spec.cache_key(), spec.family_key(), policy_signature(spec)) == expected
 
 
-# --------------------------------------------------------- injector parity
-
-
-def _counter_testbench():
-    netlist = get_circuit("counter16")
-    builder = ScheduleBuilder(netlist.inputs)
-    builder.drive(0, "rst_n", 1)
-    rng = random.Random(11)
-    for cycle in range(40):
-        builder.drive(cycle, "en", rng.getrandbits(1))
-        builder.drive(cycle, "clear", 1 if rng.random() < 0.05 else 0)
-    return netlist, Testbench(netlist, builder.compile(40))
-
-
-@pytest.mark.parametrize("backend", NEW_BACKENDS)
-def test_injector_parity_counter(backend):
-    """Verdicts, latencies, cycle counts match compiled on an open-loop DUT."""
-    netlist, tb = _counter_testbench()
-    golden = tb.run_golden()
-    criterion = AnyOutputCriterion.all_outputs(netlist)
-    reference = FaultInjector(netlist, tb, golden, criterion, check_interval=4)
-    candidate = FaultInjector(
-        netlist, tb, golden, criterion, check_interval=4, backend=backend
-    )
-    lanes = list(range(reference.sim.n_flip_flops))
-    for cycle in (2, 17, 33):
-        want = reference.run_batch(cycle, lanes)
-        got = candidate.run_batch(cycle, lanes)
-        assert got.failed_mask == want.failed_mask
-        assert got.latencies == want.latencies
-        assert got.cycles_simulated == want.cycles_simulated
-        assert got.n_lanes == want.n_lanes
-
-
-@pytest.mark.parametrize("backend", NEW_BACKENDS)
-def test_injector_parity_tiny_mac(backend, tiny_mac, tiny_workload, tiny_golden):
-    """Per-FF verdicts and error latencies match on the seed MAC workload
-    (packet criterion + XGMII loopback + early retirement)."""
-    criterion = PacketInterfaceCriterion(
-        tiny_workload.valid_nets, tiny_workload.data_nets
-    )
-    reference = FaultInjector(
-        tiny_mac, tiny_workload.testbench, tiny_golden, criterion
-    )
-    candidate = FaultInjector(
-        tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend=backend
-    )
-    first, _last = tiny_workload.active_window
-    lanes = list(range(reference.sim.n_flip_flops))
-    for cycle in (first + 4, first + 11):
-        want = reference.run_batch(cycle, lanes)
-        got = candidate.run_batch(cycle, lanes)
-        assert got.failed_mask == want.failed_mask
-        assert got.latencies == want.latencies
-        assert got.cycles_simulated == want.cycles_simulated
-
-
-def test_set_batch_parity_numpy(tiny_mac, tiny_workload, tiny_golden):
-    """SET sweeps run on the cycle substrate: numpy must match compiled."""
-    criterion = PacketInterfaceCriterion(
-        tiny_workload.valid_nets, tiny_workload.data_nets
-    )
-    reference = FaultInjector(tiny_mac, tiny_workload.testbench, tiny_golden, criterion)
-    candidate = FaultInjector(
-        tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend="numpy"
-    )
-    first, _last = tiny_workload.active_window
-    nets = [c.output_net() for c in tiny_mac.combinational_cells()[:12]]
-    want = reference.run_set_batch(first + 5, nets)
-    got = candidate.run_set_batch(first + 5, nets)
-    assert got.failed_mask == want.failed_mask
-    assert got.latencies == want.latencies
-
-
-@pytest.mark.parametrize("backend", NEW_BACKENDS)
-def test_campaign_parity(backend):
-    """A full statistical campaign is bit-identical across substrates."""
-    netlist, tb = _counter_testbench()
-    criterion = AnyOutputCriterion.all_outputs(netlist)
-    results = {}
-    for name in ("compiled", backend):
-        runner = StatisticalFaultCampaign(
-            netlist, tb, criterion, backend=name, max_lanes=8
-        )
-        result = runner.run(n_injections=6, seed=3)
-        results[name] = {
-            ff: (r.n_injections, r.n_failures, r.latency_sum)
-            for ff, r in result.results.items()
-        }
-    assert results["compiled"] == results[backend]
-
-
-def test_injector_rejects_unknown_backend(tiny_mac, tiny_workload, tiny_golden):
-    criterion = PacketInterfaceCriterion(
-        tiny_workload.valid_nets, tiny_workload.data_nets
-    )
-    with pytest.raises(ValueError, match="unknown backend"):
-        FaultInjector(
-            tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend="gpu"
-        )
-
-
-# ----------------------------------------------------------- campaign spec
-
-
-def test_spec_backend_excluded_from_cache_identity():
-    """Backends share cached results: keys must not depend on the backend."""
-    base = CampaignSpec(circuit="xgmac_tiny")
-    for backend in BACKEND_NAMES:
-        other = CampaignSpec(circuit="xgmac_tiny", backend=backend)
-        assert other.cache_key() == base.cache_key()
-        assert other.family_key() == base.family_key()
-    # ...but real campaign parameters still change the identity.
-    assert CampaignSpec(circuit="xgmac_tiny", seed=9).cache_key() != base.cache_key()
-
-
-def test_spec_backend_validation_and_roundtrip():
-    with pytest.raises(ValueError, match="unknown backend"):
-        CampaignSpec(backend="verilator")
-    spec = CampaignSpec(backend="fused")
+def test_spec_roundtrip_ignores_retired_execution_knobs():
+    """Store documents written before the knobs were removed still carry
+    ``backend``/``scheduler`` in their spec record; they load unchanged."""
+    spec = CampaignSpec(circuit="xgmac_tiny", schedule="legacy")
     assert CampaignSpec.from_dict(spec.to_dict()) == spec
-    # Payloads written before the backend field existed load with the default.
-    legacy = spec.to_dict()
-    legacy.pop("backend")
-    assert CampaignSpec.from_dict(legacy).backend == "compiled"
+    old = {**spec.to_dict(), "backend": "compiled", "scheduler": "adaptive"}
+    assert CampaignSpec.from_dict(old) == spec
+    assert "backend" not in spec.to_dict() and "scheduler" not in spec.to_dict()

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.circuits import LIBRARY_CIRCUITS
+from repro.circuits.generator import GENERATED_FF_COUNTS
 from repro.data import (
     DATASET_PRESETS,
     DATASET_SCHEMA_VERSION,
     DatasetSpec,
     build_workload,
+    circuit_preset,
     get_dataset,
 )
 from repro.features.dataset import Dataset
@@ -75,8 +77,6 @@ def test_dataset_meta_records_provenance(cached_tiny_dataset):
     """Labels carry their full generation lineage for reproducibility."""
     meta = cached_tiny_dataset.meta
     assert meta["schema_version"] == DATASET_SCHEMA_VERSION
-    assert meta["backend"] == "compiled"
-    assert meta["scheduler"] == "adaptive"
     assert meta["schedule"] == "legacy"
     assert meta["criterion"] == "packet"
     assert isinstance(meta["campaign_key"], str) and len(meta["campaign_key"]) == 16
@@ -149,3 +149,12 @@ def test_library_circuit_dataset_trains_end_to_end(tmp_path):
     assert set(result.rows) == {"Linear Least Squares", "k-NN", "SVR w/ RBF Kernel"}
     for metrics in result.rows.values():
         assert np.isfinite(metrics["r2"])
+
+
+def test_get_dataset_on_generated_circuit(tmp_path):
+    """Regression: generated presets name their netlist after its shape
+    (``mesh_tiny`` builds ``mesh2x4x8``), which the campaign engine's
+    context check used to reject as a foreign circuit."""
+    dataset = get_dataset(spec=circuit_preset("mesh_tiny", "tiny"), cache_dir=tmp_path)
+    assert dataset.n_samples == GENERATED_FF_COUNTS["mesh_tiny"]
+    assert dataset.meta["spec"]["circuit"] == "mesh_tiny"

@@ -133,7 +133,7 @@ def test_oracle_detects_combinational_cycle():
         OracleSimulator(netlist)  # validate() already rejects the cycle
 
 
-# ------------------------------------------------- cross-backend agreement
+# ------------------------------------------------- engine-vs-oracle agreement
 
 
 @given(spec=fuzz_specs)

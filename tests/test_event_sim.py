@@ -224,7 +224,7 @@ def test_x_before_reset_then_agreement_with_oracle():
 
 def test_plain_dff_stays_x_without_reset_path():
     """A free-running DFF fed only by unknown state never resolves, while
-    the two-valued backends define it as 0 — exactly the gap the verify
+    the two-valued simulators define it as 0 — exactly the gap the verify
     harness must skip rather than flag."""
     nl = Netlist("noreset")
     nl.add_input("clk", is_clock=True)

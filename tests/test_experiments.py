@@ -124,7 +124,7 @@ def test_cli_verify_command(tmp_path, capsys):
     code = cli_main(["verify", "--seeds", "2", "--scale", "tiny", "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr().out
-    assert "all backends agree" in captured
+    assert "all engines agree with the oracle" in captured
     payload = json.loads((out / "verify.json").read_text())
     assert payload["n_seeds"] == 2
     assert payload["failing_seeds"] == []

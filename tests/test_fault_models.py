@@ -8,8 +8,8 @@ The registry's contract has three layers, each pinned here:
   its sweep-path-only contract;
 * **engine equivalence** — for every model, the bit-parallel batch and the
   adaptive scheduler reproduce the single-lane brute-force oracle replay of
-  the very same :class:`InjectionPlan`, verdict and latency, on every
-  backend; ``mbu:size=1`` is bit-identical to the plain SEU on all library
+  the very same :class:`InjectionPlan`, verdict and latency;
+  ``mbu:size=1`` is bit-identical to the plain SEU on all library
   circuits;
 * **persistence** — campaign-store shards and dataset caches key on the
   canonical model string (with ``seu`` keeping its pre-registry content
@@ -44,7 +44,6 @@ from repro.faultinjection import (
     canonical_fault_model,
     parse_fault_model,
 )
-from repro.sim import BACKEND_NAMES
 from repro.verify import brute_force_fault
 
 #: Non-SEU registry entries exercised by the engine-equivalence tests;
@@ -296,19 +295,17 @@ def test_batch_matches_bruteforce_replay(strict_parts, model):
                 )
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("model", MODEL_SPECS)
-def test_scheduled_matches_naive_per_model_and_backend(strict_parts, model, backend):
+def test_scheduled_matches_naive_per_model(strict_parts, model):
     """Scheduling stays invisible under forcing and multi-flip models: the
     adaptive scheduler (refill, repack, cone gating, forced lanes pinned)
-    equals the naive per-cycle batch replay on every backend."""
+    equals the naive per-cycle batch replay."""
     netlist, workload, golden, criterion = strict_parts
     injector = FaultInjector(
-        netlist, workload.testbench, golden, criterion, backend=backend,
-        fault_model=model,
+        netlist, workload.testbench, golden, criterion, fault_model=model
     )
     first, last = workload.active_window
-    rng = random.Random(f"{model}:{backend}")
+    rng = random.Random(f"{model}:compiled")
     n_ffs = injector.sim.n_flip_flops
     requests = [
         (rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(40)

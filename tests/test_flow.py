@@ -81,47 +81,6 @@ def test_campaign_cost_saving(tiny_dataset):
     assert savings20["cost_reduction_factor"] == pytest.approx(5.0, rel=0.05)
 
 
-def test_reporting_module_is_deprecated_alias():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.flow.reporting", None)
-    with pytest.warns(DeprecationWarning, match="textview"):
-        module = importlib.import_module("repro.flow.reporting")
-    from repro.flow.textview import format_table
-
-    assert module.format_table is format_table
-
-
-def test_reporting_alias_reexports_everything_from_textview():
-    """Regression: the alias must track textview's full public surface, so
-    old ``from repro.flow.reporting import X`` call sites keep working."""
-    import importlib
-    import sys
-    import warnings
-
-    from repro.flow import textview
-
-    sys.modules.pop("repro.flow.reporting", None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        alias = importlib.import_module("repro.flow.reporting")
-    assert set(alias.__all__) == set(textview.__all__)
-    for name in textview.__all__:
-        assert getattr(alias, name) is getattr(textview, name), name
-
-
-def test_reporting_alias_warns_on_every_fresh_import():
-    """The warning must not be a one-shot: a fresh import always warns."""
-    import importlib
-    import sys
-
-    for _ in range(2):
-        sys.modules.pop("repro.flow.reporting", None)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            importlib.import_module("repro.flow.reporting")
-
-
 # ------------------------------------------------------------- reporting
 
 

@@ -22,7 +22,7 @@ from repro.faultinjection import (
     PacketInterfaceCriterion,
 )
 from repro.netlist.levelize import ff_spread_masks, levelize
-from repro.sim import BACKEND_NAMES, ScheduleBuilder, Testbench, create_backend
+from repro.sim import CompiledSimulator, ScheduleBuilder, Testbench
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +52,9 @@ def naive_verdicts(injector, requests, horizon=None):
 # --------------------------------------------------------------- equivalence
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_scheduled_matches_naive_per_backend(tiny_parts, backend):
+def test_scheduled_matches_naive(tiny_parts):
     netlist, workload, golden, criterion = tiny_parts
-    injector = FaultInjector(
-        netlist, workload.testbench, golden, criterion, backend=backend
-    )
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, last = workload.active_window
     rng = random.Random(42)
     n_ffs = injector.sim.n_flip_flops
@@ -161,13 +158,10 @@ def test_deferred_requests_roll_over_to_later_passes(tiny_parts):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
-    """Property: for random request sets, lane budgets, backends and gating
+    """Property: for random request sets, lane budgets, horizons and gating
     modes, scheduled verdicts/latencies equal the naive replay."""
     netlist, workload, golden, criterion = tiny_parts
-    backend = data.draw(st.sampled_from(list(BACKEND_NAMES)))
-    injector = FaultInjector(
-        netlist, workload.testbench, golden, criterion, backend=backend
-    )
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, last = workload.active_window
     n_ffs = injector.sim.n_flip_flops
     requests = data.draw(
@@ -192,9 +186,8 @@ def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
 # ------------------------------------------------------------- lane algebra
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_gather_scatter_roundtrip(tiny_mac, backend):
-    sim = create_backend(backend, tiny_mac, n_lanes=70)
+def test_gather_scatter_roundtrip(tiny_mac):
+    sim = CompiledSimulator(tiny_mac, n_lanes=70)
     rng = random.Random(1)
     packed = rng.getrandbits(70)
     vec = sim.scatter_lanes(sim.broadcast(0), range(70), packed)
@@ -207,9 +200,8 @@ def test_gather_scatter_roundtrip(tiny_mac, backend):
     assert sim.vec_to_int(narrow) == gathered
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_diverging_rows_probe(tiny_mac, backend):
-    sim = create_backend(backend, tiny_mac, n_lanes=5)
+def test_diverging_rows_probe(tiny_mac):
+    sim = CompiledSimulator(tiny_mac, n_lanes=5)
     sim.reset()
     q0 = sim._ff_q[0]
     q1 = sim._ff_q[1]

@@ -29,7 +29,6 @@ from repro.campaigns.warmstart import (
     ensure_runner,
     pack_tallies,
     resolve_runner,
-    runner_key,
     share_golden_trace,
     unpack_tallies,
     validate_packed_tally,
@@ -173,8 +172,11 @@ def test_warm_context_hits_within_family_and_fixes_double_build():
     spec = tiny_spec()
     ctx, hit = warm_context(spec)
     assert not hit
-    # Same family, different budget/backend: one resident context serves all.
-    again, hit = warm_context(tiny_spec(n_injections=40, backend="numpy"))
+    # Same family, different budget and policy: one resident context
+    # serves all.
+    again, hit = warm_context(
+        tiny_spec(n_injections=40, policy="sequential", target_margin=0.1)
+    )
     assert hit and again is ctx
     # A caller-provided context is adopted, not rebuilt (the historical
     # double-build when CampaignEngine(ctx) re-derived it in workers).
@@ -193,7 +195,8 @@ def test_ensure_and_resolve_runner_share_one_build():
     assert resolve_runner(tiny_spec(seed=99)) is None, "other family is cold"
     stats = warm_stats()
     assert stats == {"hits": 1, "misses": 1}
-    assert runner_key(spec) == f"{spec.backend}:{spec.scheduler}"
+    # Family siblings (other budget/policy) share the one resident runner.
+    assert resolve_runner(tiny_spec(n_injections=40, policy="sequential")) is runner
     assert active_segment_names(), "warm family holds shm-backed golden rows"
 
 

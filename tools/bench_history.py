@@ -1,9 +1,8 @@
 """Append a smoke-benchmark record to the repo's perf trajectory — and
 render the accumulated history as a report.
 
-Runs a fixed, fast benchmark (the tiny-scale flat campaign, batch and
-adaptive execution on the compiled backend, plus one raw cycle-throughput
-probe) and appends one JSON record to
+Runs a fixed, fast benchmark (the tiny-scale flat campaign on the adaptive
+scheduler, plus one raw cycle-throughput probe) and appends one JSON record to
 ``benchmarks/results/trajectory.json``.  CI runs this on every push as a
 non-blocking job, so the file accumulates a per-commit throughput history
 that perf PRs can cite::
@@ -51,20 +50,14 @@ def run_smoke() -> Dict:
     from common import preset_workload_parts
 
     parts = preset_workload_parts("tiny")
-    rows: List[Dict] = []
-    for scheduler in ("batch", "adaptive"):
-        row = run_campaign_row(parts, "compiled", scheduler, n_injections=6)
-        row.pop("counters", None)
-        rows.append(row)
-    cycle_lps = measure_cycle_throughput(parts.netlist, "compiled", 256, n_cycles=12)
+    row = run_campaign_row(parts, n_injections=6)
+    row.pop("counters", None)
+    cycle_lps = measure_cycle_throughput(parts.netlist, 256, n_cycles=12)
     features = run_feature_benchmark("xgmac_tiny", repeats=1)
     vec_row = next(r for r in features["rows"] if r["engine"] == "vectorized")
     return {
-        "campaign_rows": rows,
+        "campaign_rows": [row],
         "cycle_lane_cycles_per_sec": round(cycle_lps),
-        "adaptive_speedup": round(
-            rows[1]["injections_per_sec"] / max(1, rows[0]["injections_per_sec"]), 2
-        ),
         "feature_ffs_per_sec": vec_row["ffs_per_sec"],
         "feature_vectorized_speedup": features["vectorized_speedup"],
     }
@@ -236,11 +229,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.report_only:
         record = append_record(args.out, args.label)
         smoke = record["summary"]
-        rows = smoke["campaign_rows"]
+        (row,) = smoke["campaign_rows"]
         print(
-            f"commit={record['commit']} batch={rows[0]['injections_per_sec']} inj/s "
-            f"adaptive={rows[1]['injections_per_sec']} inj/s "
-            f"({smoke['adaptive_speedup']}x), "
+            f"commit={record['commit']} campaign={row['injections_per_sec']} inj/s, "
             f"cycle={smoke['cycle_lane_cycles_per_sec']} lane-cycles/s, "
             f"features={smoke['feature_ffs_per_sec']} FF rows/s "
             f"({smoke['feature_vectorized_speedup']}x vs networkx)"
