@@ -50,6 +50,7 @@ from ..obs import (
 from . import warmstart
 from .partition import (
     Bucket,
+    DrawStream,
     legacy_buckets,
     partition_shards,
     stream_buckets,
@@ -807,13 +808,15 @@ class CampaignEngine:
         safe_tallies = {name: list(rec) for name, rec in tallies.items()}
         safe_accum = _Accumulator.from_payload(accum.to_payload())
         clean = False
+        # Every flip-flop's draw stream, extended round by round.
+        streams: Dict[str, DrawStream] = {}
         try:
             while True:
                 allocation = policy.allocate(tallies, len(window))
                 if not allocation:
                     break
                 report.rounds += 1
-                buckets = stream_buckets_ranged(spec, window, allocation)
+                buckets = stream_buckets_ranged(spec, window, allocation, streams)
                 if not buckets:
                     break
                 n_shards = min(len(buckets), max(1, self.jobs * self.shards_per_job))

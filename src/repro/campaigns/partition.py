@@ -38,6 +38,7 @@ from .spec import CampaignSpec
 
 __all__ = [
     "Bucket",
+    "DrawStream",
     "legacy_buckets",
     "stream_buckets",
     "stream_buckets_ranged",
@@ -103,33 +104,54 @@ def _pool_size(draw: int, window_len: int) -> int:
     return min(window_len, k + (k + 1) // 2)
 
 
+class DrawStream:
+    """One flip-flop's prefix-stable draw stream, extended on demand.
+
+    Samples without replacement from a growing prefix of ``slot_stream``
+    and keeps the sampler state between calls, so asking for a longer
+    prefix continues where the last call stopped instead of redrawing from
+    draw 0.  Draw *j* is the same however the stream is extended.
+    """
+
+    def __init__(self, slot_stream: Sequence[int], rng: random.Random) -> None:
+        self._slot_stream = slot_stream
+        self._rng = rng
+        self._candidates: List[int] = []
+        self._consumed = 0
+        self._draws: List[int] = []
+
+    def draws(self, start: int, stop: int) -> List[int]:
+        """Injection cycles of draws ``start .. stop-1``."""
+        slot_stream = self._slot_stream
+        if stop > len(slot_stream):
+            raise ValueError(
+                f"active window has only {len(slot_stream)} cycles; cannot draw "
+                f"{stop} injections without replacement"
+            )
+        draws = self._draws
+        candidates = self._candidates
+        rng = self._rng
+        for j in range(len(draws), stop):
+            grow = _pool_size(j, len(slot_stream))
+            if grow > self._consumed:
+                candidates.extend(slot_stream[self._consumed:grow])
+                self._consumed = grow
+            pick = rng.randrange(len(candidates))
+            draws.append(candidates[pick])
+            candidates[pick] = candidates[-1]
+            candidates.pop()
+        return draws[start:stop]
+
+
 def stream_draws(
     slot_stream: Sequence[int], rng: random.Random, stop: int
 ) -> List[int]:
     """First *stop* injection cycles of one flip-flop's draw stream.
 
-    Samples without replacement from a growing prefix of ``slot_stream``.
     Prefix-stable by construction: the first *n* draws are identical for
     every ``stop >= n``.
     """
-    if stop > len(slot_stream):
-        raise ValueError(
-            f"active window has only {len(slot_stream)} cycles; cannot draw "
-            f"{stop} injections without replacement"
-        )
-    draws: List[int] = []
-    candidates: List[int] = []
-    consumed = 0
-    for j in range(stop):
-        grow = _pool_size(j, len(slot_stream))
-        if grow > consumed:
-            candidates.extend(slot_stream[consumed:grow])
-            consumed = grow
-        pick = rng.randrange(len(candidates))
-        draws.append(candidates[pick])
-        candidates[pick] = candidates[-1]
-        candidates.pop()
-    return draws
+    return DrawStream(slot_stream, rng).draws(0, stop)
 
 
 def stream_slot_order(spec: CampaignSpec, window: Sequence[int]) -> List[int]:
@@ -162,6 +184,7 @@ def stream_buckets_ranged(
     spec: CampaignSpec,
     window: Sequence[int],
     ranges: Dict[str, Tuple[int, int]],
+    streams: Optional[Dict[str, DrawStream]] = None,
 ) -> List[Bucket]:
     """Buckets for per-flip-flop draw ranges ``{ff: (start, stop)}``.
 
@@ -170,14 +193,26 @@ def stream_buckets_ranged(
     independently, so an adaptive allocation (different starts and stops
     per flip-flop) still replays exactly the cycles a flat campaign would
     have drawn for the same indices.
+
+    *streams* memoizes each flip-flop's :class:`DrawStream` across calls
+    for the same *spec* and *window* (the rounds of one policy run), so a
+    round extends the streams instead of redrawing them from draw 0.  The
+    buckets are the same with or without it.
     """
-    slot_stream = stream_slot_order(spec, window)
+    if streams is None:
+        streams = {}
+    slot_stream: Optional[List[int]] = None
     table: Dict[int, List[str]] = {}
     for name, (start, stop) in ranges.items():
         if not 0 <= start <= stop:
             raise ValueError(f"invalid draw range [{start}, {stop}) for {name!r}")
-        rng = random.Random(f"ff:{spec.seed}:{name}")
-        for cycle in stream_draws(slot_stream, rng, stop)[start:]:
+        stream = streams.get(name)
+        if stream is None:
+            if slot_stream is None:
+                slot_stream = stream_slot_order(spec, window)
+            stream = DrawStream(slot_stream, random.Random(f"ff:{spec.seed}:{name}"))
+            streams[name] = stream
+        for cycle in stream.draws(start, stop):
             table.setdefault(cycle, []).append(name)
     return _to_buckets(table)
 

@@ -10,6 +10,7 @@ counts like the paper's 170 per flip-flop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -52,6 +53,20 @@ class FdrEstimate:
         return (high - low) / 2.0
 
 
+@functools.lru_cache(maxsize=None)
+def _z_score(confidence: float) -> float:
+    """Two-sided normal quantile of a *confidence* level, computed once.
+
+    The sequential policy evaluates Wilson intervals on every gated
+    injection, always at the same few confidence levels.  The value is
+    scipy's quantile on purpose: another implementation may differ in the
+    last ulp, and that can flip a retirement decision at the margin.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
+    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -60,9 +75,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Tu
     """
     if trials == 0:
         return (0.0, 1.0)
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _z_score(confidence)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p_hat + z * z / (2 * trials)) / denom
@@ -109,11 +122,9 @@ def required_sample_size(
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must be in (0, 1)")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    z = _z_score(confidence)
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     base = z * z * p * (1 - p) / (margin * margin)
     if population is None:
         return max(1, math.ceil(base))

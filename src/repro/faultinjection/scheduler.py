@@ -9,16 +9,16 @@ per-cycle batches with one long-lived forward simulation per *pass*:
 
 * **mixed-cycle batching** — lanes are activated at their own injection
   cycles: when the simulation reaches a pending injection's cycle, a free
-  lane is loaded with the golden flip-flop state (per-lane, via the
-  lane-vector algebra's scatter path), the target flip-flop is flipped, and
-  the lane's loopback history is seeded from the golden record.  Requests
-  that find no free lane roll over to the next pass;
+  lane is loaded with the golden flip-flop state (per-lane, via a
+  generated loader), the target flip-flop is flipped, and the lane's
+  loopback history is seeded from the golden record.  Requests that find
+  no free lane roll over to the next pass;
 * **lane compaction + refill** — retirement checks free lanes for the
   pending queue; once the queue can no longer refill a drained pass, the
-  surviving lanes are *repacked* into a narrower batch
-  (:meth:`~repro.sim.compiled.CompiledSimulator.gather_lanes` /
-  :meth:`~repro.sim.compiled.CompiledSimulator.scatter_lanes`), which
-  shrinks every subsequent big-int operation;
+  surviving lanes are *repacked* into a narrower batch (one batched
+  :meth:`~repro.sim.compiled.CompiledSimulator.gather_lanes` over every
+  flip-flop row, loopback slot and the failure mask), which shrinks every
+  subsequent big-int operation;
 * **cone-gated evaluation** — the netlist is levelized into topologically
   ordered partitions at build time (:mod:`repro.netlist.levelize`), each
   compiled into its own callable.  A divergence frontier (which relevant
@@ -81,7 +81,7 @@ FALLBACK_FRONTIER_FRACTION = 0.5
 
 #: Repack the batch when no refill is possible and fewer than half the
 #: lanes survive, provided at least this many lanes would be freed (the
-#: gather/scatter pass is O(flip-flops × survivors)).
+#: batched gather is O(flip-flops × width)).
 MIN_REPACK_GAIN = 16
 
 #: Default lane-slot capacity when ``max_lanes`` is ``None``.  Wider
@@ -390,6 +390,8 @@ class AdaptiveScheduler:
         self.stats = SchedulerStats()
         self._plan: Optional[_GatingPlan] = None
         self._load_fn = None
+        # Value rows of the relevant flip-flops, in relevant_golden bit order.
+        self._relevant_rows = [q_idx for q_idx, _ff in injector._relevant_pairs]
 
     # ------------------------------------------------------------------ API
 
@@ -824,12 +826,10 @@ class AdaptiveScheduler:
         """
         injector = self.injector
         sim = injector.sim
-        grel = injector.relevant_golden(cycle)
         pairs = injector._relevant_pairs
-        row_golden = [
-            (q_idx, (grel >> k) & 1) for k, (q_idx, _ff) in enumerate(pairs)
-        ]
-        diff, rows = sim.diverging_rows(row_golden, active_vec)
+        diff, rows = sim.diverging_rows(
+            self._relevant_rows, injector.relevant_golden(cycle), active_vec
+        )
         frontier = 0
         while rows:
             low = rows & -rows
@@ -951,20 +951,29 @@ class AdaptiveScheduler:
         injector = self.injector
         sim = injector.sim
         keep = [lane for lane, req in enumerate(lane_req) if req is not None]
-        ff_states = [sim.gather_lanes(sim.values[q], keep) for q in sim._ff_q]
-        slot_states = [[sim.gather_lanes(vec, keep) for vec in pipeline] for pipeline in slots]
-        failed_int = sim.gather_lanes(failed, keep)
+        ff_q = sim._ff_q
+        # One batched gather moves every row: flip-flop Qs, then the loopback
+        # slots pipeline by pipeline, then the failure mask.  Gathered rows
+        # carry only len(keep) bits, so they fit the narrower batch as is.
+        gathered = sim.gather_lanes(
+            [sim.values[q] for q in ff_q]
+            + [vec for pipeline in slots for vec in pipeline]
+            + [failed],
+            keep,
+        )
+        failed_int = gathered.pop()
 
         new_width = max(1, len(keep))
         sim.resize_lanes(new_width)
         mask = sim.mask
         zero = sim.broadcast(0)
         values = sim.values
-        for q, packed in zip(sim._ff_q, ff_states):
-            values[q] = self._masked(packed)
-        for t, pipeline in enumerate(slot_states):
-            for k, packed in enumerate(pipeline):
-                slots[t][k] = sim.scatter_lanes(zero, range(new_width), packed)
+        for q, packed in zip(ff_q, gathered):
+            values[q] = packed
+        row = len(ff_q)
+        for pipeline in slots:
+            pipeline[:] = gathered[row : row + len(pipeline)]
+            row += len(pipeline)
 
         remap = {old: new for new, old in enumerate(keep)}
         new_req: List[Optional[InjectionRequest]] = [None] * new_width

@@ -23,6 +23,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..netlist.core import Cell, Netlist
 from .logic import broadcast, lane_mask
 
@@ -458,57 +460,54 @@ class CompiledSimulator:
         """True if every active lane of *vec* is set."""
         return (vec & self.mask) == self.mask
 
-    def gather_lanes(self, vec: int, lanes: Sequence[int]) -> int:
-        """Pack the selected lanes of *vec* into a dense Python-int mask.
+    def gather_lanes(self, vecs: Sequence[int], lanes: Sequence[int]) -> List[int]:
+        """Pack the selected lanes of every vector in *vecs* into dense masks.
 
-        Bit *j* of the result is lane ``lanes[j]`` of *vec* — the compaction
-        primitive: surviving lanes gathered here and scattered into a
-        narrower batch preserve their per-lane state exactly.
+        Bit *j* of result *i* is lane ``lanes[j]`` of ``vecs[i]`` — the
+        compaction primitive: surviving lanes gathered here and loaded into
+        a narrower batch preserve their per-lane state exactly.  All vectors
+        are gathered in one batch (one bit matrix, one column selection),
+        because compaction moves every flip-flop row at once.
         """
-        out = 0
-        for j, lane in enumerate(lanes):
-            out |= ((vec >> lane) & 1) << j
-        return out
-
-    def scatter_lanes(self, vec: int, lanes: Sequence[int], bits: int) -> int:
-        """Copy of *vec* with lane ``lanes[j]`` set to bit *j* of *bits*.
-
-        The inverse of :meth:`gather_lanes`; used to drop repacked or
-        freshly activated per-lane state into an existing lane vector
-        without disturbing the other lanes.
-        """
-        for j, lane in enumerate(lanes):
-            bit = 1 << lane
-            if (bits >> j) & 1:
-                vec |= bit
-            else:
-                vec &= ~bit
-        return vec & self.mask
+        mask = self.mask
+        n_bytes = (self.n_lanes + 7) // 8
+        rows = np.frombuffer(
+            b"".join((vec & mask).to_bytes(n_bytes, "little") for vec in vecs),
+            dtype=np.uint8,
+        ).reshape(len(vecs), n_bytes)
+        bits = np.unpackbits(rows, axis=1, bitorder="little")
+        picked = np.packbits(
+            bits[:, np.asarray(lanes, dtype=np.intp)], axis=1, bitorder="little"
+        )
+        return [int.from_bytes(row.tobytes(), "little") for row in picked]
 
     def diverging_rows(
         self,
-        row_golden: Sequence[Tuple[int, int]],
+        rows: Sequence[int],
+        golden: int,
         active: int,
     ) -> Tuple[int, int]:
         """Active-lane divergence of value rows against broadcast golden bits.
 
-        *row_golden* is a sequence of ``(value_idx, golden_bit)`` pairs.
-        Returns ``(diff, rows)``: ``diff`` is the union of diverging lanes
-        (active lanes where any row differs from its golden bit) and bit *k*
-        of ``rows`` is set when row *k* itself diverges — the per-flip-flop
-        frontier probe the cone-gated scheduler runs at every retirement
-        check.
+        *rows* are value indices and bit *k* of the packed *golden* is the
+        golden value of ``rows[k]`` (the layout of
+        :meth:`~repro.faultinjection.injector.FaultInjector.relevant_golden`).
+        Returns ``(diff, diverged)``: ``diff`` is the union of diverging
+        lanes (active lanes where any row differs from its golden bit) and
+        bit *k* of ``diverged`` is set when row *k* itself diverges — the
+        per-flip-flop frontier probe the cone-gated scheduler runs at every
+        retirement check.
         """
         diff = 0
-        rows = 0
+        diverged = 0
         values = self.values
         mask = self.mask
-        for k, (idx, bit) in enumerate(row_golden):
-            d = (values[idx] ^ (mask if bit else 0)) & active
+        for k, idx in enumerate(rows):
+            d = (values[idx] ^ (mask if (golden >> k) & 1 else 0)) & active
             if d:
                 diff |= d
-                rows |= 1 << k
-        return diff, rows
+                diverged |= 1 << k
+        return diff, diverged
 
     # ----------------------------------------------------------------- misc
 

@@ -23,7 +23,11 @@ from repro.campaigns import (
     run_campaign,
     stream_buckets,
 )
-from repro.campaigns.partition import stream_draws, stream_slot_order
+from repro.campaigns.partition import (
+    stream_buckets_ranged,
+    stream_draws,
+    stream_slot_order,
+)
 from repro.faultinjection import StatisticalFaultCampaign
 
 TINY = dict(
@@ -101,6 +105,25 @@ def test_stream_draws_are_prefix_stable():
     assert long[:10] == short
     assert len(set(long)) == len(long)  # without replacement
     assert all(c in window for c in long)
+
+
+def test_memoized_streams_replay_identical_buckets():
+    """Policy rounds extend memoized draw streams; the buckets must equal a
+    fresh redraw from draw 0 every round."""
+    spec = tiny_spec()
+    window = list(range(20, 140))
+    ffs = [f"ff{i}" for i in range(9)]
+    rounds = [
+        {name: (0, 24) for name in ffs},
+        {name: (24, 30 + 3 * i) for i, name in enumerate(ffs)},
+        {ffs[0]: (54, 80), ffs[4]: (42, 43), ffs[8]: (10, 20)},
+        {name: (60, 60 + i) for i, name in enumerate(ffs)},
+    ]
+    streams = {}
+    for ranges in rounds:
+        memoized = stream_buckets_ranged(spec, window, ranges, streams)
+        assert memoized == stream_buckets_ranged(spec, window, ranges)
+    assert set(streams) == set(ffs)
 
 
 def test_stream_draws_density_matches_serial_pool():

@@ -60,6 +60,40 @@ def test_required_sample_size_matches_paper():
         required_sample_size(0)
 
 
+def test_required_sample_size_is_pinned():
+    """The paper's infinite-universe count at 7.5 % margin, 95 % confidence."""
+    assert required_sample_size(None, 0.075) == 171
+
+
+def test_z_score_is_computed_once_per_confidence(monkeypatch):
+    from scipy import stats
+
+    from repro.faultinjection import fdr
+
+    real_ppf = stats.norm.ppf
+    calls = []
+
+    def counting_ppf(q):
+        calls.append(q)
+        return real_ppf(q)
+
+    fdr._z_score.cache_clear()
+    monkeypatch.setattr(fdr.stats.norm, "ppf", counting_ppf)
+    try:
+        for trials in range(1, 300):
+            wilson_interval(trials // 3, trials)
+            wilson_interval(trials // 3, trials, confidence=0.99)
+        required_sample_size(None, margin=0.075)
+        required_sample_size(1000, margin=0.05, confidence=0.99)
+        assert sorted(calls) == [0.975, 0.995]
+        # The cached quantile is scipy's, to the last bit.
+        assert fdr._z_score(0.95) == float(real_ppf(0.975))
+    finally:
+        fdr._z_score.cache_clear()
+    with pytest.raises(ValueError):
+        wilson_interval(1, 10, confidence=0.0)
+
+
 def test_required_sample_size_edge_cases():
     # A one-element universe needs exactly its one sample, whatever the
     # margin or prior.

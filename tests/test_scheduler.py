@@ -78,6 +78,25 @@ def test_cone_gating_modes_are_invisible(tiny_parts, cone_gating):
     assert scheduler.run(requests).verdicts == expected
 
 
+@pytest.mark.parametrize("cone_gating", ["off", "on"])
+def test_many_repacks_match_naive(tiny_parts, cone_gating):
+    """Repeated compaction (one batched gather per repack) keeps every
+    verdict and latency."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    first, _last = workload.active_window
+    rng = random.Random(11)
+    n_ffs = injector.sim.n_flip_flops
+    # Injections bunched at the start of the window: every pass takes its
+    # lanes at once, then drains, so nearly every pass ends in a repack.
+    requests = [(first + rng.randrange(4), rng.randrange(n_ffs)) for _ in range(400)]
+    expected = naive_verdicts(injector, requests)
+    scheduler = AdaptiveScheduler(injector, max_lanes=32, cone_gating=cone_gating)
+    outcome = scheduler.run(requests)
+    assert outcome.verdicts == expected
+    assert outcome.stats.repacks >= 5
+
+
 # ----------------------------------------------------------------- boundaries
 
 
@@ -186,18 +205,43 @@ def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
 # ------------------------------------------------------------- lane algebra
 
 
+def gather_reference(vec, lanes):
+    """Per-lane gather: bit *j* of the result is lane ``lanes[j]`` of *vec*."""
+    return sum(((vec >> lane) & 1) << j for j, lane in enumerate(lanes))
+
+
 def test_gather_scatter_roundtrip(tiny_mac):
+    """Lanes gathered from a wide batch keep their state in a narrow one."""
     sim = CompiledSimulator(tiny_mac, n_lanes=70)
     rng = random.Random(1)
-    packed = rng.getrandbits(70)
-    vec = sim.scatter_lanes(sim.broadcast(0), range(70), packed)
+    vecs = [rng.getrandbits(70) for _ in range(5)]
     lanes = sorted(rng.sample(range(70), 23))
-    gathered = sim.gather_lanes(vec, lanes)
-    assert gathered == sum(((packed >> lane) & 1) << j for j, lane in enumerate(lanes))
-    # Scatter into a fresh narrow batch preserves each selected lane.
+    gathered = sim.gather_lanes(vecs, lanes)
+    assert gathered == [gather_reference(vec, lanes) for vec in vecs]
     sim.resize_lanes(23)
-    narrow = sim.scatter_lanes(sim.broadcast(0), range(23), gathered)
-    assert sim.vec_to_int(narrow) == gathered
+    for vec, narrow in zip(vecs, gathered):
+        assert sim.vec_to_int(narrow) == narrow
+        for j, lane in enumerate(lanes):
+            assert (narrow >> j) & 1 == (vec >> lane) & 1
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 4096])
+@pytest.mark.parametrize("density", ["empty", "sparse", "dense"])
+def test_batched_gather_matches_per_lane_reference(tiny_mac, width, density):
+    sim = CompiledSimulator(tiny_mac, n_lanes=width)
+    rng = random.Random(width)
+    if density == "empty":
+        lanes = []
+    elif density == "sparse":
+        lanes = sorted(rng.sample(range(width), max(1, width // 10)))
+    else:
+        lanes = [lane for lane in range(width) if rng.random() < 0.9] or [0]
+    # Random rows plus the all-zero and all-one extremes.
+    vecs = [rng.getrandbits(width) for _ in range(20)] + [0, sim.mask]
+    assert sim.gather_lanes(vecs, lanes) == [
+        gather_reference(vec, lanes) for vec in vecs
+    ]
+    assert sim.gather_lanes([], lanes) == []
 
 
 def test_diverging_rows_probe(tiny_mac):
@@ -205,14 +249,17 @@ def test_diverging_rows_probe(tiny_mac):
     sim.reset()
     q0 = sim._ff_q[0]
     q1 = sim._ff_q[1]
-    sim.values[q0] = sim.scatter_lanes(sim.broadcast(0), [2], 1)  # lane 2 high
-    diff, rows = sim.diverging_rows(
-        [(q0, 0), (q1, 0)], sim.broadcast(1)
-    )
+    sim.values[q0] = sim.lane_vec(2)  # lane 2 high
+    diff, rows = sim.diverging_rows([q0, q1], 0b00, sim.broadcast(1))
     assert sim.vec_to_int(diff) == 0b00100
     assert rows == 0b01
+    # Golden bits come from the packed word: a golden-high q0 makes every
+    # lane but lane 2 diverge.
+    diff, rows = sim.diverging_rows([q0, q1], 0b01, sim.broadcast(1))
+    assert sim.vec_to_int(diff) == 0b11011
+    assert rows == 0b01
     # Inactive lanes are masked out of the probe.
-    diff, rows = sim.diverging_rows([(q0, 0)], sim.lane_vec(0))
+    diff, rows = sim.diverging_rows([q0], 0, sim.lane_vec(0))
     assert sim.vec_to_int(diff) == 0
     assert rows == 0
 
