@@ -256,8 +256,19 @@ def compute_circuit_stats(netlist: Netlist) -> CircuitStats:
             bits |= reach_up[t] | (1 << t)
         reach_up[s] = bits
 
+    # Weighted popcount: singleton components count one each, so only the
+    # members of multi-member components need a per-bit size lookup.
+    multi_member = 0
+    for s, size in enumerate(sizes):
+        if size > 1:
+            multi_member |= 1 << s
+    singletons = ((1 << n_scc) - 1) ^ multi_member
+
     def population(bits: int) -> int:
-        return sum(sizes[s] for s in _iter_bits(bits))
+        total = (bits & singletons).bit_count()
+        for s in _iter_bits(bits & multi_member):
+            total += sizes[s]
+        return total
 
     total_from = [0] * n_ff
     total_to = [0] * n_ff

@@ -18,11 +18,20 @@ the largest first-order violation, and solve the two-variable subproblem
 *exactly* — under the equality constraint it is a piecewise quadratic in
 βᵢ (breakpoints where βᵢ or βⱼ changes sign), so the maximizer is found by
 evaluating each piece's vertex and the breakpoints/box corners.
+
+Only the pair's two coefficients change per step, so the pair selection
+keeps its per-sample parts incrementally.  The directional derivatives are
+``r + up_off`` and ``down_off − r`` with residual ``r = y − f``; the offsets
+``up_off``/``down_off`` (−ε, +ε, or −∞ at the box bound) depend on the sign
+and bound of βᵢ alone and are rewritten at i and j after each pair solve.
+``f = Kβ`` is updated from two kernel columns; the solve runs on Python
+floats.  Adding an offset is exact in IEEE arithmetic (``r + (−ε) ==
+r − ε``), so keeping the offsets does not change the iterates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +56,10 @@ class SVR(BaseEstimator):
         KKT violation tolerance for convergence.
     max_iter:
         Cap on SMO pair updates.
+
+    After ``fit``, ``n_iter_`` is the number of SMO iterations run and
+    ``converged_`` tells whether the KKT violation fell below *tol*;
+    ``False`` means the solver stopped at *max_iter*.
     """
 
     def __init__(
@@ -84,30 +97,49 @@ class SVR(BaseEstimator):
             raise ValueError("epsilon must be non-negative")
         n = X.shape[0]
         K = self._kernel_fn()(X, X)
-        beta = np.zeros(n)
+        # Columns of K as contiguous rows.  K comes from a BLAS product and
+        # need not be bit-symmetric, so its rows are no substitute.
+        columns = np.ascontiguousarray(K.T)
+        diagonal = K.diagonal().tolist()
+        targets = y.tolist()
+        C, eps = float(self.C), float(self.epsilon)
+        beta = [0.0] * n
         # f = K @ beta, maintained incrementally.
         f = np.zeros(n)
-        C, eps = float(self.C), float(self.epsilon)
+        up0, down0 = self._offsets(0.0, C, eps)
+        up_off, down_off = np.full(n, up0), np.full(n, down0)
+        r, up, down = np.empty(n), np.empty(n), np.empty(n)
 
         n_iter = 0
+        converged = False
         for n_iter in range(1, self.max_iter + 1):
-            # First-order pair selection: directional derivatives of the
-            # concave dual along +e_i (increase beta_i) and -e_j (decrease
-            # beta_j).  The |beta| kink is one-sided at zero: moving away
-            # from zero always pays +eps.
-            r = y - f
-            up = np.where(beta >= 0.0, r - eps, r + eps)
-            up[beta >= C - 1e-12] = -np.inf
-            down = np.where(beta > 0.0, -r + eps, -r - eps)
-            down[beta <= -C + 1e-12] = -np.inf
-            i = int(np.argmax(up))
-            j = int(np.argmax(down))
-            violation = up[i] + down[j]
-            if violation < self.tol or i == j:
+            # First-order pair selection on the directional derivatives of
+            # the concave dual along +e_i (r + up_off) and -e_j (down_off - r).
+            np.subtract(y, f, out=r)
+            np.add(r, up_off, out=up)
+            np.subtract(down_off, r, out=down)
+            i = int(up.argmax())
+            j = int(down.argmax())
+            if up[i] + down[j] < self.tol or i == j:
+                converged = True
                 break
-            self._solve_pair(i, j, beta, f, K, y, C, eps)
+            bi_old, bj_old = beta[i], beta[j]
+            bi, bj = self._solve_pair(
+                bi_old, bj_old, float(f[i]), float(f[j]),
+                diagonal[i], diagonal[j], float(K[i, j]),
+                targets[i] - targets[j], C, eps,
+            )
+            di, dj = bi - bi_old, bj - bj_old
+            if di == 0.0 and dj == 0.0:
+                continue
+            beta[i], beta[j] = bi, bj
+            up_off[i], down_off[i] = self._offsets(bi, C, eps)
+            up_off[j], down_off[j] = self._offsets(bj, C, eps)
+            f += di * columns[i] + dj * columns[j]
         self.n_iter_ = n_iter
+        self.converged_ = converged
 
+        beta = np.array(beta)
         support = np.abs(beta) > 1e-10
         self.beta_ = beta
         self.support_ = np.flatnonzero(support)
@@ -117,30 +149,46 @@ class SVR(BaseEstimator):
         return self
 
     @staticmethod
+    def _offsets(b: float, C: float, eps: float) -> tuple:
+        """Selection offsets ``(up, down)`` of one sample with coefficient *b*.
+
+        The |beta| kink is one-sided at zero: moving away from zero always
+        pays +eps.  A coefficient at its box bound cannot move further
+        (offset -inf).
+        """
+        up = -np.inf if b >= C - 1e-12 else (-eps if b >= 0.0 else eps)
+        down = -np.inf if b <= -C + 1e-12 else (eps if b > 0.0 else -eps)
+        return up, down
+
+    @staticmethod
     def _solve_pair(
-        i: int,
-        j: int,
-        beta: np.ndarray,
-        f: np.ndarray,
-        K: np.ndarray,
-        y: np.ndarray,
+        bi_old: float,
+        bj_old: float,
+        fi: float,
+        fj: float,
+        kii: float,
+        kjj: float,
+        kij: float,
+        dy: float,
         C: float,
         eps: float,
-    ) -> None:
-        """Exact maximization over (beta_i, beta_j) with beta_i+beta_j fixed."""
-        s = beta[i] + beta[j]
-        bi_old, bj_old = beta[i], beta[j]
-        kii, kjj, kij = K[i, i], K[j, j], K[i, j]
+    ) -> tuple:
+        """Exact maximization over (beta_i, beta_j) with beta_i+beta_j fixed.
+
+        Takes the pair's current coefficients and outputs, the kernel
+        entries and ``dy = y_i - y_j``; returns the new ``(beta_i, beta_j)``.
+        """
+        s = bi_old + bj_old
         eta = kii + kjj - 2.0 * kij
         # Residuals of f without the (i, j) contributions.
-        fi0 = f[i] - kii * bi_old - kij * bj_old
-        fj0 = f[j] - kij * bi_old - kjj * bj_old
+        fi0 = fi - kii * bi_old - kij * bj_old
+        fj0 = fj - kij * bi_old - kjj * bj_old
 
         # Objective restricted to t = beta_i (beta_j = s - t), dropping
         # terms independent of t:
         #   g(t) = -0.5*eta*t^2 + (y_i - y_j - fi0 + fj0 + eta_js)*t
         #          - eps*(|t| + |s - t|)   with eta_js = (kjj - kij)*s
-        lin = (y[i] - y[j]) - fi0 + fj0 + (kjj - kij) * s
+        lin = dy - fi0 + fj0 + (kjj - kij) * s
         lo = max(-C, s - C)
         hi = min(C, s + C)
 
@@ -163,12 +211,7 @@ class SVR(BaseEstimator):
                             candidates.append(t_star)
         best_t = max(candidates, key=g)
         bi_new = min(max(best_t, lo), hi)
-        bj_new = s - bi_new
-        di, dj = bi_new - bi_old, bj_new - bj_old
-        if di == 0.0 and dj == 0.0:
-            return
-        beta[i], beta[j] = bi_new, bj_new
-        f += di * K[:, i] + dj * K[:, j]
+        return bi_new, s - bi_new
 
     @staticmethod
     def _compute_bias(beta, f, y, C, eps) -> float:

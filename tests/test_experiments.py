@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    CV_FOLDS,
     FIGURE_MODELS,
     PAPER_TABLE1,
     future_work_models,
@@ -43,6 +44,24 @@ def test_table1_reduced(tiny_dataset):
     assert result.shape_holds()
     text = result.as_text()
     assert "measured" in text and "paper reference" in text
+
+
+def test_table1_svr_folds_converge(tiny_dataset, monkeypatch):
+    """Every SVR fit of the full Table I protocol stops on the KKT
+    tolerance, not on max_iter."""
+    from repro.ml.svr import SVR
+
+    fitted = []
+    fit = SVR.fit
+
+    def recording_fit(self, X, y):
+        fitted.append(fit(self, X, y))
+        return fitted[-1]
+
+    monkeypatch.setattr(SVR, "fit", recording_fit)
+    run_table1(tiny_dataset, seed=0)
+    assert len(fitted) == CV_FOLDS
+    assert all(model.converged_ for model in fitted)
 
 
 def test_figures_reduced(tiny_dataset):

@@ -1,5 +1,8 @@
 """Nonlinear model tests: k-NN, SVR, trees, ensembles, MLP."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.ml import (
     RandomForestRegressor,
     r2_score,
 )
+from repro.ml import neighbors
 
 
 # ----------------------------------------------------------------- k-NN
@@ -59,6 +63,72 @@ def test_knn_kneighbors_sorted():
     idx, dist = model.kneighbors(np.array([[4.2]]))
     assert list(idx[0]) == [4, 5, 3]
     assert np.all(np.diff(dist[0]) >= 0)
+
+
+_BLOCK = neighbors._QUERY_BLOCK
+
+
+def _unblocked_distances(Q, X, metric, p):
+    """The distance formulas on the full query x train x feature tensor."""
+    diff = Q[:, None, :] - X[None, :, :]
+    if metric == "manhattan":
+        return np.abs(diff).sum(axis=2)
+    if metric == "euclidean":
+        return np.sqrt((diff**2).sum(axis=2))
+    if metric == "chebyshev":
+        return np.abs(diff).max(axis=2)
+    return (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean", "chebyshev", "minkowski"])
+@pytest.mark.parametrize("n_query", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])
+def test_knn_blocked_distances_equal_unblocked(metric, n_query):
+    rng = np.random.default_rng(n_query)
+    X = rng.normal(size=(90, 25))
+    Q = rng.normal(size=(n_query, 25))
+    model = KNeighborsRegressor(3, metric=metric, p=3.0).fit(X, rng.normal(size=90))
+    assert np.array_equal(model._distances(Q), _unblocked_distances(Q, X, metric, 3.0))
+
+
+def test_knn_duplicate_training_points_predict_without_warning():
+    """Queries on duplicated training points hit zero distances: each row
+    predicts the mean of its exact neighbours, with no division by zero."""
+    X = np.repeat(np.arange(5.0)[:, None], 3, axis=0)
+    y = np.arange(15.0)
+    query = np.array([[0.0], [2.0], [2.25], [4.0], [9.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k3 = KNeighborsRegressor(3).fit(X, y).predict(query)
+        k4 = KNeighborsRegressor(4).fit(X, y).predict(query)
+    assert list(k3) == [1.0, 7.0, 7.0, 13.0, 13.0]
+    assert k4[1] == 7.0  # the fourth neighbour is not an exact match: ignored
+
+
+def _loop_predict(model, Q):
+    """Inverse-distance weighting one query row at a time (the reference)."""
+    idx, dist = model.kneighbors(Q)
+    predictions = np.empty(len(Q))
+    for i in range(len(Q)):
+        d, neighbor_y = dist[i], model.y_[idx[i]]
+        exact = d == 0.0
+        if exact.any():
+            predictions[i] = neighbor_y[exact].mean()
+        else:
+            w = 1.0 / d
+            predictions[i] = float((w * neighbor_y).sum() / w.sum())
+    return predictions
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 12])
+def test_knn_weighted_mean_equals_row_loop(k):
+    """Bit-equal to the per-row loop, including rows with several exact
+    matches of distinct labels (summed in the same order)."""
+    rng = np.random.default_rng(k)
+    X = np.repeat(rng.integers(0, 4, size=(12, 2)).astype(float), 7, axis=0)
+    y = rng.normal(size=len(X))
+    Q = np.vstack([X[::5], rng.normal(size=(40, 2))])
+    model = KNeighborsRegressor(k).fit(X, y)
+    assert np.array_equal(model.predict(Q), _loop_predict(model, Q))
 
 
 def test_knn_validation():
@@ -124,6 +194,70 @@ def test_svr_epsilon_controls_flatness():
     model = SVR(C=1.0, epsilon=10.0, gamma=1.0).fit(X, y)
     pred = model.predict(X)
     assert np.ptp(pred) < 1e-6
+
+
+def _dyadic_problem():
+    """Dyadic inputs: every kernel inner product is exact, whatever the BLAS
+    summation order, so the pinned fits below do not depend on it."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(-8, 9, size=(60, 3)) / 4.0
+    y = X[:, 0] * X[:, 1] / 4.0 - X[:, 2] / 2.0 + rng.integers(-4, 5, size=60) / 32.0
+    return X, y
+
+
+# SHA-256 of (beta_, intercept_, n_iter_) for each fit, recorded with the SMO
+# loop that recomputed its selection offsets with np.where every iteration.
+SVR_PINS = {
+    "rbf": (
+        dict(C=3.5, epsilon=0.025, gamma=0.055),
+        "0e6b446fdb8ccbe4520a1e7ce4a6eceff17cbd5b1e6dcb673c2d4b7d312e4e9a",
+    ),
+    "linear": (
+        dict(kernel="linear", C=1.0, epsilon=0.05),
+        "c98af28210a09921fe8c95a696dbf996a5bd65fb6d086784d7c31cd23705dc68",
+    ),
+    "poly": (
+        dict(kernel="poly", degree=2, gamma=0.25, C=1.0, epsilon=0.05),
+        "2b19dc4b3b264fa800679fb519016d55aeeae0fcae66ea4ae64c9303d303b289",
+    ),
+    "all_in_tube": (
+        dict(C=1.0, epsilon=10.0, gamma=0.5),
+        "490eb8c72258bfdaf01dd051dafb7e81170fdbc37aa7491064e863e5f7373cd4",
+    ),
+    "box_bound": (
+        dict(C=0.01, epsilon=0.01, gamma=0.5),
+        "a20ed47eccda4b0d6934adc40548a16e05aab7badab5955e2104141bc66bc7c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVR_PINS))
+def test_svr_fit_is_pinned(case):
+    params, digest = SVR_PINS[case]
+    X, y = _dyadic_problem()
+    model = SVR(**params).fit(X, y)
+    blob = (
+        model.beta_.tobytes()
+        + np.float64(model.intercept_).tobytes()
+        + model.n_iter_.to_bytes(8, "little")
+    )
+    assert model.converged_
+    assert hashlib.sha256(blob).hexdigest() == digest
+    if case == "all_in_tube":
+        assert model.n_iter_ == 1 and not model.beta_.any()
+    if case == "box_bound":
+        assert np.all(np.abs(model.beta_[model.beta_ != 0]) == params["C"])
+
+
+def test_svr_reports_non_convergence():
+    X, y = _dyadic_problem()
+    stopped = SVR(C=3.5, epsilon=0.025, gamma=0.055, max_iter=5).fit(X, y)
+    assert stopped.n_iter_ == 5 and not stopped.converged_
+    full = SVR(C=3.5, epsilon=0.025, gamma=0.055).fit(X, y)
+    # Allowing exactly the iterations convergence needs still converges: the
+    # flag, not n_iter_ == max_iter, tells the two stops apart.
+    exact = SVR(C=3.5, epsilon=0.025, gamma=0.055, max_iter=full.n_iter_).fit(X, y)
+    assert exact.converged_ and exact.n_iter_ == full.n_iter_
 
 
 def test_svr_validation():

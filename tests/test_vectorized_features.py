@@ -7,6 +7,7 @@ per-flip-flop traversal engine exactly, on every circuit in the library.
 
 from dataclasses import asdict
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,7 +19,10 @@ from repro.features.synthesis import extract_synthesis
 from repro.netlist.levelize import sink_masks, source_masks
 
 
-@pytest.mark.parametrize("circuit", LIBRARY_CIRCUITS + ["xgmac_tiny"])
+STATS_CIRCUITS = LIBRARY_CIRCUITS + ["xgmac_tiny", "mesh_tiny"]
+
+
+@pytest.mark.parametrize("circuit", STATS_CIRCUITS)
 def test_stats_match_networkx_reference(circuit):
     """Every quantity, every flip-flop, every library circuit: exact match."""
     netlist = get_circuit(circuit)
@@ -26,6 +30,17 @@ def test_stats_match_networkx_reference(circuit):
     reference = asdict(CircuitGraph(netlist).stats())
     for key in reference:
         assert vectorized[key] == reference[key], f"{circuit}: {key} diverges"
+
+
+def test_stats_reference_covers_both_scc_kinds():
+    """The weighted popcount counts singleton and multi-member components on
+    separate paths; some circuit above must exercise both at once."""
+
+    def multi_member_flags(circuit):
+        graph = CircuitGraph(get_circuit(circuit)).ff_only_graph()
+        return {len(c) > 1 for c in nx.strongly_connected_components(graph)}
+
+    assert any(multi_member_flags(c) == {True, False} for c in STATS_CIRCUITS)
 
 
 def test_structural_features_identical_between_engines(tiny_mac):
