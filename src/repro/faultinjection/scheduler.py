@@ -19,6 +19,18 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   :meth:`~repro.sim.compiled.CompiledSimulator.gather_lanes` over every
   flip-flop row, loopback slot and the failure mask), which shrinks every
   subsequent big-int operation;
+* **elastic width** — a pass starts :data:`MIN_WIDTH` lanes wide, hands
+  out the lowest free lane, and doubles its width only when no lane is
+  free, up to the cap ``min(max_lanes, pending)``; requests find no lane
+  (and roll over to the next pass) only at that cap.  At a retirement
+  check it truncates to its highest live lane once that fits in half the
+  width.  Every big-int operation costs by the allocated width, and live
+  lanes are usually a small fraction of the cap;
+* **observed-cone settle** — a full window evaluates only the
+  combinational fan-in of the criterion nets, the loopback tap sources and
+  the D/RN pins of the relevant flip-flops.  The remaining cells feed only
+  flip-flops outside the relevant set, which no verdict reads, so those
+  flip-flops may hold stale values during a scheduled pass;
 * **cone-gated evaluation** — the netlist is levelized into topologically
   ordered partitions at build time (:mod:`repro.netlist.levelize`), each
   compiled into its own callable.  A divergence frontier (which relevant
@@ -33,16 +45,19 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   hurt.
 
 All of this is scheduling only: each lane still simulates the exact cycle
-sequence :meth:`run_batch` would have, so per-injection verdicts and error
-latencies are **bit-identical** to the naive batches — enforced per fuzz
-seed by the ``scheduled-vs-naive`` differential mode in
-:mod:`repro.verify.diff` and by the property tests in
-``tests/test_scheduler.py``.
+sequence :meth:`run_batch` would have on every net a verdict reads, so
+per-injection verdicts and error latencies are **bit-identical** to the
+naive batches — enforced per fuzz seed by the ``scheduled-vs-naive``
+differential mode in :mod:`repro.verify.diff` and by the property tests in
+``tests/test_scheduler.py``.  Lane indices do not matter: retirement
+cycles follow the check grid and each lane's own state, and within one
+retirement batch no ``admit`` runs between ``on_verdict`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.levelize import LevelizedDesign, ff_spread_masks, levelize
@@ -84,6 +99,13 @@ FALLBACK_FRONTIER_FRACTION = 0.5
 #: batched gather is O(flip-flops × width)).
 MIN_REPACK_GAIN = 16
 
+#: Width a pass starts at, and the narrowest it truncates to.  A pass
+#: doubles its width only when no lane is free (up to its cap) and
+#: truncates to its highest live lane once that fits in half the width:
+#: below a few machine words a big-int operation costs the same at any
+#: width, so narrower batches would only add resizes.
+MIN_WIDTH = 64
+
 #: Default lane-slot capacity when ``max_lanes`` is ``None``.  Wider
 #: batches amortize the per-statement interpreter cost over more lanes —
 #: but only pay off when the batch stays *full*, which is exactly what
@@ -111,8 +133,10 @@ class SchedulerStats:
     ``refills`` counts activations that reuse a lane freed earlier in the
     same pass (the lanes early retirement gave back), ``early_retired``
     the lanes retired at a divergence probe before the end of the trace
-    without having failed (i.e. re-converged to golden), and
-    ``peak_width`` the widest lane batch any pass allocated.
+    without having failed (i.e. re-converged to golden),
+    ``peak_width`` the widest lane batch any pass allocated and
+    ``width_cycles`` the allocated lanes summed over simulated cycles
+    (the width actually paid for, as passes grow and truncate).
     """
 
     n_injections: int = 0
@@ -125,6 +149,7 @@ class SchedulerStats:
     refills: int = 0
     early_retired: int = 0
     peak_width: int = 0
+    width_cycles: int = 0
     gated_cycles: int = 0
     partitions_evaluated: int = 0
     partitions_skipped: int = 0
@@ -132,11 +157,14 @@ class SchedulerStats:
     forced_cycles: int = 0
 
     def lane_occupancy(self) -> float:
-        """Fraction of allocated lane-slots that carried a live injection.
+        """Live lane-cycles as a fraction of the peak-width bound.
 
-        ``lane_cycles / (cycles_simulated * peak_width)`` — the quantity
-        refill and repack exist to maximize (a naive drained batch decays
-        toward 1/width).  0.0 when nothing was simulated.
+        ``lane_cycles / (cycles_simulated * peak_width)``: the share of the
+        widest batch's slots that carried a live injection (a naive drained
+        batch decays toward 1/width).  Passes narrower than the peak, and
+        a pass that grows or truncates, allocate fewer slots than this
+        bound; ``width_cycles`` counts the slots actually allocated.  0.0
+        when nothing was simulated.
         """
         if not self.cycles_simulated or not self.peak_width:
             return 0.0
@@ -150,6 +178,7 @@ class SchedulerStats:
             "n_passes",
             "cycles_simulated",
             "lane_cycles",
+            "width_cycles",
             "activations",
             "deferred",
             "repacks",
@@ -474,6 +503,32 @@ class AdaptiveScheduler:
             self._plan = plan
         return self._plan
 
+    def _observed_settle(self) -> Callable[[List[int], int, list], None]:
+        """The settle of a full window: only the cells a verdict can read.
+
+        That is the combinational fan-in of the criterion nets, the
+        loopback tap sources and the D/RN pins of the relevant flip-flops.
+        Every other cell feeds only flip-flops outside the relevant set,
+        whose values no verdict, probe or relevant cone reads, so they are
+        left stale.  Cached on the injector like the gating plan; on a
+        circuit whose every flip-flop is relevant this is the simulator's
+        own cached ``_eval``.
+        """
+        settle = getattr(self.injector, "_cached_observed_settle", None)
+        if settle is None:
+            injector = self.injector
+            sim = injector.sim
+            roots = [idx for idx, _bit in injector.criterion_valid_pairs]
+            roots += [idx for idx, _bit in injector.criterion_data_pairs]
+            roots += [tap.source_value_idx for tap in injector.taps]
+            for _q_idx, ff_index in injector._relevant_pairs:
+                roots.append(sim._ff_d[ff_index])
+                if sim._ff_rn[ff_index] is not None:
+                    roots.append(sim._ff_rn[ff_index])
+            settle = sim.compile_cone_eval(roots)
+            injector._cached_observed_settle = settle
+        return settle
+
     def _activation_loader(self):
         """Generated per-lane golden-state loader (one line per flip-flop).
 
@@ -522,13 +577,19 @@ class AdaptiveScheduler:
         end_of_trace = golden.n_cycles
         stats = self.stats
 
-        width = min(self.max_lanes, len(pending))
+        # Requests find no lane (and roll over to the next pass) only once
+        # the pass is full at its cap; below the cap it grows instead.
+        cap = min(self.max_lanes, len(pending))
+        width = min(MIN_WIDTH, cap)
         stats.peak_width = max(stats.peak_width, width)
         sim.resize_lanes(width)
         mask = sim.mask
         zero = sim.broadcast(0)
         values = sim.values
         all_lanes = lane_mask(width)
+        clock_nets = sim._clock_nets
+        fallback_cells = sim._fallback_cells
+        settle = self._observed_settle()
 
         gate_on = self.cone_gating == "on"
         gate_auto = self.cone_gating == "auto"
@@ -541,8 +602,8 @@ class AdaptiveScheduler:
         slots: List[List[object]] = [[zero] * tap.delay for tap in taps]
         lane_req: List[Optional[InjectionRequest]] = [None] * width
         lane_lat: List[int] = [0] * width
-        free: List[int] = list(range(width - 1, -1, -1))  # pop() -> lowest lane
-        deadlines: Dict[int, List[int]] = {}
+        free: List[int] = list(range(width))  # heap: lowest free lane first
+        deadlines: Dict[int, List[Tuple[int, InjectionRequest]]] = {}
 
         # Fault-model state: per-lane plan compilation and force bookkeeping.
         bound = injector.bound_model
@@ -594,12 +655,35 @@ class AdaptiveScheduler:
                 )
                 if on_verdict is not None:
                     on_verdict(request, lane_failed)
-                free.append(lane)
+                heappush(free, lane)
             active_int &= ~retire_bits
             failed_int &= ~retire_bits
             force_int &= ~retire_bits
             active_vec = self._masked(active_int)
             failed = self._masked(failed_int)
+
+        def set_width(new_width: int) -> None:
+            """Grow or truncate the batch; every lane at or above
+            *new_width* is free when truncating."""
+            nonlocal width, mask, all_lanes
+            sim.resize_lanes(new_width, keep=True)
+            if new_width > width:
+                # Appending lanes above every free lane keeps the heap.
+                free.extend(range(width, new_width))
+                grown = new_width - width
+                lane_req.extend([None] * grown)
+                lane_lat.extend([0] * grown)
+                lane_force.extend([None] * grown)
+            else:
+                free[:] = [lane for lane in free if lane < new_width]
+                heapify(free)
+                del lane_req[new_width:], lane_lat[new_width:], lane_force[new_width:]
+                for pipeline in slots:
+                    pipeline[:] = [vec & sim.mask for vec in pipeline]
+            width = new_width
+            mask = sim.mask
+            all_lanes = lane_mask(width)
+            stats.peak_width = max(stats.peak_width, width)
 
         c = pending[0].cycle
         next_check = c + check
@@ -609,8 +693,9 @@ class AdaptiveScheduler:
                 expired = 0
                 for lane, request in deadlines.pop(c):
                     # A stale entry may point at a lane that retired early
-                    # and was refilled — only the original request expires.
-                    if lane_req[lane] is request:
+                    # and was refilled or truncated away — only the
+                    # original request expires.
+                    if lane < width and lane_req[lane] is request:
                         expired |= 1 << lane
                 if expired:
                     retire_lanes(expired)
@@ -629,10 +714,12 @@ class AdaptiveScheduler:
                     ptr += 1
                     continue
                 if not free:
-                    break
+                    if width == cap:
+                        break
+                    set_width(min(2 * width, cap))
                 request = pending[ptr]
                 ptr += 1
-                lane = free.pop()
+                lane = heappop(free)
                 lane_req[lane] = request
                 activated |= 1 << lane
                 act_requests.append((request, lane))
@@ -720,14 +807,16 @@ class AdaptiveScheduler:
                         stats.forced_cycles += 1
 
             if window.full:
-                sim.eval_comb()
+                for clk in clock_nets:
+                    values[clk] = zero
+                settle(values, mask, fallback_cells)
                 fail_c = criterion.evaluate(values, golden.outputs[c], mask)
             else:
                 stats.gated_cycles += 1
-                for clk in sim._clock_nets:
+                for clk in clock_nets:
                     values[clk] = zero
                 for fn in window.eval_fns:
-                    fn(values, mask, sim._fallback_cells)
+                    fn(values, mask, fallback_cells)
                 stats.partitions_evaluated += window.n_evaluated
                 stats.partitions_skipped += plan.n_partitions - window.n_evaluated
                 fail_c = self._gated_criterion(window, values, golden.outputs[c], mask, zero)
@@ -757,6 +846,7 @@ class AdaptiveScheduler:
             c += 1
             stats.cycles_simulated += 1
             stats.lane_cycles += active_int.bit_count()
+            stats.width_cycles += width
 
             # -- retirement check / frontier refresh / repack.
             if c == next_check or c >= end_of_trace:
@@ -774,13 +864,7 @@ class AdaptiveScheduler:
                     stats.early_retired += (retire_bits & ~failed_int).bit_count()
                     retire_lanes(retire_bits)
                     if active_int == 0:
-                        if ptr >= n_pending:
-                            break
-                        c = pending[ptr].cycle
-                        next_check = c + check
-                        frontier = 0
-                        window = _FULL_WINDOW
-                        continue
+                        continue  # drained: fast-forward (or end) above
                 if (
                     self.repack
                     and ptr >= n_pending
@@ -799,6 +883,8 @@ class AdaptiveScheduler:
                         if entry is not None:
                             force_int |= 1 << lane
                     stats.repacks += 1
+                elif width > MIN_WIDTH and active_int.bit_length() <= width // 2:
+                    set_width(max(active_int.bit_length(), MIN_WIDTH))
                 if gate_on or (gate_auto and active_int.bit_count() <= AUTO_GATE_MAX_LANES):
                     if plan is None:
                         plan = self._gating_plan()

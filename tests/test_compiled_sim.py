@@ -126,3 +126,124 @@ def test_reset_sets_ff_value(counter_netlist):
     sim = CompiledSimulator(counter_netlist)
     sim.reset(ff_value=1)
     assert sim.ff_state_packed() == 0b1111
+
+
+# --------------------------------------------- gate templates, lane invariant
+
+
+def _template_fn(template, n_inputs):
+    """Exec one ``_TEMPLATES`` form as ``f(v, m)`` over rows ``v[0..]``,
+    output in row ``n_inputs``."""
+    fields = {"o": n_inputs, **{f"i{k}": k for k in range(n_inputs)}}
+    namespace = {}
+    exec("def f(v, m):\n    " + template.format(**fields), namespace)
+    return namespace["f"]
+
+
+@pytest.mark.parametrize("n_lanes", [1, 63, 64, 65, 4096])
+def test_templates_match_cell_library(n_lanes):
+    """Every template equals the library function on the full truth table
+    (spread over the lanes, plus random rows) and stays within the mask."""
+    import itertools
+    import random
+
+    from repro.netlist.cells import default_library
+    from repro.sim.compiled import _TEMPLATES
+
+    library = default_library()
+    mask = lane_mask(n_lanes)
+    rng = random.Random(n_lanes)
+    for name, template in _TEMPLATES.items():
+        ctype = library[name]
+        k = len(ctype.inputs)
+        fn = _template_fn(template, k)
+        rows = []
+        # Lane j of input i is bit i of (j mod 2^k): every input combination
+        # appears once the width reaches 2^k, on every lane of a 1-lane run.
+        for combo in itertools.product((0, 1), repeat=k):
+            rows.append([mask if bit else 0 for bit in combo])
+        rows.append(
+            [
+                sum(((j % (1 << k)) >> i & 1) << j for j in range(n_lanes))
+                for i in range(k)
+            ]
+        )
+        rows.extend([rng.getrandbits(n_lanes) for _ in range(k)] for _ in range(8))
+        for inputs in rows:
+            v = list(inputs) + [0]
+            fn(v, mask)
+            assert v[k] == ctype.evaluate(inputs, mask), (name, n_lanes, inputs)
+            assert 0 <= v[k] <= mask, (name, n_lanes)
+
+
+def _rows_in_mask(sim):
+    return all(0 <= value <= sim.mask for value in sim.values)
+
+
+def test_value_rows_stay_within_mask(tiny_mac):
+    """Seeded property: eval, tick, flip_ff, the activation load, forcing,
+    width growth/shrink and gather_lanes all keep every row in [0, mask]."""
+    import random
+
+    rng = random.Random(5)
+    sim = CompiledSimulator(tiny_mac, n_lanes=64)
+    sim.reset()
+    ff_q = sim._ff_q
+    for step in range(40):
+        op = step % 8
+        if op == 0:
+            for name in tiny_mac.inputs:
+                sim.set_input_lanes(name, rng.getrandbits(sim.n_lanes))
+            sim.eval_comb()
+        elif op == 1:
+            sim.tick()
+        elif op == 2:
+            sim.flip_ff(rng.randrange(len(ff_q)), rng.getrandbits(sim.n_lanes + 8))
+        elif op == 3:
+            # The scheduler's activation load: golden bits onto lanes ``am``.
+            am = rng.getrandbits(sim.n_lanes)
+            nam = am ^ sim.mask
+            golden = rng.getrandbits(len(ff_q))
+            for i, q in enumerate(ff_q):
+                bit = am if (golden >> i) & 1 else 0
+                sim.values[q] = (sim.values[q] & nam) | bit
+        elif op == 4:
+            # Forcing one lane of a flip-flop row, as stuck-at plans do.
+            lv = sim.lane_vec(rng.randrange(sim.n_lanes))
+            q = ff_q[rng.randrange(len(ff_q))]
+            sim.values[q] = (sim.values[q] & ~lv) | (lv if rng.random() < 0.5 else 0)
+        elif op == 5:
+            sim.resize_lanes(sim.n_lanes * 2, keep=True)
+        elif op == 6:
+            before = list(sim.values)
+            narrow = max(1, sim.n_lanes // 3)
+            sim.resize_lanes(narrow, keep=True)
+            assert sim.values == [value & lane_mask(narrow) for value in before]
+        else:
+            lanes = sorted(rng.sample(range(sim.n_lanes), max(1, sim.n_lanes // 2)))
+            gathered = sim.gather_lanes([sim.values[q] for q in ff_q], lanes)
+            sim.resize_lanes(len(lanes))
+            for q, row in zip(ff_q, gathered):
+                sim.values[q] = row
+        assert _rows_in_mask(sim), (step, op)
+        sim.eval_comb()
+        assert _rows_in_mask(sim), (step, op, "eval")
+
+
+def test_resize_keep_preserves_live_lanes(counter_netlist):
+    """Growing keeps every value and adds zero lanes; shrinking keeps the
+    low lanes; both settle to the same per-lane state as a fresh run."""
+    sim = CompiledSimulator(counter_netlist, n_lanes=3)
+    sim.reset()
+    sim.set_input("rst_n", 1)
+    sim.set_input_lanes("en", 0b101)
+    for _ in range(3):
+        sim.step()
+    before = list(sim.values)
+    sim.resize_lanes(70, keep=True)
+    assert sim.values == before
+    sim.resize_lanes(2, keep=True)
+    assert sim.values == [value & 0b11 for value in before]
+    sim.eval_comb()
+    assert sim.get_word("count", 4, lane=0) == 3
+    assert sim.get_word("count", 4, lane=1) == 0

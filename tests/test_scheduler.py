@@ -171,6 +171,180 @@ def test_deferred_requests_roll_over_to_later_passes(tiny_parts):
     assert outcome.stats.deferred > 0
 
 
+# ------------------------------------------------------------ elastic width
+
+
+def _checked_settle(injector):
+    """Install an observed settle that asserts the lane-width invariant:
+    every row it reads lies in ``[0, mask]``, whatever wrote it (activation
+    load, flips, forcing, growth, truncation, repack gather, tick)."""
+    settle = AdaptiveScheduler(injector)._observed_settle()
+
+    def checked(values, mask, fb):
+        assert all(0 <= value <= mask for value in values)
+        settle(values, mask, fb)
+        assert all(0 <= value <= mask for value in values)
+
+    injector._cached_observed_settle = checked
+
+
+@pytest.mark.parametrize(
+    "fault_model, horizon, cone_gating",
+    [
+        (None, 12, "off"),
+        (None, None, "on"),
+        ("stuck1", 12, "off"),
+        ("stuck0", 30, "auto"),
+    ],
+)
+def test_elastic_width_is_invisible(
+    tiny_parts, monkeypatch, fault_model, horizon, cone_gating
+):
+    """Repeated grow/truncate cycles under a small cap keep every verdict,
+    and requests are deferred exactly where a fixed-width pass defers them."""
+    import repro.faultinjection.scheduler as scheduler_mod
+
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(
+        netlist, workload.testbench, golden, criterion, fault_model=fault_model
+    )
+    _checked_settle(injector)
+    first, last = workload.active_window
+    rng = random.Random(23)
+    n_ffs = injector.sim.n_flip_flops
+    # Bursts of same-cycle requests separated by quiet stretches: each
+    # burst grows the pass, each quiet stretch lets it truncate.  Forced
+    # (stuck-at) lanes never converge, so they live out their horizon.
+    requests = [
+        (cycle + rng.randrange(3), rng.randrange(n_ffs))
+        for cycle in range(first, last - 3, 17)
+        for _ in range(rng.randrange(1, 14))
+    ]
+    expected = naive_verdicts(injector, requests, horizon=horizon)
+
+    sim = injector.sim
+    changes = []  # (old width, new width) of every in-pass width change
+    resize = sim.resize_lanes
+
+    def recording_resize(n_lanes, keep=False):
+        if keep:
+            changes.append((sim.n_lanes, n_lanes))
+        resize(n_lanes, keep=keep)
+
+    monkeypatch.setattr(sim, "resize_lanes", recording_resize)
+    monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 2)
+    elastic = AdaptiveScheduler(injector, max_lanes=12, cone_gating=cone_gating)
+    outcome = elastic.run(requests, horizon=horizon)
+    assert outcome.verdicts == expected
+    grows = sum(1 for old, new in changes if new > old)
+    shrinks = sum(1 for old, new in changes if new < old)
+    assert grows >= 3 and shrinks >= 1, changes
+    if fault_model is None:
+        # Converging lanes retire out of order, so truncation recurs.
+        assert shrinks >= 3, changes
+    assert max(new for _old, new in changes) <= 12
+    assert outcome.stats.width_cycles < outcome.stats.cycles_simulated * 12
+
+    # A pass that starts at its cap never resizes mid-pass (fixed width).
+    monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 4096)
+    fixed = AdaptiveScheduler(injector, max_lanes=12, cone_gating=cone_gating)
+    reference = fixed.run(requests, horizon=horizon)
+    assert reference.verdicts == expected
+    for name in (
+        "deferred", "n_passes", "activations", "lane_cycles", "cycles_simulated"
+    ):
+        assert getattr(outcome.stats, name) == getattr(reference.stats, name), name
+    if fault_model is not None:
+        assert outcome.stats.deferred > 0
+
+
+# ------------------------------------------------------------ observed cone
+
+
+@pytest.fixture(scope="module")
+def xgmac_parts():
+    from repro.circuits import build_xgmac_workload, make_xgmac
+
+    netlist = make_xgmac("xgmac")
+    workload = build_xgmac_workload(netlist, n_frames=3, min_len=4, max_len=7)
+    golden = workload.testbench.run_golden()
+    criterion = PacketInterfaceCriterion(workload.valid_nets, workload.data_nets)
+    return netlist, workload, golden, criterion
+
+
+def test_observed_settle_matches_full_settle_on_read_nets(xgmac_parts):
+    """From random in-mask states, the observed settle leaves every net a
+    verdict reads equal to the full eval_comb."""
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    sim = injector.sim
+    non_relevant = len(sim.flip_flops) - len(injector.relevant_ff_names)
+    assert non_relevant == 237
+    settle = AdaptiveScheduler(injector)._observed_settle()
+    assert settle is not sim._eval_fn
+    read = {idx for idx, _bit in injector.criterion_valid_pairs}
+    read |= {idx for idx, _bit in injector.criterion_data_pairs}
+    read |= {tap.source_value_idx for tap in injector.taps}
+    for _q, ff_index in injector._relevant_pairs:
+        read.add(sim._ff_d[ff_index])
+        if sim._ff_rn[ff_index] is not None:
+            read.add(sim._ff_rn[ff_index])
+    rng = random.Random(3)
+    for n_lanes in (1, 64, 300):
+        sim.resize_lanes(n_lanes)
+        for _ in range(3):
+            start = [rng.getrandbits(n_lanes) for _ in sim.values]
+            sim.values[:] = start
+            sim.eval_comb()
+            full = list(sim.values)
+            sim.values[:] = start
+            for clk in sim._clock_nets:
+                sim.values[clk] = 0
+            settle(sim.values, sim.mask, sim._fallback_cells)
+            assert all(sim.values[idx] == full[idx] for idx in read)
+
+
+@pytest.mark.parametrize(
+    "fault_model", [None, "mbu:size=3,radius=1,seed=0", "stuck1"]
+)
+def test_observed_settle_keeps_verdicts_on_non_relevant_hits(
+    xgmac_parts, fault_model
+):
+    """Hits on flip-flops outside the observed cone (and on relevant ones)
+    get the same scheduled verdicts as run_batch."""
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(
+        netlist, workload.testbench, golden, criterion, fault_model=fault_model
+    )
+    relevant = injector.relevant_ff_names
+    ffs = injector.sim.flip_flops
+    outside = [i for i, ff in enumerate(ffs) if ff.name not in relevant]
+    inside = [i for i, ff in enumerate(ffs) if ff.name in relevant]
+    first, last = workload.active_window
+    rng = random.Random(9)
+    cycles = sorted(rng.sample(range(first, last), 3))
+    requests = [(cycle, ff) for cycle in cycles for ff in rng.sample(outside, 10)]
+    requests += [(cycle, ff) for cycle in cycles for ff in rng.sample(inside, 4)]
+    expected = naive_verdicts(injector, requests)
+    outcome = injector.run_scheduled(requests, cone_gating="off")
+    assert outcome.verdicts == expected
+
+
+def test_observed_settle_is_the_full_eval_when_every_ff_is_relevant():
+    from repro.campaigns import CampaignSpec
+    from repro.campaigns.spec import build_context
+
+    context = build_context(CampaignSpec(circuit="mesh_tiny", n_frames=2))
+    injector = FaultInjector(
+        context.netlist,
+        context.workload.testbench,
+        context.ensure_golden(),
+        context.criterion,
+    )
+    assert len(injector.relevant_ff_names) == injector.sim.n_flip_flops
+    assert AdaptiveScheduler(injector)._observed_settle() is injector.sim._eval_fn
+
+
 # -------------------------------------------------------------- property test
 
 
