@@ -99,6 +99,8 @@ class CampaignSpec:
             raise ValueError(f"unknown criterion {self.criterion!r}; choose from {CRITERIA}")
         if self.n_injections <= 0:
             raise ValueError("n_injections must be positive")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         model = parse_fault_model(self.fault_model)
         if not model.supports_ff_campaign:
             raise FaultModelError(

@@ -256,11 +256,10 @@ class FaultInjector:
         injections: Sequence[Tuple[int, int]],
         horizon: Optional[int] = None,
         max_lanes: Optional[int] = None,
-        cone_gating: str = "auto",
         progress=None,
     ):
         """Run many ``(cycle, ff_index)`` injections through one adaptive
-        scheduler (lane refill across cycles, compaction, cone gating).
+        scheduler (lane refill across cycles, compaction, elastic width).
 
         Returns a :class:`~repro.faultinjection.scheduler.ScheduledOutcome`
         whose verdicts/latencies are bit-identical to one
@@ -269,9 +268,7 @@ class FaultInjector:
         """
         from .scheduler import AdaptiveScheduler
 
-        scheduler = AdaptiveScheduler(
-            self, max_lanes=max_lanes, cone_gating=cone_gating
-        )
+        scheduler = AdaptiveScheduler(self, max_lanes=max_lanes)
         return scheduler.run(injections, horizon=horizon, progress=progress)
 
     def _record_outcome(self, outcome: BatchOutcome) -> BatchOutcome:
@@ -306,8 +303,11 @@ class FaultInjector:
         the per-lane failure mask.  The forward run stops at the end of the
         golden trace, after *horizon* cycles, or as soon as every lane has
         failed or re-converged to golden — whichever comes first; lanes
-        with active forcing never count as converged.
+        with active forcing never count as converged.  *horizon*, when
+        given, must be at least 1.
         """
+        if horizon is not None and horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         golden = self.golden
         if not 0 <= cycle < golden.n_cycles:
             raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")

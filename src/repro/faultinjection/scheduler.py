@@ -1,4 +1,4 @@
-"""Adaptive injection scheduling: lane compaction, refill, cone gating.
+"""Adaptive injection scheduling: mixed-cycle batching, lane refill, repack.
 
 :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` pins a whole
 batch to one injection cycle and keeps every lane slot occupied until the
@@ -26,23 +26,12 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   check it truncates to its highest live lane once that fits in half the
   width.  Every big-int operation costs by the allocated width, and live
   lanes are usually a small fraction of the cap;
-* **observed-cone settle** — a full window evaluates only the
+* **observed-cone settle** — every simulated cycle evaluates only the
   combinational fan-in of the criterion nets, the loopback tap sources and
-  the D/RN pins of the relevant flip-flops.  The remaining cells feed only
-  flip-flops outside the relevant set, which no verdict reads, so those
-  flip-flops may hold stale values during a scheduled pass;
-* **cone-gated evaluation** — the netlist is levelized into topologically
-  ordered partitions at build time (:mod:`repro.netlist.levelize`), each
-  compiled into its own callable.  A divergence frontier (which relevant
-  flip-flops and loopback taps currently deviate from golden, on any active
-  lane) is tracked at every retirement check, conservatively expanded by
-  the structural one-tick adjacency between checks, and turned into the set
-  of partitions that must actually be evaluated.  Flip-flops, criterion
-  nets and loopback taps whose fan-in cone carries no diverging lane
-  provably hold golden values, so their partitions are skipped and the
-  golden bits written directly.  When the frontier is wide the scheduler
-  falls back to the ordinary full evaluation, so gating can help but never
-  hurt.
+  the D/RN pins of the relevant flip-flops, then runs the plain clock
+  edge.  The remaining cells feed only flip-flops outside the relevant
+  set, which no verdict reads, so those flip-flops may hold stale values
+  during a scheduled pass.
 
 All of this is scheduling only: each lane still simulates the exact cycle
 sequence :meth:`run_batch` would have on every net a verdict reads, so
@@ -60,7 +49,6 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..netlist.levelize import LevelizedDesign, ff_spread_masks, levelize
 from ..sim.logic import lane_mask
 from .faults import InjectionPlan
 
@@ -72,27 +60,7 @@ __all__ = [
     "ScheduledOutcome",
     "SchedulerStats",
     "AdaptiveScheduler",
-    "CONE_GATING_MODES",
 ]
-
-#: Valid ``cone_gating`` modes: ``auto`` gates only when few lanes are
-#: active (wide batches almost always have a wide frontier), ``on`` always
-#: attempts gating, ``off`` always runs the full evaluation.
-CONE_GATING_MODES = ("auto", "on", "off")
-
-#: ``auto`` mode attempts cone gating only at or below this many active
-#: lanes; above it the union of per-lane divergence cones almost always
-#: covers the whole netlist and the tracking would be pure overhead.
-AUTO_GATE_MAX_LANES = 48
-
-#: Fall back to full evaluation when the needed partitions exceed this
-#: fraction of all partitions (gating would save less than the dispatch
-#: and golden-write bookkeeping costs).
-FALLBACK_NEED_FRACTION = 0.625
-
-#: Give up frontier expansion (and gate nothing) once the expanded frontier
-#: covers more than this fraction of the tracked flip-flops.
-FALLBACK_FRONTIER_FRACTION = 0.5
 
 #: Repack the batch when no refill is possible and fewer than half the
 #: lanes survive, provided at least this many lanes would be freed (the
@@ -150,9 +118,6 @@ class SchedulerStats:
     early_retired: int = 0
     peak_width: int = 0
     width_cycles: int = 0
-    gated_cycles: int = 0
-    partitions_evaluated: int = 0
-    partitions_skipped: int = 0
     policy_skipped: int = 0
     forced_cycles: int = 0
 
@@ -184,9 +149,6 @@ class SchedulerStats:
             "repacks",
             "refills",
             "early_retired",
-            "gated_cycles",
-            "partitions_evaluated",
-            "partitions_skipped",
             "policy_skipped",
             "forced_cycles",
         ):
@@ -195,10 +157,6 @@ class SchedulerStats:
                 registry.counter(f"scheduler.{name}").inc(value)
         if self.cycles_simulated and self.peak_width:
             registry.gauge("scheduler.lane_occupancy").set(self.lane_occupancy())
-        if self.cycles_simulated:
-            registry.gauge("scheduler.cone_gate_hit_rate").set(
-                self.gated_cycles / self.cycles_simulated
-            )
 
 
 @dataclass
@@ -221,164 +179,6 @@ class ScheduledOutcome:
         return sum(1 for failed, _lat in self.verdicts if failed)
 
 
-class _GatingPlan:
-    """Build-time artifacts of cone-gated evaluation for one injector.
-
-    Everything here is derived once per (netlist, criterion, testbench)
-    binding: the levelized partitions compiled into callables,
-    the per-consumer source masks/closures, the gated tick, and the
-    frontier spread masks.
-    """
-
-    def __init__(self, injector: "FaultInjector") -> None:
-        sim = injector.sim
-        netlist = injector.netlist
-        design: LevelizedDesign = levelize(netlist)
-        self.design = design
-        self.n_partitions = design.n_partitions
-        self.partition_fns = sim.compile_partition_evals(
-            [p.cells for p in design.partitions]
-        )
-        self.gated_tick = sim.compile_gated_tick()
-        self.spread = ff_spread_masks(netlist, design)
-        self.n_ffs = len(sim.flip_flops)
-        self.full_parts_mask = (1 << self.n_partitions) - 1
-
-        # Per flip-flop: transitive source masks and partition closure of the
-        # D/RN cone — dirty cone => latch normally (and evaluate the cone),
-        # clean cone => overwrite Q with the golden bit.
-        self.ff_cone_ffm: List[int] = []
-        self.ff_cone_im: List[int] = []
-        self.ff_closure: List[int] = []
-        for ff in sim.flip_flops:
-            fm = im = closure = 0
-            for pin in ("D", "RN"):
-                net = ff.connections.get(pin)
-                if net is not None and pin != "CK":
-                    nfm, nim = design.source_masks(net)
-                    fm |= nfm
-                    im |= nim
-                    closure |= design.closure_of_net(net)
-            self.ff_cone_ffm.append(fm)
-            self.ff_cone_im.append(im)
-            self.ff_closure.append(closure)
-
-        # Criterion pairs with their driving cones.
-        net_names = list(netlist.nets)
-        self.valid_pairs = [
-            (idx, bit, *self._net_meta(design, net_names[idx]))
-            for idx, bit in injector.criterion_valid_pairs
-        ]
-        self.data_pairs = [
-            (idx, bit, *self._net_meta(design, net_names[idx]))
-            for idx, bit in injector.criterion_data_pairs
-        ]
-
-        # Loopback taps: source cone masks/closures and target input bits.
-        input_index = {name: i for i, name in enumerate(netlist.inputs)}
-        self.taps = []
-        for tap in injector.taps:
-            src_net = net_names[tap.source_value_idx]
-            tgt_net = net_names[tap.target_value_idx]
-            fm, im = design.source_masks(src_net)
-            self.taps.append(
-                (fm, im, design.closure_of_net(src_net), 1 << input_index[tgt_net])
-            )
-        # Per tap: flip-flops whose D/RN cone reads the tap's target input —
-        # the edge divergence takes when it crosses a loopback (FF → source
-        # output → delayed slot → target input → FF).  The frontier
-        # expansion must follow these edges too, or divergence that crosses
-        # a tap mid-window would be golden-overwritten by the gated tick.
-        self.tap_sink_ffs: List[int] = []
-        for _fm, _im, _closure, tgt_bit in self.taps:
-            sinks = 0
-            for i in range(self.n_ffs):
-                if self.ff_cone_im[i] & tgt_bit:
-                    sinks |= 1 << i
-            self.tap_sink_ffs.append(sinks)
-
-    @staticmethod
-    def _net_meta(design: LevelizedDesign, net: str) -> Tuple[int, int, int]:
-        fm, im = design.source_masks(net)
-        return fm, im, design.closure_of_net(net)
-
-    # ------------------------------------------------------------ expansion
-
-    def expand_frontier(
-        self, frontier: int, tap_dirty: List[bool], steps: int, cap: int
-    ) -> Optional[Tuple[int, List[bool], int]]:
-        """Close the frontier under *steps* ticks of structural adjacency.
-
-        The adjacency covers both the combinational FF→FF edges
-        (:func:`~repro.netlist.levelize.ff_spread_masks`) and the loopback
-        edges: a tap becomes dirty when its source cone touches the
-        frontier (or another dirty tap's target input), and a dirty tap
-        seeds the flip-flops reading its target input.  *tap_dirty* is the
-        exact in-flight slot divergence at the anchoring probe; it is not
-        mutated.  Returns ``(ff_mask, tap_dirty, dirty_input_bits)``, or
-        ``None`` once the expansion exceeds *cap* set bits — the caller
-        treats that as "frontier too wide, evaluate everything".
-        """
-        spread = self.spread
-        current = frontier
-        taps = list(tap_dirty)
-        dirty_inputs = 0
-        for t, (_fm, _im, _closure, tgt_bit) in enumerate(self.taps):
-            if taps[t]:
-                dirty_inputs |= tgt_bit
-                current |= self.tap_sink_ffs[t]
-        for _ in range(steps):
-            added = 0
-            bits = current
-            while bits:
-                low = bits & -bits
-                added |= spread[low.bit_length() - 1]
-                bits ^= low
-            taps_changed = False
-            for t, (fm, im, _closure, tgt_bit) in enumerate(self.taps):
-                if not taps[t] and ((fm & current) or (im & dirty_inputs)):
-                    taps[t] = True
-                    dirty_inputs |= tgt_bit
-                    added |= self.tap_sink_ffs[t]
-                    taps_changed = True
-            if added & ~current == 0 and not taps_changed:
-                break
-            current |= added
-            if current.bit_count() > cap:
-                return None
-        return current, taps, dirty_inputs
-
-
-class _Window:
-    """Gating decisions valid for one check window (or "evaluate all")."""
-
-    __slots__ = (
-        "full",
-        "eval_fns",
-        "n_evaluated",
-        "gw_mask",
-        "live_valid",
-        "clean_valid",
-        "live_data",
-        "tap_golden",
-    )
-
-    def __init__(self, full: bool) -> None:
-        self.full = full
-        self.eval_fns: List = []
-        self.n_evaluated = 0
-        self.gw_mask = 0
-        self.live_valid: List[Tuple[int, int]] = []
-        self.clean_valid: List[Tuple[int, int]] = []
-        self.live_data: List[Tuple[int, int]] = []
-        #: Per tap: ``True`` when the tap's source cone is clean and the
-        #: slot write can broadcast the golden bit instead of reading the net.
-        self.tap_golden: List[bool] = []
-
-
-_FULL_WINDOW = _Window(full=True)
-
-
 class AdaptiveScheduler:
     """Long-lived injection scheduler bound to one :class:`FaultInjector`.
 
@@ -389,35 +189,20 @@ class AdaptiveScheduler:
     max_lanes:
         Lane-slot capacity of one pass; ``None`` (default) picks
         :data:`AUTO_MAX_LANES`.
-    cone_gating:
-        ``"auto"`` (default), ``"on"`` or ``"off"`` — see
-        :data:`CONE_GATING_MODES`.
-    repack:
-        Allow shrinking a drained pass via gather/scatter lane compaction.
     """
 
     def __init__(
         self,
         injector: "FaultInjector",
         max_lanes: Optional[int] = None,
-        cone_gating: str = "auto",
-        repack: bool = True,
     ) -> None:
         if max_lanes is None:
             max_lanes = AUTO_MAX_LANES
         if max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
-        if cone_gating not in CONE_GATING_MODES:
-            raise ValueError(
-                f"unknown cone_gating mode {cone_gating!r}; "
-                f"choose from {CONE_GATING_MODES}"
-            )
         self.injector = injector
         self.max_lanes = max_lanes
-        self.cone_gating = cone_gating
-        self.repack = repack
         self.stats = SchedulerStats()
-        self._plan: Optional[_GatingPlan] = None
         self._load_fn = None
         # Value rows of the relevant flip-flops, in relevant_golden bit order.
         self._relevant_rows = [q_idx for q_idx, _ff in injector._relevant_pairs]
@@ -438,7 +223,8 @@ class AdaptiveScheduler:
         refilled across injection cycles; results are bit-identical to one
         :meth:`FaultInjector.run_batch` lane per injection.  *progress* is
         called as ``progress(completed_injections, total)`` after every
-        scheduler pass.
+        scheduler pass.  *horizon*, when given, must be at least 1: it is
+        the number of cycles each lane is observed from its injection cycle.
 
         *admit* and *on_verdict* are the refill queue's online policy
         hooks (see :class:`repro.campaigns.policy.ShardGate`): before a
@@ -449,6 +235,8 @@ class AdaptiveScheduler:
         gate sees results in execution order.  The simulated requests'
         verdicts stay bit-identical to an ungated run.
         """
+        if horizon is not None and horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         golden = self.injector.golden
         n_cycles = golden.n_cycles
         requests: List[InjectionRequest] = []
@@ -490,29 +278,16 @@ class AdaptiveScheduler:
 
     # ---------------------------------------------------------- cycle path
 
-    def _gating_plan(self) -> _GatingPlan:
-        # Cached on the injector: plans are a function of the (netlist,
-        # criterion, testbench) binding, so repeated schedulers on
-        # one injector (campaign top-ups, API users) must not re-levelize
-        # and re-exec ~50 partition callables per run.
-        if self._plan is None:
-            plan = getattr(self.injector, "_cached_gating_plan", None)
-            if plan is None:
-                plan = _GatingPlan(self.injector)
-                self.injector._cached_gating_plan = plan
-            self._plan = plan
-        return self._plan
-
     def _observed_settle(self) -> Callable[[List[int], int, list], None]:
-        """The settle of a full window: only the cells a verdict can read.
+        """The settle of every scheduled cycle: only the cells a verdict can read.
 
         That is the combinational fan-in of the criterion nets, the
         loopback tap sources and the D/RN pins of the relevant flip-flops.
         Every other cell feeds only flip-flops outside the relevant set,
         whose values no verdict, probe or relevant cone reads, so they are
-        left stale.  Cached on the injector like the gating plan; on a
-        circuit whose every flip-flop is relevant this is the simulator's
-        own cached ``_eval``.
+        left stale.  Cached on the injector, since it depends only on the
+        (netlist, criterion, testbench) binding; on a circuit whose every
+        flip-flop is relevant this is the simulator's own cached ``_eval``.
         """
         settle = getattr(self.injector, "_cached_observed_settle", None)
         if settle is None:
@@ -590,13 +365,6 @@ class AdaptiveScheduler:
         clock_nets = sim._clock_nets
         fallback_cells = sim._fallback_cells
         settle = self._observed_settle()
-
-        gate_on = self.cone_gating == "on"
-        gate_auto = self.cone_gating == "auto"
-        # "auto" re-decides per window from the *live* lane count, so a wide
-        # pass whose tail shrinks below the threshold (retirement, repack)
-        # starts gating; the plan is built lazily on first use.
-        plan: Optional[_GatingPlan] = self._gating_plan() if gate_on else None
         load_fn = self._activation_loader()
 
         slots: List[List[object]] = [[zero] * tap.delay for tap in taps]
@@ -613,27 +381,11 @@ class AdaptiveScheduler:
         ] = [None] * width
         force_int = 0
 
-        def forced_frontier() -> int:
-            """Flip-flop mask every live forcing lane keeps disturbing —
-            ORed into the cone-gating frontier so forced state is never
-            golden-overwritten or skipped by a gated window."""
-            ffm = 0
-            bits = force_int
-            while bits:
-                low = bits & -bits
-                iplan, _c0, _rows = lane_force[low.bit_length() - 1]
-                for f, _v in iplan.forces:
-                    ffm |= 1 << f
-                bits ^= low
-            return ffm
-
         active_int = 0
         active_vec = zero
         failed_int = 0
         failed = zero
         ever_used = 0  # lanes that have carried an injection this pass
-        frontier = 0
-        window = _FULL_WINDOW
         deferred: List[InjectionRequest] = []
         ptr = 0
         n_pending = len(pending)
@@ -740,12 +492,10 @@ class AdaptiveScheduler:
                 for request, lane in act_requests:
                     if bound is None:
                         sim.flip_ff(request.ff_index, 1 << lane)
-                        frontier |= 1 << request.ff_index
                     else:
                         iplan = bound.plan(request.ff_index, request.cycle)
                         for f in iplan.flips:
                             sim.flip_ff(f, 1 << lane)
-                            frontier |= 1 << f
                         if iplan.forces:
                             rows = [
                                 (sim.net_index[ff_cells[f].output_net()], v)
@@ -753,8 +503,6 @@ class AdaptiveScheduler:
                             ]
                             lane_force[lane] = (iplan, request.cycle, rows)
                             force_int |= 1 << lane
-                            for f, _v in iplan.forces:
-                                frontier |= 1 << f
                 for t, tap in enumerate(taps):
                     tap_golden = tap.golden_bits
                     for past in range(c - tap.delay, c):
@@ -764,25 +512,12 @@ class AdaptiveScheduler:
                 active_int |= activated
                 active_vec = self._masked(active_int)
                 stats.activations += len(act_requests)
-                if gate_on or (gate_auto and active_int.bit_count() <= AUTO_GATE_MAX_LANES):
-                    if plan is None:
-                        plan = self._gating_plan()
-                    window = self._make_window(
-                        plan,
-                        frontier | (forced_frontier() if force_int else 0),
-                        c,
-                        slots,
-                        check,
-                    )
-                else:
-                    window = _FULL_WINDOW
 
             if active_int == 0:
                 if ptr >= n_pending:
                     break
                 c = pending[ptr].cycle  # fast-forward over empty cycles
                 next_check = c + check
-                frontier = 0  # no active lanes: provably no divergence
                 continue
 
             # -- simulate cycle c.
@@ -806,20 +541,10 @@ class AdaptiveScheduler:
                             values[q_idx] = (values[q_idx] & ~lv) | (lv if v else zero)
                         stats.forced_cycles += 1
 
-            if window.full:
-                for clk in clock_nets:
-                    values[clk] = zero
-                settle(values, mask, fallback_cells)
-                fail_c = criterion.evaluate(values, golden.outputs[c], mask)
-            else:
-                stats.gated_cycles += 1
-                for clk in clock_nets:
-                    values[clk] = zero
-                for fn in window.eval_fns:
-                    fn(values, mask, fallback_cells)
-                stats.partitions_evaluated += window.n_evaluated
-                stats.partitions_skipped += plan.n_partitions - window.n_evaluated
-                fail_c = self._gated_criterion(window, values, golden.outputs[c], mask, zero)
+            for clk in clock_nets:
+                values[clk] = zero
+            settle(values, mask, fallback_cells)
+            fail_c = criterion.evaluate(values, golden.outputs[c], mask)
 
             newly = fail_c & active_vec & ~failed
             if sim.vec_any(newly):
@@ -833,28 +558,21 @@ class AdaptiveScheduler:
                     newly_int ^= low
 
             for t, tap in enumerate(taps):
-                if not window.full and window.tap_golden[t]:
-                    slots[t][c % tap.delay] = mask if tap.golden_bits[c] else zero
-                else:
-                    slots[t][c % tap.delay] = sim.read_vec(tap.source_value_idx)
-
-            if window.full:
-                sim.tick()
-            else:
-                plan.gated_tick(values, mask, window.gw_mask, golden.ff_state[c + 1])
+                slots[t][c % tap.delay] = sim.read_vec(tap.source_value_idx)
+            sim.tick()
 
             c += 1
             stats.cycles_simulated += 1
             stats.lane_cycles += active_int.bit_count()
             stats.width_cycles += width
 
-            # -- retirement check / frontier refresh / repack.
+            # -- retirement check / repack / truncation.
             if c == next_check or c >= end_of_trace:
                 next_check = c + check
                 if c >= end_of_trace:
                     retire_lanes(active_int)
                     break
-                diff, frontier = self._probe_divergence(c, active_vec, slots)
+                diff = self._probe_divergence(c, active_vec, slots)
                 # A forcing lane that matches golden right now is not done —
                 # a later duty-on cycle can re-disturb it — so convergence
                 # retirement excludes live force lanes (failure still retires).
@@ -866,8 +584,7 @@ class AdaptiveScheduler:
                     if active_int == 0:
                         continue  # drained: fast-forward (or end) above
                 if (
-                    self.repack
-                    and ptr >= n_pending
+                    ptr >= n_pending
                     and active_int.bit_count() <= width // 2
                     and width - active_int.bit_count() >= MIN_REPACK_GAIN
                 ):
@@ -885,147 +602,27 @@ class AdaptiveScheduler:
                     stats.repacks += 1
                 elif width > MIN_WIDTH and active_int.bit_length() <= width // 2:
                     set_width(max(active_int.bit_length(), MIN_WIDTH))
-                if gate_on or (gate_auto and active_int.bit_count() <= AUTO_GATE_MAX_LANES):
-                    if plan is None:
-                        plan = self._gating_plan()
-                    window = self._make_window(
-                        plan,
-                        frontier | (forced_frontier() if force_int else 0),
-                        c,
-                        slots,
-                        check,
-                    )
-                else:
-                    window = _FULL_WINDOW
 
         return deferred + pending[ptr:]
 
     # ------------------------------------------------------------- internals
 
-    def _probe_divergence(self, cycle: int, active_vec, slots) -> Tuple[object, int]:
-        """Relevant-FF + loopback divergence and the exact FF frontier.
-
-        Returns ``(diff, frontier)``: *diff* is the active-lane vector of
-        lanes deviating anywhere that matters (the retirement test), and
-        *frontier* the bitmask of relevant flip-flops deviating on any
-        active lane (the cone-gating frontier seed).
-        """
+    def _probe_divergence(self, cycle: int, active_vec, slots) -> int:
+        """Active-lane vector of lanes whose relevant flip-flops or
+        in-flight loopback slots deviate from golden (the retirement test)."""
         injector = self.injector
         sim = injector.sim
-        pairs = injector._relevant_pairs
-        diff, rows = sim.diverging_rows(
+        diff = sim.diverging_rows(
             self._relevant_rows, injector.relevant_golden(cycle), active_vec
         )
-        frontier = 0
-        while rows:
-            low = rows & -rows
-            frontier |= 1 << pairs[low.bit_length() - 1][1]
-            rows ^= low
         mask = sim.mask
         zero = sim.broadcast(0)
-        for t, tap in enumerate(injector.taps):
-            tap_golden = tap.golden_bits
-            for past in range(max(0, cycle - tap.delay), cycle):
-                if past >= injector.golden.n_cycles:
-                    continue
-                golden_vec = mask if tap_golden[past] else zero
-                diff = diff | ((slots[t][past % tap.delay] ^ golden_vec) & active_vec)
-        return diff, frontier
-
-    def _make_window(
-        self, plan: _GatingPlan, frontier: int, cycle: int, slots, check: int
-    ) -> _Window:
-        """Turn the exact frontier into gating decisions for one window."""
-        injector = self.injector
-
-        # Exact in-flight loopback divergence at the anchoring probe: a tap
-        # can carry deviation in its delay slots even when no flip-flop
-        # deviates right now.
-        sim = injector.sim
-        mask = sim.mask
-        zero = sim.broadcast(0)
-        tap_exact = [False] * len(injector.taps)
         for t, tap in enumerate(injector.taps):
             tap_golden = tap.golden_bits
             for past in range(max(0, cycle - tap.delay), cycle):
                 golden_vec = mask if tap_golden[past] else zero
-                if sim.vec_any(slots[t][past % tap.delay] ^ golden_vec):
-                    tap_exact[t] = True
-                    break
-
-        closed = plan.expand_frontier(
-            frontier,
-            tap_exact,
-            check,
-            max(1, int(plan.n_ffs * FALLBACK_FRONTIER_FRACTION)),
-        )
-        if closed is None:
-            return _FULL_WINDOW
-        expanded, tap_dirty, dirty_inputs = closed
-
-        need = 0
-        gw = 0
-        for i in range(plan.n_ffs):
-            if (plan.ff_cone_ffm[i] & expanded) or (plan.ff_cone_im[i] & dirty_inputs):
-                need |= plan.ff_closure[i]
-            else:
-                gw |= 1 << i
-
-        window = _Window(full=False)
-        for idx, bit, fm, im, closure in plan.valid_pairs:
-            if (fm & expanded) or (im & dirty_inputs):
-                window.live_valid.append((idx, bit))
-                need |= closure
-            else:
-                window.clean_valid.append((idx, bit))
-        for idx, bit, fm, im, closure in plan.data_pairs:
-            if (fm & expanded) or (im & dirty_inputs):
-                window.live_data.append((idx, bit))
-                need |= closure
-        for t, (fm, im, closure, _tgt_bit) in enumerate(plan.taps):
-            if tap_dirty[t]:
-                need |= closure
-        window.tap_golden = [not dirty for dirty in tap_dirty]
-
-        n_need = need.bit_count()
-        if n_need > plan.n_partitions * FALLBACK_NEED_FRACTION:
-            return _FULL_WINDOW
-        window.gw_mask = gw
-        window.n_evaluated = n_need
-        fns = plan.partition_fns
-        bits = need
-        while bits:
-            low = bits & -bits
-            window.eval_fns.append(fns[low.bit_length() - 1])
-            bits ^= low
-        return window
-
-    def _gated_criterion(self, window: _Window, values, golden_outputs: int, mask, zero):
-        """Per-lane failure mask with clean criterion cones short-circuited.
-
-        Clean nets provably equal their golden bits on every active lane, so
-        their strobe contribution to ``beat`` is the broadcast golden bit and
-        their payload contribution to ``fail`` is zero.  Inactive lanes may
-        disagree, but every consumer masks with the active-lane vector.
-        """
-        fail = zero
-        beat = zero
-        have_data = bool(window.live_data)
-        for idx, bit in window.live_valid:
-            golden_vec = mask if (golden_outputs >> bit) & 1 else zero
-            faulty = values[idx]
-            fail = fail | (faulty ^ golden_vec)
-            if have_data:
-                beat = beat | golden_vec | faulty
-        if have_data:
-            for _idx, bit in window.clean_valid:
-                if (golden_outputs >> bit) & 1:
-                    beat = beat | mask
-                    break  # beat saturated on every lane
-        for idx, bit in window.live_data:
-            golden_vec = mask if (golden_outputs >> bit) & 1 else zero
-            fail = fail | ((values[idx] ^ golden_vec) & beat)
-        return fail & mask
+                diff = diff | ((slots[t][past % tap.delay] ^ golden_vec) & active_vec)
+        return diff
 
     def _repack(self, lane_req, lane_lat, slots, free, deadlines, failed, lane_force):
         """Compact surviving lanes into a narrower batch (gather/scatter).

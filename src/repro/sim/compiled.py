@@ -83,9 +83,9 @@ def build_eval_source(
     *fallback_cells* as ``(function, out_index, in_indices)`` and dispatched
     through ``fb``.
 
-    *cells* restricts generation to a subset of combinational cells (must already be
-    in a valid evaluation order) — this is how one callable per levelized
-    partition is built for cone-gated evaluation.
+    *cells* restricts generation to a subset of combinational cells (must
+    already be in a valid evaluation order) — this is how the scheduler's
+    observed-cone settle is built (:meth:`CompiledSimulator.compile_cone_eval`).
     """
     lines = ["def _eval(v, m, fb):"]
     order = netlist.topological_comb_order() if cells is None else list(cells)
@@ -117,8 +117,8 @@ def build_eval_source(
 # cost seconds).  Every simulator built for the same netlist generates the
 # *same* source — the net index is the netlist's own deterministic
 # enumeration — so the compiled code objects are cached per netlist and
-# per generated function (eval, plain tick, gated tick).  Keyed
-# weakly: dropping the last netlist reference drops its code objects.
+# per generated function (eval, tick).  Keyed weakly: dropping the last
+# netlist reference drops its code objects.
 # ``exec`` of a cached code object only materializes a function object,
 # which is orders of magnitude cheaper than parsing the source again.
 
@@ -167,7 +167,7 @@ def cached_eval_fn(
 def cached_codegen(
     netlist: Netlist, key: tuple, fn_name: str, build_source: Callable[[], str]
 ) -> Callable:
-    """Per-netlist cached compile of a generated function (tick flavors).
+    """Per-netlist cached compile of a generated function (the tick).
 
     *build_source* is only invoked on a cache miss; the returned function is
     a fresh object bound to a fresh namespace, so instances never share
@@ -266,28 +266,7 @@ class CompiledSimulator:
         key = ("tick", len(self.netlist.cells))
         return cached_codegen(self.netlist, key, "_tick", self._build_tick_source)
 
-    # ------------------------------------------------- partitioned evaluation
-
-    def compile_partition_evals(
-        self, partitions: Sequence[Sequence[str]]
-    ) -> List[Callable[[List[int], int, list], None]]:
-        """Compile one ``_eval``-style callable per cell partition.
-
-        Each entry of *partitions* must be a valid intra-partition evaluation
-        order (see :func:`repro.netlist.levelize.levelize`); calling every
-        callable in partition order is equivalent to one :meth:`eval_comb`
-        pass minus the clock forcing.  All callables share this simulator's
-        fallback-cell table.
-        """
-        fns: List[Callable[[List[int], int, list], None]] = []
-        for cells in partitions:
-            source = build_eval_source(
-                self.netlist, self.net_index, self._fallback_cells, cells=cells
-            )
-            namespace: Dict[str, object] = {}
-            exec(source, namespace)  # noqa: S102 - generated from our own netlist
-            fns.append(namespace["_eval"])  # type: ignore[arg-type]
-        return fns
+    # ------------------------------------------------------ cone evaluation
 
     def compile_cone_eval(
         self, roots: Sequence[int]
@@ -321,40 +300,15 @@ class CompiledSimulator:
         order = netlist.topological_comb_order()
         if len(in_cone) == len(order):
             return self._eval_fn
-        return self.compile_partition_evals(
-            [[name for name in order if name in in_cone]]
-        )[0]
-
-    def compile_gated_tick(self) -> Callable[[List[int], int, int, int], None]:
-        """Compile a clock edge gated per flip-flop by a golden-write mask.
-
-        Returns ``_tick_gated(v, m, gw, gs)``: flip-flop *i* latches normally
-        when bit *i* of ``gw`` is clear, and is instead overwritten with the
-        broadcast golden bit *i* of ``gs`` (the packed golden state *after*
-        the edge) when set.  The scheduler uses this to avoid evaluating the
-        D-cone of flip-flops that provably hold golden values.
-        """
-        key = ("tick-gated", len(self.netlist.cells))
-        return cached_codegen(
-            self.netlist, key, "_tick_gated", self._build_gated_tick_source
+        source = build_eval_source(
+            netlist,
+            self.net_index,
+            self._fallback_cells,
+            cells=[name for name in order if name in in_cone],
         )
-
-    def _build_gated_tick_source(self) -> str:
-        lines = ["def _tick_gated(v, m, gw, gs):"]
-        assigns = []
-        for i, (q, d, rn) in enumerate(zip(self._ff_q, self._ff_d, self._ff_rn)):
-            lines.append(f"    if (gw >> {i}) & 1:")
-            lines.append(f"        t{i} = m if (gs >> {i}) & 1 else 0")
-            lines.append("    else:")
-            if rn is None:
-                lines.append(f"        t{i} = v[{d}]")
-            else:
-                lines.append(f"        t{i} = v[{d}] & v[{rn}]")
-            assigns.append(f"    v[{q}] = t{i}")
-        lines.extend(assigns)
-        if not self._ff_q:
-            lines.append("    pass")
-        return "\n".join(lines)
+        namespace: Dict[str, object] = {}
+        exec(source, namespace)  # noqa: S102 - generated from our own netlist
+        return namespace["_eval"]  # type: ignore[return-value]
 
     # -------------------------------------------------------------- control
 
@@ -544,28 +498,22 @@ class CompiledSimulator:
         rows: Sequence[int],
         golden: int,
         active: int,
-    ) -> Tuple[int, int]:
+    ) -> int:
         """Active-lane divergence of value rows against broadcast golden bits.
 
         *rows* are value indices and bit *k* of the packed *golden* is the
         golden value of ``rows[k]`` (the layout of
         :meth:`~repro.faultinjection.injector.FaultInjector.relevant_golden`).
-        Returns ``(diff, diverged)``: ``diff`` is the union of diverging
-        lanes (active lanes where any row differs from its golden bit) and
-        bit *k* of ``diverged`` is set when row *k* itself diverges — the
-        per-flip-flop frontier probe the cone-gated scheduler runs at every
+        Returns the union of diverging lanes: active lanes where any row
+        differs from its golden bit — the probe the scheduler runs at every
         retirement check.
         """
         diff = 0
-        diverged = 0
         values = self.values
         mask = self.mask
         for k, idx in enumerate(rows):
-            d = (values[idx] ^ (mask if (golden >> k) & 1 else 0)) & active
-            if d:
-                diff |= d
-                diverged |= 1 << k
-        return diff, diverged
+            diff |= (values[idx] ^ (mask if (golden >> k) & 1 else 0)) & active
+        return diff
 
     # ----------------------------------------------------------------- misc
 

@@ -21,11 +21,12 @@ oracle on identical fuzzed stimulus and reports the *first divergence* as a
   optimisations; verdict or error-latency mismatches are divergences;
 * **scheduled-vs-naive replay** — the adaptive injection scheduler
   (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
-  lane refill, compaction/repack, cone-gated evaluation) runs a
-  mixed-cycle request set and every per-injection verdict/latency is compared against a naive per-cycle
+  lane refill, compaction/repack, elastic width, observed-cone settle) runs
+  a mixed-cycle request set and every per-injection verdict/latency is
+  compared against a naive per-cycle
   :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` replay of
   the same injections.  Small lane budgets force multi-pass refill and
-  repack; ``cone_gating="on"`` exercises the partition-skipping path.
+  repack.
 
 ``verify_seed``/``verify_seeds`` tie the three together over fuzzed circuits
 and are what ``python -m repro.experiments verify`` and the CI fuzz stage
@@ -410,17 +411,15 @@ def run_scheduler_check(
     Every flip-flop is injected at a handful of seed-drawn cycles.  The
     whole mixed-cycle request set runs through the scheduler — with a
     deliberately tiny ``max_lanes`` so activation refill, deferral across
-    passes and repack compaction all trigger, and with ``cone_gating="on"``
-    so partition skipping and the gated tick are exercised — and each
-    verdict/latency is compared to the naive same-cycle
-    :meth:`FaultInjector.run_batch` replay.
+    passes and repack compaction all trigger — and each verdict/latency is
+    compared to the naive same-cycle :meth:`FaultInjector.run_batch` replay.
 
     When the fuzzed testbench has loopback paths, the criterion observes
     only the *non-loopback* outputs.  That keeps divergence that travels
-    through a tap invisible until it re-emerges downstream — exactly the
-    propagation the cone-gating frontier must follow across loopback
-    edges, which an all-outputs criterion (every tap source directly
-    observable) could never put under test.
+    through a tap invisible until it re-emerges downstream — the
+    propagation the observed-cone settle and the divergence probe must
+    follow across loopback edges, which an all-outputs criterion (every
+    tap source directly observable) could never put under test.
     """
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()
@@ -457,7 +456,7 @@ def run_scheduler_check(
 
     divergences: List[Divergence] = []
     checked = 0
-    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes, cone_gating="on")
+    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
     for k, (request, want, got) in enumerate(zip(requests, expected, scheduled.verdicts)):
         checked += 1
         if got != want:
@@ -499,8 +498,7 @@ def run_generated_check(
        :meth:`FaultInjector.run_batch` and each verdict/latency replayed as
        a brute-force oracle re-simulation;
     2. the same request set runs through the adaptive scheduler with a tiny
-       lane budget and ``cone_gating="on"``, compared against the naive
-       batch verdicts.
+       lane budget, compared against the naive batch verdicts.
 
     Returns ``(divergences, comparisons)``; deterministic for a given
     ``(circuit, seed)``.
@@ -556,9 +554,7 @@ def run_generated_check(
                     return divergences, checked
 
     requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
-    scheduled = injector.run_scheduled(
-        requests, max_lanes=max_lanes, cone_gating="on"
-    )
+    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
     for k, (request, want, got) in enumerate(
         zip(requests, expected, scheduled.verdicts)
     ):
@@ -613,9 +609,8 @@ def run_fault_model_check(
       shared contract — the oracle applies it with none of the engine's
       lane packing, early retirement or force vectorization);
     * the adaptive scheduler's mixed-cycle verdicts vs. the brute-force
-      reference, with a tiny ``max_lanes`` and ``cone_gating="on"`` so
-      refill, repack and the forced-frontier gating all trigger under
-      forcing models.
+      reference, with a tiny ``max_lanes`` so refill and repack trigger
+      under forcing models.
     """
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()
@@ -678,9 +673,7 @@ def run_fault_model_check(
             (failed, latency if failed else None)
             for failed, latency in (reference[r] for r in requests)
         ]
-        scheduled = injector.run_scheduled(
-            requests, max_lanes=max_lanes, cone_gating="on"
-        )
+        scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
         label = f"{model_spec}-scheduled"
         for k, (request, want, got) in enumerate(
             zip(requests, expected, scheduled.verdicts)

@@ -298,7 +298,7 @@ def test_batch_matches_bruteforce_replay(strict_parts, model):
 @pytest.mark.parametrize("model", MODEL_SPECS)
 def test_scheduled_matches_naive_per_model(strict_parts, model):
     """Scheduling stays invisible under forcing and multi-flip models: the
-    adaptive scheduler (refill, repack, cone gating, forced lanes pinned)
+    adaptive scheduler (refill, repack, elastic width, forced lanes pinned)
     equals the naive per-cycle batch replay."""
     netlist, workload, golden, criterion = strict_parts
     injector = FaultInjector(
@@ -311,7 +311,7 @@ def test_scheduled_matches_naive_per_model(strict_parts, model):
         (rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(40)
     ]
     expected = naive_verdicts(injector, requests)
-    outcome = injector.run_scheduled(requests, max_lanes=6, cone_gating="on")
+    outcome = injector.run_scheduled(requests, max_lanes=6)
     assert outcome.verdicts == expected
     assert outcome.stats.activations == len(requests)
 

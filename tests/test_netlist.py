@@ -123,3 +123,39 @@ def test_sink_without_driver_fails_validation():
     nl.add_cell("ff", "DFF", {"D": "nowhere", "CK": "clk", "Q": "q"})
     with pytest.raises(NetlistError, match="no driver"):
         nl.validate()
+
+
+def _spread_by_backward_walk(netlist):
+    """Reference one-tick adjacency: walk back from each flip-flop's D/RN
+    pins through combinational cells and mark every flip-flop Q reached."""
+    flip_flops = netlist.flip_flops()
+    index = {ff.name: i for i, ff in enumerate(flip_flops)}
+    masks = [0] * len(flip_flops)
+    for j, ff in enumerate(flip_flops):
+        stack = [ff.connections[pin] for pin in ("D", "RN") if pin in ff.connections]
+        seen = set(stack)
+        while stack:
+            driver = netlist.nets[stack.pop()].driver
+            if driver is None:
+                continue  # primary input
+            cell = netlist.cells[driver.cell]
+            if cell.is_sequential:
+                masks[index[cell.name]] |= 1 << j
+                continue
+            for net in cell.input_nets():
+                if net not in seen:
+                    seen.add(net)
+                    stack.append(net)
+    return masks
+
+
+def test_ff_spread_masks_match_backward_walk():
+    from repro.circuits.library import LIBRARY_CIRCUITS, get_circuit
+    from repro.netlist.levelize import ff_spread_masks
+
+    for name in LIBRARY_CIRCUITS + ["mesh_tiny"]:
+        netlist = get_circuit(name)
+        spread = ff_spread_masks(netlist)
+        assert len(spread) == len(netlist.flip_flops()), name
+        assert any(spread), name
+        assert spread == _spread_by_backward_walk(netlist), name

@@ -1,8 +1,8 @@
 """Adaptive injection scheduler: equivalence, boundaries, lane algebra.
 
 The scheduler's contract is that scheduling is *invisible*: whatever lane a
-request lands in, however often the batch is compacted, repacked or
-cone-gated, every injection's verdict and error latency must equal a naive
+request lands in, however often the batch is compacted, repacked, grown or
+truncated, every injection's verdict and error latency must equal a naive
 :meth:`FaultInjector.run_batch` replay of the same ``(cycle, ff)`` pair.
 """
 
@@ -21,7 +21,6 @@ from repro.faultinjection import (
     FaultInjector,
     PacketInterfaceCriterion,
 )
-from repro.netlist.levelize import ff_spread_masks, levelize
 from repro.sim import CompiledSimulator, ScheduleBuilder, Testbench
 
 
@@ -65,23 +64,33 @@ def test_scheduled_matches_naive(tiny_parts):
     assert outcome.stats.activations == len(requests)
 
 
-@pytest.mark.parametrize("cone_gating", ["on", "auto", "off"])
-def test_cone_gating_modes_are_invisible(tiny_parts, cone_gating):
+@pytest.mark.parametrize("former_mode", ["on", "auto", "off"])
+def test_cone_gating_modes_are_invisible(tiny_parts, former_mode):
+    """Cone-gated evaluation is gone: the scheduler refuses the old gating
+    knob in every mode it once took, and its one settle path matches the
+    naive replay under a small lane budget."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    with pytest.raises(TypeError):
+        AdaptiveScheduler(injector, max_lanes=6, cone_gating=former_mode)
     first, last = workload.active_window
     rng = random.Random(7)
     n_ffs = injector.sim.n_flip_flops
     requests = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(60)]
     expected = naive_verdicts(injector, requests)
-    scheduler = AdaptiveScheduler(injector, max_lanes=6, cone_gating=cone_gating)
+    scheduler = AdaptiveScheduler(injector, max_lanes=6)
     assert scheduler.run(requests).verdicts == expected
 
 
-@pytest.mark.parametrize("cone_gating", ["off", "on"])
-def test_many_repacks_match_naive(tiny_parts, cone_gating):
+@pytest.mark.parametrize("elastic_width", ["off", "on"])
+def test_many_repacks_match_naive(tiny_parts, monkeypatch, elastic_width):
     """Repeated compaction (one batched gather per repack) keeps every
-    verdict and latency."""
+    verdict and latency, at a fixed pass width and while the width grows
+    and truncates between repacks."""
+    import repro.faultinjection.scheduler as scheduler_mod
+
+    if elastic_width == "on":
+        monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 2)
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, _last = workload.active_window
@@ -91,10 +100,22 @@ def test_many_repacks_match_naive(tiny_parts, cone_gating):
     # lanes at once, then drains, so nearly every pass ends in a repack.
     requests = [(first + rng.randrange(4), rng.randrange(n_ffs)) for _ in range(400)]
     expected = naive_verdicts(injector, requests)
-    scheduler = AdaptiveScheduler(injector, max_lanes=32, cone_gating=cone_gating)
+    sim = injector.sim
+    changes = []
+    resize = sim.resize_lanes
+
+    def recording_resize(n_lanes, keep=False):
+        if keep:
+            changes.append((sim.n_lanes, n_lanes))
+        resize(n_lanes, keep=keep)
+
+    monkeypatch.setattr(sim, "resize_lanes", recording_resize)
+    scheduler = AdaptiveScheduler(injector, max_lanes=32)
     outcome = scheduler.run(requests)
     assert outcome.verdicts == expected
     assert outcome.stats.repacks >= 5
+    # Only the elastic pass changes its width mid-pass.
+    assert bool(changes) == (elastic_width == "on")
 
 
 # ----------------------------------------------------------------- boundaries
@@ -171,6 +192,24 @@ def test_deferred_requests_roll_over_to_later_passes(tiny_parts):
     assert outcome.stats.deferred > 0
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_horizon_below_one_is_rejected(tiny_parts, horizon):
+    """A horizon below 1 observes nothing, so the naive reference would
+    simulate no cycle while the scheduler's deadlines would never fire —
+    every entry point refuses it instead."""
+    from repro.campaigns import CampaignSpec
+
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    first, _last = workload.active_window
+    with pytest.raises(ValueError, match="horizon"):
+        CampaignSpec(circuit="xgmac_tiny", horizon=horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        injector.run_batch(first, [0, 1], horizon=horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        AdaptiveScheduler(injector).run([(first, 0), (first, 1)], horizon=horizon)
+
+
 # ------------------------------------------------------------ elastic width
 
 
@@ -189,17 +228,10 @@ def _checked_settle(injector):
 
 
 @pytest.mark.parametrize(
-    "fault_model, horizon, cone_gating",
-    [
-        (None, 12, "off"),
-        (None, None, "on"),
-        ("stuck1", 12, "off"),
-        ("stuck0", 30, "auto"),
-    ],
+    "fault_model, horizon",
+    [(None, 12), (None, None), ("stuck1", 12), ("stuck0", 30)],
 )
-def test_elastic_width_is_invisible(
-    tiny_parts, monkeypatch, fault_model, horizon, cone_gating
-):
+def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizon):
     """Repeated grow/truncate cycles under a small cap keep every verdict,
     and requests are deferred exactly where a fixed-width pass defers them."""
     import repro.faultinjection.scheduler as scheduler_mod
@@ -233,7 +265,7 @@ def test_elastic_width_is_invisible(
 
     monkeypatch.setattr(sim, "resize_lanes", recording_resize)
     monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 2)
-    elastic = AdaptiveScheduler(injector, max_lanes=12, cone_gating=cone_gating)
+    elastic = AdaptiveScheduler(injector, max_lanes=12)
     outcome = elastic.run(requests, horizon=horizon)
     assert outcome.verdicts == expected
     grows = sum(1 for old, new in changes if new > old)
@@ -247,7 +279,7 @@ def test_elastic_width_is_invisible(
 
     # A pass that starts at its cap never resizes mid-pass (fixed width).
     monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 4096)
-    fixed = AdaptiveScheduler(injector, max_lanes=12, cone_gating=cone_gating)
+    fixed = AdaptiveScheduler(injector, max_lanes=12)
     reference = fixed.run(requests, horizon=horizon)
     assert reference.verdicts == expected
     for name in (
@@ -326,7 +358,7 @@ def test_observed_settle_keeps_verdicts_on_non_relevant_hits(
     requests = [(cycle, ff) for cycle in cycles for ff in rng.sample(outside, 10)]
     requests += [(cycle, ff) for cycle in cycles for ff in rng.sample(inside, 4)]
     expected = naive_verdicts(injector, requests)
-    outcome = injector.run_scheduled(requests, cone_gating="off")
+    outcome = injector.run_scheduled(requests)
     assert outcome.verdicts == expected
 
 
@@ -351,8 +383,8 @@ def test_observed_settle_is_the_full_eval_when_every_ff_is_relevant():
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
-    """Property: for random request sets, lane budgets, horizons and gating
-    modes, scheduled verdicts/latencies equal the naive replay."""
+    """Property: for random request sets, lane budgets and horizons,
+    scheduled verdicts/latencies equal the naive replay."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, last = workload.active_window
@@ -367,12 +399,9 @@ def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
         )
     )
     max_lanes = data.draw(st.integers(1, 24))
-    cone_gating = data.draw(st.sampled_from(["auto", "on", "off"]))
     horizon = data.draw(st.one_of(st.none(), st.integers(1, 30)))
     expected = naive_verdicts(injector, requests, horizon=horizon)
-    scheduler = AdaptiveScheduler(
-        injector, max_lanes=max_lanes, cone_gating=cone_gating
-    )
+    scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
     assert scheduler.run(requests, horizon=horizon).verdicts == expected
 
 
@@ -424,31 +453,12 @@ def test_diverging_rows_probe(tiny_mac):
     q0 = sim._ff_q[0]
     q1 = sim._ff_q[1]
     sim.values[q0] = sim.lane_vec(2)  # lane 2 high
-    diff, rows = sim.diverging_rows([q0, q1], 0b00, sim.broadcast(1))
+    diff = sim.diverging_rows([q0, q1], 0b00, sim.broadcast(1))
     assert sim.vec_to_int(diff) == 0b00100
-    assert rows == 0b01
     # Golden bits come from the packed word: a golden-high q0 makes every
     # lane but lane 2 diverge.
-    diff, rows = sim.diverging_rows([q0, q1], 0b01, sim.broadcast(1))
+    diff = sim.diverging_rows([q0, q1], 0b01, sim.broadcast(1))
     assert sim.vec_to_int(diff) == 0b11011
-    assert rows == 0b01
     # Inactive lanes are masked out of the probe.
-    diff, rows = sim.diverging_rows([q0], 0, sim.lane_vec(0))
+    diff = sim.diverging_rows([q0], 0, sim.lane_vec(0))
     assert sim.vec_to_int(diff) == 0
-    assert rows == 0
-
-
-def test_levelize_covers_and_orders_all_cells(tiny_mac):
-    design = levelize(tiny_mac, target_cells=64)
-    cells = [c for p in design.partitions for c in p.cells]
-    assert sorted(cells) == sorted(tiny_mac.topological_comb_order())
-    # Every partition only reads nets produced by earlier partitions,
-    # flip-flops or primary inputs.
-    for partition in design.partitions:
-        for cell_name in partition.cells:
-            for net in tiny_mac.cells[cell_name].input_nets():
-                producer = design.net_partition.get(net)
-                assert producer is None or producer <= partition.index
-        assert partition.closure_mask & (1 << partition.index)
-    spread = ff_spread_masks(tiny_mac, design)
-    assert len(spread) == len(tiny_mac.flip_flops())
