@@ -63,8 +63,13 @@ from .supervisor import RetryPolicy, ShardOutcome, SupervisedPool
 
 __all__ = ["CampaignEngine", "EngineReport", "RetryPolicy", "run_campaign"]
 
-#: Shards per worker process: more shards than workers smooths load balance
-#: and tightens checkpoint granularity without measurable overhead.
+#: Shards per worker process.  On the flat path a shard is the execution
+#: and retry unit: more shards than workers smooths load balance and
+#: tightens checkpoint granularity.  On the sequential path a shard is the
+#: *gate* partition (each gets its own :class:`ShardGate`, so the counters
+#: depend on ``jobs * shards_per_job``), while the task — all the gate
+#: shards one worker owns in a round, swept by one scheduler pass — is the
+#: execution and retry unit.
 SHARDS_PER_JOB = 4
 
 #: Minimum seconds between mid-run partial-checkpoint writes.  Checkpoints
@@ -99,9 +104,11 @@ class EngineReport:
     pool_rebuilds: int = 0
     #: Whether the supervisor gave up on the pool and finished serially.
     degraded_serial: bool = False
-    #: Shards abandoned after exhausting their retry budget.  Non-empty
+    #: Tasks abandoned after exhausting their retry budget.  Non-empty
     #: means the result is incomplete (and was persisted as a partial, not
-    #: a snapshot); each entry is a ``QuarantinedShard.to_dict()``.
+    #: a snapshot); each entry is a ``QuarantinedShard.to_dict()``.  On the
+    #: sequential path a task carries several gate shards: its entry's
+    #: ``gate_shards`` counts the shards whose draws were abandoned with it.
     quarantined_shards: List[Dict] = field(default_factory=list)
     #: Seconds spent building warm-cache entries (context, golden trace,
     #: shard runner) that were not already resident in this process.
@@ -196,10 +203,12 @@ def _shard_payload_error(payload: object) -> Optional[str]:
 class _ShardRunner:
     """Executes buckets against one injector (one per process).
 
-    A shard's buckets all feed one long-lived
+    A task's buckets all feed one long-lived
     :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`, so lanes
-    freed by early retirement are refilled with the shard's later
-    injections instead of draining per-bucket batches.
+    freed by early retirement are refilled with the task's later
+    injections instead of draining per-bucket batches.  The gate shards of
+    a sequential task run as separate scheduler request groups of the same
+    passes.
     """
 
     def __init__(self, spec: CampaignSpec, context: CampaignContext) -> None:
@@ -224,16 +233,21 @@ class _ShardRunner:
     def run_shard(
         self,
         buckets: Sequence[Tuple[int, Sequence[str]]],
-        gate: Optional[ShardGate] = None,
+        gates: Optional[Sequence[ShardGate]] = None,
+        groups: Optional[Sequence[int]] = None,
         attempt: int = 1,
     ) -> Dict:
-        """Simulate a shard's buckets; return mergeable counters.
+        """Simulate a task's buckets; return mergeable counters.
 
-        *gate*, when given, is the sampling policy's online decision point:
-        every injection is offered to ``gate.admit`` before it costs a lane,
-        and verdicts are reported back so in-shard tallies tighten as lanes
-        retire.  Skipped draws are returned in the payload's ``"skipped"``
-        map — they consumed their draw-stream indices without executing.
+        *gates*, when given, are the sampling policy's online decision
+        points, one per gate shard, and *groups* names each injection's
+        gate (its index into *gates*, in bucket order).  Every injection is
+        offered to its gate's ``admit`` before it costs a lane, and verdicts
+        are reported back so in-shard tallies tighten as lanes retire.
+        Skipped draws are returned in the payload's ``"skipped"`` map — they
+        consumed their draw-stream indices without executing.  Each gate
+        shard runs as its own scheduler request group and sees only its own
+        verdicts, exactly as if it ran alone.
 
         *attempt* is the supervisor's 1-based dispatch ordinal for this
         shard.  Simulation is attempt-independent (retries must stay
@@ -248,7 +262,7 @@ class _ShardRunner:
         """
         del attempt  # real simulation never varies across retries
         start = time.perf_counter()
-        payload = self._run_shard_scheduled(buckets, gate)
+        payload = self._run_shard_scheduled(buckets, gates, groups)
         wall = time.perf_counter() - start
         payload["wall_seconds"] = wall
         # Dense index/counts transport instead of a name-keyed dict: on wide
@@ -266,7 +280,8 @@ class _ShardRunner:
     def _run_shard_scheduled(
         self,
         buckets: Sequence[Tuple[int, Sequence[str]]],
-        gate: Optional[ShardGate] = None,
+        gates: Optional[Sequence[ShardGate]] = None,
+        groups: Optional[Sequence[int]] = None,
     ) -> Dict:
         injector = self.injector
         requests: List[Tuple[int, int]] = []
@@ -276,13 +291,17 @@ class _ShardRunner:
                 requests.append((cycle, injector.ff_index(name)))
                 names.append(name)
         admit = on_verdict = None
-        if gate is not None:
-            admit = lambda req: gate.admit(names[req.key])  # noqa: E731
-            on_verdict = lambda req, failed: gate.record(  # noqa: E731
+        if gates is not None:
+            admit = lambda req: gates[req.group].admit(names[req.key])  # noqa: E731
+            on_verdict = lambda req, failed: gates[req.group].record(  # noqa: E731
                 names[req.key], failed
             )
         outcome = self.scheduler.run(
-            requests, horizon=self.spec.horizon, admit=admit, on_verdict=on_verdict
+            requests,
+            horizon=self.spec.horizon,
+            admit=admit,
+            on_verdict=on_verdict,
+            groups=groups,
         )
         skipped_keys = frozenset(outcome.skipped)
         ff: Dict[str, List[int]] = {}
@@ -359,25 +378,53 @@ def _worker_run_shard(task: Tuple[int, List[Tuple[int, Tuple[str, ...]]]]) -> Di
     return payload
 
 
-def _worker_run_shard_gated(
-    task: Tuple[int, Tuple[List[Tuple[int, Tuple[str, ...]]], Dict[str, List[int]]]]
-) -> Dict:
-    """Pool entry point for one sequential-policy shard.
+def _gated_buckets(
+    shards: Sequence[Sequence[Tuple[int, Tuple[str, ...]]]],
+    policy,
+    tallies: Dict[str, List[int]],
+) -> Tuple[List[Tuple[int, Tuple[str, ...]]], List[int], List[ShardGate]]:
+    """A sequential task's ``(buckets, groups, gates)`` for ``run_shard``.
 
-    *task* is ``(attempt, (shard, tallies))`` — the shard's buckets plus a
-    snapshot of the campaign-wide ``[n, k, consumed]`` tallies at the round
-    boundary.  The worker rebuilds the policy from its init-time spec (not
-    the runner's — a warm runner may carry a family sibling's) and gates the
-    shard with a :class:`~repro.campaigns.policy.ShardGate`, so flip-flops
-    whose interval collapses mid-shard stop consuming lanes immediately.
-    ``ShardGate`` copies the tallies, so retried attempts re-gate from the
-    same round-boundary state and stay deterministic.
+    *buckets* flattens the task's gate shards; *groups* gives each
+    injection its shard's index; *gates* holds one
+    :class:`~repro.campaigns.policy.ShardGate` per shard, built from the
+    round-boundary *tallies* (which it copies, so retried attempts re-gate
+    from the same state and stay deterministic).
     """
-    attempt, (shard, tallies) = task
+    buckets: List[Tuple[int, Tuple[str, ...]]] = []
+    groups: List[int] = []
+    for index, shard in enumerate(shards):
+        buckets.extend(shard)
+        groups.extend([index] * sum(len(lanes) for _cycle, lanes in shard))
+    gates = [ShardGate(policy, tallies) for _shard in shards]
+    return buckets, groups, gates
+
+
+def _worker_run_shard_gated(
+    task: Tuple[
+        int, Tuple[List[List[Tuple[int, Tuple[str, ...]]]], Dict[str, List[int]]]
+    ]
+) -> Dict:
+    """Pool entry point for one sequential-policy task.
+
+    *task* is ``(attempt, (shards, tallies))`` — the round's gate shards
+    this worker owns, plus a snapshot of the campaign-wide ``[n, k,
+    consumed]`` tallies at the round boundary.  The worker rebuilds the
+    policy from its init-time spec (not the runner's — a warm runner may
+    carry a family sibling's) and gates each shard with its own
+    :class:`~repro.campaigns.policy.ShardGate`, so flip-flops whose
+    interval collapses mid-shard stop consuming lanes immediately.  All
+    the task's shards share one scheduler sweep per pass.
+    """
+    attempt, (shards, tallies) = task
     assert _WORKER is not None, "worker used before initialization"
-    gate = ShardGate(make_policy(_WORKER_SPEC), tallies)
+    buckets, groups, gates = _gated_buckets(
+        shards, make_policy(_WORKER_SPEC), tallies
+    )
     with use_telemetry(Telemetry()) as telemetry:
-        payload = _WORKER.run_shard(shard, gate=gate, attempt=attempt)
+        payload = _WORKER.run_shard(
+            buckets, gates=gates, groups=groups, attempt=attempt
+        )
         payload["metrics"] = telemetry.registry.snapshot().to_payload()
     return payload
 
@@ -479,6 +526,12 @@ class CampaignEngine:
         #: Bookkeeping of the most recent sequential-policy run (rounds,
         #: injections saved, realized margins); empty for flat runs.
         self.last_policy_meta: Dict = {}
+
+    @property
+    def _gate_shards(self) -> int:
+        """Gate shards per sequential round: the layout sequential counters
+        depend on, recorded with every policy snapshot and checkpoint."""
+        return self.jobs * self.shards_per_job
 
     def _validate_context(self, context: CampaignContext) -> None:
         """Guard the invariants a caller-supplied context must share with the
@@ -703,15 +756,22 @@ class CampaignEngine:
         ``k <= n <= consumed`` that keeps draw indices single-use even when
         gating skips scheduled draws.
 
-        Results are deterministic for a fixed ``(seed, jobs,
-        shards_per_job)``; unlike the flat path they may vary with the shard
-        partition, because gating decisions depend on shard-local verdict
-        order.  ``target_margin=0.0`` never retires anything and reproduces
-        the flat counters bit-for-bit.
+        Each round's buckets are split into ``jobs * shards_per_job`` gate
+        shards, each gated by its own
+        :class:`~repro.campaigns.policy.ShardGate`.  Results are
+        deterministic for that layout; unlike the flat path they may vary
+        with it, because gating decisions depend on shard-local verdict
+        order — so store snapshots and round checkpoints record the layout
+        and a different one misses.  ``target_margin=0.0`` never retires
+        anything and reproduces the flat counters bit-for-bit.
 
-        Shards run through the same :class:`SupervisedPool` as the flat
-        path (one supervisor — and one warm worker pool — for the whole
-        campaign).  A quarantined shard's draws are *abandoned*: their
+        Every worker receives one task per round holding the gate shards it
+        owns (all of them at ``jobs=1``); the task's shards run as request
+        groups of one scheduler pass, so the window is swept once per pass
+        instead of once per shard.  Tasks run through the same
+        :class:`SupervisedPool` as the flat path (one supervisor — and one
+        warm worker pool — for the whole campaign).  A quarantined task's
+        draws — every gate shard it carries — are *abandoned*: their
         ``consumed`` indices advance without executing, so the policy draws
         fresh replacement indices next round instead of re-allocating the
         poisoned ranges forever.
@@ -721,10 +781,13 @@ class CampaignEngine:
         report = EngineReport(jobs=self.jobs)
         self.last_report = report
         signature = policy_signature(spec)
+        gate_shards = self._gate_shards
         registry = get_telemetry().registry
 
         if self.store is not None:
-            found = self.store.load_policy_snapshot(spec, signature)
+            found = self.store.load_policy_snapshot(
+                spec, signature, gate_shards=gate_shards
+            )
             if found is not None:
                 result, meta = found
                 report.cache_hit = True
@@ -743,7 +806,9 @@ class CampaignEngine:
         accum = _Accumulator()
         resumed = False
         if self.store is not None and resume:
-            checkpoint = self.store.load_policy_partial(spec, signature)
+            checkpoint = self.store.load_policy_partial(
+                spec, signature, gate_shards=gate_shards
+            )
             if checkpoint is not None and set(checkpoint[0]) == set(ff_names):
                 tallies, accum_payload = checkpoint
                 accum = _Accumulator.from_payload(accum_payload)
@@ -775,9 +840,13 @@ class CampaignEngine:
                 accum.wall_seconds += base.wall_seconds
 
         def serial_fn(payload, attempt: int) -> Dict:
-            shard, tallies_snapshot = payload
-            gate = ShardGate(policy, tallies_snapshot)
-            return self._serial_runner().run_shard(shard, gate=gate, attempt=attempt)
+            shards, tallies_snapshot = payload
+            task_buckets, groups, gates = _gated_buckets(
+                shards, policy, tallies_snapshot
+            )
+            return self._serial_runner().run_shard(
+                task_buckets, gates=gates, groups=groups, attempt=attempt
+            )
 
         chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
         mp_ctx = _mp_context()
@@ -819,27 +888,35 @@ class CampaignEngine:
                 buckets = stream_buckets_ranged(spec, window, allocation, streams)
                 if not buckets:
                     break
-                n_shards = min(len(buckets), max(1, self.jobs * self.shards_per_job))
-                shards = partition_shards(buckets, n_shards)
+                shards = partition_shards(buckets, min(len(buckets), gate_shards))
                 report.n_shards += len(shards)
-                tasks = [[(b.cycle, b.lanes) for b in shard] for shard in shards]
+                # One task per worker: worker w owns every n_tasks-th shard.
+                n_tasks = min(self.jobs, len(shards))
+                tasks = [
+                    [[(b.cycle, b.lanes) for b in shard] for shard in owned]
+                    for owned in (shards[w::n_tasks] for w in range(n_tasks))
+                ]
                 snapshot = {name: list(rec) for name, rec in tallies.items()}
                 payload_tasks = [(task, snapshot) for task in tasks]
                 done_in_round = 0
                 for outcome in sup.run(payload_tasks):
                     done_in_round += 1
                     if outcome.quarantine is not None:
-                        report.quarantined_shards.append(outcome.quarantine.to_dict())
-                        # The quarantined shard's draws are abandoned, but
+                        task = tasks[outcome.key]
+                        entry = outcome.quarantine.to_dict()
+                        entry["gate_shards"] = len(task)
+                        report.quarantined_shards.append(entry)
+                        # The quarantined task's draws are abandoned, but
                         # they still consumed their stream indices: advance
                         # `consumed` so the policy allocates *fresh* draws
                         # instead of retrying the same poisoned ranges
                         # every round (which would never terminate).
                         abandoned = 0
-                        for _cycle, lanes in tasks[outcome.key]:
-                            for name in lanes:
-                                tallies[name][2] += 1
-                                abandoned += 1
+                        for shard in task:
+                            for _cycle, lanes in shard:
+                                for name in lanes:
+                                    tallies[name][2] += 1
+                                    abandoned += 1
                         registry.counter("robustness.abandoned_draws").inc(abandoned)
                         if self.progress is not None:
                             self.progress(done_in_round, len(tasks))
@@ -931,7 +1008,9 @@ class CampaignEngine:
                 self._policy_checkpoint(signature, tallies, accum)
                 registry.counter("robustness.incomplete_campaigns").inc()
             else:
-                self.store.save_policy_snapshot(spec, signature, result, meta)
+                self.store.save_policy_snapshot(
+                    spec, signature, result, meta, gate_shards=gate_shards
+                )
         report.wall_seconds = time.monotonic() - start_time
         self._record_run_metrics(report)
         return result
@@ -944,7 +1023,13 @@ class CampaignEngine:
             payload["wall_seconds"] = accum.wall_seconds + (
                 time.monotonic() - self._run_start
             )
-            self.store.save_policy_partial(self.spec, signature, tallies, payload)
+            self.store.save_policy_partial(
+                self.spec,
+                signature,
+                tallies,
+                payload,
+                gate_shards=self._gate_shards,
+            )
 
     # ------------------------------------------------------------ execution
 

@@ -54,6 +54,11 @@ def _record_lookup(kind: str, hit: bool) -> None:
     registry.gauge("store.hit_rate").set(hits.value / lookups.value)
 
 
+def _same_layout(record: Dict, gate_shards: int) -> bool:
+    """Whether a policy record was computed under the *gate_shards* layout."""
+    return record.get("gate_shards") == gate_shards
+
+
 class CampaignStore:
     """JSON-on-disk store keyed by campaign-spec hash."""
 
@@ -335,7 +340,7 @@ class CampaignStore:
     # ---------------------------------------------------- policy snapshots
 
     def load_policy_snapshot(
-        self, spec: CampaignSpec, signature: str
+        self, spec: CampaignSpec, signature: str, gate_shards: int
     ) -> Optional[Tuple[CampaignResult, Dict]]:
         """The stored result of an adaptive-policy run, if any.
 
@@ -346,19 +351,24 @@ class CampaignStore:
         a flat run would produce.  Returns ``(result, meta)`` where *meta* is
         the policy bookkeeping stored alongside the payload (realized
         margins, injections saved, rounds).
+
+        *gate_shards* is the gate layout the caller would run (``jobs ×
+        shards_per_job``): sequential counters depend on it, so a snapshot
+        saved under another layout — or under none, by an older version —
+        is a miss.
         """
-        found = self._load_policy_snapshot(spec, signature)
+        found = self._load_policy_snapshot(spec, signature, gate_shards)
         _record_lookup("policy", found is not None)
         return found
 
     def _load_policy_snapshot(
-        self, spec: CampaignSpec, signature: str
+        self, spec: CampaignSpec, signature: str, gate_shards: int
     ) -> Optional[Tuple[CampaignResult, Dict]]:
         doc = self._read(spec)
         if doc is None:
             return None
         payload = doc["snapshots"].get(f"policy:{signature}")
-        if not isinstance(payload, dict):
+        if not isinstance(payload, dict) or not _same_layout(payload, gate_shards):
             return None
         try:
             result = CampaignResult.from_payload(payload)
@@ -373,42 +383,54 @@ class CampaignStore:
         signature: str,
         result: CampaignResult,
         meta: Dict,
+        gate_shards: int,
     ) -> None:
         get_telemetry().registry.counter("store.snapshot_writes").inc()
         doc = self._doc(spec)
         doc["spec"] = spec.to_dict()
         payload = result.to_payload()
         payload["policy"] = dict(meta)
+        payload["gate_shards"] = gate_shards
         doc["snapshots"][f"policy:{signature}"] = payload
         # The finished snapshot supersedes any round checkpoint of the same
-        # policy configuration.
+        # policy configuration and gate layout.
         partial = doc.get("policy_partial")
-        if isinstance(partial, dict) and partial.get("signature") == signature:
+        if (
+            isinstance(partial, dict)
+            and partial.get("signature") == signature
+            and _same_layout(partial, gate_shards)
+        ):
             doc["policy_partial"] = None
         self._write(spec, doc)
 
     def load_policy_partial(
-        self, spec: CampaignSpec, signature: str
+        self, spec: CampaignSpec, signature: str, gate_shards: int
     ) -> Optional[Tuple[Dict[str, List[int]], Dict]]:
         """Round checkpoint of an interrupted adaptive run, if one matches.
 
         Returns ``(tallies, accum)``: the per-flip-flop ``[n, k, consumed]``
         draw-stream tallies (executed draws, failures, stream position) and
         the accumulated engine counters, both in the same shape the
-        sequential driver checkpoints after every round.
+        sequential driver checkpoints after every round.  A checkpoint
+        saved under another gate layout (*gate_shards*, see
+        :meth:`load_policy_snapshot`) does not match.
         """
-        checkpoint = self._load_policy_partial(spec, signature)
+        checkpoint = self._load_policy_partial(spec, signature, gate_shards)
         _record_lookup("policy_partial", checkpoint is not None)
         return checkpoint
 
     def _load_policy_partial(
-        self, spec: CampaignSpec, signature: str
+        self, spec: CampaignSpec, signature: str, gate_shards: int
     ) -> Optional[Tuple[Dict[str, List[int]], Dict]]:
         doc = self._read(spec)
         if doc is None:
             return None
         partial = doc.get("policy_partial")
-        if not isinstance(partial, dict) or partial.get("signature") != signature:
+        if (
+            not isinstance(partial, dict)
+            or partial.get("signature") != signature
+            or not _same_layout(partial, gate_shards)
+        ):
             return None
         tallies = partial.get("tallies")
         accum = partial.get("accum")
@@ -436,11 +458,13 @@ class CampaignStore:
         signature: str,
         tallies: Dict[str, List[int]],
         accum: Dict,
+        gate_shards: int,
     ) -> None:
         get_telemetry().registry.counter("store.checkpoint_writes").inc()
         doc = self._doc(spec)
         doc["policy_partial"] = {
             "signature": signature,
+            "gate_shards": gate_shards,
             "tallies": {name: list(record) for name, record in tallies.items()},
             "accum": accum,
         }

@@ -152,14 +152,15 @@ class _Task:
 
 def _task_size(payload: object) -> Tuple[int, int]:
     """(n_buckets, n_lanes) of a shard payload, tolerant of the gated
-    ``(shard, tallies)`` wrapping used by the sequential driver."""
+    ``(shards, tallies)`` wrapping used by the sequential driver (whose
+    task carries a list of gate shards)."""
     shard = payload
     if (
         isinstance(payload, tuple)
         and len(payload) == 2
         and isinstance(payload[0], list)
     ):
-        shard = payload[0]
+        shard = [bucket for gate_shard in payload[0] for bucket in gate_shard]
     if isinstance(shard, list):
         try:
             return len(shard), sum(len(lanes) for _cycle, lanes in shard)

@@ -33,6 +33,16 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   set, which no verdict reads, so those flip-flops may hold stale values
   during a scheduled pass.
 
+* **request groups** — one pass may carry several independent request
+  groups (the gate shards of a sampling round).  Each group keeps exactly
+  the pass state it would have running alone: its own lane cap
+  ``min(max_lanes, group pending)`` and deferral, and its own retirement
+  check grid (started at its first activation, restarted when it
+  activates after running empty).  The groups share the simulated cycle,
+  the lane batch, the elastic width (capped at the sum of the group caps),
+  repack, truncation and the per-lane horizon deadlines.  A window that
+  several groups would each sweep alone is swept once.
+
 All of this is scheduling only: each lane still simulates the exact cycle
 sequence :meth:`run_batch` would have on every net a verdict reads, so
 per-injection verdicts and error latencies are **bit-identical** to the
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.logic import lane_mask
@@ -83,15 +94,23 @@ MIN_WIDTH = 64
 AUTO_MAX_LANES = 4096
 
 
-@dataclass(frozen=True)
+#: Check-grid value of a group with no live lanes: its grid restarts at
+#: its next activation.
+_IDLE = 1 << 62
+
+
+@dataclass(frozen=True, slots=True)
 class InjectionRequest:
     """One pending injection: strike ``ff_index`` at ``cycle`` under the
     injector's fault model; ``key`` indexes the caller's request list and
-    names the verdict slot."""
+    names the verdict slot, ``group`` is the request group it runs in
+    (see :meth:`AdaptiveScheduler.run`).  Slotted: a pass holds a whole
+    sampling round's requests."""
 
     cycle: int
     ff_index: int
     key: int
+    group: int = 0
 
 
 @dataclass
@@ -216,6 +235,7 @@ class AdaptiveScheduler:
         progress: Optional[Callable[[int, int], None]] = None,
         admit: Optional[Callable[[InjectionRequest], bool]] = None,
         on_verdict: Optional[Callable[[InjectionRequest, bool], None]] = None,
+        groups: Optional[Sequence[int]] = None,
     ) -> ScheduledOutcome:
         """Simulate every ``(cycle, ff_index)`` injection; return verdicts.
 
@@ -234,9 +254,22 @@ class AdaptiveScheduler:
         ``on_verdict(request, failed)`` fires as each lane retires, so the
         gate sees results in execution order.  The simulated requests'
         verdicts stay bit-identical to an ungated run.
+
+        *groups*, when given, assigns injection *k* to request group
+        ``groups[k]`` (a non-negative int, carried as
+        :attr:`InjectionRequest.group`).  Every group runs exactly the
+        passes, deferrals, checks and hook calls it would run alone —
+        ``run`` over only that group's injections, in their order — but
+        pass *k* of every group shares one sweep of the window.  Statistics
+        count the shared sweeps: ``n_passes`` is the most passes any group
+        needs, while ``lane_cycles`` is the sum of the solo runs'.
         """
         if horizon is not None and horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if groups is not None and len(groups) != len(injections):
+            raise ValueError(
+                f"{len(groups)} groups for {len(injections)} injections"
+            )
         golden = self.injector.golden
         n_cycles = golden.n_cycles
         requests: List[InjectionRequest] = []
@@ -245,8 +278,12 @@ class AdaptiveScheduler:
                 raise ValueError(
                     f"injection cycle {cycle} outside trace [0, {n_cycles})"
                 )
-            requests.append(InjectionRequest(cycle=cycle, ff_index=ff_index, key=key))
-        requests.sort(key=lambda r: (r.cycle, r.key))
+            group = 0 if groups is None else groups[key]
+            if group < 0:
+                raise ValueError(f"request group {group} is negative")
+            requests.append(InjectionRequest(cycle, ff_index, key, group))
+        # Stable: equal cycles keep key order.
+        requests.sort(key=attrgetter("cycle"))
 
         self.stats = SchedulerStats(n_injections=len(requests))
         verdicts: List[Tuple[bool, Optional[int]]] = [(False, None)] * len(requests)
@@ -257,6 +294,8 @@ class AdaptiveScheduler:
         skipped: List[int] = []
         pending = requests
         while pending:
+            # Deferred requests come back in (cycle, key) order, so every
+            # group's share of a later pass is its solo pass.
             pending = self._run_pass(
                 pending, verdicts, horizon, admit, on_verdict, skipped
             )
@@ -352,9 +391,23 @@ class AdaptiveScheduler:
         end_of_trace = golden.n_cycles
         stats = self.stats
 
-        # Requests find no lane (and roll over to the next pass) only once
-        # the pass is full at its cap; below the cap it grows instead.
-        cap = min(self.max_lanes, len(pending))
+        # Per-group pass state: the lane cap, live lanes and check grid each
+        # group would have running alone.  A group's requests find no lane
+        # (and roll over to its next pass) only once it is full at its cap;
+        # below the cap the shared batch grows instead.
+        n_groups = max(request.group for request in pending) + 1
+        group_cap = [0] * n_groups
+        for request in pending:
+            group_cap[request.group] += 1
+        group_cap = [min(self.max_lanes, n) for n in group_cap]
+        group_live = [0] * n_groups
+        group_bits = [0] * n_groups  # live lanes of each group
+        group_check = [_IDLE] * n_groups  # next check cycle; _IDLE when empty
+        group_capped = [-1] * n_groups  # cycle at which the group hit its cap
+        emptied: List[int] = []  # groups drained since the last activation
+        next_due = _IDLE  # earliest check of any group
+
+        cap = sum(group_cap)
         width = min(MIN_WIDTH, cap)
         stats.peak_width = max(stats.peak_width, width)
         sim.resize_lanes(width)
@@ -400,6 +453,10 @@ class AdaptiveScheduler:
                 request = lane_req[lane]
                 lane_req[lane] = None
                 lane_force[lane] = None
+                group = request.group
+                group_live[group] -= 1
+                if not group_live[group]:
+                    emptied.append(group)
                 lane_failed = bool((failed_int >> lane) & 1)
                 verdicts[request.key] = (
                     lane_failed,
@@ -408,9 +465,12 @@ class AdaptiveScheduler:
                 if on_verdict is not None:
                     on_verdict(request, lane_failed)
                 heappush(free, lane)
-            active_int &= ~retire_bits
-            failed_int &= ~retire_bits
-            force_int &= ~retire_bits
+            keep = ~retire_bits
+            for group in range(n_groups):
+                group_bits[group] &= keep
+            active_int &= keep
+            failed_int &= keep
+            force_int &= keep
             active_vec = self._masked(active_int)
             failed = self._masked(failed_int)
 
@@ -438,7 +498,6 @@ class AdaptiveScheduler:
             stats.peak_width = max(stats.peak_width, width)
 
         c = pending[0].cycle
-        next_check = c + check
         while True:
             # -- per-lane horizon deadlines: stop observing before cycle c.
             if horizon is not None and c in deadlines:
@@ -454,35 +513,60 @@ class AdaptiveScheduler:
 
             # -- activate pending injections scheduled for this cycle.
             activated = 0
+            regrid = False
             act_requests: List[Tuple[InjectionRequest, int]] = []
-            while ptr < n_pending and pending[ptr].cycle == c:
+            while ptr < n_pending:
+                request = pending[ptr]
+                if request.cycle != c:
+                    break
+                ptr += 1
+                group = request.group
+                if group_capped[group] == c:
+                    # The group is full: its remaining requests of this
+                    # cycle roll over to its next pass unasked.
+                    deferred.append(request)
+                    stats.deferred += 1
+                    continue
                 # The policy gate is consulted before a lane is committed:
                 # a rejected request costs nothing (no lane, no simulation)
                 # and is recorded as skipped rather than deferred.
-                if admit is not None and not admit(pending[ptr]):
+                if admit is not None and not admit(request):
                     if skipped is not None:
-                        skipped.append(pending[ptr].key)
+                        skipped.append(request.key)
                     stats.policy_skipped += 1
-                    ptr += 1
+                    continue
+                if group_live[group] == group_cap[group]:
+                    group_capped[group] = c
+                    deferred.append(request)  # no free lane: next pass
+                    stats.deferred += 1
                     continue
                 if not free:
-                    if width == cap:
-                        break
                     set_width(min(2 * width, cap))
-                request = pending[ptr]
-                ptr += 1
+                if group_check[group] == _IDLE:
+                    # The group's check grid starts at its (re)activation.
+                    group_check[group] = c + check
+                    regrid = True
+                group_live[group] += 1
                 lane = heappop(free)
                 lane_req[lane] = request
-                activated |= 1 << lane
+                lane_bit = 1 << lane
+                group_bits[group] |= lane_bit
+                activated |= lane_bit
                 act_requests.append((request, lane))
                 if horizon is not None:
                     deadline = request.cycle + horizon
                     if deadline < end_of_trace:
                         deadlines.setdefault(deadline, []).append((lane, request))
-            while ptr < n_pending and pending[ptr].cycle <= c:
-                deferred.append(pending[ptr])  # no free lane: next pass
-                stats.deferred += 1
-                ptr += 1
+            if emptied:
+                # A group still empty after this cycle's activations idles:
+                # its grid restarts whenever it next activates.
+                for group in emptied:
+                    if not group_live[group]:
+                        group_check[group] = _IDLE
+                emptied.clear()
+                regrid = True
+            if regrid:
+                next_due = min(group_check)
             if activated:
                 stats.refills += (activated & ever_used).bit_count()
                 ever_used |= activated
@@ -517,7 +601,6 @@ class AdaptiveScheduler:
                 if ptr >= n_pending:
                     break
                 c = pending[ptr].cycle  # fast-forward over empty cycles
-                next_check = c + check
                 continue
 
             # -- simulate cycle c.
@@ -567,17 +650,26 @@ class AdaptiveScheduler:
             stats.width_cycles += width
 
             # -- retirement check / repack / truncation.
-            if c == next_check or c >= end_of_trace:
-                next_check = c + check
-                if c >= end_of_trace:
-                    retire_lanes(active_int)
-                    break
-                diff = self._probe_divergence(c, active_vec, slots)
+            if c >= end_of_trace:
+                retire_lanes(active_int)
+                break
+            if c == next_due:
+                # Only the groups whose check is due retire lanes here.
+                due_bits = 0
+                for group in range(n_groups):
+                    if group_check[group] == c:
+                        group_check[group] = c + check
+                        due_bits |= group_bits[group]
+                next_due = min(group_check)
+                due_vec = (
+                    active_vec if due_bits == active_int else self._masked(due_bits)
+                )
+                diff = self._probe_divergence(c, due_vec, slots)
                 # A forcing lane that matches golden right now is not done —
                 # a later duty-on cycle can re-disturb it — so convergence
                 # retirement excludes live force lanes (failure still retires).
                 converged = (all_lanes ^ sim.vec_to_int(diff)) & ~force_int
-                retire_bits = active_int & (failed_int | converged)
+                retire_bits = due_bits & (failed_int | converged)
                 if retire_bits:
                     stats.early_retired += (retire_bits & ~failed_int).bit_count()
                     retire_lanes(retire_bits)
@@ -596,8 +688,10 @@ class AdaptiveScheduler:
                     active_vec = self._masked(active_int)
                     failed = self._masked(failed_int)
                     force_int = 0
-                    for lane, entry in enumerate(lane_force):
-                        if entry is not None:
+                    group_bits[:] = [0] * n_groups
+                    for lane, request in enumerate(lane_req):
+                        group_bits[request.group] |= 1 << lane
+                        if lane_force[lane] is not None:
                             force_int |= 1 << lane
                     stats.repacks += 1
                 elif width > MIN_WIDTH and active_int.bit_length() <= width // 2:

@@ -155,7 +155,8 @@ class ChaosShardRunner:
     def run_shard(
         self,
         buckets: Sequence[Tuple[int, Sequence[str]]],
-        gate=None,
+        gates=None,
+        groups=None,
         attempt: int = 1,
     ) -> Dict:
         chaos = self.chaos
@@ -182,7 +183,9 @@ class ChaosShardRunner:
         if chaos.fires("delay", fingerprint, attempt, chaos.delay_rate):
             registry.counter("chaos.delays").inc()
             time.sleep(chaos.delay_seconds)
-        payload = self.inner.run_shard(buckets, gate=gate, attempt=attempt)
+        payload = self.inner.run_shard(
+            buckets, gates=gates, groups=groups, attempt=attempt
+        )
         if chaos.fires("malform", fingerprint, attempt, chaos.malform_rate):
             registry.counter("chaos.malformed").inc()
             return {"ff": "<<chaos: torn payload>>", "chaos": True}

@@ -26,7 +26,8 @@ oracle on identical fuzzed stimulus and reports the *first divergence* as a
   compared against a naive per-cycle
   :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` replay of
   the same injections.  Small lane budgets force multi-pass refill and
-  repack.
+  repack.  The same requests, split into three scheduler request groups
+  that share every pass, must reproduce the single-group verdicts.
 
 ``verify_seed``/``verify_seeds`` tie the three together over fuzzed circuits
 and are what ``python -m repro.experiments verify`` and the CI fuzz stage
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..faultinjection.classify import AnyOutputCriterion
 from ..faultinjection.faults import InjectionPlan
 from ..faultinjection.injector import FaultInjector
+from ..faultinjection.scheduler import AdaptiveScheduler
 from ..netlist.core import Netlist
 from ..sim.compiled import CompiledSimulator
 from ..sim.event import EventDrivenSimulator
@@ -413,6 +415,9 @@ def run_scheduler_check(
     deliberately tiny ``max_lanes`` so activation refill, deferral across
     passes and repack compaction all trigger — and each verdict/latency is
     compared to the naive same-cycle :meth:`FaultInjector.run_batch` replay.
+    The requests then run again split at random into three request groups
+    (one shared sweep per pass, each group with its own cap, deferral and
+    check grid), and every verdict must equal the single-group one.
 
     When the fuzzed testbench has loopback paths, the criterion observes
     only the *non-loopback* outputs.  That keeps divergence that travels
@@ -468,6 +473,28 @@ def run_scheduler_check(
                     net=flip_flops[ff_idx].name,
                     values={"scheduled": got, "naive": want},
                     detail=f"request {k} verdict/latency mismatch",
+                )
+            )
+            if stop_at_first:
+                return divergences, checked
+
+    groups = [rng.randrange(3) for _ in requests]
+    grouped = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
+        requests, groups=groups
+    )
+    for k, (request, want, got) in enumerate(
+        zip(requests, scheduled.verdicts, grouped.verdicts)
+    ):
+        checked += 1
+        if got != want:
+            cycle, ff_idx = request
+            divergences.append(
+                Divergence(
+                    kind="grouped-vs-single",
+                    cycle=cycle,
+                    net=flip_flops[ff_idx].name,
+                    values={"grouped": got, "single": want},
+                    detail=f"request {k} (group {groups[k]}) verdict/latency mismatch",
                 )
             )
             if stop_at_first:

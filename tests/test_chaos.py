@@ -276,6 +276,24 @@ def test_sequential_poison_quarantines_and_terminates(tmp_path):
     )
 
 
+def test_sequential_poison_abandons_every_gate_shard_of_the_task():
+    """At jobs=1 a round is one task carrying all four gate shards: the
+    poisoned task's quarantine abandons the draws of every one of them."""
+    spec = tiny_spec(policy="sequential", target_margin=0.0)
+    chaos = ChaosSpec(seed=31, poison_cycle=poison_cycle_for(tiny_spec()))
+    with use_telemetry(Telemetry()) as telemetry:
+        engine = CampaignEngine(
+            spec, jobs=1, chaos=chaos, retry=fast_retry(max_attempts=2)
+        )
+        engine.run()
+    quarantined = engine.last_report.quarantined_shards
+    assert quarantined
+    assert all(q["gate_shards"] == 4 for q in quarantined)
+    assert counter(telemetry, "robustness.abandoned_draws") == sum(
+        q["n_lanes"] for q in quarantined
+    )
+
+
 # ----------------------------------------------------------- torn writes
 
 
@@ -309,7 +327,9 @@ def test_chaos_shard_runner_poison_raises_chaosfault():
     class Inner:
         spec = None
 
-        def run_shard(self, buckets, gate=None, attempt=1):  # pragma: no cover
+        def run_shard(
+            self, buckets, gates=None, groups=None, attempt=1
+        ):  # pragma: no cover
             raise AssertionError("poisoned shard must never execute")
 
     runner = ChaosShardRunner(Inner(), ChaosSpec(poison_cycle=42), in_worker=False)
@@ -321,7 +341,7 @@ def test_chaos_shard_runner_kill_in_process_is_an_exception():
     class Inner:
         spec = None
 
-        def run_shard(self, buckets, gate=None, attempt=1):
+        def run_shard(self, buckets, gates=None, groups=None, attempt=1):
             return {"ff": {}}
 
     chaos = ChaosSpec(seed=0, kill_rate=1.0)

@@ -218,6 +218,28 @@ def test_corrupted_oracle_model_is_caught(monkeypatch):
     assert divergences
 
 
+def test_grouped_scheduler_divergence_is_caught(monkeypatch):
+    """The scheduled-vs-naive mode also replays the requests as three
+    request groups: a grouped run that loses a verdict is reported."""
+    import repro.verify.diff as diff_mod
+    from repro.faultinjection import AdaptiveScheduler
+
+    class DroppingScheduler(AdaptiveScheduler):
+        def run(self, injections, *args, groups=None, **kwargs):
+            outcome = super().run(injections, *args, groups=groups, **kwargs)
+            if groups is not None:
+                failed, latency = outcome.verdicts[0]
+                outcome.verdicts[0] = (not failed, None if failed else 0)
+            return outcome
+
+    spec = FUZZ_SCALES["tiny"].with_seed(11)
+    netlist = generate_netlist(spec)
+    assert not diff_mod.run_scheduler_check(netlist, spec)[0]
+    monkeypatch.setattr(diff_mod, "AdaptiveScheduler", DroppingScheduler)
+    divergences, _ = diff_mod.run_scheduler_check(netlist, spec)
+    assert [d.kind for d in divergences] == ["grouped-vs-single"]
+
+
 # -------------------------------------------------------------- shrinking
 
 

@@ -210,9 +210,9 @@ def test_policy_snapshots_are_namespaced(tmp_path):
     store = CampaignStore(tmp_path)
     signature = policy_signature(spec)
     result = run_campaign(tiny_spec())  # any result payload will do
-    store.save_policy_snapshot(spec, signature, result, {"rounds": 3})
+    store.save_policy_snapshot(spec, signature, result, {"rounds": 3}, gate_shards=4)
 
-    loaded = store.load_policy_snapshot(spec, signature)
+    loaded = store.load_policy_snapshot(spec, signature, gate_shards=4)
     assert loaded is not None
     restored, meta = loaded
     assert result_key(restored) == result_key(result)
@@ -223,7 +223,7 @@ def test_policy_snapshots_are_namespaced(tmp_path):
     assert store.best_snapshot(spec) is None
     # A different signature is a different namespace.
     other = policy_signature(tiny_spec(policy="sequential", target_margin=0.05))
-    assert store.load_policy_snapshot(spec, other) is None
+    assert store.load_policy_snapshot(spec, other, gate_shards=4) is None
 
 
 def test_policy_partial_round_trip_and_validation(tmp_path):
@@ -232,22 +232,50 @@ def test_policy_partial_round_trip_and_validation(tmp_path):
     signature = policy_signature(spec)
     tallies = {"a": [4, 1, 6], "b": [0, 0, 0]}
     accum = {"ff": {"a": [4, 1, 12]}, "n_forward_runs": 2}
-    store.save_policy_partial(spec, signature, tallies, accum)
-    loaded = store.load_policy_partial(spec, signature)
+    store.save_policy_partial(spec, signature, tallies, accum, gate_shards=4)
+    loaded = store.load_policy_partial(spec, signature, gate_shards=4)
     assert loaded is not None
     assert loaded[0] == tallies
     assert loaded[1]["n_forward_runs"] == 2
     # Wrong signature: no checkpoint.
-    assert store.load_policy_partial(spec, "deadbeef") is None
+    assert store.load_policy_partial(spec, "deadbeef", gate_shards=4) is None
     # Damaged tallies (violating k <= n <= consumed) are rejected.
-    store.save_policy_partial(spec, signature, {"a": [4, 9, 6]}, accum)
-    assert store.load_policy_partial(spec, signature) is None
-    store.save_policy_partial(spec, signature, {"a": [7, 1, 6]}, accum)
-    assert store.load_policy_partial(spec, signature) is None
+    store.save_policy_partial(spec, signature, {"a": [4, 9, 6]}, accum, gate_shards=4)
+    assert store.load_policy_partial(spec, signature, gate_shards=4) is None
+    store.save_policy_partial(spec, signature, {"a": [7, 1, 6]}, accum, gate_shards=4)
+    assert store.load_policy_partial(spec, signature, gate_shards=4) is None
     # A finished snapshot clears its own checkpoint.
-    store.save_policy_partial(spec, signature, tallies, accum)
-    store.save_policy_snapshot(spec, signature, run_campaign(tiny_spec()), {})
-    assert store.load_policy_partial(spec, signature) is None
+    store.save_policy_partial(spec, signature, tallies, accum, gate_shards=4)
+    store.save_policy_snapshot(
+        spec, signature, run_campaign(tiny_spec()), {}, gate_shards=4
+    )
+    assert store.load_policy_partial(spec, signature, gate_shards=4) is None
+
+
+def test_policy_records_carry_their_gate_layout(tmp_path):
+    """Snapshots and round checkpoints record the gate layout they were
+    computed under; a lookup for another layout misses."""
+    spec = tiny_spec(policy="sequential")
+    store = CampaignStore(tmp_path)
+    signature = policy_signature(spec)
+    tallies = {"a": [4, 1, 6]}
+    accum = {"ff": {"a": [4, 1, 12]}, "n_forward_runs": 2}
+    store.save_policy_partial(spec, signature, tallies, accum, gate_shards=8)
+    assert store.load_policy_partial(spec, signature, gate_shards=4) is None
+    assert store.load_policy_partial(spec, signature, gate_shards=8)[0] == tallies
+    result = run_campaign(tiny_spec())
+    # A snapshot of another layout does not supersede the checkpoint.
+    store.save_policy_snapshot(spec, signature, result, {}, gate_shards=4)
+    assert store.load_policy_partial(spec, signature, gate_shards=8) is not None
+    assert store.load_policy_snapshot(spec, signature, gate_shards=8) is None
+    assert store.load_policy_snapshot(spec, signature, gate_shards=4) is not None
+    store.save_policy_snapshot(spec, signature, result, {}, gate_shards=8)
+    assert store.load_policy_partial(spec, signature, gate_shards=8) is None
+    # Records from before layouts were recorded match no layout.
+    doc = store._read(spec)
+    del doc["snapshots"][f"policy:{signature}"]["gate_shards"]
+    store._write(spec, doc)
+    assert store.load_policy_snapshot(spec, signature, gate_shards=8) is None
 
 
 # ------------------------------------------------- fixed-seed equivalence
@@ -328,7 +356,9 @@ def test_sequential_engine_store_round_trip(tmp_path):
 
     # The realized per-ff injection counts are stored: reload and check.
     store = CampaignStore(tmp_path / "campaigns")
-    loaded, meta = store.load_policy_snapshot(spec, policy_signature(spec))
+    loaded, meta = store.load_policy_snapshot(
+        spec, policy_signature(spec), gate_shards=4
+    )
     assert result_key(loaded) == result_key(result)
     assert meta["total_injections"] == sum(
         r.n_injections for r in result.results.values()
@@ -339,6 +369,45 @@ def test_sequential_engine_store_round_trip(tmp_path):
     flat_result = flat.run()
     assert not flat.last_report.cache_hit
     assert all(r.n_injections == 40 for r in flat_result.results.values())
+
+
+def test_sequential_snapshot_of_another_gate_layout_is_a_miss(tmp_path):
+    """Sequential counters depend on the gate layout (jobs ×
+    shards_per_job): a snapshot computed under another layout is not
+    served, and the recomputed counters equal a fresh run's."""
+    spec = tiny_spec(n_injections=40, target_margin=0.15, policy="sequential")
+    fresh = CampaignEngine(spec).run()
+    other = CampaignEngine(spec, cache_dir=tmp_path, shards_per_job=2)
+    other_result = other.run()
+    assert result_key(other_result) != result_key(fresh)  # layouts differ
+
+    engine = CampaignEngine(spec, cache_dir=tmp_path)
+    result = engine.run()
+    assert not engine.last_report.cache_hit
+    assert engine.last_report.executed_forward_runs > 0
+    assert result_key(result) == result_key(fresh)
+    # The recomputed snapshot now serves the default layout.
+    again = CampaignEngine(spec, cache_dir=tmp_path)
+    assert result_key(again.run()) == result_key(fresh)
+    assert again.last_report.cache_hit
+
+
+def test_sequential_round_is_one_sweep_per_task():
+    """At jobs=1 a round's gate shards all ride one scheduler pass: when no
+    request is deferred, every round costs exactly one forward run."""
+    from repro.obs import Telemetry, use_telemetry
+
+    spec = tiny_spec(n_injections=40, target_margin=0.15, policy="sequential")
+    with use_telemetry(Telemetry()) as telemetry:
+        engine = CampaignEngine(spec)
+        engine.run()
+        counters = telemetry.registry.snapshot().to_payload()["counters"]
+    report = engine.last_report
+    assert counters.get("scheduler.deferred", 0) == 0
+    assert counters["policy.shard_skips"] > 0  # the gates did retire draws
+    assert report.rounds > 1
+    assert report.n_shards == 4 * report.rounds
+    assert report.executed_forward_runs == report.rounds
 
 
 def test_sequential_seeds_from_flat_snapshot(tmp_path):
@@ -384,7 +453,9 @@ def test_sequential_interrupt_resumes_from_policy_checkpoint(tmp_path):
     with pytest.raises(Interrupted):
         engine.run()
     store = CampaignStore(tmp_path / "campaigns")
-    checkpoint = store.load_policy_partial(spec, policy_signature(spec))
+    checkpoint = store.load_policy_partial(
+        spec, policy_signature(spec), gate_shards=4
+    )
     assert checkpoint is not None
     tallies, _accum = checkpoint
     assert any(rec[0] > 0 for rec in tallies.values())

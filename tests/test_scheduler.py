@@ -405,6 +405,224 @@ def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
     assert scheduler.run(requests, horizon=horizon).verdicts == expected
 
 
+# ------------------------------------------------------------ request groups
+
+
+class CountingGate:
+    """A gate that retires each flip-flop after a random number of
+    verdicts, and logs every ``admit``/``record`` call in order.
+
+    Its decisions depend only on how many verdicts it saw before each
+    admit, like :class:`repro.campaigns.policy.ShardGate`."""
+
+    def __init__(self, seed, n_ffs):
+        rng = random.Random(seed)
+        self.limit = [rng.randint(1, 3) for _ in range(n_ffs)]
+        self.seen = [0] * n_ffs
+        self.events = []
+
+    def admit(self, ff):
+        admitted = self.seen[ff] < self.limit[ff]
+        self.events.append(("admit", ff, admitted))
+        return admitted
+
+    def record(self, ff, failed):
+        self.seen[ff] += 1
+        self.events.append(("record", ff, failed))
+
+    def normalized_events(self):
+        """The event log with each run of consecutive records sorted: one
+        retirement batch may reach the gate in any lane order."""
+        out, batch = [], []
+        for event in self.events:
+            if event[0] == "record":
+                batch.append(event)
+                continue
+            out.extend(sorted(batch))
+            batch = []
+            out.append(event)
+        return out + sorted(batch)
+
+
+@pytest.fixture(scope="module")
+def group_injector(tiny_parts):
+    """``group_injector(check_interval, fault_model)``: one injector per
+    setting, built on first use and shared by every hypothesis example."""
+    netlist, workload, golden, criterion = tiny_parts
+    built = {}
+
+    def get(check_interval, fault_model):
+        key = (check_interval, fault_model)
+        if key not in built:
+            built[key] = FaultInjector(
+                netlist,
+                workload.testbench,
+                golden,
+                criterion,
+                check_interval=check_interval,
+                fault_model=fault_model,
+            )
+        return built[key]
+
+    return get
+
+
+def _gated_run(injector, max_lanes, requests, groups, gate_seeds, horizon):
+    """One scheduler run with a CountingGate per group."""
+    gates = [CountingGate(seed, injector.sim.n_flip_flops) for seed in gate_seeds]
+    outcome = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
+        requests,
+        horizon=horizon,
+        admit=lambda req: gates[req.group].admit(req.ff_index),
+        on_verdict=lambda req, failed: gates[req.group].record(req.ff_index, failed),
+        groups=groups,
+    )
+    return outcome, gates
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_grouped_run_equals_one_solo_run_per_group(
+    tiny_parts, group_injector, data
+):
+    """Property: one pass carrying several request groups gives every
+    group the verdicts, latencies, skips and gate event order of running
+    it alone, and the same summed lane-cycles — under deferral (small
+    lane caps), horizons, check intervals 1/3/8, a forcing fault model
+    and gates that retire flip-flops mid-pass."""
+    _netlist, workload, _golden, _criterion = tiny_parts
+    check_interval = data.draw(st.sampled_from([1, 3, 8]))
+    fault_model = data.draw(
+        st.sampled_from([None, "intermittent:period=5,on=2,seed=1"])
+    )
+    injector = group_injector(check_interval, fault_model)
+    first, last = workload.active_window
+    n_ffs = injector.sim.n_flip_flops
+    n_groups = data.draw(st.integers(2, 4))
+    # Few flip-flops, so each one recurs and its gate retires it.
+    ff_pool = range(0, n_ffs, n_ffs // 10)
+    requests = data.draw(
+        st.lists(
+            st.tuples(st.integers(first, last - 1), st.sampled_from(ff_pool)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    groups = data.draw(
+        st.lists(
+            st.integers(0, n_groups - 1),
+            min_size=len(requests),
+            max_size=len(requests),
+        )
+    )
+    max_lanes = data.draw(st.integers(1, 8))
+    horizon = data.draw(st.one_of(st.none(), st.integers(1, 30)))
+    seed = data.draw(st.integers(0, 1000))
+    gate_seeds = [f"{seed}:{g}" for g in range(n_groups)]
+
+    grouped, grouped_gates = _gated_run(
+        injector, max_lanes, requests, groups, gate_seeds, horizon
+    )
+    grouped_skipped = set(grouped.skipped)
+    lane_cycles = passes = 0
+    for g in range(n_groups):
+        keys = [k for k, group in enumerate(groups) if group == g]
+        solo_requests = [requests[k] for k in keys]
+        solo, (solo_gate,) = _gated_run(
+            injector, max_lanes, solo_requests, None, [gate_seeds[g]], horizon
+        )
+        assert grouped_gates[g].normalized_events() == solo_gate.normalized_events()
+        skipped = {keys[k] for k in solo.skipped}
+        assert {k for k in keys if k in grouped_skipped} == skipped
+        for local, key in enumerate(keys):
+            if key not in skipped:
+                assert grouped.verdicts[key] == solo.verdicts[local], key
+        lane_cycles += solo.stats.lane_cycles
+        passes = max(passes, solo.stats.n_passes)
+    assert grouped.stats.lane_cycles == lane_cycles
+    assert grouped.stats.n_passes == passes
+
+
+#: Statistics of one gated run per (check_interval, horizon): lane-cycles,
+#: simulated cycles, deferrals, gate skips, passes, early retirements and
+#: admit calls.  The property test above compares grouped runs with solo
+#: runs of the same code; these pins fix the solo semantics themselves —
+#: the check grid restarting after a drain, deferral at the cap with one
+#: admit call, retirement timing.
+GATED_RUN_PINS = {
+    (3, None): (1148, 338, 10, 8, 3, 10, 33),
+    (5, 9): (156, 58, 0, 8, 1, 6, 28),
+}
+
+
+@pytest.mark.parametrize("check_interval, horizon", sorted(GATED_RUN_PINS, key=str))
+def test_gated_run_statistics_are_pinned(tiny_parts, check_interval, horizon):
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(
+        netlist, workload.testbench, golden, criterion, check_interval=check_interval
+    )
+    first, last = workload.active_window
+    n_ffs = injector.sim.n_flip_flops
+    rng = random.Random(31)
+    pool = range(0, n_ffs, n_ffs // 10)
+    # Bursts separated by quiet stretches: the pass fills to its cap,
+    # defers, drains and fast-forwards.
+    requests = [
+        (cycle + rng.randrange(2), rng.choice(pool))
+        for cycle in range(first, last - 2, 23)
+        for _ in range(rng.randrange(3, 9))
+    ]
+    outcome, (gate,) = _gated_run(injector, 4, requests, None, ["pin"], horizon)
+    stats = outcome.stats
+    assert (
+        stats.lane_cycles,
+        stats.cycles_simulated,
+        stats.deferred,
+        stats.policy_skipped,
+        stats.n_passes,
+        stats.early_retired,
+        sum(1 for event in gate.events if event[0] == "admit"),
+    ) == GATED_RUN_PINS[(check_interval, horizon)]
+    expected = naive_verdicts(injector, requests, horizon)
+    skipped = set(outcome.skipped)
+    for key, verdict in enumerate(expected):
+        if key not in skipped:
+            assert outcome.verdicts[key] == verdict, key
+
+
+def test_groups_share_one_sweep_per_pass(tiny_parts):
+    """Groups spread over the same window are swept once, not once per
+    group, and the shared batch keeps every verdict."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    first, last = workload.active_window
+    rng = random.Random(5)
+    n_ffs = injector.sim.n_flip_flops
+    requests = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(240)]
+    groups = [key % 4 for key in range(len(requests))]
+    grouped = AdaptiveScheduler(injector).run(requests, groups=groups)
+    assert grouped.verdicts == naive_verdicts(injector, requests)
+    assert grouped.stats.n_passes == 1
+    solo_cycles = sum(
+        AdaptiveScheduler(injector)
+        .run([r for r, group in zip(requests, groups) if group == g])
+        .stats.cycles_simulated
+        for g in range(4)
+    )
+    assert grouped.stats.cycles_simulated < solo_cycles
+
+
+def test_groups_must_match_injections(tiny_parts):
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    first, _last = workload.active_window
+    scheduler = AdaptiveScheduler(injector)
+    with pytest.raises(ValueError, match="groups"):
+        scheduler.run([(first, 0), (first, 1)], groups=[0])
+    with pytest.raises(ValueError, match="negative"):
+        scheduler.run([(first, 0)], groups=[-1])
+
+
 # ------------------------------------------------------------- lane algebra
 
 
