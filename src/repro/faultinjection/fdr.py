@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from scipy import stats
-
 __all__ = ["FdrEstimate", "wilson_interval", "required_sample_size"]
 
 
@@ -53,18 +51,141 @@ class FdrEstimate:
         return (high - low) / 2.0
 
 
+# Cephes ``ndtri`` (Stephen L. Moshier): the inverse of the standard normal
+# CDF, the routine behind ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf``.
+# Coefficients are highest degree first; ``_Q*`` omit their leading 1.0.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+# Central region, |p - 0.5| <= 3/8.
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+# Tails with x = sqrt(-2 log p) in [2, 8): p down to exp(-32).
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+# Far tails, x in [8, 64).
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: Tuple[float, ...]) -> float:
+    """Horner evaluation of ``coef`` (Cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: Tuple[float, ...]) -> float:
+    """Horner evaluation with an implied leading 1.0 (Cephes ``p1evl``)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile: the *x* with ``Phi(x) == p``.
+
+    A line-for-line port of Cephes ``ndtri``, operation order included,
+    so it returns ``scipy.special.ndtri``'s double to the last bit (the
+    test suite compares the two on a dense grid over both tails).  Returns
+    ``-inf``/``inf`` at 0/1 and ``nan`` outside ``[0, 1]``.
+    """
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if p < 0.0 or p > 1.0 or p != p:
+        return math.nan
+    negate = True
+    y = p
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 @functools.lru_cache(maxsize=None)
 def _z_score(confidence: float) -> float:
     """Two-sided normal quantile of a *confidence* level, computed once.
 
     The sequential policy evaluates Wilson intervals on every gated
-    injection, always at the same few confidence levels.  The value is
-    scipy's quantile on purpose: another implementation may differ in the
-    last ulp, and that can flip a retirement decision at the margin.
+    injection, always at the same few confidence levels.  The value must
+    be scipy's to the last bit (:func:`_ndtri` is a port of the routine
+    scipy evaluates): another implementation, ``statistics.NormalDist``
+    included, may differ in the last ulp, and that can flip a retirement
+    decision at the margin.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    return _ndtri(0.5 + confidence / 2.0)
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Tuple[float, float]:

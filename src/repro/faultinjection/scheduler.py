@@ -60,6 +60,7 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..sim.compiled import bind_chunks, compile_chunked
 from ..sim.logic import lane_mask
 from .faults import InjectionPlan
 
@@ -344,7 +345,7 @@ class AdaptiveScheduler:
         return settle
 
     def _activation_loader(self):
-        """Generated per-lane golden-state loader (one line per flip-flop).
+        """Generated per-lane golden-state loader (one statement per flip-flop).
 
         ``_load(v, z, am, nam, gs)`` sets, on the lanes selected by the
         lane vectors ``am``/``nam = am ^ mask``, every flip-flop Q to its
@@ -355,16 +356,14 @@ class AdaptiveScheduler:
             load_fn = getattr(self.injector, "_cached_activation_loader", None)
             if load_fn is None:
                 sim = self.injector.sim
-                lines = ["def _load(v, z, am, nam, gs):"]
-                for i, q in enumerate(sim._ff_q):
-                    lines.append(
-                        f"    v[{q}] = (v[{q}] & nam) | (am if (gs >> {i}) & 1 else z)"
-                    )
-                if not sim._ff_q:
-                    lines.append("    pass")
-                namespace: Dict[str, object] = {}
-                exec("\n".join(lines), namespace)  # noqa: S102
-                load_fn = namespace["_load"]
+                body = [
+                    f"v[{q}] = (v[{q}] & nam) | (am if (gs >> {i}) & 1 else z)"
+                    for i, q in enumerate(sim._ff_q)
+                ]
+                codes = compile_chunked(
+                    "_load", "v, z, am, nam, gs", body, f"<repro-load:{sim.netlist.name}>"
+                )
+                load_fn = bind_chunks(codes, "_load")
                 self.injector._cached_activation_loader = load_fn
             self._load_fn = load_fn
         return self._load_fn

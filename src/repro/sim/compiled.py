@@ -2,10 +2,11 @@
 
 This is the simulation substrate every fault-injection engine runs on.  The
 netlist's combinational logic is levelized (topologically ordered) once and
-translated into a single generated Python function — one statement per
-gate, operating on Python integers whose bit lanes are independent
-simulation runs.  A clock ``tick`` latches every flip-flop simultaneously
-(two-phase: all next states are computed before any Q is updated).
+translated into generated Python code — one statement per gate, compiled
+in bounded chunks (:data:`CHUNK_STATEMENTS`), operating on Python integers
+whose bit lanes are independent simulation runs.  A clock ``tick`` latches
+every flip-flop simultaneously (every next state is read before any Q it
+depends on is updated).
 
 With *n* lanes, one pass of the generated code simulates *n* circuit
 instances at once.  Because every gate evaluation is a CPython big-int
@@ -21,6 +22,7 @@ Clock handling is cycle-based: clock nets are forced to 0 and every call to
 from __future__ import annotations
 
 import weakref
+from types import CodeType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,10 +31,13 @@ from ..netlist.core import Cell, Netlist
 from .logic import broadcast, lane_mask
 
 __all__ = [
+    "CHUNK_STATEMENTS",
     "CompiledSimulator",
-    "build_eval_source",
+    "bind_chunks",
+    "build_eval_statements",
     "cached_codegen",
     "cached_eval_fn",
+    "compile_chunked",
 ]
 
 # Expression templates per library cell type; {o} output index, {i0}.. inputs.
@@ -69,25 +74,65 @@ _TEMPLATES: Dict[str, str] = {
 }
 
 
-def build_eval_source(
+# Generated functions are compiled as chains of chunks of at most this many
+# statements, each its own ``compile()`` call, run in order by a small
+# generated driver.  One multi-thousand-statement function leaves the
+# compiler's arenas behind (about 22 MB for xgmac's settle, about 200 MB at
+# 10k flip-flops); bounded chunks keep that to a few MB, and a call per
+# chunk costs nothing next to the big-int gate work inside it.
+CHUNK_STATEMENTS = 256
+
+
+def compile_chunked(
+    fn_name: str, params: str, body: Sequence[str], filename: str
+) -> Tuple[CodeType, ...]:
+    """Compile ``def fn_name(params)`` over the statements *body*, in chunks.
+
+    Chunk *k* is ``{fn_name}_{k}(params)`` over at most
+    :data:`CHUNK_STATEMENTS` consecutive statements, each its own
+    ``compile()``; the last code object defines the driver
+    ``fn_name(params)``, which calls the chunks in order.  Statements
+    therefore run in *body* order, but no local survives a chunk boundary.
+    """
+    size = CHUNK_STATEMENTS
+    sources = []
+    calls = []
+    for k, start in enumerate(range(0, len(body), size)):
+        part = body[start:start + size]
+        sources.append(
+            f"def {fn_name}_{k}({params}):\n" + "\n".join("    " + s for s in part)
+        )
+        calls.append(f"    {fn_name}_{k}({params})")
+    sources.append(f"def {fn_name}({params}):\n" + "\n".join(calls or ["    pass"]))
+    return tuple(compile(source, filename, "exec") for source in sources)
+
+
+def bind_chunks(codes: Sequence[CodeType], fn_name: str) -> Callable:
+    """Exec *codes* into one fresh namespace and return its *fn_name*."""
+    namespace: Dict[str, object] = {}
+    for code in codes:
+        exec(code, namespace)  # noqa: S102 - generated from our own netlist
+    return namespace[fn_name]  # type: ignore[return-value]
+
+
+def build_eval_statements(
     netlist: Netlist,
     net_index: Mapping[str, int],
     fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
     cells: Optional[Sequence[str]] = None,
-) -> str:
-    """Generate the combinational-settle function source for *netlist*.
+) -> List[str]:
+    """Generate the statements of the combinational settle of *netlist*.
 
-    Returns the source of ``_eval(v, m, fb)``: one statement per gate in
-    levelized order, reading and writing ``v[i]`` lane vectors under the
-    all-ones mask ``m``.  Cells without a template are appended to
-    *fallback_cells* as ``(function, out_index, in_indices)`` and dispatched
-    through ``fb``.
+    The body of ``_eval(v, m, fb)``: one statement per gate in levelized
+    order, reading and writing ``v[i]`` lane vectors under the all-ones
+    mask ``m``.  Cells without a template are appended to *fallback_cells*
+    as ``(function, out_index, in_indices)`` and dispatched through ``fb``.
 
     *cells* restricts generation to a subset of combinational cells (must
     already be in a valid evaluation order) — this is how the scheduler's
     observed-cone settle is built (:meth:`CompiledSimulator.compile_cone_eval`).
     """
-    lines = ["def _eval(v, m, fb):"]
+    lines = []
     order = netlist.topological_comb_order() if cells is None else list(cells)
     for cell_name in order:
         cell = netlist.cells[cell_name]
@@ -97,17 +142,13 @@ def build_eval_source(
         if template is None:
             idx = len(fallback_cells)
             fallback_cells.append((cell.ctype.function, out, tuple(ins)))
-            lines.append(
-                f"    v[{out}] = fb[{idx}][0]([v[i] for i in fb[{idx}][2]], m)"
-            )
+            lines.append(f"v[{out}] = fb[{idx}][0]([v[i] for i in fb[{idx}][2]], m)")
             continue
         fields = {"o": out}
         for pos, in_idx in enumerate(ins):
             fields[f"i{pos}"] = in_idx
-        lines.append("    " + template.format(**fields))
-    if len(lines) == 1:
-        lines.append("    pass")
-    return "\n".join(lines)
+        lines.append(template.format(**fields))
+    return lines
 
 
 # ------------------------------------------------------------ codegen cache
@@ -119,7 +160,7 @@ def build_eval_source(
 # enumeration — so the compiled code objects are cached per netlist and
 # per generated function (eval, tick).  Keyed weakly: dropping the last
 # netlist reference drops its code objects.
-# ``exec`` of a cached code object only materializes a function object,
+# ``exec`` of cached code objects only materializes function objects,
 # which is orders of magnitude cheaper than parsing the source again.
 
 _CODEGEN_CACHE: "weakref.WeakKeyDictionary[Netlist, Dict[tuple, object]]" = (
@@ -140,47 +181,48 @@ def cached_eval_fn(
     net_index: Mapping[str, int],
     fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
 ) -> Callable:
-    """Compile-once-per-netlist variant of :func:`build_eval_source` + exec.
+    """Compile-once-per-netlist settle: :func:`build_eval_statements`, chunked.
 
-    The generated source bakes fallback-dispatch indices starting at 0, so
+    The generated code bakes fallback-dispatch indices starting at 0, so
     *fallback_cells* must be the (empty) per-instance table the returned
     function will be called with; the cached fallback entries are re-extended
     into it.  The cell/net counts in the key guard against a netlist mutated
     after its code was cached.
     """
-    key = ("eval", len(netlist.cells), len(netlist.nets))
+    key = ("eval", CHUNK_STATEMENTS, len(netlist.cells), len(netlist.nets))
     cache = _cache_for(netlist)
     entry = cache.get(key)
     if entry is None:
         fresh: List[Tuple[Callable, int, Tuple[int, ...]]] = []
-        source = build_eval_source(netlist, net_index, fresh)
-        code = compile(source, f"<repro-eval:{netlist.name}>", "exec")
-        entry = (code, tuple(fresh))
+        body = build_eval_statements(netlist, net_index, fresh)
+        codes = compile_chunked("_eval", "v, m, fb", body, f"<repro-eval:{netlist.name}>")
+        entry = (codes, tuple(fresh))
         cache[key] = entry
-    code, entries = entry
+    codes, entries = entry
     fallback_cells.extend(entries)
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)  # noqa: S102 - generated from our own netlist
-    return namespace["_eval"]  # type: ignore[return-value]
+    return bind_chunks(codes, "_eval")
 
 
 def cached_codegen(
-    netlist: Netlist, key: tuple, fn_name: str, build_source: Callable[[], str]
+    netlist: Netlist,
+    key: tuple,
+    fn_name: str,
+    build_codes: Callable[[], Tuple[CodeType, ...]],
 ) -> Callable:
     """Per-netlist cached compile of a generated function (the tick).
 
-    *build_source* is only invoked on a cache miss; the returned function is
-    a fresh object bound to a fresh namespace, so instances never share
-    state through it.
+    *build_codes* is only invoked on a cache miss and returns the code
+    objects that together define *fn_name*; the returned function is a
+    fresh object bound to a fresh namespace, so instances never share state
+    through it.
     """
     cache = _cache_for(netlist)
-    code = cache.get(key)
-    if code is None:
-        code = compile(build_source(), f"<repro-{fn_name}:{netlist.name}>", "exec")
-        cache[key] = code
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)  # noqa: S102 - generated from our own netlist
-    return namespace[fn_name]  # type: ignore[return-value]
+    key = key + (CHUNK_STATEMENTS,)
+    codes = cache.get(key)
+    if codes is None:
+        codes = build_codes()
+        cache[key] = codes
+    return bind_chunks(codes, fn_name)
 
 
 class CompiledSimulator:
@@ -248,23 +290,34 @@ class CompiledSimulator:
     def _compile_eval(self) -> Callable[[List[int], int, list], None]:
         return cached_eval_fn(self.netlist, self.net_index, self._fallback_cells)
 
-    def _build_tick_source(self) -> str:
-        lines = ["def _tick(v, m):"]
-        assigns = []
-        for i, (q, d, rn) in enumerate(zip(self._ff_q, self._ff_d, self._ff_rn)):
-            if rn is None:
-                lines.append(f"    t{i} = v[{d}]")
+    def _build_tick(self) -> Tuple[CodeType, ...]:
+        """The tick: latch every flip-flop's D (gated by sync RN) into its Q.
+
+        Every D/RN pin must be read before any Q it names is written.  A
+        flip-flop whose Q no D/RN pin reads is latched in place; the others'
+        next states are staged in the namespace list ``_t`` and written
+        after the last read, so the order holds across chunk boundaries.
+        """
+        read_nets = set(self._ff_d) | {rn for rn in self._ff_rn if rn is not None}
+        staged: List[str] = []
+        direct: List[str] = []
+        commits: List[str] = []
+        for q, d, rn in zip(self._ff_q, self._ff_d, self._ff_rn):
+            next_state = f"v[{d}]" if rn is None else f"v[{d}] & v[{rn}]"
+            if q in read_nets:
+                commits.append(f"v[{q}] = _t[{len(staged)}]")
+                staged.append(f"_t[{len(staged)}] = {next_state}")
             else:
-                lines.append(f"    t{i} = v[{d}] & v[{rn}]")
-            assigns.append(f"    v[{q}] = t{i}")
-        lines.extend(assigns)
-        if not self._ff_q:
-            lines.append("    pass")
-        return "\n".join(lines)
+                direct.append(f"v[{q}] = {next_state}")
+        filename = f"<repro-tick:{self.netlist.name}>"
+        scratch = compile(f"_t = [0] * {len(staged)}", filename, "exec")
+        return (scratch,) + compile_chunked(
+            "_tick", "v, m", staged + direct + commits, filename
+        )
 
     def _compile_tick(self) -> Callable[[List[int], int], None]:
         key = ("tick", len(self.netlist.cells))
-        return cached_codegen(self.netlist, key, "_tick", self._build_tick_source)
+        return cached_codegen(self.netlist, key, "_tick", self._build_tick)
 
     # ------------------------------------------------------ cone evaluation
 
@@ -300,15 +353,16 @@ class CompiledSimulator:
         order = netlist.topological_comb_order()
         if len(in_cone) == len(order):
             return self._eval_fn
-        source = build_eval_source(
+        body = build_eval_statements(
             netlist,
             self.net_index,
             self._fallback_cells,
             cells=[name for name in order if name in in_cone],
         )
-        namespace: Dict[str, object] = {}
-        exec(source, namespace)  # noqa: S102 - generated from our own netlist
-        return namespace["_eval"]  # type: ignore[return-value]
+        codes = compile_chunked(
+            "_eval", "v, m, fb", body, f"<repro-cone-eval:{netlist.name}>"
+        )
+        return bind_chunks(codes, "_eval")
 
     # -------------------------------------------------------------- control
 

@@ -14,6 +14,7 @@ from repro.circuits import build_xgmac_workload, make_xgmac
 from repro.data import DATASET_PRESETS, get_dataset
 from repro.faultinjection import PacketInterfaceCriterion, StatisticalFaultCampaign
 from repro.features import build_dataset
+from repro.netlist import Netlist
 from repro.synth import Module, synthesize, wordlib
 
 
@@ -83,3 +84,26 @@ def regression_data():
     X = rng.uniform(-2.0, 2.0, size=(240, 4))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2 - 0.3 * X[:, 2] + 0.05 * rng.standard_normal(240)
     return X, y
+
+
+@pytest.fixture(scope="session")
+def direct_shift_netlist():
+    """An 8-stage shift register wired Q to D with no logic in between.
+
+    Flip-flop *i*'s D pin is flip-flop *i - 1*'s Q net, and a ninth
+    flip-flop's synchronous reset reads stage 2's Q, so the tick must read
+    every D/RN before it writes any Q.  The synthesized library circuits
+    always put a gate between a Q and the next D, so they cannot catch a
+    tick that interleaves reads and writes.
+    """
+    netlist = Netlist("direct_shift8")
+    netlist.add_input("clk", is_clock=True)
+    netlist.add_input("din")
+    previous = "din"
+    for i in range(8):
+        netlist.add_cell(f"ff{i}", "DFF", {"D": previous, "CK": "clk", "Q": f"q{i}"})
+        previous = f"q{i}"
+    netlist.add_cell("ffr", "DFFR", {"D": "din", "RN": "q2", "CK": "clk", "Q": "qr"})
+    netlist.add_cell("x", "XOR2", {"A": "q7", "B": "qr", "Z": "out"})
+    netlist.add_output("out")
+    return netlist

@@ -13,20 +13,43 @@ import random
 
 import pytest
 
+import repro.sim.compiled as compiled_mod
 from repro.campaigns import CampaignSpec
 from repro.campaigns.policy import policy_signature
-from repro.circuits import get_circuit
+from repro.circuits import LIBRARY_CIRCUITS, get_circuit
 from repro.sim import CompiledSimulator
 from repro.verify import OracleSimulator
 
 # ------------------------------------------------------------ cycle parity
 
 
-@pytest.mark.parametrize("circuit", ["counter16", "lfsr16", "gray8"])
-def test_cycle_parity_random_stimulus(circuit):
+#: ``(circuit, chunk size)``: the seed circuits at the default chunk size,
+#: then every library circuit and the Q-to-D shift register (the
+#: ``direct_shift_netlist`` fixture) with the generated code cut every 3
+#: statements, so each settle and tick crosses many chunk boundaries.
+PARITY_CASES = [(circuit, None) for circuit in ("counter16", "lfsr16", "gray8")] + [
+    (circuit, 3) for circuit in LIBRARY_CIRCUITS + ["direct_shift"]
+]
+
+
+@pytest.mark.parametrize(
+    "circuit, chunk",
+    [
+        pytest.param(
+            circuit, chunk, id=circuit if chunk is None else f"{circuit}-chunk{chunk}"
+        )
+        for circuit, chunk in PARITY_CASES
+    ],
+)
+def test_cycle_parity_random_stimulus(circuit, chunk, monkeypatch, request):
     """Every lane of the compiled simulator matches a one-lane oracle
     net-for-net under independent random stimulus."""
-    netlist = get_circuit(circuit)
+    if chunk is not None:
+        monkeypatch.setattr(compiled_mod, "CHUNK_STATEMENTS", chunk)
+    if circuit == "direct_shift":
+        netlist = request.getfixturevalue("direct_shift_netlist")
+    else:
+        netlist = get_circuit(circuit)
     n_lanes = 5
     sim = CompiledSimulator(netlist, n_lanes=n_lanes)
     sim.reset()

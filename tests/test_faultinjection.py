@@ -70,15 +70,15 @@ def test_z_score_is_computed_once_per_confidence(monkeypatch):
 
     from repro.faultinjection import fdr
 
-    real_ppf = stats.norm.ppf
+    real_ndtri = fdr._ndtri
     calls = []
 
-    def counting_ppf(q):
-        calls.append(q)
-        return real_ppf(q)
+    def counting_ndtri(p):
+        calls.append(p)
+        return real_ndtri(p)
 
     fdr._z_score.cache_clear()
-    monkeypatch.setattr(fdr.stats.norm, "ppf", counting_ppf)
+    monkeypatch.setattr(fdr, "_ndtri", counting_ndtri)
     try:
         for trials in range(1, 300):
             wilson_interval(trials // 3, trials)
@@ -87,11 +87,78 @@ def test_z_score_is_computed_once_per_confidence(monkeypatch):
         required_sample_size(1000, margin=0.05, confidence=0.99)
         assert sorted(calls) == [0.975, 0.995]
         # The cached quantile is scipy's, to the last bit.
-        assert fdr._z_score(0.95) == float(real_ppf(0.975))
+        assert fdr._z_score(0.95) == float(stats.norm.ppf(0.975))
     finally:
         fdr._z_score.cache_clear()
     with pytest.raises(ValueError):
         wilson_interval(1, 10, confidence=0.0)
+
+
+def _same_doubles(got, want):
+    import numpy as np
+
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    return same.all(), np.flatnonzero(~same)[:5]
+
+
+def test_ndtri_port_is_scipys_to_the_last_bit():
+    """The pure-Python quantile returns scipy's double on a dense seeded
+    grid: the central region, both tails down to the smallest subnormal,
+    and the regions either side of the exp(-2) and exp(-32) switch-overs."""
+    import numpy as np
+    from scipy import special
+
+    from repro.faultinjection.fdr import _ndtri
+
+    rng = np.random.default_rng(20190624)
+    grid = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 20001),
+            rng.random(40000),
+            10.0 ** rng.uniform(-323.0, -0.1, 20000),  # lower tail
+            1.0 - 10.0 ** rng.uniform(-16.0, -0.1, 20000),  # upper tail
+            math.exp(-2.0) * (1.0 + rng.uniform(-1e-3, 1e-3, 2000)),
+            math.exp(-32.0) * (1.0 + rng.uniform(-1e-3, 1e-3, 2000)),
+            [5e-324, 2.2250738585072014e-308, 0.5, 1.0 - 2.0**-53],
+        ]
+    )
+    ok, bad = _same_doubles([_ndtri(float(p)) for p in grid], special.ndtri(grid))
+    assert ok, grid[bad]
+
+
+def test_ndtri_port_edges_match_scipy():
+    from scipy import special
+
+    from repro.faultinjection.fdr import _ndtri
+
+    assert _ndtri(0.0) == -math.inf
+    assert _ndtri(1.0) == math.inf
+    outside = [-1.0, -5e-324, 1.0 + 2.0**-52, 2.0, math.inf, -math.inf, math.nan]
+    for p in outside:
+        assert math.isnan(_ndtri(p)), p
+        assert math.isnan(special.ndtri(p)), p
+
+
+def test_z_score_matches_scipy_norm_ppf_on_every_confidence():
+    """Every level the code uses (0.95 is the default of the Wilson
+    helpers, the sequential policy and FdrEstimate; the tests use 0.99),
+    plus a dense seeded sweep of levels, equal ``stats.norm.ppf`` exactly."""
+    import numpy as np
+    from scipy import stats
+
+    from repro.faultinjection import fdr
+
+    rng = np.random.default_rng(7)
+    levels = np.concatenate(
+        [[0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999], rng.random(20000)]
+    )
+    levels = levels[(levels > 0.0) & (levels < 1.0)]
+    want = stats.norm.ppf(0.5 + levels / 2.0)
+    ok, bad = _same_doubles([fdr._z_score(float(c)) for c in levels], want)
+    fdr._z_score.cache_clear()
+    assert ok, levels[bad]
 
 
 def test_required_sample_size_edge_cases():

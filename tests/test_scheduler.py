@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import LIBRARY_CIRCUITS, build_workload_for, get_circuit
 from repro.faultinjection import (
     AdaptiveScheduler,
     AnyOutputCriterion,
@@ -359,6 +360,53 @@ def test_observed_settle_keeps_verdicts_on_non_relevant_hits(
     requests += [(cycle, ff) for cycle in cycles for ff in rng.sample(inside, 4)]
     expected = naive_verdicts(injector, requests)
     outcome = injector.run_scheduled(requests)
+    assert outcome.verdicts == expected
+
+
+@pytest.mark.parametrize("circuit", LIBRARY_CIRCUITS + ["xgmac_tiny", "direct_shift"])
+def test_scheduled_matches_naive_across_chunk_boundaries(
+    circuit, tiny_parts, monkeypatch, request
+):
+    """Generated code cut every 3 statements (settle, observed-cone settle,
+    tick, activation loader) gives the verdicts and latencies of the naive
+    replay on a default-chunk simulator.  On ``direct_shift`` D and RN pins
+    read other flip-flops' Qs, so a tick that wrote one chunk's Qs before a
+    later chunk read its pins would diverge; on ``xgmac_tiny`` the
+    observed-cone settle is a strict subset of the netlist."""
+    import repro.sim.compiled as compiled_mod
+
+    if circuit == "xgmac_tiny":
+        netlist, workload, golden, criterion = tiny_parts
+        first, last = workload.active_window
+        testbench = workload.testbench
+    elif circuit == "direct_shift":
+        netlist = request.getfixturevalue("direct_shift_netlist")
+        sb = ScheduleBuilder(netlist.inputs)
+        bits = random.Random(5)
+        for cycle in range(40):
+            sb.drive(cycle, "din", bits.getrandbits(1))
+        testbench = Testbench(netlist, sb.compile(40))
+        first, last = 2, 30
+    else:
+        netlist = get_circuit(circuit)
+        workload = build_workload_for(
+            circuit, netlist, n_frames=2, min_len=2, max_len=3, gap=6, seed=1
+        )
+        first, last = workload.active_window
+        testbench = workload.testbench
+    if circuit != "xgmac_tiny":
+        golden = testbench.run_golden()
+        criterion = AnyOutputCriterion.all_outputs(netlist)
+    reference = FaultInjector(netlist, testbench, golden, criterion)
+    rng = random.Random(circuit)
+    n_ffs = reference.sim.n_flip_flops
+    requests = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(60)]
+    expected = naive_verdicts(reference, requests)
+
+    monkeypatch.setattr(compiled_mod, "CHUNK_STATEMENTS", 3)
+    injector = FaultInjector(netlist, testbench, golden, criterion)
+    assert injector.sim._tick_fn is not reference.sim._tick_fn
+    outcome = injector.run_scheduled(requests, max_lanes=8)
     assert outcome.verdicts == expected
 
 
