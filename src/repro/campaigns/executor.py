@@ -34,7 +34,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..faultinjection.campaign import CampaignResult, FlipFlopResult
 from ..faultinjection.injector import FaultInjector
@@ -59,7 +59,7 @@ from .partition import (
 from .policy import ShardGate, make_policy, policy_signature, realized_margins
 from .spec import CampaignContext, CampaignSpec, build_context
 from .store import CampaignStore
-from .supervisor import RetryPolicy, ShardOutcome, SupervisedPool
+from .supervisor import RetryPolicy, SupervisedPool
 
 __all__ = ["CampaignEngine", "EngineReport", "RetryPolicy", "run_campaign"]
 
@@ -456,7 +456,8 @@ class CampaignEngine:
         ``progress(done_shards, total_shards)`` callback.  Throttled to at
         most one call per *progress_interval* seconds (plus, always, the
         final ``(total, total)`` call); the same throttle drives the
-        telemetry ``progress`` events the live sink renders.
+        telemetry ``progress`` events the live sink renders.  A sequential
+        run reports each round's tasks as one such batch.
     progress_interval:
         Minimum seconds between forwarded progress notifications
         (default 0.1); ``0`` restores the historical call-per-shard
@@ -696,10 +697,7 @@ class CampaignEngine:
         report.n_shards = len(shards)
 
         try:
-            if self.jobs > 1 and len(shards) > 1:
-                self._run_parallel(shards, accum, done_cycles, report)
-            else:
-                self._run_serial(shards, accum, done_cycles, report)
+            self._run_shards(shards, accum, done_cycles, report)
         except BaseException:
             self._checkpoint(base_n, done_cycles, accum)
             raise
@@ -848,23 +846,7 @@ class CampaignEngine:
                 task_buckets, gates=gates, groups=groups, attempt=attempt
             )
 
-        chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
-        mp_ctx = _mp_context()
-        if self.jobs > 1 and mp_ctx.get_start_method() == "fork":
-            # Warm the cache before the pool forks: workers (and every
-            # later pool rebuild) inherit the resident runner instead of
-            # each paying a cold build.
-            self._warm_runner()
-        sup = SupervisedPool(
-            _worker_run_shard_gated,
-            jobs=self.jobs,
-            initializer=_worker_init,
-            initargs=(spec.to_dict(), chaos_payload),
-            retry=self.retry,
-            serial_fn=serial_fn,
-            validate=_shard_payload_error,
-            mp_context=mp_ctx,
-        )
+        sup = self._supervised_pool(_worker_run_shard_gated, self.jobs, serial_fn)
         # The policy checkpoint is a per-flip-flop *cursor* (``consumed``),
         # which is only truthful at round boundaries: a completed round
         # executed (or deliberately gate-skipped) every draw of its
@@ -898,6 +880,7 @@ class CampaignEngine:
                 ]
                 snapshot = {name: list(rec) for name, rec in tallies.items()}
                 payload_tasks = [(task, snapshot) for task in tasks]
+                throttled = self._progress_notifier(report)
                 done_in_round = 0
                 for outcome in sup.run(payload_tasks):
                     done_in_round += 1
@@ -918,22 +901,10 @@ class CampaignEngine:
                                     tallies[name][2] += 1
                                     abandoned += 1
                         registry.counter("robustness.abandoned_draws").inc(abandoned)
-                        if self.progress is not None:
-                            self.progress(done_in_round, len(tasks))
+                        throttled(done_in_round, len(tasks))
                         continue
                     payload = outcome.payload
-                    self._decode_ff(payload)
-                    accum.merge_shard(payload)
-                    report.executed_buckets += len(payload["done_cycles"])
-                    report.executed_forward_runs += payload["n_forward_runs"]
-                    shard_lanes = sum(rec[0] for rec in payload["ff"].values())
-                    report.executed_lanes += shard_lanes
-                    self._busy_seconds += payload.get("wall_seconds", 0.0)
-                    metrics = payload.get("metrics")
-                    if metrics:
-                        registry.absorb(MetricsSnapshot.from_payload(metrics))
-                    registry.counter("campaign.shard_merges").inc()
-                    registry.counter("campaign.injections").inc(shard_lanes)
+                    self._merge_payload(payload, accum, report)
                     # Executed and gate-skipped draws both consumed their
                     # stream indices; advancing per payload keeps the
                     # checkpoint invariant (n <= consumed) intact even if a
@@ -946,8 +917,7 @@ class CampaignEngine:
                     for name, count in payload.get("skipped", {}).items():
                         tallies[name][2] += count
                         registry.counter("policy.shard_skips").inc(count)
-                    if self.progress is not None:
-                        self.progress(done_in_round, len(tasks))
+                    throttled(done_in_round, len(tasks))
                 self._policy_checkpoint(signature, tallies, accum)
                 safe_tallies = {name: list(rec) for name, rec in tallies.items()}
                 safe_accum = _Accumulator.from_payload(accum.to_payload())
@@ -1033,22 +1003,44 @@ class CampaignEngine:
 
     # ------------------------------------------------------------ execution
 
-    def _consume(
-        self,
-        outcomes: Iterable[ShardOutcome],
-        total: int,
-        accum: _Accumulator,
-        done_cycles: Set[int],
-        report: EngineReport,
-        base_n: int,
-    ) -> None:
+    def _supervised_pool(
+        self, worker_fn: Callable, jobs: int, serial_fn: Callable[[object, int], Dict]
+    ) -> SupervisedPool:
+        """The supervisor both drivers dispatch through: *jobs* workers
+        forked from a warm parent, or *serial_fn* in-process at
+        ``jobs <= 1`` (no pool is built then)."""
+        mp_ctx = _mp_context()
+        if jobs > 1 and mp_ctx.get_start_method() == "fork":
+            # Warm the cache before the pool forks: workers (and every
+            # later pool rebuild) inherit the resident runner instead of
+            # each paying a cold build.
+            self._warm_runner()
+        chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
+        return SupervisedPool(
+            worker_fn,
+            jobs=jobs,
+            initializer=_worker_init,
+            initargs=(self.spec.to_dict(), chaos_payload),
+            retry=self.retry,
+            serial_fn=serial_fn,
+            validate=_shard_payload_error,
+            mp_context=mp_ctx,
+        )
+
+    def _progress_notifier(self, report: EngineReport) -> ProgressThrottle:
+        """Throttled ``(done, total)`` hook for one batch of tasks (a flat
+        run or one sequential round): it sets the throughput gauge, emits
+        the telemetry ``progress`` event the live sink renders and forwards
+        to the *progress* callback."""
         telemetry = get_telemetry()
         registry = telemetry.registry
         start = time.monotonic()
+        lanes_before = report.executed_lanes
 
         def notify(done_shards: int, total_shards: int) -> None:
             elapsed = time.monotonic() - start
-            rate = report.executed_lanes / elapsed if elapsed > 0 else 0.0
+            lanes = report.executed_lanes - lanes_before
+            rate = lanes / elapsed if elapsed > 0 else 0.0
             if rate > 0:
                 registry.gauge("campaign.injections_per_sec").set(rate)
             if telemetry.active:
@@ -1070,105 +1062,59 @@ class CampaignEngine:
             if self.progress is not None:
                 self.progress(done_shards, total_shards)
 
-        throttled = ProgressThrottle(notify, min_interval=self.progress_interval)
-        done = 0
-        for outcome in outcomes:
-            done += 1
-            if outcome.quarantine is not None:
-                report.quarantined_shards.append(outcome.quarantine.to_dict())
+        return ProgressThrottle(notify, min_interval=self.progress_interval)
+
+    def _merge_payload(
+        self, payload: Dict, accum: _Accumulator, report: EngineReport
+    ) -> None:
+        """Fold one completed task's tallies, engine counters and (for a
+        worker task) metrics snapshot into the run."""
+        registry = get_telemetry().registry
+        self._decode_ff(payload)
+        accum.merge_shard(payload)
+        report.executed_buckets += len(payload["done_cycles"])
+        report.executed_forward_runs += payload["n_forward_runs"]
+        shard_lanes = sum(rec[0] for rec in payload["ff"].values())
+        report.executed_lanes += shard_lanes
+        self._busy_seconds += payload.get("wall_seconds", 0.0)
+        metrics = payload.get("metrics")
+        if metrics:  # worker task: absorb its snapshot into our registry
+            registry.absorb(MetricsSnapshot.from_payload(metrics))
+        registry.counter("campaign.shard_merges").inc()
+        registry.counter("campaign.injections").inc(shard_lanes)
+
+    def _run_shards(
+        self,
+        shards: List[List[Bucket]],
+        accum: _Accumulator,
+        done_cycles: Set[int],
+        report: EngineReport,
+    ) -> None:
+        """Execute the flat shards (in a pool when there are more than one
+        and ``jobs > 1``) and merge each one as it completes."""
+        tasks = [[(b.cycle, b.lanes) for b in shard] for shard in shards]
+        total = len(tasks)
+
+        def serial_fn(payload, attempt: int) -> Dict:
+            return self._serial_runner().run_shard(payload, attempt=attempt)
+
+        sup = self._supervised_pool(_worker_run_shard, min(self.jobs, total), serial_fn)
+        throttled = self._progress_notifier(report)
+        clean = False
+        try:
+            done = 0
+            for outcome in sup.run(tasks):
+                done += 1
+                if outcome.quarantine is not None:
+                    report.quarantined_shards.append(outcome.quarantine.to_dict())
+                    throttled(done, total)
+                    continue
+                payload = outcome.payload
+                self._merge_payload(payload, accum, report)
+                done_cycles.update(payload["done_cycles"])
+                if done < total:  # final state is persisted as a snapshot instead
+                    self._maybe_checkpoint(report.base_injections, done_cycles, accum)
                 throttled(done, total)
-                continue
-            payload = outcome.payload
-            self._decode_ff(payload)
-            accum.merge_shard(payload)
-            done_cycles.update(payload["done_cycles"])
-            report.executed_buckets += len(payload["done_cycles"])
-            report.executed_forward_runs += payload["n_forward_runs"]
-            shard_lanes = sum(rec[0] for rec in payload["ff"].values())
-            report.executed_lanes += shard_lanes
-            self._busy_seconds += payload.get("wall_seconds", 0.0)
-            metrics = payload.get("metrics")
-            if metrics:  # worker shard: absorb its snapshot into our registry
-                registry.absorb(MetricsSnapshot.from_payload(metrics))
-            registry.counter("campaign.shard_merges").inc()
-            registry.counter("campaign.injections").inc(shard_lanes)
-            if done < total:  # final state is persisted as a snapshot instead
-                self._maybe_checkpoint(base_n, done_cycles, accum)
-            throttled(done, total)
-
-    def _run_serial(
-        self,
-        shards: List[List[Bucket]],
-        accum: _Accumulator,
-        done_cycles: Set[int],
-        report: EngineReport,
-    ) -> None:
-        if not shards:
-            return
-        tasks = [[(b.cycle, b.lanes) for b in shard] for shard in shards]
-
-        def serial_fn(payload, attempt: int) -> Dict:
-            return self._serial_runner().run_shard(payload, attempt=attempt)
-
-        sup = SupervisedPool(
-            _worker_run_shard,
-            jobs=1,
-            retry=self.retry,
-            serial_fn=serial_fn,
-            validate=_shard_payload_error,
-        )
-        clean = False
-        try:
-            self._consume(
-                sup.run(tasks),
-                len(tasks),
-                accum,
-                done_cycles,
-                report,
-                report.base_injections,
-            )
-            clean = True
-        finally:
-            sup.shutdown(clean)
-            self._absorb_supervisor(sup, report)
-
-    def _run_parallel(
-        self,
-        shards: List[List[Bucket]],
-        accum: _Accumulator,
-        done_cycles: Set[int],
-        report: EngineReport,
-    ) -> None:
-        tasks = [[(b.cycle, b.lanes) for b in shard] for shard in shards]
-        chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
-
-        def serial_fn(payload, attempt: int) -> Dict:
-            return self._serial_runner().run_shard(payload, attempt=attempt)
-
-        mp_ctx = _mp_context()
-        if mp_ctx.get_start_method() == "fork":
-            # Build once pre-fork; N workers (and any rebuilds) inherit it.
-            self._warm_runner()
-        sup = SupervisedPool(
-            _worker_run_shard,
-            jobs=min(self.jobs, len(shards)),
-            initializer=_worker_init,
-            initargs=(self.spec.to_dict(), chaos_payload),
-            retry=self.retry,
-            serial_fn=serial_fn,
-            validate=_shard_payload_error,
-            mp_context=mp_ctx,
-        )
-        clean = False
-        try:
-            self._consume(
-                sup.run(tasks),
-                len(tasks),
-                accum,
-                done_cycles,
-                report,
-                report.base_injections,
-            )
             clean = True
         finally:
             sup.shutdown(clean)

@@ -6,7 +6,7 @@ every scaling claim past that was extrapolation.  This module generates
 synthesizable composites whose flip-flop count is a free parameter, so the
 campaign substrate (the compiled simulator, the adaptive scheduler, the
 warm-start cache) is exercised two orders of magnitude past the MAC with
-*measured* numbers (see ``benchmarks/bench_scale.py``).
+*measured* numbers (the ``mesh_10k`` workload of ``e2ebench/run.py``).
 
 Two families are provided:
 
@@ -30,7 +30,7 @@ Two families are provided:
 Both families take an ``en`` advance input, are fully deterministic (no RNG
 — round constants are derived from the stage index), and register generic
 burst workloads, so any preset drops into datasets, campaigns, the verify
-oracle and the benchmarks exactly like a handwritten circuit.  The presets
+oracle and the benchmark exactly like a handwritten circuit.  The presets
 in :data:`GENERATED_PRESETS` are registered in the circuit library but are
 deliberately *excluded* from ``LIBRARY_CIRCUITS`` — the transfer experiments
 sweep that list, and a 100k-FF mesh does not belong in a tiny-preset sweep.
@@ -179,7 +179,7 @@ GENERATED_PRESETS: Dict[str, Callable[[], Netlist]] = {
     **{name: _pipe_preset(*shape) for name, shape in _PIPE_SHAPES.items()},
 }
 
-#: Flip-flop counts per preset, for size-aware consumers (benchmarks, docs)
+#: Flip-flop counts per preset, for size-aware consumers (tests, docs)
 #: that should not have to synthesize a 100k-FF netlist to learn its size.
 GENERATED_FF_COUNTS: Dict[str, int] = {
     **{name: mesh_ff_count(*shape) for name, shape in _MESH_SHAPES.items()},

@@ -8,7 +8,7 @@ campaign's FDR results.
 Graph-derived quantities are computed once per netlist by the batched
 engine (:mod:`repro.features.vectorized`); pass ``engine="networkx"`` to
 run the original per-flip-flop traversal path instead (used as the
-differential reference in tests and benchmarks).  Both engines produce
+differential reference in tests).  Both engines produce
 bit-identical matrices.
 """
 

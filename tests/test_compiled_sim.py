@@ -187,6 +187,7 @@ def test_value_rows_stay_within_mask(tiny_mac):
 
     rng = random.Random(5)
     sim = CompiledSimulator(tiny_mac, n_lanes=64)
+    assert sim.n_flip_flops == len(tiny_mac.flip_flops())
     sim.reset()
     ff_q = sim._ff_q
     for step in range(40):

@@ -85,3 +85,22 @@ def test_repo_docs_have_runnable_examples():
     for name in ("README.md", "docs/simulators.md", "docs/architecture.md"):
         blocks = check_docs.extract_blocks(REPO_ROOT / name)
         assert any(not b.skipped for b in blocks), f"{name} lost its examples"
+
+
+def test_dangling_relative_links_fail_the_check(tmp_path, capsys):
+    (tmp_path / "other.md").write_text("# Other\n")
+    path = write_md(
+        tmp_path,
+        "[ok](other.md#other) [web](https://example.org/x.md) [anchor](#top)\n"
+        "[gone](results/old.json)\n"
+        "`[code](missing.md)`\n"
+        "```bash\n[fenced](missing.md)\n```\n"
+        "![img](\n"
+        "figs/missing.png)\n",
+    )
+    assert check_docs.dangling_links(path) == [
+        (2, "results/old.json"),
+        (7, "figs/missing.png"),
+    ]
+    assert check_docs.main([str(path), "-q"]) == 1
+    assert "link to missing file 'results/old.json'" in capsys.readouterr().err

@@ -76,6 +76,9 @@ def test_figures_reduced(tiny_dataset):
         assert result.test_true.shape == result.test_pred.shape
         assert result.curve is not None
         assert len(result.curve.mean_test()) == 2
+        # Learning curves flatten: the largest training share is not much
+        # worse than the best one.
+        assert result.curve.mean_test()[-1] >= max(result.curve.mean_test()) - 0.25
         assert "learning curve" in result.as_text()
         csv_a = result.prediction_csv()
         assert csv_a.startswith("train_true,train_pred,test_true,test_pred")
@@ -95,8 +98,10 @@ def test_unknown_figure_rejected(tiny_dataset):
 
 def test_future_work_reduced(tiny_dataset):
     result = run_future_work(tiny_dataset, cv_folds=3, seed=0)
-    assert "Decision Tree" in result.rows
+    assert set(result.rows) >= set(future_work_models())
     assert result.best_model() in result.rows
+    # Nonlinear ensembles stay competitive with the k-NN baseline.
+    assert result.rows[result.best_model()]["r2"] > 0.3
     assert "Future-work" in result.as_text()
 
 

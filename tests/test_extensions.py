@@ -25,6 +25,7 @@ def test_failed_lanes_report_latency(tiny_injector, tiny_workload):
     targets = ["ff_tx_state[0]", "ff_txf_rd_ptr[0]", "ff_stat_tx_frames[0]"]
     indices = [tiny_injector.ff_index(n) for n in targets]
     outcome = tiny_injector.run_batch(first + 4, indices)
+    assert outcome.n_lanes == len(indices)
     for lane in outcome.failed_lanes():
         assert lane in outcome.latencies
         assert 0 <= outcome.latencies[lane] <= outcome.cycles_simulated

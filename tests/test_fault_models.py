@@ -280,6 +280,7 @@ def test_batch_matches_bruteforce_replay(strict_parts, model):
     indices = rng.sample(range(injector.sim.n_flip_flops), 8)
     for cycle in (first + 2, first + 9):
         outcome = injector.run_batch(cycle, indices)
+        assert outcome.n_lanes == len(indices)
         for lane, ff_idx in enumerate(indices):
             plan = injector.injection_plan(ff_idx, cycle)
             ref_failed, ref_latency = brute_force_fault(

@@ -489,6 +489,66 @@ def test_sequential_records_observability_metrics():
     assert histograms["policy.stopping_time"]["count"] == 277  # one per ff
 
 
+def test_statistical_acceptance_at_equal_margin():
+    """The adaptive-sampling acceptance gate, on the mini preset (60
+    injections per flip-flop, ``jobs=2``, cold runs): asked to meet the
+    flat run's realized worst-case Wilson margin, the sequential policy
+    must get there with at least 1.2x fewer injections.  Flip-flops that
+    hit the budget cap before the target may overshoot it by at most 2%."""
+    min_savings, margin_tolerance = 1.2, 0.02
+
+    def mini_spec(**overrides) -> CampaignSpec:
+        return CampaignSpec.from_dataset_spec(
+            DATASET_PRESETS["mini"], schedule="stream", n_injections=60, **overrides
+        )
+
+    flat = CampaignEngine(mini_spec(), jobs=2).run()
+    flat_injections = sum(r.n_injections for r in flat.results.values())
+    target = max(
+        interval_margin(r.n_injections, r.n_failures) for r in flat.results.values()
+    )
+
+    engine = CampaignEngine(
+        mini_spec(policy="sequential", target_margin=target), jobs=2
+    )
+    engine.run()
+    meta = engine.last_policy_meta
+    assert meta["realized_margin_max"] <= target * (1.0 + margin_tolerance)
+    assert flat_injections / meta["total_injections"] >= min_savings
+
+
+def test_sequential_rounds_emit_progress_events():
+    """Each round reports its tasks through the same throttled progress path
+    as a flat run: telemetry ``progress`` events (what ``--live`` renders)
+    and callback calls, every round closing at ``done == total``."""
+    from repro.obs import MemorySink, Telemetry, use_telemetry
+
+    spec = tiny_spec(n_injections=40, target_margin=0.15, policy="sequential")
+    calls = []
+    telemetry = Telemetry()
+    sink = telemetry.add_sink(MemorySink(events=("progress",)))
+    with use_telemetry(telemetry):
+        engine = CampaignEngine(
+            spec,
+            jobs=2,
+            progress=lambda done, total: calls.append((done, total)),
+            progress_interval=0.0,
+        )
+        engine.run()
+    events = [(e["done"], e["total"]) for e in sink.records]
+    assert events == calls
+
+    rounds = []
+    for done, total in events:
+        if done == 1:
+            rounds.append([])
+        rounds[-1].append((done, total))
+    assert len(rounds) == engine.last_report.rounds > 1
+    for events_in_round in rounds:
+        total = events_in_round[-1][1]
+        assert events_in_round == [(i, total) for i in range(1, total + 1)]
+
+
 #: SHA-256 of every flip-flop's sorted ``[name, n, k, latency_sum]`` after a
 #: sequential campaign on ``xgmac_tiny`` (the tiny preset at 40 injections,
 #: campaign seed 3).  In-shard gating skips draws in this run, so the

@@ -10,6 +10,10 @@ artifacts.  For every Markdown file given on the command line it
   directory (so examples that write caches or JSON never pollute the repo),
 * reports the failing file and Markdown line on error and exits non-zero.
 
+It also fails a file with a relative link (``[text](path)``, outside code)
+to a file or directory that does not exist, so docs cannot keep pointing
+at moved or deleted files.  URLs and in-page anchors are not checked.
+
 Blocks that are illustrative rather than runnable (pseudo-code, fragments
 that need paper-scale compute) opt out with a marker comment on the line
 directly above the fence::
@@ -20,7 +24,7 @@ directly above the fence::
     ```
 
 CI runs this over ``README.md`` and ``docs/*.md`` (the ``docs`` job), and
-``tests/test_docs.py`` unit-tests the extractor itself.
+``tests/test_docs.py`` unit-tests the extractor and the link check.
 
 Usage::
 
@@ -31,13 +35,19 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 SKIP_MARKER = "docs-check: skip"
+
+#: The target of an inline link or image, with an optional title.
+_LINK = re.compile(r"\]\(\s*<?([^)\s>]+)>?(?:\s+[\"'][^)]*)?\)")
+_INLINE_CODE = re.compile(r"`[^`\n]*`")
+_SCHEME = re.compile(r"[a-zA-Z][a-zA-Z0-9+.-]*:")
 
 
 @dataclass
@@ -87,6 +97,35 @@ def extract_blocks(path: Path) -> List[CodeBlock]:
     return blocks
 
 
+def dangling_links(path: Path) -> List[Tuple[int, str]]:
+    """``(line, target)`` of every relative link in *path* whose target does
+    not exist, resolved against the file's directory.  Text inside code
+    fences and inline code spans is not scanned."""
+    lines = []
+    fence = ""
+    for line in path.read_text().splitlines():
+        stripped = line.strip()
+        if fence:
+            if stripped.startswith(fence):
+                fence = ""
+            lines.append("")
+        elif stripped.startswith(("```", "~~~")):
+            fence = stripped[:3]
+            lines.append("")
+        else:
+            lines.append(_INLINE_CODE.sub("", line))
+    text = "\n".join(lines)
+    dangling = []
+    for match in _LINK.finditer(text):
+        target = match.group(1)
+        if target.startswith(("#", "/")) or _SCHEME.match(target):
+            continue
+        file_part = target.split("#", 1)[0].split("?", 1)[0]
+        if not (path.parent / file_part).exists():
+            dangling.append((text.count("\n", 0, match.start()) + 1, target))
+    return dangling
+
+
 def run_file(path: Path, verbose: bool = True) -> int:
     """Execute every runnable block of *path*; returns the count executed."""
     blocks = extract_blocks(path)
@@ -126,6 +165,10 @@ def main(argv: List[str] | None = None) -> int:
             failures += 1
             continue
         resolved = path.resolve()
+        links = dangling_links(resolved)
+        for lineno, target in links:
+            print(f"{path}:{lineno}: link to missing file {target!r}", file=sys.stderr)
+        failed = bool(links)
         with tempfile.TemporaryDirectory(prefix="docs-check-") as tmp:
             old_cwd = os.getcwd()
             os.chdir(tmp)
@@ -135,10 +178,12 @@ def main(argv: List[str] | None = None) -> int:
                 import traceback
 
                 traceback.print_exc()
-                print(f"FAILED: {path}", file=sys.stderr)
-                failures += 1
+                failed = True
             finally:
                 os.chdir(old_cwd)
+        if failed:
+            print(f"FAILED: {path}", file=sys.stderr)
+            failures += 1
     print(f"{total} documentation example(s) executed, {failures} file(s) failing")
     return 1 if failures else 0
 
