@@ -9,14 +9,18 @@ into a :class:`~repro.faultinjection.campaign.CampaignResult`:
    incremental top-up;
 2. plan the remaining injection draws as time-slot buckets and partition
    them into balanced shards;
-3. run the shards through a :class:`~repro.campaigns.supervisor.SupervisedPool`
-   — worker processes (``jobs > 1``), each of which rebuilds its own
-   netlist/golden trace/:class:`FaultInjector` from the picklable spec, or
-   the in-process serial runner.  The supervisor retries failed/hung/lost
-   shards with backoff, rebuilds broken pools, quarantines shards that
-   keep failing (reported in :attr:`EngineReport.quarantined_shards`
-   instead of raising), and degrades to serial execution when the pool
-   itself is unreliable;
+3. run them as tasks ``(shards, tallies)`` through a
+   :class:`~repro.campaigns.supervisor.SupervisedPool` — worker processes
+   (``jobs > 1``), each of which rebuilds its own netlist/golden
+   trace/:class:`FaultInjector` from the picklable spec, or in-process.
+   Both enter through :func:`_run_task`, which simulates and tallies with
+   :func:`~repro.faultinjection.campaign.run_buckets`, as the serial
+   :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign` does
+   (the ``legacy`` schedule is its draw, too).  The supervisor retries
+   failed/hung/lost tasks with backoff, rebuilds broken pools, quarantines
+   tasks that keep failing (reported in
+   :attr:`EngineReport.quarantined_shards` instead of raising), and
+   degrades to serial execution when the pool itself is unreliable;
 4. merge the per-flip-flop counters (pure integer sums, so the merged
    result is bit-identical to a serial run of the same schedule) and
    checkpoint progress to the store on a throttled interval (with an exact
@@ -34,9 +38,9 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..faultinjection.campaign import CampaignResult, FlipFlopResult
+from ..faultinjection.campaign import CampaignResult, run_buckets
 from ..faultinjection.injector import FaultInjector
 from ..faultinjection.scheduler import AdaptiveScheduler
 from ..obs import (
@@ -49,7 +53,6 @@ from ..obs import (
 )
 from . import warmstart
 from .partition import (
-    Bucket,
     DrawStream,
     legacy_buckets,
     partition_shards,
@@ -106,9 +109,8 @@ class EngineReport:
     degraded_serial: bool = False
     #: Tasks abandoned after exhausting their retry budget.  Non-empty
     #: means the result is incomplete (and was persisted as a partial, not
-    #: a snapshot); each entry is a ``QuarantinedShard.to_dict()``.  On the
-    #: sequential path a task carries several gate shards: its entry's
-    #: ``gate_shards`` counts the shards whose draws were abandoned with it.
+    #: a snapshot); each entry is a ``QuarantinedShard.to_dict()`` whose
+    #: ``gate_shards`` counts the shards abandoned with it (1 when flat).
     quarantined_shards: List[Dict] = field(default_factory=list)
     #: Seconds spent building warm-cache entries (context, golden trace,
     #: shard runner) that were not already resident in this process.
@@ -139,6 +141,20 @@ class _Accumulator:
             rec[2] += lat
         self.n_forward_runs += payload["n_forward_runs"]
         self.total_lane_cycles += payload["total_lane_cycles"]
+
+    def add_result(self, result: CampaignResult, ff_names: Sequence[str]) -> None:
+        """Fold a stored snapshot's counters (for *ff_names*, measured
+        flip-flops only) and recorded cost into this accumulator."""
+        for name in ff_names:
+            prior = result.results.get(name)
+            if prior is not None and prior.n_injections > 0:
+                rec = self.ff.setdefault(name, [0, 0, 0])
+                rec[0] += prior.n_injections
+                rec[1] += prior.n_failures
+                rec[2] += prior.latency_sum
+        self.n_forward_runs += result.n_forward_runs
+        self.total_lane_cycles += result.total_lane_cycles
+        self.wall_seconds += result.wall_seconds
 
     def to_payload(self) -> Dict:
         return {
@@ -226,10 +242,6 @@ class _ShardRunner:
         # them saturated); spec.max_lanes only addresses the store.
         self.scheduler = AdaptiveScheduler(self.injector, max_lanes=None)
 
-    @classmethod
-    def from_spec(cls, spec: CampaignSpec) -> "_ShardRunner":
-        return cls(spec, build_context(spec))
-
     def run_shard(
         self,
         buckets: Sequence[Tuple[int, Sequence[str]]],
@@ -239,15 +251,12 @@ class _ShardRunner:
     ) -> Dict:
         """Simulate a task's buckets; return mergeable counters.
 
-        *gates*, when given, are the sampling policy's online decision
-        points, one per gate shard, and *groups* names each injection's
-        gate (its index into *gates*, in bucket order).  Every injection is
-        offered to its gate's ``admit`` before it costs a lane, and verdicts
-        are reported back so in-shard tallies tighten as lanes retire.
-        Skipped draws are returned in the payload's ``"skipped"`` map — they
-        consumed their draw-stream indices without executing.  Each gate
-        shard runs as its own scheduler request group and sees only its own
-        verdicts, exactly as if it ran alone.
+        *gates* (one :class:`~repro.campaigns.policy.ShardGate` per gate
+        shard) and *groups* are those of
+        :func:`~repro.faultinjection.campaign.run_buckets`: each gate shard
+        runs as its own request group and sees only its own verdicts.  Draws
+        a gate skipped are returned in the payload's ``"skipped"`` map — they
+        consumed their draw-stream indices without executing.
 
         *attempt* is the supervisor's 1-based dispatch ordinal for this
         shard.  Simulation is attempt-independent (retries must stay
@@ -262,66 +271,28 @@ class _ShardRunner:
         """
         del attempt  # real simulation never varies across retries
         start = time.perf_counter()
-        payload = self._run_shard_scheduled(buckets, gates, groups)
+        counts, skipped, stats = run_buckets(
+            self.scheduler, buckets, self.spec.horizon, gates=gates, groups=groups
+        )
         wall = time.perf_counter() - start
-        payload["wall_seconds"] = wall
-        # Dense index/counts transport instead of a name-keyed dict: on wide
-        # circuits the flip-flop name strings dominate the result pickle.
-        # The engine rehydrates against the netlist's canonical order.
-        payload["ff"] = warmstart.pack_tallies(payload["ff"], self.injector.ff_index)
+        payload = {
+            # Dense index/counts transport instead of a name-keyed dict: on
+            # wide circuits the flip-flop name strings dominate the result
+            # pickle.  The engine rehydrates against the netlist's order.
+            "ff": warmstart.pack_tallies(counts, self.injector.ff_index),
+            "n_forward_runs": stats.n_passes,
+            "total_lane_cycles": stats.lane_cycles,
+            "done_cycles": [cycle for cycle, _ in buckets],
+            "skipped": skipped,
+            "wall_seconds": wall,
+        }
         registry = get_telemetry().registry
         registry.timer("executor.shard_seconds").observe(wall)
         if wall > 0:
             registry.gauge("sim.compiled.lane_cycles_per_sec").set(
-                payload["total_lane_cycles"] / wall
+                stats.lane_cycles / wall
             )
         return payload
-
-    def _run_shard_scheduled(
-        self,
-        buckets: Sequence[Tuple[int, Sequence[str]]],
-        gates: Optional[Sequence[ShardGate]] = None,
-        groups: Optional[Sequence[int]] = None,
-    ) -> Dict:
-        injector = self.injector
-        requests: List[Tuple[int, int]] = []
-        names: List[str] = []
-        for cycle, lanes in buckets:
-            for name in lanes:
-                requests.append((cycle, injector.ff_index(name)))
-                names.append(name)
-        admit = on_verdict = None
-        if gates is not None:
-            admit = lambda req: gates[req.group].admit(names[req.key])  # noqa: E731
-            on_verdict = lambda req, failed: gates[req.group].record(  # noqa: E731
-                names[req.key], failed
-            )
-        outcome = self.scheduler.run(
-            requests,
-            horizon=self.spec.horizon,
-            admit=admit,
-            on_verdict=on_verdict,
-            groups=groups,
-        )
-        skipped_keys = frozenset(outcome.skipped)
-        ff: Dict[str, List[int]] = {}
-        skipped: Dict[str, int] = {}
-        for key, (name, (failed, latency)) in enumerate(zip(names, outcome.verdicts)):
-            if key in skipped_keys:
-                skipped[name] = skipped.get(name, 0) + 1
-                continue
-            rec = ff.setdefault(name, [0, 0, 0])
-            rec[0] += 1
-            if failed:
-                rec[1] += 1
-                rec[2] += latency
-        return {
-            "ff": ff,
-            "n_forward_runs": outcome.stats.n_passes,
-            "total_lane_cycles": outcome.stats.lane_cycles,
-            "done_cycles": [cycle for cycle, _ in buckets],
-            "skipped": skipped,
-        }
 
 
 # --------------------------------------------------- worker process hooks
@@ -349,7 +320,7 @@ def _worker_init(spec_payload: Dict, chaos_payload: Optional[Dict] = None) -> No
     # platforms and standalone workers miss and cold-build as before.
     runner = warmstart.resolve_runner(spec)
     if runner is None:
-        runner = _ShardRunner.from_spec(spec)
+        runner = _ShardRunner(spec, build_context(spec))
     if chaos_payload is not None:
         # Imported lazily: verify depends on campaigns, not the reverse.
         from ..verify.chaos import ChaosShardRunner, ChaosSpec
@@ -360,71 +331,48 @@ def _worker_init(spec_payload: Dict, chaos_payload: Optional[Dict] = None) -> No
     _WORKER = runner
 
 
-def _worker_run_shard(task: Tuple[int, List[Tuple[int, Tuple[str, ...]]]]) -> Dict:
-    """Pool entry point for one flat-path shard.
+def _run_task(runner, spec: CampaignSpec, task, attempt: int) -> Dict:
+    """Run one task on *runner*: the single entry point of pool workers and
+    of in-process execution.
 
-    *task* is ``(attempt, shard)`` — the supervisor threads the 1-based
-    attempt ordinal through so the chaos wrapper (when installed) makes
-    deterministic per-attempt fault decisions.
+    *task* is ``(shards, tallies)``.  A flat task is ``([shard], None)``
+    and runs ungated.  A sequential task holds the round's gate shards one
+    worker owns plus a snapshot of the campaign-wide ``[n, k, consumed]``
+    tallies at the round boundary: each shard gets its own
+    :class:`~repro.campaigns.policy.ShardGate` of *spec*'s policy, built
+    from a copy of the tallies (so a retried attempt re-gates from the same
+    state), and runs as its own request group of one scheduler sweep.
     """
-    attempt, shard = task
+    shards, tallies = task
+    buckets = [bucket for shard in shards for bucket in shard]
+    if tallies is None:
+        return runner.run_shard(buckets, attempt=attempt)
+    policy = make_policy(spec)
+    gates = [ShardGate(policy, tallies) for _shard in shards]
+    groups = [
+        index
+        for index, shard in enumerate(shards)
+        for _cycle, lanes in shard
+        for _name in lanes
+    ]
+    return runner.run_shard(buckets, gates=gates, groups=groups, attempt=attempt)
+
+
+def _worker_run_task(task: Tuple[int, Tuple[List, Optional[Dict]]]) -> Dict:
+    """Pool entry point: *task* is ``(attempt, (shards, tallies))``.
+
+    The supervisor threads the 1-based attempt ordinal through so the chaos
+    wrapper (when installed) makes deterministic per-attempt fault
+    decisions.  The policy comes from the worker's init-time spec, not the
+    runner's (a warm runner may carry a family sibling's).
+    """
+    attempt, work = task
     assert _WORKER is not None, "worker used before initialization"
-    # Fresh per-shard telemetry: the shard's metrics travel back inside the
+    # Fresh per-task telemetry: the task's metrics travel back inside the
     # payload as a mergeable snapshot (the executor absorbs them), instead
     # of accumulating invisibly in the worker process.
     with use_telemetry(Telemetry()) as telemetry:
-        payload = _WORKER.run_shard(shard, attempt=attempt)
-        payload["metrics"] = telemetry.registry.snapshot().to_payload()
-    return payload
-
-
-def _gated_buckets(
-    shards: Sequence[Sequence[Tuple[int, Tuple[str, ...]]]],
-    policy,
-    tallies: Dict[str, List[int]],
-) -> Tuple[List[Tuple[int, Tuple[str, ...]]], List[int], List[ShardGate]]:
-    """A sequential task's ``(buckets, groups, gates)`` for ``run_shard``.
-
-    *buckets* flattens the task's gate shards; *groups* gives each
-    injection its shard's index; *gates* holds one
-    :class:`~repro.campaigns.policy.ShardGate` per shard, built from the
-    round-boundary *tallies* (which it copies, so retried attempts re-gate
-    from the same state and stay deterministic).
-    """
-    buckets: List[Tuple[int, Tuple[str, ...]]] = []
-    groups: List[int] = []
-    for index, shard in enumerate(shards):
-        buckets.extend(shard)
-        groups.extend([index] * sum(len(lanes) for _cycle, lanes in shard))
-    gates = [ShardGate(policy, tallies) for _shard in shards]
-    return buckets, groups, gates
-
-
-def _worker_run_shard_gated(
-    task: Tuple[
-        int, Tuple[List[List[Tuple[int, Tuple[str, ...]]]], Dict[str, List[int]]]
-    ]
-) -> Dict:
-    """Pool entry point for one sequential-policy task.
-
-    *task* is ``(attempt, (shards, tallies))`` — the round's gate shards
-    this worker owns, plus a snapshot of the campaign-wide ``[n, k,
-    consumed]`` tallies at the round boundary.  The worker rebuilds the
-    policy from its init-time spec (not the runner's — a warm runner may
-    carry a family sibling's) and gates each shard with its own
-    :class:`~repro.campaigns.policy.ShardGate`, so flip-flops whose
-    interval collapses mid-shard stop consuming lanes immediately.  All
-    the task's shards share one scheduler sweep per pass.
-    """
-    attempt, (shards, tallies) = task
-    assert _WORKER is not None, "worker used before initialization"
-    buckets, groups, gates = _gated_buckets(
-        shards, make_policy(_WORKER_SPEC), tallies
-    )
-    with use_telemetry(Telemetry()) as telemetry:
-        payload = _WORKER.run_shard(
-            buckets, gates=gates, groups=groups, attempt=attempt
-        )
+        payload = _run_task(_WORKER, _WORKER_SPEC, work, attempt)
         payload["metrics"] = telemetry.registry.snapshot().to_payload()
     return payload
 
@@ -578,23 +526,6 @@ class CampaignEngine:
             self._ff_order_cache = [ff.name for ff in self.context.netlist.flip_flops()]
         return self._ff_order_cache
 
-    def _decode_ff(self, payload: Dict) -> None:
-        """Rehydrate a packed tally block into the name-keyed counter map
-        the accumulator, store documents and checkpoints are built from.
-        Plain dict maps (chaos stand-ins, externally crafted payloads) pass
-        through untouched."""
-        ff = payload.get("ff")
-        if isinstance(ff, dict) and isinstance(ff.get("idx"), bytes):
-            payload["ff"] = warmstart.unpack_tallies(ff, self._ff_order())
-
-    def _note_warm(self, hit: bool, warmup: float) -> None:
-        report = self.last_report
-        if hit:
-            report.warm_hits += 1
-        else:
-            report.warm_misses += 1
-            self._warmup_seconds += warmup
-
     def _warm_runner(self) -> object:
         """Parent-side warm-up: the resident (unwrapped) shard runner for
         this spec, built on first use and reused by every later engine,
@@ -602,13 +533,17 @@ class CampaignEngine:
         runner, hit, warmup = warmstart.ensure_runner(
             self.spec, _ShardRunner, context=self._context
         )
-        self._note_warm(hit, warmup)
+        if hit:
+            self.last_report.warm_hits += 1
+        else:
+            self.last_report.warm_misses += 1
+            self._warmup_seconds += warmup
         return runner
 
-    def _serial_runner(self):
-        """The in-process shard runner (resolved through the warm cache,
-        chaos-wrapped when the engine carries a chaos spec) shared by serial
-        execution and the supervisor's degraded-pool fallback."""
+    def _run_serial_task(self, task, attempt: int) -> Dict:
+        """In-process execution of one task, shared by serial runs and the
+        supervisor's degraded-pool fallback, on the resident shard runner
+        (chaos-wrapped when the engine carries a chaos spec)."""
         if self._serial is None:
             runner = self._warm_runner()
             if self.chaos is not None:
@@ -616,7 +551,7 @@ class CampaignEngine:
 
                 runner = ChaosShardRunner(runner, self.chaos, in_worker=False)
             self._serial = runner
-        return self._serial
+        return _run_task(self._serial, self.spec, task, attempt)
 
     def _absorb_supervisor(self, sup: SupervisedPool, report: EngineReport) -> None:
         report.retries += sup.retries
@@ -644,23 +579,22 @@ class CampaignEngine:
             policy=spec.policy,
             jobs=self.jobs,
         ):
+            self._run_start = self._last_checkpoint = time.monotonic()
+            self.last_report = EngineReport(jobs=self.jobs)
             if spec.policy == "sequential":
                 return self._run_sequential(resume)
             return self._run(resume)
 
     def _run(self, resume: bool) -> CampaignResult:
-        start_time = self._run_start = time.monotonic()
-        self._last_checkpoint = start_time
         spec = self.spec
-        report = EngineReport(jobs=self.jobs)
-        self.last_report = report
+        report = self.last_report
 
         if self.store is not None:
             exact = self.store.load_exact(spec)
             if exact is not None:
                 report.cache_hit = True
                 report.base_injections = spec.n_injections
-                report.wall_seconds = time.monotonic() - start_time
+                report.wall_seconds = time.monotonic() - self._run_start
                 return exact
 
         base: Optional[CampaignResult] = None
@@ -695,21 +629,34 @@ class CampaignEngine:
         n_shards = min(len(pending), max(1, self.jobs * self.shards_per_job))
         shards = partition_shards(pending, n_shards) if pending else []
         report.n_shards = len(shards)
+        tasks = [([[(b.cycle, b.lanes) for b in shard]], None) for shard in shards]
 
+        sup = self._supervised_pool(min(self.jobs, len(tasks)))
+        clean = False
         try:
-            self._run_shards(shards, accum, done_cycles, report)
+            outcomes = self._outcomes(sup, tasks, accum, report)
+            for done, (_key, payload) in enumerate(outcomes, 1):
+                if payload is None:
+                    continue
+                done_cycles.update(payload["done_cycles"])
+                if done == len(tasks):
+                    continue  # the final state becomes a snapshot
+                # Checkpoints are full-payload JSON writes: throttle them.
+                # The exit paths always write, so at most one interval of
+                # work is ever at risk.
+                if time.monotonic() - self._last_checkpoint < self.checkpoint_interval:
+                    get_telemetry().registry.counter("store.checkpoint_skips").inc()
+                else:
+                    self._checkpoint(base_n, done_cycles, accum)
+            clean = True
         except BaseException:
             self._checkpoint(base_n, done_cycles, accum)
             raise
+        finally:
+            sup.shutdown(clean)
+            self._absorb_supervisor(sup, report)
 
-        result = self._assemble(ff_names, base, accum)
-        # accum.wall_seconds carries time spent by interrupted predecessors
-        # (restored from the checkpoint); base carries prior snapshots'.
-        result.wall_seconds = (
-            (base.wall_seconds if base else 0.0)
-            + accum.wall_seconds
-            + (time.monotonic() - start_time)
-        )
+        result = self._assemble(ff_names, accum, base)
         if self.store is not None:
             if report.quarantined_shards:
                 # Incomplete counters must never be served as an exact hit:
@@ -721,12 +668,13 @@ class CampaignEngine:
                 ).inc()
             else:
                 self.store.save_snapshot(spec, result)
-        report.wall_seconds = time.monotonic() - start_time
         self._record_run_metrics(report)
         return result
 
     def _record_run_metrics(self, report: EngineReport) -> None:
-        """End-of-run rollups: throughput, worker utilization, warm-up."""
+        """End-of-run wall time and rollups: throughput, worker
+        utilization, warm-up."""
+        report.wall_seconds = time.monotonic() - self._run_start
         registry = get_telemetry().registry
         report.warmup_seconds = self._warmup_seconds
         registry.timer("engine.warmup_seconds").observe(self._warmup_seconds)
@@ -774,10 +722,8 @@ class CampaignEngine:
         fresh replacement indices next round instead of re-allocating the
         poisoned ranges forever.
         """
-        start_time = self._run_start = time.monotonic()
         spec = self.spec
-        report = EngineReport(jobs=self.jobs)
-        self.last_report = report
+        report = self.last_report
         signature = policy_signature(spec)
         gate_shards = self._gate_shards
         registry = get_telemetry().registry
@@ -791,7 +737,7 @@ class CampaignEngine:
                 report.cache_hit = True
                 report.rounds = int(meta.get("rounds", 0))
                 report.injections_saved = int(meta.get("injections_saved", 0))
-                report.wall_seconds = time.monotonic() - start_time
+                report.wall_seconds = time.monotonic() - self._run_start
                 self.last_policy_meta = meta
                 return result
 
@@ -820,33 +766,11 @@ class CampaignEngine:
                 base_n, base = found
                 report.base_injections = base_n
                 registry.counter("store.topups").inc()
-                for name in ff_names:
-                    prior = base.results.get(name)
-                    if prior is not None and prior.n_injections > 0:
-                        tallies[name] = [
-                            prior.n_injections,
-                            prior.n_failures,
-                            prior.n_injections,
-                        ]
-                        accum.ff[name] = [
-                            prior.n_injections,
-                            prior.n_failures,
-                            prior.latency_sum,
-                        ]
-                accum.n_forward_runs += base.n_forward_runs
-                accum.total_lane_cycles += base.total_lane_cycles
-                accum.wall_seconds += base.wall_seconds
+                accum.add_result(base, ff_names)
+                for name, (n, k, _latency) in accum.ff.items():
+                    tallies[name] = [n, k, n]
 
-        def serial_fn(payload, attempt: int) -> Dict:
-            shards, tallies_snapshot = payload
-            task_buckets, groups, gates = _gated_buckets(
-                shards, policy, tallies_snapshot
-            )
-            return self._serial_runner().run_shard(
-                task_buckets, gates=gates, groups=groups, attempt=attempt
-            )
-
-        sup = self._supervised_pool(_worker_run_shard_gated, self.jobs, serial_fn)
+        sup = self._supervised_pool(self.jobs)
         # The policy checkpoint is a per-flip-flop *cursor* (``consumed``),
         # which is only truthful at round boundaries: a completed round
         # executed (or deliberately gate-skipped) every draw of its
@@ -854,8 +778,9 @@ class CampaignEngine:
         # Mid-round, the merged shards hold an arbitrary *subset* of the
         # round's slots — checkpointing that state would make a resumed run
         # re-execute some draws and silently skip others.  The exception
-        # path therefore persists the last round-*start* state, discarding
-        # at most one round of work in exchange for bit-identical resume.
+        # path therefore persists the last round-*start* state (the one
+        # every gate of the round starts from), discarding at most one
+        # round of work in exchange for bit-identical resume.
         safe_tallies = {name: list(rec) for name, rec in tallies.items()}
         safe_accum = _Accumulator.from_payload(accum.to_payload())
         clean = False
@@ -875,49 +800,40 @@ class CampaignEngine:
                 # One task per worker: worker w owns every n_tasks-th shard.
                 n_tasks = min(self.jobs, len(shards))
                 tasks = [
-                    [[(b.cycle, b.lanes) for b in shard] for shard in owned]
+                    ([[(b.cycle, b.lanes) for b in s] for s in owned], safe_tallies)
                     for owned in (shards[w::n_tasks] for w in range(n_tasks))
                 ]
-                snapshot = {name: list(rec) for name, rec in tallies.items()}
-                payload_tasks = [(task, snapshot) for task in tasks]
-                throttled = self._progress_notifier(report)
-                done_in_round = 0
-                for outcome in sup.run(payload_tasks):
-                    done_in_round += 1
-                    if outcome.quarantine is not None:
-                        task = tasks[outcome.key]
-                        entry = outcome.quarantine.to_dict()
-                        entry["gate_shards"] = len(task)
-                        report.quarantined_shards.append(entry)
+                for key, payload in self._outcomes(sup, tasks, accum, report):
+                    if payload is None:
                         # The quarantined task's draws are abandoned, but
                         # they still consumed their stream indices: advance
                         # `consumed` so the policy allocates *fresh* draws
                         # instead of retrying the same poisoned ranges
                         # every round (which would never terminate).
-                        abandoned = 0
-                        for shard in task:
-                            for _cycle, lanes in shard:
-                                for name in lanes:
-                                    tallies[name][2] += 1
-                                    abandoned += 1
-                        registry.counter("robustness.abandoned_draws").inc(abandoned)
-                        throttled(done_in_round, len(tasks))
+                        abandoned = [
+                            name
+                            for shard in tasks[key][0]
+                            for _cycle, lanes in shard
+                            for name in lanes
+                        ]
+                        for name in abandoned:
+                            tallies[name][2] += 1
+                        registry.counter("robustness.abandoned_draws").inc(
+                            len(abandoned)
+                        )
                         continue
-                    payload = outcome.payload
-                    self._merge_payload(payload, accum, report)
                     # Executed and gate-skipped draws both consumed their
                     # stream indices; advancing per payload keeps the
                     # checkpoint invariant (n <= consumed) intact even if a
-                    # later shard of the round never completes.
-                    for name, rec in payload["ff"].items():
+                    # later task of the round never completes.
+                    for name, (n, k, _latency) in payload["ff"].items():
                         tally = tallies[name]
-                        tally[0] += rec[0]
-                        tally[1] += rec[1]
-                        tally[2] += rec[0]
+                        tally[0] += n
+                        tally[1] += k
+                        tally[2] += n
                     for name, count in payload.get("skipped", {}).items():
                         tallies[name][2] += count
                         registry.counter("policy.shard_skips").inc(count)
-                    throttled(done_in_round, len(tasks))
                 self._policy_checkpoint(signature, tallies, accum)
                 safe_tallies = {name: list(rec) for name, rec in tallies.items()}
                 safe_accum = _Accumulator.from_payload(accum.to_payload())
@@ -931,21 +847,7 @@ class CampaignEngine:
             sup.shutdown(clean)
             self._absorb_supervisor(sup, report)
 
-        result = CampaignResult(
-            circuit=spec.circuit, n_injections=spec.n_injections, seed=spec.seed
-        )
-        for name in ff_names:
-            record = FlipFlopResult(name)
-            rec = accum.ff.get(name)
-            if rec is not None:
-                record.n_injections = int(rec[0])
-                record.n_failures = int(rec[1])
-                record.latency_sum = int(rec[2])
-            result.results[name] = record
-        result.n_forward_runs = accum.n_forward_runs
-        result.total_lane_cycles = accum.total_lane_cycles
-        result.wall_seconds = accum.wall_seconds + (time.monotonic() - start_time)
-
+        result = self._assemble(ff_names, accum)
         total_executed = sum(rec[0] for rec in tallies.values())
         flat_total = spec.n_injections * len(ff_names)
         saved = max(0, flat_total - total_executed)
@@ -981,7 +883,6 @@ class CampaignEngine:
                 self.store.save_policy_snapshot(
                     spec, signature, result, meta, gate_shards=gate_shards
                 )
-        report.wall_seconds = time.monotonic() - start_time
         self._record_run_metrics(report)
         return result
 
@@ -989,26 +890,20 @@ class CampaignEngine:
         self, signature: str, tallies: Dict[str, List[int]], accum: _Accumulator
     ) -> None:
         if self.store is not None and any(rec[2] for rec in tallies.values()):
-            payload = accum.to_payload()
-            payload["wall_seconds"] = accum.wall_seconds + (
-                time.monotonic() - self._run_start
-            )
             self.store.save_policy_partial(
                 self.spec,
                 signature,
                 tallies,
-                payload,
+                self._checkpoint_payload(accum),
                 gate_shards=self._gate_shards,
             )
 
     # ------------------------------------------------------------ execution
 
-    def _supervised_pool(
-        self, worker_fn: Callable, jobs: int, serial_fn: Callable[[object, int], Dict]
-    ) -> SupervisedPool:
-        """The supervisor both drivers dispatch through: *jobs* workers
-        forked from a warm parent, or *serial_fn* in-process at
-        ``jobs <= 1`` (no pool is built then)."""
+    def _supervised_pool(self, jobs: int) -> SupervisedPool:
+        """The supervisor both drivers dispatch tasks through: *jobs*
+        workers forked from a warm parent, or :meth:`_run_serial_task`
+        in-process at ``jobs <= 1`` (no pool is built then)."""
         mp_ctx = _mp_context()
         if jobs > 1 and mp_ctx.get_start_method() == "fork":
             # Warm the cache before the pool forks: workers (and every
@@ -1017,12 +912,12 @@ class CampaignEngine:
             self._warm_runner()
         chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
         return SupervisedPool(
-            worker_fn,
+            _worker_run_task,
             jobs=jobs,
             initializer=_worker_init,
             initargs=(self.spec.to_dict(), chaos_payload),
             retry=self.retry,
-            serial_fn=serial_fn,
+            serial_fn=self._run_serial_task,
             validate=_shard_payload_error,
             mp_context=mp_ctx,
         )
@@ -1064,123 +959,95 @@ class CampaignEngine:
 
         return ProgressThrottle(notify, min_interval=self.progress_interval)
 
-    def _merge_payload(
-        self, payload: Dict, accum: _Accumulator, report: EngineReport
-    ) -> None:
-        """Fold one completed task's tallies, engine counters and (for a
-        worker task) metrics snapshot into the run."""
-        registry = get_telemetry().registry
-        self._decode_ff(payload)
-        accum.merge_shard(payload)
-        report.executed_buckets += len(payload["done_cycles"])
-        report.executed_forward_runs += payload["n_forward_runs"]
-        shard_lanes = sum(rec[0] for rec in payload["ff"].values())
-        report.executed_lanes += shard_lanes
-        self._busy_seconds += payload.get("wall_seconds", 0.0)
-        metrics = payload.get("metrics")
-        if metrics:  # worker task: absorb its snapshot into our registry
-            registry.absorb(MetricsSnapshot.from_payload(metrics))
-        registry.counter("campaign.shard_merges").inc()
-        registry.counter("campaign.injections").inc(shard_lanes)
-
-    def _run_shards(
+    def _outcomes(
         self,
-        shards: List[List[Bucket]],
+        sup: SupervisedPool,
+        tasks: List[Tuple[List, Optional[Dict]]],
         accum: _Accumulator,
-        done_cycles: Set[int],
         report: EngineReport,
-    ) -> None:
-        """Execute the flat shards (in a pool when there are more than one
-        and ``jobs > 1``) and merge each one as it completes."""
-        tasks = [[(b.cycle, b.lanes) for b in shard] for shard in shards]
-        total = len(tasks)
+    ) -> Iterator[Tuple[int, Optional[Dict]]]:
+        """Run *tasks* (a flat run or one sequential round) through *sup*.
 
-        def serial_fn(payload, attempt: int) -> Dict:
-            return self._serial_runner().run_shard(payload, attempt=attempt)
-
-        sup = self._supervised_pool(_worker_run_shard, min(self.jobs, total), serial_fn)
+        Yields ``(key, payload)`` per task in completion order, after the
+        payload's tallies, engine counters and (for a worker task) metrics
+        snapshot are merged into *accum*, *report* and the registry; a
+        quarantined task is reported and yields ``(key, None)``.  Progress
+        is notified once the caller has handled each outcome.
+        """
+        registry = get_telemetry().registry
         throttled = self._progress_notifier(report)
-        clean = False
-        try:
-            done = 0
-            for outcome in sup.run(tasks):
-                done += 1
-                if outcome.quarantine is not None:
-                    report.quarantined_shards.append(outcome.quarantine.to_dict())
-                    throttled(done, total)
-                    continue
-                payload = outcome.payload
-                self._merge_payload(payload, accum, report)
-                done_cycles.update(payload["done_cycles"])
-                if done < total:  # final state is persisted as a snapshot instead
-                    self._maybe_checkpoint(report.base_injections, done_cycles, accum)
-                throttled(done, total)
-            clean = True
-        finally:
-            sup.shutdown(clean)
-            self._absorb_supervisor(sup, report)
+        for done, outcome in enumerate(sup.run(tasks), 1):
+            payload = outcome.payload
+            if payload is None:
+                entry = outcome.quarantine.to_dict()
+                entry["gate_shards"] = len(tasks[outcome.key][0])
+                report.quarantined_shards.append(entry)
+            else:
+                if isinstance(payload["ff"].get("idx"), bytes):
+                    # Packed tally transport: rehydrate the name-keyed map
+                    # (plain maps, e.g. chaos stand-ins, pass through).
+                    payload["ff"] = warmstart.unpack_tallies(
+                        payload["ff"], self._ff_order()
+                    )
+                accum.merge_shard(payload)
+                lanes = sum(rec[0] for rec in payload["ff"].values())
+                report.executed_buckets += len(payload["done_cycles"])
+                report.executed_forward_runs += payload["n_forward_runs"]
+                report.executed_lanes += lanes
+                self._busy_seconds += payload.get("wall_seconds", 0.0)
+                metrics = payload.get("metrics")
+                if metrics:  # worker task: absorb its snapshot
+                    registry.absorb(MetricsSnapshot.from_payload(metrics))
+                registry.counter("campaign.shard_merges").inc()
+                registry.counter("campaign.injections").inc(lanes)
+            yield outcome.key, payload
+            throttled(done, len(tasks))
 
     # ------------------------------------------------------------- plumbing
-
-    def _maybe_checkpoint(
-        self, base_n: int, done_cycles: Set[int], accum: _Accumulator
-    ) -> None:
-        """Throttled mid-run checkpoint: skip when the last write is recent.
-
-        Checkpoints are full-payload JSON writes, so per-shard writes made
-        store I/O O(shards).  Exit paths (exception, quarantine completion)
-        call :meth:`_checkpoint` directly and always write, bounding lost
-        work to one throttle interval.
-        """
-        if (
-            self.checkpoint_interval > 0
-            and (time.monotonic() - self._last_checkpoint) < self.checkpoint_interval
-        ):
-            get_telemetry().registry.counter("store.checkpoint_skips").inc()
-            return
-        self._checkpoint(base_n, done_cycles, accum)
 
     def _checkpoint(
         self, base_n: int, done_cycles: Set[int], accum: _Accumulator
     ) -> None:
         if self.store is not None and done_cycles:
-            payload = accum.to_payload()
-            payload["wall_seconds"] = accum.wall_seconds + (
-                time.monotonic() - self._run_start
-            )
             self.store.save_partial(
-                self.spec, base_n, self.spec.n_injections, done_cycles, payload
+                self.spec,
+                base_n,
+                self.spec.n_injections,
+                done_cycles,
+                self._checkpoint_payload(accum),
             )
             self._last_checkpoint = time.monotonic()
+
+    def _checkpoint_payload(self, accum: _Accumulator) -> Dict:
+        """*accum* as a checkpoint payload: its wall time (that of
+        interrupted predecessors) plus this run's so far."""
+        payload = accum.to_payload()
+        payload["wall_seconds"] += time.monotonic() - self._run_start
+        return payload
 
     def _assemble(
         self,
         ff_names: Sequence[str],
-        base: Optional[CampaignResult],
         accum: _Accumulator,
+        base: Optional[CampaignResult] = None,
     ) -> CampaignResult:
+        """The run's result: *accum*'s counters plus those of *base*, the
+        stored snapshot a flat top-up extends.  The wall time adds the time
+        both recorded to this run's."""
+        if base is not None:
+            accum = _Accumulator.from_payload(accum.to_payload())
+            accum.add_result(base, ff_names)
         spec = self.spec
-        result = CampaignResult(
-            circuit=spec.circuit, n_injections=spec.n_injections, seed=spec.seed
+        return CampaignResult.from_counts(
+            spec.circuit,
+            spec.n_injections,
+            spec.seed,
+            ff_names,
+            accum.ff,
+            n_forward_runs=accum.n_forward_runs,
+            total_lane_cycles=accum.total_lane_cycles,
+            wall_seconds=accum.wall_seconds + (time.monotonic() - self._run_start),
         )
-        for name in ff_names:
-            record = FlipFlopResult(name)
-            if base is not None and name in base.results:
-                prior = base.results[name]
-                record.n_injections += prior.n_injections
-                record.n_failures += prior.n_failures
-                record.latency_sum += prior.latency_sum
-            delta = accum.ff.get(name)
-            if delta is not None:
-                record.n_injections += delta[0]
-                record.n_failures += delta[1]
-                record.latency_sum += delta[2]
-            result.results[name] = record
-        result.n_forward_runs = (base.n_forward_runs if base else 0) + accum.n_forward_runs
-        result.total_lane_cycles = (
-            base.total_lane_cycles if base else 0
-        ) + accum.total_lane_cycles
-        return result
 
 
 def run_campaign(

@@ -13,9 +13,11 @@ whole buckets across workers.
 Two schedules are provided:
 
 ``legacy``
-    Reproduces :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign`
-    draw-for-draw (same RNG consumption order), so a sharded run merges to a
-    result bit-identical to the serial reference engine.
+    The serial reference draw,
+    :func:`~repro.faultinjection.campaign.legacy_draws` — the one
+    implementation :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign`
+    runs too — bucketed by time slot, so a sharded run merges to a result
+    bit-identical to the serial reference engine.
 
 ``stream``
     A prefix-stable variant: injection draw *j* of a flip-flop depends only
@@ -34,6 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..faultinjection.campaign import legacy_draws
 from .spec import CampaignSpec
 
 __all__ = [
@@ -70,28 +73,11 @@ def _to_buckets(table: Dict[int, List[str]]) -> List[Bucket]:
 def legacy_buckets(
     spec: CampaignSpec, window: Sequence[int], ff_names: Sequence[str]
 ) -> List[Bucket]:
-    """The serial reference schedule, bucketed by time slot.
-
-    Consumes ``random.Random(spec.seed)`` in exactly the order
-    :meth:`StatisticalFaultCampaign.run` does (global slot pool first, then
-    one sample per flip-flop), so the resulting buckets — including lane
-    order within each bucket — match the serial engine's.
-    """
-    n = spec.n_injections
-    rng = random.Random(spec.seed)
-    n_time_slots = spec.n_time_slots
-    if n_time_slots is None:
-        n_time_slots = min(len(window), max(n, int(1.5 * n)))
-    if n_time_slots < n:
-        raise ValueError(
-            f"need at least {n} time slots in the active window, got {n_time_slots}"
-        )
-    slots = sorted(rng.sample(list(window), n_time_slots))
-    table: Dict[int, List[str]] = {}
-    for name in ff_names:
-        for cycle in rng.sample(slots, n):
-            table.setdefault(cycle, []).append(name)
-    return _to_buckets(table)
+    """The serial reference schedule, bucketed by time slot (lane order
+    within each bucket included): :func:`legacy_draws` for *spec*."""
+    return _to_buckets(
+        legacy_draws(window, ff_names, spec.n_injections, spec.seed, spec.n_time_slots)
+    )
 
 
 # ------------------------------------------------------------ stream draws

@@ -42,10 +42,12 @@ class CampaignSpec:
 
     ``schedule`` selects the injection-time scheduler:
 
-    * ``"legacy"`` reproduces
-      :meth:`~repro.faultinjection.campaign.StatisticalFaultCampaign.run`
-      draw-for-draw, so the engine's output is bit-identical to the serial
-      reference implementation for the same seed;
+    * ``"legacy"`` buckets
+      :func:`~repro.faultinjection.campaign.legacy_draws`, the draw
+      :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign` runs
+      too, so the engine's output is bit-identical to the serial reference
+      implementation for the same seed.  ``n_time_slots`` sizes its slot
+      pool and is rejected with any other schedule;
     * ``"stream"`` draws injection times as a prefix-stable per-flip-flop
       stream (see :func:`repro.campaigns.partition.stream_buckets`), which
       lets the result store extend a cached *n*-injection campaign to
@@ -94,6 +96,11 @@ class CampaignSpec:
             raise ValueError(
                 "policy='sequential' requires the prefix-stable 'stream' "
                 "schedule (legacy draws reshuffle when the budget changes)"
+            )
+        if self.n_time_slots is not None and self.schedule != "legacy":
+            raise ValueError(
+                "n_time_slots sizes the legacy schedule's slot pool; the "
+                f"{self.schedule!r} schedule draws its own"
             )
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}; choose from {CRITERIA}")

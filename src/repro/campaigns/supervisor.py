@@ -1,7 +1,7 @@
 """Supervised shard dispatch: deadlines, retries, quarantine, degradation.
 
-The campaign engine's unit of distributable work is a shard (a list of
-time-slot buckets).  Before this module, shards went through a bare
+The campaign engine's unit of distributable work is a task: one or more
+shards of time-slot buckets (see :mod:`repro.campaigns.executor`).  Before this module, shards went through a bare
 ``Pool.imap_unordered``: one worker segfault, ``os._exit`` or hang killed
 (or wedged) the whole campaign, and a worker returning garbage corrupted
 the merged counters silently.  :class:`SupervisedPool` replaces that path
@@ -151,22 +151,14 @@ class _Task:
 
 
 def _task_size(payload: object) -> Tuple[int, int]:
-    """(n_buckets, n_lanes) of a shard payload, tolerant of the gated
-    ``(shards, tallies)`` wrapping used by the sequential driver (whose
-    task carries a list of gate shards)."""
-    shard = payload
-    if (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and isinstance(payload[0], list)
-    ):
-        shard = [bucket for gate_shard in payload[0] for bucket in gate_shard]
-    if isinstance(shard, list):
-        try:
-            return len(shard), sum(len(lanes) for _cycle, lanes in shard)
-        except (TypeError, ValueError):
-            return len(shard), 0
-    return 0, 0
+    """(n_buckets, n_lanes) of an engine task ``(shards, tallies)``;
+    ``(0, 0)`` for any other payload."""
+    try:
+        shards, _tallies = payload
+        buckets = [bucket for shard in shards for bucket in shard]
+        return len(buckets), sum(len(lanes) for _cycle, lanes in buckets)
+    except (TypeError, ValueError):
+        return 0, 0
 
 
 class SupervisedPool:

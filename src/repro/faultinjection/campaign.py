@@ -7,11 +7,13 @@ injected "at different times during the active phase of the simulation".
 Scheduling strategy
 -------------------
 Injection times are drawn per flip-flop, without replacement, from a pool of
-*time slots* sampled uniformly inside the active window.  All draws feed one
-long-lived :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: lanes
-are activated at their own injection cycles, retired lanes are refilled from
-the pending queue, and drained passes are compacted — so the whole campaign
-runs in a handful of saturated forward passes.  Per-injection verdicts and
+*time slots* sampled uniformly inside the active window (:func:`legacy_draws`,
+the one draw, which the engine's ``legacy`` schedule buckets too).  All
+draws feed one :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`
+run (:func:`run_buckets`, shared with the engine's shard runner): lanes
+are activated at their own injection cycles, retired lanes are refilled
+from the pending queue, and drained passes are compacted — so the whole
+campaign runs in a handful of saturated forward passes.  Per-injection verdicts and
 latencies equal one naive
 :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` lane per
 injection (differentially verified per fuzz seed).
@@ -23,15 +25,22 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..netlist.core import Netlist
 from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .fdr import FdrEstimate
 from .injector import FaultInjector
+from .scheduler import AdaptiveScheduler, SchedulerStats
 
-__all__ = ["FlipFlopResult", "CampaignResult", "StatisticalFaultCampaign"]
+__all__ = [
+    "FlipFlopResult",
+    "CampaignResult",
+    "StatisticalFaultCampaign",
+    "legacy_draws",
+    "run_buckets",
+]
 
 
 @dataclass
@@ -84,6 +93,24 @@ class CampaignResult:
     n_forward_runs: int = 0
     total_lane_cycles: int = 0
     wall_seconds: float = 0.0
+
+    @classmethod
+    def from_counts(
+        cls,
+        circuit: str,
+        n_injections: int,
+        seed: int,
+        ff_names: Sequence[str],
+        counts: Dict[str, Sequence[int]],
+        **metrics: float,
+    ) -> "CampaignResult":
+        """Assemble a result from ``counts[ff] = [injections, failures,
+        latency_sum]`` (a flip-flop of *ff_names* without counts is
+        unmeasured); *metrics* are the engine-cost fields."""
+        result = cls(circuit, n_injections, seed, **metrics)
+        for name in ff_names:
+            result.results[name] = FlipFlopResult(name, *counts.get(name, (0, 0, 0)))
+        return result
 
     def fdr(self, ff_name: str) -> float:
         return self.results[ff_name].fdr
@@ -166,10 +193,6 @@ class StatisticalFaultCampaign:
         Reuse a previously recorded golden trace (otherwise recorded here).
     check_interval:
         Cycles between the injector's early-retirement checks.
-    scheduler_lanes:
-        Lane capacity of the adaptive scheduler's passes; ``None``
-        (default) picks the scheduler's tuned width
-        (:data:`~repro.faultinjection.scheduler.AUTO_MAX_LANES`).
     fault_model:
         Registered fault model applied at every drawn ``(cycle, ff)``
         site (see :mod:`repro.faultinjection.faults`); ``None`` keeps
@@ -184,10 +207,8 @@ class StatisticalFaultCampaign:
         active_window: Optional[Tuple[int, int]] = None,
         golden: Optional[GoldenTrace] = None,
         check_interval: int = 8,
-        scheduler_lanes: Optional[int] = None,
         fault_model: Optional[object] = None,
     ) -> None:
-        self.scheduler_lanes = scheduler_lanes
         self.netlist = netlist
         self.testbench = testbench
         self.criterion = criterion
@@ -227,53 +248,123 @@ class StatisticalFaultCampaign:
         start_time = time.monotonic()
         if ff_names is None:
             ff_names = [ff.name for ff in self.netlist.flip_flops()]
-        rng = random.Random(seed)
         first, last = self.active_window
-        window = list(range(first, last))
-        if n_time_slots is None:
-            n_time_slots = min(len(window), max(n_injections, int(1.5 * n_injections)))
-        if n_time_slots < n_injections:
-            raise ValueError(
-                f"need at least {n_injections} time slots in the active window, "
-                f"got {n_time_slots}"
-            )
-        slots = sorted(rng.sample(window, n_time_slots))
-
-        result = CampaignResult(
-            circuit=self.netlist.name, n_injections=n_injections, seed=seed
+        table = legacy_draws(
+            range(first, last), ff_names, n_injections, seed, n_time_slots
         )
-        buckets: Dict[int, List[int]] = {}
-        for name in ff_names:
-            result.results[name] = FlipFlopResult(name)
-            ff_idx = self.injector.ff_index(name)
-            for cycle in rng.sample(slots, n_injections):
-                buckets.setdefault(cycle, []).append(ff_idx)
-
-        ff_order = [ff.name for ff in self.netlist.flip_flops()]
-        requests = [
-            (cycle, ff_idx) for cycle in sorted(buckets) for ff_idx in buckets[cycle]
-        ]
         scheduler_progress = None
         if progress is not None:
-            n_buckets = len(buckets)
+            n_buckets = len(table)
 
             def scheduler_progress(done: int, total: int) -> None:
                 # Map completed injections onto the time-slot scale.
                 progress(round(done / max(1, total) * n_buckets), n_buckets)
 
-        outcome = self.injector.run_scheduled(
-            requests,
+        counts, _skipped, stats = run_buckets(
+            AdaptiveScheduler(self.injector),
+            sorted(table.items()),
             horizon=horizon,
-            max_lanes=self.scheduler_lanes,
             progress=scheduler_progress,
         )
-        for (_cycle, ff_idx), (failed, latency) in zip(requests, outcome.verdicts):
-            record = result.results[ff_order[ff_idx]]
-            record.n_injections += 1
-            if failed:
-                record.n_failures += 1
-                record.latency_sum += latency
-        result.n_forward_runs = outcome.stats.n_passes
-        result.total_lane_cycles = outcome.stats.lane_cycles
-        result.wall_seconds = time.monotonic() - start_time
-        return result
+        return CampaignResult.from_counts(
+            self.netlist.name,
+            n_injections,
+            seed,
+            ff_names,
+            counts,
+            n_forward_runs=stats.n_passes,
+            total_lane_cycles=stats.lane_cycles,
+            wall_seconds=time.monotonic() - start_time,
+        )
+
+
+def legacy_draws(
+    window: Sequence[int],
+    ff_names: Sequence[str],
+    n_injections: int,
+    seed: int,
+    n_time_slots: Optional[int] = None,
+) -> Dict[int, List[str]]:
+    """The ``legacy`` schedule: every flip-flop's injection cycles.
+
+    Consumes ``random.Random(seed)`` in one fixed order: a pool of
+    *n_time_slots* distinct cycles of *window* (default ``min(len(window),
+    1.5 n)``), then one sample of *n_injections* pool slots per flip-flop,
+    in *ff_names* order.  Returns ``{cycle: [ff, ...]}``, each list in draw
+    order (the lane order of that cycle's bucket).
+    """
+    window = list(window)
+    if n_time_slots is None:
+        n_time_slots = min(len(window), max(n_injections, int(1.5 * n_injections)))
+    if n_time_slots < n_injections:
+        raise ValueError(
+            f"need at least {n_injections} time slots in the active window, "
+            f"got {n_time_slots}"
+        )
+    if n_time_slots > len(window):
+        raise ValueError(
+            f"n_time_slots={n_time_slots} exceeds the {len(window)} cycles of "
+            f"the active window"
+        )
+    rng = random.Random(seed)
+    slots = sorted(rng.sample(window, n_time_slots))
+    table: Dict[int, List[str]] = {}
+    for name in ff_names:
+        for cycle in rng.sample(slots, n_injections):
+            table.setdefault(cycle, []).append(name)
+    return table
+
+
+def run_buckets(
+    scheduler: AdaptiveScheduler,
+    buckets: Iterable[Tuple[int, Sequence[str]]],
+    horizon: Optional[int] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+    gates: Optional[Sequence[object]] = None,
+    groups: Optional[Sequence[int]] = None,
+) -> Tuple[Dict[str, List[int]], Dict[str, int], SchedulerStats]:
+    """Simulate ``(cycle, ff_names)`` buckets in one scheduler run and tally
+    the verdicts per flip-flop.
+
+    *gates*, when given, hold one online policy gate per request group:
+    ``admit(ff)`` may skip a draw before it costs a lane, and
+    ``record(ff, failed)`` sees each verdict as its lane retires.  *groups*
+    names each injection's gate, in bucket order.  Returns ``(counts,
+    skipped, stats)``: ``counts[ff] = [injections, failures, latency_sum]``
+    of the simulated draws, ``skipped[ff]`` the draws a gate refused, and
+    the run's scheduler statistics.
+    """
+    ff_index = scheduler.injector.ff_index
+    requests: List[Tuple[int, int]] = []
+    names: List[str] = []
+    for cycle, lanes in buckets:
+        for name in lanes:
+            requests.append((cycle, ff_index(name)))
+            names.append(name)
+    admit = on_verdict = None
+    if gates is not None:
+        admit = lambda req: gates[req.group].admit(names[req.key])  # noqa: E731
+        on_verdict = lambda req, failed: gates[req.group].record(  # noqa: E731
+            names[req.key], failed
+        )
+    outcome = scheduler.run(
+        requests,
+        horizon=horizon,
+        progress=progress,
+        admit=admit,
+        on_verdict=on_verdict,
+        groups=groups,
+    )
+    skipped_keys = frozenset(outcome.skipped)
+    counts: Dict[str, List[int]] = {}
+    skipped: Dict[str, int] = {}
+    for key, (name, (failed, latency)) in enumerate(zip(names, outcome.verdicts)):
+        if key in skipped_keys:
+            skipped[name] = skipped.get(name, 0) + 1
+            continue
+        rec = counts.setdefault(name, [0, 0, 0])
+        rec[0] += 1
+        if failed:
+            rec[1] += 1
+            rec[2] += latency
+    return counts, skipped, outcome.stats

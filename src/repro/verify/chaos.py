@@ -146,12 +146,6 @@ class ChaosShardRunner:
         self.chaos = chaos
         self.in_worker = in_worker
 
-    @property
-    def spec(self) -> CampaignSpec:
-        # The gated worker entry point reads the spec off the runner to
-        # rebuild its sampling policy.
-        return self.inner.spec
-
     def run_shard(
         self,
         buckets: Sequence[Tuple[int, Sequence[str]]],

@@ -3,13 +3,19 @@
 The load-bearing guarantees:
 
 * a sharded ``legacy``-schedule run merges to a result **bit-identical** to
-  the serial :class:`StatisticalFaultCampaign` reference for the same seed;
+  the serial :class:`StatisticalFaultCampaign` reference for the same seed
+  (both call one draw, so the draw order itself is pinned separately by
+  ``test_legacy_counters_are_pinned``);
 * ``stream``-schedule results are independent of the jobs count;
 * the stream schedule is prefix-stable, so the store can top up a cached
   campaign by simulating only the injection delta;
 * a cached re-run performs zero forward simulations, and an interrupted run
   resumes from its checkpoint.
 """
+
+import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +34,7 @@ from repro.campaigns.partition import (
     stream_draws,
     stream_slot_order,
 )
+from repro.data import DATASET_PRESETS
 from repro.faultinjection import StatisticalFaultCampaign
 
 TINY = dict(
@@ -65,7 +72,10 @@ def result_key(result):
 def test_legacy_schedule_matches_serial_reference(
     tiny_mac, tiny_workload, tiny_golden
 ):
-    """Sharded legacy run == StatisticalFaultCampaign, bit for bit."""
+    """Sharded legacy run == StatisticalFaultCampaign, bit for bit.
+
+    Both share one draw, so this checks the sharding and merge, not the
+    draw order (see ``test_legacy_counters_are_pinned``)."""
     from repro.faultinjection import PacketInterfaceCriterion
 
     criterion = PacketInterfaceCriterion(
@@ -85,6 +95,56 @@ def test_legacy_schedule_matches_serial_reference(
     parallel = engine.run()
     assert result_key(parallel) == result_key(reference)
     assert engine.last_report.executed_forward_runs == parallel.n_forward_runs
+
+
+#: SHA-256 of every flip-flop's sorted ``[name, n, k, latency_sum]`` after a
+#: flat ``legacy`` campaign on ``xgmac_tiny`` (the tiny preset at 40
+#: injections, campaign seed 3).  A change to the legacy draw's RNG order
+#: fails here.
+LEGACY_TINY_DIGEST = "7d6e3d687f17c88a3b8ccc3e38a221e2894995a6025c46c0bcd1698e11d1bc58"
+
+
+def test_legacy_counters_are_pinned():
+    spec = CampaignSpec.from_dataset_spec(
+        replace(DATASET_PRESETS["tiny"], campaign_seed=3),
+        schedule="legacy",
+        n_injections=40,
+    )
+    result = CampaignEngine(spec).run()
+    rows = sorted(
+        [name, r.n_injections, r.n_failures, r.latency_sum]
+        for name, r in result.results.items()
+    )
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == LEGACY_TINY_DIGEST
+
+
+def test_legacy_rejects_more_time_slots_than_window(
+    tiny_mac, tiny_workload, tiny_golden
+):
+    """The slot pool cannot exceed the active window; both runners say so
+    instead of failing inside ``random.sample``."""
+    spec = CampaignSpec(
+        circuit="counter16",
+        criterion="any_output",
+        n_injections=4,
+        schedule="legacy",
+        n_time_slots=100000,
+    )
+    with pytest.raises(ValueError, match="exceeds the .* cycles of the active window"):
+        CampaignEngine(spec).run()
+
+    from repro.faultinjection import PacketInterfaceCriterion
+
+    runner = StatisticalFaultCampaign(
+        tiny_mac,
+        tiny_workload.testbench,
+        PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets),
+        active_window=tiny_workload.active_window,
+        golden=tiny_golden,
+    )
+    with pytest.raises(ValueError, match="exceeds the .* cycles of the active window"):
+        runner.run(n_injections=4, seed=5, n_time_slots=100000)
 
 
 def test_stream_parallel_matches_serial():
@@ -504,6 +564,13 @@ def test_engine_rejects_bad_parameters():
         tiny_spec(n_injections=0)
     with pytest.raises(ValueError, match="jobs"):
         CampaignEngine(tiny_spec(), jobs=0)
+
+
+def test_stream_spec_rejects_n_time_slots():
+    """Stream draws ignore the legacy slot-pool size, so setting it would
+    only split the store's content address."""
+    with pytest.raises(ValueError, match="n_time_slots"):
+        tiny_spec(schedule="stream", n_time_slots=3, n_injections=4)
 
 
 def test_engine_rejects_mismatched_context():
