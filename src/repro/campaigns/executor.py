@@ -185,23 +185,10 @@ def _shard_payload_error(payload: object) -> Optional[str]:
     """
     if not isinstance(payload, dict):
         return f"expected dict payload, got {type(payload).__name__}"
-    ff = payload.get("ff")
-    if not isinstance(ff, dict):
-        return "missing or invalid 'ff' counter map"
-    if isinstance(ff.get("idx"), bytes):
-        # Packed tally transport (see warmstart.pack_tallies).
-        packed_error = warmstart.validate_packed_tally(ff)
-        if packed_error is not None:
-            return packed_error
-    else:
-        for name, rec in ff.items():
-            if (
-                not isinstance(name, str)
-                or not isinstance(rec, (list, tuple))
-                or len(rec) != 3
-                or not all(isinstance(v, int) for v in rec)
-            ):
-                return f"malformed counter record for {name!r}"
+    # Tallies travel packed (see warmstart.pack_tallies).
+    packed_error = warmstart.validate_packed_tally(payload.get("ff"))
+    if packed_error is not None:
+        return packed_error
     for key in ("n_forward_runs", "total_lane_cycles"):
         if not isinstance(payload.get(key), int):
             return f"missing or invalid {key!r}"
@@ -983,12 +970,9 @@ class CampaignEngine:
                 entry["gate_shards"] = len(tasks[outcome.key][0])
                 report.quarantined_shards.append(entry)
             else:
-                if isinstance(payload["ff"].get("idx"), bytes):
-                    # Packed tally transport: rehydrate the name-keyed map
-                    # (plain maps, e.g. chaos stand-ins, pass through).
-                    payload["ff"] = warmstart.unpack_tallies(
-                        payload["ff"], self._ff_order()
-                    )
+                payload["ff"] = warmstart.unpack_tallies(
+                    payload["ff"], self._ff_order()
+                )
                 accum.merge_shard(payload)
                 lanes = sum(rec[0] for rec in payload["ff"].values())
                 report.executed_buckets += len(payload["done_cycles"])

@@ -207,7 +207,6 @@ class SupervisedPool:
         serial_fn: Optional[Callable[[object, int], Dict]] = None,
         validate: Optional[Callable[[object], Optional[str]]] = None,
         mp_context=None,
-        label: str = "shard",
     ) -> None:
         self.worker_fn = worker_fn
         self.jobs = max(1, jobs)
@@ -217,7 +216,6 @@ class SupervisedPool:
         self.serial_fn = serial_fn
         self.validate = validate
         self.mp_context = mp_context
-        self.label = label
         self._pool = None
         self._procs: List = []
         #: Whether the supervisor has fallen back to in-process execution.

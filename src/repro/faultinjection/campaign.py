@@ -25,7 +25,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..netlist.core import Netlist
 from ..sim.testbench import GoldenTrace, Testbench
@@ -238,7 +238,6 @@ class StatisticalFaultCampaign:
         seed: int = 0,
         n_time_slots: Optional[int] = None,
         horizon: Optional[int] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
     ) -> CampaignResult:
         """Run the campaign and estimate the FDR of every targeted flip-flop.
 
@@ -252,19 +251,8 @@ class StatisticalFaultCampaign:
         table = legacy_draws(
             range(first, last), ff_names, n_injections, seed, n_time_slots
         )
-        scheduler_progress = None
-        if progress is not None:
-            n_buckets = len(table)
-
-            def scheduler_progress(done: int, total: int) -> None:
-                # Map completed injections onto the time-slot scale.
-                progress(round(done / max(1, total) * n_buckets), n_buckets)
-
         counts, _skipped, stats = run_buckets(
-            AdaptiveScheduler(self.injector),
-            sorted(table.items()),
-            horizon=horizon,
-            progress=scheduler_progress,
+            AdaptiveScheduler(self.injector), sorted(table.items()), horizon=horizon
         )
         return CampaignResult.from_counts(
             self.netlist.name,
@@ -319,7 +307,6 @@ def run_buckets(
     scheduler: AdaptiveScheduler,
     buckets: Iterable[Tuple[int, Sequence[str]]],
     horizon: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     gates: Optional[Sequence[object]] = None,
     groups: Optional[Sequence[int]] = None,
 ) -> Tuple[Dict[str, List[int]], Dict[str, int], SchedulerStats]:
@@ -350,7 +337,6 @@ def run_buckets(
     outcome = scheduler.run(
         requests,
         horizon=horizon,
-        progress=progress,
         admit=admit,
         on_verdict=on_verdict,
         groups=groups,

@@ -256,10 +256,9 @@ class FaultInjector:
         injections: Sequence[Tuple[int, int]],
         horizon: Optional[int] = None,
         max_lanes: Optional[int] = None,
-        progress=None,
     ):
         """Run many ``(cycle, ff_index)`` injections through one adaptive
-        scheduler (lane refill across cycles, compaction, elastic width).
+        scheduler (lane refill across cycles, elastic width).
 
         Returns a :class:`~repro.faultinjection.scheduler.ScheduledOutcome`
         whose verdicts/latencies are bit-identical to one
@@ -269,7 +268,7 @@ class FaultInjector:
         from .scheduler import AdaptiveScheduler
 
         scheduler = AdaptiveScheduler(self, max_lanes=max_lanes)
-        return scheduler.run(injections, horizon=horizon, progress=progress)
+        return scheduler.run(injections, horizon=horizon)
 
     def _record_outcome(self, outcome: BatchOutcome) -> BatchOutcome:
         """Report one forward run's lane-cycle volume to the telemetry layer.

@@ -1,4 +1,4 @@
-"""Adaptive injection scheduling: mixed-cycle batching, lane refill, repack.
+"""Adaptive injection scheduling: mixed-cycle batching, lane refill, elastic width.
 
 :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` pins a whole
 batch to one injection cycle and keeps every lane slot occupied until the
@@ -13,19 +13,16 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   generated loader), the target flip-flop is flipped, and the lane's
   loopback history is seeded from the golden record.  Requests that find
   no free lane roll over to the next pass;
-* **lane compaction + refill** — retirement checks free lanes for the
-  pending queue; once the queue can no longer refill a drained pass, the
-  surviving lanes are *repacked* into a narrower batch (one batched
-  :meth:`~repro.sim.compiled.CompiledSimulator.gather_lanes` over every
-  flip-flop row, loopback slot and the failure mask), which shrinks every
-  subsequent big-int operation;
+* **lane refill** — retirement checks free lanes, and the pending queue
+  refills them at their requests' own cycles;
 * **elastic width** — a pass starts :data:`MIN_WIDTH` lanes wide, hands
   out the lowest free lane, and doubles its width only when no lane is
   free, up to the cap ``min(max_lanes, pending)``; requests find no lane
   (and roll over to the next pass) only at that cap.  At a retirement
   check it truncates to its highest live lane once that fits in half the
-  width.  Every big-int operation costs by the allocated width, and live
-  lanes are usually a small fraction of the cap;
+  width — the one way a pass narrows, so a drained pass shrinks as its
+  high lanes retire.  Every big-int operation costs by the allocated
+  width, and live lanes are usually a small fraction of the cap;
 * **observed-cone settle** — every simulated cycle evaluates only the
   combinational fan-in of the criterion nets, the loopback tap sources and
   the D/RN pins of the relevant flip-flops, then runs the plain clock
@@ -40,7 +37,7 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   check grid (started at its first activation, restarted when it
   activates after running empty).  The groups share the simulated cycle,
   the lane batch, the elastic width (capped at the sum of the group caps),
-  repack, truncation and the per-lane horizon deadlines.  A window that
+  truncation and the per-lane horizon deadlines.  A window that
   several groups would each sweep alone is swept once.
 
 All of this is scheduling only: each lane still simulates the exact cycle
@@ -73,11 +70,6 @@ __all__ = [
     "SchedulerStats",
     "AdaptiveScheduler",
 ]
-
-#: Repack the batch when no refill is possible and fewer than half the
-#: lanes survive, provided at least this many lanes would be freed (the
-#: batched gather is O(flip-flops × width)).
-MIN_REPACK_GAIN = 16
 
 #: Width a pass starts at, and the narrowest it truncates to.  A pass
 #: doubles its width only when no lane is free (up to its cap) and
@@ -133,7 +125,6 @@ class SchedulerStats:
     lane_cycles: int = 0
     activations: int = 0
     deferred: int = 0
-    repacks: int = 0
     refills: int = 0
     early_retired: int = 0
     peak_width: int = 0
@@ -166,7 +157,6 @@ class SchedulerStats:
             "width_cycles",
             "activations",
             "deferred",
-            "repacks",
             "refills",
             "early_retired",
             "policy_skipped",
@@ -194,9 +184,6 @@ class ScheduledOutcome:
     verdicts: List[Tuple[bool, Optional[int]]]
     stats: SchedulerStats = field(default_factory=SchedulerStats)
     skipped: List[int] = field(default_factory=list)
-
-    def failed_count(self) -> int:
-        return sum(1 for failed, _lat in self.verdicts if failed)
 
 
 class AdaptiveScheduler:
@@ -233,7 +220,6 @@ class AdaptiveScheduler:
         self,
         injections: Sequence[Tuple[int, int]],
         horizon: Optional[int] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
         admit: Optional[Callable[[InjectionRequest], bool]] = None,
         on_verdict: Optional[Callable[[InjectionRequest, bool], None]] = None,
         groups: Optional[Sequence[int]] = None,
@@ -242,10 +228,9 @@ class AdaptiveScheduler:
 
         Verdict *k* corresponds to ``injections[k]``.  Lanes are packed and
         refilled across injection cycles; results are bit-identical to one
-        :meth:`FaultInjector.run_batch` lane per injection.  *progress* is
-        called as ``progress(completed_injections, total)`` after every
-        scheduler pass.  *horizon*, when given, must be at least 1: it is
-        the number of cycles each lane is observed from its injection cycle.
+        :meth:`FaultInjector.run_batch` lane per injection.  *horizon*, when
+        given, must be at least 1: it is the number of cycles each lane is
+        observed from its injection cycle.
 
         *admit* and *on_verdict* are the refill queue's online policy
         hooks (see :class:`repro.campaigns.policy.ShardGate`): before a
@@ -301,8 +286,6 @@ class AdaptiveScheduler:
                 pending, verdicts, horizon, admit, on_verdict, skipped
             )
             self.stats.n_passes += 1
-            if progress is not None:
-                progress(total - len(pending), total)
         from ..obs import get_telemetry
 
         registry = get_telemetry().registry
@@ -648,7 +631,7 @@ class AdaptiveScheduler:
             stats.lane_cycles += active_int.bit_count()
             stats.width_cycles += width
 
-            # -- retirement check / repack / truncation.
+            # -- retirement check / truncation.
             if c >= end_of_trace:
                 retire_lanes(active_int)
                 break
@@ -674,26 +657,7 @@ class AdaptiveScheduler:
                     retire_lanes(retire_bits)
                     if active_int == 0:
                         continue  # drained: fast-forward (or end) above
-                if (
-                    ptr >= n_pending
-                    and active_int.bit_count() <= width // 2
-                    and width - active_int.bit_count() >= MIN_REPACK_GAIN
-                ):
-                    width, mask, zero, values, all_lanes, failed_int = self._repack(
-                        lane_req, lane_lat, slots, free, deadlines, failed, lane_force
-                    )
-                    active_int = all_lanes  # every surviving lane is live
-                    ever_used = all_lanes  # survivors all carry injections
-                    active_vec = self._masked(active_int)
-                    failed = self._masked(failed_int)
-                    force_int = 0
-                    group_bits[:] = [0] * n_groups
-                    for lane, request in enumerate(lane_req):
-                        group_bits[request.group] |= 1 << lane
-                        if lane_force[lane] is not None:
-                            force_int |= 1 << lane
-                    stats.repacks += 1
-                elif width > MIN_WIDTH and active_int.bit_length() <= width // 2:
+                if width > MIN_WIDTH and active_int.bit_length() <= width // 2:
                     set_width(max(active_int.bit_length(), MIN_WIDTH))
 
         return deferred + pending[ptr:]
@@ -716,59 +680,3 @@ class AdaptiveScheduler:
                 golden_vec = mask if tap_golden[past] else zero
                 diff = diff | ((slots[t][past % tap.delay] ^ golden_vec) & active_vec)
         return diff
-
-    def _repack(self, lane_req, lane_lat, slots, free, deadlines, failed, lane_force):
-        """Compact surviving lanes into a narrower batch (gather/scatter).
-
-        Only flip-flop state, loopback slots and the failure mask need
-        moving: the next loop iteration re-drives inputs and re-settles the
-        combinational logic from the repacked state.
-        """
-        injector = self.injector
-        sim = injector.sim
-        keep = [lane for lane, req in enumerate(lane_req) if req is not None]
-        ff_q = sim._ff_q
-        # One batched gather moves every row: flip-flop Qs, then the loopback
-        # slots pipeline by pipeline, then the failure mask.  Gathered rows
-        # carry only len(keep) bits, so they fit the narrower batch as is.
-        gathered = sim.gather_lanes(
-            [sim.values[q] for q in ff_q]
-            + [vec for pipeline in slots for vec in pipeline]
-            + [failed],
-            keep,
-        )
-        failed_int = gathered.pop()
-
-        new_width = max(1, len(keep))
-        sim.resize_lanes(new_width)
-        mask = sim.mask
-        zero = sim.broadcast(0)
-        values = sim.values
-        for q, packed in zip(ff_q, gathered):
-            values[q] = packed
-        row = len(ff_q)
-        for pipeline in slots:
-            pipeline[:] = gathered[row : row + len(pipeline)]
-            row += len(pipeline)
-
-        remap = {old: new for new, old in enumerate(keep)}
-        new_req: List[Optional[InjectionRequest]] = [None] * new_width
-        new_lat = [0] * new_width
-        new_force: List[Optional[Tuple]] = [None] * new_width
-        for old, new in remap.items():
-            new_req[new] = lane_req[old]
-            new_lat[new] = lane_lat[old]
-            new_force[new] = lane_force[old]
-        lane_req[:] = new_req
-        lane_lat[:] = new_lat
-        lane_force[:] = new_force
-        free[:] = []
-        for cycle_key in list(deadlines):
-            deadlines[cycle_key] = [
-                (remap[lane], req)
-                for lane, req in deadlines[cycle_key]
-                if lane in remap
-            ]
-            if not deadlines[cycle_key]:
-                del deadlines[cycle_key]
-        return new_width, mask, zero, values, lane_mask(new_width), failed_int

@@ -25,8 +25,6 @@ import weakref
 from types import CodeType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..netlist.core import Cell, Netlist
 from .logic import broadcast, lane_mask
 
@@ -525,27 +523,6 @@ class CompiledSimulator:
     def vec_is_full(self, vec: int) -> bool:
         """True if every active lane of *vec* is set."""
         return (vec & self.mask) == self.mask
-
-    def gather_lanes(self, vecs: Sequence[int], lanes: Sequence[int]) -> List[int]:
-        """Pack the selected lanes of every vector in *vecs* into dense masks.
-
-        Bit *j* of result *i* is lane ``lanes[j]`` of ``vecs[i]`` — the
-        compaction primitive: surviving lanes gathered here and loaded into
-        a narrower batch preserve their per-lane state exactly.  All vectors
-        are gathered in one batch (one bit matrix, one column selection),
-        because compaction moves every flip-flop row at once.
-        """
-        mask = self.mask
-        n_bytes = (self.n_lanes + 7) // 8
-        rows = np.frombuffer(
-            b"".join((vec & mask).to_bytes(n_bytes, "little") for vec in vecs),
-            dtype=np.uint8,
-        ).reshape(len(vecs), n_bytes)
-        bits = np.unpackbits(rows, axis=1, bitorder="little")
-        picked = np.packbits(
-            bits[:, np.asarray(lanes, dtype=np.intp)], axis=1, bitorder="little"
-        )
-        return [int.from_bytes(row.tobytes(), "little") for row in picked]
 
     def diverging_rows(
         self,

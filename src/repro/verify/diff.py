@@ -21,13 +21,15 @@ oracle on identical fuzzed stimulus and reports the *first divergence* as a
   optimisations; verdict or error-latency mismatches are divergences;
 * **scheduled-vs-naive replay** — the adaptive injection scheduler
   (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
-  lane refill, compaction/repack, elastic width, observed-cone settle) runs
-  a mixed-cycle request set and every per-injection verdict/latency is
-  compared against a naive per-cycle
-  :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` replay of
-  the same injections.  Small lane budgets force multi-pass refill and
-  repack.  The same requests, split into three scheduler request groups
-  that share every pass, must reproduce the single-group verdicts.
+  lane refill, observed-cone settle) runs a mixed-cycle request set and
+  every per-injection verdict/latency is compared against a naive
+  per-cycle :meth:`~repro.faultinjection.injector.FaultInjector.run_batch`
+  replay of the same injections.  A small lane budget forces refill and
+  deferral across passes.  The same requests, split into three scheduler
+  request groups that share every pass, must reproduce the single-group
+  verdicts.  Each pass starts at its lane cap here, so elastic width
+  changes (growth, truncation) are exercised by the ``MIN_WIDTH``-patched
+  tests in ``tests/test_scheduler.py`` instead.
 
 ``verify_seed``/``verify_seeds`` tie the three together over fuzzed circuits
 and are what ``python -m repro.experiments verify`` and the CI fuzz stage
@@ -412,8 +414,8 @@ def run_scheduler_check(
 
     Every flip-flop is injected at a handful of seed-drawn cycles.  The
     whole mixed-cycle request set runs through the scheduler — with a
-    deliberately tiny ``max_lanes`` so activation refill, deferral across
-    passes and repack compaction all trigger — and each verdict/latency is
+    deliberately tiny ``max_lanes`` so activation refill and deferral across
+    passes both trigger — and each verdict/latency is
     compared to the naive same-cycle :meth:`FaultInjector.run_batch` replay.
     The requests then run again split at random into three request groups
     (one shared sweep per pass, each group with its own cap, deferral and
@@ -636,8 +638,8 @@ def run_fault_model_check(
       shared contract — the oracle applies it with none of the engine's
       lane packing, early retirement or force vectorization);
     * the adaptive scheduler's mixed-cycle verdicts vs. the brute-force
-      reference, with a tiny ``max_lanes`` so refill and repack trigger
-      under forcing models.
+      reference, with a tiny ``max_lanes`` so refill and deferral across
+      passes trigger under forcing models.
     """
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()

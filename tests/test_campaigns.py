@@ -105,18 +105,27 @@ LEGACY_TINY_DIGEST = "7d6e3d687f17c88a3b8ccc3e38a221e2894995a6025c46c0bcd1698e11
 
 
 def test_legacy_counters_are_pinned():
+    from repro.obs import Telemetry, use_telemetry
+
     spec = CampaignSpec.from_dataset_spec(
         replace(DATASET_PRESETS["tiny"], campaign_seed=3),
         schedule="legacy",
         n_injections=40,
     )
-    result = CampaignEngine(spec).run()
+    with use_telemetry(Telemetry()) as telemetry:
+        result = CampaignEngine(spec).run()
+        counters = telemetry.registry.snapshot().to_payload()["counters"]
     rows = sorted(
         [name, r.n_injections, r.n_failures, r.latency_sum]
         for name, r in result.results.items()
     )
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == LEGACY_TINY_DIGEST
+    # The scheduler's work, not just its verdicts: lanes simulated and the
+    # lane width allocated for them.
+    assert (result.n_forward_runs, result.total_lane_cycles) == (4, 631_577)
+    assert counters["scheduler.n_passes"] == 4
+    assert counters["scheduler.width_cycles"] == 1_072_049
 
 
 def test_legacy_rejects_more_time_slots_than_window(

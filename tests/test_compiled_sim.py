@@ -182,7 +182,7 @@ def _rows_in_mask(sim):
 
 def test_value_rows_stay_within_mask(tiny_mac):
     """Seeded property: eval, tick, flip_ff, the activation load, forcing,
-    width growth/shrink and gather_lanes all keep every row in [0, mask]."""
+    and width growth/shrink all keep every row in [0, mask]."""
     import random
 
     rng = random.Random(5)
@@ -191,7 +191,7 @@ def test_value_rows_stay_within_mask(tiny_mac):
     sim.reset()
     ff_q = sim._ff_q
     for step in range(40):
-        op = step % 8
+        op = step % 7
         if op == 0:
             for name in tiny_mac.inputs:
                 sim.set_input_lanes(name, rng.getrandbits(sim.n_lanes))
@@ -215,17 +215,11 @@ def test_value_rows_stay_within_mask(tiny_mac):
             sim.values[q] = (sim.values[q] & ~lv) | (lv if rng.random() < 0.5 else 0)
         elif op == 5:
             sim.resize_lanes(sim.n_lanes * 2, keep=True)
-        elif op == 6:
+        else:
             before = list(sim.values)
             narrow = max(1, sim.n_lanes // 3)
             sim.resize_lanes(narrow, keep=True)
             assert sim.values == [value & lane_mask(narrow) for value in before]
-        else:
-            lanes = sorted(rng.sample(range(sim.n_lanes), max(1, sim.n_lanes // 2)))
-            gathered = sim.gather_lanes([sim.values[q] for q in ff_q], lanes)
-            sim.resize_lanes(len(lanes))
-            for q, row in zip(ff_q, gathered):
-                sim.values[q] = row
         assert _rows_in_mask(sim), (step, op)
         sim.eval_comb()
         assert _rows_in_mask(sim), (step, op, "eval")

@@ -412,22 +412,3 @@ def test_campaign_invalid_window_rejected(tiny_mac, tiny_workload, tiny_golden):
             active_window=(50, 20),
             golden=tiny_golden,
         )
-
-
-def test_progress_callback(tiny_mac, tiny_workload, tiny_golden):
-    criterion = PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets)
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        criterion,
-        active_window=tiny_workload.active_window,
-        golden=tiny_golden,
-    )
-    calls = []
-    runner.run(
-        n_injections=4,
-        ff_names=tiny_mac.flip_flop_names()[:3],
-        seed=2,
-        progress=lambda done, total: calls.append((done, total)),
-    )
-    assert calls and calls[-1][0] == calls[-1][1]

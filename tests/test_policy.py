@@ -576,3 +576,8 @@ def test_sequential_counters_are_pinned():
     )
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == SEQUENTIAL_TINY_DIGEST
+    # The scheduler's work, not just its verdicts: lanes simulated and the
+    # lane width allocated for them.
+    assert (result.n_forward_runs, result.total_lane_cycles) == (5, 591_884)
+    assert counters["scheduler.n_passes"] == 5
+    assert counters["scheduler.width_cycles"] == 905_942

@@ -153,6 +153,23 @@ def test_supervisor_validate_rejects_malformed_payloads():
     assert counter(telemetry, "robustness.malformed_payloads") == 1
 
 
+def test_plain_counter_map_payload_is_malformed():
+    """Shard tallies travel only as a packed block: a plain
+    ``{name: [n, k, lat]}`` map is rejected before it is merged."""
+    from repro.campaigns import executor, warmstart
+
+    plain = {"ff_a": [2, 1, 3], "ff_b": [1, 0, 0]}
+    payload = {
+        "ff": warmstart.pack_tallies(plain, ["ff_a", "ff_b"].index),
+        "n_forward_runs": 1,
+        "total_lane_cycles": 12,
+        "done_cycles": [4],
+    }
+    assert executor._shard_payload_error(payload) is None
+    payload["ff"] = plain
+    assert executor._shard_payload_error(payload) is not None
+
+
 def test_supervisor_serial_propagates_keyboard_interrupt():
     """Only Exception is retried; a ^C must reach the engine's checkpoint
     path instead of being retried/quarantined away."""

@@ -1,8 +1,8 @@
 """Adaptive injection scheduler: equivalence, boundaries, lane algebra.
 
 The scheduler's contract is that scheduling is *invisible*: whatever lane a
-request lands in, however often the batch is compacted, repacked, grown or
-truncated, every injection's verdict and error latency must equal a naive
+request lands in, however often the batch is grown or truncated, every
+injection's verdict and error latency must equal a naive
 :meth:`FaultInjector.run_batch` replay of the same ``(cycle, ff)`` pair.
 """
 
@@ -84,10 +84,9 @@ def test_cone_gating_modes_are_invisible(tiny_parts, former_mode):
 
 
 @pytest.mark.parametrize("elastic_width", ["off", "on"])
-def test_many_repacks_match_naive(tiny_parts, monkeypatch, elastic_width):
-    """Repeated compaction (one batched gather per repack) keeps every
-    verdict and latency, at a fixed pass width and while the width grows
-    and truncates between repacks."""
+def test_drained_passes_match_naive(tiny_parts, monkeypatch, elastic_width):
+    """Passes that take every lane at once and then drain keep every
+    verdict and latency, at a fixed pass width and at an elastic one."""
     import repro.faultinjection.scheduler as scheduler_mod
 
     if elastic_width == "on":
@@ -98,7 +97,7 @@ def test_many_repacks_match_naive(tiny_parts, monkeypatch, elastic_width):
     rng = random.Random(11)
     n_ffs = injector.sim.n_flip_flops
     # Injections bunched at the start of the window: every pass takes its
-    # lanes at once, then drains, so nearly every pass ends in a repack.
+    # lanes at once, then drains with no request left to refill it.
     requests = [(first + rng.randrange(4), rng.randrange(n_ffs)) for _ in range(400)]
     expected = naive_verdicts(injector, requests)
     sim = injector.sim
@@ -114,9 +113,13 @@ def test_many_repacks_match_naive(tiny_parts, monkeypatch, elastic_width):
     scheduler = AdaptiveScheduler(injector, max_lanes=32)
     outcome = scheduler.run(requests)
     assert outcome.verdicts == expected
-    assert outcome.stats.repacks >= 5
-    # Only the elastic pass changes its width mid-pass.
-    assert bool(changes) == (elastic_width == "on")
+    truncations = sum(1 for old, new in changes if new < old)
+    # Only the elastic pass changes its width mid-pass.  Its drained passes
+    # keep a high lane live until they end, so truncation narrows once.
+    if elastic_width == "on":
+        assert truncations == 1
+    else:
+        assert changes == []
 
 
 # ----------------------------------------------------------------- boundaries
@@ -217,7 +220,7 @@ def test_horizon_below_one_is_rejected(tiny_parts, horizon):
 def _checked_settle(injector):
     """Install an observed settle that asserts the lane-width invariant:
     every row it reads lies in ``[0, mask]``, whatever wrote it (activation
-    load, flips, forcing, growth, truncation, repack gather, tick)."""
+    load, flips, forcing, growth, truncation, tick)."""
     settle = AdaptiveScheduler(injector)._observed_settle()
 
     def checked(values, mask, fb):
@@ -672,45 +675,6 @@ def test_groups_must_match_injections(tiny_parts):
 
 
 # ------------------------------------------------------------- lane algebra
-
-
-def gather_reference(vec, lanes):
-    """Per-lane gather: bit *j* of the result is lane ``lanes[j]`` of *vec*."""
-    return sum(((vec >> lane) & 1) << j for j, lane in enumerate(lanes))
-
-
-def test_gather_scatter_roundtrip(tiny_mac):
-    """Lanes gathered from a wide batch keep their state in a narrow one."""
-    sim = CompiledSimulator(tiny_mac, n_lanes=70)
-    rng = random.Random(1)
-    vecs = [rng.getrandbits(70) for _ in range(5)]
-    lanes = sorted(rng.sample(range(70), 23))
-    gathered = sim.gather_lanes(vecs, lanes)
-    assert gathered == [gather_reference(vec, lanes) for vec in vecs]
-    sim.resize_lanes(23)
-    for vec, narrow in zip(vecs, gathered):
-        assert sim.vec_to_int(narrow) == narrow
-        for j, lane in enumerate(lanes):
-            assert (narrow >> j) & 1 == (vec >> lane) & 1
-
-
-@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 4096])
-@pytest.mark.parametrize("density", ["empty", "sparse", "dense"])
-def test_batched_gather_matches_per_lane_reference(tiny_mac, width, density):
-    sim = CompiledSimulator(tiny_mac, n_lanes=width)
-    rng = random.Random(width)
-    if density == "empty":
-        lanes = []
-    elif density == "sparse":
-        lanes = sorted(rng.sample(range(width), max(1, width // 10)))
-    else:
-        lanes = [lane for lane in range(width) if rng.random() < 0.9] or [0]
-    # Random rows plus the all-zero and all-one extremes.
-    vecs = [rng.getrandbits(width) for _ in range(20)] + [0, sim.mask]
-    assert sim.gather_lanes(vecs, lanes) == [
-        gather_reference(vec, lanes) for vec in vecs
-    ]
-    assert sim.gather_lanes([], lanes) == []
 
 
 def test_diverging_rows_probe(tiny_mac):
