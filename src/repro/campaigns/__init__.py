@@ -24,9 +24,9 @@ philosophy to our own compute:
   detection and pool rebuild, poison-shard quarantine, and graceful
   degradation to serial execution;
 * :mod:`~repro.campaigns.warmstart` — the process-lifetime warm-start
-  cache: resident contexts and shard runners that fork-start workers (and
-  pool rebuilds) inherit instead of re-deriving, shared-memory golden
-  traces, and the packed shard-tally transport.
+  cache: one resident context and shard runner per campaign family, which
+  fork-start workers (and pool rebuilds) inherit instead of re-deriving,
+  and the packed shard-tally transport.
 """
 
 from .executor import CampaignEngine, EngineReport, RetryPolicy, run_campaign
@@ -50,13 +50,7 @@ from .policy import (
 from .spec import CampaignContext, CampaignSpec, build_context
 from .store import CampaignStore
 from .supervisor import QuarantinedShard, ShardOutcome, SupervisedPool
-from .warmstart import (
-    SharedPackedRows,
-    active_segment_names,
-    release_warm_cache,
-    warm_context,
-    warm_stats,
-)
+from .warmstart import release_warm_cache, warm_context
 
 __all__ = [
     "Bucket",
@@ -74,9 +68,7 @@ __all__ = [
     "SequentialWilsonPolicy",
     "ShardGate",
     "ShardOutcome",
-    "SharedPackedRows",
     "SupervisedPool",
-    "active_segment_names",
     "build_context",
     "legacy_buckets",
     "make_policy",
@@ -87,5 +79,4 @@ __all__ = [
     "stream_buckets",
     "stream_buckets_ranged",
     "warm_context",
-    "warm_stats",
 ]

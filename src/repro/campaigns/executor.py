@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..faultinjection.campaign import CampaignResult, run_buckets
 from ..faultinjection.injector import FaultInjector
 from ..faultinjection.scheduler import AdaptiveScheduler
@@ -119,9 +121,6 @@ class EngineReport:
     #: build one (see :mod:`repro.campaigns.warmstart`).
     warm_hits: int = 0
     warm_misses: int = 0
-    #: Pool rebuilds whose replacement workers re-forked from the parent's
-    #: warm cache instead of re-deriving the execution environment.
-    warm_rebuild_reuses: int = 0
 
 
 @dataclass
@@ -175,18 +174,23 @@ class _Accumulator:
         return acc
 
 
-def _shard_payload_error(payload: object) -> Optional[str]:
-    """Shape-check one shard payload before it is merged.
+def _shard_payload_error(
+    payload: object, tallied: np.ndarray, ff_names: Set[str]
+) -> Optional[str]:
+    """Check one shard payload before it is merged.
 
     The supervisor applies this to every worker return value: a payload
-    that fails (wrong type, non-integer counters, missing keys — e.g. a
+    that fails (wrong type, non-integer counters, missing keys, a tally
+    row or a skip for a flip-flop the campaign does not measure — e.g. a
     torn pickle or a chaos-malformed result) counts as a failed attempt
     and is retried/quarantined instead of corrupting the merged counters.
+    *tallied* marks the measured flip-flops in the canonical order;
+    *ff_names* names them.
     """
     if not isinstance(payload, dict):
         return f"expected dict payload, got {type(payload).__name__}"
     # Tallies travel packed (see warmstart.pack_tallies).
-    packed_error = warmstart.validate_packed_tally(payload.get("ff"))
+    packed_error = warmstart.validate_packed_tally(payload.get("ff"), tallied)
     if packed_error is not None:
         return packed_error
     for key in ("n_forward_runs", "total_lane_cycles"):
@@ -197,7 +201,7 @@ def _shard_payload_error(payload: object) -> Optional[str]:
         return "missing or invalid 'done_cycles'"
     skipped = payload.get("skipped", {})
     if not isinstance(skipped, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) for k, v in skipped.items()
+        k in ff_names and isinstance(v, int) for k, v in skipped.items()
     ):
         return "missing or invalid 'skipped'"
     return None
@@ -544,14 +548,6 @@ class CampaignEngine:
         report.retries += sup.retries
         report.pool_rebuilds += sup.rebuilds
         report.degraded_serial = report.degraded_serial or sup.degraded
-        if sup.rebuilds and warmstart.resolve_runner(self.spec) is not None:
-            # Replacement pools re-forked from the still-warm parent: each
-            # rebuild reused the resident context/kernels instead of paying
-            # a per-worker cold build.
-            report.warm_rebuild_reuses += sup.rebuilds
-            get_telemetry().registry.counter("warmstart.rebuild_reuses").inc(
-                sup.rebuilds
-            )
 
     # ----------------------------------------------------------------- run
 
@@ -898,6 +894,8 @@ class CampaignEngine:
             # each paying a cold build.
             self._warm_runner()
         chaos_payload = self.chaos.to_dict() if self.chaos is not None else None
+        measured = set(self.context.ff_names(self.spec))
+        tallied = np.array([name in measured for name in self._ff_order()])
         return SupervisedPool(
             _worker_run_task,
             jobs=jobs,
@@ -905,7 +903,7 @@ class CampaignEngine:
             initargs=(self.spec.to_dict(), chaos_payload),
             retry=self.retry,
             serial_fn=self._run_serial_task,
-            validate=_shard_payload_error,
+            validate=lambda payload: _shard_payload_error(payload, tallied, measured),
             mp_context=mp_ctx,
         )
 

@@ -309,7 +309,7 @@ class SupervisedPool:
         """Release the worker pool.
 
         ``clean=True`` uses ``close()``/``join()`` so workers finish their
-        in-flight cleanup (atexit handlers, profiling flushes); the
+        in-flight cleanup (exit handlers, profiling flushes); the
         exception path uses ``terminate()`` to stop wasting cycles on work
         whose results will be discarded.
         """

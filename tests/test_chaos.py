@@ -11,8 +11,6 @@ payloads, poisoned shards, torn store writes) must either
   short-count result as a finished snapshot.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.campaigns import (
@@ -20,9 +18,7 @@ from repro.campaigns import (
     CampaignSpec,
     CampaignStore,
     RetryPolicy,
-    active_segment_names,
     build_context,
-    release_warm_cache,
     stream_buckets,
 )
 from repro.obs import Telemetry, use_telemetry
@@ -350,61 +346,6 @@ def test_chaos_shard_runner_kill_in_process_is_an_exception():
         runner.run_shard([(1, ["ff_a"])], attempt=1)
     # Past max_faults_per_site the same site runs clean.
     assert runner.run_shard([(1, ["ff_a"])], attempt=2) == {"ff": {}}
-
-
-# ------------------------------------------------- shared-memory lifecycle
-
-
-def shm_segments():
-    """Names of this machine's live ``reprowarm_*`` shared-memory segments."""
-    return {p.name for p in Path("/dev/shm").glob("reprowarm_*")}
-
-
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="POSIX shared memory not visible"
-)
-def test_chaos_kills_leak_no_shared_memory_segments():
-    """Worker kills must not leak ``/dev/shm`` golden-trace segments.
-
-    Killed workers never unlink (the owner-PID guard makes their atexit a
-    no-op on segments the parent owns), pool rebuilds re-attach the same
-    segments, and ``release_warm_cache`` reclaims every registered name."""
-    release_warm_cache()
-    assert not active_segment_names()
-    before = shm_segments()
-
-    spec = tiny_spec()
-    baseline = CampaignEngine(spec, jobs=1).run()
-    chaos = ChaosSpec(seed=41, kill_rate=1.0)
-    engine = CampaignEngine(spec, jobs=2, chaos=chaos, retry=fast_retry())
-    result = engine.run()
-    assert result_key(result) == result_key(baseline)
-    assert engine.last_report.pool_rebuilds >= 1, "kills must force rebuilds"
-
-    registered = set(active_segment_names())
-    assert registered, "the warm cache should hold shm-backed golden rows"
-    assert registered <= shm_segments(), "registered segments must be live"
-
-    release_warm_cache()
-    assert not active_segment_names()
-    assert shm_segments() <= before, "no segment may outlive the cache"
-
-
-def test_exception_exit_releases_shared_memory():
-    """An exception between warm-up and release must not strand segments:
-    the atexit hook is belt-and-braces, but explicit release works mid-run."""
-    release_warm_cache()
-    before = shm_segments()
-    spec = tiny_spec()
-    try:
-        CampaignEngine(spec, jobs=1).run()
-        raise RuntimeError("simulated crash after a warm campaign")
-    except RuntimeError:
-        pass
-    finally:
-        release_warm_cache()
-    assert not active_segment_names()
-    assert shm_segments() <= before
 
 
 # ------------------------------------------------------------ trial suite

@@ -4,6 +4,10 @@ scipy is the test suite's reference for the normal quantile and networkx
 backs the reference feature engine (``engine="networkx"``); together they
 cost about 90 MB and a second per process.  This guard runs the default
 flow in a fresh interpreter and checks that neither library was loaded.
+
+The same interpreter runs a two-worker campaign: the warm cache keeps its
+golden traces as plain lists, so no campaign loads
+``multiprocessing.shared_memory`` or starts the resource-tracker process.
 """
 
 import json
@@ -22,16 +26,26 @@ import repro
 import repro.campaigns
 import repro.features.extractor
 import repro.experiments.table1
+from multiprocessing import resource_tracker
+from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.data import get_dataset
 from repro.experiments.table1 import run_table1
 
 with tempfile.TemporaryDirectory() as cache:
     dataset = get_dataset("tiny", cache_dir=Path(cache))
 run_table1(dataset, seed=0)
+spec = CampaignSpec(
+    circuit="xgmac_tiny", n_frames=4, min_len=2, max_len=3, gap=12,
+    workload_seed=7, n_injections=8, seed=5, schedule="stream",
+)
+campaign = CampaignEngine(spec, jobs=2).run()
 print(json.dumps({
     "engine": dataset.meta["features_engine"],
     "rows": dataset.n_samples,
     "loaded": sorted(m for m in ("scipy", "networkx") if m in sys.modules),
+    "campaign_ffs": len(campaign.results),
+    "shared_memory": "multiprocessing.shared_memory" in sys.modules,
+    "tracker_pid": resource_tracker._resource_tracker._pid,
 }))
 """
 
@@ -53,3 +67,6 @@ def test_default_flow_loads_neither_scipy_nor_networkx():
     assert report["engine"] == "vectorized"
     assert report["rows"] > 0
     assert report["loaded"] == []
+    assert report["campaign_ffs"] > 0
+    assert report["shared_memory"] is False
+    assert report["tracker_pid"] is None

@@ -9,6 +9,7 @@ campaign, resumed, must land bit-identical to a never-interrupted one.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaigns import (
@@ -153,6 +154,26 @@ def test_supervisor_validate_rejects_malformed_payloads():
     assert counter(telemetry, "robustness.malformed_payloads") == 1
 
 
+ORDER = ["ff_a", "ff_b", "ff_c"]
+TALLIED = np.ones(len(ORDER), dtype=bool)
+
+
+def packed_payload(idx, skipped=None):
+    """A shard payload whose packed tally rows carry the raw *idx* values,
+    one ``[1, 0, 0]`` row each, unchecked."""
+    return {
+        "ff": {
+            "n": len(idx),
+            "idx": np.asarray(idx, dtype="<i4").tobytes(),
+            "counts": np.tile([1, 0, 0], (len(idx), 1)).astype("<i8").tobytes(),
+        },
+        "n_forward_runs": 1,
+        "total_lane_cycles": 12,
+        "done_cycles": [4],
+        "skipped": skipped or {},
+    }
+
+
 def test_plain_counter_map_payload_is_malformed():
     """Shard tallies travel only as a packed block: a plain
     ``{name: [n, k, lat]}`` map is rejected before it is merged."""
@@ -160,14 +181,48 @@ def test_plain_counter_map_payload_is_malformed():
 
     plain = {"ff_a": [2, 1, 3], "ff_b": [1, 0, 0]}
     payload = {
-        "ff": warmstart.pack_tallies(plain, ["ff_a", "ff_b"].index),
+        "ff": warmstart.pack_tallies(plain, ORDER.index),
         "n_forward_runs": 1,
         "total_lane_cycles": 12,
         "done_cycles": [4],
     }
-    assert executor._shard_payload_error(payload) is None
+    assert executor._shard_payload_error(payload, TALLIED, set(ORDER)) is None
     payload["ff"] = plain
-    assert executor._shard_payload_error(payload) is not None
+    assert executor._shard_payload_error(payload, TALLIED, set(ORDER)) is not None
+
+
+@pytest.mark.parametrize(
+    "idx,skipped",
+    [
+        ([0, -1], None),  # would decode onto the last flip-flop
+        ([0, 7], None),  # would raise IndexError while merging
+        ([1, 1], None),  # one flip-flop credited twice
+        ([0], {"ff_z": 2}),  # would raise KeyError in the policy tallies
+    ],
+    ids=["negative-idx", "idx-past-order", "duplicate-idx", "unknown-skip"],
+)
+def test_packed_rows_outside_the_order_are_malformed(idx, skipped):
+    from repro.campaigns import executor
+
+    valid = packed_payload([0, 2])
+    assert executor._shard_payload_error(valid, TALLIED, set(ORDER)) is None
+    payload = packed_payload(idx, skipped)
+    assert executor._shard_payload_error(payload, TALLIED, set(ORDER)) is not None
+
+
+def test_engine_validator_knows_the_measured_flip_flops():
+    """The supervisor's ``validate`` seam checks tally rows and skips
+    against the flip-flops the engine's campaign measures: a row for a
+    netlist flip-flop outside ``spec.ff_names`` would otherwise raise
+    ``KeyError`` in the sequential driver's tallies."""
+    order = CampaignEngine(tiny_spec(), jobs=1)._ff_order()
+    engine = CampaignEngine(tiny_spec(ff_names=tuple(order[:4])), jobs=1)
+    validate = engine._supervised_pool(1).validate
+    assert validate(packed_payload([0, 3], {order[1]: 1})) is None
+    assert validate(packed_payload([len(order)])) is not None
+    assert validate(packed_payload([-1])) is not None
+    assert validate(packed_payload([4])) is not None
+    assert validate(packed_payload([0], {order[4]: 1})) is not None
 
 
 def test_supervisor_serial_propagates_keyboard_interrupt():
