@@ -27,9 +27,11 @@ Campaigns should prefer :meth:`FaultInjector.run_scheduled` over many
 :meth:`run_batch` calls: the adaptive scheduler
 (:mod:`repro.faultinjection.scheduler`) activates each injection at its own
 cycle inside one long-lived forward pass, refills lanes freed by early
-retirement, compacts drained batches and gates evaluation on the divergence
-cone — same verdicts, a multiple of the throughput (see
-``docs/performance.md``).
+retirement, starts each pass narrow and doubles its width only when no lane
+is free, truncates to the highest live lane as the pass drains, and settles
+only the observed cone (the fan-in of the criterion nets, loopback taps and
+relevant flip-flops) each cycle — same verdicts, a multiple of the
+throughput (see ``docs/performance.md``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import BaseEstimator, check_X_y, clone
-from .metrics import METRIC_FUNCTIONS, all_metrics, r2_score
+from .metrics import METRIC_FUNCTIONS, all_metrics
 
 __all__ = [
     "train_test_split",
@@ -145,10 +145,9 @@ class StratifiedRegressionKFold:
 
 @dataclass
 class FoldScore:
-    """Metrics of one CV fold, on both the train and test side."""
+    """Metrics of one CV fold, on its held-out test side."""
 
     fold: int
-    train_metrics: Dict[str, float]
     test_metrics: Dict[str, float]
 
 
@@ -160,9 +159,6 @@ class CrossValidationResult:
 
     def mean_test(self, metric: str) -> float:
         return float(np.mean([f.test_metrics[metric] for f in self.folds]))
-
-    def mean_train(self, metric: str) -> float:
-        return float(np.mean([f.train_metrics[metric] for f in self.folds]))
 
     def std_test(self, metric: str) -> float:
         return float(np.std([f.test_metrics[metric] for f in self.folds]))
@@ -186,7 +182,8 @@ def cross_validate(
     given (the paper's Table I uses 50 %), each fold's *training* side is
     subsampled to ``train_size`` of the total dataset before fitting, while
     the fold's test side is evaluated in full — this is how a "training size
-    of 50 %" coexists with 10-fold cross-validation.
+    of 50 %" coexists with 10-fold cross-validation.  Only the held-out
+    side is scored; :func:`learning_curve` records train scores.
     """
     X, y = check_X_y(X, y)
     if cv is None:
@@ -200,15 +197,7 @@ def cross_validate(
             train = rng.choice(train, size=target, replace=False)
         model = clone(estimator)
         model.fit(X[train], y[train])
-        train_pred = model.predict(X[train])
-        test_pred = model.predict(X[test])
-        folds.append(
-            FoldScore(
-                fold=fold_index,
-                train_metrics=all_metrics(y[train], train_pred),
-                test_metrics=all_metrics(y[test], test_pred),
-            )
-        )
+        folds.append(FoldScore(fold_index, all_metrics(y[test], model.predict(X[test]))))
     return CrossValidationResult(folds=folds)
 
 

@@ -13,20 +13,21 @@ We solve the standard dual in the combined coefficients β = α − α*::
     max_β  −½ βᵀKβ − ε Σ|βᵢ| + Σ yᵢ βᵢ
     s.t.   Σ βᵢ = 0,   −C ≤ βᵢ ≤ C
 
-by Sequential Minimal Optimization: repeatedly pick the pair (i, j) with
-the largest first-order violation, and solve the two-variable subproblem
-*exactly* — under the equality constraint it is a piecewise quadratic in
-βᵢ (breakpoints where βᵢ or βⱼ changes sign), so the maximizer is found by
-evaluating each piece's vertex and the breakpoints/box corners.
+by Sequential Minimal Optimization with LIBSVM's working-set rule (Fan,
+Chen & Lin, JMLR 2005): i maximizes the directional derivative along +e_i;
+j, among partners whose pair (i, j) violates the KKT conditions, maximizes
+the second-order gain violation² / (K_ii + K_jj − 2 K_ij).  The pair's
+subproblem, piecewise quadratic in βᵢ under the equality constraint, is
+solved *exactly* from each piece's vertex, the breakpoints (βᵢ or βⱼ = 0)
+and the box corners.  The loop stops once no pair violates by ``tol``.
 
 Only the pair's two coefficients change per step, so the pair selection
 keeps its per-sample parts incrementally.  The directional derivatives are
 ``r + up_off`` and ``down_off − r`` with residual ``r = y − f``; the offsets
 ``up_off``/``down_off`` (−ε, +ε, or −∞ at the box bound) depend on the sign
 and bound of βᵢ alone and are rewritten at i and j after each pair solve.
-``f = Kβ`` is updated from two kernel columns; the solve runs on Python
-floats.  Adding an offset is exact in IEEE arithmetic (``r + (−ε) ==
-r − ε``), so keeping the offsets does not change the iterates.
+``f = Kβ`` is updated from two kernel columns, and the curvatures are
+computed once per fit.
 """
 
 from __future__ import annotations
@@ -100,7 +101,13 @@ class SVR(BaseEstimator):
         # Columns of K as contiguous rows.  K comes from a BLAS product and
         # need not be bit-symmetric, so its rows are no substitute.
         columns = np.ascontiguousarray(K.T)
-        diagonal = K.diagonal().tolist()
+        diag = K.diagonal().copy()
+        # Row i: curvature K_ii + K_jj - 2 K_ij of a step along e_i - e_j,
+        # floored so that j = i stays finite.  It takes over K's buffer.
+        curvature = np.multiply(columns, -2.0, out=K)
+        curvature += diag
+        curvature += diag[:, None]
+        np.maximum(curvature, 1e-12, out=curvature)
         targets = y.tolist()
         C, eps = float(self.C), float(self.epsilon)
         beta = [0.0] * n
@@ -108,25 +115,32 @@ class SVR(BaseEstimator):
         f = np.zeros(n)
         up0, down0 = self._offsets(0.0, C, eps)
         up_off, down_off = np.full(n, up0), np.full(n, down0)
-        r, up, down = np.empty(n), np.empty(n), np.empty(n)
+        r, up, gain = np.empty(n), np.empty(n), np.empty(n)
 
         n_iter = 0
         converged = False
         for n_iter in range(1, self.max_iter + 1):
-            # First-order pair selection on the directional derivatives of
-            # the concave dual along +e_i (r + up_off) and -e_j (down_off - r).
+            # Directional derivatives of the dual along +e_i (r + up_off) and
+            # -e_j (down_off - r); up_i + down_j is the pair's KKT violation.
             np.subtract(y, f, out=r)
             np.add(r, up_off, out=up)
-            np.subtract(down_off, r, out=down)
+            np.subtract(down_off, r, out=gain)
             i = int(up.argmax())
-            j = int(down.argmax())
-            if up[i] + down[j] < self.tol or i == j:
+            gain += up[i]
+            # Rounding is monotone, so the largest entry is up_i + max(down).
+            if gain[gain.argmax()] < self.tol:
                 converged = True
                 break
+            # Second-order partner: the unconstrained pair step's gain.
+            np.maximum(gain, 0.0, out=gain)
+            np.square(gain, out=gain)
+            gain /= curvature[i]
+            gain[i] = -np.inf
+            j = int(gain.argmax())
             bi_old, bj_old = beta[i], beta[j]
             bi, bj = self._solve_pair(
                 bi_old, bj_old, float(f[i]), float(f[j]),
-                diagonal[i], diagonal[j], float(K[i, j]),
+                float(diag[i]), float(diag[j]), float(columns[j, i]),
                 targets[i] - targets[j], C, eps,
             )
             di, dj = bi - bi_old, bj - bj_old
@@ -220,17 +234,14 @@ class SVR(BaseEstimator):
         if margin.any():
             b = y[margin] - f[margin] - eps * np.sign(beta[margin])
             return float(np.mean(b))
-        # Fall back to the midpoint of the KKT-feasible interval.
-        lower, upper = -np.inf, np.inf
-        for k in range(len(beta)):
-            r = y[k] - f[k]
-            if beta[k] < C - 1e-8:
-                upper = min(upper, r + eps)
-            if beta[k] > -C + 1e-8:
-                lower = max(lower, r - eps)
+        # Fall back to the midpoint of the KKT-feasible interval of b: samples
+        # that can still grow bound it from below, those that can shrink above.
+        r = y - f
+        lower = np.max(np.where(beta < 0, r + eps, r - eps)[beta < C - 1e-8], initial=-np.inf)
+        upper = np.min(np.where(beta > 0, r - eps, r + eps)[beta > -C + 1e-8], initial=np.inf)
         if np.isfinite(lower) and np.isfinite(upper):
             return float((lower + upper) / 2.0)
-        return float(np.mean(y - f))
+        return float(np.mean(r))
 
     # -------------------------------------------------------------- predict
 

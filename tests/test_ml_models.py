@@ -205,20 +205,20 @@ def _dyadic_problem():
     return X, y
 
 
-# SHA-256 of (beta_, intercept_, n_iter_) for each fit, recorded with the SMO
-# loop that recomputed its selection offsets with np.where every iteration.
+# SHA-256 of (beta_, intercept_, n_iter_) for each fit, recorded with the
+# second-order (LIBSVM) pair selection.
 SVR_PINS = {
     "rbf": (
         dict(C=3.5, epsilon=0.025, gamma=0.055),
-        "0e6b446fdb8ccbe4520a1e7ce4a6eceff17cbd5b1e6dcb673c2d4b7d312e4e9a",
+        "fc8bf367cde604c92e702baf4c988999aad9567ac65f5c3d66897ca139420b67",
     ),
     "linear": (
         dict(kernel="linear", C=1.0, epsilon=0.05),
-        "c98af28210a09921fe8c95a696dbf996a5bd65fb6d086784d7c31cd23705dc68",
+        "b020f0f3a9326fd8bead99c47f04cd449d5edaa148f22c43cc011756097a0329",
     ),
     "poly": (
         dict(kernel="poly", degree=2, gamma=0.25, C=1.0, epsilon=0.05),
-        "2b19dc4b3b264fa800679fb519016d55aeeae0fcae66ea4ae64c9303d303b289",
+        "753808dd76ebe72e70f02dac701c30306524b99e8eea8f9817c3b8bf89dce6c6",
     ),
     "all_in_tube": (
         dict(C=1.0, epsilon=10.0, gamma=0.5),
@@ -226,7 +226,7 @@ SVR_PINS = {
     ),
     "box_bound": (
         dict(C=0.01, epsilon=0.01, gamma=0.5),
-        "a20ed47eccda4b0d6934adc40548a16e05aab7badab5955e2104141bc66bc7c0",
+        "df89e5120132d5c01efd59be5a9d507cbf1ac3edee161b30f0deab69ed5d8757",
     ),
 }
 
@@ -247,6 +247,65 @@ def test_svr_fit_is_pinned(case):
         assert model.n_iter_ == 1 and not model.beta_.any()
     if case == "box_bound":
         assert np.all(np.abs(model.beta_[model.beta_ != 0]) == params["C"])
+
+
+def _register_problem():
+    """506 x 25, shaped like one Table I training fold: the flip-flops of a
+    register share their features, so rows come in near-duplicate clusters
+    with scattered labels."""
+    rng = np.random.default_rng(2019)
+    prototypes = rng.normal(size=(60, 25))
+    member = rng.integers(0, 60, size=506)
+    X = prototypes[member] + rng.normal(0.0, 0.15, size=(506, 25))
+    centre = 1.0 / (1.0 + np.exp(-2.0 * prototypes[:, :5] @ rng.normal(size=5)))
+    y = np.clip(centre[member] + rng.normal(0.0, 0.1, 506), 0.0, 1.0)
+    return X, y
+
+
+def _gram(params, X):
+    """The fit's kernel matrix, rebuilt from pairwise differences."""
+    kernel = params.get("kernel", "rbf")
+    if kernel == "rbf":
+        return np.exp(-params["gamma"] * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1))
+    if kernel == "linear":
+        return X @ X.T
+    return (params["gamma"] * (X @ X.T) + 1.0) ** params["degree"]
+
+
+# n_iter_ of each fit under the first-order pair selection it replaced.
+FIRST_ORDER_N_ITER = {
+    "rbf": 1094,
+    "linear": 835,
+    "poly": 5091,
+    "all_in_tube": 1,
+    "box_bound": 30,
+    "register": 18976,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ORDER_N_ITER))
+def test_svr_solution_satisfies_kkt(case):
+    """The fit is an ε-SVR optimum: with r = y - Kβ - b, a free coefficient
+    sits on the tube edge of its sign, a zero one inside the tube and a
+    bounded one outside it, each up to the KKT tolerance."""
+    if case == "register":
+        params, (X, y) = dict(C=3.5, epsilon=0.025, gamma=0.055), _register_problem()
+    else:
+        params, (X, y) = SVR_PINS[case][0], _dyadic_problem()
+    model = SVR(**params).fit(X, y)
+    assert model.converged_
+    assert model.n_iter_ <= FIRST_ORDER_N_ITER[case]
+    if case in ("rbf", "linear", "poly", "register"):
+        assert model.n_iter_ < FIRST_ORDER_N_ITER[case]
+    beta, C, eps = model.beta_, params["C"], params["epsilon"]
+    r = y - _gram(params, X) @ beta - model.intercept_
+    slack = model.tol + 1e-9
+    bounded = np.abs(beta) >= C - 1e-9
+    free = (beta != 0) & ~bounded
+    assert np.all(np.abs(r[free] - eps * np.sign(beta[free])) <= slack)
+    assert np.all(np.abs(r[beta == 0]) <= eps + slack)
+    assert np.all(r[bounded & (beta > 0)] >= eps - slack)
+    assert np.all(r[bounded & (beta < 0)] <= -eps + slack)
 
 
 def test_svr_reports_non_convergence():

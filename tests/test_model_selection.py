@@ -98,7 +98,6 @@ def test_cross_validate_summary(regression_data):
     summary = result.summary()
     assert set(summary) == {"mae", "max", "rmse", "ev", "r2"}
     assert result.std_test("r2") >= 0
-    assert result.mean_train("r2") >= result.mean_test("r2") - 0.2
 
 
 def test_cross_validate_train_size_subsamples(regression_data):
