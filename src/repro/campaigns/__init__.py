@@ -10,7 +10,8 @@ philosophy to our own compute:
   rebuild from scratch;
 * :mod:`~repro.campaigns.partition` — deterministic schedules (the legacy
   serial draw order and a prefix-stable stream schedule) bucketed by
-  injection time slot, and a balanced shard partitioner;
+  injection time slot, and two balanced shard partitioners (cycle ranges
+  for flat campaigns, a spread for the sequential gate shards);
 * :mod:`~repro.campaigns.store` — a content-addressed JSON result store with
   snapshot reuse, incremental top-up and mid-run checkpoints;
 * :mod:`~repro.campaigns.policy` — sampling policies: the paper's flat
@@ -32,6 +33,7 @@ philosophy to our own compute:
 from .executor import CampaignEngine, EngineReport, RetryPolicy, run_campaign
 from .partition import (
     Bucket,
+    cycle_range_shards,
     legacy_buckets,
     partition_shards,
     stream_buckets,
@@ -70,6 +72,7 @@ __all__ = [
     "ShardOutcome",
     "SupervisedPool",
     "build_context",
+    "cycle_range_shards",
     "legacy_buckets",
     "make_policy",
     "partition_shards",

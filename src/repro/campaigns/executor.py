@@ -8,7 +8,8 @@ into a :class:`~repro.faultinjection.campaign.CampaignResult`:
    simulations, and with the ``stream`` schedule a smaller snapshot seeds an
    incremental top-up;
 2. plan the remaining injection draws as time-slot buckets and partition
-   them into balanced shards;
+   them into shards with balanced lane counts (contiguous cycle ranges on
+   the flat path, a spread of gate shards on the sequential path);
 3. run them as tasks ``(shards, tallies)`` through a
    :class:`~repro.campaigns.supervisor.SupervisedPool` — worker processes
    (``jobs > 1``), each of which rebuilds its own netlist/golden
@@ -56,6 +57,7 @@ from ..obs import (
 from . import warmstart
 from .partition import (
     DrawStream,
+    cycle_range_shards,
     legacy_buckets,
     partition_shards,
     stream_buckets,
@@ -68,9 +70,11 @@ from .supervisor import RetryPolicy, SupervisedPool
 
 __all__ = ["CampaignEngine", "EngineReport", "RetryPolicy", "run_campaign"]
 
-#: Shards per worker process.  On the flat path a shard is the execution
-#: and retry unit: more shards than workers smooths load balance and
-#: tightens checkpoint granularity.  On the sequential path a shard is the
+#: Shards per worker process.  On the flat path a shard is a contiguous
+#: cycle range of the pending buckets with a balanced lane count, and the
+#: execution, retry and checkpoint unit: more shards than workers smooths
+#: load balance and tightens checkpoint granularity, and each shard's run
+#: sweeps only its own range.  On the sequential path a shard is the
 #: *gate* partition (each gets its own :class:`ShardGate`, so the counters
 #: depend on ``jobs * shards_per_job``), while the task — all the gate
 #: shards one worker owns in a round, swept by one scheduler pass — is the
@@ -610,7 +614,7 @@ class CampaignEngine:
         pending = [b for b in buckets if b.cycle not in done_cycles]
 
         n_shards = min(len(pending), max(1, self.jobs * self.shards_per_job))
-        shards = partition_shards(pending, n_shards) if pending else []
+        shards = cycle_range_shards(pending, n_shards) if pending else []
         report.n_shards = len(shards)
         tasks = [([[(b.cycle, b.lanes) for b in shard]], None) for shard in shards]
 

@@ -7,8 +7,14 @@ exact per lane and a converged lane can never fail later), per-flip-flop
 outcomes do not depend on which process runs which bucket; only the
 *schedule* (which flip-flop is struck at which cycle, in which lane order)
 matters for bit-exactness.  Both schedules here are therefore computed
-centrally and deterministically; the shard partitioner merely distributes
-whole buckets across workers.
+centrally and deterministically; the shard partitioners merely distribute
+whole buckets across workers.  Two partitioners are provided:
+
+* :func:`cycle_range_shards` — contiguous cycle ranges with balanced lane
+  counts, the flat campaign's shards: each shard's scheduler run sweeps
+  only its own range plus the tail its last lanes need;
+* :func:`partition_shards` — a longest-processing-time spread, the
+  sequential policy's *gate* partition, whose counters depend on it.
 
 Two schedules are provided:
 
@@ -46,6 +52,7 @@ __all__ = [
     "stream_buckets",
     "stream_buckets_ranged",
     "stream_draws",
+    "cycle_range_shards",
     "partition_shards",
 ]
 
@@ -204,6 +211,35 @@ def stream_buckets_ranged(
 
 
 # ------------------------------------------------------------- sharding
+
+
+def cycle_range_shards(
+    buckets: Sequence[Bucket], n_shards: int
+) -> List[List[Bucket]]:
+    """Cut buckets into at most *n_shards* contiguous cycle ranges.
+
+    Walks the buckets in cycle order and closes shard *k* at the first
+    bucket that brings the running lane count to *k*/*n_shards* of the
+    total, so the shards carry balanced lane counts.  A shard's scheduler
+    run then sweeps only its own range plus the tail its last lanes need,
+    where spread shards would each sweep the whole window.
+    """
+    if n_shards <= 0:
+        raise ValueError("n_shards must be positive")
+    ordered = sorted(buckets, key=lambda b: b.cycle)
+    total = sum(bucket.n_lanes for bucket in ordered)
+    shards: List[List[Bucket]] = []
+    current: List[Bucket] = []
+    load = 0
+    for bucket in ordered:
+        current.append(bucket)
+        load += bucket.n_lanes
+        if load * n_shards >= (len(shards) + 1) * total:
+            shards.append(current)
+            current = []
+    if current:
+        shards.append(current)
+    return shards
 
 
 def partition_shards(buckets: Sequence[Bucket], n_shards: int) -> List[List[Bucket]]:

@@ -27,12 +27,7 @@ from .faults import (
 )
 from .fdr import FdrEstimate, required_sample_size, wilson_interval
 from .injector import BatchOutcome, FaultInjector, relevant_flip_flops
-from .scheduler import (
-    AdaptiveScheduler,
-    InjectionRequest,
-    ScheduledOutcome,
-    SchedulerStats,
-)
+from .scheduler import AdaptiveScheduler, ScheduledOutcome, SchedulerStats
 
 __all__ = [
     "CampaignResult",
@@ -65,7 +60,6 @@ __all__ = [
     "FaultInjector",
     "relevant_flip_flops",
     "AdaptiveScheduler",
-    "InjectionRequest",
     "ScheduledOutcome",
     "SchedulerStats",
 ]

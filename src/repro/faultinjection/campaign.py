@@ -25,7 +25,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.core import Netlist
 from ..sim.testbench import GoldenTrace, Testbench
@@ -305,7 +305,7 @@ def legacy_draws(
 
 def run_buckets(
     scheduler: AdaptiveScheduler,
-    buckets: Iterable[Tuple[int, Sequence[str]]],
+    buckets: Sequence[Tuple[int, Sequence[str]]],
     horizon: Optional[int] = None,
     gates: Optional[Sequence[object]] = None,
     groups: Optional[Sequence[int]] = None,
@@ -316,41 +316,41 @@ def run_buckets(
     *gates*, when given, hold one online policy gate per request group:
     ``admit(ff)`` may skip a draw before it costs a lane, and
     ``record(ff, failed)`` sees each verdict as its lane retires.  *groups*
-    names each injection's gate, in bucket order.  Returns ``(counts,
-    skipped, stats)``: ``counts[ff] = [injections, failures, latency_sum]``
-    of the simulated draws, ``skipped[ff]`` the draws a gate refused, and
-    the run's scheduler statistics.
+    names each injection's gate, in bucket order (all group 0 when
+    omitted).  Returns ``(counts, skipped, stats)``: ``counts[ff] =
+    [injections, failures, latency_sum]`` of the simulated draws,
+    ``skipped[ff]`` the draws a gate refused, and the run's scheduler
+    statistics.
     """
     ff_index = scheduler.injector.ff_index
-    requests: List[Tuple[int, int]] = []
-    names: List[str] = []
-    for cycle, lanes in buckets:
-        for name in lanes:
-            requests.append((cycle, ff_index(name)))
-            names.append(name)
+    names = [name for _cycle, lanes in buckets for name in lanes]
     admit = on_verdict = None
     if gates is not None:
-        admit = lambda req: gates[req.group].admit(names[req.key])  # noqa: E731
-        on_verdict = lambda req, failed: gates[req.group].record(  # noqa: E731
-            names[req.key], failed
+        gate_of = [0] * len(names) if groups is None else groups
+        admit = lambda key: gates[gate_of[key]].admit(names[key])  # noqa: E731
+        on_verdict = lambda key, failed: gates[gate_of[key]].record(  # noqa: E731
+            names[key], failed
         )
     outcome = scheduler.run(
-        requests,
+        ((cycle, ff_index(name)) for cycle, lanes in buckets for name in lanes),
         horizon=horizon,
         admit=admit,
         on_verdict=on_verdict,
         groups=groups,
     )
     skipped_keys = frozenset(outcome.skipped)
+    failed, latency = outcome.failed, outcome.latency
     counts: Dict[str, List[int]] = {}
     skipped: Dict[str, int] = {}
-    for key, (name, (failed, latency)) in enumerate(zip(names, outcome.verdicts)):
+    for key, name in enumerate(names):
         if key in skipped_keys:
             skipped[name] = skipped.get(name, 0) + 1
             continue
-        rec = counts.setdefault(name, [0, 0, 0])
+        rec = counts.get(name)
+        if rec is None:
+            rec = counts[name] = [0, 0, 0]
         rec[0] += 1
-        if failed:
+        if failed[key]:
             rec[1] += 1
-            rec[2] += latency
+            rec[2] += latency[key]
     return counts, skipped, outcome.stats

@@ -39,6 +39,13 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   the lane batch, the elastic width (capped at the sum of the group caps),
   truncation and the per-lane horizon deadlines.  A window that
   several groups would each sweep alone is swept once.
+* **O(width) lane bookkeeping** — a cycle's activations, failures and
+  retirements are handled as lane lists: set lanes are listed once
+  (:func:`~repro.sim.logic.set_lanes`) and the activation masks built once
+  (:func:`~repro.sim.logic.lanes_mask`), so the bookkeeping costs one pass
+  over the width per cycle plus O(1) per lane rather than the width per
+  lane.  Requests and verdicts live in machine-word arrays.  Both keep a
+  wide default cap (:func:`auto_max_lanes`) cheap in time and memory.
 
 All of this is scheduling only: each lane still simulates the exact cycle
 sequence :meth:`run_batch` would have on every net a verdict reads, so
@@ -52,23 +59,35 @@ retirement batch no ``admit`` runs between ``on_verdict`` calls.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from ..sim.compiled import bind_chunks, compile_chunked
-from ..sim.logic import lane_mask
+from ..sim.logic import lanes_mask, set_lanes
 from .faults import InjectionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .injector import FaultInjector
 
 __all__ = [
-    "InjectionRequest",
     "ScheduledOutcome",
     "SchedulerStats",
     "AdaptiveScheduler",
+    "auto_max_lanes",
 ]
 
 #: Width a pass starts at, and the narrowest it truncates to.  A pass
@@ -78,32 +97,30 @@ __all__ = [
 #: width, so narrower batches would only add resizes.
 MIN_WIDTH = 64
 
-#: Default lane-slot capacity when ``max_lanes`` is ``None``.  Wider
-#: batches amortize the per-statement interpreter cost over more lanes —
-#: but only pay off when the batch stays *full*, which is exactly what
+#: Bits the simulator's value rows may take at the default lane cap (10 MiB).
+#: Wider batches amortize the per-statement interpreter cost over more
+#: lanes, but only pay off while the batch stays *full*, which is what
 #: refill provides (a naive batch this wide would drain to a few stragglers
 #: and waste almost the whole width).  Pass width is always additionally
 #: capped by the pending-request count.
-AUTO_MAX_LANES = 4096
+LANE_BUDGET_BITS = 10 * 8 * 2**20
+
+#: The default lane cap never drops below this, however many value rows
+#: the netlist has.
+MIN_AUTO_LANES = 4096
+
+
+def auto_max_lanes(n_rows: int) -> int:
+    """Default lane cap of a simulator with *n_rows* value rows: the widest
+    batch whose rows fit :data:`LANE_BUDGET_BITS`, at least
+    :data:`MIN_AUTO_LANES` (16,703 on ``xgmac``'s 5,022 rows, the floor on
+    ``mesh_10k``'s ~55k)."""
+    return max(MIN_AUTO_LANES, LANE_BUDGET_BITS // max(1, n_rows))
 
 
 #: Check-grid value of a group with no live lanes: its grid restarts at
 #: its next activation.
 _IDLE = 1 << 62
-
-
-@dataclass(frozen=True, slots=True)
-class InjectionRequest:
-    """One pending injection: strike ``ff_index`` at ``cycle`` under the
-    injector's fault model; ``key`` indexes the caller's request list and
-    names the verdict slot, ``group`` is the request group it runs in
-    (see :meth:`AdaptiveScheduler.run`).  Slotted: a pass holds a whole
-    sampling round's requests."""
-
-    cycle: int
-    ff_index: int
-    key: int
-    group: int = 0
 
 
 @dataclass
@@ -133,18 +150,16 @@ class SchedulerStats:
     forced_cycles: int = 0
 
     def lane_occupancy(self) -> float:
-        """Live lane-cycles as a fraction of the peak-width bound.
+        """Live lane-cycles as a fraction of the allocated lane-cycles.
 
-        ``lane_cycles / (cycles_simulated * peak_width)``: the share of the
-        widest batch's slots that carried a live injection (a naive drained
-        batch decays toward 1/width).  Passes narrower than the peak, and
-        a pass that grows or truncates, allocate fewer slots than this
-        bound; ``width_cycles`` counts the slots actually allocated.  0.0
-        when nothing was simulated.
+        ``lane_cycles / width_cycles``: the share of the lane slots the
+        passes actually paid for that carried a live injection (a naive
+        drained batch decays toward 1/width).  0.0 when nothing was
+        simulated.
         """
-        if not self.cycles_simulated or not self.peak_width:
+        if not self.width_cycles:
             return 0.0
-        return self.lane_cycles / (self.cycles_simulated * self.peak_width)
+        return self.lane_cycles / self.width_cycles
 
     def record_to(self, registry) -> None:
         """Report this run's totals into a metrics registry
@@ -165,7 +180,7 @@ class SchedulerStats:
             value = getattr(self, name)
             if value:
                 registry.counter(f"scheduler.{name}").inc(value)
-        if self.cycles_simulated and self.peak_width:
+        if self.width_cycles:
             registry.gauge("scheduler.lane_occupancy").set(self.lane_occupancy())
 
 
@@ -173,17 +188,45 @@ class SchedulerStats:
 class ScheduledOutcome:
     """Per-request verdicts of one scheduled run.
 
-    ``verdicts[key]`` is ``(failed, latency)`` for the request with that
-    key; *latency* is ``None`` unless the lane failed.  Bit-identical to
-    running each request through :meth:`FaultInjector.run_batch`.
+    Request *k* failed when ``failed[k]`` is set, after ``latency[k]``
+    cycles (0 when it did not fail): bit-identical to running each request
+    through :meth:`FaultInjector.run_batch`.  One byte and one machine word
+    per request.
 
     ``skipped`` lists the keys of requests an ``admit`` gate rejected —
     those were never simulated and their verdict slots are meaningless.
     """
 
-    verdicts: List[Tuple[bool, Optional[int]]]
+    failed: bytearray
+    latency: array
     stats: SchedulerStats = field(default_factory=SchedulerStats)
     skipped: List[int] = field(default_factory=list)
+
+    def verdict(self, k: int) -> Tuple[bool, Optional[int]]:
+        """``(failed, latency)`` of request *k*, read from :attr:`failed`
+        and :attr:`latency`; *latency* is ``None`` unless it failed."""
+        return (True, self.latency[k]) if self.failed[k] else (False, None)
+
+    @property
+    def verdicts(self) -> List[Tuple[bool, Optional[int]]]:
+        """Every :meth:`verdict`, as a fresh list on each access — a
+        convenience for tests comparing whole runs."""
+        return [self.verdict(k) for k in range(len(self.failed))]
+
+
+class _Requests:
+    """A run's requests as parallel machine-word arrays, indexed by key,
+    plus the verdict slots the passes fill."""
+
+    __slots__ = ("cycle", "ff", "group", "n_groups", "failed", "latency")
+
+    def __init__(self, cycle: array, ff: array, group: array) -> None:
+        self.cycle = cycle
+        self.ff = ff
+        self.group = group
+        self.n_groups = max(group, default=0) + 1
+        self.failed = bytearray(len(cycle))
+        self.latency = array("q", bytes(8 * len(cycle)))
 
 
 class AdaptiveScheduler:
@@ -194,8 +237,8 @@ class AdaptiveScheduler:
     injector:
         The bound forward simulator.
     max_lanes:
-        Lane-slot capacity of one pass; ``None`` (default) picks
-        :data:`AUTO_MAX_LANES`.
+        Lane-slot capacity of one pass; ``None`` (default) sizes it by the
+        netlist (:func:`auto_max_lanes`).
     """
 
     def __init__(
@@ -204,7 +247,7 @@ class AdaptiveScheduler:
         max_lanes: Optional[int] = None,
     ) -> None:
         if max_lanes is None:
-            max_lanes = AUTO_MAX_LANES
+            max_lanes = auto_max_lanes(len(injector.sim.values))
         if max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
         self.injector = injector
@@ -218,32 +261,31 @@ class AdaptiveScheduler:
 
     def run(
         self,
-        injections: Sequence[Tuple[int, int]],
+        injections: Iterable[Tuple[int, int]],
         horizon: Optional[int] = None,
-        admit: Optional[Callable[[InjectionRequest], bool]] = None,
-        on_verdict: Optional[Callable[[InjectionRequest, bool], None]] = None,
+        admit: Optional[Callable[[int], bool]] = None,
+        on_verdict: Optional[Callable[[int, bool], None]] = None,
         groups: Optional[Sequence[int]] = None,
     ) -> ScheduledOutcome:
         """Simulate every ``(cycle, ff_index)`` injection; return verdicts.
 
-        Verdict *k* corresponds to ``injections[k]``.  Lanes are packed and
-        refilled across injection cycles; results are bit-identical to one
-        :meth:`FaultInjector.run_batch` lane per injection.  *horizon*, when
-        given, must be at least 1: it is the number of cycles each lane is
-        observed from its injection cycle.
+        Request *k* (its *key*) is the *k*-th injection.  Lanes are packed
+        and refilled across injection cycles; results are bit-identical to
+        one :meth:`FaultInjector.run_batch` lane per injection.  *horizon*,
+        when given, must be at least 1: it is the number of cycles each lane
+        is observed from its injection cycle.
 
         *admit* and *on_verdict* are the refill queue's online policy
         hooks (see :class:`repro.campaigns.policy.ShardGate`): before a
-        pending request is activated into a freed lane, ``admit(request)``
-        may reject it — the request is recorded in
+        pending request is activated into a freed lane, ``admit(key)`` may
+        reject it — the request is recorded in
         :attr:`ScheduledOutcome.skipped` and never simulated — and
-        ``on_verdict(request, failed)`` fires as each lane retires, so the
-        gate sees results in execution order.  The simulated requests'
-        verdicts stay bit-identical to an ungated run.
+        ``on_verdict(key, failed)`` fires as each lane retires, so the gate
+        sees results in execution order.  The simulated requests' verdicts
+        stay bit-identical to an ungated run.
 
-        *groups*, when given, assigns injection *k* to request group
-        ``groups[k]`` (a non-negative int, carried as
-        :attr:`InjectionRequest.group`).  Every group runs exactly the
+        *groups*, when given, assigns request *k* to request group
+        ``groups[k]`` (a non-negative int).  Every group runs exactly the
         passes, deferrals, checks and hook calls it would run alone —
         ``run`` over only that group's injections, in their order — but
         pass *k* of every group shares one sweep of the window.  Statistics
@@ -252,40 +294,44 @@ class AdaptiveScheduler:
         """
         if horizon is not None and horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        if groups is not None and len(groups) != len(injections):
-            raise ValueError(
-                f"{len(groups)} groups for {len(injections)} injections"
-            )
-        golden = self.injector.golden
-        n_cycles = golden.n_cycles
-        requests: List[InjectionRequest] = []
-        for key, (cycle, ff_index) in enumerate(injections):
+        n_cycles = self.injector.golden.n_cycles
+        pairs = array("q", chain.from_iterable(injections))
+        cycles, ffs = pairs[0::2], pairs[1::2]
+        del pairs
+        total = len(cycles)
+        for cycle in (min(cycles, default=0), max(cycles, default=0)):
             if not 0 <= cycle < n_cycles:
                 raise ValueError(
                     f"injection cycle {cycle} outside trace [0, {n_cycles})"
                 )
-            group = 0 if groups is None else groups[key]
-            if group < 0:
-                raise ValueError(f"request group {group} is negative")
-            requests.append(InjectionRequest(cycle, ff_index, key, group))
-        # Stable: equal cycles keep key order.
-        requests.sort(key=attrgetter("cycle"))
-
-        self.stats = SchedulerStats(n_injections=len(requests))
-        verdicts: List[Tuple[bool, Optional[int]]] = [(False, None)] * len(requests)
-        if not requests:
-            return ScheduledOutcome(verdicts=verdicts, stats=self.stats)
-
-        total = len(requests)
+        if groups is None:
+            group_of = array("q", bytes(8 * total))
+        else:
+            if len(groups) != total:
+                raise ValueError(f"{len(groups)} groups for {total} injections")
+            group_of = array("q", groups)
+            if min(group_of, default=0) < 0:
+                raise ValueError(f"request group {min(group_of)} is negative")
+        requests = _Requests(cycles, ffs, group_of)
+        self.stats = SchedulerStats(n_injections=total)
         skipped: List[int] = []
-        pending = requests
+        # Keys in (cycle, key) order: a stable sort on the cycle.
+        pending = array("q")
+        pending.frombytes(
+            np.argsort(np.frombuffer(cycles, dtype=np.int64), kind="stable").tobytes()
+        )
         while pending:
             # Deferred requests come back in (cycle, key) order, so every
             # group's share of a later pass is its solo pass.
             pending = self._run_pass(
-                pending, verdicts, horizon, admit, on_verdict, skipped
+                pending, requests, horizon, admit, on_verdict, skipped
             )
             self.stats.n_passes += 1
+        outcome = ScheduledOutcome(
+            requests.failed, requests.latency, stats=self.stats, skipped=skipped
+        )
+        if not total:
+            return outcome
         from ..obs import get_telemetry
 
         registry = get_telemetry().registry
@@ -297,7 +343,7 @@ class AdaptiveScheduler:
             registry.counter(
                 f"fault.{self.injector.fault_model.name}.injections"
             ).inc(total - len(skipped))
-        return ScheduledOutcome(verdicts=verdicts, stats=self.stats, skipped=skipped)
+        return outcome
 
     # ---------------------------------------------------------- cycle path
 
@@ -330,7 +376,7 @@ class AdaptiveScheduler:
     def _activation_loader(self):
         """Generated per-lane golden-state loader (one statement per flip-flop).
 
-        ``_load(v, z, am, nam, gs)`` sets, on the lanes selected by the
+        ``_load(v, am, nam, gs)`` sets, on the lanes selected by the
         lane vectors ``am``/``nam = am ^ mask``, every flip-flop Q to its
         golden bit from the packed state ``gs`` — the scatter half of
         mixed-cycle activation, without a per-flip-flop Python loop.
@@ -340,30 +386,32 @@ class AdaptiveScheduler:
             if load_fn is None:
                 sim = self.injector.sim
                 body = [
-                    f"v[{q}] = (v[{q}] & nam) | (am if (gs >> {i}) & 1 else z)"
+                    f"v[{q}] = (v[{q}] & nam) | (am if (gs >> {i}) & 1 else 0)"
                     for i, q in enumerate(sim._ff_q)
                 ]
                 codes = compile_chunked(
-                    "_load", "v, z, am, nam, gs", body, f"<repro-load:{sim.netlist.name}>"
+                    "_load", "v, am, nam, gs", body, f"<repro-load:{sim.netlist.name}>"
                 )
                 load_fn = bind_chunks(codes, "_load")
                 self.injector._cached_activation_loader = load_fn
             self._load_fn = load_fn
         return self._load_fn
 
-    def _masked(self, packed: int) -> int:
-        """Packed lane mask restricted to the simulator's current lanes."""
-        return packed & self.injector.sim.mask
-
     def _run_pass(
         self,
-        pending: List[InjectionRequest],
-        verdicts: List[Tuple[bool, Optional[int]]],
+        pending: array,
+        requests: _Requests,
         horizon: Optional[int],
-        admit: Optional[Callable[[InjectionRequest], bool]] = None,
-        on_verdict: Optional[Callable[[InjectionRequest, bool], None]] = None,
-        skipped: Optional[List[int]] = None,
-    ) -> List[InjectionRequest]:
+        admit: Optional[Callable[[int], bool]],
+        on_verdict: Optional[Callable[[int, bool], None]],
+        skipped: List[int],
+    ) -> array:
+        """One sweep over the *pending* keys; returns the deferred ones.
+
+        Lane bookkeeping touches width-sized ints once per cycle, not once
+        per lane: set lanes are listed with :func:`set_lanes` and the
+        activation masks are built with :func:`lanes_mask`.
+        """
         injector = self.injector
         sim = injector.sim
         golden = injector.golden
@@ -372,15 +420,23 @@ class AdaptiveScheduler:
         check = injector.check_interval
         end_of_trace = golden.n_cycles
         stats = self.stats
+        cycle_of = requests.cycle
+        ff_of = requests.ff
+        group_of = requests.group
+        failed_out = requests.failed
+        latency_out = requests.latency
 
         # Per-group pass state: the lane cap, live lanes and check grid each
         # group would have running alone.  A group's requests find no lane
         # (and roll over to its next pass) only once it is full at its cap;
         # below the cap the shared batch grows instead.
-        n_groups = max(request.group for request in pending) + 1
-        group_cap = [0] * n_groups
-        for request in pending:
-            group_cap[request.group] += 1
+        n_groups = requests.n_groups
+        if n_groups == 1:
+            group_cap = [len(pending)]
+        else:
+            group_cap = [0] * n_groups
+            for key in pending:
+                group_cap[group_of[key]] += 1
         group_cap = [min(self.max_lanes, n) for n in group_cap]
         group_live = [0] * n_groups
         group_bits = [0] * n_groups  # live lanes of each group
@@ -394,19 +450,19 @@ class AdaptiveScheduler:
         stats.peak_width = max(stats.peak_width, width)
         sim.resize_lanes(width)
         mask = sim.mask
-        zero = sim.broadcast(0)
         values = sim.values
-        all_lanes = lane_mask(width)
+        ff_q = sim._ff_q
         clock_nets = sim._clock_nets
         fallback_cells = sim._fallback_cells
         settle = self._observed_settle()
         load_fn = self._activation_loader()
 
-        slots: List[List[object]] = [[zero] * tap.delay for tap in taps]
-        lane_req: List[Optional[InjectionRequest]] = [None] * width
-        lane_lat: List[int] = [0] * width
+        slots: List[List[int]] = [[0] * tap.delay for tap in taps]
+        lane_key: List[Optional[int]] = [None] * width
+        # Cycles from injection to failure; -1 while the lane has not failed.
+        lane_lat: List[int] = [-1] * width
         free: List[int] = list(range(width))  # heap: lowest free lane first
-        deadlines: Dict[int, List[Tuple[int, InjectionRequest]]] = {}
+        deadlines: Dict[int, List[Tuple[int, int]]] = {}
 
         # Fault-model state: per-lane plan compilation and force bookkeeping.
         bound = injector.bound_model
@@ -414,112 +470,101 @@ class AdaptiveScheduler:
         lane_force: List[
             Optional[Tuple[InjectionPlan, int, List[Tuple[int, int]]]]
         ] = [None] * width
-        force_int = 0
+        force = 0
 
-        active_int = 0
-        active_vec = zero
-        failed_int = 0
-        failed = zero
+        active = 0  # lanes carrying an injection; always within the mask
+        failed = 0  # active lanes whose injection has failed
         ever_used = 0  # lanes that have carried an injection this pass
-        deferred: List[InjectionRequest] = []
+        deferred = array("q")
         ptr = 0
         n_pending = len(pending)
 
         def retire_lanes(retire_bits: int) -> None:
-            nonlocal active_int, active_vec, failed_int, failed, force_int
-            bits = retire_bits
-            while bits:
-                low = bits & -bits
-                lane = low.bit_length() - 1
-                bits ^= low
-                request = lane_req[lane]
-                lane_req[lane] = None
+            nonlocal active, failed, force
+            for lane in set_lanes(retire_bits):
+                key = lane_key[lane]
+                lane_key[lane] = None
                 lane_force[lane] = None
-                group = request.group
+                group = group_of[key]
                 group_live[group] -= 1
                 if not group_live[group]:
                     emptied.append(group)
-                lane_failed = bool((failed_int >> lane) & 1)
-                verdicts[request.key] = (
-                    lane_failed,
-                    lane_lat[lane] if lane_failed else None,
-                )
+                latency = lane_lat[lane]
+                if latency >= 0:
+                    failed_out[key] = 1
+                    latency_out[key] = latency
                 if on_verdict is not None:
-                    on_verdict(request, lane_failed)
+                    on_verdict(key, latency >= 0)
                 heappush(free, lane)
             keep = ~retire_bits
             for group in range(n_groups):
                 group_bits[group] &= keep
-            active_int &= keep
-            failed_int &= keep
-            force_int &= keep
-            active_vec = self._masked(active_int)
-            failed = self._masked(failed_int)
+            active &= keep
+            failed &= keep
+            force &= keep
 
         def set_width(new_width: int) -> None:
             """Grow or truncate the batch; every lane at or above
             *new_width* is free when truncating."""
-            nonlocal width, mask, all_lanes
+            nonlocal width, mask
             sim.resize_lanes(new_width, keep=True)
             if new_width > width:
                 # Appending lanes above every free lane keeps the heap.
                 free.extend(range(width, new_width))
                 grown = new_width - width
-                lane_req.extend([None] * grown)
-                lane_lat.extend([0] * grown)
+                lane_key.extend([None] * grown)
+                lane_lat.extend([-1] * grown)
                 lane_force.extend([None] * grown)
             else:
                 free[:] = [lane for lane in free if lane < new_width]
                 heapify(free)
-                del lane_req[new_width:], lane_lat[new_width:], lane_force[new_width:]
+                del lane_key[new_width:], lane_lat[new_width:], lane_force[new_width:]
                 for pipeline in slots:
                     pipeline[:] = [vec & sim.mask for vec in pipeline]
             width = new_width
             mask = sim.mask
-            all_lanes = lane_mask(width)
             stats.peak_width = max(stats.peak_width, width)
 
-        c = pending[0].cycle
+        c = cycle_of[pending[0]]
         while True:
             # -- per-lane horizon deadlines: stop observing before cycle c.
             if horizon is not None and c in deadlines:
-                expired = 0
-                for lane, request in deadlines.pop(c):
-                    # A stale entry may point at a lane that retired early
-                    # and was refilled or truncated away — only the
-                    # original request expires.
-                    if lane < width and lane_req[lane] is request:
-                        expired |= 1 << lane
+                # A stale entry may point at a lane that retired early and
+                # was refilled or truncated away — only the original
+                # request expires.
+                expired = [
+                    lane
+                    for lane, key in deadlines.pop(c)
+                    if lane < width and lane_key[lane] == key
+                ]
                 if expired:
-                    retire_lanes(expired)
+                    retire_lanes(lanes_mask(expired))
 
             # -- activate pending injections scheduled for this cycle.
-            activated = 0
             regrid = False
-            act_requests: List[Tuple[InjectionRequest, int]] = []
+            act_lanes: List[int] = []
             while ptr < n_pending:
-                request = pending[ptr]
-                if request.cycle != c:
+                key = pending[ptr]
+                if cycle_of[key] != c:
                     break
                 ptr += 1
-                group = request.group
+                group = group_of[key]
                 if group_capped[group] == c:
                     # The group is full: its remaining requests of this
                     # cycle roll over to its next pass unasked.
-                    deferred.append(request)
+                    deferred.append(key)
                     stats.deferred += 1
                     continue
                 # The policy gate is consulted before a lane is committed:
                 # a rejected request costs nothing (no lane, no simulation)
                 # and is recorded as skipped rather than deferred.
-                if admit is not None and not admit(request):
-                    if skipped is not None:
-                        skipped.append(request.key)
+                if admit is not None and not admit(key):
+                    skipped.append(key)
                     stats.policy_skipped += 1
                     continue
                 if group_live[group] == group_cap[group]:
                     group_capped[group] = c
-                    deferred.append(request)  # no free lane: next pass
+                    deferred.append(key)  # no free lane: next pass
                     stats.deferred += 1
                     continue
                 if not free:
@@ -530,15 +575,13 @@ class AdaptiveScheduler:
                     regrid = True
                 group_live[group] += 1
                 lane = heappop(free)
-                lane_req[lane] = request
-                lane_bit = 1 << lane
-                group_bits[group] |= lane_bit
-                activated |= lane_bit
-                act_requests.append((request, lane))
+                lane_key[lane] = key
+                lane_lat[lane] = -1
+                act_lanes.append(lane)
                 if horizon is not None:
-                    deadline = request.cycle + horizon
+                    deadline = c + horizon
                     if deadline < end_of_trace:
-                        deadlines.setdefault(deadline, []).append((lane, request))
+                        deadlines.setdefault(deadline, []).append((lane, key))
             if emptied:
                 # A group still empty after this cycle's activations idles:
                 # its grid restarts whenever it next activates.
@@ -549,91 +592,90 @@ class AdaptiveScheduler:
                 regrid = True
             if regrid:
                 next_due = min(group_check)
-            if activated:
+            if act_lanes:
+                activated = lanes_mask(act_lanes)
+                if n_groups == 1:
+                    group_bits[0] |= activated
+                else:
+                    by_group: Dict[int, List[int]] = {}
+                    for lane in act_lanes:
+                        by_group.setdefault(group_of[lane_key[lane]], []).append(lane)
+                    for group, lanes in by_group.items():
+                        group_bits[group] |= lanes_mask(lanes)
                 stats.refills += (activated & ever_used).bit_count()
                 ever_used |= activated
-                am = self._masked(activated)
-                nam = am ^ mask
-                load_fn(values, zero, am, nam, golden.ff_state[c])
-                for request, lane in act_requests:
+                nam = activated ^ mask
+                load_fn(values, activated, nam, golden.ff_state[c])
+                for lane in act_lanes:
+                    ff_index = ff_of[lane_key[lane]]
                     if bound is None:
-                        sim.flip_ff(request.ff_index, 1 << lane)
+                        values[ff_q[ff_index]] ^= 1 << lane
                     else:
-                        iplan = bound.plan(request.ff_index, request.cycle)
+                        iplan = bound.plan(ff_index, c)
                         for f in iplan.flips:
-                            sim.flip_ff(f, 1 << lane)
+                            values[ff_q[f]] ^= 1 << lane
                         if iplan.forces:
                             rows = [
                                 (sim.net_index[ff_cells[f].output_net()], v)
                                 for f, v in iplan.forces
                             ]
-                            lane_force[lane] = (iplan, request.cycle, rows)
-                            force_int |= 1 << lane
+                            lane_force[lane] = (iplan, c, rows)
+                            force |= 1 << lane
                 for t, tap in enumerate(taps):
                     tap_golden = tap.golden_bits
                     for past in range(c - tap.delay, c):
                         bit = tap_golden[past] if past >= 0 else 0
                         slot = slots[t][past % tap.delay]
-                        slots[t][past % tap.delay] = (slot & nam) | (am if bit else zero)
-                active_int |= activated
-                active_vec = self._masked(active_int)
-                stats.activations += len(act_requests)
+                        slots[t][past % tap.delay] = (slot & nam) | (activated if bit else 0)
+                active |= activated
+                stats.activations += len(act_lanes)
 
-            if active_int == 0:
+            if not active:
                 if ptr >= n_pending:
                     break
-                c = pending[ptr].cycle  # fast-forward over empty cycles
+                c = cycle_of[pending[ptr]]  # fast-forward over empty cycles
                 continue
 
             # -- simulate cycle c.
             applied = golden.applied_inputs[c]
             for bit_pos, value_idx in injector._open_inputs:
-                values[value_idx] = mask if (applied >> bit_pos) & 1 else zero
+                values[value_idx] = mask if (applied >> bit_pos) & 1 else 0
             for t, tap in enumerate(taps):
                 values[tap.target_value_idx] = slots[t][c % tap.delay]
-            if force_int:
+            if force:
                 # Re-assert forcing plans on their duty-on cycles, before the
                 # settle — exactly mirroring run_batch and the oracle.
-                bits = force_int
-                while bits:
-                    low = bits & -bits
-                    lane = low.bit_length() - 1
-                    bits ^= low
+                for lane in set_lanes(force):
                     iplan, cycle0, rows = lane_force[lane]
                     if iplan.force_active(c - cycle0):
-                        lv = sim.lane_vec(lane)
+                        lv = 1 << lane
                         for q_idx, v in rows:
-                            values[q_idx] = (values[q_idx] & ~lv) | (lv if v else zero)
+                            values[q_idx] = (values[q_idx] & ~lv) | (lv if v else 0)
                         stats.forced_cycles += 1
 
             for clk in clock_nets:
-                values[clk] = zero
+                values[clk] = 0
             settle(values, mask, fallback_cells)
             fail_c = criterion.evaluate(values, golden.outputs[c], mask)
 
-            newly = fail_c & active_vec & ~failed
-            if sim.vec_any(newly):
-                failed = failed | newly
-                newly_int = sim.vec_to_int(newly)
-                failed_int |= newly_int
-                while newly_int:
-                    low = newly_int & -newly_int
-                    lane = low.bit_length() - 1
-                    lane_lat[lane] = c - lane_req[lane].cycle
-                    newly_int ^= low
+            newly = fail_c & active & ~failed
+            if newly:
+                failed |= newly
+                for lane in set_lanes(newly):
+                    lane_lat[lane] = c - cycle_of[lane_key[lane]]
 
             for t, tap in enumerate(taps):
-                slots[t][c % tap.delay] = sim.read_vec(tap.source_value_idx)
+                slots[t][c % tap.delay] = values[tap.source_value_idx]
             sim.tick()
 
             c += 1
             stats.cycles_simulated += 1
-            stats.lane_cycles += active_int.bit_count()
+            stats.lane_cycles += active.bit_count()
             stats.width_cycles += width
 
             # -- retirement check / truncation.
             if c >= end_of_trace:
-                retire_lanes(active_int)
+                retire_lanes(active)
                 break
             if c == next_due:
                 # Only the groups whose check is due retire lanes here.
@@ -643,22 +685,19 @@ class AdaptiveScheduler:
                         group_check[group] = c + check
                         due_bits |= group_bits[group]
                 next_due = min(group_check)
-                due_vec = (
-                    active_vec if due_bits == active_int else self._masked(due_bits)
-                )
-                diff = self._probe_divergence(c, due_vec, slots)
+                diff = self._probe_divergence(c, due_bits, slots)
                 # A forcing lane that matches golden right now is not done —
                 # a later duty-on cycle can re-disturb it — so convergence
                 # retirement excludes live force lanes (failure still retires).
-                converged = (all_lanes ^ sim.vec_to_int(diff)) & ~force_int
-                retire_bits = due_bits & (failed_int | converged)
+                converged = (mask ^ diff) & ~force
+                retire_bits = due_bits & (failed | converged)
                 if retire_bits:
-                    stats.early_retired += (retire_bits & ~failed_int).bit_count()
+                    stats.early_retired += (retire_bits & ~failed).bit_count()
                     retire_lanes(retire_bits)
-                    if active_int == 0:
+                    if not active:
                         continue  # drained: fast-forward (or end) above
-                if width > MIN_WIDTH and active_int.bit_length() <= width // 2:
-                    set_width(max(active_int.bit_length(), MIN_WIDTH))
+                if width > MIN_WIDTH and active.bit_length() <= width // 2:
+                    set_width(max(active.bit_length(), MIN_WIDTH))
 
         return deferred + pending[ptr:]
 

@@ -13,7 +13,9 @@ Two representations are used across the code base:
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..netlist.cells import CellType
 
@@ -28,6 +30,8 @@ __all__ = [
     "broadcast",
     "extract_lane",
     "popcount",
+    "set_lanes",
+    "lanes_mask",
 ]
 
 ZERO = 0
@@ -60,6 +64,32 @@ def extract_lane(value: int, lane: int) -> int:
 def popcount(value: int) -> int:
     """Number of set bits (lanes) in *value*."""
     return bin(value).count("1")
+
+
+def set_lanes(bits: int) -> List[int]:
+    """Indices of the set bits (lanes) of *bits*, ascending.
+
+    Costs one pass over the width plus O(1) per lane, where peeling the
+    lowest bit off repeatedly (``bits & -bits``, ``bits ^= low``) costs the
+    width for every lane.
+    """
+    packed = np.frombuffer(
+        bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), dtype=np.uint8
+    )
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+
+
+def lanes_mask(lanes: Sequence[int]) -> int:
+    """The lane vector with exactly *lanes* set (non-negative, any order).
+
+    The inverse of :func:`set_lanes`: one pass over the width, where OR-ing
+    ``1 << lane`` per lane costs the width for every lane.
+    """
+    if not lanes:
+        return 0
+    flags = np.zeros((max(lanes) >> 3) + 1 << 3, dtype=np.uint8)
+    flags[lanes] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def resolve3(values: Sequence[LogicValue]) -> LogicValue:

@@ -464,7 +464,8 @@ def run_scheduler_check(
     divergences: List[Divergence] = []
     checked = 0
     scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
-    for k, (request, want, got) in enumerate(zip(requests, expected, scheduled.verdicts)):
+    for k, (request, want) in enumerate(zip(requests, expected)):
+        got = scheduled.verdict(k)
         checked += 1
         if got != want:
             cycle, ff_idx = request
@@ -484,9 +485,8 @@ def run_scheduler_check(
     grouped = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
         requests, groups=groups
     )
-    for k, (request, want, got) in enumerate(
-        zip(requests, scheduled.verdicts, grouped.verdicts)
-    ):
+    for k, request in enumerate(requests):
+        want, got = scheduled.verdict(k), grouped.verdict(k)
         checked += 1
         if got != want:
             cycle, ff_idx = request
@@ -584,9 +584,8 @@ def run_generated_check(
 
     requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
     scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
-    for k, (request, want, got) in enumerate(
-        zip(requests, expected, scheduled.verdicts)
-    ):
+    for k, (request, want) in enumerate(zip(requests, expected)):
+        got = scheduled.verdict(k)
         checked += 1
         if got != want:
             cycle, ff_idx = request
@@ -704,9 +703,8 @@ def run_fault_model_check(
         ]
         scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
         label = f"{model_spec}-scheduled"
-        for k, (request, want, got) in enumerate(
-            zip(requests, expected, scheduled.verdicts)
-        ):
+        for k, (request, want) in enumerate(zip(requests, expected)):
+            got = scheduled.verdict(k)
             checked += 1
             if got != want:
                 cycle, ff_idx = request

@@ -24,11 +24,13 @@ from repro.campaigns import (
     CampaignSpec,
     CampaignStore,
     build_context,
+    cycle_range_shards,
     legacy_buckets,
     partition_shards,
     run_campaign,
     stream_buckets,
 )
+from repro.campaigns.executor import SHARDS_PER_JOB
 from repro.campaigns.partition import (
     stream_buckets_ranged,
     stream_draws,
@@ -104,28 +106,70 @@ def test_legacy_schedule_matches_serial_reference(
 LEGACY_TINY_DIGEST = "7d6e3d687f17c88a3b8ccc3e38a221e2894995a6025c46c0bcd1698e11d1bc58"
 
 
-def test_legacy_counters_are_pinned():
-    from repro.obs import Telemetry, use_telemetry
-
-    spec = CampaignSpec.from_dataset_spec(
+def legacy_tiny_spec() -> CampaignSpec:
+    """The pinned flat campaign: the tiny preset at 40 injections, seed 3."""
+    return CampaignSpec.from_dataset_spec(
         replace(DATASET_PRESETS["tiny"], campaign_seed=3),
         schedule="legacy",
         n_injections=40,
     )
-    with use_telemetry(Telemetry()) as telemetry:
-        result = CampaignEngine(spec).run()
-        counters = telemetry.registry.snapshot().to_payload()["counters"]
+
+
+def counter_digest(result) -> str:
     rows = sorted(
         [name, r.n_injections, r.n_failures, r.latency_sum]
         for name, r in result.results.items()
     )
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == LEGACY_TINY_DIGEST
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_legacy_counters_are_pinned():
+    from repro.obs import Telemetry, use_telemetry
+
+    spec = legacy_tiny_spec()
+    with use_telemetry(Telemetry()) as telemetry:
+        result = CampaignEngine(spec).run()
+        counters = telemetry.registry.snapshot().to_payload()["counters"]
+    assert counter_digest(result) == LEGACY_TINY_DIGEST
     # The scheduler's work, not just its verdicts: lanes simulated and the
-    # lane width allocated for them.
-    assert (result.n_forward_runs, result.total_lane_cycles) == (4, 631_577)
+    # lane width allocated for them.  Each cycle-range shard starts its
+    # retirement-check grid at its own first cycle.
+    assert (result.n_forward_runs, result.total_lane_cycles) == (4, 631_110)
     assert counters["scheduler.n_passes"] == 4
-    assert counters["scheduler.width_cycles"] == 1_072_049
+    assert counters["scheduler.width_cycles"] == 1_115_894
+
+
+@pytest.mark.parametrize("jobs, shards_per_job", [(1, 1), (1, 4), (2, 1), (2, 4)])
+def test_flat_counters_do_not_depend_on_the_shard_layout(jobs, shards_per_job):
+    """Every cycle-range layout merges to the pinned counters."""
+    engine = CampaignEngine(legacy_tiny_spec(), jobs=jobs, shards_per_job=shards_per_job)
+    result = engine.run()
+    assert engine.last_report.n_shards == jobs * shards_per_job
+    assert counter_digest(result) == LEGACY_TINY_DIGEST
+
+
+def test_serial_campaign_matches_the_pinned_flat_counters():
+    """The serial runner, one scheduler run over the whole window, gives
+    the counters every cycle-range layout gives."""
+    spec = legacy_tiny_spec()
+    context = build_context(spec)
+    window = context.window_cycles()
+    runner = StatisticalFaultCampaign(
+        context.netlist,
+        context.workload.testbench,
+        context.criterion,
+        active_window=(window[0], window[-1] + 1),
+        golden=context.ensure_golden(),
+        check_interval=spec.check_interval,
+    )
+    result = runner.run(
+        n_injections=spec.n_injections,
+        ff_names=context.ff_names(spec),
+        seed=spec.seed,
+        n_time_slots=spec.n_time_slots,
+        horizon=spec.horizon,
+    )
+    assert counter_digest(result) == LEGACY_TINY_DIGEST
 
 
 def test_legacy_rejects_more_time_slots_than_window(
@@ -252,6 +296,29 @@ def test_partition_shards_covers_all_buckets_once():
         assert [b.cycle for b in shard] == sorted(b.cycle for b in shard)
 
 
+def test_cycle_range_shards_are_contiguous_and_balanced():
+    spec = tiny_spec(n_injections=10)
+    buckets = stream_buckets(spec, list(range(0, 200)), [f"ff{i}" for i in range(25)])
+    shards = cycle_range_shards(buckets, 4)
+    assert len(shards) == 4
+    # Contiguous ranges that cover every bucket once, in cycle order.
+    assert [b for shard in shards for b in shard] == sorted(buckets, key=lambda b: b.cycle)
+    for before, after in zip(shards, shards[1:]):
+        assert before[-1].cycle < after[0].cycle
+    # Balanced: each shard closes at the first bucket that reaches its
+    # share, so it overshoots by less than one bucket.
+    total = sum(b.n_lanes for b in buckets)
+    widest = max(b.n_lanes for b in buckets)
+    for shard in shards:
+        assert abs(sum(b.n_lanes for b in shard) - total / 4) < 2 * widest
+    assert cycle_range_shards(buckets, 4) == shards
+    single = stream_buckets(spec, list(range(50)), ["ff0"])
+    assert cycle_range_shards(single, 100) == [[b] for b in single]
+    assert cycle_range_shards(buckets, 1) == [sorted(buckets, key=lambda b: b.cycle)]
+    with pytest.raises(ValueError):
+        cycle_range_shards(buckets, 0)
+
+
 def test_partition_shards_degenerate_cases():
     spec = tiny_spec(n_injections=4)
     buckets = stream_buckets(spec, list(range(50)), ["ff0"])
@@ -317,6 +384,37 @@ def test_interrupted_run_resumes_from_checkpoint(tmp_path):
     # ... and only the remainder was simulated
     fresh = run_campaign(spec)
     assert result_key(result) == result_key(fresh)
+
+
+def test_interrupt_after_range_shard_two_resumes_bit_identically(tmp_path):
+    """At jobs=1 the range shards run in cycle order: an interrupt after the
+    second one checkpoints exactly the first two ranges, and the resumed
+    run simulates only the rest and lands on the pinned counters."""
+    spec = legacy_tiny_spec()
+    context = build_context(spec)
+    buckets = legacy_buckets(spec, context.window_cycles(), context.ff_names(spec))
+    shards = cycle_range_shards(buckets, SHARDS_PER_JOB)
+
+    class Interrupted(Exception):
+        pass
+
+    def bomb(done, total):
+        if done == 2:
+            raise Interrupted
+
+    engine = CampaignEngine(spec, cache_dir=tmp_path, progress=bomb, progress_interval=0.0)
+    with pytest.raises(Interrupted):
+        engine.run()
+    done_cycles, _payload = CampaignStore(tmp_path / "campaigns").load_partial(
+        spec, 0, spec.n_injections
+    )
+    assert done_cycles == {b.cycle for shard in shards[:2] for b in shard}
+
+    resumed = CampaignEngine(spec, cache_dir=tmp_path)
+    result = resumed.run()
+    assert resumed.last_report.resumed_buckets == len(done_cycles)
+    assert resumed.last_report.executed_buckets == sum(len(s) for s in shards[2:])
+    assert counter_digest(result) == LEGACY_TINY_DIGEST
 
 
 def test_snapshot_clears_any_superseded_partial(tmp_path):

@@ -21,8 +21,11 @@ from repro.faultinjection import (
     AnyOutputCriterion,
     FaultInjector,
     PacketInterfaceCriterion,
+    SchedulerStats,
 )
+from repro.faultinjection.scheduler import MIN_AUTO_LANES, auto_max_lanes
 from repro.sim import CompiledSimulator, ScheduleBuilder, Testbench
+from repro.sim.logic import lanes_mask, set_lanes
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +297,38 @@ def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizo
         assert outcome.stats.deferred > 0
 
 
+def test_lane_occupancy_is_live_over_allocated_lane_cycles(tiny_parts):
+    """Occupancy divides by the lane slots the passes allocated, not by
+    ``cycles_simulated * peak_width``: a burst that grows one pass wide and
+    then truncates must not read as a nearly empty batch."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    first, last = workload.active_window
+    n_ffs = injector.sim.n_flip_flops
+    rng = random.Random(9)
+    burst = [(first, ff) for ff in range(n_ffs)] * 2
+    trickle = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(20)]
+    stats = AdaptiveScheduler(injector).run(burst + trickle).stats
+    assert stats.lane_occupancy() == stats.lane_cycles / stats.width_cycles
+    assert stats.width_cycles < stats.cycles_simulated * stats.peak_width
+    peak_bound = stats.lane_cycles / (stats.cycles_simulated * stats.peak_width)
+    assert peak_bound < stats.lane_occupancy() <= 1.0
+    assert SchedulerStats().lane_occupancy() == 0.0
+
+
+def test_default_lane_cap_is_sized_by_the_netlist(xgmac_parts):
+    """The default cap is the widest batch whose value rows fit the bit
+    budget, never below the floor: wider on ``xgmac``, the floor on a
+    ``mesh_10k``-sized netlist."""
+    assert auto_max_lanes(55_000) == MIN_AUTO_LANES == 4096
+    assert auto_max_lanes(5_022) == 16_703
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    assert len(injector.sim.values) == 5_022
+    assert AdaptiveScheduler(injector).max_lanes == auto_max_lanes(5_022)
+    assert AdaptiveScheduler(injector, max_lanes=8).max_lanes == 8
+
+
 # ------------------------------------------------------------ observed cone
 
 
@@ -521,11 +556,14 @@ def group_injector(tiny_parts):
 def _gated_run(injector, max_lanes, requests, groups, gate_seeds, horizon):
     """One scheduler run with a CountingGate per group."""
     gates = [CountingGate(seed, injector.sim.n_flip_flops) for seed in gate_seeds]
+    gate_of = groups if groups is not None else [0] * len(requests)
     outcome = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
         requests,
         horizon=horizon,
-        admit=lambda req: gates[req.group].admit(req.ff_index),
-        on_verdict=lambda req, failed: gates[req.group].record(req.ff_index, failed),
+        admit=lambda key: gates[gate_of[key]].admit(requests[key][1]),
+        on_verdict=lambda key, failed: gates[gate_of[key]].record(
+            requests[key][1], failed
+        ),
         groups=groups,
     )
     return outcome, gates
@@ -675,6 +713,33 @@ def test_groups_must_match_injections(tiny_parts):
 
 
 # ------------------------------------------------------------- lane algebra
+
+
+def _per_lane_loop(bits):
+    """The set lanes of *bits*, peeled off one at a time."""
+    lanes = []
+    while bits:
+        low = bits & -bits
+        lanes.append(low.bit_length() - 1)
+        bits ^= low
+    return lanes
+
+
+@pytest.mark.parametrize("n_bits", [0, 1, 63, 64, 65, 16_385, 20_000])
+def test_set_lanes_and_lanes_mask_match_the_per_lane_loop(n_bits):
+    rng = random.Random(n_bits)
+    values = [0, (1 << n_bits) - 1, rng.getrandbits(n_bits), rng.getrandbits(n_bits)]
+    if n_bits:
+        # Sparse values: a few lanes anywhere in a wide mask.
+        for count in (1, 5, 16, 17, 40):
+            values.append(sum({1 << rng.randrange(n_bits) for _ in range(count)}))
+    for bits in values:
+        lanes = _per_lane_loop(bits)
+        assert set_lanes(bits) == lanes
+        assert lanes_mask(lanes) == bits
+        shuffled = lanes[:]
+        rng.shuffle(shuffled)
+        assert lanes_mask(shuffled) == bits
 
 
 def test_diverging_rows_probe(tiny_mac):
