@@ -11,8 +11,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro.circuits import build_xgmac_workload, make_xgmac
-from repro.faultinjection import PacketInterfaceCriterion, StatisticalFaultCampaign
+from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.features import build_dataset
 from repro.flow import FdrEstimator, format_table
 from repro.ml import KNeighborsRegressor, StandardScaler, make_pipeline
@@ -21,30 +20,41 @@ from repro.ml.metrics import all_metrics
 
 
 def main() -> None:
-    # 1. The device under test: a MAC core with FIFOs, CRC engines and FSMs.
+    # The campaign spec names the device under test (a MAC core with FIFOs,
+    # CRC engines and FSMs), its workload (frames through TX -> XGMII
+    # loopback -> RX), the packet failure criterion and the injection budget.
+    spec = CampaignSpec(
+        circuit="xgmac_mini",
+        n_frames=8,
+        min_len=4,
+        max_len=7,
+        workload_seed=1,
+        n_injections=40,
+        seed=0,
+        schedule="legacy",
+    )
+    engine = CampaignEngine(spec)
+
+    # 1. The device under test.
     print("synthesizing the MAC core ...")
-    netlist = make_xgmac("xgmac_mini")
+    netlist = engine.context.netlist
     stats = netlist.stats()
     print(f"  {stats.n_cells} cells, {stats.n_sequential} flip-flops\n")
 
-    # 2. The workload: frames through TX -> XGMII loopback -> RX.
-    workload = build_xgmac_workload(netlist, n_frames=8, min_len=4, max_len=7, seed=1)
+    # 2. The workload.
+    workload = engine.context.workload
     print(f"testbench: {workload.testbench.n_cycles} cycles, {len(workload.frames)} frames")
 
     # 3. Reference FDR values from a statistical fault-injection campaign.
-    criterion = PacketInterfaceCriterion(workload.valid_nets, workload.data_nets)
-    campaign_runner = StatisticalFaultCampaign(
-        netlist, workload.testbench, criterion, active_window=workload.active_window
-    )
     print("running the fault-injection campaign (40 SEUs per flip-flop) ...")
-    campaign = campaign_runner.run(n_injections=40, seed=0)
+    campaign = engine.run()
     print(
         f"  {campaign.n_forward_runs} bit-parallel forward runs, "
         f"mean FDR = {campaign.mean_fdr():.3f}\n"
     )
 
     # 4. Features + labels -> dataset.
-    dataset = build_dataset(netlist, campaign_runner.golden, campaign)
+    dataset = build_dataset(netlist, engine.context.ensure_golden(), campaign)
     print(f"dataset: {dataset.n_samples} flip-flops x {dataset.n_features} features")
 
     # 5. Train on 50 %, predict the rest (the paper's cost-saving scenario).

@@ -18,10 +18,11 @@ Run:
     python examples/selective_hardening.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.circuits import build_xgmac_workload, make_xgmac
-from repro.faultinjection import PacketInterfaceCriterion, StatisticalFaultCampaign
+from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.features import build_dataset
 from repro.flow import FdrEstimator, format_table
 from repro.ml import SVR, StandardScaler, make_pipeline
@@ -30,12 +31,19 @@ HARDENING_TARGET = 0.80  # cover 80 % of the summed FDR
 
 
 def main() -> None:
-    netlist = make_xgmac("xgmac_mini")
-    workload = build_xgmac_workload(netlist, n_frames=8, min_len=4, max_len=7, seed=1)
-    criterion = PacketInterfaceCriterion(workload.valid_nets, workload.data_nets)
-    runner = StatisticalFaultCampaign(
-        netlist, workload.testbench, criterion, active_window=workload.active_window
+    spec = CampaignSpec(
+        circuit="xgmac_mini",
+        n_frames=8,
+        min_len=4,
+        max_len=7,
+        workload_seed=1,
+        n_injections=40,
+        seed=0,
+        schedule="legacy",
     )
+    context = CampaignEngine(spec).context
+    netlist = context.netlist
+    golden = context.ensure_golden()
 
     ff_names = netlist.flip_flop_names()
     rng = np.random.default_rng(0)
@@ -43,14 +51,14 @@ def main() -> None:
     injected_names = [ff_names[i] for i in injected]
 
     print(f"campaign on {len(injected_names)} of {len(ff_names)} flip-flops ...")
-    train_campaign = runner.run(n_injections=40, ff_names=injected_names, seed=0)
-    train_dataset = build_dataset(netlist, runner.golden, train_campaign)
+    train_campaign = CampaignEngine(replace(spec, ff_names=tuple(injected_names))).run()
+    train_dataset = build_dataset(netlist, golden, train_campaign)
 
     # Features for every flip-flop (labels exist only for the injected half).
     from repro.features import FeatureExtractor, ALL_FEATURES
 
     extractor = FeatureExtractor(netlist)
-    features = extractor.extract(runner.golden)
+    features = extractor.extract(golden)
 
     model = make_pipeline(StandardScaler(), SVR(C=3.5, gamma=0.055, epsilon=0.025))
     estimator = FdrEstimator(model)
@@ -81,7 +89,7 @@ def main() -> None:
 
     # Validation against the full campaign (the expensive ground truth).
     print("\nvalidating against the full flat campaign ...")
-    full_campaign = runner.run(n_injections=40, seed=0)
+    full_campaign = CampaignEngine(spec).run()
     true_total = sum(r.fdr for r in full_campaign.results.values())
     true_covered = sum(full_campaign.results[n].fdr for n in hardened)
     print(

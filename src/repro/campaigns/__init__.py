@@ -30,7 +30,7 @@ philosophy to our own compute:
   and the packed shard-tally transport.
 """
 
-from .executor import CampaignEngine, EngineReport, RetryPolicy, run_campaign
+from .executor import CampaignEngine, EngineReport, RetryPolicy
 from .partition import (
     Bucket,
     cycle_range_shards,
@@ -78,7 +78,6 @@ __all__ = [
     "partition_shards",
     "policy_signature",
     "release_warm_cache",
-    "run_campaign",
     "stream_buckets",
     "stream_buckets_ranged",
     "warm_context",

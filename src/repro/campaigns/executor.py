@@ -14,16 +14,14 @@ into a :class:`~repro.faultinjection.campaign.CampaignResult`:
    :class:`~repro.campaigns.supervisor.SupervisedPool` — worker processes
    (``jobs > 1``), each of which rebuilds its own netlist/golden
    trace/:class:`FaultInjector` from the picklable spec, or in-process.
-   Both enter through :func:`_run_task`, which simulates and tallies with
-   :func:`~repro.faultinjection.campaign.run_buckets`, as the serial
-   :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign` does
-   (the ``legacy`` schedule is its draw, too).  The supervisor retries
-   failed/hung/lost tasks with backoff, rebuilds broken pools, quarantines
-   tasks that keep failing (reported in
+   Both enter through :func:`_run_task`, which simulates a task's buckets
+   in one scheduler run and tallies the verdicts with :func:`run_buckets`.
+   The supervisor retries failed/hung/lost tasks with backoff, rebuilds
+   broken pools, quarantines tasks that keep failing (reported in
    :attr:`EngineReport.quarantined_shards` instead of raising), and
    degrades to serial execution when the pool itself is unreliable;
 4. merge the per-flip-flop counters (pure integer sums, so the merged
-   result is bit-identical to a serial run of the same schedule) and
+   result does not depend on ``jobs`` or the shard layout) and
    checkpoint progress to the store on a throttled interval (with an exact
    write at every exit path).
 
@@ -43,9 +41,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from ..faultinjection.campaign import CampaignResult, run_buckets
+from ..faultinjection.campaign import CampaignResult
 from ..faultinjection.injector import FaultInjector
-from ..faultinjection.scheduler import AdaptiveScheduler
+from ..faultinjection.scheduler import AdaptiveScheduler, SchedulerStats
 from ..obs import (
     MetricsSnapshot,
     ProgressThrottle,
@@ -68,7 +66,7 @@ from .spec import CampaignContext, CampaignSpec, build_context
 from .store import CampaignStore
 from .supervisor import RetryPolicy, SupervisedPool
 
-__all__ = ["CampaignEngine", "EngineReport", "RetryPolicy", "run_campaign"]
+__all__ = ["CampaignEngine", "EngineReport", "RetryPolicy"]
 
 #: Shards per worker process.  On the flat path a shard is a contiguous
 #: cycle range of the pending buckets with a balanced lane count, and the
@@ -200,15 +198,65 @@ def _shard_payload_error(
     for key in ("n_forward_runs", "total_lane_cycles"):
         if not isinstance(payload.get(key), int):
             return f"missing or invalid {key!r}"
-    cycles = payload.get("done_cycles")
-    if not isinstance(cycles, list) or not all(isinstance(c, int) for c in cycles):
-        return "missing or invalid 'done_cycles'"
     skipped = payload.get("skipped", {})
     if not isinstance(skipped, dict) or not all(
         k in ff_names and isinstance(v, int) for k, v in skipped.items()
     ):
         return "missing or invalid 'skipped'"
     return None
+
+
+def run_buckets(
+    scheduler: AdaptiveScheduler,
+    buckets: Sequence[Tuple[int, Sequence[str]]],
+    horizon: Optional[int] = None,
+    gates: Optional[Sequence[object]] = None,
+    groups: Optional[Sequence[int]] = None,
+) -> Tuple[Dict[str, List[int]], Dict[str, int], SchedulerStats]:
+    """Simulate ``(cycle, ff_names)`` buckets in one scheduler run and tally
+    the verdicts per flip-flop.
+
+    *gates*, when given, hold one online policy gate per request group:
+    ``admit(ff)`` may skip a draw before it costs a lane, and
+    ``record(ff, failed)`` sees each verdict as its lane retires.  *groups*
+    names each injection's gate, in bucket order (all group 0 when
+    omitted).  Returns ``(counts, skipped, stats)``: ``counts[ff] =
+    [injections, failures, latency_sum]`` of the simulated draws,
+    ``skipped[ff]`` the draws a gate refused, and the run's scheduler
+    statistics.
+    """
+    ff_index = scheduler.injector.ff_index
+    names = [name for _cycle, lanes in buckets for name in lanes]
+    admit = on_verdict = None
+    if gates is not None:
+        gate_of = [0] * len(names) if groups is None else groups
+        admit = lambda key: gates[gate_of[key]].admit(names[key])  # noqa: E731
+        on_verdict = lambda key, failed: gates[gate_of[key]].record(  # noqa: E731
+            names[key], failed
+        )
+    outcome = scheduler.run(
+        ((cycle, ff_index(name)) for cycle, lanes in buckets for name in lanes),
+        horizon=horizon,
+        admit=admit,
+        on_verdict=on_verdict,
+        groups=groups,
+    )
+    skipped_keys = frozenset(outcome.skipped)
+    failed, latency = outcome.failed, outcome.latency
+    counts: Dict[str, List[int]] = {}
+    skipped: Dict[str, int] = {}
+    for key, name in enumerate(names):
+        if key in skipped_keys:
+            skipped[name] = skipped.get(name, 0) + 1
+            continue
+        rec = counts.get(name)
+        if rec is None:
+            rec = counts[name] = [0, 0, 0]
+        rec[0] += 1
+        if failed[key]:
+            rec[1] += 1
+            rec[2] += latency[key]
+    return counts, skipped, outcome.stats
 
 
 class _ShardRunner:
@@ -247,8 +295,7 @@ class _ShardRunner:
         """Simulate a task's buckets; return mergeable counters.
 
         *gates* (one :class:`~repro.campaigns.policy.ShardGate` per gate
-        shard) and *groups* are those of
-        :func:`~repro.faultinjection.campaign.run_buckets`: each gate shard
+        shard) and *groups* are those of :func:`run_buckets`: each gate shard
         runs as its own request group and sees only its own verdicts.  Draws
         a gate skipped are returned in the payload's ``"skipped"`` map — they
         consumed their draw-stream indices without executing.
@@ -277,7 +324,6 @@ class _ShardRunner:
             "ff": warmstart.pack_tallies(counts, self.injector.ff_index),
             "n_forward_runs": stats.n_passes,
             "total_lane_cycles": stats.lane_cycles,
-            "done_cycles": [cycle for cycle, _ in buckets],
             "skipped": skipped,
             "wall_seconds": wall,
         }
@@ -622,10 +668,10 @@ class CampaignEngine:
         clean = False
         try:
             outcomes = self._outcomes(sup, tasks, accum, report)
-            for done, (_key, payload) in enumerate(outcomes, 1):
+            for done, (key, payload) in enumerate(outcomes, 1):
                 if payload is None:
                     continue
-                done_cycles.update(payload["done_cycles"])
+                done_cycles.update(cycle for cycle, _lanes in tasks[key][0][0])
                 if done == len(tasks):
                     continue  # the final state becomes a snapshot
                 # Checkpoints are full-payload JSON writes: throttle them.
@@ -967,9 +1013,10 @@ class CampaignEngine:
         throttled = self._progress_notifier(report)
         for done, outcome in enumerate(sup.run(tasks), 1):
             payload = outcome.payload
+            shards = tasks[outcome.key][0]
             if payload is None:
                 entry = outcome.quarantine.to_dict()
-                entry["gate_shards"] = len(tasks[outcome.key][0])
+                entry["gate_shards"] = len(shards)
                 report.quarantined_shards.append(entry)
             else:
                 payload["ff"] = warmstart.unpack_tallies(
@@ -977,7 +1024,7 @@ class CampaignEngine:
                 )
                 accum.merge_shard(payload)
                 lanes = sum(rec[0] for rec in payload["ff"].values())
-                report.executed_buckets += len(payload["done_cycles"])
+                report.executed_buckets += sum(len(shard) for shard in shards)
                 report.executed_forward_runs += payload["n_forward_runs"]
                 report.executed_lanes += lanes
                 self._busy_seconds += payload.get("wall_seconds", 0.0)
@@ -1034,28 +1081,3 @@ class CampaignEngine:
             total_lane_cycles=accum.total_lane_cycles,
             wall_seconds=accum.wall_seconds + (time.monotonic() - self._run_start),
         )
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
-    resume: bool = True,
-    context: Optional[CampaignContext] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    progress_interval: float = 0.1,
-    retry: Optional[RetryPolicy] = None,
-    chaos=None,
-) -> CampaignResult:
-    """One-call convenience wrapper around :class:`CampaignEngine`."""
-    engine = CampaignEngine(
-        spec,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        context=context,
-        progress=progress,
-        progress_interval=progress_interval,
-        retry=retry,
-        chaos=chaos,
-    )
-    return engine.run(resume=resume)

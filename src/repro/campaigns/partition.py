@@ -19,11 +19,10 @@ whole buckets across workers.  Two partitioners are provided:
 Two schedules are provided:
 
 ``legacy``
-    The serial reference draw,
-    :func:`~repro.faultinjection.campaign.legacy_draws` — the one
-    implementation :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign`
-    runs too — bucketed by time slot, so a sharded run merges to a result
-    bit-identical to the serial reference engine.
+    The paper-protocol draw, :func:`legacy_draws`: a seeded pool of time
+    slots, then one sample of *n* pool slots per flip-flop, bucketed by
+    time slot.  Every shard layout merges to the same counters
+    (``tests/test_campaigns.py`` pins them).
 
 ``stream``
     A prefix-stable variant: injection draw *j* of a flip-flop depends only
@@ -31,7 +30,7 @@ Two schedules are provided:
     sampled without replacement from the first ``ceil(1.5 * (j + 1))``
     entries of a seeded permutation of the active window, which keeps the
     draws of all flip-flops concentrated on the same ~1.5 n time slots (the
-    serial scheduler's density) while allowing a cached *n*-injection
+    ``legacy`` pool's density) while allowing a cached *n*-injection
     campaign to be topped up to *m > n* injections by simulating only draws
     ``n .. m-1``.
 """
@@ -42,12 +41,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..faultinjection.campaign import legacy_draws
 from .spec import CampaignSpec
 
 __all__ = [
     "Bucket",
     "DrawStream",
+    "legacy_draws",
     "legacy_buckets",
     "stream_buckets",
     "stream_buckets_ranged",
@@ -77,11 +76,48 @@ def _to_buckets(table: Dict[int, List[str]]) -> List[Bucket]:
 # ------------------------------------------------------------ legacy draws
 
 
+def legacy_draws(
+    window: Sequence[int],
+    ff_names: Sequence[str],
+    n_injections: int,
+    seed: int,
+    n_time_slots: Optional[int] = None,
+) -> Dict[int, List[str]]:
+    """The ``legacy`` schedule: every flip-flop's injection cycles.
+
+    Consumes ``random.Random(seed)`` in one fixed order: a pool of
+    *n_time_slots* distinct cycles of *window* (default ``min(len(window),
+    1.5 n)``), then one sample of *n_injections* pool slots per flip-flop,
+    in *ff_names* order.  Returns ``{cycle: [ff, ...]}``, each list in draw
+    order (the lane order of that cycle's bucket).
+    """
+    window = list(window)
+    if n_time_slots is None:
+        n_time_slots = min(len(window), max(n_injections, int(1.5 * n_injections)))
+    if n_time_slots < n_injections:
+        raise ValueError(
+            f"need at least {n_injections} time slots in the active window, "
+            f"got {n_time_slots}"
+        )
+    if n_time_slots > len(window):
+        raise ValueError(
+            f"n_time_slots={n_time_slots} exceeds the {len(window)} cycles of "
+            f"the active window"
+        )
+    rng = random.Random(seed)
+    slots = sorted(rng.sample(window, n_time_slots))
+    table: Dict[int, List[str]] = {}
+    for name in ff_names:
+        for cycle in rng.sample(slots, n_injections):
+            table.setdefault(cycle, []).append(name)
+    return table
+
+
 def legacy_buckets(
     spec: CampaignSpec, window: Sequence[int], ff_names: Sequence[str]
 ) -> List[Bucket]:
-    """The serial reference schedule, bucketed by time slot (lane order
-    within each bucket included): :func:`legacy_draws` for *spec*."""
+    """The ``legacy`` schedule, bucketed by time slot (lane order within
+    each bucket included): :func:`legacy_draws` for *spec*."""
     return _to_buckets(
         legacy_draws(window, ff_names, spec.n_injections, spec.seed, spec.n_time_slots)
     )
@@ -247,8 +283,7 @@ def partition_shards(buckets: Sequence[Bucket], n_shards: int) -> List[List[Buck
 
     Deterministic longest-processing-time greedy on lane counts (a bucket's
     simulation cost is roughly proportional to its lanes); within each shard
-    buckets stay sorted by cycle so execution order matches the serial
-    engine's chunking.
+    buckets stay sorted by cycle, the order the scheduler consumes them in.
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")

@@ -42,12 +42,11 @@ class CampaignSpec:
 
     ``schedule`` selects the injection-time scheduler:
 
-    * ``"legacy"`` buckets
-      :func:`~repro.faultinjection.campaign.legacy_draws`, the draw
-      :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign` runs
-      too, so the engine's output is bit-identical to the serial reference
-      implementation for the same seed.  ``n_time_slots`` sizes its slot
-      pool and is rejected with any other schedule;
+    * ``"legacy"`` buckets :func:`~repro.campaigns.partition.legacy_draws`,
+      the paper-protocol draw: a seeded slot pool, then *n* pool slots per
+      flip-flop.  Its counters do not depend on ``jobs`` or the shard
+      layout.  ``n_time_slots`` sizes its slot pool and is rejected with
+      any other schedule;
     * ``"stream"`` draws injection times as a prefix-stable per-flip-flop
       stream (see :func:`repro.campaigns.partition.stream_buckets`), which
       lets the result store extend a cached *n*-injection campaign to

@@ -191,11 +191,10 @@ def generate_dataset(
     """Run the full reference flow for *spec* (no dataset caching).
 
     The fault campaign runs on the :class:`~repro.campaigns.CampaignEngine`
-    in ``legacy`` schedule mode, which shares its draw with the serial
-    :class:`~repro.faultinjection.campaign.StatisticalFaultCampaign` — so
-    datasets are bit-stable across ``jobs`` counts — while gaining sharded
-    execution and (when *campaign_cache_dir* is set) snapshot reuse and
-    resumability.
+    in ``legacy`` schedule mode, whose counters do not depend on the shard
+    layout — so datasets are bit-stable across ``jobs`` counts — with
+    sharded execution and (when *campaign_cache_dir* is set) snapshot
+    reuse and resumability.
 
     The returned dataset's ``meta`` records full label provenance: the
     generating spec, the campaign spec's content address, the draw

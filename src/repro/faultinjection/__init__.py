@@ -1,6 +1,6 @@
 """SEU fault-injection: models, injector, campaigns, FDR statistics."""
 
-from .campaign import CampaignResult, FlipFlopResult, StatisticalFaultCampaign
+from .campaign import CampaignResult, FlipFlopResult
 from .classify import (
     AnyOutputCriterion,
     BoundCriterion,
@@ -32,7 +32,6 @@ from .scheduler import AdaptiveScheduler, ScheduledOutcome, SchedulerStats
 __all__ = [
     "CampaignResult",
     "FlipFlopResult",
-    "StatisticalFaultCampaign",
     "AnyOutputCriterion",
     "BoundCriterion",
     "FailureCriterion",

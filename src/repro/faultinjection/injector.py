@@ -23,15 +23,16 @@ The forward simulation runs on the compiled bit-parallel simulator
 integers.  Verdicts and latencies are cross-checked per fuzz seed against a
 brute-force oracle by :mod:`repro.verify.diff`.
 
-Campaigns should prefer :meth:`FaultInjector.run_scheduled` over many
-:meth:`run_batch` calls: the adaptive scheduler
-(:mod:`repro.faultinjection.scheduler`) activates each injection at its own
-cycle inside one long-lived forward pass, refills lanes freed by early
-retirement, starts each pass narrow and doubles its width only when no lane
-is free, truncates to the highest live lane as the pass drains, and settles
-only the observed cone (the fan-in of the criterion nets, loopback taps and
-relevant flip-flops) each cycle — same verdicts, a multiple of the
-throughput (see ``docs/performance.md``).
+:meth:`FaultInjector.run_batch` is the naive per-cycle reference.
+Campaigns run their injections through an
+:class:`~repro.faultinjection.scheduler.AdaptiveScheduler` built on the
+injector instead: it activates each injection at its own cycle inside one
+long-lived forward pass, refills lanes freed by early retirement, starts
+each pass narrow and doubles its width only when no lane is free, truncates
+to the highest live lane as the pass drains, and settles only the observed
+cone (the fan-in of the criterion nets, loopback taps and relevant
+flip-flops) each cycle — same verdicts, a multiple of the throughput (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..netlist.core import Netlist
 from ..obs import get_telemetry
 from ..sim.compiled import CompiledSimulator
+from ..sim.logic import set_lanes
 from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_model
@@ -76,14 +78,6 @@ def relevant_flip_flops(netlist: Netlist, observable_nets: Sequence[str]) -> Set
     return relevant
 
 
-def _iter_lanes(bits: int):
-    """Yield the set lane indices of a packed Python-int lane mask."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 @dataclass
 class BatchOutcome:
     """Result of one injection batch.
@@ -100,7 +94,7 @@ class BatchOutcome:
 
     def failed_lanes(self) -> List[int]:
         """Lane indices whose runs were classified as functional failures."""
-        return list(_iter_lanes(self.failed_mask))
+        return set_lanes(self.failed_mask)
 
 
 @dataclass
@@ -117,7 +111,7 @@ class _LoopTap:
     target_value_idx: int
     source_out_bit: int
     delay: int
-    slots: List[object]
+    slots: List[int]
     golden_bits: List[int]
 
 
@@ -253,25 +247,6 @@ class FaultInjector:
             return InjectionPlan(flips=(ff_index,))
         return self._bound_model.plan(ff_index, cycle)
 
-    def run_scheduled(
-        self,
-        injections: Sequence[Tuple[int, int]],
-        horizon: Optional[int] = None,
-        max_lanes: Optional[int] = None,
-    ):
-        """Run many ``(cycle, ff_index)`` injections through one adaptive
-        scheduler (lane refill across cycles, elastic width).
-
-        Returns a :class:`~repro.faultinjection.scheduler.ScheduledOutcome`
-        whose verdicts/latencies are bit-identical to one
-        :meth:`run_batch` lane per injection; see
-        :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`.
-        """
-        from .scheduler import AdaptiveScheduler
-
-        scheduler = AdaptiveScheduler(self, max_lanes=max_lanes)
-        return scheduler.run(injections, horizon=horizon)
-
     def _record_outcome(self, outcome: BatchOutcome) -> BatchOutcome:
         """Report one forward run's lane-cycle volume to the telemetry layer.
 
@@ -322,7 +297,6 @@ class FaultInjector:
         sim.resize_lanes(n)
         mask = sim.mask
         values = sim.values
-        zero = sim.broadcast(0)
 
         sim.load_ff_state_packed(golden.ff_state[cycle])
         if plans is None:
@@ -334,8 +308,8 @@ class FaultInjector:
                     sim.flip_ff(ff_idx, 1 << lane)
 
         # Per-lane forcing schedule: (plan, lane vector, Q rows to force).
-        force_lanes: List[Tuple[InjectionPlan, object, List[Tuple[int, int]]]] = []
-        force_vec = zero
+        force_lanes: List[Tuple[InjectionPlan, int, List[Tuple[int, int]]]] = []
+        force_vec = 0
         if plans is not None:
             ffs = sim.flip_flops
             for lane, plan in enumerate(plans):
@@ -344,23 +318,17 @@ class FaultInjector:
                         (sim.net_index[ffs[f].output_net()], v)
                         for f, v in plan.forces
                     ]
-                    lv = sim.lane_vec(lane)
+                    lv = 1 << lane
                     force_lanes.append((plan, lv, rows))
-                    force_vec = force_vec | lv
+                    force_vec |= lv
 
-        for tap in self._taps:
-            golden_bits = tap.golden_bits
-            for past in range(cycle - tap.delay, cycle):
-                if past < 0:
-                    tap.slots[past % tap.delay] = zero
-                else:
-                    tap.slots[past % tap.delay] = sim.broadcast(golden_bits[past])
+        self._prime_taps(cycle, mask)
 
         end = golden.n_cycles
         if horizon is not None:
             end = min(end, cycle + horizon)
 
-        failed = zero
+        failed = 0
         latencies: Dict[int, int] = {}
         criterion = self._criterion
         check = self.check_interval
@@ -369,7 +337,7 @@ class FaultInjector:
         while c < end:
             vec = golden.applied_inputs[c]
             for bit_pos, value_idx in self._open_inputs:
-                values[value_idx] = mask if (vec >> bit_pos) & 1 else zero
+                values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
             for tap in self._taps:
                 values[tap.target_value_idx] = tap.slots[c % tap.delay]
             for plan, lv, rows in force_lanes:
@@ -377,26 +345,25 @@ class FaultInjector:
                 # (the latched value is corrupted for this cycle).
                 if plan.force_active(c - cycle):
                     for q_idx, v in rows:
-                        values[q_idx] = (values[q_idx] & ~lv) | (lv if v else zero)
+                        values[q_idx] = (values[q_idx] & ~lv) | (lv if v else 0)
                     forced_writes += 1
             sim.eval_comb()
             newly = criterion.evaluate(values, golden.outputs[c], mask) & ~failed
-            if sim.vec_any(newly):
-                failed = failed | newly
+            if newly:
+                failed |= newly
                 latency = c - cycle
-                for lane in _iter_lanes(sim.vec_to_int(newly)):
+                for lane in set_lanes(newly):
                     latencies[lane] = latency
             for tap in self._taps:
-                tap.slots[c % tap.delay] = sim.read_vec(tap.source_value_idx)
+                tap.slots[c % tap.delay] = values[tap.source_value_idx]
             sim.tick()
             c += 1
             if (c - cycle) % check == 0 or c == end:
-                diverged = self._divergence(c, mask)
-                diverged = diverged | self._loopback_divergence(c, mask)
+                diverged = self._divergence(c, mask) | self._loopback_divergence(c, mask)
                 # Forced lanes are only done once failed: a lane whose state
                 # matches golden right now can still be re-disturbed by a
                 # later duty-on cycle.
-                if sim.vec_is_full(failed | (~diverged & ~force_vec)):
+                if (failed | (~diverged & ~force_vec)) & mask == mask:
                     break
         if forced_writes:
             get_telemetry().registry.counter(
@@ -404,7 +371,7 @@ class FaultInjector:
             ).inc(forced_writes)
         return self._record_outcome(
             BatchOutcome(
-                failed_mask=sim.vec_to_int(failed),
+                failed_mask=failed,
                 n_lanes=n,
                 cycles_simulated=c - cycle,
                 latencies=latencies,
@@ -436,37 +403,30 @@ class FaultInjector:
         sim.resize_lanes(n)
         mask = sim.mask
         values = sim.values
-        zero = sim.broadcast(0)
 
         sim.load_ff_state_packed(golden.ff_state[cycle])
-        for tap in self._taps:
-            golden_bits = tap.golden_bits
-            for past in range(cycle - tap.delay, cycle):
-                if past < 0:
-                    tap.slots[past % tap.delay] = zero
-                else:
-                    tap.slots[past % tap.delay] = sim.broadcast(golden_bits[past])
+        self._prime_taps(cycle, mask)
 
         # Injection cycle: settle fault-free, then force the struck nets and
         # re-evaluate the downstream cones with the forces held.
         vec = golden.applied_inputs[cycle]
         for bit_pos, value_idx in self._open_inputs:
-            values[value_idx] = mask if (vec >> bit_pos) & 1 else zero
+            values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
         for tap in self._taps:
             values[tap.target_value_idx] = tap.slots[cycle % tap.delay]
         sim.eval_comb()
-        forces: Dict[int, object] = {}
+        forces: Dict[int, int] = {}
         for lane, net in enumerate(net_names):
             idx = sim.net_index[net]
-            forces[idx] = forces.get(idx, 0) | sim.lane_vec(lane)
+            forces[idx] = forces.get(idx, 0) | 1 << lane
         self._propagate_forced(forces, mask)
 
         latencies: Dict[int, int] = {}
         failed = self._criterion.evaluate(values, golden.outputs[cycle], mask)
-        for lane in _iter_lanes(sim.vec_to_int(failed)):
+        for lane in set_lanes(failed):
             latencies[lane] = 0
         for tap in self._taps:
-            tap.slots[cycle % tap.delay] = sim.read_vec(tap.source_value_idx)
+            tap.slots[cycle % tap.delay] = values[tap.source_value_idx]
         sim.tick()
 
         # Continue as a plain forward run from the next cycle.
@@ -479,35 +439,34 @@ class FaultInjector:
         while c < end:
             vec = golden.applied_inputs[c]
             for bit_pos, value_idx in self._open_inputs:
-                values[value_idx] = mask if (vec >> bit_pos) & 1 else zero
+                values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
             for tap in self._taps:
                 values[tap.target_value_idx] = tap.slots[c % tap.delay]
             sim.eval_comb()
             newly = criterion.evaluate(values, golden.outputs[c], mask) & ~failed
-            if sim.vec_any(newly):
-                failed = failed | newly
+            if newly:
+                failed |= newly
                 latency = c - cycle
-                for lane in _iter_lanes(sim.vec_to_int(newly)):
+                for lane in set_lanes(newly):
                     latencies.setdefault(lane, latency)
             for tap in self._taps:
-                tap.slots[c % tap.delay] = sim.read_vec(tap.source_value_idx)
+                tap.slots[c % tap.delay] = values[tap.source_value_idx]
             sim.tick()
             c += 1
             if (c - cycle) % check == 0 or c == end:
-                diverged = self._divergence(c, mask)
-                diverged = diverged | self._loopback_divergence(c, mask)
-                if sim.vec_is_full(failed | ~diverged):
+                diverged = self._divergence(c, mask) | self._loopback_divergence(c, mask)
+                if (failed | ~diverged) & mask == mask:
                     break
         return self._record_outcome(
             BatchOutcome(
-                failed_mask=sim.vec_to_int(failed),
+                failed_mask=failed,
                 n_lanes=n,
                 cycles_simulated=c - cycle,
                 latencies=latencies,
             )
         )
 
-    def _propagate_forced(self, forces: Dict[int, object], mask: object) -> None:
+    def _propagate_forced(self, forces: Dict[int, int], mask: int) -> None:
         """Apply per-lane net inversions and re-settle the downstream logic.
 
         Walks the combinational cells in topological order, re-evaluating any
@@ -537,33 +496,38 @@ class FaultInjector:
                 continue
             new_value = evaluate([values[i] for i in in_idxs], mask)
             new_value = new_value ^ forces.get(out_idx, 0)
-            if sim.vec_any(new_value ^ values[out_idx]):
+            if (new_value ^ values[out_idx]) & mask:
                 values[out_idx] = new_value
                 dirty.add(out_idx)
 
     # ------------------------------------------------------------ internals
 
-    def _divergence(self, cycle: int, mask: object) -> object:
+    def _prime_taps(self, cycle: int, mask: int) -> None:
+        """Load every loopback pipeline with the golden values in flight at
+        *cycle* (zero before the trace starts)."""
+        for tap in self._taps:
+            golden_bits = tap.golden_bits
+            for past in range(cycle - tap.delay, cycle):
+                bit = golden_bits[past] if past >= 0 else 0
+                tap.slots[past % tap.delay] = mask if bit else 0
+
+    def _divergence(self, cycle: int, mask: int) -> int:
         """Per-lane mask of lanes whose relevant FF state differs from golden
         at the start of *cycle*."""
-        sim = self.sim
-        diff = sim.broadcast(0)
-        values = sim.values
+        diff = 0
+        values = self.sim.values
         grel = self.relevant_golden(cycle)
-        # Early-exit once every lane diverged, but only probe periodically:
-        # vec_is_full is a method call, so checking per flip-flop would
-        # dominate the sweep.
+        # Early-exit once every lane diverged, probing every 32 flip-flops.
         for k, (q_idx, _ff_index) in enumerate(self._relevant_pairs):
             golden = mask if (grel >> k) & 1 else 0
-            diff = diff | (values[q_idx] ^ golden)
-            if (k & 31) == 31 and sim.vec_is_full(diff):
+            diff |= values[q_idx] ^ golden
+            if (k & 31) == 31 and diff & mask == mask:
                 return diff
         return diff
 
-    def _loopback_divergence(self, next_cycle: int, mask: object) -> object:
+    def _loopback_divergence(self, next_cycle: int, mask: int) -> int:
         """Lanes whose in-flight loopback values differ from the golden record."""
-        sim = self.sim
-        diff = sim.broadcast(0)
+        diff = 0
         golden = self.golden
         for tap in self._taps:
             golden_bits = tap.golden_bits
@@ -571,5 +535,5 @@ class FaultInjector:
                 if past >= golden.n_cycles:
                     continue
                 bit = golden_bits[past]
-                diff = diff | (tap.slots[past % tap.delay] ^ (mask if bit else 0))
+                diff |= tap.slots[past % tap.delay] ^ (mask if bit else 0)
         return diff & mask

@@ -712,10 +712,9 @@ class AdaptiveScheduler:
             self._relevant_rows, injector.relevant_golden(cycle), active_vec
         )
         mask = sim.mask
-        zero = sim.broadcast(0)
         for t, tap in enumerate(injector.taps):
             tap_golden = tap.golden_bits
             for past in range(max(0, cycle - tap.delay), cycle):
-                golden_vec = mask if tap_golden[past] else zero
-                diff = diff | ((slots[t][past % tap.delay] ^ golden_vec) & active_vec)
+                golden_vec = mask if tap_golden[past] else 0
+                diff |= (slots[t][past % tap.delay] ^ golden_vec) & active_vec
         return diff

@@ -2,11 +2,11 @@
 
 Two entry points:
 
-* :func:`run_reference_flow` — the complete methodology on a circuit +
-  workload: golden simulation, feature extraction, full flat statistical
-  fault-injection campaign (the reference), model training on a fraction
-  and evaluation against the rest.  This is what the paper's section IV
-  does end to end.
+* :func:`run_reference_flow` — the complete methodology on the circuit and
+  workload a :class:`~repro.campaigns.CampaignSpec` describes: golden
+  simulation, flat statistical fault-injection campaign (the reference),
+  feature extraction, model training on a fraction and evaluation against
+  the rest.  This is what the paper's section IV does end to end.
 * :class:`FdrEstimator` — the production use-case: train on a labelled
   subset of flip-flops and predict FDR for the *unlabelled* remainder
   ("the trained model can be used to estimate the FDR values of the
@@ -16,23 +16,18 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.workloads import Workload
-from ..faultinjection.campaign import CampaignResult, StatisticalFaultCampaign
-from ..faultinjection.classify import (
-    AnyOutputCriterion,
-    FailureCriterion,
-    PacketInterfaceCriterion,
-)
+from ..campaigns.executor import CampaignEngine
+from ..campaigns.spec import CampaignSpec
+from ..faultinjection.campaign import CampaignResult
 from ..features.dataset import Dataset
 from ..features.extractor import build_dataset
 from ..ml.base import BaseEstimator, clone
 from ..ml.metrics import all_metrics
 from ..ml.model_selection import train_test_split
-from ..netlist.core import Netlist
 
 __all__ = ["FlowReport", "run_reference_flow", "FdrEstimator"]
 
@@ -60,37 +55,23 @@ class FlowReport:
 
 
 def run_reference_flow(
-    netlist: Netlist,
-    workload: Workload,
+    spec: CampaignSpec,
     model: BaseEstimator,
-    n_injections: int = 170,
     train_size: float = 0.5,
-    campaign_seed: int = 0,
     split_seed: int = 0,
-    criterion: Optional[FailureCriterion] = None,
 ) -> FlowReport:
-    """The paper's full methodology on one circuit/workload/model.
+    """The paper's full methodology on one campaign spec and model.
 
-    Runs the flat campaign over *all* flip-flops so that the model can be
-    validated against reference FDR values, then trains on a *train_size*
-    fraction and evaluates on the remainder.
-
-    Without an explicit *criterion*, streaming workloads (non-empty
-    ``valid_nets``) get the paper's packet criterion; plain workloads (the
-    generic burst testbenches, whose strobe list is empty and would mask
-    every failure under the packet rules) are judged on their observed
-    output nets instead.
+    Runs the campaign *spec* describes (circuit, workload, criterion,
+    injections, seed; over every flip-flop unless ``spec.ff_names`` names
+    a subset) so that the model can be validated against reference FDR
+    values, then trains on a *train_size* fraction and evaluates on the
+    remainder.
     """
-    if criterion is None:
-        if workload.valid_nets:
-            criterion = PacketInterfaceCriterion(workload.valid_nets, workload.data_nets)
-        else:
-            criterion = AnyOutputCriterion(nets=list(workload.data_nets))
-    campaign_runner = StatisticalFaultCampaign(
-        netlist, workload.testbench, criterion, active_window=workload.active_window
-    )
-    campaign = campaign_runner.run(n_injections=n_injections, seed=campaign_seed)
-    dataset = build_dataset(netlist, campaign_runner.golden, campaign)
+    engine = CampaignEngine(spec)
+    campaign = engine.run()
+    context = engine.context
+    dataset = build_dataset(context.netlist, context.ensure_golden(), campaign)
     estimator = FdrEstimator(model)
     return estimator.evaluate_split(dataset, campaign, train_size, split_seed)
 

@@ -27,7 +27,7 @@ Scoped use::
 
     telemetry = Telemetry(sinks=[JsonlSink("run.jsonl")])
     with use_telemetry(telemetry):
-        run_campaign(spec)          # every layer reports into `telemetry`
+        CampaignEngine(spec).run()  # every layer reports into `telemetry`
     telemetry.close()
 
 See ``docs/observability.md`` for the event schema and the CLI flags

@@ -494,36 +494,6 @@ class CompiledSimulator:
                 break
         return diff
 
-    # --------------------------------------------------------- lane algebra
-    #
-    # A lane vector is a Python int (bit *j* = lane *j*).  The fault
-    # injector and the adaptive scheduler manipulate lanes only through
-    # these methods.
-
-    def broadcast(self, bit: int) -> int:
-        """Lane vector with every lane equal to *bit*."""
-        return self.mask if bit else 0
-
-    def lane_vec(self, lane: int) -> int:
-        """Lane vector with only *lane* set."""
-        return 1 << lane
-
-    def read_vec(self, value_idx: int) -> int:
-        """Value of net row *value_idx* (ints are immutable: no copy needed)."""
-        return self.values[value_idx]
-
-    def vec_to_int(self, vec: int) -> int:
-        """Packed per-lane mask of *vec* (already an int here)."""
-        return vec & self.mask
-
-    def vec_any(self, vec: int) -> bool:
-        """True if any active lane of *vec* is set."""
-        return bool(vec & self.mask)
-
-    def vec_is_full(self, vec: int) -> bool:
-        """True if every active lane of *vec* is set."""
-        return (vec & self.mask) == self.mask
-
     def diverging_rows(
         self,
         rows: Sequence[int],

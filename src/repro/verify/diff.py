@@ -463,7 +463,7 @@ def run_scheduler_check(
 
     divergences: List[Divergence] = []
     checked = 0
-    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
+    scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
     for k, (request, want) in enumerate(zip(requests, expected)):
         got = scheduled.verdict(k)
         checked += 1
@@ -583,7 +583,7 @@ def run_generated_check(
                     return divergences, checked
 
     requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
-    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
+    scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
     for k, (request, want) in enumerate(zip(requests, expected)):
         got = scheduled.verdict(k)
         checked += 1
@@ -701,7 +701,7 @@ def run_fault_model_check(
             (failed, latency if failed else None)
             for failed, latency in (reference[r] for r in requests)
         ]
-        scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
+        scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
         label = f"{model_spec}-scheduled"
         for k, (request, want) in enumerate(zip(requests, expected)):
             got = scheduled.verdict(k)

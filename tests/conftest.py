@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.circuits import build_xgmac_workload, make_xgmac
 from repro.data import DATASET_PRESETS, get_dataset
-from repro.faultinjection import PacketInterfaceCriterion, StatisticalFaultCampaign
 from repro.features import build_dataset
 from repro.netlist import Netlist
 from repro.synth import Module, synthesize, wordlib
@@ -49,25 +49,27 @@ def tiny_golden(tiny_workload):
 
 
 @pytest.fixture(scope="session")
-def tiny_campaign(tiny_mac, tiny_workload, tiny_golden):
-    """A reduced flat campaign on the tiny MAC (session-cached)."""
-    criterion = PacketInterfaceCriterion(
-        tiny_workload.valid_nets, tiny_workload.data_nets
+def tiny_campaign():
+    """A reduced flat campaign on the tiny MAC (session-cached): the
+    ``tiny_workload`` settings, packet criterion, 16 ``legacy`` injections
+    per flip-flop, seed 5."""
+    spec = CampaignSpec(
+        circuit="xgmac_tiny",
+        n_frames=4,
+        min_len=2,
+        max_len=3,
+        gap=12,
+        workload_seed=7,
+        n_injections=16,
+        seed=5,
+        schedule="legacy",
     )
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        criterion,
-        active_window=tiny_workload.active_window,
-        golden=tiny_golden,
-    )
-    return runner, runner.run(n_injections=16, seed=5)
+    return CampaignEngine(spec).run()
 
 
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_mac, tiny_golden, tiny_campaign):
-    _runner, campaign = tiny_campaign
-    return build_dataset(tiny_mac, tiny_golden, campaign)
+    return build_dataset(tiny_mac, tiny_golden, tiny_campaign)
 
 
 @pytest.fixture(scope="session")

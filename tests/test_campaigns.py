@@ -2,10 +2,9 @@
 
 The load-bearing guarantees:
 
-* a sharded ``legacy``-schedule run merges to a result **bit-identical** to
-  the serial :class:`StatisticalFaultCampaign` reference for the same seed
-  (both call one draw, so the draw order itself is pinned separately by
-  ``test_legacy_counters_are_pinned``);
+* a sharded ``legacy``-schedule run merges to the counters of one
+  scheduler run over the whole window, **bit for bit**, for every shard
+  layout (pinned by ``test_legacy_counters_are_pinned``);
 * ``stream``-schedule results are independent of the jobs count;
 * the stream schedule is prefix-stable, so the store can top up a cached
   campaign by simulating only the injection delta;
@@ -27,7 +26,6 @@ from repro.campaigns import (
     cycle_range_shards,
     legacy_buckets,
     partition_shards,
-    run_campaign,
     stream_buckets,
 )
 from repro.campaigns.executor import SHARDS_PER_JOB
@@ -37,7 +35,6 @@ from repro.campaigns.partition import (
     stream_slot_order,
 )
 from repro.data import DATASET_PRESETS
-from repro.faultinjection import StatisticalFaultCampaign
 
 TINY = dict(
     circuit="xgmac_tiny",
@@ -69,34 +66,6 @@ def result_key(result):
 
 
 # ------------------------------------------------------------- scheduling
-
-
-def test_legacy_schedule_matches_serial_reference(
-    tiny_mac, tiny_workload, tiny_golden
-):
-    """Sharded legacy run == StatisticalFaultCampaign, bit for bit.
-
-    Both share one draw, so this checks the sharding and merge, not the
-    draw order (see ``test_legacy_counters_are_pinned``)."""
-    from repro.faultinjection import PacketInterfaceCriterion
-
-    criterion = PacketInterfaceCriterion(
-        tiny_workload.valid_nets, tiny_workload.data_nets
-    )
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        criterion,
-        active_window=tiny_workload.active_window,
-        golden=tiny_golden,
-    )
-    reference = runner.run(n_injections=8, seed=5)
-
-    spec = tiny_spec(schedule="legacy")
-    engine = CampaignEngine(spec, jobs=2)
-    parallel = engine.run()
-    assert result_key(parallel) == result_key(reference)
-    assert engine.last_report.executed_forward_runs == parallel.n_forward_runs
 
 
 #: SHA-256 of every flip-flop's sorted ``[name, n, k, latency_sum]`` after a
@@ -148,34 +117,23 @@ def test_flat_counters_do_not_depend_on_the_shard_layout(jobs, shards_per_job):
     assert counter_digest(result) == LEGACY_TINY_DIGEST
 
 
-def test_serial_campaign_matches_the_pinned_flat_counters():
-    """The serial runner, one scheduler run over the whole window, gives
-    the counters every cycle-range layout gives."""
-    spec = legacy_tiny_spec()
-    context = build_context(spec)
-    window = context.window_cycles()
-    runner = StatisticalFaultCampaign(
-        context.netlist,
-        context.workload.testbench,
-        context.criterion,
-        active_window=(window[0], window[-1] + 1),
-        golden=context.ensure_golden(),
-        check_interval=spec.check_interval,
-    )
-    result = runner.run(
-        n_injections=spec.n_injections,
-        ff_names=context.ff_names(spec),
-        seed=spec.seed,
-        n_time_slots=spec.n_time_slots,
-        horizon=spec.horizon,
-    )
-    assert counter_digest(result) == LEGACY_TINY_DIGEST
+#: :func:`counter_digest` of the tiny ``legacy`` campaign at 8 injections,
+#: seed 5, recorded from the serial reference runner (one scheduler run over
+#: the whole window) before the engine became the only campaign runner.
+LEGACY_SERIAL_DIGEST = "f6167b3fd259574e97946877d7af95e66dfb0c78f4cda5400714a147e249cf10"
 
 
-def test_legacy_rejects_more_time_slots_than_window(
-    tiny_mac, tiny_workload, tiny_golden
-):
-    """The slot pool cannot exceed the active window; both runners say so
+def test_legacy_schedule_matches_serial_reference():
+    """A sharded legacy run merges to the serial reference's counters."""
+    spec = tiny_spec(schedule="legacy")
+    engine = CampaignEngine(spec, jobs=2)
+    parallel = engine.run()
+    assert counter_digest(parallel) == LEGACY_SERIAL_DIGEST
+    assert engine.last_report.executed_forward_runs == parallel.n_forward_runs
+
+
+def test_legacy_rejects_more_time_slots_than_window():
+    """The slot pool cannot exceed the active window; the engine says so
     instead of failing inside ``random.sample``."""
     spec = CampaignSpec(
         circuit="counter16",
@@ -187,23 +145,11 @@ def test_legacy_rejects_more_time_slots_than_window(
     with pytest.raises(ValueError, match="exceeds the .* cycles of the active window"):
         CampaignEngine(spec).run()
 
-    from repro.faultinjection import PacketInterfaceCriterion
-
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets),
-        active_window=tiny_workload.active_window,
-        golden=tiny_golden,
-    )
-    with pytest.raises(ValueError, match="exceeds the .* cycles of the active window"):
-        runner.run(n_injections=4, seed=5, n_time_slots=100000)
-
 
 def test_stream_parallel_matches_serial():
     spec = tiny_spec(n_injections=6)
-    serial = run_campaign(spec, jobs=1)
-    parallel = run_campaign(spec, jobs=3)
+    serial = CampaignEngine(spec, jobs=1).run()
+    parallel = CampaignEngine(spec, jobs=3).run()
     assert result_key(serial) == result_key(parallel)
 
 
@@ -355,7 +301,7 @@ def test_store_topup_runs_only_the_delta_and_matches_fresh(tmp_path):
     assert topup.last_report.base_injections == 6
     assert topup.last_report.executed_lanes == full_lanes  # 6 more per ff
 
-    fresh = run_campaign(big)
+    fresh = CampaignEngine(big).run()
     assert result_key(extended) == result_key(fresh)
 
 
@@ -382,7 +328,7 @@ def test_interrupted_run_resumes_from_checkpoint(tmp_path):
     assert resumed.last_report.resumed_buckets == engine.last_report.executed_buckets
     assert resumed.last_report.resumed_buckets > 0
     # ... and only the remainder was simulated
-    fresh = run_campaign(spec)
+    fresh = CampaignEngine(spec).run()
     assert result_key(result) == result_key(fresh)
 
 
@@ -432,7 +378,7 @@ def test_snapshot_clears_any_superseded_partial(tmp_path):
     # Partial targeting 8, then a 12-injection snapshot lands: cleared.
     store.save_partial(spec8, 0, 8, {3, 4}, accum)
     assert store.load_partial(spec8, 0, 8) is not None
-    bigger = run_campaign(spec8.with_injections(12))
+    bigger = CampaignEngine(spec8.with_injections(12)).run()
     store.save_snapshot(spec8, bigger)
     assert store.load_partial(spec8, 0, 8) is None
 
@@ -471,8 +417,8 @@ def test_interrupted_topup_roundtrip(tmp_path):
 
     # The re-run 6->10 top-up recomputes cleanly and matches a fresh run.
     redo = CampaignEngine(small.with_injections(10), cache_dir=tmp_path).run()
-    assert result_key(redo) == result_key(run_campaign(small.with_injections(10)))
-    assert result_key(big) == result_key(run_campaign(small.with_injections(12)))
+    assert result_key(redo) == result_key(CampaignEngine(small.with_injections(10)).run())
+    assert result_key(big) == result_key(CampaignEngine(small.with_injections(12)).run())
 
 
 def test_store_family_and_cache_keys():
@@ -657,7 +603,7 @@ def test_engine_ff_subset():
     context = build_context(tiny_spec())
     subset = tuple(context.netlist.flip_flop_names()[:4])
     spec = tiny_spec(n_injections=5, ff_names=subset)
-    result = run_campaign(spec)
+    result = CampaignEngine(spec).run()
     assert set(result.results) == set(subset)
     assert all(r.n_injections == 5 for r in result.results.values())
 

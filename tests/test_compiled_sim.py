@@ -210,7 +210,7 @@ def test_value_rows_stay_within_mask(tiny_mac):
                 sim.values[q] = (sim.values[q] & nam) | bit
         elif op == 4:
             # Forcing one lane of a flip-flop row, as stuck-at plans do.
-            lv = sim.lane_vec(rng.randrange(sim.n_lanes))
+            lv = 1 << rng.randrange(sim.n_lanes)
             q = ff_q[rng.randrange(len(ff_q))]
             sim.values[q] = (sim.values[q] & ~lv) | (lv if rng.random() < 0.5 else 0)
         elif op == 5:

@@ -36,7 +36,7 @@ def test_failed_lanes_report_latency(tiny_injector, tiny_workload):
 
 
 def test_campaign_aggregates_latency(tiny_campaign):
-    _runner, result = tiny_campaign
+    result = tiny_campaign
     record = result.results["ff_tx_state[0]"]
     assert record.n_failures > 0
     assert record.mean_error_latency is not None
@@ -48,7 +48,7 @@ def test_campaign_aggregates_latency(tiny_campaign):
 def test_latency_round_trips_json(tiny_campaign):
     from repro.faultinjection import CampaignResult
 
-    _runner, result = tiny_campaign
+    result = tiny_campaign
     restored = CampaignResult.from_json(result.to_json())
     for name, record in result.results.items():
         assert restored.results[name].latency_sum == record.latency_sum

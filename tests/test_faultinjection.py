@@ -1,10 +1,13 @@
 """Fault-injection tests: criteria, injector semantics, campaigns, FDR stats."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro.campaigns import CampaignContext, CampaignEngine, CampaignSpec
 from repro.faultinjection import (
     AnyOutputCriterion,
     CampaignResult,
@@ -12,7 +15,6 @@ from repro.faultinjection import (
     FlipFlopResult,
     PacketInterfaceCriterion,
     SeuFault,
-    StatisticalFaultCampaign,
     relevant_flip_flops,
     required_sample_size,
     wilson_interval,
@@ -334,8 +336,41 @@ def test_fault_through_loopback_is_detected(tiny_mac, tiny_workload, tiny_golden
 # ------------------------------------------------------------ campaign
 
 
+#: SHA-256 of every flip-flop's sorted ``[name, n, k, latency_sum]`` in the
+#: ``tiny_campaign`` fixture (``legacy`` schedule, 16 injections, seed 5),
+#: recorded from the serial reference runner the engine replaced.
+TINY_CAMPAIGN_DIGEST = "5a4b71c996f06e6eac953933733ca12fc62e603757e1e7417dd88c07f5b3cdfd"
+
+
+def counter_digest(result) -> str:
+    rows = sorted(
+        [name, r.n_injections, r.n_failures, r.latency_sum]
+        for name, r in result.results.items()
+    )
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def tiny_legacy_spec(**overrides) -> CampaignSpec:
+    """The ``tiny_workload`` settings as a ``legacy`` campaign spec."""
+    params = dict(
+        circuit="xgmac_tiny",
+        n_frames=4,
+        min_len=2,
+        max_len=3,
+        gap=12,
+        workload_seed=7,
+        schedule="legacy",
+    )
+    params.update(overrides)
+    return CampaignSpec(**params)
+
+
+def test_campaign_fixture_counters_are_pinned(tiny_campaign):
+    assert counter_digest(tiny_campaign) == TINY_CAMPAIGN_DIGEST
+
+
 def test_campaign_results_structure(tiny_mac, tiny_campaign):
-    _runner, result = tiny_campaign
+    result = tiny_campaign
     assert len(result.results) == len(tiny_mac.flip_flops())
     for record in result.results.values():
         assert record.n_injections == 16
@@ -347,7 +382,7 @@ def test_campaign_results_structure(tiny_mac, tiny_campaign):
 
 def test_campaign_fdr_spread_is_plausible(tiny_campaign):
     """Control state should be far more critical than statistics counters."""
-    _runner, result = tiny_campaign
+    result = tiny_campaign
     assert result.fdr("ff_tx_state[0]") > 0.5
     assert result.fdr("ff_stat_tx_frames[0]") == 0.0
     fdrs = [r.fdr for r in result.results.values()]
@@ -355,60 +390,43 @@ def test_campaign_fdr_spread_is_plausible(tiny_campaign):
     assert max(fdrs) > 0.5
 
 
-def test_campaign_is_deterministic(tiny_mac, tiny_workload, tiny_golden):
-    criterion = PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets)
-    ffs = tiny_mac.flip_flop_names()[:8]
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        criterion,
-        active_window=tiny_workload.active_window,
-        golden=tiny_golden,
+def test_campaign_is_deterministic(tiny_mac):
+    spec = tiny_legacy_spec(
+        n_injections=8, seed=9, ff_names=tuple(tiny_mac.flip_flop_names()[:8])
     )
-    a = runner.run(n_injections=8, ff_names=ffs, seed=9)
-    b = runner.run(n_injections=8, ff_names=ffs, seed=9)
+    a = CampaignEngine(spec).run()
+    b = CampaignEngine(spec).run()
     assert [r.n_failures for r in a.results.values()] == [
         r.n_failures for r in b.results.values()
     ]
 
 
-def test_campaign_subset_and_json_round_trip(tiny_mac, tiny_workload, tiny_golden):
-    criterion = PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets)
+def test_campaign_subset_and_json_round_trip(tiny_mac):
     ffs = tiny_mac.flip_flop_names()[:5]
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        criterion,
-        active_window=tiny_workload.active_window,
-        golden=tiny_golden,
-    )
-    result = runner.run(n_injections=6, ff_names=ffs, seed=1)
+    result = CampaignEngine(
+        tiny_legacy_spec(n_injections=6, seed=1, ff_names=tuple(ffs))
+    ).run()
     assert set(result.results) == set(ffs)
     restored = CampaignResult.from_json(result.to_json())
     assert restored.circuit == result.circuit
     assert restored.fdr_vector(ffs) == result.fdr_vector(ffs)
 
 
-def test_campaign_rejects_small_window(tiny_mac, tiny_workload, tiny_golden):
+def test_campaign_rejects_small_window(tiny_mac):
+    """The ``legacy`` slot pool needs a distinct cycle per injection."""
+    ffs = tuple(tiny_mac.flip_flop_names()[:2])
+    with pytest.raises(ValueError, match="need at least 100000 time slots"):
+        CampaignEngine(tiny_legacy_spec(n_injections=100_000, ff_names=ffs)).run()
+    with pytest.raises(ValueError, match="need at least 4 time slots .* got 3"):
+        CampaignEngine(
+            tiny_legacy_spec(n_injections=4, n_time_slots=3, ff_names=ffs)
+        ).run()
+
+
+def test_campaign_invalid_window_rejected(tiny_mac, tiny_workload):
     criterion = PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets)
-    runner = StatisticalFaultCampaign(
-        tiny_mac,
-        tiny_workload.testbench,
-        criterion,
-        active_window=(10, 14),
-        golden=tiny_golden,
+    context = CampaignContext(
+        tiny_mac, replace(tiny_workload, active_window=(50, 20)), criterion
     )
-    with pytest.raises(ValueError, match="time slots"):
-        runner.run(n_injections=50, ff_names=tiny_mac.flip_flop_names()[:2])
-
-
-def test_campaign_invalid_window_rejected(tiny_mac, tiny_workload, tiny_golden):
-    criterion = PacketInterfaceCriterion(tiny_workload.valid_nets, tiny_workload.data_nets)
     with pytest.raises(ValueError, match="window"):
-        StatisticalFaultCampaign(
-            tiny_mac,
-            tiny_workload.testbench,
-            criterion,
-            active_window=(50, 20),
-            golden=tiny_golden,
-        )
+        context.window_cycles()

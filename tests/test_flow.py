@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.campaigns import CampaignSpec
 from repro.flow import (
     FdrEstimator,
     ascii_series_plot,
@@ -18,16 +19,19 @@ def knn_model():
     return make_pipeline(StandardScaler(), KNeighborsRegressor(3))
 
 
-def test_reference_flow_end_to_end(tiny_mac, tiny_workload):
-    report = run_reference_flow(
-        tiny_mac,
-        tiny_workload,
-        knn_model(),
+def test_reference_flow_end_to_end():
+    spec = CampaignSpec(
+        circuit="xgmac_tiny",
+        n_frames=4,
+        min_len=2,
+        max_len=3,
+        gap=12,
+        workload_seed=7,
         n_injections=12,
-        train_size=0.5,
-        campaign_seed=1,
-        split_seed=1,
+        seed=1,
+        schedule="legacy",
     )
+    report = run_reference_flow(spec, knn_model(), train_size=0.5, split_seed=1)
     n = report.dataset.n_samples
     assert len(report.train_indices) + len(report.test_indices) == n
     assert report.test_predictions.shape == report.y_test.shape
@@ -129,7 +133,7 @@ def test_generate_report(tiny_dataset):
 def test_generate_report_with_campaign_economics(tiny_dataset, tiny_campaign):
     from repro.flow import generate_report
 
-    _runner, campaign = tiny_campaign
+    campaign = tiny_campaign
     text = generate_report(
         tiny_dataset,
         cv_folds=3,

@@ -33,7 +33,6 @@ from repro.campaigns import (
     ShardGate,
     make_policy,
     policy_signature,
-    run_campaign,
 )
 from repro.campaigns.policy import MAX_BUDGET_FACTOR, interval_margin
 from repro.data import DATASET_PRESETS, circuit_preset
@@ -209,7 +208,7 @@ def test_policy_snapshots_are_namespaced(tmp_path):
     spec = tiny_spec(policy="sequential", target_margin=0.2)
     store = CampaignStore(tmp_path)
     signature = policy_signature(spec)
-    result = run_campaign(tiny_spec())  # any result payload will do
+    result = CampaignEngine(tiny_spec()).run()  # any result payload will do
     store.save_policy_snapshot(spec, signature, result, {"rounds": 3}, gate_shards=4)
 
     loaded = store.load_policy_snapshot(spec, signature, gate_shards=4)
@@ -247,7 +246,7 @@ def test_policy_partial_round_trip_and_validation(tmp_path):
     # A finished snapshot clears its own checkpoint.
     store.save_policy_partial(spec, signature, tallies, accum, gate_shards=4)
     store.save_policy_snapshot(
-        spec, signature, run_campaign(tiny_spec()), {}, gate_shards=4
+        spec, signature, CampaignEngine(tiny_spec()).run(), {}, gate_shards=4
     )
     assert store.load_policy_partial(spec, signature, gate_shards=4) is None
 
@@ -263,7 +262,7 @@ def test_policy_records_carry_their_gate_layout(tmp_path):
     store.save_policy_partial(spec, signature, tallies, accum, gate_shards=8)
     assert store.load_policy_partial(spec, signature, gate_shards=4) is None
     assert store.load_policy_partial(spec, signature, gate_shards=8)[0] == tallies
-    result = run_campaign(tiny_spec())
+    result = CampaignEngine(tiny_spec()).run()
     # A snapshot of another layout does not supersede the checkpoint.
     store.save_policy_snapshot(spec, signature, result, {}, gate_shards=4)
     assert store.load_policy_partial(spec, signature, gate_shards=8) is not None
@@ -295,15 +294,15 @@ def test_equivalence_mode_matches_flat_on_library(circuit):
         policy="sequential",
         target_margin=0.0,
     )
-    assert result_key(run_campaign(flat_spec)) == result_key(run_campaign(seq_spec))
+    assert result_key(CampaignEngine(flat_spec).run()) == result_key(CampaignEngine(seq_spec).run())
 
 
 def test_equivalence_mode_matches_flat_on_mac_parallel():
     """The equivalence holds through the multiprocessing executor too."""
-    flat = run_campaign(tiny_spec(n_injections=10))
-    seq = run_campaign(
+    flat = CampaignEngine(tiny_spec(n_injections=10)).run()
+    seq = CampaignEngine(
         tiny_spec(n_injections=10, policy="sequential", target_margin=0.0), jobs=2
-    )
+    ).run()
     assert result_key(flat) == result_key(seq)
 
 

@@ -254,7 +254,7 @@ def test_campaign_result_reads_versionless_legacy_payload():
 
 
 def test_fdr_labels_are_proportions(tiny_dataset, tiny_campaign):
-    _runner, campaign = tiny_campaign
+    campaign = tiny_campaign
     for name, record in campaign.results.items():
         assert record.fdr * record.n_injections == pytest.approx(record.n_failures)
     assert np.all(tiny_dataset.y * campaign.n_injections % 1 < 1e-9)

@@ -169,7 +169,6 @@ def packed_payload(idx, skipped=None):
         },
         "n_forward_runs": 1,
         "total_lane_cycles": 12,
-        "done_cycles": [4],
         "skipped": skipped or {},
     }
 
@@ -184,7 +183,6 @@ def test_plain_counter_map_payload_is_malformed():
         "ff": warmstart.pack_tallies(plain, ORDER.index),
         "n_forward_runs": 1,
         "total_lane_cycles": 12,
-        "done_cycles": [4],
     }
     assert executor._shard_payload_error(payload, TALLIED, set(ORDER)) is None
     payload["ff"] = plain

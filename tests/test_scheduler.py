@@ -63,7 +63,7 @@ def test_scheduled_matches_naive(tiny_parts):
     n_ffs = injector.sim.n_flip_flops
     requests = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(150)]
     expected = naive_verdicts(injector, requests)
-    outcome = injector.run_scheduled(requests, max_lanes=32)
+    outcome = AdaptiveScheduler(injector, max_lanes=32).run(requests)
     assert outcome.verdicts == expected
     assert outcome.stats.activations == len(requests)
 
@@ -135,7 +135,7 @@ def test_injection_on_last_workload_cycle(tiny_parts):
     last_cycle = golden.n_cycles - 1
     requests = [(last_cycle, ff) for ff in range(12)]
     expected = naive_verdicts(injector, requests)
-    outcome = injector.run_scheduled(requests, max_lanes=4)
+    outcome = AdaptiveScheduler(injector, max_lanes=4).run(requests)
     assert outcome.verdicts == expected
 
 
@@ -150,7 +150,7 @@ def test_check_interval_larger_than_remaining_horizon(tiny_parts):
     requests = [(first + offset, ff) for offset in (0, 3, 9) for ff in range(10)]
     for horizon in (4, None):
         expected = naive_verdicts(injector, requests, horizon=horizon)
-        outcome = injector.run_scheduled(requests, horizon=horizon, max_lanes=8)
+        outcome = AdaptiveScheduler(injector, max_lanes=8).run(requests, horizon=horizon)
         assert outcome.verdicts == expected
 
 
@@ -180,7 +180,7 @@ def test_all_lanes_failing_in_the_injection_cycle():
         if ff.output_net().startswith("cnt")
     ]
     requests = [(cycle, ff) for cycle in (5, 6, 20) for ff in count_ffs]
-    outcome = injector.run_scheduled(requests, max_lanes=len(requests))
+    outcome = AdaptiveScheduler(injector, max_lanes=len(requests)).run(requests)
     assert all(failed and latency == 0 for failed, latency in outcome.verdicts)
     assert outcome.verdicts == naive_verdicts(injector, requests)
 
@@ -397,7 +397,7 @@ def test_observed_settle_keeps_verdicts_on_non_relevant_hits(
     requests = [(cycle, ff) for cycle in cycles for ff in rng.sample(outside, 10)]
     requests += [(cycle, ff) for cycle in cycles for ff in rng.sample(inside, 4)]
     expected = naive_verdicts(injector, requests)
-    outcome = injector.run_scheduled(requests)
+    outcome = AdaptiveScheduler(injector).run(requests)
     assert outcome.verdicts == expected
 
 
@@ -444,7 +444,7 @@ def test_scheduled_matches_naive_across_chunk_boundaries(
     monkeypatch.setattr(compiled_mod, "CHUNK_STATEMENTS", 3)
     injector = FaultInjector(netlist, testbench, golden, criterion)
     assert injector.sim._tick_fn is not reference.sim._tick_fn
-    outcome = injector.run_scheduled(requests, max_lanes=8)
+    outcome = AdaptiveScheduler(injector, max_lanes=8).run(requests)
     assert outcome.verdicts == expected
 
 
@@ -747,13 +747,13 @@ def test_diverging_rows_probe(tiny_mac):
     sim.reset()
     q0 = sim._ff_q[0]
     q1 = sim._ff_q[1]
-    sim.values[q0] = sim.lane_vec(2)  # lane 2 high
-    diff = sim.diverging_rows([q0, q1], 0b00, sim.broadcast(1))
-    assert sim.vec_to_int(diff) == 0b00100
+    sim.values[q0] = 1 << 2  # lane 2 high
+    diff = sim.diverging_rows([q0, q1], 0b00, sim.mask)
+    assert diff == 0b00100
     # Golden bits come from the packed word: a golden-high q0 makes every
     # lane but lane 2 diverge.
-    diff = sim.diverging_rows([q0, q1], 0b01, sim.broadcast(1))
-    assert sim.vec_to_int(diff) == 0b11011
+    diff = sim.diverging_rows([q0, q1], 0b01, sim.mask)
+    assert diff == 0b11011
     # Inactive lanes are masked out of the probe.
-    diff = sim.diverging_rows([q0], 0, sim.lane_vec(0))
-    assert sim.vec_to_int(diff) == 0
+    diff = sim.diverging_rows([q0], 0, 1 << 0)
+    assert diff == 0
