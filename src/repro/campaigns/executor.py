@@ -62,7 +62,7 @@ from .partition import (
     stream_buckets_ranged,
 )
 from .policy import ShardGate, make_policy, policy_signature, realized_margins
-from .spec import CampaignContext, CampaignSpec, build_context
+from .spec import CampaignContext, CampaignSpec, build_context, check_context
 from .store import CampaignStore
 from .supervisor import RetryPolicy, SupervisedPool
 
@@ -497,7 +497,7 @@ class CampaignEngine:
                 else None
             )
         if context is not None:
-            self._validate_context(context)
+            check_context(spec, context)
         self._context = context
         self._run_start = time.monotonic()
         self.shards_per_job = max(1, shards_per_job)
@@ -522,27 +522,6 @@ class CampaignEngine:
         """Gate shards per sequential round: the layout sequential counters
         depend on, recorded with every policy snapshot and checkpoint."""
         return self.jobs * self.shards_per_job
-
-    def _validate_context(self, context: CampaignContext) -> None:
-        """Guard the invariants a caller-supplied context must share with the
-        spec: workers (jobs > 1) and the result store trust the spec alone,
-        so a divergent context would silently poison both."""
-        from ..circuits.library import netlist_name
-        from ..faultinjection.classify import AnyOutputCriterion, PacketInterfaceCriterion
-
-        if context.netlist.name != netlist_name(self.spec.circuit):
-            raise ValueError(
-                f"context netlist {context.netlist.name!r} does not match "
-                f"spec circuit {self.spec.circuit!r}"
-            )
-        expected = (
-            PacketInterfaceCriterion if self.spec.criterion == "packet" else AnyOutputCriterion
-        )
-        if not isinstance(context.criterion, expected):
-            raise ValueError(
-                f"context criterion {type(context.criterion).__name__} does not "
-                f"match spec criterion {self.spec.criterion!r}"
-            )
 
     @property
     def context(self) -> CampaignContext:

@@ -50,7 +50,6 @@ __all__ = [
     "legacy_buckets",
     "stream_buckets",
     "stream_buckets_ranged",
-    "stream_draws",
     "cycle_range_shards",
     "partition_shards",
 ]
@@ -170,17 +169,6 @@ class DrawStream:
             candidates[pick] = candidates[-1]
             candidates.pop()
         return draws[start:stop]
-
-
-def stream_draws(
-    slot_stream: Sequence[int], rng: random.Random, stop: int
-) -> List[int]:
-    """First *stop* injection cycles of one flip-flop's draw stream.
-
-    Prefix-stable by construction: the first *n* draws are identical for
-    every ``stop >= n``.
-    """
-    return DrawStream(slot_stream, rng).draws(0, stop)
 
 
 def stream_slot_order(spec: CampaignSpec, window: Sequence[int]) -> List[int]:

@@ -14,7 +14,7 @@ A :class:`SamplingPolicy` makes that decision at two points:
 * **between rounds** (:meth:`SamplingPolicy.allocate`) — given the merged
   per-flip-flop tallies, decide which flip-flops get how many more draws.
   Draws are addressed by their *index in the flip-flop's prefix-stable
-  stream* (:func:`~repro.campaigns.partition.stream_draws`), so an
+  stream* (:class:`~repro.campaigns.partition.DrawStream`), so an
   allocation is a ``{ff: (start, stop)}`` range map and repeated runs with
   the same seed replay the same injection cycles;
 * **inside a shard** (:class:`ShardGate`) — the

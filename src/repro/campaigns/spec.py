@@ -30,7 +30,7 @@ from ..faultinjection.classify import (
 from ..netlist.core import Netlist
 from ..sim.testbench import GoldenTrace
 
-__all__ = ["CampaignSpec", "CampaignContext", "build_context"]
+__all__ = ["CampaignSpec", "CampaignContext", "build_context", "check_context"]
 
 SCHEDULES = ("stream", "legacy")
 CRITERIA = ("packet", "any_output", "observed")
@@ -265,6 +265,19 @@ class CampaignContext:
         return [ff.name for ff in self.netlist.flip_flops()]
 
 
+def _build_workload(spec: CampaignSpec, netlist: Netlist) -> Workload:
+    """The workload *spec* describes, built on *netlist*."""
+    return build_workload_for(
+        spec.circuit,
+        netlist,
+        n_frames=spec.n_frames,
+        min_len=spec.min_len,
+        max_len=spec.max_len,
+        gap=spec.gap,
+        seed=spec.workload_seed,
+    )
+
+
 def build_context(spec: CampaignSpec) -> CampaignContext:
     """Instantiate the netlist, workload and criterion a spec describes.
 
@@ -277,15 +290,7 @@ def build_context(spec: CampaignSpec) -> CampaignContext:
 
     with get_telemetry().tracer.span("synthesize", circuit=spec.circuit):
         netlist = get_circuit(spec.circuit)
-        workload = build_workload_for(
-            spec.circuit,
-            netlist,
-            n_frames=spec.n_frames,
-            min_len=spec.min_len,
-            max_len=spec.max_len,
-            gap=spec.gap,
-            seed=spec.workload_seed,
-        )
+        workload = _build_workload(spec, netlist)
     if spec.criterion == "packet":
         criterion: FailureCriterion = PacketInterfaceCriterion(
             workload.valid_nets, workload.data_nets
@@ -297,3 +302,40 @@ def build_context(spec: CampaignSpec) -> CampaignContext:
     else:
         criterion = AnyOutputCriterion.all_outputs(netlist)
     return CampaignContext(netlist=netlist, workload=workload, criterion=criterion)
+
+
+def check_context(spec: CampaignSpec, context: CampaignContext) -> None:
+    """Raise ``ValueError`` unless *context* is the environment *spec* describes.
+
+    Workers (jobs > 1), the process-wide warm cache and the result store
+    trust the spec alone, so a divergent caller-supplied context would
+    silently poison all three.  Checks the netlist name and criterion kind,
+    then rebuilds the spec's workload on the supplied netlist and compares
+    its active window, stimulus schedule, loopbacks and valid/data nets.
+    """
+    from ..circuits.library import netlist_name
+
+    if context.netlist.name != netlist_name(spec.circuit):
+        raise ValueError(
+            f"context netlist {context.netlist.name!r} does not match "
+            f"spec circuit {spec.circuit!r}"
+        )
+    expected = PacketInterfaceCriterion if spec.criterion == "packet" else AnyOutputCriterion
+    if not isinstance(context.criterion, expected):
+        raise ValueError(
+            f"context criterion {type(context.criterion).__name__} does not "
+            f"match spec criterion {spec.criterion!r}"
+        )
+    got, want = context.workload, _build_workload(spec, context.netlist)
+    for part, mine, theirs in (
+        ("active window", tuple(got.active_window), tuple(want.active_window)),
+        ("stimulus schedule", got.testbench.schedule, want.testbench.schedule),
+        ("loopbacks", got.testbench.loopbacks, want.testbench.loopbacks),
+        ("valid nets", list(got.valid_nets), list(want.valid_nets)),
+        ("data nets", list(got.data_nets), list(want.data_nets)),
+    ):
+        if mine != theirs:
+            raise ValueError(
+                f"context workload {part} does not match the workload "
+                f"spec circuit {spec.circuit!r} builds"
+            )

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_telemetry
-from .spec import CampaignContext, CampaignSpec, build_context
+from .spec import CampaignContext, CampaignSpec, build_context, check_context
 
 __all__ = [
     "ensure_runner",
@@ -79,7 +79,9 @@ def warm_context(
     Returns ``(context, hit)``.  On a miss the context is built (or adopted
     from *context*, fixing the historical double build when a caller passed
     one in), its golden trace recorded, and the family cached for every
-    later engine, serial runner and forked worker in this process.
+    later engine, serial runner and forked worker in this process.  An
+    adopted context must match the spec (:func:`check_context`): a foreign
+    workload would otherwise serve every later run of the family.
     """
     key = spec.family_key()
     family = _FAMILIES.get(key)
@@ -87,6 +89,8 @@ def warm_context(
         return family.context, True
     if context is None:
         context = build_context(spec)
+    else:
+        check_context(spec, context)
     context.ensure_golden()
     _FAMILIES[key] = _WarmFamily(context)
     return context, False

@@ -232,16 +232,22 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         f"in {summary.wall_seconds:.2f}s "
         f"({summary.comparisons_per_second():,.0f} comparisons/s)"
     )
-    if out_dir is not None:
+
+    def write_summary(n_generated_checked: int) -> None:
+        if out_dir is None:
+            return
         payload = {
             "n_seeds": summary.n_seeds,
             "n_comparisons": summary.n_comparisons,
             "n_injections_checked": summary.n_injections_checked,
+            "n_generated_checked": n_generated_checked,
             "wall_seconds": summary.wall_seconds,
             "failing_seeds": [r.seed for r in summary.failing],
         }
         (out_dir / "verify.json").write_text(json.dumps(payload, indent=2))
+
     if not summary.ok:
+        write_summary(0)
         for report in summary.failing:
             for divergence in report.divergences:
                 print(f"  seed {report.seed}: {divergence}")
@@ -260,6 +266,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
     gen_divergences, gen_checked = run_generated_check(
         circuit="mesh_tiny", seed=args.seed
     )
+    write_summary(gen_checked)
     if gen_divergences:
         for divergence in gen_divergences:
             print(f"  mesh_tiny: {divergence}")

@@ -14,9 +14,7 @@ from .faults import (
     InjectionPlan,
     IntermittentModel,
     MbuModel,
-    SetFault,
     SetSweepModel,
-    SeuFault,
     SeuModel,
     StuckAtModel,
     available_fault_models,
@@ -42,9 +40,7 @@ __all__ = [
     "InjectionPlan",
     "IntermittentModel",
     "MbuModel",
-    "SetFault",
     "SetSweepModel",
-    "SeuFault",
     "SeuModel",
     "StuckAtModel",
     "available_fault_models",

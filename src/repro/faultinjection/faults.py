@@ -49,8 +49,6 @@ from ..netlist.core import Netlist
 from ..netlist.levelize import ff_spread_masks
 
 __all__ = [
-    "SeuFault",
-    "SetFault",
     "InjectionPlan",
     "FaultModel",
     "BoundFaultModel",
@@ -66,43 +64,6 @@ __all__ = [
     "canonical_fault_model",
     "ff_adjacency",
 ]
-
-
-@dataclass(frozen=True)
-class SeuFault:
-    """A Single-Event Upset: invert flip-flop *ff_name* at *cycle*.
-
-    The flip is applied to the flip-flop's Q output at the start of the
-    cycle, before the cycle's combinational settle — equivalent to the
-    upset having corrupted the latched state on the preceding edge.
-    """
-
-    ff_name: str
-    cycle: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SEU({self.ff_name} @ {self.cycle})"
-
-
-@dataclass(frozen=True)
-class SetFault:
-    """A Single-Event Transient on a combinational net.
-
-    Transients are subject to electrical and temporal de-rating before ever
-    being latched; the paper (and this reproduction) evaluates Functional
-    De-Rating for latched upsets, so SETs never enter the statistical
-    flip-flop campaign.  They are exercised only by the dedicated sweep
-    path :meth:`~repro.faultinjection.injector.FaultInjector.run_set_batch`
-    — a contract the registry enforces: ``parse_fault_model("set")``
-    resolves, but binding it to a flip-flop campaign raises
-    :class:`FaultModelError`.
-    """
-
-    net_name: str
-    cycle: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SET({self.net_name} @ {self.cycle})"
 
 
 # --------------------------------------------------------------------- plans
@@ -194,10 +155,8 @@ class BoundFaultModel:
     """A fault model specialized to one netlist.
 
     The single engine-facing surface: :meth:`plan` compiles a (site, cycle)
-    injection to an :class:`InjectionPlan`, and :meth:`apply` is the
-    packed-state transform of the plan's flips (the protocol's
-    ``apply(state, lane)`` — used by the oracle and by tests that reason
-    about states directly).
+    injection to an :class:`InjectionPlan`, which the engines and the
+    brute-force oracle replay alike.
     """
 
     def __init__(
@@ -217,12 +176,6 @@ class BoundFaultModel:
     def plan(self, ff_index: int, cycle: int) -> InjectionPlan:
         """The deterministic plan for striking *ff_index* at *cycle*."""
         return self._plan_fn(ff_index, cycle)
-
-    def apply(self, state: int, site: int, cycle: int = 0) -> int:
-        """Packed flip-flop *state* with the plan's flips applied."""
-        for ff in self.plan(site, cycle).flips:
-            state ^= 1 << ff
-        return state
 
 
 # ------------------------------------------------------------------- models

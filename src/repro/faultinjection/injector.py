@@ -1,9 +1,9 @@
 """Bit-parallel SEU forward simulation against a golden trajectory.
 
-One :meth:`FaultInjector.run_batch` call simulates up to ``max_lanes``
-injections *at the same cycle* simultaneously: lane *j* of every net value
-is the run in which flip-flop ``ff_indices[j]`` was inverted.  Three
-ingredients make the paper's full flat campaign tractable:
+One :meth:`FaultInjector.run_batch` call simulates any number of
+injections *at the same cycle* simultaneously, one lane each: lane *j* of
+every net value is the run in which flip-flop ``ff_indices[j]`` was
+inverted.  Three ingredients make the paper's full flat campaign tractable:
 
 1. **Golden-state restart** — the fault run starts from the recorded golden
    flip-flop state at the injection cycle, not from reset;
@@ -95,6 +95,14 @@ class BatchOutcome:
     def failed_lanes(self) -> List[int]:
         """Lane indices whose runs were classified as functional failures."""
         return set_lanes(self.failed_mask)
+
+    def verdict(self, lane: int) -> Tuple[bool, Optional[int]]:
+        """``(failed, latency)`` of *lane*, in the shape of
+        :meth:`~repro.faultinjection.scheduler.ScheduledOutcome.verdict`;
+        *latency* is ``None`` unless it failed."""
+        if self.failed_mask & (1 << lane):
+            return True, self.latencies[lane]
+        return False, None
 
 
 @dataclass
@@ -287,17 +295,13 @@ class FaultInjector:
         golden = self.golden
         if not 0 <= cycle < golden.n_cycles:
             raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")
-        n = len(ff_indices)
         bound = self._bound_model
         plans: Optional[List[InjectionPlan]] = None
         if bound is not None:
             plans = [bound.plan(ff_idx, cycle) for ff_idx in ff_indices]
 
         sim = self.sim
-        sim.resize_lanes(n)
-        mask = sim.mask
-        values = sim.values
-
+        sim.resize_lanes(len(ff_indices))
         sim.load_ff_state_packed(golden.ff_state[cycle])
         if plans is None:
             for lane, ff_idx in enumerate(ff_indices):
@@ -309,7 +313,6 @@ class FaultInjector:
 
         # Per-lane forcing schedule: (plan, lane vector, Q rows to force).
         force_lanes: List[Tuple[InjectionPlan, int, List[Tuple[int, int]]]] = []
-        force_vec = 0
         if plans is not None:
             ffs = sim.flip_flops
             for lane, plan in enumerate(plans):
@@ -318,28 +321,90 @@ class FaultInjector:
                         (sim.net_index[ffs[f].output_net()], v)
                         for f, v in plan.forces
                     ]
-                    lv = 1 << lane
-                    force_lanes.append((plan, lv, rows))
-                    force_vec |= lv
+                    force_lanes.append((plan, 1 << lane, rows))
 
+        self._prime_taps(cycle, sim.mask)
+        return self._forward(cycle, cycle, horizon, force_lanes=force_lanes)
+
+    def run_set_batch(
+        self,
+        cycle: int,
+        net_names: Sequence[str],
+        horizon: Optional[int] = None,
+    ) -> BatchOutcome:
+        """Simulate Single-Event Transients: lane *j* flips net ``net_names[j]``.
+
+        Cycle-level SET model: the transient inverts the struck combinational
+        net for the whole injection cycle, propagates through the downstream
+        cone (subject to **logical de-rating** — controlling values on other
+        gate inputs mask it), may corrupt primary outputs directly, and is
+        latched by whatever flip-flops sample it on the clock edge.  From the
+        next cycle on the run continues exactly like an SEU forward
+        simulation.  Electrical and sub-cycle temporal de-rating are below
+        this model's time resolution, as discussed in the paper's section II.
+        """
+        golden = self.golden
+        if not 0 <= cycle < golden.n_cycles:
+            raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")
+        sim = self.sim
+        sim.resize_lanes(len(net_names))
+        mask = sim.mask
+        values = sim.values
+
+        sim.load_ff_state_packed(golden.ff_state[cycle])
         self._prime_taps(cycle, mask)
 
+        # Injection cycle: settle fault-free, then force the struck nets and
+        # re-evaluate the downstream cones with the forces held.
+        self._drive_inputs(cycle, mask)
+        sim.eval_comb()
+        forces: Dict[int, int] = {}
+        for lane, net in enumerate(net_names):
+            idx = sim.net_index[net]
+            forces[idx] = forces.get(idx, 0) | 1 << lane
+        self._propagate_forced(forces, mask)
+
+        failed = self._criterion.evaluate(values, golden.outputs[cycle], mask)
+        for tap in self._taps:
+            tap.slots[cycle % tap.delay] = values[tap.source_value_idx]
+        sim.tick()
+        # Continue as a plain forward run (no forcing) from the next cycle.
+        latencies = {lane: 0 for lane in set_lanes(failed)}
+        return self._forward(cycle, cycle + 1, horizon, failed, latencies)
+
+    def _forward(
+        self,
+        cycle: int,
+        start: int,
+        horizon: Optional[int],
+        failed: int = 0,
+        latencies: Optional[Dict[int, int]] = None,
+        force_lanes: Sequence[Tuple[InjectionPlan, int, List[Tuple[int, int]]]] = (),
+    ) -> BatchOutcome:
+        """The per-cycle forward loop of both batch kinds: simulate lanes
+        struck at *cycle* from cycle *start* on, with state and loopback
+        pipelines loaded and *failed*/*latencies* holding the verdicts of
+        cycles already settled.  Each *force_lanes* entry ``(plan, lane
+        vector, Q rows)`` re-asserts one lane's forced values."""
+        golden = self.golden
+        sim = self.sim
+        mask = sim.mask
+        values = sim.values
         end = golden.n_cycles
         if horizon is not None:
             end = min(end, cycle + horizon)
+        if latencies is None:
+            latencies = {}
+        force_vec = 0
+        for _plan, lv, _rows in force_lanes:
+            force_vec |= lv
 
-        failed = 0
-        latencies: Dict[int, int] = {}
         criterion = self._criterion
         check = self.check_interval
         forced_writes = 0
-        c = cycle
+        c = start
         while c < end:
-            vec = golden.applied_inputs[c]
-            for bit_pos, value_idx in self._open_inputs:
-                values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
-            for tap in self._taps:
-                values[tap.target_value_idx] = tap.slots[c % tap.delay]
+            self._drive_inputs(c, mask)
             for plan, lv, rows in force_lanes:
                 # Re-assert the fault on the lane's Q rows before the settle
                 # (the latched value is corrupted for this cycle).
@@ -372,95 +437,7 @@ class FaultInjector:
         return self._record_outcome(
             BatchOutcome(
                 failed_mask=failed,
-                n_lanes=n,
-                cycles_simulated=c - cycle,
-                latencies=latencies,
-            )
-        )
-
-    def run_set_batch(
-        self,
-        cycle: int,
-        net_names: Sequence[str],
-        horizon: Optional[int] = None,
-    ) -> BatchOutcome:
-        """Simulate Single-Event Transients: lane *j* flips net ``net_names[j]``.
-
-        Cycle-level SET model: the transient inverts the struck combinational
-        net for the whole injection cycle, propagates through the downstream
-        cone (subject to **logical de-rating** — controlling values on other
-        gate inputs mask it), may corrupt primary outputs directly, and is
-        latched by whatever flip-flops sample it on the clock edge.  From the
-        next cycle on the run continues exactly like an SEU forward
-        simulation.  Electrical and sub-cycle temporal de-rating are below
-        this model's time resolution, as discussed in the paper's section II.
-        """
-        golden = self.golden
-        if not 0 <= cycle < golden.n_cycles:
-            raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")
-        n = len(net_names)
-        sim = self.sim
-        sim.resize_lanes(n)
-        mask = sim.mask
-        values = sim.values
-
-        sim.load_ff_state_packed(golden.ff_state[cycle])
-        self._prime_taps(cycle, mask)
-
-        # Injection cycle: settle fault-free, then force the struck nets and
-        # re-evaluate the downstream cones with the forces held.
-        vec = golden.applied_inputs[cycle]
-        for bit_pos, value_idx in self._open_inputs:
-            values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
-        for tap in self._taps:
-            values[tap.target_value_idx] = tap.slots[cycle % tap.delay]
-        sim.eval_comb()
-        forces: Dict[int, int] = {}
-        for lane, net in enumerate(net_names):
-            idx = sim.net_index[net]
-            forces[idx] = forces.get(idx, 0) | 1 << lane
-        self._propagate_forced(forces, mask)
-
-        latencies: Dict[int, int] = {}
-        failed = self._criterion.evaluate(values, golden.outputs[cycle], mask)
-        for lane in set_lanes(failed):
-            latencies[lane] = 0
-        for tap in self._taps:
-            tap.slots[cycle % tap.delay] = values[tap.source_value_idx]
-        sim.tick()
-
-        # Continue as a plain forward run from the next cycle.
-        end = golden.n_cycles
-        if horizon is not None:
-            end = min(end, cycle + horizon)
-        criterion = self._criterion
-        check = self.check_interval
-        c = cycle + 1
-        while c < end:
-            vec = golden.applied_inputs[c]
-            for bit_pos, value_idx in self._open_inputs:
-                values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
-            for tap in self._taps:
-                values[tap.target_value_idx] = tap.slots[c % tap.delay]
-            sim.eval_comb()
-            newly = criterion.evaluate(values, golden.outputs[c], mask) & ~failed
-            if newly:
-                failed |= newly
-                latency = c - cycle
-                for lane in set_lanes(newly):
-                    latencies.setdefault(lane, latency)
-            for tap in self._taps:
-                tap.slots[c % tap.delay] = values[tap.source_value_idx]
-            sim.tick()
-            c += 1
-            if (c - cycle) % check == 0 or c == end:
-                diverged = self._divergence(c, mask) | self._loopback_divergence(c, mask)
-                if (failed | ~diverged) & mask == mask:
-                    break
-        return self._record_outcome(
-            BatchOutcome(
-                failed_mask=failed,
-                n_lanes=n,
+                n_lanes=sim.n_lanes,
                 cycles_simulated=c - cycle,
                 latencies=latencies,
             )
@@ -501,6 +478,16 @@ class FaultInjector:
                 dirty.add(out_idx)
 
     # ------------------------------------------------------------ internals
+
+    def _drive_inputs(self, cycle: int, mask: int) -> None:
+        """Apply *cycle*'s golden open-loop stimulus to every lane and feed
+        each loopback target from its tap's in-flight value."""
+        vec = self.golden.applied_inputs[cycle]
+        values = self.sim.values
+        for bit_pos, value_idx in self._open_inputs:
+            values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
+        for tap in self._taps:
+            values[tap.target_value_idx] = tap.slots[cycle % tap.delay]
 
     def _prime_taps(self, cycle: int, mask: int) -> None:
         """Load every loopback pipeline with the golden values in flight at

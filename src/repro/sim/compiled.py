@@ -482,18 +482,6 @@ class CompiledSimulator:
         index = self.ff_index[ff] if isinstance(ff, str) else ff
         self.values[self._ff_q[index]] ^= lanes & self.mask
 
-    def ff_divergence(self, golden_packed: int) -> int:
-        """Per-lane mask of lanes whose FF state differs from *golden_packed*."""
-        diff = 0
-        values = self.values
-        mask = self.mask
-        for i, q in enumerate(self._ff_q):
-            golden = mask if (golden_packed >> i) & 1 else 0
-            diff |= values[q] ^ golden
-            if diff == mask:
-                break
-        return diff
-
     def diverging_rows(
         self,
         rows: Sequence[int],

@@ -129,9 +129,6 @@ class GoldenTrace:
     def ff_bit(self, ff_index: int, cycle: int) -> int:
         return (self.ff_state[cycle] >> ff_index) & 1
 
-    def output_bit(self, out_index: int, cycle: int) -> int:
-        return (self.outputs[cycle] >> out_index) & 1
-
     def ff_toggle_counts(self) -> List[int]:
         """Per flip-flop: number of 0→1 and 1→0 transitions over the run."""
         counts = [0] * len(self.ff_names)
@@ -248,9 +245,6 @@ class Testbench:
         )
 
     # ------------------------------------------------------------- utilities
-
-    def output_index(self, net: str) -> int:
-        return self._out_index[net]
 
     def input_index(self, net: str) -> int:
         return self._in_index[net]

@@ -30,7 +30,8 @@ from .diff import (
     SeedReport,
     VerifySummary,
     brute_force_fault,
-    brute_force_seu,
+    bruteforce_verdicts,
+    naive_verdicts,
     run_event_differential,
     run_fault_model_check,
     run_generated_check,
@@ -64,7 +65,8 @@ __all__ = [
     "VerifySummary",
     "FAULT_MODEL_CHECK_SPECS",
     "brute_force_fault",
-    "brute_force_seu",
+    "bruteforce_verdicts",
+    "naive_verdicts",
     "run_event_differential",
     "run_fault_model_check",
     "run_generated_check",

@@ -14,26 +14,36 @@ oracle on identical fuzzed stimulus and reports the *first divergence* as a
   driven by an explicit clock waveform, compared against the oracle on every
   net whose three-valued value has resolved (X before reset is expected and
   skipped, a resolved-but-different value is a divergence);
-* **metamorphic fault-injection check** — every verdict of
-  :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` (with its
-  lane packing, early retirement and reactive loopback replay) is replayed
-  as a single-lane brute-force oracle re-simulation that uses none of those
-  optimisations; verdict or error-latency mismatches are divergences;
-* **scheduled-vs-naive replay** — the adaptive injection scheduler
-  (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
-  lane refill, observed-cone settle) runs a mixed-cycle request set and
-  every per-injection verdict/latency is compared against a naive
-  per-cycle :meth:`~repro.faultinjection.injector.FaultInjector.run_batch`
-  replay of the same injections.  A small lane budget forces refill and
-  deferral across passes.  The same requests, split into three scheduler
-  request groups that share every pass, must reproduce the single-group
-  verdicts.  Each pass starts at its lane cap here, so elastic width
-  changes (growth, truncation) are exercised by the ``MIN_WIDTH``-patched
-  tests in ``tests/test_scheduler.py`` instead.
+Four injection replay modes then share one referee: the naive
+:func:`naive_verdicts` (one
+:meth:`~repro.faultinjection.injector.FaultInjector.run_batch` per
+injection cycle, with its lane packing, early retirement and reactive
+loopback replay) and :func:`bruteforce_verdicts` (a single-lane oracle
+re-simulation of each injection's plan that uses none of those
+optimisations).  Any verdict or error-latency mismatch is a divergence:
 
-``verify_seed``/``verify_seeds`` tie the three together over fuzzed circuits
-and are what ``python -m repro.experiments verify`` and the CI fuzz stage
-drive.
+* **metamorphic injector check** (:func:`run_injector_check`) — naive
+  batches vs. brute force, every flip-flop at a few seeded cycles;
+* **scheduled-vs-naive replay** (:func:`run_scheduler_check`) — the
+  adaptive injection scheduler
+  (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
+  lane refill, observed-cone settle) vs. naive batches, with a small lane
+  budget that forces refill and deferral across passes.  The same
+  requests, split into three scheduler request groups that share every
+  pass, must reproduce the single-group verdicts.  Each pass starts at its
+  lane cap here, so elastic width changes (growth, truncation) are
+  exercised by the ``MIN_WIDTH``-patched tests in
+  ``tests/test_scheduler.py`` instead;
+* **fault-model check** (:func:`run_fault_model_check`) — batches and the
+  scheduler vs. brute force under every registered non-SEU model;
+* **generated-circuit check** (:func:`run_generated_check`) — batches vs.
+  brute force and the scheduler vs. batches on a generated composite
+  circuit's own workload.
+
+``verify_seed``/``verify_seeds`` run the first two differentials and the
+three fuzz replay modes over fuzzed circuits and are what ``python -m
+repro.experiments verify`` and the CI fuzz stage drive; the CLI then runs
+the generated-circuit check once.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..faultinjection.classify import AnyOutputCriterion
 from ..faultinjection.faults import InjectionPlan
@@ -71,8 +81,9 @@ __all__ = [
     "run_injector_check",
     "run_scheduler_check",
     "run_fault_model_check",
-    "brute_force_seu",
     "brute_force_fault",
+    "naive_verdicts",
+    "bruteforce_verdicts",
     "FAULT_MODEL_CHECK_SPECS",
     "run_generated_check",
     "verify_seed",
@@ -269,7 +280,9 @@ def run_event_differential(
     return divergences, comparisons
 
 
-# ------------------------------------------------------- metamorphic injector
+# ------------------------------------------------------------- the referee
+
+Verdict = Tuple[bool, Optional[int]]
 
 
 def brute_force_fault(
@@ -278,7 +291,7 @@ def brute_force_fault(
     golden: GoldenTrace,
     cycle: int,
     plan: InjectionPlan,
-) -> Tuple[bool, Optional[int]]:
+) -> Verdict:
     """Single-lane oracle re-simulation of one injection plan, no shortcuts.
 
     Replays the golden open-loop stimulus, feeds loopback targets from the
@@ -326,17 +339,100 @@ def brute_force_fault(
     return False, None
 
 
-def brute_force_seu(
-    netlist: Netlist,
-    testbench: Testbench,
+def naive_verdicts(
+    injector: FaultInjector,
+    requests: Sequence[Tuple[int, int]],
+    horizon: Optional[int] = None,
+) -> List[Verdict]:
+    """``(failed, latency)`` of every ``(cycle, ff_index)`` request, from one
+    :meth:`FaultInjector.run_batch` per injection cycle (one lane per
+    request, in request order) — the naive reference every scheduled run
+    must reproduce."""
+    by_cycle: Dict[int, List[int]] = {}
+    for key, (cycle, _ff_index) in enumerate(requests):
+        by_cycle.setdefault(cycle, []).append(key)
+    verdicts: List[Verdict] = [(False, None)] * len(requests)
+    for cycle in sorted(by_cycle):
+        keys = by_cycle[cycle]
+        outcome = injector.run_batch(
+            cycle, [requests[k][1] for k in keys], horizon=horizon
+        )
+        for lane, key in enumerate(keys):
+            verdicts[key] = outcome.verdict(lane)
+    return verdicts
+
+
+def bruteforce_verdicts(
+    injector: FaultInjector, requests: Sequence[Tuple[int, int]]
+) -> List[Verdict]:
+    """``(failed, latency)`` of every ``(cycle, ff_index)`` request, from a
+    :func:`brute_force_fault` replay of the injector's own
+    :meth:`~FaultInjector.injection_plan`.  The oracle judges under the
+    any-output criterion, so it referees injectors bound to that one."""
+    return [
+        brute_force_fault(
+            injector.netlist,
+            injector.testbench,
+            injector.golden,
+            cycle,
+            injector.injection_plan(ff_index, cycle),
+        )
+        for cycle, ff_index in requests
+    ]
+
+
+#: One referee comparison: ``(kind, requests, got, want)`` — the
+#: divergence label ``"<got engine>-vs-<want engine>"``, the ``(cycle,
+#: ff_index)`` requests and both engines' per-request verdicts.
+Comparison = Tuple[str, Sequence[Tuple[int, int]], Sequence[Verdict], Sequence[Verdict]]
+
+
+def _report(
+    netlist: Netlist, comparisons: Iterable[Comparison], stop_at_first: bool
+) -> Tuple[List[Divergence], int]:
+    """Compare each request's two verdicts across a mode's *comparisons*.
+
+    Returns ``(divergences, comparisons made)``.  With *stop_at_first* the
+    count ends at the first divergence and no later comparison is drawn
+    from *comparisons* — a lazy mode simulates nothing past it.
+    """
+    flip_flops = netlist.flip_flops()
+    divergences: List[Divergence] = []
+    checked = 0
+    for kind, requests, got, want in comparisons:
+        got_label, want_label = kind.rsplit("-vs-", 1)
+        for k, ((cycle, ff_index), g, w) in enumerate(zip(requests, got, want)):
+            checked += 1
+            if g != w:
+                divergences.append(
+                    Divergence(
+                        kind=kind,
+                        cycle=cycle,
+                        net=flip_flops[ff_index].name,
+                        values={got_label: g, want_label: w},
+                        detail=f"request {k} verdict/latency mismatch",
+                    )
+                )
+                if stop_at_first:
+                    return divergences, checked
+    return divergences, checked
+
+
+def _draw_cycles(
+    rng: random.Random,
+    n: int,
     golden: GoldenTrace,
-    cycle: int,
-    ff_index: int,
-) -> Tuple[bool, Optional[int]]:
-    """Single-lane oracle re-simulation of one SEU (one bit flip, no forces)."""
-    return brute_force_fault(
-        netlist, testbench, golden, cycle, InjectionPlan(flips=(ff_index,))
-    )
+    window: Optional[Tuple[int, int]] = None,
+) -> List[int]:
+    """Up to *n* distinct injection cycles, sorted, drawn from the inclusive
+    *window* clipped to the trace (default: cycle 2 to the trace end)."""
+    n_cycles = golden.n_cycles
+    first, last = window or (min(2, n_cycles - 1), n_cycles - 1)
+    candidates = range(first, min(last, n_cycles - 1) + 1)
+    return sorted(rng.sample(candidates, min(n, len(candidates))))
+
+
+# ------------------------------------------------------- metamorphic injector
 
 
 def run_injector_check(
@@ -355,49 +451,14 @@ def run_injector_check(
     golden = testbench.run_golden()
     criterion = AnyOutputCriterion.all_outputs(netlist)
     injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
-
     rng = random.Random(f"inject:{spec.seed}")
-    first = min(2, golden.n_cycles - 1)
-    candidates = list(range(first, golden.n_cycles))
-    cycles = sorted(rng.sample(candidates, min(n_injection_cycles, len(candidates))))
-    flip_flops = netlist.flip_flops()
-    ff_indices = list(range(len(flip_flops)))
-
-    divergences: List[Divergence] = []
-    checked = 0
-    for cycle in cycles:
-        outcome = injector.run_batch(cycle, ff_indices)
-        for lane, ff_idx in enumerate(ff_indices):
-            ref_failed, ref_latency = brute_force_seu(
-                netlist, testbench, golden, cycle, ff_idx
-            )
-            ff_name = flip_flops[ff_idx].name
-            checked += 1
-            batch_failed = bool((outcome.failed_mask >> lane) & 1)
-            batch_latency = outcome.latencies.get(lane)
-            if batch_failed != ref_failed:
-                divergences.append(
-                    Divergence(
-                        kind="injector-vs-bruteforce",
-                        cycle=cycle,
-                        net=ff_name,
-                        values={"injector": batch_failed, "bruteforce": ref_failed},
-                        detail="failure verdict mismatch",
-                    )
-                )
-            elif batch_failed and batch_latency != ref_latency:
-                divergences.append(
-                    Divergence(
-                        kind="injector-vs-bruteforce",
-                        cycle=cycle,
-                        net=ff_name,
-                        values={"injector": batch_latency, "bruteforce": ref_latency},
-                        detail="error latency mismatch",
-                    )
-                )
-            if divergences and stop_at_first:
-                return divergences, checked
-    return divergences, checked
+    cycles = _draw_cycles(rng, n_injection_cycles, golden)
+    requests = [(c, f) for c in cycles for f in range(len(netlist.flip_flops()))]
+    naive = naive_verdicts(injector, requests)
+    reference = bruteforce_verdicts(injector, requests)
+    return _report(
+        netlist, [("injector-vs-bruteforce", requests, naive, reference)], stop_at_first
+    )
 
 
 # ------------------------------------------------------ scheduled-vs-naive
@@ -415,11 +476,12 @@ def run_scheduler_check(
     Every flip-flop is injected at a handful of seed-drawn cycles.  The
     whole mixed-cycle request set runs through the scheduler — with a
     deliberately tiny ``max_lanes`` so activation refill and deferral across
-    passes both trigger — and each verdict/latency is
-    compared to the naive same-cycle :meth:`FaultInjector.run_batch` replay.
-    The requests then run again split at random into three request groups
-    (one shared sweep per pass, each group with its own cap, deferral and
-    check grid), and every verdict must equal the single-group one.
+    passes both trigger — and each verdict/latency is compared to
+    :func:`naive_verdicts` (itself cross-checked against brute force by
+    :func:`run_injector_check`).  The requests then run again split at
+    random into three request groups (one shared sweep per pass, each group
+    with its own cap, deferral and check grid), and every verdict must
+    equal the single-group one.
 
     When the fuzzed testbench has loopback paths, the criterion observes
     only the *non-loopback* outputs.  That keeps divergence that travels
@@ -439,69 +501,25 @@ def run_scheduler_check(
         if observed
         else AnyOutputCriterion.all_outputs(netlist)
     )
-
+    injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
     rng = random.Random(f"schedule:{spec.seed}")
-    first = min(2, golden.n_cycles - 1)
-    candidates = list(range(first, golden.n_cycles))
-    cycles = sorted(rng.sample(candidates, min(n_injection_cycles, len(candidates))))
-    flip_flops = netlist.flip_flops()
-    requests = [
-        (cycle, ff_idx) for cycle in cycles for ff_idx in range(len(flip_flops))
-    ]
+    cycles = _draw_cycles(rng, n_injection_cycles, golden)
+    requests = [(c, f) for c in cycles for f in range(len(netlist.flip_flops()))]
     if not requests:
         return [], 0
 
-    # Naive referee: one run_batch per injection cycle (itself
-    # cross-checked against brute force by run_injector_check).
-    injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
-    expected: List[Tuple[bool, Optional[int]]] = []
-    for cycle in cycles:
-        outcome = injector.run_batch(cycle, list(range(len(flip_flops))))
-        for lane in range(len(flip_flops)):
-            failed = bool((outcome.failed_mask >> lane) & 1)
-            expected.append((failed, outcome.latencies.get(lane) if failed else None))
+    def comparisons() -> Iterator[Comparison]:
+        naive = naive_verdicts(injector, requests)
+        scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
+        scheduled = scheduler.run(requests).verdicts
+        yield "scheduled-vs-naive", requests, scheduled, naive
+        groups = [rng.randrange(3) for _ in requests]
+        grouped = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
+            requests, groups=groups
+        )
+        yield "grouped-vs-single", requests, grouped.verdicts, scheduled
 
-    divergences: List[Divergence] = []
-    checked = 0
-    scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
-    for k, (request, want) in enumerate(zip(requests, expected)):
-        got = scheduled.verdict(k)
-        checked += 1
-        if got != want:
-            cycle, ff_idx = request
-            divergences.append(
-                Divergence(
-                    kind="scheduled-vs-naive",
-                    cycle=cycle,
-                    net=flip_flops[ff_idx].name,
-                    values={"scheduled": got, "naive": want},
-                    detail=f"request {k} verdict/latency mismatch",
-                )
-            )
-            if stop_at_first:
-                return divergences, checked
-
-    groups = [rng.randrange(3) for _ in requests]
-    grouped = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
-        requests, groups=groups
-    )
-    for k, request in enumerate(requests):
-        want, got = scheduled.verdict(k), grouped.verdict(k)
-        checked += 1
-        if got != want:
-            cycle, ff_idx = request
-            divergences.append(
-                Divergence(
-                    kind="grouped-vs-single",
-                    cycle=cycle,
-                    net=flip_flops[ff_idx].name,
-                    values={"grouped": got, "single": want},
-                    detail=f"request {k} (group {groups[k]}) verdict/latency mismatch",
-                )
-            )
-            if stop_at_first:
-                return divergences, checked
-    return divergences, checked
+    return _report(netlist, comparisons(), stop_at_first)
 
 
 # ------------------------------------------------------- generated circuits
@@ -541,66 +559,20 @@ def run_generated_check(
     golden = testbench.run_golden()
     criterion = AnyOutputCriterion.all_outputs(netlist)
     injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
-
     rng = random.Random(f"generated:{circuit}:{seed}")
-    first, last = workload.active_window
-    last = min(last, golden.n_cycles - 1)
-    cycles = sorted(
-        rng.sample(range(first, last + 1), min(n_injection_cycles, last + 1 - first))
-    )
-    flip_flops = netlist.flip_flops()
-    ff_indices = sorted(
-        rng.sample(range(len(flip_flops)), min(n_ffs_sample, len(flip_flops)))
-    )
+    cycles = _draw_cycles(rng, n_injection_cycles, golden, workload.active_window)
+    n_ffs = len(netlist.flip_flops())
+    ff_indices = sorted(rng.sample(range(n_ffs), min(n_ffs_sample, n_ffs)))
+    requests = [(c, f) for c in cycles for f in ff_indices]
 
-    divergences: List[Divergence] = []
-    checked = 0
-    expected: List[Tuple[bool, Optional[int]]] = []
-    for cycle in cycles:
-        outcome = injector.run_batch(cycle, ff_indices)
-        for lane, ff_idx in enumerate(ff_indices):
-            failed = bool((outcome.failed_mask >> lane) & 1)
-            latency = outcome.latencies.get(lane) if failed else None
-            expected.append((failed, latency))
-            ref_failed, ref_latency = brute_force_seu(
-                netlist, testbench, golden, cycle, ff_idx
-            )
-            checked += 1
-            if (failed, latency) != (ref_failed, ref_latency):
-                divergences.append(
-                    Divergence(
-                        kind="generated-injector-vs-bruteforce",
-                        cycle=cycle,
-                        net=flip_flops[ff_idx].name,
-                        values={
-                            "injector": (failed, latency),
-                            "bruteforce": (ref_failed, ref_latency),
-                        },
-                        detail=f"circuit {circuit}",
-                    )
-                )
-                if stop_at_first:
-                    return divergences, checked
+    def comparisons() -> Iterator[Comparison]:
+        naive = naive_verdicts(injector, requests)
+        reference = bruteforce_verdicts(injector, requests)
+        yield "generated-injector-vs-bruteforce", requests, naive, reference
+        scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
+        yield "generated-scheduled-vs-naive", requests, scheduled.verdicts, naive
 
-    requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
-    scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
-    for k, (request, want) in enumerate(zip(requests, expected)):
-        got = scheduled.verdict(k)
-        checked += 1
-        if got != want:
-            cycle, ff_idx = request
-            divergences.append(
-                Divergence(
-                    kind="generated-scheduled-vs-naive",
-                    cycle=cycle,
-                    net=flip_flops[ff_idx].name,
-                    values={"scheduled": got, "naive": want},
-                    detail=f"circuit {circuit}, request {k}",
-                )
-            )
-            if stop_at_first:
-                return divergences, checked
-    return divergences, checked
+    return _report(netlist, comparisons(), stop_at_first)
 
 
 # --------------------------------------------------------- fault-model check
@@ -643,83 +615,31 @@ def run_fault_model_check(
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()
     criterion = AnyOutputCriterion.all_outputs(netlist)
-    flip_flops = netlist.flip_flops()
-    ff_indices = list(range(len(flip_flops)))
-    if not ff_indices:
+    n_ffs = len(netlist.flip_flops())
+    if not n_ffs:
         return [], 0
 
-    divergences: List[Divergence] = []
-    checked = 0
-    for model_spec in model_specs:
-        injector = FaultInjector(
-            netlist,
-            testbench,
-            golden,
-            criterion,
-            check_interval=4,
-            fault_model=model_spec,
-        )
-        rng = random.Random(f"fault:{model_spec}:{spec.seed}")
-        first = min(2, golden.n_cycles - 1)
-        candidates = list(range(first, golden.n_cycles))
-        cycles = sorted(
-            rng.sample(candidates, min(n_injection_cycles, len(candidates)))
-        )
+    def comparisons() -> Iterator[Comparison]:
+        for model_spec in model_specs:
+            injector = FaultInjector(
+                netlist,
+                testbench,
+                golden,
+                criterion,
+                check_interval=4,
+                fault_model=model_spec,
+            )
+            rng = random.Random(f"fault:{model_spec}:{spec.seed}")
+            cycles = _draw_cycles(rng, n_injection_cycles, golden)
+            requests = [(c, f) for c in cycles for f in range(n_ffs)]
+            reference = bruteforce_verdicts(injector, requests)
+            naive = naive_verdicts(injector, requests)
+            yield f"{model_spec}-vs-bruteforce", requests, naive, reference
+            scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
+            scheduled = scheduler.run(requests).verdicts
+            yield f"{model_spec}-scheduled-vs-bruteforce", requests, scheduled, reference
 
-        reference: Dict[Tuple[int, int], Tuple[bool, Optional[int]]] = {}
-        for cycle in cycles:
-            outcome = injector.run_batch(cycle, ff_indices)
-            for lane, ff_idx in enumerate(ff_indices):
-                plan = injector.injection_plan(ff_idx, cycle)
-                ref_failed, ref_latency = brute_force_fault(
-                    netlist, testbench, golden, cycle, plan
-                )
-                reference[(cycle, ff_idx)] = (ref_failed, ref_latency)
-                checked += 1
-                got_failed = bool((outcome.failed_mask >> lane) & 1)
-                got_latency = outcome.latencies.get(lane)
-                if got_failed != ref_failed or (
-                    got_failed and got_latency != ref_latency
-                ):
-                    divergences.append(
-                        Divergence(
-                            kind=f"{model_spec}-vs-bruteforce",
-                            cycle=cycle,
-                            net=flip_flops[ff_idx].name,
-                            values={
-                                model_spec: (got_failed, got_latency),
-                                "bruteforce": (ref_failed, ref_latency),
-                            },
-                            detail="fault-model verdict/latency mismatch",
-                        )
-                    )
-                    if stop_at_first:
-                        return divergences, checked
-
-        requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
-        expected = [
-            (failed, latency if failed else None)
-            for failed, latency in (reference[r] for r in requests)
-        ]
-        scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
-        label = f"{model_spec}-scheduled"
-        for k, (request, want) in enumerate(zip(requests, expected)):
-            got = scheduled.verdict(k)
-            checked += 1
-            if got != want:
-                cycle, ff_idx = request
-                divergences.append(
-                    Divergence(
-                        kind=f"{label}-vs-bruteforce",
-                        cycle=cycle,
-                        net=flip_flops[ff_idx].name,
-                        values={label: got, "bruteforce": want},
-                        detail=f"request {k} verdict/latency mismatch",
-                    )
-                )
-                if stop_at_first:
-                    return divergences, checked
-    return divergences, checked
+    return _report(netlist, comparisons(), stop_at_first)
 
 
 # ------------------------------------------------------------------ seed sweep

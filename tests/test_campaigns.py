@@ -30,8 +30,8 @@ from repro.campaigns import (
 )
 from repro.campaigns.executor import SHARDS_PER_JOB
 from repro.campaigns.partition import (
+    DrawStream,
     stream_buckets_ranged,
-    stream_draws,
     stream_slot_order,
 )
 from repro.data import DATASET_PRESETS
@@ -153,14 +153,14 @@ def test_stream_parallel_matches_serial():
     assert result_key(serial) == result_key(parallel)
 
 
-def test_stream_draws_are_prefix_stable():
+def test_draw_stream_is_prefix_stable():
     import random
 
     spec = tiny_spec()
     window = list(range(20, 140))
     stream = stream_slot_order(spec, window)
-    short = stream_draws(stream, random.Random("ff:5:ff_x"), 10)
-    long = stream_draws(stream, random.Random("ff:5:ff_x"), 40)
+    short = DrawStream(stream, random.Random("ff:5:ff_x")).draws(0, 10)
+    long = DrawStream(stream, random.Random("ff:5:ff_x")).draws(0, 40)
     assert long[:10] == short
     assert len(set(long)) == len(long)  # without replacement
     assert all(c in window for c in long)
@@ -185,7 +185,7 @@ def test_memoized_streams_replay_identical_buckets():
     assert set(streams) == set(ffs)
 
 
-def test_stream_draws_density_matches_serial_pool():
+def test_draw_stream_density_matches_serial_pool():
     """Draws concentrate on ~1.5 n slots, like the serial scheduler's pool."""
     spec = tiny_spec(n_injections=20)
     window = list(range(0, 500))

@@ -53,14 +53,6 @@ def test_flip_ff_injects_on_selected_lane(counter_netlist):
         assert value == expected
 
 
-def test_ff_divergence_mask(counter_netlist):
-    sim = CompiledSimulator(counter_netlist, n_lanes=3)
-    sim.reset()
-    golden = sim.ff_state_packed()
-    sim.flip_ff(0, lanes=0b101)
-    assert sim.ff_divergence(golden) == 0b101
-
-
 def test_resize_lanes(counter_netlist):
     sim = CompiledSimulator(counter_netlist, n_lanes=1)
     sim.resize_lanes(8)

@@ -14,20 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.compiled as compiled_mod
+from repro.faultinjection import InjectionPlan
 from repro.netlist import DEFAULT_LIBRARY
 from repro.sim.compiled import _TEMPLATES
 from repro.verify import (
     FUZZ_SCALES,
     FuzzSpec,
     OracleSimulator,
-    brute_force_seu,
+    brute_force_fault,
     generate_netlist,
     generate_schedule,
     generate_testbench,
     rebuild_netlist,
     run_event_differential,
+    run_fault_model_check,
+    run_generated_check,
     run_injector_check,
     run_lane_differential,
+    run_scheduler_check,
     shrink_netlist,
     verify_seed,
     verify_seeds,
@@ -176,6 +180,30 @@ def test_verify_seeds_unknown_scale():
         verify_seeds(1, scale="nope")
 
 
+#: Engine-vs-oracle comparisons per tiny fuzz seed.  Every seed also replays
+#: 100 injections: 12 injector, 24 scheduler (single and grouped) and 64
+#: fault-model replays.  A referee that silently drops a comparison moves
+#: these counts.
+TINY_COMPARISONS = {0: 2226, 1: 2230, 2: 2228, 3: 2229, 4: 2231}
+
+
+@pytest.mark.parametrize("seed", sorted(TINY_COMPARISONS))
+def test_verify_seed_counts_are_pinned(seed):
+    spec = FUZZ_SCALES["tiny"].with_seed(seed)
+    report = verify_seed(spec)
+    assert report.ok
+    assert report.comparisons == TINY_COMPARISONS[seed]
+    assert report.injections_checked == 100
+    netlist = generate_netlist(spec)
+    assert run_injector_check(netlist, spec) == ([], 12)
+    assert run_scheduler_check(netlist, spec) == ([], 24)
+    assert run_fault_model_check(netlist, spec) == ([], 64)
+
+
+def test_generated_check_count_is_pinned():
+    assert run_generated_check() == ([], 64)
+
+
 # --------------------------------------------------- fault-detection power
 
 
@@ -238,6 +266,67 @@ def test_grouped_scheduler_divergence_is_caught(monkeypatch):
     monkeypatch.setattr(diff_mod, "AdaptiveScheduler", DroppingScheduler)
     divergences, _ = diff_mod.run_scheduler_check(netlist, spec)
     assert [d.kind for d in divergences] == ["grouped-vs-single"]
+
+
+def _replay_kinds(netlist, spec):
+    """First divergence kind of each replay mode (``None`` when clean)."""
+    runs = [
+        run_injector_check(netlist, spec),
+        run_scheduler_check(netlist, spec),
+        run_fault_model_check(netlist, spec),
+        run_generated_check(),
+    ]
+    return [divergences[0].kind if divergences else None for divergences, _ in runs]
+
+
+def test_flipped_batch_verdict_is_caught_by_every_replay(monkeypatch):
+    """A ``run_batch`` that inverts lane 0's verdict is caught against the
+    oracle and poisons the naive referee the scheduler is held to."""
+    from repro.faultinjection import FaultInjector
+
+    run_batch = FaultInjector.run_batch
+
+    def flipping_run_batch(self, cycle, ff_indices, horizon=None):
+        outcome = run_batch(self, cycle, ff_indices, horizon=horizon)
+        outcome.failed_mask ^= 1
+        if outcome.failed_mask & 1:
+            outcome.latencies[0] = 0
+        else:
+            outcome.latencies.pop(0, None)
+        return outcome
+
+    spec = FUZZ_SCALES["tiny"].with_seed(11)
+    netlist = generate_netlist(spec)
+    monkeypatch.setattr(FaultInjector, "run_batch", flipping_run_batch)
+    assert _replay_kinds(netlist, spec) == [
+        "injector-vs-bruteforce",
+        "scheduled-vs-naive",
+        "mbu:size=3,radius=1,seed=0-vs-bruteforce",
+        "generated-injector-vs-bruteforce",
+    ]
+
+
+def test_flipped_scheduled_verdict_is_caught_by_every_replay(monkeypatch):
+    """A scheduler that inverts request 0's verdict is caught by each mode
+    that replays scheduled verdicts."""
+    from repro.faultinjection import AdaptiveScheduler
+
+    run = AdaptiveScheduler.run
+
+    def flipping_run(self, injections, *args, **kwargs):
+        outcome = run(self, injections, *args, **kwargs)
+        outcome.failed[0] ^= 1
+        return outcome
+
+    spec = FUZZ_SCALES["tiny"].with_seed(11)
+    netlist = generate_netlist(spec)
+    monkeypatch.setattr(AdaptiveScheduler, "run", flipping_run)
+    assert _replay_kinds(netlist, spec) == [
+        None,
+        "scheduled-vs-naive",
+        "mbu:size=3,radius=1,seed=0-scheduled-vs-bruteforce",
+        "generated-scheduled-vs-naive",
+    ]
 
 
 # -------------------------------------------------------------- shrinking
@@ -315,5 +404,6 @@ def test_brute_force_benign_fault():
     benign = [i for i, ff in enumerate(ffs) if ff.name not in relevant]
     if not benign:
         pytest.skip("seed 9 has no benign flip-flop")
-    failed, latency = brute_force_seu(netlist, testbench, golden, 4, benign[0])
+    plan = InjectionPlan(flips=(benign[0],))
+    failed, latency = brute_force_fault(netlist, testbench, golden, 4, plan)
     assert failed is False and latency is None

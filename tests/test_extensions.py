@@ -31,7 +31,7 @@ def test_failed_lanes_report_latency(tiny_injector, tiny_workload):
         assert 0 <= outcome.latencies[lane] <= outcome.cycles_simulated
     # Non-failed lanes have no latency entry.
     for lane in range(outcome.n_lanes):
-        if not (outcome.failed_mask >> lane) & 1:
+        if not outcome.verdict(lane)[0]:
             assert lane not in outcome.latencies
 
 

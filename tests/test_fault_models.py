@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +46,7 @@ from repro.faultinjection import (
     canonical_fault_model,
     parse_fault_model,
 )
-from repro.verify import brute_force_fault
+from repro.verify import bruteforce_verdicts, naive_verdicts
 
 #: Non-SEU registry entries exercised by the engine-equivalence tests;
 #: parameters kept small so forcing duty cycles and cluster sampling all
@@ -247,22 +246,6 @@ def test_mbu_size1_is_bit_identical_to_seu(circuit):
 # ------------------------------------------------- engine vs. brute force
 
 
-def naive_verdicts(injector, requests):
-    """Per-request verdicts via one run_batch lane per (cycle, ff) bucket."""
-    buckets = defaultdict(list)
-    for key, (cycle, ff_idx) in enumerate(requests):
-        buckets[cycle].append((key, ff_idx))
-    verdicts = [None] * len(requests)
-    for cycle in sorted(buckets):
-        keys = [k for k, _ in buckets[cycle]]
-        ffs = [f for _, f in buckets[cycle]]
-        outcome = injector.run_batch(cycle, ffs)
-        for lane, key in enumerate(keys):
-            failed = bool((outcome.failed_mask >> lane) & 1)
-            verdicts[key] = (failed, outcome.latencies.get(lane) if failed else None)
-    return verdicts
-
-
 @pytest.fixture(scope="module")
 def strict_parts(tiny_mac, tiny_workload, tiny_golden):
     """Tiny MAC under the any-output criterion — the brute-force oracle's
@@ -281,22 +264,11 @@ def test_batch_matches_bruteforce_replay(strict_parts, model):
     first, _last = workload.active_window
     rng = random.Random(model)
     indices = rng.sample(range(injector.sim.n_flip_flops), 8)
-    for cycle in (first + 2, first + 9):
-        outcome = injector.run_batch(cycle, indices)
-        assert outcome.n_lanes == len(indices)
-        for lane, ff_idx in enumerate(indices):
-            plan = injector.injection_plan(ff_idx, cycle)
-            ref_failed, ref_latency = brute_force_fault(
-                netlist, workload.testbench, golden, cycle, plan
-            )
-            got_failed = bool((outcome.failed_mask >> lane) & 1)
-            assert got_failed == ref_failed, (model, cycle, ff_idx)
-            if got_failed:
-                assert outcome.latencies.get(lane) == ref_latency, (
-                    model,
-                    cycle,
-                    ff_idx,
-                )
+    requests = [(cycle, ff) for cycle in (first + 2, first + 9) for ff in indices]
+    assert injector.run_batch(first + 2, indices).n_lanes == len(indices)
+    assert naive_verdicts(injector, requests) == bruteforce_verdicts(
+        injector, requests
+    ), model
 
 
 @pytest.mark.parametrize("model", MODEL_SPECS)

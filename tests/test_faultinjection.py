@@ -14,7 +14,6 @@ from repro.faultinjection import (
     FdrEstimate,
     FlipFlopResult,
     PacketInterfaceCriterion,
-    SeuFault,
     relevant_flip_flops,
     required_sample_size,
     wilson_interval,
@@ -193,11 +192,6 @@ def test_mean_fdr_ignores_unmeasured_flip_flops():
     empty.results["a"] = FlipFlopResult("a")
     assert math.isnan(empty.mean_fdr())
     assert math.isnan(CampaignResult(circuit="c", n_injections=10, seed=0).mean_fdr())
-
-
-def test_seu_fault_repr():
-    fault = SeuFault("ff_x", 42)
-    assert "ff_x" in str(fault)
 
 
 # -------------------------------------------------- relevant flip-flops

@@ -65,6 +65,6 @@ def test_batched_injector_matches_bruteforce(tiny_mac, tiny_workload, tiny_golde
     indices = [injector.ff_index(name) for name in targets]
     outcome = injector.run_batch(cycle, indices)
     for lane, name in enumerate(targets):
-        batched = bool((outcome.failed_mask >> lane) & 1)
+        batched, _latency = outcome.verdict(lane)
         reference = brute_force_failure(tiny_mac, tiny_workload, name, cycle)
         assert batched == reference, (name, cycle)

@@ -9,7 +9,6 @@ injection's verdict and error latency must equal a naive
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from repro.faultinjection import (
 from repro.faultinjection.scheduler import MIN_AUTO_LANES, auto_max_lanes
 from repro.sim import CompiledSimulator, ScheduleBuilder, Testbench
 from repro.sim.logic import lanes_mask, set_lanes
+from repro.verify import naive_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -34,22 +34,6 @@ def tiny_parts(tiny_mac, tiny_workload, tiny_golden):
         tiny_workload.valid_nets, tiny_workload.data_nets
     )
     return tiny_mac, tiny_workload, tiny_golden, criterion
-
-
-def naive_verdicts(injector, requests, horizon=None):
-    """Per-request verdicts via one run_batch lane per (cycle, ff) bucket."""
-    buckets = defaultdict(list)
-    for key, (cycle, ff_idx) in enumerate(requests):
-        buckets[cycle].append((key, ff_idx))
-    verdicts = [None] * len(requests)
-    for cycle in sorted(buckets):
-        keys = [k for k, _ in buckets[cycle]]
-        ffs = [f for _, f in buckets[cycle]]
-        outcome = injector.run_batch(cycle, ffs, horizon=horizon)
-        for lane, key in enumerate(keys):
-            failed = bool((outcome.failed_mask >> lane) & 1)
-            verdicts[key] = (failed, outcome.latencies.get(lane) if failed else None)
-    return verdicts
 
 
 # --------------------------------------------------------------- equivalence

@@ -5,12 +5,15 @@ cold-building, and round-tripping shard tallies through the packed
 transport, must never change a single counter.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.campaigns import (
     CampaignEngine,
     CampaignSpec,
+    build_context,
     release_warm_cache,
     warm_context,
 )
@@ -113,6 +116,58 @@ def test_ensure_and_resolve_runner_share_one_build():
     assert telemetry.registry.counter("warmstart.misses").value == 1
     # Family siblings (other budget/policy) share the one resident runner.
     assert resolve_runner(tiny_spec(n_injections=40, policy="sequential")) is runner
+
+
+def test_foreign_workload_context_is_refused():
+    """A context whose workload differs from the spec's (here: a cut active
+    window) is refused by both entry points, so it never enters the warm
+    cache and never serves a later engine of the family."""
+    spec = tiny_spec(schedule="legacy")
+    cold = result_key(CampaignEngine(spec).run())
+    release_warm_cache()
+    context = build_context(spec)
+    first, _last = context.workload.active_window
+    context.workload = replace(context.workload, active_window=(first, first + 20))
+    with pytest.raises(ValueError, match="active window"):
+        CampaignEngine(spec, context=context)
+    with pytest.raises(ValueError, match="active window"):
+        ensure_runner(spec, _ShardRunner, context=context)
+    assert resolve_runner(spec) is None
+    assert result_key(CampaignEngine(spec).run()) == cold
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda w: replace(w, valid_nets=w.valid_nets[:-1]),
+        lambda w: replace(w, data_nets=w.data_nets[1:]),
+    ],
+    ids=["valid_nets", "data_nets"],
+)
+def test_foreign_interface_nets_are_refused(corrupt):
+    spec = tiny_spec()
+    context = build_context(spec)
+    context.workload = corrupt(context.workload)
+    with pytest.raises(ValueError, match="nets"):
+        warm_context(spec, context)
+
+
+def test_built_context_is_adopted_once():
+    """A context from ``build_context(spec)`` passes the check: it is
+    adopted (one miss) and a later engine of the family hits the cache."""
+    spec = tiny_spec(schedule="legacy")
+    context = build_context(spec)
+    telemetry = Telemetry()
+    with use_telemetry(telemetry):
+        engine = CampaignEngine(spec, context=context)
+        _runner, hit, _warmup = ensure_runner(spec, _ShardRunner, context=context)
+        assert not hit
+        engine.run()
+        later = CampaignEngine(spec)
+        later.run()
+    assert later.context is context
+    assert later.last_report.warm_hits >= 1 and later.last_report.warm_misses == 0
+    assert telemetry.registry.counter("warmstart.misses").value == 1
 
 
 # ------------------------------------------------- campaign-level identity
