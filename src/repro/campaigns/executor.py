@@ -8,8 +8,10 @@ into a :class:`~repro.faultinjection.campaign.CampaignResult`:
    simulations, and with the ``stream`` schedule a smaller snapshot seeds an
    incremental top-up;
 2. plan the remaining injection draws as time-slot buckets and partition
-   them into shards with balanced lane counts (contiguous cycle ranges on
-   the flat path, a spread of gate shards on the sequential path);
+   them into shards with balanced lane counts (on the flat path
+   ``jobs * shards_per_job`` contiguous cycle ranges, or one range when a
+   serial run leaves *shards_per_job* unset; on the sequential path a
+   spread of ``jobs * shards_per_job`` gate shards);
 3. run them as tasks ``(shards, tallies)`` through a
    :class:`~repro.campaigns.supervisor.SupervisedPool` — worker processes
    (``jobs > 1``), each of which rebuilds its own netlist/golden
@@ -26,7 +28,9 @@ into a :class:`~repro.faultinjection.campaign.CampaignResult`:
    write at every exit path).
 
 ``KeyboardInterrupt`` (or any other error) mid-campaign leaves a valid
-checkpoint behind; the next run with the same spec resumes from it.  A
+checkpoint behind; the next run with the same spec resumes from it.  It
+holds the finished shards, so a serial flat run in its default one-range
+layout resumes from zero unless an explicit *shards_per_job* is given.  A
 campaign that completed *with* quarantined shards is persisted as a
 partial, never as a snapshot, so a rerun retries only the missing work.
 """
@@ -72,11 +76,16 @@ __all__ = ["CampaignEngine", "EngineReport", "RetryPolicy"]
 #: cycle range of the pending buckets with a balanced lane count, and the
 #: execution, retry and checkpoint unit: more shards than workers smooths
 #: load balance and tightens checkpoint granularity, and each shard's run
-#: sweeps only its own range.  On the sequential path a shard is the
-#: *gate* partition (each gets its own :class:`ShardGate`, so the counters
-#: depend on ``jobs * shards_per_job``), while the task — all the gate
-#: shards one worker owns in a round, swept by one scheduler pass — is the
-#: execution and retry unit.
+#: sweeps only its own range.  A serial flat run without an explicit
+#: ``shards_per_job`` cuts one range instead: every range is a separate
+#: sweep that restarts the lane batch, so more ranges cost width-cycles and
+#: shrink the check batches latent-state lane merging works on, and with
+#: one worker there is no load to balance.  Flat counters do not depend on
+#: the layout.  On the sequential path a shard is the *gate* partition
+#: (each gets its own :class:`ShardGate`, so the counters depend on
+#: ``jobs * shards_per_job``), while the task — all the gate shards one
+#: worker owns in a round, swept by one scheduler pass — is the execution
+#: and retry unit.
 SHARDS_PER_JOB = 4
 
 #: Minimum seconds between mid-run partial-checkpoint writes.  Checkpoints
@@ -331,7 +340,7 @@ class _ShardRunner:
         registry.timer("executor.shard_seconds").observe(wall)
         if wall > 0:
             registry.gauge("sim.compiled.lane_cycles_per_sec").set(
-                stats.lane_cycles / wall
+                (stats.lane_cycles - stats.rider_cycles) / wall
             )
         return payload
 
@@ -441,6 +450,11 @@ class CampaignEngine:
         Optional pre-built environment for the calling process, e.g. when
         the caller needs the same netlist/golden trace for feature
         extraction.  Workers always rebuild their own from the spec.
+    shards_per_job:
+        Shards per worker.  ``None`` (default) means
+        :data:`SHARDS_PER_JOB`, except that a serial (``jobs=1``) flat run
+        then sweeps its whole window as one cycle range; an int sets both
+        paths.  Flat counters do not depend on it; sequential counters do.
     progress:
         ``progress(done_shards, total_shards)`` callback.  Throttled to at
         most one call per *progress_interval* seconds (plus, always, the
@@ -476,7 +490,7 @@ class CampaignEngine:
         jobs: int = 1,
         cache_dir: Optional[Path] = None,
         context: Optional[CampaignContext] = None,
-        shards_per_job: int = SHARDS_PER_JOB,
+        shards_per_job: Optional[int] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         progress_interval: float = 0.1,
         retry: Optional[RetryPolicy] = None,
@@ -500,7 +514,9 @@ class CampaignEngine:
             check_context(spec, context)
         self._context = context
         self._run_start = time.monotonic()
-        self.shards_per_job = max(1, shards_per_job)
+        self.shards_per_job = (
+            None if shards_per_job is None else max(1, shards_per_job)
+        )
         self.progress = progress
         self.progress_interval = progress_interval
         self.retry = retry if retry is not None else RetryPolicy()
@@ -521,7 +537,14 @@ class CampaignEngine:
     def _gate_shards(self) -> int:
         """Gate shards per sequential round: the layout sequential counters
         depend on, recorded with every policy snapshot and checkpoint."""
-        return self.jobs * self.shards_per_job
+        return self.jobs * (self.shards_per_job or SHARDS_PER_JOB)
+
+    @property
+    def _flat_shards(self) -> int:
+        """Cycle ranges a flat run cuts its pending buckets into."""
+        if self.shards_per_job is None and self.jobs == 1:
+            return 1
+        return self._gate_shards
 
     @property
     def context(self) -> CampaignContext:
@@ -638,7 +661,7 @@ class CampaignEngine:
                 report.resumed_buckets = len(done_cycles)
         pending = [b for b in buckets if b.cycle not in done_cycles]
 
-        n_shards = min(len(pending), max(1, self.jobs * self.shards_per_job))
+        n_shards = min(len(pending), self._flat_shards)
         shards = cycle_range_shards(pending, n_shards) if pending else []
         report.n_shards = len(shards)
         tasks = [([[(b.cycle, b.lanes) for b in shard]], None) for shard in shards]

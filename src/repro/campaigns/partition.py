@@ -11,8 +11,9 @@ centrally and deterministically; the shard partitioners merely distribute
 whole buckets across workers.  Two partitioners are provided:
 
 * :func:`cycle_range_shards` — contiguous cycle ranges with balanced lane
-  counts, the flat campaign's shards: each shard's scheduler run sweeps
-  only its own range plus the tail its last lanes need;
+  counts, the flat campaign's shards (a serial run without an explicit
+  ``shards_per_job`` cuts one): each shard's scheduler run sweeps only its
+  own range plus the tail its last lanes need;
 * :func:`partition_shards` — a longest-processing-time spread, the
   sequential policy's *gate* partition, whose counters depend on it.
 

@@ -229,6 +229,8 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
     print(
         f"checked {summary.n_seeds} circuits: {summary.n_comparisons} engine-vs-oracle "
         f"comparisons, {summary.n_injections_checked} injector replays "
+        f"({summary.n_merged} scheduled requests rode a merged lane, over both "
+        f"scheduler runs) "
         f"in {summary.wall_seconds:.2f}s "
         f"({summary.comparisons_per_second():,.0f} comparisons/s)"
     )
@@ -241,6 +243,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
             "n_comparisons": summary.n_comparisons,
             "n_injections_checked": summary.n_injections_checked,
             "n_generated_checked": n_generated_checked,
+            "n_merged": summary.n_merged,
             "wall_seconds": summary.wall_seconds,
             "failing_seeds": [r.seed for r in summary.failing],
         }

@@ -46,15 +46,29 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   over the width per cycle plus O(1) per lane rather than the width per
   lane.  Requests and verdicts live in machine-word arrays.  Both keep a
   wide default cap (:func:`auto_max_lanes`) cheap in time and memory.
+* **latent-state lane merging** — at a retirement check, unfailed lanes of
+  one request group that differ from golden in the same single relevant
+  flip-flop, with golden loopback slots, hold the same state on every net
+  a verdict reads, so they have the same future.  The lowest such lane
+  survives and the other requests *ride* it: each keeps its own injection
+  cycle (a rider fails with latency *t* minus its own cycle when the
+  shared lane first fails at *t*), and retires with the survivor at the
+  same check.  Lanes with a live forcing plan never merge, and a run with
+  a horizon never merges (each request would need its own deadline).
+  Group caps, deferral, ``lane_cycles`` and ``early_retired`` count
+  requests, riders included, so only the allocated width falls.  A check
+  looks for merges only when its due lanes outnumber the relevant
+  flip-flops (``AdaptiveScheduler.merge_min_due``).
 
-All of this is scheduling only: each lane still simulates the exact cycle
-sequence :meth:`run_batch` would have on every net a verdict reads, so
+All of this is scheduling only: each request still sees the exact cycle
+sequence :meth:`run_batch` would give it on every net a verdict reads, so
 per-injection verdicts and error latencies are **bit-identical** to the
 naive batches — enforced per fuzz seed by the ``scheduled-vs-naive``
-differential mode in :mod:`repro.verify.diff` and by the property tests in
-``tests/test_scheduler.py``.  Lane indices do not matter: retirement
-cycles follow the check grid and each lane's own state, and within one
-retirement batch no ``admit`` runs between ``on_verdict`` calls.
+differential mode in :mod:`repro.verify.diff` (with merging on at every
+check) and by the property tests in ``tests/test_scheduler.py``.  Lane
+indices do not matter: retirement cycles follow the check grid and each
+lane's own state, and within one retirement batch no ``admit`` runs
+between ``on_verdict`` calls.
 """
 
 from __future__ import annotations
@@ -118,6 +132,17 @@ def auto_max_lanes(n_rows: int) -> int:
     return max(MIN_AUTO_LANES, LANE_BUDGET_BITS // max(1, n_rows))
 
 
+def _merge_candidates(
+    row_diff: int, multi: int, slot_diff: int, excluded: int, active: int
+) -> int:
+    """Lanes a check may merge: live lanes, neither failed nor forcing
+    (*excluded*), whose one deviation from golden is a single relevant row
+    (in *row_diff* but not *multi*) and whose loopback slots are golden
+    (not in *slot_diff*).  Two such lanes with the same row hold the same
+    state on every net a verdict reads."""
+    return row_diff & ~multi & ~slot_diff & ~excluded & active
+
+
 #: Check-grid value of a group with no live lanes: its grid restarts at
 #: its next activation.
 _IDLE = 1 << 62
@@ -129,11 +154,18 @@ class SchedulerStats:
 
     ``refills`` counts activations that reuse a lane freed earlier in the
     same pass (the lanes early retirement gave back), ``early_retired``
-    the lanes retired at a divergence probe before the end of the trace
+    the requests retired at a divergence probe before the end of the trace
     without having failed (i.e. re-converged to golden),
     ``peak_width`` the widest lane batch any pass allocated and
     ``width_cycles`` the allocated lanes summed over simulated cycles
     (the width actually paid for, as passes grow and truncate).
+
+    ``merged`` counts the requests that gave up their own lane to ride
+    another lane holding the same latent state, and ``rider_cycles`` the
+    lane-cycles those riders were carried for.  ``lane_cycles`` and
+    ``early_retired`` count riders like any other request, so they equal
+    an unmerged run's; merging lowers the allocated width
+    (``width_cycles``) and changes which lanes get reused (``refills``).
     """
 
     n_injections: int = 0
@@ -148,18 +180,21 @@ class SchedulerStats:
     width_cycles: int = 0
     policy_skipped: int = 0
     forced_cycles: int = 0
+    merged: int = 0
+    rider_cycles: int = 0
 
     def lane_occupancy(self) -> float:
         """Live lane-cycles as a fraction of the allocated lane-cycles.
 
-        ``lane_cycles / width_cycles``: the share of the lane slots the
-        passes actually paid for that carried a live injection (a naive
-        drained batch decays toward 1/width).  0.0 when nothing was
+        ``(lane_cycles - rider_cycles) / width_cycles``: the share of the
+        lane slots the passes actually paid for that carried a live
+        injection (a naive drained batch decays toward 1/width).  Riders
+        share their lane, so this stays at most 1.  0.0 when nothing was
         simulated.
         """
         if not self.width_cycles:
             return 0.0
-        return self.lane_cycles / self.width_cycles
+        return (self.lane_cycles - self.rider_cycles) / self.width_cycles
 
     def record_to(self, registry) -> None:
         """Report this run's totals into a metrics registry
@@ -176,6 +211,8 @@ class SchedulerStats:
             "early_retired",
             "policy_skipped",
             "forced_cycles",
+            "merged",
+            "rider_cycles",
         ):
             value = getattr(self, name)
             if value:
@@ -239,6 +276,13 @@ class AdaptiveScheduler:
     max_lanes:
         Lane-slot capacity of one pass; ``None`` (default) sizes it by the
         netlist (:func:`auto_max_lanes`).
+
+    ``merge_min_due`` is the fewest due lanes at which a retirement check
+    looks for lanes to merge: one more than the relevant flip-flops.  The
+    merge probe costs a few big-int operations per relevant row on top of
+    the divergence probe, and a check with fewer due lanes than rows finds
+    few lanes sharing one differing row.  The differential verifier sets
+    it to 1 so that every check looks.
     """
 
     def __init__(
@@ -256,6 +300,7 @@ class AdaptiveScheduler:
         self._load_fn = None
         # Value rows of the relevant flip-flops, in relevant_golden bit order.
         self._relevant_rows = [q_idx for q_idx, _ff in injector._relevant_pairs]
+        self.merge_min_due = len(self._relevant_rows) + 1
 
     # ------------------------------------------------------------------ API
 
@@ -336,8 +381,9 @@ class AdaptiveScheduler:
 
         registry = get_telemetry().registry
         self.stats.record_to(registry)
+        # Riders share their lane's simulated slot.
         registry.counter("sim.compiled.lane_cycles").inc(
-            self.stats.lane_cycles
+            self.stats.lane_cycles - self.stats.rider_cycles
         )
         if self.injector.fault_model is not None:
             registry.counter(
@@ -459,8 +505,11 @@ class AdaptiveScheduler:
 
         slots: List[List[int]] = [[0] * tap.delay for tap in taps]
         lane_key: List[Optional[int]] = [None] * width
-        # Cycles from injection to failure; -1 while the lane has not failed.
-        lane_lat: List[int] = [-1] * width
+        # Cycle at which the lane first failed; -1 while it has not.
+        lane_failed_at: List[int] = [-1] * width
+        # Requests riding each lane besides lane_key (None when none).
+        lane_riders: List[Optional[List[int]]] = [None] * width
+        riding = 0  # live riders, summed over lanes
         free: List[int] = list(range(width))  # heap: lowest free lane first
         deadlines: Dict[int, List[Tuple[int, int]]] = {}
 
@@ -479,22 +528,37 @@ class AdaptiveScheduler:
         ptr = 0
         n_pending = len(pending)
 
-        def retire_lanes(retire_bits: int) -> None:
-            nonlocal active, failed, force
+        def give_verdict(key: int, failed_at: int) -> None:
+            if failed_at >= 0:
+                failed_out[key] = 1
+                latency_out[key] = failed_at - cycle_of[key]
+            if on_verdict is not None:
+                on_verdict(key, failed_at >= 0)
+
+        def retire_lanes(retire_bits: int, early: bool = False) -> None:
+            """Retire every request on the *retire_bits* lanes; *early*
+            counts the unfailed ones as retired at a check."""
+            nonlocal active, failed, force, riding
             for lane in set_lanes(retire_bits):
                 key = lane_key[lane]
+                riders = lane_riders[lane]
                 lane_key[lane] = None
+                lane_riders[lane] = None
                 lane_force[lane] = None
+                n_requests = 1
+                failed_at = lane_failed_at[lane]
+                give_verdict(key, failed_at)
+                if riders is not None:
+                    n_requests += len(riders)
+                    riding -= len(riders)
+                    for rider in riders:
+                        give_verdict(rider, failed_at)
+                if early and failed_at < 0:
+                    stats.early_retired += n_requests
                 group = group_of[key]
-                group_live[group] -= 1
+                group_live[group] -= n_requests
                 if not group_live[group]:
                     emptied.append(group)
-                latency = lane_lat[lane]
-                if latency >= 0:
-                    failed_out[key] = 1
-                    latency_out[key] = latency
-                if on_verdict is not None:
-                    on_verdict(key, latency >= 0)
                 heappush(free, lane)
             keep = ~retire_bits
             for group in range(n_groups):
@@ -502,6 +566,56 @@ class AdaptiveScheduler:
             active &= keep
             failed &= keep
             force &= keep
+
+        def merge_lanes(candidates: int, planes: List[int]) -> None:
+            """Let lanes that share one differing relevant row and one
+            request group ride the lowest of them."""
+            nonlocal active, riding
+            lanes = np.array(set_lanes(candidates), dtype=np.int64)
+            n_bytes = (width + 7) // 8
+            row = np.zeros(len(lanes), dtype=np.int64)
+            for b, plane in enumerate(planes):
+                if plane & candidates:
+                    bits = np.unpackbits(
+                        np.frombuffer(plane.to_bytes(n_bytes, "little"), dtype=np.uint8),
+                        bitorder="little",
+                    )
+                    row |= bits[lanes].astype(np.int64) << b
+            if n_groups > 1:
+                row = row * n_groups + np.array(
+                    [group_of[lane_key[lane]] for lane in lanes.tolist()],
+                    dtype=np.int64,
+                )
+            order = np.argsort(row, kind="stable")  # lanes stay ascending
+            row = row[order]
+            lanes = lanes[order]
+            # Every lane after the first of its (row, group) run rides the
+            # run's first, lowest lane.
+            starts = np.diff(row, prepend=-1) != 0
+            rides = ~starts
+            if not rides.any():
+                return
+            head = np.maximum.accumulate(np.where(starts, np.arange(len(row)), 0))
+            gone = lanes[rides].tolist()
+            for lane, survivor in zip(gone, lanes[head[rides]].tolist()):
+                key = lane_key[lane]
+                lane_key[lane] = None
+                riders = lane_riders[survivor]
+                if riders is None:
+                    riders = lane_riders[survivor] = []
+                more = lane_riders[lane]
+                if more is not None:
+                    lane_riders[lane] = None
+                    riders.extend(more)
+                riders.append(key)
+            riding += len(gone)
+            stats.merged += len(gone)
+            free.extend(gone)
+            heapify(free)
+            keep = ~lanes_mask(gone)
+            for group in range(n_groups):
+                group_bits[group] &= keep
+            active &= keep
 
         def set_width(new_width: int) -> None:
             """Grow or truncate the batch; every lane at or above
@@ -513,12 +627,14 @@ class AdaptiveScheduler:
                 free.extend(range(width, new_width))
                 grown = new_width - width
                 lane_key.extend([None] * grown)
-                lane_lat.extend([-1] * grown)
+                lane_failed_at.extend([-1] * grown)
+                lane_riders.extend([None] * grown)
                 lane_force.extend([None] * grown)
             else:
                 free[:] = [lane for lane in free if lane < new_width]
                 heapify(free)
-                del lane_key[new_width:], lane_lat[new_width:], lane_force[new_width:]
+                del lane_key[new_width:], lane_failed_at[new_width:]
+                del lane_riders[new_width:], lane_force[new_width:]
                 for pipeline in slots:
                     pipeline[:] = [vec & sim.mask for vec in pipeline]
             width = new_width
@@ -576,7 +692,7 @@ class AdaptiveScheduler:
                 group_live[group] += 1
                 lane = heappop(free)
                 lane_key[lane] = key
-                lane_lat[lane] = -1
+                lane_failed_at[lane] = -1
                 act_lanes.append(lane)
                 if horizon is not None:
                     deadline = c + horizon
@@ -662,7 +778,7 @@ class AdaptiveScheduler:
             if newly:
                 failed |= newly
                 for lane in set_lanes(newly):
-                    lane_lat[lane] = c - cycle_of[lane_key[lane]]
+                    lane_failed_at[lane] = c
 
             for t, tap in enumerate(taps):
                 slots[t][c % tap.delay] = values[tap.source_value_idx]
@@ -670,10 +786,11 @@ class AdaptiveScheduler:
 
             c += 1
             stats.cycles_simulated += 1
-            stats.lane_cycles += active.bit_count()
+            stats.lane_cycles += active.bit_count() + riding
+            stats.rider_cycles += riding
             stats.width_cycles += width
 
-            # -- retirement check / truncation.
+            # -- retirement check / merge / truncation.
             if c >= end_of_trace:
                 retire_lanes(active)
                 break
@@ -685,17 +802,26 @@ class AdaptiveScheduler:
                         group_check[group] = c + check
                         due_bits |= group_bits[group]
                 next_due = min(group_check)
-                diff = self._probe_divergence(c, due_bits, slots)
+                look = (
+                    horizon is None and due_bits.bit_count() >= self.merge_min_due
+                )
+                row_diff, multi, planes = self._probe_rows(c, due_bits, look)
+                slot_diff = self._probe_slots(c, due_bits, slots)
                 # A forcing lane that matches golden right now is not done —
                 # a later duty-on cycle can re-disturb it — so convergence
                 # retirement excludes live force lanes (failure still retires).
-                converged = (mask ^ diff) & ~force
+                converged = (mask ^ (row_diff | slot_diff)) & ~force
                 retire_bits = due_bits & (failed | converged)
                 if retire_bits:
-                    stats.early_retired += (retire_bits & ~failed).bit_count()
-                    retire_lanes(retire_bits)
+                    retire_lanes(retire_bits, early=True)
                     if not active:
                         continue  # drained: fast-forward (or end) above
+                if look:
+                    candidates = _merge_candidates(
+                        row_diff, multi, slot_diff, failed | force, active
+                    )
+                    if candidates & (candidates - 1):
+                        merge_lanes(candidates, planes)
                 if width > MIN_WIDTH and active.bit_length() <= width // 2:
                     set_width(max(active.bit_length(), MIN_WIDTH))
 
@@ -703,16 +829,28 @@ class AdaptiveScheduler:
 
     # ------------------------------------------------------------- internals
 
-    def _probe_divergence(self, cycle: int, active_vec, slots) -> int:
-        """Active-lane vector of lanes whose relevant flip-flops or
-        in-flight loopback slots deviate from golden (the retirement test)."""
-        injector = self.injector
-        sim = injector.sim
-        diff = sim.diverging_rows(
-            self._relevant_rows, injector.relevant_golden(cycle), active_vec
-        )
-        mask = sim.mask
-        for t, tap in enumerate(injector.taps):
+    def _probe_rows(
+        self, cycle: int, active_vec: int, locate: bool
+    ) -> Tuple[int, int, List[int]]:
+        """Divergence of the relevant flip-flops on *active_vec*.
+
+        Returns ``(diff, multi, planes)``: the lanes where any relevant
+        flip-flop deviates from golden and, when *locate* is set, the lanes
+        where at least two do and the bit-planes of the deviating row's
+        position (see :meth:`CompiledSimulator.diverging_row_planes`).
+        """
+        sim = self.injector.sim
+        golden = self.injector.relevant_golden(cycle)
+        if locate:
+            return sim.diverging_row_planes(self._relevant_rows, golden, active_vec)
+        return sim.diverging_rows(self._relevant_rows, golden, active_vec), 0, []
+
+    def _probe_slots(self, cycle: int, active_vec: int, slots) -> int:
+        """Lanes of *active_vec* whose in-flight loopback slots deviate from
+        golden."""
+        diff = 0
+        mask = self.injector.sim.mask
+        for t, tap in enumerate(self.injector.taps):
             tap_golden = tap.golden_bits
             for past in range(max(0, cycle - tap.delay), cycle):
                 golden_vec = mask if tap_golden[past] else 0

@@ -504,6 +504,44 @@ class CompiledSimulator:
             diff |= (values[idx] ^ (mask if (golden >> k) & 1 else 0)) & active
         return diff
 
+    def diverging_row_planes(
+        self,
+        rows: Sequence[int],
+        golden: int,
+        active: int,
+    ) -> Tuple[int, int, List[int]]:
+        """:meth:`diverging_rows` that also locates a lone deviating row.
+
+        Returns ``(diff, multi, planes)`` from one pass over *rows*:
+        ``diff`` is :meth:`diverging_rows`' result, ``multi`` the active
+        lanes where at least two rows differ, and on every lane of ``diff
+        & ~multi`` bit *b* of ``planes[b]`` is bit *b* of the position *k*
+        (in *rows*) of the one row that differs.  Rows that match golden on
+        every active lane cost one operation; the scheduler merges lanes
+        that share that one row.
+        """
+        n_planes = max(1, (len(rows) - 1).bit_length())
+        planes = [0] * n_planes
+        diff = multi = 0
+        values = self.values
+        mask = self.mask
+        for k, idx in enumerate(rows):
+            if (golden >> k) & 1:
+                deviating = (values[idx] ^ mask) & active
+            else:
+                deviating = values[idx] & active
+            if not deviating:
+                continue
+            multi |= diff & deviating
+            diff |= deviating
+            b = 0
+            while k:
+                if k & 1:
+                    planes[b] |= deviating
+                k >>= 1
+                b += 1
+        return diff, multi, planes
+
     # ----------------------------------------------------------------- misc
 
     @property

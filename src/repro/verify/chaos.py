@@ -292,9 +292,10 @@ def run_chaos_trials(
         start = time.perf_counter()
         with use_telemetry(Telemetry()) as telemetry:
             # The baseline runs serially but over the *same* shard
-            # partition as the chaotic jobs-wide run (shard count scales
-            # with jobs), so even the execution-detail counters
-            # (forward runs, lane-cycles) must match bit-for-bit.
+            # partition as the chaotic jobs-wide run: every engine below
+            # cuts jobs * SHARDS_PER_JOB cycle ranges, so even the
+            # execution-detail counters (forward runs, lane-cycles) must
+            # match bit-for-bit.
             baseline = CampaignEngine(
                 spec, jobs=1, shards_per_job=jobs * SHARDS_PER_JOB
             ).run()
@@ -314,7 +315,13 @@ def run_chaos_trials(
                     backoff_max=0.05,
                     poll_interval=0.005,
                 )
-                engine = CampaignEngine(spec, jobs=jobs, chaos=chaos, retry=retry)
+                engine = CampaignEngine(
+                    spec,
+                    jobs=jobs,
+                    shards_per_job=SHARDS_PER_JOB,
+                    chaos=chaos,
+                    retry=retry,
+                )
                 result = engine.run()
             elif flavor == "timeouts":
                 chaos = ChaosSpec(
@@ -328,7 +335,13 @@ def run_chaos_trials(
                     backoff_max=0.05,
                     poll_interval=0.005,
                 )
-                engine = CampaignEngine(spec, jobs=jobs, chaos=chaos, retry=retry)
+                engine = CampaignEngine(
+                    spec,
+                    jobs=jobs,
+                    shards_per_job=SHARDS_PER_JOB,
+                    chaos=chaos,
+                    retry=retry,
+                )
                 result = engine.run()
             else:  # torn store writes
                 import tempfile

@@ -27,8 +27,9 @@ optimisations).  Any verdict or error-latency mismatch is a divergence:
 * **scheduled-vs-naive replay** (:func:`run_scheduler_check`) — the
   adaptive injection scheduler
   (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
-  lane refill, observed-cone settle) vs. naive batches, with a small lane
-  budget that forces refill and deferral across passes.  The same
+  lane refill, observed-cone settle, latent-state lane merging at every
+  retirement check) vs. naive batches, with a small lane budget that
+  forces refill and deferral across passes.  The same
   requests, split into three scheduler request groups that share every
   pass, must reproduce the single-group verdicts.  Each pass starts at its
   lane cap here, so elastic width changes (growth, truncation) are
@@ -58,6 +59,7 @@ from ..faultinjection.faults import InjectionPlan
 from ..faultinjection.injector import FaultInjector
 from ..faultinjection.scheduler import AdaptiveScheduler
 from ..netlist.core import Netlist
+from ..obs import get_telemetry
 from ..sim.compiled import CompiledSimulator
 from ..sim.event import EventDrivenSimulator
 from ..sim.logic import ONE, X, ZERO
@@ -122,6 +124,9 @@ class SeedReport:
     n_cycles: int
     comparisons: int = 0
     injections_checked: int = 0
+    #: Requests that rode a merged lane in the scheduled-vs-naive replay,
+    #: summed over its single-group and its three-group run.
+    merged: int = 0
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -136,6 +141,7 @@ class VerifySummary:
     n_seeds: int = 0
     n_comparisons: int = 0
     n_injections_checked: int = 0
+    n_merged: int = 0
     wall_seconds: float = 0.0
     failing: List[SeedReport] = field(default_factory=list)
 
@@ -481,7 +487,9 @@ def run_scheduler_check(
     :func:`run_injector_check`).  The requests then run again split at
     random into three request groups (one shared sweep per pass, each group
     with its own cap, deferral and check grid), and every verdict must
-    equal the single-group one.
+    equal the single-group one.  Both runs look for lanes to merge at every
+    retirement check (``merge_min_due = 1``), so merged lanes and their
+    riders are replayed too.
 
     When the fuzzed testbench has loopback paths, the criterion observes
     only the *non-loopback* outputs.  That keeps divergence that travels
@@ -508,15 +516,17 @@ def run_scheduler_check(
     if not requests:
         return [], 0
 
+    def merging_scheduler() -> AdaptiveScheduler:
+        scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
+        scheduler.merge_min_due = 1  # every check looks for lanes to merge
+        return scheduler
+
     def comparisons() -> Iterator[Comparison]:
         naive = naive_verdicts(injector, requests)
-        scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
-        scheduled = scheduler.run(requests).verdicts
+        scheduled = merging_scheduler().run(requests).verdicts
         yield "scheduled-vs-naive", requests, scheduled, naive
         groups = [rng.randrange(3) for _ in requests]
-        grouped = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
-            requests, groups=groups
-        )
+        grouped = merging_scheduler().run(requests, groups=groups)
         yield "grouped-vs-single", requests, grouped.verdicts, scheduled
 
     return _report(netlist, comparisons(), stop_at_first)
@@ -684,9 +694,12 @@ def verify_seed(
         report.divergences.extend(divergences)
         report.injections_checked = checked
     if with_scheduler:
+        merged = get_telemetry().registry.counter("scheduler.merged")
+        before = merged.value
         divergences, checked = run_scheduler_check(netlist, spec)
         report.divergences.extend(divergences)
         report.injections_checked += checked
+        report.merged = merged.value - before
     if with_fault_models:
         divergences, checked = run_fault_model_check(netlist, spec)
         report.divergences.extend(divergences)
@@ -717,6 +730,7 @@ def verify_seeds(
         summary.n_seeds += 1
         summary.n_comparisons += report.comparisons
         summary.n_injections_checked += report.injections_checked
+        summary.n_merged += report.merged
         if not report.ok:
             summary.failing.append(report)
         if progress is not None:

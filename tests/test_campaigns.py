@@ -28,7 +28,7 @@ from repro.campaigns import (
     partition_shards,
     stream_buckets,
 )
-from repro.campaigns.executor import SHARDS_PER_JOB
+from repro.campaigns.executor import SHARDS_PER_JOB, _ShardRunner
 from repro.campaigns.partition import (
     DrawStream,
     stream_buckets_ranged,
@@ -92,28 +92,59 @@ def counter_digest(result) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def test_legacy_counters_are_pinned():
+#: Scheduler work of the pinned flat campaign per shard layout:
+#: ``(n_forward_runs, total_lane_cycles, width_cycles, merged)``.  ``None``
+#: is the default layout (one cycle range at jobs=1).  Each cycle-range
+#: shard starts its retirement-check grid at its own first cycle, so
+#: lane-cycles depend on the layout; riders count in them, so merging
+#: leaves them as an unmerged run has them and lowers only the width.
+LEGACY_TINY_WORK = {
+    None: (1, 631_699, 347_879, 5_423),
+    SHARDS_PER_JOB: (4, 631_110, 503_592, 4_957),
+}
+
+
+def _assert_legacy_tiny_work(shards_per_job):
     from repro.obs import Telemetry, use_telemetry
 
     spec = legacy_tiny_spec()
     with use_telemetry(Telemetry()) as telemetry:
-        result = CampaignEngine(spec).run()
+        result = CampaignEngine(spec, shards_per_job=shards_per_job).run()
         counters = telemetry.registry.snapshot().to_payload()["counters"]
     assert counter_digest(result) == LEGACY_TINY_DIGEST
     # The scheduler's work, not just its verdicts: lanes simulated and the
-    # lane width allocated for them.  Each cycle-range shard starts its
-    # retirement-check grid at its own first cycle.
-    assert (result.n_forward_runs, result.total_lane_cycles) == (4, 631_110)
-    assert counters["scheduler.n_passes"] == 4
-    assert counters["scheduler.width_cycles"] == 1_115_894
+    # lane width allocated for them.
+    runs, lane_cycles, width_cycles, merged = LEGACY_TINY_WORK[shards_per_job]
+    assert (result.n_forward_runs, result.total_lane_cycles) == (runs, lane_cycles)
+    assert counters["scheduler.n_passes"] == runs
+    assert counters["scheduler.width_cycles"] == width_cycles
+    assert counters["scheduler.merged"] == merged
 
 
-@pytest.mark.parametrize("jobs, shards_per_job", [(1, 1), (1, 4), (2, 1), (2, 4)])
+def test_legacy_counters_are_pinned():
+    """Four cycle ranges, the layout the counters were first pinned in."""
+    _assert_legacy_tiny_work(SHARDS_PER_JOB)
+
+
+def test_default_flat_layout_counters_are_pinned():
+    """One cycle range per worker: one sweep, the same verdicts."""
+    _assert_legacy_tiny_work(None)
+
+
+@pytest.mark.parametrize(
+    "jobs, shards_per_job", [(1, 1), (1, 4), (2, 1), (2, 4), (1, None), (2, None)]
+)
 def test_flat_counters_do_not_depend_on_the_shard_layout(jobs, shards_per_job):
-    """Every cycle-range layout merges to the pinned counters."""
+    """Every cycle-range layout merges to the pinned counters.  Left unset,
+    ``shards_per_job`` cuts one range at jobs=1 and SHARDS_PER_JOB ranges
+    per worker otherwise."""
     engine = CampaignEngine(legacy_tiny_spec(), jobs=jobs, shards_per_job=shards_per_job)
     result = engine.run()
-    assert engine.last_report.n_shards == jobs * shards_per_job
+    if shards_per_job is None:
+        expected_shards = 1 if jobs == 1 else jobs * SHARDS_PER_JOB
+    else:
+        expected_shards = jobs * shards_per_job
+    assert engine.last_report.n_shards == expected_shards
     assert counter_digest(result) == LEGACY_TINY_DIGEST
 
 
@@ -317,8 +348,14 @@ def test_interrupted_run_resumes_from_checkpoint(tmp_path):
 
     # progress_interval=0 forwards every shard notification; the default
     # time-based throttle could suppress the bomb's (done == 2) call on
-    # fast tiny shards.
-    engine = CampaignEngine(spec, cache_dir=tmp_path, progress=bomb, progress_interval=0.0)
+    # fast tiny shards.  Four cycle ranges, so there is a second to bomb.
+    engine = CampaignEngine(
+        spec,
+        cache_dir=tmp_path,
+        shards_per_job=SHARDS_PER_JOB,
+        progress=bomb,
+        progress_interval=0.0,
+    )
     with pytest.raises(Interrupted):
         engine.run()
 
@@ -348,7 +385,13 @@ def test_interrupt_after_range_shard_two_resumes_bit_identically(tmp_path):
         if done == 2:
             raise Interrupted
 
-    engine = CampaignEngine(spec, cache_dir=tmp_path, progress=bomb, progress_interval=0.0)
+    engine = CampaignEngine(
+        spec,
+        cache_dir=tmp_path,
+        shards_per_job=SHARDS_PER_JOB,
+        progress=bomb,
+        progress_interval=0.0,
+    )
     with pytest.raises(Interrupted):
         engine.run()
     done_cycles, _payload = CampaignStore(tmp_path / "campaigns").load_partial(
@@ -360,6 +403,38 @@ def test_interrupt_after_range_shard_two_resumes_bit_identically(tmp_path):
     result = resumed.run()
     assert resumed.last_report.resumed_buckets == len(done_cycles)
     assert resumed.last_report.executed_buckets == sum(len(s) for s in shards[2:])
+    assert counter_digest(result) == LEGACY_TINY_DIGEST
+
+
+def test_default_serial_flat_run_resumes_from_zero(tmp_path, monkeypatch):
+    """A serial flat run in the default layout sweeps its window as one
+    cycle range, and a checkpoint holds finished ranges only: an interrupt
+    inside the sweep leaves no checkpoint, and the rerun simulates every
+    bucket.  Pass ``shards_per_job`` to keep finished ranges."""
+    spec = legacy_tiny_spec()
+
+    class Interrupted(KeyboardInterrupt):
+        """Ctrl-C mid-sweep (the supervisor retries an ``Exception``)."""
+
+    def interrupted_sweep(self, *args, **kwargs):
+        raise Interrupted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ShardRunner, "run_shard", interrupted_sweep)
+        engine = CampaignEngine(spec, cache_dir=tmp_path)
+        with pytest.raises(Interrupted):
+            engine.run()
+    assert engine.last_report.n_shards == 1
+    assert CampaignStore(tmp_path / "campaigns").load_partial(
+        spec, 0, spec.n_injections
+    ) is None
+
+    resumed = CampaignEngine(spec, cache_dir=tmp_path)
+    result = resumed.run()
+    assert resumed.last_report.resumed_buckets == 0
+    context = build_context(spec)
+    buckets = legacy_buckets(spec, context.window_cycles(), context.ff_names(spec))
+    assert resumed.last_report.executed_buckets == len(buckets)
     assert counter_digest(result) == LEGACY_TINY_DIGEST
 
 

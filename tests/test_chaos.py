@@ -21,6 +21,7 @@ from repro.campaigns import (
     build_context,
     stream_buckets,
 )
+from repro.campaigns.executor import SHARDS_PER_JOB
 from repro.obs import Telemetry, use_telemetry
 from repro.verify.chaos import (
     ChaosCampaignStore,
@@ -211,7 +212,8 @@ def poison_cycle_for(spec):
 def test_poisoned_shard_quarantines_and_resumes(tmp_path):
     """A permanently failing shard must not sink the campaign: it finishes
     quarantined, persists a *partial* (never a snapshot), and a later clean
-    run resumes exactly the missing work."""
+    run resumes exactly the missing work.  Four cycle ranges, so that the
+    unpoisoned ones finish and are resumed."""
     spec = tiny_spec()
     baseline = CampaignEngine(spec, jobs=1).run()
     chaos = ChaosSpec(seed=29, poison_cycle=poison_cycle_for(spec))
@@ -219,6 +221,7 @@ def test_poisoned_shard_quarantines_and_resumes(tmp_path):
         engine = CampaignEngine(
             spec,
             jobs=1,
+            shards_per_job=SHARDS_PER_JOB,
             cache_dir=tmp_path,
             chaos=chaos,
             retry=fast_retry(max_attempts=2),

@@ -200,6 +200,16 @@ def test_verify_seed_counts_are_pinned(seed):
     assert run_fault_model_check(netlist, spec) == ([], 64)
 
 
+def test_verify_seed_replays_merged_lanes():
+    """The scheduled-vs-naive replay looks for lanes to merge at every
+    check: on this seed three requests ride a merged lane, and their
+    verdicts still match the naive batches."""
+    report = verify_seed(FUZZ_SCALES["tiny"].with_seed(70))
+    assert report.ok
+    assert report.merged == 3
+    assert report.comparisons == 2227
+
+
 def test_generated_check_count_is_pinned():
     assert run_generated_check() == ([], 64)
 

@@ -168,6 +168,7 @@ def test_cli_verify_command(tmp_path, capsys):
     assert payload["failing_seeds"] == []
     assert payload["n_comparisons"] > 0
     assert payload["n_generated_checked"] == 64
+    assert "n_merged" in payload
 
 
 def test_cli_verify_reports_divergence(tmp_path, capsys, monkeypatch):

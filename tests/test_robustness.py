@@ -19,6 +19,7 @@ from repro.campaigns import (
     RetryPolicy,
     SupervisedPool,
 )
+from repro.campaigns.executor import SHARDS_PER_JOB
 from repro.circuits.workloads import default_criterion
 from repro.obs import Telemetry, use_telemetry
 
@@ -324,13 +325,15 @@ def test_keyboard_interrupt_mid_round_resumes(tmp_path):
 def test_throttled_checkpoints_still_exact_on_interrupt(tmp_path):
     """With a huge throttle interval no mid-run checkpoint is due — but the
     crash path must still write an exact one, and resume must cover exactly
-    the work done before the interrupt."""
+    the work done before the interrupt.  Four cycle ranges, so that the
+    interrupt after the second leaves finished work to resume."""
     spec = tiny_spec()
     fresh = CampaignEngine(spec, jobs=1).run()
     with use_telemetry(Telemetry()) as telemetry:
         engine = CampaignEngine(
             spec,
             jobs=1,
+            shards_per_job=SHARDS_PER_JOB,
             cache_dir=tmp_path,
             progress=bomb_at(2),
             progress_interval=0.0,
@@ -349,13 +352,14 @@ def test_throttled_checkpoints_still_exact_on_interrupt(tmp_path):
 
 def test_throttle_interval_reduces_checkpoint_writes(tmp_path):
     spec = tiny_spec()
+    layout = dict(jobs=1, shards_per_job=SHARDS_PER_JOB)  # mid-run checkpoints
     with use_telemetry(Telemetry()) as eager:
         CampaignEngine(
-            spec, jobs=1, cache_dir=tmp_path / "eager", checkpoint_interval=0.0
+            spec, cache_dir=tmp_path / "eager", checkpoint_interval=0.0, **layout
         ).run()
     with use_telemetry(Telemetry()) as throttled:
         CampaignEngine(
-            spec, jobs=1, cache_dir=tmp_path / "lazy", checkpoint_interval=3600.0
+            spec, cache_dir=tmp_path / "lazy", checkpoint_interval=3600.0, **layout
         ).run()
     assert counter(eager, "store.checkpoint_skips") == 0
     assert counter(throttled, "store.checkpoint_skips") >= 1

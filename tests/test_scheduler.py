@@ -284,7 +284,8 @@ def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizo
 def test_lane_occupancy_is_live_over_allocated_lane_cycles(tiny_parts):
     """Occupancy divides by the lane slots the passes allocated, not by
     ``cycles_simulated * peak_width``: a burst that grows one pass wide and
-    then truncates must not read as a nearly empty batch."""
+    then truncates must not read as a nearly empty batch.  Requests riding
+    a merged lane share its slot, so they count once."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, last = workload.active_window
@@ -293,9 +294,11 @@ def test_lane_occupancy_is_live_over_allocated_lane_cycles(tiny_parts):
     burst = [(first, ff) for ff in range(n_ffs)] * 2
     trickle = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(20)]
     stats = AdaptiveScheduler(injector).run(burst + trickle).stats
-    assert stats.lane_occupancy() == stats.lane_cycles / stats.width_cycles
+    live = stats.lane_cycles - stats.rider_cycles
+    assert stats.merged > 0 and stats.rider_cycles > 0
+    assert stats.lane_occupancy() == live / stats.width_cycles
     assert stats.width_cycles < stats.cycles_simulated * stats.peak_width
-    peak_bound = stats.lane_cycles / (stats.cycles_simulated * stats.peak_width)
+    peak_bound = live / (stats.cycles_simulated * stats.peak_width)
     assert peak_bound < stats.lane_occupancy() <= 1.0
     assert SchedulerStats().lane_occupancy() == 0.0
 
@@ -630,6 +633,11 @@ GATED_RUN_PINS = {
 
 @pytest.mark.parametrize("check_interval, horizon", sorted(GATED_RUN_PINS, key=str))
 def test_gated_run_statistics_are_pinned(tiny_parts, check_interval, horizon):
+    _assert_gated_run_pins(tiny_parts, check_interval, horizon)
+
+
+def _assert_gated_run_pins(tiny_parts, check_interval, horizon):
+    """Run the pinned gated request set; return its statistics."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(
         netlist, workload.testbench, golden, criterion, check_interval=check_interval
@@ -661,6 +669,7 @@ def test_gated_run_statistics_are_pinned(tiny_parts, check_interval, horizon):
     for key, verdict in enumerate(expected):
         if key not in skipped:
             assert outcome.verdicts[key] == verdict, key
+    return stats
 
 
 def test_groups_share_one_sweep_per_pass(tiny_parts):
@@ -694,6 +703,241 @@ def test_groups_must_match_injections(tiny_parts):
         scheduler.run([(first, 0), (first, 1)], groups=[0])
     with pytest.raises(ValueError, match="negative"):
         scheduler.run([(first, 0)], groups=[-1])
+
+
+# ------------------------------------------------------ latent-state merging
+
+
+@pytest.fixture
+def merging(monkeypatch):
+    """Every scheduler built in the test looks for lanes to merge at every
+    retirement check, however few lanes are due (the differential verifier
+    runs the scheduler this way)."""
+    init = AdaptiveScheduler.__init__
+
+    def merge_at_every_check(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.merge_min_due = 1
+
+    monkeypatch.setattr(AdaptiveScheduler, "__init__", merge_at_every_check)
+
+
+def _unmerged(injector, max_lanes=None):
+    """A scheduler whose checks never look for lanes to merge."""
+    scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
+    scheduler.merge_min_due = 1 << 62
+    return scheduler
+
+
+def _every_ff(injector, cycles):
+    return [(c, f) for c in cycles for f in range(injector.sim.n_flip_flops)]
+
+
+@pytest.mark.parametrize("check_interval", [1, 4])
+@pytest.mark.parametrize("max_lanes", [64, None])
+def test_merged_lanes_match_naive(tiny_parts, merging, check_interval, max_lanes):
+    """One request group: riders get the naive verdicts and latencies, and
+    the run does the request-level work of an unmerged run — the same
+    passes, deferrals, activations, simulated cycles, lane-cycles and
+    early retirements — in no more allocated width."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(
+        netlist, workload.testbench, golden, criterion, check_interval=check_interval
+    )
+    first, last = workload.active_window
+    # Six draws close together (lanes of one cycle never share a row) and
+    # six spread out.
+    cycles = sorted(random.Random(3).sample(range(first, last), 6))
+    requests = _every_ff(injector, cycles + list(range(first + 10, first + 16)))
+    merged = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
+    assert merged.verdicts == naive_verdicts(injector, requests)
+    assert merged.stats.merged > 0
+    plain = _unmerged(injector, max_lanes).run(requests)
+    assert plain.stats.merged == 0
+    for name in (
+        "n_passes",
+        "deferred",
+        "activations",
+        "cycles_simulated",
+        "lane_cycles",
+        "early_retired",
+    ):
+        assert getattr(merged.stats, name) == getattr(plain.stats, name), name
+    # A pass at its cap keeps its width; an elastic one truncates sooner.
+    assert merged.stats.width_cycles <= plain.stats.width_cycles
+    if max_lanes is None:
+        assert merged.stats.width_cycles < plain.stats.width_cycles
+    assert 0 < merged.stats.lane_occupancy() <= 1.0
+
+
+@pytest.mark.parametrize("horizon", [10, 25])
+def test_horizon_runs_never_merge(tiny_parts, merging, horizon):
+    """Under a horizon each request stops at its own deadline, which a
+    shared lane cannot honour, so no lane merges.  Without the horizon the
+    same requests (injected on consecutive cycles) do merge."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    first, _last = workload.active_window
+    requests = _every_ff(injector, range(first + 16, first + 22))
+    outcome = AdaptiveScheduler(injector).run(requests, horizon=horizon)
+    assert outcome.verdicts == naive_verdicts(injector, requests, horizon=horizon)
+    assert outcome.stats.merged == 0
+    assert AdaptiveScheduler(injector).run(requests).stats.merged > 0
+
+
+def test_merged_groups_equal_solo_runs(tiny_parts, group_injector, merging):
+    """Three gated request groups in one pass: each group's verdicts, skips
+    and gate events equal its solo run's, lanes merge only within a group,
+    and lane-cycles add up to the solo runs'."""
+    _netlist, workload, _golden, _criterion = tiny_parts
+    injector = group_injector(3, None)
+    first, last = workload.active_window
+    rng = random.Random(8)
+    requests = _every_ff(injector, sorted(rng.sample(range(first, last), 4)))
+    groups = [rng.randrange(3) for _ in requests]
+    gate_seeds = [f"merge:{g}" for g in range(3)]
+    grouped, gates = _gated_run(injector, None, requests, groups, gate_seeds, None)
+    assert grouped.stats.merged > 0
+    expected = naive_verdicts(injector, requests)
+    skipped = set(grouped.skipped)
+    for key, verdict in enumerate(expected):
+        if key not in skipped:
+            assert grouped.verdicts[key] == verdict, key
+    lane_cycles = 0
+    for g in range(3):
+        keys = [k for k, group in enumerate(groups) if group == g]
+        solo, (solo_gate,) = _gated_run(
+            injector, None, [requests[k] for k in keys], None, [gate_seeds[g]], None
+        )
+        assert gates[g].normalized_events() == solo_gate.normalized_events()
+        assert {k for k in keys if k in skipped} == {keys[k] for k in solo.skipped}
+        lane_cycles += solo.stats.lane_cycles
+    assert grouped.stats.lane_cycles == lane_cycles
+
+
+@pytest.mark.parametrize("check_interval, horizon", sorted(GATED_RUN_PINS, key=str))
+def test_gated_run_statistics_hold_with_merging(
+    tiny_parts, merging, check_interval, horizon
+):
+    """Merging leaves every pinned request-level statistic of a gated run
+    (the horizon run merges nothing)."""
+    stats = _assert_gated_run_pins(tiny_parts, check_interval, horizon)
+    assert (stats.merged > 0) == (horizon is None)
+
+
+@pytest.mark.parametrize(
+    "fault_model", ["mbu:size=3,radius=1,seed=0", "intermittent:period=5,on=2,seed=1"]
+)
+def test_merging_under_fault_models(tiny_parts, merging, fault_model):
+    """MBU lanes merge like SEU lanes; a forcing model's lanes all carry a
+    live forcing plan, which a later duty-on cycle re-applies, so none
+    merge."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(
+        netlist, workload.testbench, golden, criterion, fault_model=fault_model
+    )
+    first, last = workload.active_window
+    requests = _every_ff(injector, sorted(random.Random(3).sample(range(first, last), 6)))
+    outcome = AdaptiveScheduler(injector).run(requests)
+    assert outcome.verdicts == naive_verdicts(injector, requests)
+    if fault_model.startswith("mbu"):
+        assert outcome.stats.merged > 0
+    else:
+        assert outcome.stats.merged == 0
+
+
+#: Fuzzed circuits whose loopback slots and multi-row deviations both
+#: matter to the merge rule (every other seed happens to pass the
+#: mutations below).
+LOOPBACK_MERGE_SEEDS = (3, 5, 20)
+
+
+def _loopback_mismatches():
+    """Exhaustive scheduled runs on fuzzed loopback circuits, with the
+    criterion blind to the loopback sources: divergence must travel the
+    loopback to show.  Returns (mismatching verdicts, merged requests)."""
+    from repro.faultinjection.classify import AnyOutputCriterion
+    from repro.verify.fuzzer import FuzzSpec, generate_netlist, generate_testbench
+
+    mismatches = merged = 0
+    for seed in LOOPBACK_MERGE_SEEDS:
+        spec = FuzzSpec(seed=seed, p_loopback=1.0, n_cycles=40)
+        netlist = generate_netlist(spec)
+        testbench = generate_testbench(netlist, spec)
+        sources = {src for path in testbench.loopbacks for src in path.sources}
+        assert sources
+        criterion = AnyOutputCriterion(
+            nets=[net for net in netlist.outputs if net not in sources]
+        )
+        golden = testbench.run_golden()
+        injector = FaultInjector(
+            netlist, testbench, golden, criterion, check_interval=2
+        )
+        requests = _every_ff(injector, range(golden.n_cycles))
+        outcome = AdaptiveScheduler(injector).run(requests)
+        expected = naive_verdicts(injector, requests)
+        mismatches += sum(g != w for g, w in zip(outcome.verdicts, expected))
+        merged += outcome.stats.merged
+    return mismatches, merged
+
+
+def test_merged_lanes_match_naive_through_loopbacks(merging):
+    mismatches, merged = _loopback_mismatches()
+    assert mismatches == 0
+    assert merged > 0
+
+
+def _ignores_loopback_slots(rows, multi, slots, excluded, active):
+    return rows & ~multi & ~excluded & active
+
+
+def _accepts_two_rows(rows, multi, slots, excluded, active):
+    return rows & ~slots & ~excluded & active
+
+
+@pytest.mark.parametrize("mutant", [_ignores_loopback_slots, _accepts_two_rows])
+def test_merge_rule_mutants_are_caught(merging, monkeypatch, mutant):
+    """A merge that ignores in-flight loopback slots, or that accepts lanes
+    differing in two rows (whose bit-planes OR two positions together),
+    changes verdicts the loopback property test compares."""
+    import repro.faultinjection.scheduler as scheduler_mod
+
+    monkeypatch.setattr(scheduler_mod, "_merge_candidates", mutant)
+    mismatches, _merged = _loopback_mismatches()
+    assert mismatches > 0
+
+
+def test_diverging_row_planes_locate_the_lone_row():
+    """Seeded property: the merge probe's ``diff`` is the plain probe's,
+    ``multi`` holds the lanes with two or more deviating rows, and the
+    bit-planes spell the one deviating row of every other diverging lane."""
+    from repro.circuits import make_xgmac
+
+    sim = CompiledSimulator(make_xgmac("xgmac_tiny"), n_lanes=70)
+    rng = random.Random(17)
+    rows = rng.sample(sim._ff_q, 37)
+    for _ in range(20):
+        sim.reset()
+        golden = rng.getrandbits(len(rows))
+        for k, idx in enumerate(rows):
+            sim.values[idx] = sim.mask if (golden >> k) & 1 else 0
+        for lane in range(sim.n_lanes):
+            for k in rng.sample(range(len(rows)), rng.choice([0, 0, 1, 1, 1, 2, 5])):
+                sim.values[rows[k]] ^= 1 << lane
+        active = rng.getrandbits(sim.n_lanes)
+        diff, multi, planes = sim.diverging_row_planes(rows, golden, active)
+        assert diff == sim.diverging_rows(rows, golden, active)
+        for lane in range(sim.n_lanes):
+            differing = [
+                k
+                for k, idx in enumerate(rows)
+                if (active >> lane) & 1
+                and ((sim.values[idx] >> lane) ^ (golden >> k)) & 1
+            ]
+            assert bool((multi >> lane) & 1) == (len(differing) >= 2)
+            if len(differing) == 1:
+                position = sum(((plane >> lane) & 1) << b for b, plane in enumerate(planes))
+                assert position == differing[0]
 
 
 # ------------------------------------------------------------- lane algebra
