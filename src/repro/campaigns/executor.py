@@ -218,7 +218,6 @@ def _shard_payload_error(
 def run_buckets(
     scheduler: AdaptiveScheduler,
     buckets: Sequence[Tuple[int, Sequence[str]]],
-    horizon: Optional[int] = None,
     gates: Optional[Sequence[object]] = None,
     groups: Optional[Sequence[int]] = None,
 ) -> Tuple[Dict[str, List[int]], Dict[str, int], SchedulerStats]:
@@ -245,7 +244,6 @@ def run_buckets(
         )
     outcome = scheduler.run(
         ((cycle, ff_index(name)) for cycle, lanes in buckets for name in lanes),
-        horizon=horizon,
         admit=admit,
         on_verdict=on_verdict,
         groups=groups,
@@ -287,12 +285,9 @@ class _ShardRunner:
             context.workload.testbench,
             golden,
             context.criterion,
-            check_interval=spec.check_interval,
             fault_model=spec.fault_model,
         )
-        # max_lanes=None: the scheduler's tuned wide passes (refill keeps
-        # them saturated); spec.max_lanes only addresses the store.
-        self.scheduler = AdaptiveScheduler(self.injector, max_lanes=None)
+        self.scheduler = AdaptiveScheduler(self.injector)
 
     def run_shard(
         self,
@@ -323,7 +318,7 @@ class _ShardRunner:
         del attempt  # real simulation never varies across retries
         start = time.perf_counter()
         counts, skipped, stats = run_buckets(
-            self.scheduler, buckets, self.spec.horizon, gates=gates, groups=groups
+            self.scheduler, buckets, gates=gates, groups=groups
         )
         wall = time.perf_counter() - start
         payload = {
@@ -889,7 +884,7 @@ class CampaignEngine:
         report.injections_saved = saved
         registry.counter("policy.rounds").inc(report.rounds)
         registry.counter("policy.injections_saved").inc(saved)
-        margins = realized_margins(tallies, getattr(policy, "confidence", 0.95))
+        margins = realized_margins(tallies)
         for name in ff_names:
             registry.histogram("policy.stopping_time").observe(tallies[name][0])
         worst = max(margins.values()) if margins else float("nan")

@@ -34,13 +34,14 @@ Two policies ship:
 
 ``sequential``
     Per-flip-flop Wilson early stopping: a flip-flop is retired once its
-    interval half-width falls under ``target_margin`` (after a minimum
-    sample), and budget freed by retirement is reallocated to the
-    widest-interval flip-flops, up to ``max_budget_factor`` times the
-    nominal per-flip-flop budget.  ``target_margin=0.0`` never retires
-    anything — the *fixed-seed equivalence mode*: it must reproduce the
-    flat counters draw-for-draw (regression-tested on every library
-    circuit in ``tests/test_policy.py``).
+    interval half-width falls under ``target_margin`` (after
+    :data:`MIN_INJECTIONS` draws), and budget freed by retirement is
+    reallocated to the widest-interval flip-flops, up to
+    :data:`MAX_BUDGET_FACTOR` times the nominal per-flip-flop budget.
+    ``target_margin=0.0`` never retires anything — the *fixed-seed
+    equivalence mode*: it must reproduce the flat counters draw-for-draw
+    (regression-tested on every library circuit in
+    ``tests/test_policy.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..faultinjection.fdr import wilson_interval
 
@@ -73,6 +74,9 @@ SAMPLING_POLICIES = ("flat", "sequential")
 #: is the 170-injections-per-flip-flop protocol.
 DEFAULT_TARGET_MARGIN = 0.075
 
+#: Confidence level of every per-flip-flop Wilson interval.
+CONFIDENCE = 0.95
+
 #: Minimum draws per flip-flop before any stopping decision.  Guards the
 #: sequential policy against freak early streaks; clamped to the nominal
 #: budget for tiny campaigns.
@@ -84,20 +88,16 @@ MIN_INJECTIONS = 24
 MAX_BUDGET_FACTOR = 4
 
 
-def interval_margin(n: int, k: int, confidence: float = 0.95) -> float:
-    """Wilson interval half-width of *k* failures in *n* injections."""
-    low, high = wilson_interval(k, n, confidence)
+def interval_margin(n: int, k: int) -> float:
+    """Wilson interval half-width of *k* failures in *n* injections, at
+    :data:`CONFIDENCE`."""
+    low, high = wilson_interval(k, n, CONFIDENCE)
     return (high - low) / 2.0
 
 
-def realized_margins(
-    tallies: Mapping[str, Sequence[int]], confidence: float = 0.95
-) -> Dict[str, float]:
+def realized_margins(tallies: Mapping[str, Sequence[int]]) -> Dict[str, float]:
     """Per-flip-flop realized Wilson margins of a tally map."""
-    return {
-        name: interval_margin(rec[0], rec[1], confidence)
-        for name, rec in tallies.items()
-    }
+    return {name: interval_margin(rec[0], rec[1]) for name, rec in tallies.items()}
 
 
 class SamplingPolicy:
@@ -169,51 +169,35 @@ class SequentialWilsonPolicy(SamplingPolicy):
         Retire a flip-flop once its Wilson interval half-width is at or
         under this value.  ``0.0`` disables early stopping entirely (the
         fixed-seed equivalence mode).
-    confidence:
-        Confidence level of the per-flip-flop intervals.
-    min_injections:
-        No stopping decision before this many draws (clamped to *nominal*).
-    round_size:
-        Draws granted per flip-flop per round; ``None`` picks
-        ``max(8, nominal // 4)`` — small enough that early stopping bites,
-        large enough that scheduler passes stay saturated.
-    max_per_ff:
-        Reallocation ceiling per flip-flop; ``None`` picks
-        ``MAX_BUDGET_FACTOR × nominal``.  Always additionally capped by the
-        active-window length (draws are sampled without replacement).
+
+    The rest are rules of the module: intervals at :data:`CONFIDENCE`; no
+    stopping decision before :data:`MIN_INJECTIONS` draws (clamped to
+    *nominal*); ``max(8, nominal // 4)`` draws per flip-flop per round —
+    small enough that early stopping bites, large enough that scheduler
+    passes stay saturated; and at most :data:`MAX_BUDGET_FACTOR` ×
+    *nominal* draws per flip-flop, capped by the active-window length
+    (draws are sampled without replacement).
     """
 
     nominal: int
     target_margin: float = DEFAULT_TARGET_MARGIN
-    confidence: float = 0.95
-    min_injections: Optional[int] = None
-    round_size: Optional[int] = None
-    max_per_ff: Optional[int] = None
     name = "sequential"
 
     def _min_injections(self) -> int:
-        floor = MIN_INJECTIONS if self.min_injections is None else self.min_injections
-        return max(1, min(floor, self.nominal))
+        return max(1, min(MIN_INJECTIONS, self.nominal))
 
     def _round_size(self) -> int:
-        if self.round_size is not None:
-            return max(1, self.round_size)
         return max(8, self.nominal // 4)
 
     def _cap(self, window_len: int) -> int:
-        ceiling = (
-            MAX_BUDGET_FACTOR * self.nominal
-            if self.max_per_ff is None
-            else self.max_per_ff
-        )
-        return max(1, min(ceiling, window_len))
+        return max(1, min(MAX_BUDGET_FACTOR * self.nominal, window_len))
 
     def retired(self, n: int, k: int) -> bool:
         if n < self._min_injections():
             return False
         if self.target_margin <= 0.0:
             return False
-        return interval_margin(n, k, self.confidence) <= self.target_margin
+        return interval_margin(n, k) <= self.target_margin
 
     def allocate(
         self, tallies: Mapping[str, Sequence[int]], window_len: int
@@ -242,13 +226,7 @@ class SequentialWilsonPolicy(SamplingPolicy):
                 # widest interval first (ties broken by name for
                 # determinism).
                 hungry.append(
-                    (
-                        -interval_margin(n, k, self.confidence),
-                        name,
-                        n,
-                        consumed,
-                        stream_left,
-                    )
+                    (-interval_margin(n, k), name, n, consumed, stream_left)
                 )
         for _neg_margin, name, n, consumed, stream_left in sorted(hungry):
             if pool <= 0:
@@ -277,19 +255,17 @@ def policy_signature(spec) -> str:
     Policies are excluded from the campaign's *cache identity* because
     per-draw verdicts are policy-invariant; the signature instead namespaces the store's
     *policy snapshots*, whose realized per-flip-flop counts do depend on
-    the stopping rule and its knobs.
+    the stopping rule and its constants.
     """
     policy = make_policy(spec)
     payload = {"policy": spec.policy, "nominal": spec.n_injections}
     if isinstance(policy, SequentialWilsonPolicy):
         payload.update(
             target_margin=policy.target_margin,
-            confidence=policy.confidence,
+            confidence=CONFIDENCE,
             min_injections=policy._min_injections(),
             round_size=policy._round_size(),
-            max_budget_factor=MAX_BUDGET_FACTOR
-            if policy.max_per_ff is None
-            else policy.max_per_ff,
+            max_budget_factor=MAX_BUDGET_FACTOR,
         )
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()

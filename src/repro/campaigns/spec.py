@@ -35,6 +35,11 @@ __all__ = ["CampaignSpec", "CampaignContext", "build_context", "check_context"]
 SCHEDULES = ("stream", "legacy")
 CRITERIA = ("packet", "any_output", "observed")
 
+#: Retired spec fields at the one value every campaign ran with.  They stay
+#: in the identity dict so existing stores and dataset ``campaign_key``
+#: values stay addressable until the store is re-keyed (ROADMAP [2]).
+_RETIRED_IDENTITY = {"check_interval": 8, "horizon": None, "max_lanes": 256}
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -51,11 +56,6 @@ class CampaignSpec:
       stream (see :func:`repro.campaigns.partition.stream_buckets`), which
       lets the result store extend a cached *n*-injection campaign to
       *m > n* injections by simulating only the ``m - n`` delta.
-
-    ``max_lanes`` and ``check_interval`` are part of the store's content
-    address.  ``max_lanes`` no longer shapes execution (the adaptive
-    scheduler picks its own pass width); ``check_interval`` is the
-    injector's retirement-probe period.
     """
 
     circuit: str = "xgmac_mini"
@@ -70,9 +70,6 @@ class CampaignSpec:
     criterion: str = "packet"
     ff_names: Optional[Tuple[str, ...]] = None
     n_time_slots: Optional[int] = None
-    horizon: Optional[int] = None
-    max_lanes: int = 256
-    check_interval: int = 8
     policy: str = "flat"
     target_margin: float = DEFAULT_TARGET_MARGIN
     #: Registered fault model applied at every drawn ``(cycle, ff)`` site
@@ -105,8 +102,6 @@ class CampaignSpec:
             raise ValueError(f"unknown criterion {self.criterion!r}; choose from {CRITERIA}")
         if self.n_injections <= 0:
             raise ValueError("n_injections must be positive")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         model = parse_fault_model(self.fault_model)
         if not model.supports_ff_campaign:
             raise FaultModelError(
@@ -128,8 +123,8 @@ class CampaignSpec:
         data = dict(payload)
         # Retired execution knobs: store documents written by older
         # versions still carry them in their ``spec`` record.
-        data.pop("backend", None)
-        data.pop("scheduler", None)
+        for key in ("backend", "scheduler", *_RETIRED_IDENTITY):
+            data.pop(key, None)
         if data.get("ff_names") is not None:
             data["ff_names"] = tuple(data["ff_names"])  # type: ignore[arg-type]
         return cls(**data)  # type: ignore[arg-type]
@@ -155,6 +150,7 @@ class CampaignSpec:
             # Single-bit SEUs are the pre-registry default; dropping the
             # field keeps every cached SEU store key valid.
             payload.pop("fault_model")
+        payload.update(_RETIRED_IDENTITY)
         return payload
 
     def cache_key(self) -> str:

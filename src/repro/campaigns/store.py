@@ -447,6 +447,15 @@ class CampaignStore:
                 or not 0 <= record[1] <= record[0] <= record[2]
             ):
                 return None
+        # The driver counts every draw in both: a tally's [n, k] that
+        # disagrees with the accumulator's would make the resumed policy
+        # allocate from one count while the result sums the other.
+        ff = accum["ff"]
+        if not set(ff) <= set(tallies) or any(
+            record[:2] != ff.get(name, [0, 0, 0])[:2]
+            for name, record in tallies.items()
+        ):
+            return None
         return (
             {name: list(record) for name, record in tallies.items()},
             accum,

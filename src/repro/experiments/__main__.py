@@ -149,19 +149,7 @@ def run_campaign_command(args, cache_dir: Path, out_dir: Optional[Path]) -> None
     # synthesize -> golden_trace -> campaign phase sequence (workers
     # re-derive their own golden but attach no sinks).
     engine.context.ensure_golden()
-    # --profile-out installs a CLI-wide profiler in main(); nesting a second
-    # cProfile inside it raises, so the local one only runs on its own.
-    profiler = None
-    if args.profile and args.profile_out is None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        result = engine.run()
-    finally:
-        if profiler is not None:
-            profiler.disable()
+    result = engine.run()
     report = engine.last_report
     n_ffs = len(result.results)
     total_injections = sum(r.n_injections for r in result.results.values())
@@ -198,11 +186,6 @@ def run_campaign_command(args, cache_dir: Path, out_dir: Optional[Path]) -> None
         for entry in report.quarantined_shards:
             print(f"  quarantined shard {entry['shard']}: {entry['reason']}")
     print(f"mean FDR: {result.mean_fdr():.4f}, wall: {report.wall_seconds:.2f}s")
-    if profiler is not None:
-        import pstats
-
-        print(f"\n--- cProfile: top {args.profile_top} by cumulative time ---")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.profile_top)
     if out_dir is not None:
         (out_dir / "campaign.json").write_text(result.to_json())
 
@@ -421,8 +404,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="campaign command only: wrap the run in cProfile and print the "
-        "top functions by cumulative time",
+        help="profile the whole invocation with cProfile and print the top "
+        "functions by cumulative time",
     )
     parser.add_argument(
         "--profile-top",
@@ -435,8 +418,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         default=None,
         help="profile the whole invocation and write the stats to this file "
-        "(valid pstats input: `python -m pstats <file>`); implies profiling "
-        "even without --profile",
+        "(valid pstats input: `python -m pstats <file>`); prints nothing "
+        "unless --profile is also given",
     )
     parser.add_argument(
         "--metrics-out",
@@ -533,7 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     telemetry = build_telemetry(args, out_dir)
     profiler = None
-    if args.profile_out is not None:
+    if args.profile or args.profile_out is not None:
         import cProfile
 
         profiler = cProfile.Profile()
@@ -551,8 +534,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if profiler is not None:
             profiler.disable()
-            args.profile_out.parent.mkdir(parents=True, exist_ok=True)
-            profiler.dump_stats(str(args.profile_out))
+            if args.profile_out is not None:
+                args.profile_out.parent.mkdir(parents=True, exist_ok=True)
+                profiler.dump_stats(str(args.profile_out))
             if args.profile:
                 import pstats
 

@@ -56,10 +56,6 @@ class FigureResult:
     curve: Optional[LearningCurveResult] = None
 
     @property
-    def train_error(self) -> np.ndarray:
-        return self.train_pred - self.train_true
-
-    @property
     def test_error(self) -> np.ndarray:
         return self.test_pred - self.test_true
 

@@ -193,11 +193,6 @@ class ExperimentRunner:
         ):
             return protocol(self.context, spec)
 
-    def run_named(
-        self, experiment: str, scale: str = "mini", seed: int = 0, **options: object
-    ) -> ExperimentOutcome:
-        return self.run(ExperimentSpec.make(experiment, scale=scale, seed=seed, **options))
-
 
 # ---------------------------------------------------------------- protocols
 #

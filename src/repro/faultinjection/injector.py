@@ -277,7 +277,6 @@ class FaultInjector:
         self,
         cycle: int,
         ff_indices: Sequence[int],
-        horizon: Optional[int] = None,
     ) -> BatchOutcome:
         """Simulate one injection per lane, all struck at *cycle*.
 
@@ -285,13 +284,10 @@ class FaultInjector:
         flip-flop (a single flip for the default SEU, a cluster flip for
         MBUs, per-cycle forcing for stuck-at/intermittent faults).  Returns
         the per-lane failure mask.  The forward run stops at the end of the
-        golden trace, after *horizon* cycles, or as soon as every lane has
-        failed or re-converged to golden — whichever comes first; lanes
-        with active forcing never count as converged.  *horizon*, when
-        given, must be at least 1.
+        golden trace or as soon as every lane has failed or re-converged to
+        golden, whichever comes first; lanes with active forcing never count
+        as converged.
         """
-        if horizon is not None and horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
         golden = self.golden
         if not 0 <= cycle < golden.n_cycles:
             raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")
@@ -324,13 +320,12 @@ class FaultInjector:
                     force_lanes.append((plan, 1 << lane, rows))
 
         self._prime_taps(cycle, sim.mask)
-        return self._forward(cycle, cycle, horizon, force_lanes=force_lanes)
+        return self._forward(cycle, cycle, force_lanes=force_lanes)
 
     def run_set_batch(
         self,
         cycle: int,
         net_names: Sequence[str],
-        horizon: Optional[int] = None,
     ) -> BatchOutcome:
         """Simulate Single-Event Transients: lane *j* flips net ``net_names[j]``.
 
@@ -370,13 +365,12 @@ class FaultInjector:
         sim.tick()
         # Continue as a plain forward run (no forcing) from the next cycle.
         latencies = {lane: 0 for lane in set_lanes(failed)}
-        return self._forward(cycle, cycle + 1, horizon, failed, latencies)
+        return self._forward(cycle, cycle + 1, failed, latencies)
 
     def _forward(
         self,
         cycle: int,
         start: int,
-        horizon: Optional[int],
         failed: int = 0,
         latencies: Optional[Dict[int, int]] = None,
         force_lanes: Sequence[Tuple[InjectionPlan, int, List[Tuple[int, int]]]] = (),
@@ -391,8 +385,6 @@ class FaultInjector:
         mask = sim.mask
         values = sim.values
         end = golden.n_cycles
-        if horizon is not None:
-            end = min(end, cycle + horizon)
         if latencies is None:
             latencies = {}
         force_vec = 0
@@ -423,7 +415,7 @@ class FaultInjector:
                 tap.slots[c % tap.delay] = values[tap.source_value_idx]
             sim.tick()
             c += 1
-            if (c - cycle) % check == 0 or c == end:
+            if (c - cycle) % check == 0:
                 diverged = self._divergence(c, mask) | self._loopback_divergence(c, mask)
                 # Forced lanes are only done once failed: a lane whose state
                 # matches golden right now can still be re-disturbed by a

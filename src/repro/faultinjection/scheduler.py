@@ -37,8 +37,8 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   check grid (started at its first activation, restarted when it
   activates after running empty).  The groups share the simulated cycle,
   the lane batch, the elastic width (capped at the sum of the group caps),
-  truncation and the per-lane horizon deadlines.  A window that
-  several groups would each sweep alone is swept once.
+  and truncation.  A window that several groups would each sweep alone
+  is swept once.
 * **O(width) lane bookkeeping** — a cycle's activations, failures and
   retirements are handled as lane lists: set lanes are listed once
   (:func:`~repro.sim.logic.set_lanes`) and the activation masks built once
@@ -53,8 +53,7 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   survives and the other requests *ride* it: each keeps its own injection
   cycle (a rider fails with latency *t* minus its own cycle when the
   shared lane first fails at *t*), and retires with the survivor at the
-  same check.  Lanes with a live forcing plan never merge, and a run with
-  a horizon never merges (each request would need its own deadline).
+  same check.  Lanes with a live forcing plan never merge.
   Group caps, deferral, ``lane_cycles`` and ``early_retired`` count
   requests, riders included, so only the allocated width falls.  A check
   looks for merges only when its due lanes outnumber the relevant
@@ -307,7 +306,6 @@ class AdaptiveScheduler:
     def run(
         self,
         injections: Iterable[Tuple[int, int]],
-        horizon: Optional[int] = None,
         admit: Optional[Callable[[int], bool]] = None,
         on_verdict: Optional[Callable[[int, bool], None]] = None,
         groups: Optional[Sequence[int]] = None,
@@ -316,9 +314,8 @@ class AdaptiveScheduler:
 
         Request *k* (its *key*) is the *k*-th injection.  Lanes are packed
         and refilled across injection cycles; results are bit-identical to
-        one :meth:`FaultInjector.run_batch` lane per injection.  *horizon*,
-        when given, must be at least 1: it is the number of cycles each lane
-        is observed from its injection cycle.
+        one :meth:`FaultInjector.run_batch` lane per injection.  Each lane
+        is observed until it fails, re-converges or the trace ends.
 
         *admit* and *on_verdict* are the refill queue's online policy
         hooks (see :class:`repro.campaigns.policy.ShardGate`): before a
@@ -337,8 +334,6 @@ class AdaptiveScheduler:
         count the shared sweeps: ``n_passes`` is the most passes any group
         needs, while ``lane_cycles`` is the sum of the solo runs'.
         """
-        if horizon is not None and horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
         n_cycles = self.injector.golden.n_cycles
         pairs = array("q", chain.from_iterable(injections))
         cycles, ffs = pairs[0::2], pairs[1::2]
@@ -368,9 +363,7 @@ class AdaptiveScheduler:
         while pending:
             # Deferred requests come back in (cycle, key) order, so every
             # group's share of a later pass is its solo pass.
-            pending = self._run_pass(
-                pending, requests, horizon, admit, on_verdict, skipped
-            )
+            pending = self._run_pass(pending, requests, admit, on_verdict, skipped)
             self.stats.n_passes += 1
         outcome = ScheduledOutcome(
             requests.failed, requests.latency, stats=self.stats, skipped=skipped
@@ -447,7 +440,6 @@ class AdaptiveScheduler:
         self,
         pending: array,
         requests: _Requests,
-        horizon: Optional[int],
         admit: Optional[Callable[[int], bool]],
         on_verdict: Optional[Callable[[int, bool], None]],
         skipped: List[int],
@@ -511,7 +503,6 @@ class AdaptiveScheduler:
         lane_riders: List[Optional[List[int]]] = [None] * width
         riding = 0  # live riders, summed over lanes
         free: List[int] = list(range(width))  # heap: lowest free lane first
-        deadlines: Dict[int, List[Tuple[int, int]]] = {}
 
         # Fault-model state: per-lane plan compilation and force bookkeeping.
         bound = injector.bound_model
@@ -643,19 +634,6 @@ class AdaptiveScheduler:
 
         c = cycle_of[pending[0]]
         while True:
-            # -- per-lane horizon deadlines: stop observing before cycle c.
-            if horizon is not None and c in deadlines:
-                # A stale entry may point at a lane that retired early and
-                # was refilled or truncated away — only the original
-                # request expires.
-                expired = [
-                    lane
-                    for lane, key in deadlines.pop(c)
-                    if lane < width and lane_key[lane] == key
-                ]
-                if expired:
-                    retire_lanes(lanes_mask(expired))
-
             # -- activate pending injections scheduled for this cycle.
             regrid = False
             act_lanes: List[int] = []
@@ -694,10 +672,6 @@ class AdaptiveScheduler:
                 lane_key[lane] = key
                 lane_failed_at[lane] = -1
                 act_lanes.append(lane)
-                if horizon is not None:
-                    deadline = c + horizon
-                    if deadline < end_of_trace:
-                        deadlines.setdefault(deadline, []).append((lane, key))
             if emptied:
                 # A group still empty after this cycle's activations idles:
                 # its grid restarts whenever it next activates.
@@ -802,9 +776,7 @@ class AdaptiveScheduler:
                         group_check[group] = c + check
                         due_bits |= group_bits[group]
                 next_due = min(group_check)
-                look = (
-                    horizon is None and due_bits.bit_count() >= self.merge_min_due
-                )
+                look = due_bits.bit_count() >= self.merge_min_due
                 row_diff, multi, planes = self._probe_rows(c, due_bits, look)
                 slot_diff = self._probe_slots(c, due_bits, slots)
                 # A forcing lane that matches golden right now is not done —

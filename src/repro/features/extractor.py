@@ -6,10 +6,10 @@ labelled :class:`~repro.features.dataset.Dataset` when paired with a fault
 campaign's FDR results.
 
 Graph-derived quantities are computed once per netlist by the batched
-engine (:mod:`repro.features.vectorized`); pass ``engine="networkx"`` to
-run the original per-flip-flop traversal path instead (used as the
-differential reference in tests).  Both engines produce
-bit-identical matrices.
+engine (:mod:`repro.features.vectorized`).  The per-flip-flop traversal
+reference, ``CircuitGraph(netlist).stats()``, yields the same quantities
+and can be passed to the group extractors as ``stats=`` (the tests hold the
+two to bit identity).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from ..netlist.core import Netlist
 from ..sim.testbench import GoldenTrace
 from .dataset import Dataset
 from .dynamic import DYNAMIC_FEATURES, extract_dynamic
-from .graph import CircuitGraph
 from .structural import STRUCTURAL_FEATURES, extract_structural
 from .synthesis import SYNTHESIS_FEATURES, extract_synthesis
 from .vectorized import CircuitStats, compute_circuit_stats
@@ -42,22 +41,13 @@ FEATURE_GROUPS: Dict[str, List[str]] = {
     "dynamic": list(DYNAMIC_FEATURES),
 }
 
-ENGINES = ("vectorized", "networkx")
-
 
 class FeatureExtractor:
     """Extracts the full paper feature set for every flip-flop of a netlist."""
 
-    def __init__(self, netlist: Netlist, engine: str = "vectorized") -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        self.engine = engine
-        self.stats: CircuitStats = (
-            compute_circuit_stats(netlist)
-            if engine == "vectorized"
-            else CircuitGraph(netlist).stats()
-        )
+        self.stats: CircuitStats = compute_circuit_stats(netlist)
         self.ff_names: List[str] = list(self.stats.ff_names)
 
     def extract(self, golden: GoldenTrace) -> Dict[str, Dict[str, float]]:
@@ -88,7 +78,6 @@ def build_dataset(
     golden: GoldenTrace,
     campaign: CampaignResult,
     meta: Optional[Dict[str, object]] = None,
-    engine: str = "vectorized",
 ) -> Dataset:
     """Assemble the labelled dataset from features and campaign FDR results.
 
@@ -97,7 +86,7 @@ def build_dataset(
     measured by it — a flip-flop with zero injections has an undefined FDR
     (``nan``), which must not become a training label.
     """
-    extractor = FeatureExtractor(netlist, engine=engine)
+    extractor = FeatureExtractor(netlist)
     features = extractor.extract(golden)
     ff_names = [
         name
@@ -113,7 +102,6 @@ def build_dataset(
         "circuit": netlist.name,
         "n_injections": campaign.n_injections,
         "campaign_seed": campaign.seed,
-        "features_engine": engine,
     }
     if meta:
         dataset_meta.update(meta)

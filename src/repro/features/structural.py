@@ -9,8 +9,8 @@ presence/depth.
 
 The graph quantities come from a :class:`~repro.features.vectorized.CircuitStats`
 container — computed by the batched engine
-(:func:`~repro.features.vectorized.compute_circuit_stats`, the default) or
-by the networkx traversal reference
+(:func:`~repro.features.vectorized.compute_circuit_stats`) unless the caller
+passes one, such as the networkx traversal reference
 (:meth:`~repro.features.graph.CircuitGraph.stats`); both yield identical
 feature values.
 """
@@ -22,7 +22,6 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.core import Netlist
-from .graph import CircuitGraph
 from .vectorized import CircuitStats, compute_circuit_stats
 
 __all__ = ["STRUCTURAL_FEATURES", "bus_membership", "extract_structural"]
@@ -87,26 +86,12 @@ def _stats(values: Sequence[int]) -> Tuple[float, float, float]:
     return (float(min(values)), sum(values) / len(values), float(max(values)))
 
 
-def resolve_stats(
-    netlist: Netlist,
-    graph: Optional[CircuitGraph] = None,
-    stats: Optional[CircuitStats] = None,
-) -> CircuitStats:
-    """Pick the quantity provider: explicit stats > traversal graph > batched."""
-    if stats is not None:
-        return stats
-    if graph is not None:
-        return graph.stats()
-    return compute_circuit_stats(netlist)
-
-
 def extract_structural(
-    netlist: Netlist,
-    graph: Optional[CircuitGraph] = None,
-    stats: Optional[CircuitStats] = None,
+    netlist: Netlist, stats: Optional[CircuitStats] = None
 ) -> Dict[str, Dict[str, float]]:
     """Structural feature dict per flip-flop name."""
-    stats = resolve_stats(netlist, graph, stats)
+    if stats is None:
+        stats = compute_circuit_stats(netlist)
     buses = bus_membership(stats.ff_names)
 
     features: Dict[str, Dict[str, float]] = {}

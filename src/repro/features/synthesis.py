@@ -12,8 +12,8 @@ attributes in the mapped netlist:
 * **combinational path depth** at the flip-flop's output.
 
 Like the structural group, the quantities are served from a
-:class:`~repro.features.vectorized.CircuitStats` container (batched engine
-by default, networkx traversal as the differential reference).
+:class:`~repro.features.vectorized.CircuitStats` container (the batched
+engine's unless the caller passes one).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..netlist.core import Netlist
-from .graph import CircuitGraph
-from .vectorized import CircuitStats
+from .vectorized import CircuitStats, compute_circuit_stats
 
 __all__ = ["SYNTHESIS_FEATURES", "extract_synthesis"]
 
@@ -35,14 +34,11 @@ SYNTHESIS_FEATURES: Tuple[str, ...] = (
 
 
 def extract_synthesis(
-    netlist: Netlist,
-    graph: Optional[CircuitGraph] = None,
-    stats: Optional[CircuitStats] = None,
+    netlist: Netlist, stats: Optional[CircuitStats] = None
 ) -> Dict[str, Dict[str, float]]:
     """Synthesis feature dict per flip-flop name."""
-    from .structural import resolve_stats
-
-    stats = resolve_stats(netlist, graph, stats)
+    if stats is None:
+        stats = compute_circuit_stats(netlist)
     features: Dict[str, Dict[str, float]] = {}
     for i, name in enumerate(stats.ff_names):
         features[name] = {

@@ -261,11 +261,6 @@ class Netlist:
             if c.ctype.kind in (CellKind.COMBINATIONAL, CellKind.TIE)
         ]
 
-    def net_driver_cell(self, net_name: str) -> Optional[Cell]:
-        """The cell driving *net_name*, or ``None`` for primary inputs."""
-        driver = self.nets[net_name].driver
-        return self.cells[driver.cell] if driver is not None else None
-
     def __contains__(self, cell_name: str) -> bool:
         return cell_name in self.cells
 

@@ -42,12 +42,6 @@ class ClockGenerator:
     period: int = 10
     start: int = 0
 
-    def value_at(self, time: int) -> LogicValue:
-        if time < self.start:
-            return ZERO
-        half = self.period // 2
-        return ONE if ((time - self.start) // half) % 2 == 0 else ZERO
-
     def edges_until(self, t_end: int) -> List[Tuple[int, LogicValue]]:
         """All (time, value) transitions in ``[start, t_end)``."""
         events = []

@@ -24,7 +24,6 @@ __all__ = [
     "ONE",
     "X",
     "LogicValue",
-    "resolve3",
     "eval3",
     "lane_mask",
     "broadcast",
@@ -90,22 +89,6 @@ def lanes_mask(lanes: Sequence[int]) -> int:
     flags = np.zeros((max(lanes) >> 3) + 1 << 3, dtype=np.uint8)
     flags[lanes] = 1
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def resolve3(values: Sequence[LogicValue]) -> LogicValue:
-    """Resolve multiple three-valued contributions (wired, for buses).
-
-    Agreeing drivers keep their value; disagreement or any X yields X.
-    """
-    result = None
-    for value in values:
-        if value == X:
-            return X
-        if result is None:
-            result = value
-        elif result != value:
-            return X
-    return X if result is None else result
 
 
 _EVAL3_CACHE: Dict[Tuple[str, Tuple[LogicValue, ...]], LogicValue] = {}

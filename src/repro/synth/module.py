@@ -146,9 +146,6 @@ class Module:
     def uses_reset(self) -> bool:
         return any(spec.resettable for spec in self.regs.values())
 
-    def reg_names(self) -> List[str]:
-        return list(self.regs)
-
     def finalize(self) -> None:
         """Default unassigned registers to hold their value."""
         for spec in self.regs.values():

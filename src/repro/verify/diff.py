@@ -348,7 +348,6 @@ def brute_force_fault(
 def naive_verdicts(
     injector: FaultInjector,
     requests: Sequence[Tuple[int, int]],
-    horizon: Optional[int] = None,
 ) -> List[Verdict]:
     """``(failed, latency)`` of every ``(cycle, ff_index)`` request, from one
     :meth:`FaultInjector.run_batch` per injection cycle (one lane per
@@ -360,9 +359,7 @@ def naive_verdicts(
     verdicts: List[Verdict] = [(False, None)] * len(requests)
     for cycle in sorted(by_cycle):
         keys = by_cycle[cycle]
-        outcome = injector.run_batch(
-            cycle, [requests[k][1] for k in keys], horizon=horizon
-        )
+        outcome = injector.run_batch(cycle, [requests[k][1] for k in keys])
         for lane, key in enumerate(keys):
             verdicts[key] = outcome.verdict(lane)
     return verdicts

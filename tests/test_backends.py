@@ -107,11 +107,20 @@ def test_store_identity_is_pinned(name):
     assert (spec.cache_key(), spec.family_key(), policy_signature(spec)) == expected
 
 
+RETIRED_FIELDS = {
+    "backend": "compiled",
+    "scheduler": "adaptive",
+    "horizon": None,
+    "max_lanes": 256,
+    "check_interval": 8,
+}
+
+
 def test_spec_roundtrip_ignores_retired_execution_knobs():
     """Store documents written before the knobs were removed still carry
-    ``backend``/``scheduler`` in their spec record; they load unchanged."""
+    them in their spec record; they load unchanged."""
     spec = CampaignSpec(circuit="xgmac_tiny", schedule="legacy")
     assert CampaignSpec.from_dict(spec.to_dict()) == spec
-    old = {**spec.to_dict(), "backend": "compiled", "scheduler": "adaptive"}
+    old = {**spec.to_dict(), **RETIRED_FIELDS}
     assert CampaignSpec.from_dict(old) == spec
-    assert "backend" not in spec.to_dict() and "scheduler" not in spec.to_dict()
+    assert not set(RETIRED_FIELDS) & set(spec.to_dict())

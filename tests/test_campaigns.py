@@ -715,5 +715,5 @@ def test_engine_rejects_mismatched_context():
 
 
 def test_spec_dict_round_trip():
-    spec = tiny_spec(ff_names=("ff_a", "ff_b"), horizon=64)
+    spec = tiny_spec(ff_names=("ff_a", "ff_b"))
     assert CampaignSpec.from_dict(spec.to_dict()) == spec

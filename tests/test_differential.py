@@ -296,8 +296,8 @@ def test_flipped_batch_verdict_is_caught_by_every_replay(monkeypatch):
 
     run_batch = FaultInjector.run_batch
 
-    def flipping_run_batch(self, cycle, ff_indices, horizon=None):
-        outcome = run_batch(self, cycle, ff_indices, horizon=horizon)
+    def flipping_run_batch(self, cycle, ff_indices):
+        outcome = run_batch(self, cycle, ff_indices)
         outcome.failed_mask ^= 1
         if outcome.failed_mask & 1:
             outcome.latencies[0] = 0

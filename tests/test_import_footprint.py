@@ -1,9 +1,10 @@
 """The runtime needs numpy only: scipy and networkx stay off the import path.
 
 scipy is the test suite's reference for the normal quantile and networkx
-backs the reference feature engine (``engine="networkx"``); together they
-cost about 90 MB and a second per process.  This guard runs the default
-flow in a fresh interpreter and checks that neither library was loaded.
+backs the reference feature quantities (``CircuitGraph(netlist).stats()``);
+together they cost about 90 MB and a second per process.  This guard runs
+the default flow in a fresh interpreter and checks that neither library was
+loaded.
 
 The same interpreter runs a two-worker campaign: the warm cache keeps its
 golden traces as plain lists, so no campaign loads
@@ -40,7 +41,6 @@ spec = CampaignSpec(
 )
 campaign = CampaignEngine(spec, jobs=2).run()
 print(json.dumps({
-    "engine": dataset.meta["features_engine"],
     "rows": dataset.n_samples,
     "loaded": sorted(m for m in ("scipy", "networkx") if m in sys.modules),
     "campaign_ffs": len(campaign.results),
@@ -64,7 +64,6 @@ def test_default_flow_loads_neither_scipy_nor_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["engine"] == "vectorized"
     assert report["rows"] > 0
     assert report["loaded"] == []
     assert report["campaign_ffs"] > 0

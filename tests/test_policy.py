@@ -89,11 +89,9 @@ def test_sequential_policy_retires_on_margin():
 
 
 def test_sequential_allocation_respects_budget_and_caps():
-    policy = SequentialWilsonPolicy(
-        nominal=20, target_margin=0.075, min_injections=4, round_size=8
-    )
+    policy = SequentialWilsonPolicy(nominal=20, target_margin=0.075)
     window = 1000
-    # Round 1: everyone below nominal gets a round_size chunk.
+    # Round 1: everyone below nominal gets a round chunk (max(8, 20 // 4)).
     tallies = {name: [0, 0, 0] for name in ("a", "b", "c")}
     allocation = policy.allocate(tallies, window)
     assert allocation == {"a": (0, 8), "b": (0, 8), "c": (0, 8)}
@@ -107,51 +105,46 @@ def test_sequential_allocation_respects_budget_and_caps():
 
 
 def test_sequential_reallocates_freed_budget_to_widest_interval():
-    policy = SequentialWilsonPolicy(
-        nominal=10, target_margin=0.25, min_injections=2, round_size=4
-    )
+    policy = SequentialWilsonPolicy(nominal=40, target_margin=0.14)
     window = 1000
-    # 'a' retired at 4 draws (margin(4,0) ~ 0.245 <= 0.25), freeing 6 of
-    # its nominal 10.  'b' (margin ~ 0.263) and 'c' (~ 0.260) are both at
-    # nominal and still wide: the pool goes widest-first, so 'b' gets a
-    # full round chunk and 'c' only what remains of the freed budget.
-    tallies = {"a": [4, 0, 4], "b": [10, 5, 10], "c": [10, 4, 10]}
-    assert policy.retired(4, 0)
-    assert interval_margin(10, 5) > interval_margin(10, 4) > 0.25
+    # 'a' retired at the minimum 24 draws (margin(24,0) ~ 0.069 <= 0.14),
+    # freeing 16 of its nominal 40.  'b' (margin ~ 0.148) and 'c'
+    # (~ 0.145) are both at nominal and still wide: the pool goes
+    # widest-first, so 'b' gets a full round chunk (max(8, 40 // 4)) and
+    # 'c' only what remains of the freed budget.
+    tallies = {"a": [24, 0, 24], "b": [40, 20, 40], "c": [40, 16, 40]}
+    assert policy.retired(24, 0)
+    assert interval_margin(40, 20) > interval_margin(40, 16) > 0.14
     allocation = policy.allocate(tallies, window)
     assert "a" not in allocation
-    assert allocation["b"] == (10, 14)  # round_size chunk
-    assert allocation["c"] == (10, 12)  # pool = 30 - 24 - 4 = 2 left
+    assert allocation["b"] == (40, 50)  # round chunk
+    assert allocation["c"] == (40, 46)  # pool = 120 - 104 - 10 = 6 left
     # The freed budget is conserved: grants never exceed the family pool.
     granted = sum(stop - start for start, stop in allocation.values())
-    assert granted == 10 * len(tallies) - sum(rec[0] for rec in tallies.values())
+    assert granted == 40 * len(tallies) - sum(rec[0] for rec in tallies.values())
 
 
 def test_sequential_allocation_never_exceeds_cap_or_window():
-    policy = SequentialWilsonPolicy(
-        nominal=100, target_margin=0.075, min_injections=2, round_size=200
-    )
-    # Draws are sampled without replacement: a 25-cycle window caps every
-    # stream at 25 indices no matter how generous the round size.
-    tallies = {"a": [40, 0, 40], "b": [24, 12, 24], "c": [0, 0, 0]}
+    policy = SequentialWilsonPolicy(nominal=100, target_margin=0.075)
+    # Draws are sampled without replacement: a 20-cycle window caps every
+    # stream at 20 indices, below the round chunk (max(8, 100 // 4) = 25).
+    tallies = {"a": [40, 0, 40], "b": [16, 8, 16], "c": [0, 0, 0]}
     assert policy.retired(40, 0)  # margin(40, 0) ~ 0.044
-    allocation = policy.allocate(tallies, window_len=25)
+    allocation = policy.allocate(tallies, window_len=20)
     assert "a" not in allocation  # retired
-    assert allocation["b"] == (24, 25)  # one stream index left
-    assert allocation["c"] == (0, 25)  # whole window, not round_size
+    assert allocation["b"] == (16, 20)  # four stream indices left
+    assert allocation["c"] == (0, 20)  # whole window, not the round chunk
     # And in a huge window the MAX_BUDGET_FACTOR ceiling bites instead.
     tallies = {"a": [400, 200, 400], "b": [0, 0, 0]}
     allocation = policy.allocate(tallies, window_len=10_000)
     assert "a" not in allocation  # at MAX_BUDGET_FACTOR * nominal already
-    assert allocation["b"] == (0, 100)
+    assert allocation["b"] == (0, 25)
     assert MAX_BUDGET_FACTOR == 4
 
 
 def test_allocation_ranges_never_overlap_consumed_indices():
     """Whatever the tallies, granted ranges start at `consumed`."""
-    policy = SequentialWilsonPolicy(
-        nominal=16, target_margin=0.2, min_injections=4, round_size=8
-    )
+    policy = SequentialWilsonPolicy(nominal=16, target_margin=0.2)
     tallies = {
         "a": [4, 1, 9],  # 5 draws were skipped in-shard
         "b": [8, 8, 8],
@@ -162,7 +155,7 @@ def test_allocation_ranges_never_overlap_consumed_indices():
 
 
 def test_shard_gate_skips_retired_and_counts():
-    policy = SequentialWilsonPolicy(nominal=10, target_margin=0.3, min_injections=2)
+    policy = SequentialWilsonPolicy(nominal=10, target_margin=0.3)
     gate = ShardGate(policy, {"a": [0, 0, 0], "b": [5000, 0, 5000]})
     # 'b' is already pinned at 0: skipped immediately.
     assert not gate.admit("b")
@@ -470,6 +463,57 @@ def test_sequential_interrupt_resumes_from_policy_checkpoint(tmp_path):
             assert (
                 interval_margin(record.n_injections, record.n_failures) <= 0.15
             )
+
+
+def _tamper_count(ff, tallies):
+    name = next(name for name, rec in tallies.items() if rec[0] > 0)
+    ff[name][0] += 2
+
+
+def _tamper_name(ff, tallies):
+    ff["not_a_flip_flop"] = [0, 0, 0]
+
+
+@pytest.mark.parametrize("tamper", [_tamper_count, _tamper_name])
+def test_self_contradicting_policy_checkpoint_is_dropped(tmp_path, tamper):
+    """A round checkpoint whose tallies disagree with its accumulator (each
+    well-formed on its own) is dropped, and the rerun counts exactly what a
+    run that was never interrupted counts."""
+    spec = tiny_spec(n_injections=40, target_margin=0.15, policy="sequential")
+    clean = CampaignEngine(spec).run()
+
+    class Interrupted(Exception):
+        pass
+
+    seen_round_end = False
+
+    def bomb(done, total):
+        nonlocal seen_round_end
+        if seen_round_end:
+            raise Interrupted
+        if done == total:
+            seen_round_end = True
+
+    engine = CampaignEngine(
+        spec, cache_dir=tmp_path, progress=bomb, progress_interval=0.0
+    )
+    with pytest.raises(Interrupted):
+        engine.run()
+    store = CampaignStore(tmp_path / "campaigns")
+    signature = policy_signature(spec)
+    assert store.load_policy_partial(spec, signature, gate_shards=4) is not None
+    doc = store._read(spec)
+    partial = doc["policy_partial"]
+    tamper(partial["accum"]["ff"], partial["tallies"])
+    store._write(spec, doc)
+    assert store.load_policy_partial(spec, signature, gate_shards=4) is None
+
+    rerun = CampaignEngine(spec, cache_dir=tmp_path).run()
+    assert result_key(rerun) == result_key(clean)
+    assert (rerun.n_forward_runs, rerun.total_lane_cycles) == (
+        clean.n_forward_runs,
+        clean.total_lane_cycles,
+    )
 
 
 def test_sequential_records_observability_metrics():

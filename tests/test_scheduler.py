@@ -132,10 +132,9 @@ def test_check_interval_larger_than_remaining_horizon(tiny_parts):
     )
     first, _last = workload.active_window
     requests = [(first + offset, ff) for offset in (0, 3, 9) for ff in range(10)]
-    for horizon in (4, None):
-        expected = naive_verdicts(injector, requests, horizon=horizon)
-        outcome = AdaptiveScheduler(injector, max_lanes=8).run(requests, horizon=horizon)
-        assert outcome.verdicts == expected
+    expected = naive_verdicts(injector, requests)
+    outcome = AdaptiveScheduler(injector, max_lanes=8).run(requests)
+    assert outcome.verdicts == expected
 
 
 def test_all_lanes_failing_in_the_injection_cycle():
@@ -183,24 +182,6 @@ def test_deferred_requests_roll_over_to_later_passes(tiny_parts):
     assert outcome.stats.deferred > 0
 
 
-@pytest.mark.parametrize("horizon", [0, -3])
-def test_horizon_below_one_is_rejected(tiny_parts, horizon):
-    """A horizon below 1 observes nothing, so the naive reference would
-    simulate no cycle while the scheduler's deadlines would never fire —
-    every entry point refuses it instead."""
-    from repro.campaigns import CampaignSpec
-
-    netlist, workload, golden, criterion = tiny_parts
-    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
-    first, _last = workload.active_window
-    with pytest.raises(ValueError, match="horizon"):
-        CampaignSpec(circuit="xgmac_tiny", horizon=horizon)
-    with pytest.raises(ValueError, match="horizon"):
-        injector.run_batch(first, [0, 1], horizon=horizon)
-    with pytest.raises(ValueError, match="horizon"):
-        AdaptiveScheduler(injector).run([(first, 0), (first, 1)], horizon=horizon)
-
-
 # ------------------------------------------------------------ elastic width
 
 
@@ -218,11 +199,8 @@ def _checked_settle(injector):
     injector._cached_observed_settle = checked
 
 
-@pytest.mark.parametrize(
-    "fault_model, horizon",
-    [(None, 12), (None, None), ("stuck1", 12), ("stuck0", 30)],
-)
-def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizon):
+@pytest.mark.parametrize("fault_model", [None, "stuck1", "stuck0"])
+def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model):
     """Repeated grow/truncate cycles under a small cap keep every verdict,
     and requests are deferred exactly where a fixed-width pass defers them."""
     import repro.faultinjection.scheduler as scheduler_mod
@@ -234,16 +212,21 @@ def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizo
     _checked_settle(injector)
     first, last = workload.active_window
     rng = random.Random(23)
-    n_ffs = injector.sim.n_flip_flops
+    pool = range(injector.sim.n_flip_flops)
+    if fault_model is not None:
+        # Forced (stuck-at) lanes never converge: they retire only when they
+        # fail, so the pass truncates only if some do.  Draw them from the
+        # flip-flops whose fault fails when struck at the window's start.
+        probe = naive_verdicts(injector, [(first, ff) for ff in pool])
+        pool = [ff for ff, (failed, _latency) in enumerate(probe) if failed]
     # Bursts of same-cycle requests separated by quiet stretches: each
-    # burst grows the pass, each quiet stretch lets it truncate.  Forced
-    # (stuck-at) lanes never converge, so they live out their horizon.
+    # burst grows the pass, each quiet stretch lets it truncate.
     requests = [
-        (cycle + rng.randrange(3), rng.randrange(n_ffs))
+        (cycle + rng.randrange(3), rng.choice(pool))
         for cycle in range(first, last - 3, 17)
         for _ in range(rng.randrange(1, 14))
     ]
-    expected = naive_verdicts(injector, requests, horizon=horizon)
+    expected = naive_verdicts(injector, requests)
 
     sim = injector.sim
     changes = []  # (old width, new width) of every in-pass width change
@@ -257,7 +240,7 @@ def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizo
     monkeypatch.setattr(sim, "resize_lanes", recording_resize)
     monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 2)
     elastic = AdaptiveScheduler(injector, max_lanes=12)
-    outcome = elastic.run(requests, horizon=horizon)
+    outcome = elastic.run(requests)
     assert outcome.verdicts == expected
     grows = sum(1 for old, new in changes if new > old)
     shrinks = sum(1 for old, new in changes if new < old)
@@ -271,7 +254,7 @@ def test_elastic_width_is_invisible(tiny_parts, monkeypatch, fault_model, horizo
     # A pass that starts at its cap never resizes mid-pass (fixed width).
     monkeypatch.setattr(scheduler_mod, "MIN_WIDTH", 4096)
     fixed = AdaptiveScheduler(injector, max_lanes=12)
-    reference = fixed.run(requests, horizon=horizon)
+    reference = fixed.run(requests)
     assert reference.verdicts == expected
     for name in (
         "deferred", "n_passes", "activations", "lane_cycles", "cycles_simulated"
@@ -456,8 +439,8 @@ def test_observed_settle_is_the_full_eval_when_every_ff_is_relevant():
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
-    """Property: for random request sets, lane budgets and horizons,
-    scheduled verdicts/latencies equal the naive replay."""
+    """Property: for random request sets and lane budgets, scheduled
+    verdicts/latencies equal the naive replay."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, last = workload.active_window
@@ -472,10 +455,9 @@ def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
         )
     )
     max_lanes = data.draw(st.integers(1, 24))
-    horizon = data.draw(st.one_of(st.none(), st.integers(1, 30)))
-    expected = naive_verdicts(injector, requests, horizon=horizon)
+    expected = naive_verdicts(injector, requests)
     scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
-    assert scheduler.run(requests, horizon=horizon).verdicts == expected
+    assert scheduler.run(requests).verdicts == expected
 
 
 # ------------------------------------------------------------ request groups
@@ -540,13 +522,12 @@ def group_injector(tiny_parts):
     return get
 
 
-def _gated_run(injector, max_lanes, requests, groups, gate_seeds, horizon):
+def _gated_run(injector, max_lanes, requests, groups, gate_seeds):
     """One scheduler run with a CountingGate per group."""
     gates = [CountingGate(seed, injector.sim.n_flip_flops) for seed in gate_seeds]
     gate_of = groups if groups is not None else [0] * len(requests)
     outcome = AdaptiveScheduler(injector, max_lanes=max_lanes).run(
         requests,
-        horizon=horizon,
         admit=lambda key: gates[gate_of[key]].admit(requests[key][1]),
         on_verdict=lambda key, failed: gates[gate_of[key]].record(
             requests[key][1], failed
@@ -564,7 +545,7 @@ def test_grouped_run_equals_one_solo_run_per_group(
     """Property: one pass carrying several request groups gives every
     group the verdicts, latencies, skips and gate event order of running
     it alone, and the same summed lane-cycles — under deferral (small
-    lane caps), horizons, check intervals 1/3/8, a forcing fault model
+    lane caps), check intervals 1/3/8, a forcing fault model
     and gates that retire flip-flops mid-pass."""
     _netlist, workload, _golden, _criterion = tiny_parts
     check_interval = data.draw(st.sampled_from([1, 3, 8]))
@@ -592,12 +573,11 @@ def test_grouped_run_equals_one_solo_run_per_group(
         )
     )
     max_lanes = data.draw(st.integers(1, 8))
-    horizon = data.draw(st.one_of(st.none(), st.integers(1, 30)))
     seed = data.draw(st.integers(0, 1000))
     gate_seeds = [f"{seed}:{g}" for g in range(n_groups)]
 
     grouped, grouped_gates = _gated_run(
-        injector, max_lanes, requests, groups, gate_seeds, horizon
+        injector, max_lanes, requests, groups, gate_seeds
     )
     grouped_skipped = set(grouped.skipped)
     lane_cycles = passes = 0
@@ -605,7 +585,7 @@ def test_grouped_run_equals_one_solo_run_per_group(
         keys = [k for k, group in enumerate(groups) if group == g]
         solo_requests = [requests[k] for k in keys]
         solo, (solo_gate,) = _gated_run(
-            injector, max_lanes, solo_requests, None, [gate_seeds[g]], horizon
+            injector, max_lanes, solo_requests, None, [gate_seeds[g]]
         )
         assert grouped_gates[g].normalized_events() == solo_gate.normalized_events()
         skipped = {keys[k] for k in solo.skipped}
@@ -619,24 +599,23 @@ def test_grouped_run_equals_one_solo_run_per_group(
     assert grouped.stats.n_passes == passes
 
 
-#: Statistics of one gated run per (check_interval, horizon): lane-cycles,
+#: Statistics of one gated run per check interval: lane-cycles,
 #: simulated cycles, deferrals, gate skips, passes, early retirements and
 #: admit calls.  The property test above compares grouped runs with solo
 #: runs of the same code; these pins fix the solo semantics themselves —
 #: the check grid restarting after a drain, deferral at the cap with one
 #: admit call, retirement timing.
 GATED_RUN_PINS = {
-    (3, None): (1148, 338, 10, 8, 3, 10, 33),
-    (5, 9): (156, 58, 0, 8, 1, 6, 28),
+    3: (1148, 338, 10, 8, 3, 10, 33),
 }
 
 
-@pytest.mark.parametrize("check_interval, horizon", sorted(GATED_RUN_PINS, key=str))
-def test_gated_run_statistics_are_pinned(tiny_parts, check_interval, horizon):
-    _assert_gated_run_pins(tiny_parts, check_interval, horizon)
+@pytest.mark.parametrize("check_interval", sorted(GATED_RUN_PINS))
+def test_gated_run_statistics_are_pinned(tiny_parts, check_interval):
+    _assert_gated_run_pins(tiny_parts, check_interval)
 
 
-def _assert_gated_run_pins(tiny_parts, check_interval, horizon):
+def _assert_gated_run_pins(tiny_parts, check_interval):
     """Run the pinned gated request set; return its statistics."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(
@@ -653,7 +632,7 @@ def _assert_gated_run_pins(tiny_parts, check_interval, horizon):
         for cycle in range(first, last - 2, 23)
         for _ in range(rng.randrange(3, 9))
     ]
-    outcome, (gate,) = _gated_run(injector, 4, requests, None, ["pin"], horizon)
+    outcome, (gate,) = _gated_run(injector, 4, requests, None, ["pin"])
     stats = outcome.stats
     assert (
         stats.lane_cycles,
@@ -663,8 +642,8 @@ def _assert_gated_run_pins(tiny_parts, check_interval, horizon):
         stats.n_passes,
         stats.early_retired,
         sum(1 for event in gate.events if event[0] == "admit"),
-    ) == GATED_RUN_PINS[(check_interval, horizon)]
-    expected = naive_verdicts(injector, requests, horizon)
+    ) == GATED_RUN_PINS[check_interval]
+    expected = naive_verdicts(injector, requests)
     skipped = set(outcome.skipped)
     for key, verdict in enumerate(expected):
         if key not in skipped:
@@ -770,21 +749,6 @@ def test_merged_lanes_match_naive(tiny_parts, merging, check_interval, max_lanes
     assert 0 < merged.stats.lane_occupancy() <= 1.0
 
 
-@pytest.mark.parametrize("horizon", [10, 25])
-def test_horizon_runs_never_merge(tiny_parts, merging, horizon):
-    """Under a horizon each request stops at its own deadline, which a
-    shared lane cannot honour, so no lane merges.  Without the horizon the
-    same requests (injected on consecutive cycles) do merge."""
-    netlist, workload, golden, criterion = tiny_parts
-    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
-    first, _last = workload.active_window
-    requests = _every_ff(injector, range(first + 16, first + 22))
-    outcome = AdaptiveScheduler(injector).run(requests, horizon=horizon)
-    assert outcome.verdicts == naive_verdicts(injector, requests, horizon=horizon)
-    assert outcome.stats.merged == 0
-    assert AdaptiveScheduler(injector).run(requests).stats.merged > 0
-
-
 def test_merged_groups_equal_solo_runs(tiny_parts, group_injector, merging):
     """Three gated request groups in one pass: each group's verdicts, skips
     and gate events equal its solo run's, lanes merge only within a group,
@@ -796,7 +760,7 @@ def test_merged_groups_equal_solo_runs(tiny_parts, group_injector, merging):
     requests = _every_ff(injector, sorted(rng.sample(range(first, last), 4)))
     groups = [rng.randrange(3) for _ in requests]
     gate_seeds = [f"merge:{g}" for g in range(3)]
-    grouped, gates = _gated_run(injector, None, requests, groups, gate_seeds, None)
+    grouped, gates = _gated_run(injector, None, requests, groups, gate_seeds)
     assert grouped.stats.merged > 0
     expected = naive_verdicts(injector, requests)
     skipped = set(grouped.skipped)
@@ -807,7 +771,7 @@ def test_merged_groups_equal_solo_runs(tiny_parts, group_injector, merging):
     for g in range(3):
         keys = [k for k, group in enumerate(groups) if group == g]
         solo, (solo_gate,) = _gated_run(
-            injector, None, [requests[k] for k in keys], None, [gate_seeds[g]], None
+            injector, None, [requests[k] for k in keys], None, [gate_seeds[g]]
         )
         assert gates[g].normalized_events() == solo_gate.normalized_events()
         assert {k for k in keys if k in skipped} == {keys[k] for k in solo.skipped}
@@ -815,14 +779,11 @@ def test_merged_groups_equal_solo_runs(tiny_parts, group_injector, merging):
     assert grouped.stats.lane_cycles == lane_cycles
 
 
-@pytest.mark.parametrize("check_interval, horizon", sorted(GATED_RUN_PINS, key=str))
-def test_gated_run_statistics_hold_with_merging(
-    tiny_parts, merging, check_interval, horizon
-):
-    """Merging leaves every pinned request-level statistic of a gated run
-    (the horizon run merges nothing)."""
-    stats = _assert_gated_run_pins(tiny_parts, check_interval, horizon)
-    assert (stats.merged > 0) == (horizon is None)
+@pytest.mark.parametrize("check_interval", sorted(GATED_RUN_PINS))
+def test_gated_run_statistics_hold_with_merging(tiny_parts, merging, check_interval):
+    """Merging leaves every pinned request-level statistic of a gated run."""
+    stats = _assert_gated_run_pins(tiny_parts, check_interval)
+    assert stats.merged > 0
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,8 @@ import pytest
 
 from repro.circuits import LIBRARY_CIRCUITS, build_workload_for, get_circuit
 from repro.features import CircuitGraph, FeatureExtractor, compute_circuit_stats
-from repro.features.extractor import ENGINES
+from repro.features.dynamic import extract_dynamic
+from repro.features.extractor import ALL_FEATURES
 from repro.features.structural import extract_structural
 from repro.features.synthesis import extract_synthesis
 from repro.netlist.levelize import sink_masks, source_masks
@@ -44,24 +45,28 @@ def test_stats_reference_covers_both_scc_kinds():
 
 
 def test_structural_features_identical_between_engines(tiny_mac):
-    graph = CircuitGraph(tiny_mac)
-    via_graph = extract_structural(tiny_mac, graph=graph)
+    reference = CircuitGraph(tiny_mac).stats()
+    via_graph = extract_structural(tiny_mac, stats=reference)
     via_vector = extract_structural(tiny_mac)
     assert via_graph == via_vector
-    assert extract_synthesis(tiny_mac, graph=graph) == extract_synthesis(tiny_mac)
+    assert extract_synthesis(tiny_mac, stats=reference) == extract_synthesis(tiny_mac)
 
 
 def test_feature_matrices_bit_identical(tiny_mac, tiny_golden):
-    matrices = {
-        engine: FeatureExtractor(tiny_mac, engine=engine).matrix(tiny_golden)
-        for engine in ENGINES
-    }
-    assert np.array_equal(matrices["vectorized"], matrices["networkx"])
-
-
-def test_extractor_rejects_unknown_engine(tiny_mac):
-    with pytest.raises(ValueError):
-        FeatureExtractor(tiny_mac, engine="graphblas")
+    """The extractor's matrix equals one assembled from the networkx
+    reference's quantities."""
+    reference = CircuitGraph(tiny_mac).stats()
+    structural = extract_structural(tiny_mac, stats=reference)
+    synthesis = extract_synthesis(tiny_mac, stats=reference)
+    dynamic = extract_dynamic(tiny_golden)
+    rows = [
+        {**structural[name], **synthesis[name], **dynamic[name]}
+        for name in reference.ff_names
+    ]
+    expected = np.array(
+        [[row[col] for col in ALL_FEATURES] for row in rows], dtype=np.float64
+    )
+    assert np.array_equal(FeatureExtractor(tiny_mac).matrix(tiny_golden), expected)
 
 
 def test_sink_masks_mirror_source_masks(counter_netlist):
