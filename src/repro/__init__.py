@@ -29,7 +29,7 @@ The package is organized bottom-up, mirroring the paper's flow (Fig. 1):
     ε-SVR + the future-work models; stratified CV, random+grid search,
     learning curves, the five paper metrics).
 ``repro.flow``
-    The end-to-end estimation flow and reporting.
+    The end-to-end estimation flow (the paper's Fig. 1) plus text rendering.
 ``repro.experiments``
     One runner per paper table/figure (Table I, Figs. 2-4) plus
     future-work, ablation and tuning extensions.

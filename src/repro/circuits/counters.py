@@ -7,13 +7,13 @@ circuits used throughout the test suite and examples.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..netlist.core import Netlist
-from ..synth.expr import And, Const, Expr, Mux, Not, Sig
+from ..synth.expr import And, Const, Expr, Not, Sig
 from ..synth.module import Module
 from ..synth.synthesis import synthesize
-from ..synth.wordlib import Word, add, const_word, eq_const, inc, mux_word, reduce_and
+from ..synth.wordlib import Word, const_word, eq_const, inc, mux_word, reduce_and
 
 __all__ = [
     "add_counter",

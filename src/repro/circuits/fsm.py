@@ -8,11 +8,11 @@ synthesis tool encodes an RTL ``case`` statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from ..netlist.core import Netlist
-from ..synth.expr import Expr, Mux, Or, Sig
+from ..synth.expr import Expr, Or, Sig
 from ..synth.module import Module
 from ..synth.synthesis import synthesize
 from ..synth.wordlib import Word, const_word, eq_const, mux_word, reduce_and

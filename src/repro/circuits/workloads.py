@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.core import Netlist
 from ..sim.testbench import GoldenTrace, LoopbackPath, ScheduleBuilder, Testbench
-from .crc import crc32_bytes, crc_bytes_msb_first
 
 __all__ = [
     "Workload",

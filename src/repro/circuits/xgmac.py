@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..netlist.core import Netlist
-from ..synth.expr import And, Const, Expr, Mux, Not, Or, Sig
+from ..synth.expr import And, Const, Mux, Not, Or, Sig
 from ..synth.module import Module
 from ..synth.synthesis import synthesize
 from ..synth.wordlib import (
@@ -46,7 +46,7 @@ from ..synth.wordlib import (
     reduce_and,
     resize,
 )
-from .counters import add_counter, add_saturating_counter
+from .counters import add_saturating_counter
 from .crc import crc32_update_word
 from .fifo import add_sync_fifo
 from .fsm import FSM

@@ -37,13 +37,12 @@ from typing import Dict, Iterable, Optional, Tuple
 from . import __version__
 from .campaigns.executor import CampaignEngine
 from .campaigns.spec import CampaignSpec, build_context
-from .circuits.library import LIBRARY_CIRCUITS, get_circuit
-from .circuits.workloads import Workload, build_workload_for, default_criterion
+from .circuits.library import LIBRARY_CIRCUITS
+from .circuits.workloads import default_criterion
 from .faultinjection.campaign import CampaignResult
 from .faultinjection.faults import canonical_fault_model
 from .features.dataset import Dataset
 from .features.extractor import build_dataset
-from .netlist.core import Netlist
 from .obs import get_telemetry
 
 __all__ = [
@@ -166,21 +165,6 @@ def transfer_presets(
 def default_cache_dir() -> Path:
     """Cache location: ``$REPRO_CACHE_DIR`` or ``.repro_cache`` in CWD."""
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-
-
-def build_workload(spec: DatasetSpec) -> Tuple[Netlist, Workload]:
-    """Synthesize the circuit and construct its registered workload."""
-    netlist = get_circuit(spec.circuit)
-    workload = build_workload_for(
-        spec.circuit,
-        netlist,
-        n_frames=spec.n_frames,
-        min_len=spec.min_len,
-        max_len=spec.max_len,
-        gap=spec.gap,
-        seed=spec.workload_seed,
-    )
-    return netlist, workload
 
 
 def generate_dataset(

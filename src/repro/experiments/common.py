@@ -13,7 +13,7 @@ set.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..ml.base import BaseEstimator
 from ..ml.ensemble import GradientBoostingRegressor, RandomForestRegressor

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..data import DatasetSpec, build_workload
+from ..campaigns.spec import CampaignSpec, build_context
+from ..data import DatasetSpec
 from ..features.dataset import Dataset
 from ..features.extended import extend_dataset
 from ..flow.textview import format_table
@@ -53,14 +54,14 @@ def run_extended_features(
     """Compare the paper feature set against paper + extended features.
 
     The dataset must carry its generation spec in ``meta['spec']`` (datasets
-    from :mod:`repro.data` do), so the workload can be re-run for the
-    net-level activity pass.
+    from :mod:`repro.data` do): the campaign context it describes supplies
+    the netlist and the golden run the net-level activity pass replays.
     """
     spec_dict = dataset.meta.get("spec")
     if not spec_dict:
         raise ValueError("dataset lacks meta['spec']; regenerate via repro.data")
-    netlist, workload = build_workload(DatasetSpec(**spec_dict))
-    enriched = extend_dataset(dataset, netlist, workload.testbench)
+    context = build_context(CampaignSpec.from_dataset_spec(DatasetSpec(**spec_dict)))
+    enriched = extend_dataset(dataset, context.netlist, context.ensure_golden())
 
     result = ExtendedFeaturesResult()
     cv = StratifiedRegressionKFold(n_splits=cv_folds, random_state=seed)

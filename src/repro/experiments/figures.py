@@ -22,7 +22,7 @@ import numpy as np
 
 from ..features.dataset import Dataset
 from ..flow.textview import ascii_series_plot, ascii_xy_plot, series_to_csv
-from ..ml.base import BaseEstimator, clone
+from ..ml.base import clone
 from ..ml.model_selection import (
     LearningCurveResult,
     StratifiedRegressionKFold,

@@ -7,8 +7,7 @@ and ranks every feature by permutation importance on the held-out split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from ..features.dataset import Dataset
 from ..flow.textview import format_table

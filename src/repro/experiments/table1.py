@@ -8,7 +8,7 @@ Linear Least Squares, k-NN and SVR models on the per-flip-flop FDR dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..features.dataset import Dataset
 from ..flow.textview import format_table

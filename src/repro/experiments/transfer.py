@@ -82,16 +82,6 @@ class TransferResult:
         ]
         return float(np.mean(values)) if values else float("nan")
 
-    def best_source(self, target: str) -> str:
-        """The training circuit that transfers best onto *target*."""
-        candidates = [a for a in self.circuits if a != target]
-        if not candidates:
-            raise ValueError(
-                f"no transfer sources for {target!r}: the matrix holds only "
-                f"{self.circuits}"
-            )
-        return max(candidates, key=lambda a: self.r2[a][target])
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -1,17 +1,15 @@
 """Feature/label dataset container.
 
 Couples the per-flip-flop feature matrix with the per-flip-flop FDR labels
-from a fault campaign, in a fixed flip-flop order, with CSV/JSON
+from a fault campaign, in a fixed flip-flop order, with JSON
 persistence.  This is the object handed to the ML layer.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -105,17 +103,6 @@ class Dataset:
 
     # --------------------------------------------------------- persistence
 
-    def to_csv(self) -> str:
-        """CSV with one row per flip-flop: name, features..., fdr."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["ff_name", *self.feature_names, "fdr"])
-        for i, name in enumerate(self.ff_names):
-            writer.writerow(
-                [name, *(repr(float(v)) for v in self.X[i]), repr(float(self.y[i]))]
-            )
-        return buffer.getvalue()
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -138,27 +125,4 @@ class Dataset:
             y=np.array(payload["y"], dtype=np.float64),
             groups=payload.get("groups", {}),
             meta=payload.get("meta", {}),
-        )
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Dataset":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header[0] != "ff_name" or header[-1] != "fdr":
-            raise ValueError("unrecognized dataset CSV header")
-        feature_names = header[1:-1]
-        ff_names: List[str] = []
-        rows: List[List[float]] = []
-        labels: List[float] = []
-        for row in reader:
-            if not row:
-                continue
-            ff_names.append(row[0])
-            rows.append([float(v) for v in row[1:-1]])
-            labels.append(float(row[-1]))
-        return cls(
-            ff_names=ff_names,
-            feature_names=feature_names,
-            X=np.array(rows, dtype=np.float64),
-            y=np.array(labels, dtype=np.float64),
         )

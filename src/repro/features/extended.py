@@ -21,17 +21,18 @@ flip-flop outputs:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..netlist.core import Netlist
+from ..netlist.levelize import sink_masks, source_masks
 from ..sim.activity import NetActivity, collect_net_activity
-from ..sim.testbench import Testbench
+from ..sim.testbench import GoldenTrace
 from .dataset import Dataset
-from .graph import CircuitGraph
+from .vectorized import _iter_bits
 
-__all__ = ["EXTENDED_FEATURES", "extract_extended", "extend_dataset"]
+__all__ = ["EXTENDED_FEATURES", "comb_cones", "extract_extended", "extend_dataset"]
 
 EXTENDED_FEATURES: Tuple[str, ...] = (
     "d_input_at_one",
@@ -41,29 +42,47 @@ EXTENDED_FEATURES: Tuple[str, ...] = (
 )
 
 
+def comb_cones(netlist: Netlist) -> Tuple[List[List[str]], List[List[str]]]:
+    """``(input_cones, output_cones)``: per flip-flop (``netlist.flip_flops()``
+    order), the combinational cells of its fan-in and fan-out cones.
+
+    A cell lies in flip-flop *i*'s input cone when its output net can reach
+    *i*'s D/RN pin (:func:`~repro.netlist.levelize.sink_masks`), and in its
+    output cone when *i*'s Q can reach the cell's output net
+    (:func:`~repro.netlist.levelize.source_masks`).  Tie cells are constant
+    drivers, not cone logic.  Cells are listed in netlist order.
+    """
+    net_ff_mask, _net_input_mask = source_masks(netlist)
+    ff_sink_mask, _out_sink_mask = sink_masks(netlist)
+    n_ff = len(netlist.flip_flops())
+    input_cones: List[List[str]] = [[] for _ in range(n_ff)]
+    output_cones: List[List[str]] = [[] for _ in range(n_ff)]
+    for cell in netlist.combinational_cells():
+        if cell.is_tie:
+            continue
+        out = cell.output_net()
+        for i in _iter_bits(ff_sink_mask.get(out, 0)):
+            input_cones[i].append(cell.name)
+        for i in _iter_bits(net_ff_mask.get(out, 0)):
+            output_cones[i].append(cell.name)
+    return input_cones, output_cones
+
+
 def extract_extended(
-    netlist: Netlist,
-    net_activity: Dict[str, NetActivity],
-    graph: CircuitGraph | None = None,
+    netlist: Netlist, net_activity: Dict[str, NetActivity]
 ) -> Dict[str, Dict[str, float]]:
     """Extended feature dict per flip-flop name."""
-    graph = graph if graph is not None else CircuitGraph(netlist)
+    input_cones, output_cones = comb_cones(netlist)
     features: Dict[str, Dict[str, float]] = {}
-    for name in graph.ff_names:
-        ff = netlist.cells[name]
-        d_net = ff.connections["D"]
-        d_activity = net_activity[d_net]
-        in_cone = graph.input_cones[name]
+    for ff, in_cone, out_cone in zip(netlist.flip_flops(), input_cones, output_cones):
+        d_activity = net_activity[ff.connections["D"]]
         cone_rates = [
-            net_activity[netlist.cells[c].output_net()].toggle_rate
-            for c in in_cone.comb_cells
+            net_activity[netlist.cells[c].output_net()].toggle_rate for c in in_cone
         ]
-        out_cone = graph.output_cones[name]
         fanout_probs = [
-            net_activity[netlist.cells[c].output_net()].at_one
-            for c in out_cone.comb_cells
+            net_activity[netlist.cells[c].output_net()].at_one for c in out_cone
         ]
-        features[name] = {
+        features[ff.name] = {
             "d_input_at_one": d_activity.at_one,
             "d_input_toggle_rate": d_activity.toggle_rate,
             "cone_avg_toggle_rate": float(np.mean(cone_rates)) if cone_rates else 0.0,
@@ -72,14 +91,14 @@ def extract_extended(
     return features
 
 
-def extend_dataset(dataset: Dataset, netlist: Netlist, testbench: Testbench) -> Dataset:
+def extend_dataset(dataset: Dataset, netlist: Netlist, golden: GoldenTrace) -> Dataset:
     """Append the four extended feature columns to a labelled dataset.
 
-    The net-level activity pass re-runs the workload once; rows keep the
+    The net-level activity pass replays the golden run once; rows keep the
     dataset's flip-flop order, and the new columns are registered under the
     ``extended`` feature group for ablations.
     """
-    net_activity = collect_net_activity(testbench)
+    net_activity = collect_net_activity(netlist, golden)
     extended = extract_extended(netlist, net_activity)
     new_columns = np.array(
         [[extended[name][col] for col in EXTENDED_FEATURES] for name in dataset.ff_names],

@@ -27,7 +27,7 @@ networkx is imported by the methods that use it, so importing this module
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from ..netlist.core import Cell, Netlist
 

@@ -1,14 +1,12 @@
-"""End-to-end FDR estimation flow and reporting (the paper's Fig. 1)."""
+"""End-to-end FDR estimation flow (the paper's Fig. 1) plus text rendering."""
 
 from .estimation import FdrEstimator, FlowReport, run_reference_flow
-from .report import generate_report
 from .textview import ascii_series_plot, ascii_xy_plot, format_table, series_to_csv
 
 __all__ = [
     "FdrEstimator",
     "FlowReport",
     "run_reference_flow",
-    "generate_report",
     "ascii_series_plot",
     "ascii_xy_plot",
     "format_table",

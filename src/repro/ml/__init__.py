@@ -24,7 +24,6 @@ from .mlp import MLPRegressor
 from .model_selection import (
     CrossValidationResult,
     FoldScore,
-    KFold,
     LearningCurveResult,
     StratifiedRegressionKFold,
     cross_validate,
@@ -71,7 +70,6 @@ __all__ = [
     "MLPRegressor",
     "CrossValidationResult",
     "FoldScore",
-    "KFold",
     "LearningCurveResult",
     "StratifiedRegressionKFold",
     "cross_validate",

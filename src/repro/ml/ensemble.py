@@ -148,12 +148,3 @@ class GradientBoostingRegressor(BaseEstimator):
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(X)
         return out
-
-    def staged_predict(self, X):
-        """Yield predictions after each boosting stage (for tuning plots)."""
-        self._check_fitted("trees_")
-        X = check_X(X)
-        out = np.full(X.shape[0], self.init_)
-        for tree in self.trees_:
-            out = out + self.learning_rate * tree.predict(X)
-            yield out.copy()

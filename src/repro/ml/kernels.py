@@ -8,7 +8,7 @@ ablation against the RBF results.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable
 
 import numpy as np
 

@@ -21,7 +21,6 @@ from .metrics import METRIC_FUNCTIONS, all_metrics
 
 __all__ = [
     "train_test_split",
-    "KFold",
     "StratifiedRegressionKFold",
     "FoldScore",
     "CrossValidationResult",
@@ -73,30 +72,6 @@ def _quantile_bins(y: np.ndarray, n_bins: int) -> np.ndarray:
     """Bin a continuous target into (at most) *n_bins* quantile bins."""
     quantiles = np.quantile(y, np.linspace(0, 1, n_bins + 1)[1:-1])
     return np.searchsorted(quantiles, y, side="right")
-
-
-class KFold:
-    """Plain shuffled k-fold splitter."""
-
-    def __init__(self, n_splits: int = 10, shuffle: bool = True, random_state: Optional[int] = None):
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X, y=None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = len(X)
-        if n < self.n_splits:
-            raise ValueError(f"cannot split {n} samples into {self.n_splits} folds")
-        indices = np.arange(n)
-        if self.shuffle:
-            np.random.default_rng(self.random_state).shuffle(indices)
-        folds = np.array_split(indices, self.n_splits)
-        for k in range(self.n_splits):
-            test = np.sort(folds[k])
-            train = np.sort(np.concatenate([folds[i] for i in range(self.n_splits) if i != k]))
-            yield train, test
 
 
 class StratifiedRegressionKFold:

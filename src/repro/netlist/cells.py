@@ -21,7 +21,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 __all__ = [
     "CellKind",
@@ -207,9 +207,6 @@ class CellLibrary:
 
     def get(self, name: str, default: CellType | None = None) -> CellType | None:
         return self.cell_types.get(name, default)
-
-    def sequential_types(self) -> Tuple[CellType, ...]:
-        return tuple(ct for ct in self if ct.is_sequential)
 
     def combinational_types(self) -> Tuple[CellType, ...]:
         return tuple(ct for ct in self if ct.kind == CellKind.COMBINATIONAL)

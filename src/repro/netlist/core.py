@@ -15,7 +15,7 @@ primary outputs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from .cells import DEFAULT_LIBRARY, CellKind, CellLibrary, CellType
 

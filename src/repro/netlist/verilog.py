@@ -14,7 +14,7 @@ is exactly what a synthesis tool emits for this library.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from .cells import CellLibrary, DEFAULT_LIBRARY
 from .core import Netlist, NetlistError

@@ -6,7 +6,7 @@ The package also holds the testbench framework and activity tracing.  See
 ``docs/simulators.md`` for when to use which engine.
 """
 
-from .activity import ActivityTrace, NetActivity, collect_net_activity, write_vcd
+from .activity import ActivityTrace, NetActivity, collect_net_activity
 from .compiled import CompiledSimulator
 from .event import ClockGenerator, EventDrivenSimulator
 from .logic import ONE, X, ZERO, broadcast, eval3, extract_lane, lane_mask, popcount
@@ -16,7 +16,6 @@ __all__ = [
     "ActivityTrace",
     "NetActivity",
     "collect_net_activity",
-    "write_vcd",
     "CompiledSimulator",
     "ClockGenerator",
     "EventDrivenSimulator",

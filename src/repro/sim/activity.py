@@ -1,4 +1,4 @@
-"""Signal-activity analysis and VCD export.
+"""Signal-activity analysis.
 
 The paper's *dynamic* features come from "simulating the gate-level netlist
 with the corresponding testbench and tracing the signal changes at the output
@@ -17,12 +17,13 @@ per-flip-flop quantities the paper defines from a recorded
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TextIO
+from typing import Dict, List
 
+from ..netlist.core import Netlist
 from .compiled import CompiledSimulator
-from .testbench import GoldenTrace, Testbench
+from .testbench import GoldenTrace
 
-__all__ = ["ActivityTrace", "NetActivity", "collect_net_activity", "write_vcd"]
+__all__ = ["ActivityTrace", "NetActivity", "collect_net_activity"]
 
 
 @dataclass
@@ -65,17 +66,6 @@ class ActivityTrace:
             n_cycles=trace.n_cycles,
         )
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Map flip-flop name to its three activity features."""
-        return {
-            name: {
-                "at_zero": self.at_zero[i],
-                "at_one": self.at_one[i],
-                "state_changes": float(self.state_changes[i]),
-            }
-            for i, name in enumerate(self.ff_names)
-        }
-
 
 @dataclass(frozen=True)
 class NetActivity:
@@ -85,37 +75,23 @@ class NetActivity:
     toggle_rate: float
 
 
-def collect_net_activity(testbench: Testbench) -> Dict[str, NetActivity]:
+def collect_net_activity(netlist: Netlist, golden: GoldenTrace) -> Dict[str, NetActivity]:
     """Per-net @1 ratios and toggle rates over a fault-free workload run.
 
     The flip-flop-level golden trace only records register outputs; this
-    pass re-runs the workload observing *every* net (including internal
-    combinational ones), which the extended feature set uses to estimate
-    signal probabilities in a flip-flop's fan-in cone.
+    pass replays the trace's applied inputs (loopback values included)
+    open loop and observes *every* net (including internal combinational
+    ones), which the extended feature set uses to estimate signal
+    probabilities in a flip-flop's fan-in cone.
     """
-    netlist = testbench.netlist
     sim = CompiledSimulator(netlist, n_lanes=1)
     sim.reset()
-    in_index = {n: i for i, n in enumerate(testbench.input_names)}
-    out_index = {n: i for i, n in enumerate(testbench.output_names)}
-    taps = {
-        id(path): [[0] * path.delay for _ in path.sources]
-        for path in testbench.loopbacks
-    }
     n_nets = len(sim.values)
     ones = [0] * n_nets
     toggles = [0] * n_nets
     previous = list(sim.values)
-    n_cycles = testbench.n_cycles
-    for cycle in range(n_cycles):
-        vector = testbench.schedule[cycle]
-        for path in testbench.loopbacks:
-            slots = taps[id(path)]
-            for i, dst in enumerate(path.targets):
-                bit = slots[i][cycle % path.delay]
-                k = in_index[dst]
-                vector = (vector & ~(1 << k)) | (bit << k)
-        for i, name in enumerate(testbench.input_names):
+    for vector in golden.applied_inputs:
+        for i, name in enumerate(golden.input_names):
             sim.set_input(name, (vector >> i) & 1)
         sim.eval_comb()
         values = sim.values
@@ -125,57 +101,9 @@ def collect_net_activity(testbench: Testbench) -> Dict[str, NetActivity]:
             if value != previous[idx]:
                 toggles[idx] += 1
                 previous[idx] = value
-        for path in testbench.loopbacks:
-            slots = taps[id(path)]
-            for i, src in enumerate(path.sources):
-                slots[i][cycle % path.delay] = sim.get_bit(src)
         sim.tick()
-    n = max(n_cycles, 1)
+    n = max(golden.n_cycles, 1)
     return {
         name: NetActivity(at_one=ones[idx] / n, toggle_rate=toggles[idx] / n)
         for name, idx in sim.net_index.items()
     }
-
-
-def _vcd_id(index: int) -> str:
-    """Compact printable VCD identifier for signal *index*."""
-    chars = []
-    index += 1
-    while index:
-        index, rem = divmod(index - 1, 94)
-        chars.append(chr(33 + rem))
-    return "".join(chars)
-
-
-def write_vcd(trace: GoldenTrace, stream: TextIO, timescale: str = "1 ns") -> None:
-    """Dump the flip-flop trajectory of a golden run as a VCD waveform.
-
-    Useful for eyeballing testbench behaviour in any standard waveform
-    viewer; one timestep per clock cycle.
-    """
-    stream.write(f"$timescale {timescale} $end\n")
-    stream.write("$scope module dut $end\n")
-    ids = {}
-    for i, name in enumerate(trace.ff_names):
-        ids[i] = _vcd_id(i)
-        safe = name.replace(" ", "_")
-        stream.write(f"$var reg 1 {ids[i]} {safe} $end\n")
-    stream.write("$upscope $end\n$enddefinitions $end\n")
-    previous = None
-    for cycle in range(trace.n_cycles + 1):
-        state = trace.ff_state[cycle]
-        if previous is None:
-            stream.write("#0\n$dumpvars\n")
-            for i in range(len(trace.ff_names)):
-                stream.write(f"{(state >> i) & 1}{ids[i]}\n")
-            stream.write("$end\n")
-        else:
-            changed = state ^ previous
-            if changed:
-                stream.write(f"#{cycle}\n")
-                while changed:
-                    low = changed & -changed
-                    i = low.bit_length() - 1
-                    stream.write(f"{(state >> i) & 1}{ids[i]}\n")
-                    changed ^= low
-        previous = state

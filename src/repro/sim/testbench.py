@@ -17,12 +17,11 @@ needs to replay a workload deterministically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..netlist.core import Netlist
 from .compiled import CompiledSimulator
-from .logic import lane_mask
 
 __all__ = ["ScheduleBuilder", "LoopbackPath", "GoldenTrace", "Testbench"]
 

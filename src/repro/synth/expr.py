@@ -19,7 +19,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Set, Tuple
 
 __all__ = ["Expr", "Const", "Sig", "Not", "And", "Or", "Xor", "Mux", "ZERO", "ONE"]
 

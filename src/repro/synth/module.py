@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from .expr import Const, Expr, Mux, Sig
+from .expr import Expr, Mux, Sig
 
 __all__ = ["Module", "RegSpec"]
 

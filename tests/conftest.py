@@ -12,7 +12,7 @@ import pytest
 
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.circuits import build_xgmac_workload, make_xgmac
-from repro.data import DATASET_PRESETS, get_dataset
+from repro.data import get_dataset
 from repro.features import build_dataset
 from repro.netlist import Netlist
 from repro.synth import Module, synthesize, wordlib

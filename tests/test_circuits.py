@@ -18,7 +18,7 @@ from repro.circuits import (
 from repro.circuits.fifo import add_sync_fifo
 from repro.circuits.fsm import FSM
 from repro.sim import CompiledSimulator
-from repro.synth import Module, Sig, synthesize
+from repro.synth import Module, synthesize
 from repro.synth.expr import Const
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import CompiledSimulator, lane_mask
-from repro.synth import Module, Sig, synthesize, wordlib
+from repro.synth import Module, Sig, synthesize
 
 
 def test_lanes_are_independent(counter_netlist):

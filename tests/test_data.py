@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.campaigns.spec import CampaignSpec, build_context
 from repro.circuits import LIBRARY_CIRCUITS
 from repro.circuits.generator import GENERATED_FF_COUNTS
 from repro.data import (
     DATASET_PRESETS,
     DATASET_SCHEMA_VERSION,
     DatasetSpec,
-    build_workload,
     circuit_preset,
     get_dataset,
 )
@@ -32,11 +32,11 @@ def test_cache_key_stability():
     assert a.cache_key() != c.cache_key()
 
 
-def test_build_workload():
-    netlist, workload = build_workload(DATASET_PRESETS["tiny"])
-    assert netlist.name == "xgmac_tiny"
-    assert workload.testbench.n_cycles > 0
-    assert workload.valid_nets == ["pkt_rx_val"]
+def test_build_context_from_dataset_spec():
+    context = build_context(CampaignSpec.from_dataset_spec(DATASET_PRESETS["tiny"]))
+    assert context.netlist.name == "xgmac_tiny"
+    assert context.workload.testbench.n_cycles > 0
+    assert context.workload.valid_nets == ["pkt_rx_val"]
 
 
 def test_get_dataset_generates_and_caches(tmp_path):
@@ -120,7 +120,7 @@ def test_corrupt_cache_regenerates(tmp_path):
 
 @pytest.mark.parametrize("circuit", LIBRARY_CIRCUITS)
 def test_library_circuit_dataset_generates_and_round_trips(circuit, tmp_path):
-    """Every library circuit: generate, cache, CSV/JSON round-trip."""
+    """Every library circuit: generate, cache, JSON round-trip."""
     spec = DatasetSpec(
         circuit=circuit, n_frames=2, min_len=2, max_len=3, gap=6, n_injections=4
     )
@@ -132,11 +132,9 @@ def test_library_circuit_dataset_generates_and_round_trips(circuit, tmp_path):
     # Cache hit returns the same content.
     again = get_dataset(spec=spec, cache_dir=tmp_path)
     assert (again.X == ds.X).all() and again.ff_names == ds.ff_names
-    # JSON round-trip preserves groups and meta; CSV preserves the matrix.
+    # JSON round-trip preserves groups and meta.
     restored = Dataset.from_json(ds.to_json())
     assert restored.groups == ds.groups and restored.meta == ds.meta
-    from_csv = Dataset.from_csv(ds.to_csv())
-    assert np.allclose(from_csv.X, ds.X) and np.allclose(from_csv.y, ds.y)
 
 
 def test_library_circuit_dataset_trains_end_to_end(tmp_path):

@@ -3,8 +3,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.netlist import DEFAULT_LIBRARY, Netlist
 from repro.sim import (

@@ -14,7 +14,6 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.__main__ import main as cli_main
-from repro.flow.report import generate_report
 
 TRANSFER_CIRCUITS = ["counter16", "fifo4x4", "crc32", "lfsr16"]
 
@@ -117,8 +116,6 @@ def test_transfer_matrix_complete(transfer_outcome):
             assert np.isfinite(result.r2[a][b])
             assert result.mae[a][b] >= 0.0
     assert np.isfinite(result.mean_transfer_r2())
-    best = result.best_source("crc32")
-    assert best in TRANSFER_CIRCUITS and best != "crc32"
 
 
 def test_transfer_text_and_json(transfer_outcome):
@@ -137,19 +134,6 @@ def test_transfer_deterministic(tiny_runner, transfer_outcome):
         ExperimentSpec.make("transfer", scale="tiny", seed=0, circuits=TRANSFER_CIRCUITS)
     )
     assert again.result.r2 == transfer_outcome.result.r2
-
-
-def test_report_renders_transfer_section(tiny_runner, transfer_outcome):
-    dataset = tiny_runner.context.dataset(preset="tiny")
-    report = generate_report(
-        dataset,
-        cv_folds=4,
-        curve_sizes=[0.5],
-        include_future_work=False,
-        transfer=transfer_outcome.result,
-    )
-    assert "## Cross-circuit transfer" in report
-    assert "Mean off-diagonal" in report
 
 
 def test_cli_transfer_command(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,9 @@
 """Tests for the extension capabilities: SET injection, error latency,
 net-level activity, and the extended feature set."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -95,8 +98,8 @@ def test_set_outside_trace_rejected(tiny_injector):
 # ------------------------------------------------------- net activity
 
 
-def test_net_activity_shapes(tiny_mac, tiny_workload, tiny_golden):
-    activity = collect_net_activity(tiny_workload.testbench)
+def test_net_activity_shapes(tiny_mac, tiny_golden):
+    activity = collect_net_activity(tiny_mac, tiny_golden)
     assert set(activity) == set(tiny_mac.nets)
     for stats in activity.values():
         assert 0.0 <= stats.at_one <= 1.0
@@ -110,8 +113,29 @@ def test_net_activity_shapes(tiny_mac, tiny_workload, tiny_golden):
         assert activity[q_net].at_one == pytest.approx(dynamic[ff]["at_one"], abs=0.05)
 
 
-def test_extract_extended_features(tiny_mac, tiny_workload):
-    activity = collect_net_activity(tiny_workload.testbench)
+#: sha256 over every net's ``(at_one, toggle_rate)`` on the tiny MAC workload,
+#: recorded from a closed-loop re-simulation that emulated the loopback
+#: itself; the open-loop replay of ``applied_inputs`` must reproduce it.
+NET_ACTIVITY_DIGEST = "98d2bc33bc8a2e9dd0a5ac86db0956fb9942d44657be02ec9059aa2d6a16efbe"
+
+
+def test_net_activity_replay_is_pinned(tiny_mac, tiny_workload, tiny_golden):
+    assert tiny_workload.testbench.loopbacks
+    activity = collect_net_activity(tiny_mac, tiny_golden)
+    rows = sorted((net, a.at_one, a.toggle_rate) for net, a in activity.items())
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == NET_ACTIVITY_DIGEST
+    # Every flip-flop's Q net replays the golden trajectory exactly.
+    n = tiny_golden.n_cycles
+    for i, ff in enumerate(tiny_mac.flip_flops()):
+        bits = [tiny_golden.ff_bit(i, c) for c in range(n)]
+        toggles = sum(bits[c] != bits[c - 1] for c in range(1, n))
+        q = activity[ff.output_net()]
+        assert (q.at_one, q.toggle_rate) == (sum(bits) / n, toggles / n), ff.name
+
+
+def test_extract_extended_features(tiny_mac, tiny_golden):
+    activity = collect_net_activity(tiny_mac, tiny_golden)
     features = extract_extended(tiny_mac, activity)
     assert set(features) == set(tiny_mac.flip_flop_names())
     for row in features.values():
@@ -119,8 +143,8 @@ def test_extract_extended_features(tiny_mac, tiny_workload):
         assert all(0.0 <= v <= 1.0 for v in row.values())
 
 
-def test_extend_dataset(tiny_dataset, tiny_mac, tiny_workload):
-    enriched = extend_dataset(tiny_dataset, tiny_mac, tiny_workload.testbench)
+def test_extend_dataset(tiny_dataset, tiny_mac, tiny_golden):
+    enriched = extend_dataset(tiny_dataset, tiny_mac, tiny_golden)
     assert enriched.n_features == tiny_dataset.n_features + len(EXTENDED_FEATURES)
     assert enriched.groups["extended"] == list(EXTENDED_FEATURES)
     assert np.allclose(enriched.X[:, : tiny_dataset.n_features], tiny_dataset.X)

@@ -21,7 +21,7 @@ from repro.faultinjection import (
 from repro.faultinjection.injector import BatchOutcome, FaultInjector
 from repro.netlist import Netlist
 from repro.sim import ScheduleBuilder, Testbench
-from repro.synth import Module, Sig, synthesize, wordlib
+from repro.synth import Module, synthesize, wordlib
 
 
 # ------------------------------------------------------------- fdr stats

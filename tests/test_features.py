@@ -9,13 +9,12 @@ from repro.features import (
     FEATURE_GROUPS,
     CircuitGraph,
     FeatureExtractor,
-    build_dataset,
     bus_membership,
     extract_dynamic,
     extract_structural,
     extract_synthesis,
 )
-from repro.synth import Module, Sig, synthesize, wordlib
+from repro.synth import Module, Sig, synthesize
 
 
 def test_bus_membership_from_names():
@@ -176,13 +175,6 @@ def test_dataset_json_round_trip(tiny_dataset):
     assert np.allclose(restored.X, tiny_dataset.X)
     assert np.allclose(restored.y, tiny_dataset.y)
     assert restored.groups == tiny_dataset.groups
-
-
-def test_dataset_csv_round_trip(tiny_dataset):
-    restored = Dataset.from_csv(tiny_dataset.to_csv())
-    assert restored.ff_names == tiny_dataset.ff_names
-    assert np.allclose(restored.X, tiny_dataset.X)
-    assert np.allclose(restored.y, tiny_dataset.y)
 
 
 def test_dataset_shape_validation():

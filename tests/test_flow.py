@@ -110,36 +110,3 @@ def test_series_to_csv():
     assert lines[0] == "x,y"
     assert lines[1] == "1,0.5"
     assert lines[2] == "2,"
-
-
-def test_generate_report(tiny_dataset):
-    from repro.flow import generate_report
-
-    text = generate_report(
-        tiny_dataset,
-        cv_folds=3,
-        curve_sizes=[0.2, 0.5],
-        include_future_work=False,
-    )
-    assert text.startswith("# Reproduction report")
-    assert "## Table I" in text
-    for figure in ("fig2", "fig3", "fig4"):
-        assert f"## {figure}" in text
-    assert "Shape holds" in text
-    assert "Campaign economics" in text
-    assert "Engine cost" not in text
-
-
-def test_generate_report_with_campaign_economics(tiny_dataset, tiny_campaign):
-    from repro.flow import generate_report
-
-    campaign = tiny_campaign
-    text = generate_report(
-        tiny_dataset,
-        cv_folds=3,
-        curve_sizes=[0.5],
-        include_future_work=False,
-        campaign=campaign,
-    )
-    assert "Engine cost" in text
-    assert f"{campaign.n_forward_runs} forward simulations" in text

@@ -14,7 +14,6 @@ import pytest
 from repro.circuits.generator import (
     GENERATED_CIRCUITS,
     GENERATED_FF_COUNTS,
-    GENERATED_PRESETS,
     make_mesh_mac,
     make_pipeline,
     mesh_ff_count,

@@ -3,8 +3,8 @@
 scipy is the test suite's reference for the normal quantile and networkx
 backs the reference feature quantities (``CircuitGraph(netlist).stats()``);
 together they cost about 90 MB and a second per process.  This guard runs
-the default flow in a fresh interpreter and checks that neither library was
-loaded.
+the default flow and the extended-features experiment in a fresh interpreter
+and checks that neither library was loaded.
 
 The same interpreter runs a two-worker campaign: the warm cache keeps its
 golden traces as plain lists, so no campaign loads
@@ -30,11 +30,13 @@ import repro.experiments.table1
 from multiprocessing import resource_tracker
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.data import get_dataset
+from repro.experiments.extended_features import run_extended_features
 from repro.experiments.table1 import run_table1
 
 with tempfile.TemporaryDirectory() as cache:
     dataset = get_dataset("tiny", cache_dir=Path(cache))
 run_table1(dataset, seed=0)
+run_extended_features(dataset, cv_folds=3, seed=0)
 spec = CampaignSpec(
     circuit="xgmac_tiny", n_frames=4, min_len=2, max_len=3, gap=12,
     workload_seed=7, n_injections=8, seed=5, schedule="stream",

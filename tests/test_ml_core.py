@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.ml import (
     LinearLeastSquares,
     MinMaxScaler,
-    Pipeline,
     RidgeRegression,
     StandardScaler,
     all_metrics,

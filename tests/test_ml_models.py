@@ -419,14 +419,6 @@ def test_gradient_boosting_training_loss_decreases(regression_data):
     assert r2_score(y, gbr.predict(X)) > 0.9
 
 
-def test_gradient_boosting_staged_predict(regression_data):
-    X, y = regression_data
-    gbr = GradientBoostingRegressor(n_estimators=20, random_state=0).fit(X, y)
-    stages = list(gbr.staged_predict(X[:5]))
-    assert len(stages) == 20
-    assert np.allclose(stages[-1], gbr.predict(X[:5]))
-
-
 def test_gradient_boosting_subsample(regression_data):
     X, y = regression_data
     gbr = GradientBoostingRegressor(n_estimators=30, subsample=0.5, random_state=0).fit(X, y)

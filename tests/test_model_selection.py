@@ -6,7 +6,6 @@ import pytest
 from repro.ml import (
     Choice,
     GridSearchCV,
-    KFold,
     KNeighborsRegressor,
     LinearLeastSquares,
     LogUniform,
@@ -50,21 +49,6 @@ def test_train_test_split_validation(regression_data):
         train_test_split(X, y, 0.0)
     with pytest.raises(ValueError):
         train_test_split(X, y, 1.0)
-
-
-def test_kfold_partitions(regression_data):
-    X, y = regression_data
-    kf = KFold(n_splits=5, random_state=0)
-    seen = []
-    for train, test in kf.split(X):
-        assert set(train).isdisjoint(test)
-        assert len(train) + len(test) == len(X)
-        seen.extend(test)
-    assert sorted(seen) == list(range(len(X)))
-    with pytest.raises(ValueError):
-        KFold(1)
-    with pytest.raises(ValueError):
-        list(KFold(10).split(np.zeros((5, 1))))
 
 
 def test_stratified_kfold_covers_everything(regression_data):

@@ -19,7 +19,6 @@ The load-bearing guarantees:
 
 import hashlib
 import json
-import math
 from dataclasses import replace
 
 import pytest

@@ -17,7 +17,7 @@ from repro.netlist import DEFAULT_LIBRARY
 from repro.sim import CompiledSimulator, eval3, lane_mask
 from repro.sim.logic import X, broadcast, extract_lane, popcount
 from repro.synth import Module, Sig, synthesize
-from repro.synth.expr import And, Const, Expr, Mux, Not, Or, Xor
+from repro.synth.expr import And, Const, Mux, Not, Or, Xor
 
 from tests.test_wordlib import evaluate
 

@@ -4,8 +4,6 @@ The key property: a synthesized netlist, simulated cycle by cycle, behaves
 exactly like the RTL module's next-state semantics interpreted directly.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +11,8 @@ from hypothesis import strategies as st
 from repro.netlist import NetlistError
 from repro.sim import CompiledSimulator
 from repro.synth import Module, Sig, synthesize, wordlib
-from repro.synth.expr import And, Const, Mux, Not, Or, Xor
+from repro.synth.expr import And, Const, Xor
 from repro.synth.synthesis import DriveRules
-
-from tests.test_wordlib import evaluate  # expression interpreter
 
 
 def test_simple_counter_behaviour(counter_netlist):

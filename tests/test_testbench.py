@@ -1,16 +1,12 @@
 """Testbench framework tests: schedules, loopback, golden traces, activity."""
 
-import io
-
 import pytest
 
 from repro.sim import (
     ActivityTrace,
-    GoldenTrace,
     LoopbackPath,
     ScheduleBuilder,
     Testbench,
-    write_vcd,
 )
 
 
@@ -76,13 +72,6 @@ def test_activity_ratios_sum_to_one(tiny_golden):
         assert 0.0 <= z <= 1.0
 
 
-def test_activity_as_dict(tiny_golden):
-    activity = ActivityTrace.from_golden(tiny_golden)
-    table = activity.as_dict()
-    name = tiny_golden.ff_names[0]
-    assert set(table[name]) == {"at_zero", "at_one", "state_changes"}
-
-
 def test_loopback_targets_must_be_inputs(tiny_mac):
     with pytest.raises(ValueError, match="not a primary output"):
         Testbench(
@@ -98,14 +87,3 @@ def test_golden_run_is_deterministic(tiny_workload):
     assert a.ff_state == b.ff_state
     assert a.outputs == b.outputs
     assert a.applied_inputs == b.applied_inputs
-
-
-def test_vcd_export(tiny_golden):
-    buffer = io.StringIO()
-    write_vcd(tiny_golden, buffer)
-    text = buffer.getvalue()
-    assert text.startswith("$timescale")
-    assert "$enddefinitions" in text
-    assert "#0" in text
-    # Every flip-flop is declared.
-    assert text.count("$var reg 1 ") == len(tiny_golden.ff_names)

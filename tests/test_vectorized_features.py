@@ -14,6 +14,7 @@ import pytest
 from repro.circuits import LIBRARY_CIRCUITS, build_workload_for, get_circuit
 from repro.features import CircuitGraph, FeatureExtractor, compute_circuit_stats
 from repro.features.dynamic import extract_dynamic
+from repro.features.extended import comb_cones
 from repro.features.extractor import ALL_FEATURES
 from repro.features.structural import extract_structural
 from repro.features.synthesis import extract_synthesis
@@ -27,10 +28,16 @@ STATS_CIRCUITS = LIBRARY_CIRCUITS + ["xgmac_tiny", "mesh_tiny"]
 def test_stats_match_networkx_reference(circuit):
     """Every quantity, every flip-flop, every library circuit: exact match."""
     netlist = get_circuit(circuit)
+    graph = CircuitGraph(netlist)
     vectorized = asdict(compute_circuit_stats(netlist))
-    reference = asdict(CircuitGraph(netlist).stats())
+    reference = asdict(graph.stats())
     for key in reference:
         assert vectorized[key] == reference[key], f"{circuit}: {key} diverges"
+    # The extended features' mask cones are the traversal's cell sets.
+    input_cones, output_cones = comb_cones(netlist)
+    for name, in_cone, out_cone in zip(graph.ff_names, input_cones, output_cones):
+        assert set(in_cone) == graph.input_cones[name].comb_cells, f"{circuit}: {name}"
+        assert set(out_cone) == graph.output_cones[name].comb_cells, f"{circuit}: {name}"
 
 
 def test_stats_reference_covers_both_scc_kinds():

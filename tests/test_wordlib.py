@@ -1,7 +1,5 @@
 """Word-level operator tests: expression results vs integer arithmetic."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
