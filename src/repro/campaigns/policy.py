@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..faultinjection.fdr import wilson_interval
@@ -192,7 +193,22 @@ class SequentialWilsonPolicy(SamplingPolicy):
     def _cap(self, window_len: int) -> int:
         return max(1, min(MAX_BUDGET_FACTOR * self.nominal, window_len))
 
+    @cached_property
+    def _retired_memo(self) -> Dict[Tuple[int, int], bool]:
+        return {}
+
     def retired(self, n: int, k: int) -> bool:
+        """The stopping rule, memoized per ``(n, k)``: the shard gate
+        asks before every activation, and a tally repeats across them."""
+        memo = self._retired_memo
+        verdict = memo.get((n, k))
+        if verdict is None:
+            verdict = memo[n, k] = self._stopping_rule(n, k)
+        return verdict
+
+    def _stopping_rule(self, n: int, k: int) -> bool:
+        """Whether a flip-flop with tally ``(n, k)`` may stop: at least the
+        minimum draws and a Wilson half-width at or under the target."""
         if n < self._min_injections():
             return False
         if self.target_margin <= 0.0:

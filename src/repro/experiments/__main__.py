@@ -213,7 +213,8 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         f"checked {summary.n_seeds} circuits: {summary.n_comparisons} engine-vs-oracle "
         f"comparisons, {summary.n_injections_checked} injector replays "
         f"({summary.n_merged} scheduled requests rode a merged lane, over both "
-        f"scheduler runs) "
+        f"scheduler runs; {summary.n_nonrelevant} struck a non-relevant "
+        f"flip-flop) "
         f"in {summary.wall_seconds:.2f}s "
         f"({summary.comparisons_per_second():,.0f} comparisons/s)"
     )
@@ -227,6 +228,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
             "n_injections_checked": summary.n_injections_checked,
             "n_generated_checked": n_generated_checked,
             "n_merged": summary.n_merged,
+            "n_nonrelevant": summary.n_nonrelevant,
             "wall_seconds": summary.wall_seconds,
             "failing_seeds": [r.seed for r in summary.failing],
         }

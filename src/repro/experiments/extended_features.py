@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..campaigns.spec import CampaignSpec, build_context
+from ..campaigns.spec import CampaignSpec
+from ..campaigns.warmstart import warm_context
 from ..data import DatasetSpec
 from ..features.dataset import Dataset
 from ..features.extended import extend_dataset
@@ -55,12 +56,14 @@ def run_extended_features(
 
     The dataset must carry its generation spec in ``meta['spec']`` (datasets
     from :mod:`repro.data` do): the campaign context it describes supplies
-    the netlist and the golden run the net-level activity pass replays.
+    the netlist and the golden run the net-level activity pass replays.  It
+    comes from the process-wide warm cache, so a dataset generated in this
+    process reuses the circuit and golden trace its campaign built.
     """
     spec_dict = dataset.meta.get("spec")
     if not spec_dict:
         raise ValueError("dataset lacks meta['spec']; regenerate via repro.data")
-    context = build_context(CampaignSpec.from_dataset_spec(DatasetSpec(**spec_dict)))
+    context, _hit = warm_context(CampaignSpec.from_dataset_spec(DatasetSpec(**spec_dict)))
     enriched = extend_dataset(dataset, context.netlist, context.ensure_golden())
 
     result = ExtendedFeaturesResult()

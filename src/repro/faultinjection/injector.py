@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..netlist.core import Netlist
 from ..obs import get_telemetry
 from ..sim.compiled import CompiledSimulator
@@ -49,6 +51,20 @@ from .classify import FailureCriterion
 from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_model
 
 __all__ = ["FaultInjector", "BatchOutcome", "relevant_flip_flops"]
+
+
+def _golden_bits_table(
+    ff_state: Sequence[int], n_ffs: int, ff_indices: Sequence[int]
+) -> List[bytes]:
+    """The bits *ff_indices* of every packed state in *ff_state*, one
+    ``bytes`` row of 0/1 values per state, unpacked in one NumPy pass."""
+    n_bytes = (n_ffs + 7) // 8
+    packed = np.frombuffer(
+        b"".join(state.to_bytes(n_bytes, "little") for state in ff_state),
+        dtype=np.uint8,
+    ).reshape(len(ff_state), n_bytes)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
+    return [row.tobytes() for row in bits[:, np.asarray(ff_indices, dtype=np.intp)]]
 
 
 def relevant_flip_flops(netlist: Netlist, observable_nets: Sequence[str]) -> Set[str]:
@@ -204,10 +220,14 @@ class FaultInjector:
             if ff.name in relevant:
                 q_idx = self.sim.net_index[ff.output_net()]
                 self._relevant_pairs.append((q_idx, ff_index))
-        # Per-cycle golden state repacked to the relevant-pair bit order,
-        # filled on first use: the divergence check used to re-extract each
-        # relevant bit from the full packed state on every call.
-        self._relevant_golden: List[Optional[int]] = [None] * (golden.n_cycles + 1)
+        #: ``relevant_bits[c][k]`` (0 or 1) is the golden Q of the *k*-th
+        #: relevant flip-flop at the start of cycle *c*: one ``bytes`` row
+        #: per ``golden.ff_state`` entry, in relevant-pair order.
+        self.relevant_bits: List[bytes] = _golden_bits_table(
+            golden.ff_state,
+            len(self.sim.flip_flops),
+            [ff_index for _q_idx, ff_index in self._relevant_pairs],
+        )
         # Resolved SET propagation order (built on first run_set_batch).
         self._set_plan: Optional[List[Tuple[Callable, int, Tuple[int, ...]]]] = None
 
@@ -227,17 +247,6 @@ class FaultInjector:
     def criterion_data_pairs(self) -> List[Tuple[int, int]]:
         """Bound criterion payload pairs ``(value_idx, golden_bit)``."""
         return self._criterion.data_pairs
-
-    def relevant_golden(self, cycle: int) -> int:
-        """Golden state at *cycle*, packed in relevant-pair order (cached)."""
-        packed = self._relevant_golden[cycle]
-        if packed is None:
-            state = self.golden.ff_state[cycle]
-            packed = 0
-            for k, (_q_idx, ff_index) in enumerate(self._relevant_pairs):
-                packed |= ((state >> ff_index) & 1) << k
-            self._relevant_golden[cycle] = packed
-        return packed
 
     def ff_index(self, ff_name: str) -> int:
         """Index of a flip-flop by instance name (lane/state ordering)."""
@@ -495,10 +504,10 @@ class FaultInjector:
         at the start of *cycle*."""
         diff = 0
         values = self.sim.values
-        grel = self.relevant_golden(cycle)
+        grel = self.relevant_bits[cycle]
         # Early-exit once every lane diverged, probing every 32 flip-flops.
         for k, (q_idx, _ff_index) in enumerate(self._relevant_pairs):
-            golden = mask if (grel >> k) & 1 else 0
+            golden = mask if grel[k] else 0
             diff |= values[q_idx] ^ golden
             if (k & 31) == 31 and diff & mask == mask:
                 return diff

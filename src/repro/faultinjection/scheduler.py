@@ -25,10 +25,13 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   width, and live lanes are usually a small fraction of the cap;
 * **observed-cone settle** — every simulated cycle evaluates only the
   combinational fan-in of the criterion nets, the loopback tap sources and
-  the D/RN pins of the relevant flip-flops, then runs the plain clock
-  edge.  The remaining cells feed only flip-flops outside the relevant
-  set, which no verdict reads, so those flip-flops may hold stale values
-  during a scheduled pass.
+  the D/RN pins of the relevant flip-flops.  That fan-in reads no Q row
+  outside the relevant set, so those rows are dead in a scheduled pass:
+  the activation loader writes, and the clock edge latches, only the
+  relevant flip-flops, and the other rows hold stale values.  They stay
+  live in :meth:`~repro.faultinjection.injector.FaultInjector.run_batch`,
+  which loads and latches every flip-flop.  Retirement probes read the
+  injector's per-cycle golden-bits table and walk the relevant rows in C.
 
 * **request groups** — one pass may carry several independent request
   groups (the gate shards of a sampling round).  Each group keeps exactly
@@ -296,8 +299,7 @@ class AdaptiveScheduler:
         self.injector = injector
         self.max_lanes = max_lanes
         self.stats = SchedulerStats()
-        self._load_fn = None
-        # Value rows of the relevant flip-flops, in relevant_golden bit order.
+        # Value rows of the relevant flip-flops, in relevant_bits order.
         self._relevant_rows = [q_idx for q_idx, _ff in injector._relevant_pairs]
         self.merge_min_due = len(self._relevant_rows) + 1
 
@@ -386,6 +388,16 @@ class AdaptiveScheduler:
 
     # ---------------------------------------------------------- cycle path
 
+    def _cached(self, attr: str, build: Callable[[], Callable]) -> Callable:
+        """The generated function cached on the injector as *attr*, built on
+        first use: each depends only on the (netlist, criterion, testbench)
+        binding, so every scheduler of the injector shares it."""
+        fn = getattr(self.injector, attr, None)
+        if fn is None:
+            fn = build()
+            setattr(self.injector, attr, fn)
+        return fn
+
     def _observed_settle(self) -> Callable[[List[int], int, list], None]:
         """The settle of every scheduled cycle: only the cells a verdict can read.
 
@@ -393,12 +405,11 @@ class AdaptiveScheduler:
         loopback tap sources and the D/RN pins of the relevant flip-flops.
         Every other cell feeds only flip-flops outside the relevant set,
         whose values no verdict, probe or relevant cone reads, so they are
-        left stale.  Cached on the injector, since it depends only on the
-        (netlist, criterion, testbench) binding; on a circuit whose every
-        flip-flop is relevant this is the simulator's own cached ``_eval``.
+        left stale.  On a circuit whose every flip-flop is relevant this is
+        the simulator's own cached ``_eval``.
         """
-        settle = getattr(self.injector, "_cached_observed_settle", None)
-        if settle is None:
+
+        def build():
             injector = self.injector
             sim = injector.sim
             roots = [idx for idx, _bit in injector.criterion_valid_pairs]
@@ -408,33 +419,47 @@ class AdaptiveScheduler:
                 roots.append(sim._ff_d[ff_index])
                 if sim._ff_rn[ff_index] is not None:
                     roots.append(sim._ff_rn[ff_index])
-            settle = sim.compile_cone_eval(roots)
-            injector._cached_observed_settle = settle
-        return settle
+            return sim.compile_cone_eval(roots)
 
-    def _activation_loader(self):
-        """Generated per-lane golden-state loader (one statement per flip-flop).
+        return self._cached("_cached_observed_settle", build)
 
-        ``_load(v, am, nam, gs)`` sets, on the lanes selected by the
-        lane vectors ``am``/``nam = am ^ mask``, every flip-flop Q to its
-        golden bit from the packed state ``gs`` — the scatter half of
-        mixed-cycle activation, without a per-flip-flop Python loop.
+    def _relevant_tick(self) -> Callable[[List[int], int], None]:
+        """The clock edge of every scheduled cycle: latches the relevant
+        flip-flops only.  The other Q rows are dead in a scheduled pass (no
+        cone the observed settle evaluates reads them), so they are never
+        latched; on a circuit whose every flip-flop is relevant this is the
+        simulator's own tick."""
+        sim = self.injector.sim
+        ffs = [ff_index for _q_idx, ff_index in self.injector._relevant_pairs]
+        return self._cached(
+            "_cached_relevant_tick", lambda: sim.compile_partial_tick(ffs)
+        )
+
+    def _activation_loader(self) -> Callable[[List[int], int, int, bytes], None]:
+        """Generated per-lane golden-state loader (one statement per
+        relevant flip-flop).
+
+        ``_load(v, am, nam, g)`` sets, on the lanes selected by the lane
+        vectors ``am``/``nam = am ^ mask``, the Q of the *k*-th relevant
+        flip-flop to its golden bit ``g[k]`` (a row of
+        :attr:`~repro.faultinjection.injector.FaultInjector.relevant_bits`)
+        — the scatter half of mixed-cycle activation, without a
+        per-flip-flop Python loop.  Non-relevant Q rows are dead in a
+        scheduled pass, so they are not loaded.
         """
-        if self._load_fn is None:
-            load_fn = getattr(self.injector, "_cached_activation_loader", None)
-            if load_fn is None:
-                sim = self.injector.sim
-                body = [
-                    f"v[{q}] = (v[{q}] & nam) | (am if (gs >> {i}) & 1 else 0)"
-                    for i, q in enumerate(sim._ff_q)
-                ]
-                codes = compile_chunked(
-                    "_load", "v, am, nam, gs", body, f"<repro-load:{sim.netlist.name}>"
-                )
-                load_fn = bind_chunks(codes, "_load")
-                self.injector._cached_activation_loader = load_fn
-            self._load_fn = load_fn
-        return self._load_fn
+
+        def build():
+            sim = self.injector.sim
+            body = [
+                f"v[{q}] = (v[{q}] & nam) | (am if g[{k}] else 0)"
+                for k, q in enumerate(self._relevant_rows)
+            ]
+            codes = compile_chunked(
+                "_load", "v, am, nam, g", body, f"<repro-load:{sim.netlist.name}>"
+            )
+            return bind_chunks(codes, "_load")
+
+        return self._cached("_cached_activation_loader", build)
 
     def _run_pass(
         self,
@@ -494,6 +519,8 @@ class AdaptiveScheduler:
         fallback_cells = sim._fallback_cells
         settle = self._observed_settle()
         load_fn = self._activation_loader()
+        tick = self._relevant_tick()
+        relevant_bits = injector.relevant_bits
 
         slots: List[List[int]] = [[0] * tap.delay for tap in taps]
         lane_key: List[Optional[int]] = [None] * width
@@ -695,7 +722,7 @@ class AdaptiveScheduler:
                 stats.refills += (activated & ever_used).bit_count()
                 ever_used |= activated
                 nam = activated ^ mask
-                load_fn(values, activated, nam, golden.ff_state[c])
+                load_fn(values, activated, nam, relevant_bits[c])
                 for lane in act_lanes:
                     ff_index = ff_of[lane_key[lane]]
                     if bound is None:
@@ -756,7 +783,7 @@ class AdaptiveScheduler:
 
             for t, tap in enumerate(taps):
                 slots[t][c % tap.delay] = values[tap.source_value_idx]
-            sim.tick()
+            tick(values, mask)
 
             c += 1
             stats.cycles_simulated += 1
@@ -812,7 +839,7 @@ class AdaptiveScheduler:
         position (see :meth:`CompiledSimulator.diverging_row_planes`).
         """
         sim = self.injector.sim
-        golden = self.injector.relevant_golden(cycle)
+        golden = self.injector.relevant_bits[cycle]
         if locate:
             return sim.diverging_row_planes(self._relevant_rows, golden, active_vec)
         return sim.diverging_rows(self._relevant_rows, golden, active_vec), 0, []

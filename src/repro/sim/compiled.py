@@ -22,8 +22,13 @@ Clock handling is cycle-based: clock nets are forced to 0 and every call to
 from __future__ import annotations
 
 import weakref
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import and_, itemgetter, or_, rshift, xor
 from types import CodeType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..netlist.core import Cell, Netlist
 from .logic import broadcast, lane_mask
@@ -37,6 +42,10 @@ __all__ = [
     "cached_eval_fn",
     "compile_chunked",
 ]
+
+#: ``bytes.translate`` table that swaps 0 and 1: the golden-zero selector of
+#: a golden-bits row (:meth:`CompiledSimulator.diverging_rows`).
+_INVERT_BITS = bytes([1, 0]) + bytes(254)
 
 # Expression templates per library cell type; {o} output index, {i0}.. inputs.
 #
@@ -278,6 +287,7 @@ class CompiledSimulator:
             for ff in self.flip_flops
         ]
         self._clock_nets = [self.net_index[c] for c in netlist.clocks if c in self.net_index]
+        self._out_rows: List[int] = [self.net_index[name] for name in netlist.outputs]
 
         self._fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]] = []
         self._eval_fn = self._compile_eval()
@@ -288,26 +298,32 @@ class CompiledSimulator:
     def _compile_eval(self) -> Callable[[List[int], int, list], None]:
         return cached_eval_fn(self.netlist, self.net_index, self._fallback_cells)
 
-    def _build_tick(self) -> Tuple[CodeType, ...]:
-        """The tick: latch every flip-flop's D (gated by sync RN) into its Q.
+    def _build_tick(self, ffs: Optional[Sequence[int]] = None) -> Tuple[CodeType, ...]:
+        """The tick: latch the D (gated by sync RN) of every flip-flop in
+        *ffs* (flip-flop indices; default all) into its Q.
 
         Every D/RN pin must be read before any Q it names is written.  A
-        flip-flop whose Q no D/RN pin reads is latched in place; the others'
-        next states are staged in the namespace list ``_t`` and written
-        after the last read, so the order holds across chunk boundaries.
+        flip-flop whose Q no latched D/RN pin reads is latched in place; the
+        others' next states are staged in the namespace list ``_t`` and
+        written after the last read, so the order holds across chunk
+        boundaries.
         """
-        read_nets = set(self._ff_d) | {rn for rn in self._ff_rn if rn is not None}
+        filename = f"<repro-{'tick' if ffs is None else 'partial-tick'}:{self.netlist.name}>"
+        if ffs is None:
+            ffs = range(len(self._ff_q))
+        read_nets = {self._ff_d[i] for i in ffs}
+        read_nets |= {self._ff_rn[i] for i in ffs if self._ff_rn[i] is not None}
         staged: List[str] = []
         direct: List[str] = []
         commits: List[str] = []
-        for q, d, rn in zip(self._ff_q, self._ff_d, self._ff_rn):
+        for i in ffs:
+            q, d, rn = self._ff_q[i], self._ff_d[i], self._ff_rn[i]
             next_state = f"v[{d}]" if rn is None else f"v[{d}] & v[{rn}]"
             if q in read_nets:
                 commits.append(f"v[{q}] = _t[{len(staged)}]")
                 staged.append(f"_t[{len(staged)}] = {next_state}")
             else:
                 direct.append(f"v[{q}] = {next_state}")
-        filename = f"<repro-tick:{self.netlist.name}>"
         scratch = compile(f"_t = [0] * {len(staged)}", filename, "exec")
         return (scratch,) + compile_chunked(
             "_tick", "v, m", staged + direct + commits, filename
@@ -316,6 +332,17 @@ class CompiledSimulator:
     def _compile_tick(self) -> Callable[[List[int], int], None]:
         key = ("tick", len(self.netlist.cells))
         return cached_codegen(self.netlist, key, "_tick", self._build_tick)
+
+    def compile_partial_tick(self, ffs: Sequence[int]) -> Callable[[List[int], int], None]:
+        """Compile a tick that latches only the flip-flops *ffs* (indices).
+
+        Every other Q row keeps its value.  When *ffs* names every
+        flip-flop this returns the simulator's own tick rather than
+        compiling a copy.
+        """
+        if len(set(ffs)) == len(self._ff_q):
+            return self._tick_fn
+        return bind_chunks(self._build_tick(ffs), "_tick")
 
     # ------------------------------------------------------ cone evaluation
 
@@ -448,10 +475,18 @@ class CompiledSimulator:
 
     def output_vector(self, lane: int = 0) -> int:
         """All primary outputs of one lane, packed in ``netlist.outputs`` order."""
-        packed = 0
-        for j, name in enumerate(self.netlist.outputs):
-            packed |= self.get_bit(name, lane) << j
-        return packed
+        return self._pack_lane(self._out_rows, lane)
+
+    def _pack_lane(self, rows: Sequence[int], lane: int) -> int:
+        """Bit *lane* of every value row in *rows*, packed: bit *j* of the
+        result is that bit of ``rows[j]``.  The bits are listed in C and
+        packed in one NumPy pass; on one lane every row already is its bit
+        (lane-width invariant)."""
+        bits = map(self.values.__getitem__, rows)
+        if lane or self.n_lanes > 1:
+            bits = map(and_, map(rshift, bits, repeat(lane)), repeat(1))
+        packed = np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8), bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     # ------------------------------------------------------- flip-flop state
 
@@ -460,11 +495,7 @@ class CompiledSimulator:
 
         Bit *i* of the result is the Q value of ``netlist.flip_flops()[i]``.
         """
-        packed = 0
-        values = self.values
-        for i, q in enumerate(self._ff_q):
-            packed |= ((values[q] >> lane) & 1) << i
-        return packed
+        return self._pack_lane(self._ff_q, lane)
 
     def load_ff_state_packed(self, packed: int) -> None:
         """Broadcast a packed single-lane FF state onto every lane."""
@@ -485,29 +516,30 @@ class CompiledSimulator:
     def diverging_rows(
         self,
         rows: Sequence[int],
-        golden: int,
+        golden: bytes,
         active: int,
     ) -> int:
         """Active-lane divergence of value rows against broadcast golden bits.
 
-        *rows* are value indices and bit *k* of the packed *golden* is the
-        golden value of ``rows[k]`` (the layout of
-        :meth:`~repro.faultinjection.injector.FaultInjector.relevant_golden`).
+        *rows* are value indices and ``golden[k]`` (0 or 1) is the golden
+        value of ``rows[k]`` (a row of
+        :attr:`~repro.faultinjection.injector.FaultInjector.relevant_bits`).
         Returns the union of diverging lanes: active lanes where any row
         differs from its golden bit — the probe the scheduler runs at every
-        retirement check.
+        retirement check.  The rows are walked in C: the lanes where a
+        golden-zero row is set, OR the lanes where a golden-one row is
+        clear.
         """
-        diff = 0
-        values = self.values
+        get = self.values.__getitem__
         mask = self.mask
-        for k, idx in enumerate(rows):
-            diff |= (values[idx] ^ (mask if (golden >> k) & 1 else 0)) & active
-        return diff
+        set_low = reduce(or_, map(get, compress(rows, golden.translate(_INVERT_BITS))), 0)
+        clear_high = reduce(and_, map(get, compress(rows, golden)), mask) ^ mask
+        return (set_low | clear_high) & active
 
     def diverging_row_planes(
         self,
         rows: Sequence[int],
-        golden: int,
+        golden: bytes,
         active: int,
     ) -> Tuple[int, int, List[int]]:
         """:meth:`diverging_rows` that also locates a lone deviating row.
@@ -516,22 +548,21 @@ class CompiledSimulator:
         ``diff`` is :meth:`diverging_rows`' result, ``multi`` the active
         lanes where at least two rows differ, and on every lane of ``diff
         & ~multi`` bit *b* of ``planes[b]`` is bit *b* of the position *k*
-        (in *rows*) of the one row that differs.  Rows that match golden on
-        every active lane cost one operation; the scheduler merges lanes
-        that share that one row.
+        (in *rows*) of the one row that differs.  Each row's deviation is
+        computed in C, and only the rows that deviate on some active lane
+        reach the Python loop; the scheduler merges lanes that share that
+        one row.
         """
         n_planes = max(1, (len(rows) - 1).bit_length())
         planes = [0] * n_planes
         diff = multi = 0
-        values = self.values
-        mask = self.mask
-        for k, idx in enumerate(rows):
-            if (golden >> k) & 1:
-                deviating = (values[idx] ^ mask) & active
-            else:
-                deviating = values[idx] & active
-            if not deviating:
-                continue
+        broadcast_bit = (0, self.mask).__getitem__
+        deviations = map(
+            and_,
+            map(xor, map(self.values.__getitem__, rows), map(broadcast_bit, golden)),
+            repeat(active),
+        )
+        for k, deviating in filter(itemgetter(1), zip(count(), deviations)):
             multi |= diff & deviating
             diff |= deviating
             b = 0

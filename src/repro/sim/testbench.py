@@ -205,6 +205,8 @@ class Testbench:
         """Run the fault-free simulation and record the full trajectory."""
         sim = CompiledSimulator(self.netlist, n_lanes=1)
         sim.reset()
+        values = sim.values
+        input_rows = list(enumerate(sim.net_index[name] for name in self.input_names))
         ff_state: List[int] = []
         outputs: List[int] = []
         applied: List[int] = []
@@ -221,8 +223,8 @@ class Testbench:
                     bit = taps[i][cycle % path.delay]
                     idx = self._in_index[dst]
                     vector = (vector & ~(1 << idx)) | (bit << idx)
-            for i, name in enumerate(self.input_names):
-                sim.set_input(name, (vector >> i) & 1)
+            for i, row in input_rows:
+                values[row] = (vector >> i) & 1  # one lane: the mask is 1
             applied.append(vector)
             sim.eval_comb()
             out_vec = sim.output_vector()

@@ -127,6 +127,10 @@ class SeedReport:
     #: Requests that rode a merged lane in the scheduled-vs-naive replay,
     #: summed over its single-group and its three-group run.
     merged: int = 0
+    #: Requests of the scheduled-vs-naive replay that strike a flip-flop
+    #: outside the relevant set (a Q row a scheduled pass never loads or
+    #: latches), counted once per request.
+    nonrelevant: int = 0
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -142,6 +146,7 @@ class VerifySummary:
     n_comparisons: int = 0
     n_injections_checked: int = 0
     n_merged: int = 0
+    n_nonrelevant: int = 0
     wall_seconds: float = 0.0
     failing: List[SeedReport] = field(default_factory=list)
 
@@ -512,6 +517,11 @@ def run_scheduler_check(
     requests = [(c, f) for c in cycles for f in range(len(netlist.flip_flops()))]
     if not requests:
         return [], 0
+    relevant = injector.relevant_ff_names
+    flip_flops = injector.sim.flip_flops
+    get_telemetry().registry.counter("verify.nonrelevant_requests").inc(
+        sum(flip_flops[f].name not in relevant for _c, f in requests)
+    )
 
     def merging_scheduler() -> AdaptiveScheduler:
         scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
@@ -691,12 +701,15 @@ def verify_seed(
         report.divergences.extend(divergences)
         report.injections_checked = checked
     if with_scheduler:
-        merged = get_telemetry().registry.counter("scheduler.merged")
-        before = merged.value
+        registry = get_telemetry().registry
+        merged = registry.counter("scheduler.merged")
+        nonrelevant = registry.counter("verify.nonrelevant_requests")
+        before = merged.value, nonrelevant.value
         divergences, checked = run_scheduler_check(netlist, spec)
         report.divergences.extend(divergences)
         report.injections_checked += checked
-        report.merged = merged.value - before
+        report.merged = merged.value - before[0]
+        report.nonrelevant = nonrelevant.value - before[1]
     if with_fault_models:
         divergences, checked = run_fault_model_check(netlist, spec)
         report.divergences.extend(divergences)
@@ -728,6 +741,7 @@ def verify_seeds(
         summary.n_comparisons += report.comparisons
         summary.n_injections_checked += report.injections_checked
         summary.n_merged += report.merged
+        summary.n_nonrelevant += report.nonrelevant
         if not report.ok:
             summary.failing.append(report)
         if progress is not None:

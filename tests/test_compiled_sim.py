@@ -90,6 +90,49 @@ def test_output_vector_packs_all_outputs(counter_netlist):
         assert (vector >> j) & 1 == sim.get_bit(name)
 
 
+@pytest.mark.parametrize("width, lane", [(1, 0), (65, 0), (65, 64)])
+def test_packed_reads_match_the_per_bit_loop(tiny_mac, width, lane):
+    """``ff_state_packed`` and ``output_vector`` pack exactly the bits a
+    per-bit loop reads, on any lane of any width."""
+    import random
+
+    sim = CompiledSimulator(tiny_mac, n_lanes=width)
+    rng = random.Random(width * 100 + lane)
+    for _ in range(3):
+        sim.values[:] = [rng.getrandbits(width) for _ in sim.values]
+        state = 0
+        for i, ff in enumerate(sim.flip_flops):
+            state |= sim.get_bit(ff.output_net(), lane) << i
+        outputs = 0
+        for j, name in enumerate(tiny_mac.outputs):
+            outputs |= sim.get_bit(name, lane) << j
+        assert sim.ff_state_packed(lane) == state
+        assert sim.output_vector(lane) == outputs
+
+
+def test_partial_tick_latches_only_the_named_flip_flops(tiny_mac):
+    """A partial tick writes each named flip-flop's Q exactly as the full
+    tick does and leaves every other row as it was; naming every
+    flip-flop returns the full tick itself."""
+    import random
+
+    sim = CompiledSimulator(tiny_mac, n_lanes=70)
+    n_ffs = sim.n_flip_flops
+    assert sim.compile_partial_tick(list(range(n_ffs))) is sim._tick_fn
+    rng = random.Random(4)
+    named = sorted(rng.sample(range(n_ffs), n_ffs // 2))
+    partial = sim.compile_partial_tick(named)
+    start = [rng.getrandbits(70) for _ in sim.values]
+    sim.values[:] = start
+    sim.tick()
+    full = list(sim.values)
+    sim.values[:] = start
+    partial(sim.values, sim.mask)
+    named_q = {sim._ff_q[i] for i in named}
+    for idx, value in enumerate(sim.values):
+        assert value == (full[idx] if idx in named_q else start[idx])
+
+
 def test_clock_nets_forced_low(counter_netlist):
     sim = CompiledSimulator(counter_netlist)
     sim.reset()

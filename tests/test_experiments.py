@@ -157,6 +157,43 @@ def test_cli_runs_tiny(tmp_path, monkeypatch):
     assert "k-NN" in payload
 
 
+def test_cli_all_builds_each_circuit_once(tmp_path):
+    """``all`` generates the dataset and then runs every experiment in one
+    process: each circuit is synthesized and its golden trace recorded
+    once, however many experiments replay it."""
+    from collections import Counter
+
+    from repro.campaigns import release_warm_cache
+
+    release_warm_cache()  # no family left warm by an earlier test
+    metrics = tmp_path / "metrics.jsonl"
+    code = cli_main(
+        [
+            "all",
+            "--scale",
+            "tiny",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--metrics-out",
+            str(metrics),
+        ]
+    )
+    assert code == 0
+    spans = Counter()
+    for line in metrics.read_text().splitlines():
+        event = json.loads(line)
+        if event["event"] == "span_begin" and event["name"] in (
+            "synthesize",
+            "golden_trace",
+        ):
+            spans[event["name"], event["attrs"]["circuit"]] += 1
+    circuits = {circuit for _name, circuit in spans}
+    assert circuits
+    assert spans == Counter(
+        {(name, c): 1 for name in ("synthesize", "golden_trace") for c in circuits}
+    )
+
+
 def test_cli_verify_command(tmp_path, capsys):
     out = tmp_path / "results"
     code = cli_main(["verify", "--seeds", "2", "--scale", "tiny", "--out", str(out)])
@@ -169,6 +206,7 @@ def test_cli_verify_command(tmp_path, capsys):
     assert payload["n_comparisons"] > 0
     assert payload["n_generated_checked"] == 64
     assert "n_merged" in payload
+    assert "n_nonrelevant" in payload
 
 
 def test_cli_verify_reports_divergence(tmp_path, capsys, monkeypatch):

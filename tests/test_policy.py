@@ -33,7 +33,7 @@ from repro.campaigns import (
     make_policy,
     policy_signature,
 )
-from repro.campaigns.policy import MAX_BUDGET_FACTOR, interval_margin
+from repro.campaigns.policy import MAX_BUDGET_FACTOR, MIN_INJECTIONS, interval_margin
 from repro.data import DATASET_PRESETS, circuit_preset
 from repro.circuits.library import LIBRARY_CIRCUITS
 
@@ -85,6 +85,25 @@ def test_sequential_policy_retires_on_margin():
     # Margin 0 disables stopping entirely (equivalence mode).
     never = SequentialWilsonPolicy(nominal=100, target_margin=0.0)
     assert not never.retired(10_000, 0)
+
+
+@pytest.mark.parametrize("nominal, target", [(170, 0.075), (30, 0.2), (8, 0.0)])
+def test_memoized_retired_equals_the_stopping_rule(nominal, target):
+    """``retired`` is memoized per (n, k): for every tally up to the
+    reallocation cap it gives the Wilson rule's answer, on first asks in
+    shuffled order and on repeats from the memo."""
+    import random
+
+    policy = SequentialWilsonPolicy(nominal=nominal, target_margin=target)
+    min_n = min(MIN_INJECTIONS, nominal)
+    tallies = [
+        (n, k) for n in range(MAX_BUDGET_FACTOR * nominal + 1) for k in range(n + 1)
+    ]
+    random.Random(nominal).shuffle(tallies)
+    for _repeat in range(2):
+        for n, k in tallies:
+            rule = n >= min_n and target > 0 and interval_margin(n, k) <= target
+            assert policy.retired(n, k) == rule, (n, k)
 
 
 def test_sequential_allocation_respects_budget_and_caps():

@@ -112,6 +112,36 @@ def test_drained_passes_match_naive(tiny_parts, monkeypatch, elastic_width):
 # ----------------------------------------------------------------- boundaries
 
 
+def test_relevant_only_load_and_tick_match_naive(tiny_parts):
+    """On ``xgmac_tiny`` some flip-flops are outside the relevant set, so a
+    scheduled pass neither loads nor latches their Q rows; requests on every
+    flip-flop, those included, keep the naive verdicts."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    n_ffs = injector.sim.n_flip_flops
+    assert 0 < len(injector.relevant_ff_names) < n_ffs
+    scheduler = AdaptiveScheduler(injector, max_lanes=64)
+    assert scheduler._relevant_tick() is not injector.sim._tick_fn
+    first, last = workload.active_window
+    rng = random.Random(31)
+    requests = [(rng.randrange(first, last), ff) for ff in range(n_ffs) for _ in range(2)]
+    rng.shuffle(requests)
+    expected = naive_verdicts(injector, requests)
+    assert scheduler.run(requests).verdicts == expected
+
+
+def test_golden_bits_table_matches_the_packed_trace(tiny_parts):
+    """Row *c* of ``relevant_bits`` holds, per relevant flip-flop, the bit
+    a per-bit read of the packed golden state gives."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    assert len(injector.relevant_bits) == len(golden.ff_state)
+    for row, state in zip(injector.relevant_bits, golden.ff_state):
+        assert row == bytes(
+            (state >> ff_index) & 1 for _q, ff_index in injector._relevant_pairs
+        )
+
+
 def test_injection_on_last_workload_cycle(tiny_parts):
     """A lane activated on the final trace cycle simulates exactly one cycle."""
     netlist, workload, golden, criterion = tiny_parts
@@ -879,9 +909,9 @@ def test_diverging_row_planes_locate_the_lone_row():
     rows = rng.sample(sim._ff_q, 37)
     for _ in range(20):
         sim.reset()
-        golden = rng.getrandbits(len(rows))
+        golden = bytes(rng.getrandbits(1) for _ in rows)
         for k, idx in enumerate(rows):
-            sim.values[idx] = sim.mask if (golden >> k) & 1 else 0
+            sim.values[idx] = sim.mask if golden[k] else 0
         for lane in range(sim.n_lanes):
             for k in rng.sample(range(len(rows)), rng.choice([0, 0, 1, 1, 1, 2, 5])):
                 sim.values[rows[k]] ^= 1 << lane
@@ -893,7 +923,7 @@ def test_diverging_row_planes_locate_the_lone_row():
                 k
                 for k, idx in enumerate(rows)
                 if (active >> lane) & 1
-                and ((sim.values[idx] >> lane) ^ (golden >> k)) & 1
+                and ((sim.values[idx] >> lane) ^ golden[k]) & 1
             ]
             assert bool((multi >> lane) & 1) == (len(differing) >= 2)
             if len(differing) == 1:
@@ -937,12 +967,77 @@ def test_diverging_rows_probe(tiny_mac):
     q0 = sim._ff_q[0]
     q1 = sim._ff_q[1]
     sim.values[q0] = 1 << 2  # lane 2 high
-    diff = sim.diverging_rows([q0, q1], 0b00, sim.mask)
+    diff = sim.diverging_rows([q0, q1], bytes([0, 0]), sim.mask)
     assert diff == 0b00100
-    # Golden bits come from the packed word: a golden-high q0 makes every
-    # lane but lane 2 diverge.
-    diff = sim.diverging_rows([q0, q1], 0b01, sim.mask)
+    # Golden bits are one byte per row: a golden-high q0 makes every lane
+    # but lane 2 diverge.
+    diff = sim.diverging_rows([q0, q1], bytes([1, 0]), sim.mask)
     assert diff == 0b11011
     # Inactive lanes are masked out of the probe.
-    diff = sim.diverging_rows([q0], 0, 1 << 0)
+    diff = sim.diverging_rows([q0], bytes([0]), 1 << 0)
     assert diff == 0
+
+
+def _looped_diverging_rows(sim, rows, golden, active):
+    """Reference: the per-row Python loop the C-level probe replaced."""
+    diff = 0
+    for k, idx in enumerate(rows):
+        diff |= (sim.values[idx] ^ (sim.mask if golden[k] else 0)) & active
+    return diff
+
+
+def _looped_diverging_row_planes(sim, rows, golden, active):
+    """Reference: the merge probe as a per-row loop over every row."""
+    planes = [0] * max(1, (len(rows) - 1).bit_length())
+    diff = multi = 0
+    for k, idx in enumerate(rows):
+        deviating = (sim.values[idx] ^ (sim.mask if golden[k] else 0)) & active
+        if not deviating:
+            continue
+        multi |= diff & deviating
+        diff |= deviating
+        for b in range(len(planes)):
+            if (k >> b) & 1:
+                planes[b] |= deviating
+    return diff, multi, planes
+
+
+@pytest.fixture(scope="module")
+def probe_sim():
+    from repro.circuits import make_xgmac
+
+    sim = CompiledSimulator(make_xgmac("xgmac_tiny"))
+    assert len(sim.values) >= 775
+    return sim
+
+
+@pytest.mark.parametrize("golden_kind", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 775])
+@pytest.mark.parametrize("width", [1, 64, 65, 4097])
+def test_row_probes_match_the_per_row_loops(probe_sim, width, n_rows, golden_kind):
+    """Seeded property: on random in-mask values, both divergence probes
+    return exactly what the per-row loops return, for any lane width, row
+    count and golden row."""
+    sim = probe_sim
+    rng = random.Random(f"{width}:{n_rows}:{golden_kind}")
+    sim.resize_lanes(width)
+    for trial in range(4):
+        rows = rng.sample(range(len(sim.values)), n_rows)
+        golden = bytes(
+            {"random": rng.getrandbits(1), "zeros": 0, "ones": 1}[golden_kind]
+            for _ in rows
+        )
+        for k, idx in enumerate(rows):
+            # Mostly golden rows with a few deviating lanes, some all random.
+            if rng.random() < 0.2:
+                sim.values[idx] = rng.getrandbits(width)
+            else:
+                sparse = sum({1 << rng.randrange(width) for _ in range(rng.randrange(3))})
+                sim.values[idx] = (sim.mask if golden[k] else 0) ^ sparse
+        active = (sim.mask, rng.getrandbits(width), 0, 1)[trial]
+        assert sim.diverging_rows(rows, golden, active) == _looped_diverging_rows(
+            sim, rows, golden, active
+        )
+        assert sim.diverging_row_planes(
+            rows, golden, active
+        ) == _looped_diverging_row_planes(sim, rows, golden, active)
