@@ -32,6 +32,10 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   live in :meth:`~repro.faultinjection.injector.FaultInjector.run_batch`,
   which loads and latches every flip-flop.  Retirement probes read the
   injector's per-cycle golden-bits table and walk the relevant rows in C.
+  The settle is enable-gated: the next-state logic of a register whose
+  hold muxes (``D = MUX(Q, new, en)``) only it feeds runs only when its
+  enable is set on some lane; otherwise each hold mux's D is a copy of
+  its Q (:meth:`~repro.sim.compiled.CompiledSimulator.compile_cone_eval`).
 
 * **request groups** — one pass may carry several independent request
   groups (the gate shards of a sampling round).  Each group keeps exactly
@@ -398,30 +402,34 @@ class AdaptiveScheduler:
             setattr(self.injector, attr, fn)
         return fn
 
+    def _settle_roots(self) -> Tuple[List[int], List[int]]:
+        """``(roots, latched)`` of the observed settle: the criterion nets
+        and loopback tap sources, and the relevant flip-flops (indices)
+        whose D/RN pins the settle also computes."""
+        injector = self.injector
+        roots = [idx for idx, _bit in injector.criterion_valid_pairs]
+        roots += [idx for idx, _bit in injector.criterion_data_pairs]
+        roots += [tap.source_value_idx for tap in injector.taps]
+        latched = [ff_index for _q_idx, ff_index in injector._relevant_pairs]
+        return roots, latched
+
     def _observed_settle(self) -> Callable[[List[int], int, list], None]:
         """The settle of every scheduled cycle: only the cells a verdict can read.
 
         That is the combinational fan-in of the criterion nets, the
-        loopback tap sources and the D/RN pins of the relevant flip-flops.
+        loopback tap sources and the D/RN pins of the relevant flip-flops,
+        with each register enable's next-state logic skipped while the
+        enable is 0 on every lane
+        (:meth:`~repro.sim.compiled.CompiledSimulator.compile_cone_eval`).
         Every other cell feeds only flip-flops outside the relevant set,
         whose values no verdict, probe or relevant cone reads, so they are
         left stale.  On a circuit whose every flip-flop is relevant this is
         the simulator's own cached ``_eval``.
         """
-
-        def build():
-            injector = self.injector
-            sim = injector.sim
-            roots = [idx for idx, _bit in injector.criterion_valid_pairs]
-            roots += [idx for idx, _bit in injector.criterion_data_pairs]
-            roots += [tap.source_value_idx for tap in injector.taps]
-            for _q_idx, ff_index in injector._relevant_pairs:
-                roots.append(sim._ff_d[ff_index])
-                if sim._ff_rn[ff_index] is not None:
-                    roots.append(sim._ff_rn[ff_index])
-            return sim.compile_cone_eval(roots)
-
-        return self._cached("_cached_observed_settle", build)
+        return self._cached(
+            "_cached_observed_settle",
+            lambda: self.injector.sim.compile_cone_eval(*self._settle_roots()),
+        )
 
     def _relevant_tick(self) -> Callable[[List[int], int], None]:
         """The clock edge of every scheduled cycle: latches the relevant

@@ -22,20 +22,23 @@ Clock handling is cycle-based: clock nets are forced to 0 and every call to
 from __future__ import annotations
 
 import weakref
-from functools import reduce
+from collections import Counter
+from functools import partial, reduce
 from itertools import compress, count, repeat
 from operator import and_, itemgetter, or_, rshift, xor
 from types import CodeType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.core import Cell, Netlist
+from ..obs import get_telemetry
 from .logic import broadcast, lane_mask
 
 __all__ = [
     "CHUNK_STATEMENTS",
     "CompiledSimulator",
+    "ConePlan",
     "bind_chunks",
     "build_eval_statements",
     "cached_codegen",
@@ -232,6 +235,19 @@ def cached_codegen(
     return bind_chunks(codes, fn_name)
 
 
+class ConePlan(NamedTuple):
+    """The cells of an observed-cone settle (:meth:`CompiledSimulator.cone_plan`)."""
+
+    #: Every cone cell, in topological order.
+    cells: List[str]
+    #: The cone covers every combinational cell; it is then not gated.
+    full: bool
+    #: Hold mux cell name -> the Q row of the flip-flop it holds.
+    holds: Dict[str, int]
+    #: Gated cell name (hold muxes included) -> the enable row gating it.
+    gate: Dict[str, int]
+
+
 class CompiledSimulator:
     """Cycle-based bit-parallel simulator for a mapped :class:`Netlist`.
 
@@ -346,28 +362,39 @@ class CompiledSimulator:
 
     # ------------------------------------------------------ cone evaluation
 
-    def compile_cone_eval(
-        self, roots: Sequence[int]
-    ) -> Callable[[List[int], int, list], None]:
-        """Compile an ``_eval`` over the combinational fan-in of *roots*.
+    def cone_plan(self, roots: Sequence[int], latched: Sequence[int] = ()) -> ConePlan:
+        """The cells that settle *roots* and the D/RN pins of the *latched*
+        flip-flops (indices), and which of them an enable can gate.
 
-        *roots* are value indices; the backward closure stops at flip-flop
-        outputs and primary inputs.  Calling the result settles every root
-        exactly as :meth:`eval_comb` would (minus the clock forcing) and
-        leaves nets outside the closure untouched.  When the closure covers
-        every combinational cell this returns the cached full ``_eval``
-        itself rather than compiling a copy.
+        The cone is the backward closure of those rows, stopping at
+        flip-flop outputs and primary inputs.  A *hold mux* is a ``MUX2``
+        driving the D pin of exactly one latched flip-flop from that
+        flip-flop's own Q (its ``A`` input), whose output no cone cell, root
+        or other pin reads: while its select (the *enable*) is 0 on every
+        lane it computes ``D = Q``.  A cell that is no root joins enable
+        *e*'s group when each cone cell reading it is in that group, or is
+        one of *e*'s hold muxes reading it on its data input ``B``; hold
+        muxes join their own enable's group.  No group cell feeds an
+        enable, so the enables settle with the ungated cells.  A cone that
+        covers every combinational cell is not gated (``full``).
         """
         netlist = self.netlist
+        cells = netlist.cells
+        index = self.net_index
         net_names = list(netlist.nets)
+        pins = set(roots)
+        for i in latched:
+            pins.add(self._ff_d[i])
+            if self._ff_rn[i] is not None:
+                pins.add(self._ff_rn[i])
         in_cone = set()
-        stack = [net_names[idx] for idx in roots]
+        stack = [net_names[idx] for idx in pins]
         seen = set(stack)
         while stack:
             driver = netlist.nets[stack.pop()].driver
             if driver is None:
                 continue
-            cell = netlist.cells[driver.cell]
+            cell = cells[driver.cell]
             if cell.is_sequential:
                 continue
             in_cone.add(cell.name)
@@ -377,16 +404,92 @@ class CompiledSimulator:
                     stack.append(net)
         order = netlist.topological_comb_order()
         if len(in_cone) == len(order):
+            return ConePlan(list(order), True, {}, {})
+        cone = [name for name in order if name in in_cone]
+
+        out_of = {name: index[cells[name].output_net()] for name in cone}
+        driver_of = {out: name for name, out in out_of.items()}
+        readers: Dict[int, List[Tuple[str, int]]] = {}
+        for name in cone:
+            for pos, net in enumerate(cells[name].input_nets()):
+                readers.setdefault(index[net], []).append((name, pos))
+        d_count = Counter(self._ff_d[i] for i in latched)
+        other_pins = set(roots) | {self._ff_rn[i] for i in latched}
+        holds: Dict[str, int] = {}
+        gate: Dict[str, int] = {}
+        for i in latched:
+            d, q = self._ff_d[i], self._ff_q[i]
+            name = driver_of.get(d)
+            if name is None or d_count[d] > 1 or d in other_pins or d in readers:
+                continue
+            cell = cells[name]
+            if cell.ctype.name != "MUX2":
+                continue
+            a, _b, s = (index[net] for net in cell.input_nets())
+            if a == q:
+                holds[name] = q
+                gate[name] = s
+
+        for name in reversed(cone):
+            if name in gate or out_of[name] in pins:
+                continue
+            enables = {
+                (gate[reader] if pos == 1 else None)
+                if reader in holds
+                else gate.get(reader)
+                for reader, pos in readers.get(out_of[name], ())
+            }
+            if len(enables) == 1 and None not in enables:
+                gate[name] = enables.pop()
+        return ConePlan(cone, False, holds, gate)
+
+    def compile_cone_eval(
+        self, roots: Sequence[int], latched: Sequence[int] = ()
+    ) -> Callable[[List[int], int, list], None]:
+        """Compile an ``_eval`` over :meth:`cone_plan`'s cone, enable-gated.
+
+        Calling the result settles every root and the D/RN pins of every
+        *latched* flip-flop exactly as :meth:`eval_comb` would (minus the
+        clock forcing) and leaves nets outside the cone untouched.  It runs
+        the ungated cells in topological order, then each enable's group
+        with one line, ``(_g{k} if v[e] else _c{k})(v, m, fb)``: ``_g{k}``
+        evaluates the group's cells, ``_c{k}`` copies each hold mux's Q to
+        its D — the mux's value while the enable is 0 on every lane — and
+        leaves the group's other nets stale, which only those muxes' data
+        inputs read.  When the cone covers every combinational cell this
+        returns the cached full ``_eval`` itself rather than compiling a
+        copy.  The plan's static shape is recorded as the gauges
+        ``sim.compiled.cone_cells``, ``sim.compiled.gated_cells`` and
+        ``sim.compiled.enable_groups``.
+        """
+        plan = self.cone_plan(roots, latched)
+        groups: Dict[int, List[str]] = {}
+        for name in plan.cells:
+            if name in plan.gate:
+                groups.setdefault(plan.gate[name], []).append(name)
+        registry = get_telemetry().registry
+        registry.gauge("sim.compiled.cone_cells").set(len(plan.cells))
+        registry.gauge("sim.compiled.gated_cells").set(len(plan.gate))
+        registry.gauge("sim.compiled.enable_groups").set(len(groups))
+        if plan.full:
             return self._eval_fn
-        body = build_eval_statements(
-            netlist,
-            self.net_index,
-            self._fallback_cells,
-            cells=[name for name in order if name in in_cone],
-        )
-        codes = compile_chunked(
-            "_eval", "v, m, fb", body, f"<repro-cone-eval:{netlist.name}>"
-        )
+
+        netlist = self.netlist
+        index = self.net_index
+        filename = f"<repro-cone-eval:{netlist.name}>"
+        build = partial(build_eval_statements, netlist, index, self._fallback_cells)
+        body = build(cells=[name for name in plan.cells if name not in plan.gate])
+        codes: List[CodeType] = []
+        for k, (enable, members) in enumerate(groups.items()):
+            copies = [
+                f"v[{index[netlist.cells[name].output_net()]}] = v[{plan.holds[name]}]"
+                for name in members
+                if name in plan.holds
+            ]
+            codes += compile_chunked(f"_g{k}", "v, m, fb", build(cells=members), filename)
+            codes += compile_chunked(f"_c{k}", "v, m, fb", copies, filename)
+            body.append(f"(_g{k} if v[{enable}] else _c{k})(v, m, fb)")
+        codes += compile_chunked("_eval", "v, m, fb", body, filename)
         return bind_chunks(codes, "_eval")
 
     # -------------------------------------------------------------- control

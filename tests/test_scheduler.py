@@ -343,6 +343,19 @@ def xgmac_parts():
     return netlist, workload, golden, criterion
 
 
+def _read_rows(injector):
+    """Every row a scheduled verdict, probe or latch reads after a settle."""
+    sim = injector.sim
+    read = {idx for idx, _bit in injector.criterion_valid_pairs}
+    read |= {idx for idx, _bit in injector.criterion_data_pairs}
+    read |= {tap.source_value_idx for tap in injector.taps}
+    for _q, ff_index in injector._relevant_pairs:
+        read.add(sim._ff_d[ff_index])
+        if sim._ff_rn[ff_index] is not None:
+            read.add(sim._ff_rn[ff_index])
+    return read
+
+
 def test_observed_settle_matches_full_settle_on_read_nets(xgmac_parts):
     """From random in-mask states, the observed settle leaves every net a
     verdict reads equal to the full eval_comb."""
@@ -353,13 +366,7 @@ def test_observed_settle_matches_full_settle_on_read_nets(xgmac_parts):
     assert non_relevant == 237
     settle = AdaptiveScheduler(injector)._observed_settle()
     assert settle is not sim._eval_fn
-    read = {idx for idx, _bit in injector.criterion_valid_pairs}
-    read |= {idx for idx, _bit in injector.criterion_data_pairs}
-    read |= {tap.source_value_idx for tap in injector.taps}
-    for _q, ff_index in injector._relevant_pairs:
-        read.add(sim._ff_d[ff_index])
-        if sim._ff_rn[ff_index] is not None:
-            read.add(sim._ff_rn[ff_index])
+    read = _read_rows(injector)
     rng = random.Random(3)
     for n_lanes in (1, 64, 300):
         sim.resize_lanes(n_lanes)
@@ -373,6 +380,121 @@ def test_observed_settle_matches_full_settle_on_read_nets(xgmac_parts):
                 sim.values[clk] = 0
             settle(sim.values, sim.mask, sim._fallback_cells)
             assert all(sim.values[idx] == full[idx] for idx in read)
+
+
+class _ForcedRows(list):
+    """Value rows in which the *forced* rows keep a fixed value, whatever
+    the generated code writes to them: a forced enable reads the same on
+    every settle path."""
+
+    def __init__(self, rows, forced):
+        super().__init__(rows)
+        self.forced = forced
+        for idx, value in forced.items():
+            list.__setitem__(self, idx, value)
+
+    def __setitem__(self, idx, value):
+        list.__setitem__(self, idx, self.forced.get(idx, value))
+
+
+def test_enable_gated_settle_matches_full_settle_under_forced_enables(xgmac_parts):
+    """With each register enable forced to 0, to the mask or to mixed lanes,
+    or left to the logic with a stale 0 in its row (seeded per enable),
+    the observed settle leaves every net a verdict reads equal to
+    eval_comb: an enable that is off on every lane copies Q to D where its
+    hold muxes would, an enable is settled before it is tested, and no net
+    skipped logic leaves stale (random here) is read."""
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    sim = injector.sim
+    scheduler = AdaptiveScheduler(injector)
+    enables = sorted(set(sim.cone_plan(*scheduler._settle_roots()).gate.values()))
+    settle = scheduler._observed_settle()
+    read = _read_rows(injector)
+    rng = random.Random(11)
+    skipped = 0
+    for n_lanes in (1, 64, 300):
+        sim.resize_lanes(n_lanes)
+        mask = sim.mask
+        for _ in range(3):
+            start = [rng.getrandbits(n_lanes) for _ in sim.values]
+            forced = {}
+            for e in enables:
+                mode = rng.randrange(4)
+                if mode < 3:
+                    forced[e] = (0, mask, rng.getrandbits(n_lanes))[mode]
+                else:
+                    start[e] = 0
+            skipped += sum(not value for value in forced.values())
+            values = sim.values
+            try:
+                sim.values = _ForcedRows(start, forced)
+                sim.eval_comb()
+                full = sim.values
+            finally:
+                sim.values = values
+            gated = _ForcedRows(start, forced)
+            for clk in sim._clock_nets:
+                gated[clk] = 0
+            settle(gated, mask, sim._fallback_cells)
+            assert all(gated[idx] == full[idx] for idx in read)
+    assert skipped > 0
+
+
+def test_enable_gating_structure(xgmac_parts):
+    """The gating of xgmac's observed settle, pinned, and its invariants: a
+    hold mux holds its one latched flip-flop from its Q under its enable
+    and feeds only that D pin; no other gated cell drives a root or an
+    enable, and outside its group only its hold muxes' data inputs read it.
+    The compile records the plan's shape as gauges."""
+    from repro.obs import Telemetry, use_telemetry
+
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    sim = injector.sim
+    roots, latched = AdaptiveScheduler(injector)._settle_roots()
+    plan = sim.cone_plan(roots, latched)
+    enables = set(plan.gate.values())
+    assert not plan.full
+    assert (len(plan.holds), len(enables), len(plan.gate)) == (674, 69, 1483)
+
+    index = sim.net_index
+    cells = netlist.cells
+
+    def out(name):
+        return index[cells[name].output_net()]
+
+    pins = set(roots)
+    for i in latched:
+        pins.add(sim._ff_d[i])
+        if sim._ff_rn[i] is not None:
+            pins.add(sim._ff_rn[i])
+    readers = {}
+    for name in plan.cells:
+        for pos, net in enumerate(cells[name].input_nets()):
+            readers.setdefault(index[net], []).append((name, pos))
+    for name, q in plan.holds.items():
+        a, _b, s = (index[net] for net in cells[name].input_nets())
+        assert cells[name].ctype.name == "MUX2"
+        assert (a, s) == (q, plan.gate[name])
+        assert [sim._ff_q[i] for i in latched if sim._ff_d[i] == out(name)] == [q]
+        assert out(name) not in set(roots) | {sim._ff_rn[i] for i in latched}
+        assert out(name) not in readers
+    for name, enable in plan.gate.items():
+        assert out(name) not in enables
+        if name in plan.holds:
+            continue
+        assert out(name) not in pins
+        for reader, pos in readers[out(name)]:
+            assert plan.gate.get(reader) == enable
+            assert reader not in plan.holds or pos == 1
+
+    with use_telemetry(Telemetry()) as telemetry:
+        sim.compile_cone_eval(roots, latched)
+    gauges = telemetry.registry
+    assert gauges.gauge("sim.compiled.cone_cells").value == len(plan.cells)
+    assert gauges.gauge("sim.compiled.gated_cells").value == 1483
+    assert gauges.gauge("sim.compiled.enable_groups").value == 69
 
 
 @pytest.mark.parametrize(
