@@ -276,12 +276,9 @@ class MbuModel(FaultModel):
         return _ball(ff_adjacency(netlist), anchor, self.radius)
 
     def cluster(self, netlist: Netlist, anchor: int, cycle: int) -> Tuple[int, ...]:
-        """The seeded cluster struck when *anchor* is hit at *cycle*."""
-        candidates = self.neighborhood(netlist, anchor)
-        rng = random.Random(f"mbu:{self.seed}:{anchor}:{cycle}")
-        extra = self.size - 1
-        chosen = rng.sample(candidates, extra) if extra < len(candidates) else candidates
-        return tuple(sorted([anchor, *chosen]))
+        """The seeded cluster struck when *anchor* is hit at *cycle*: the
+        flips of the bound model's plan."""
+        return self.bind(netlist).plan(anchor, cycle).flips
 
     def bind(self, netlist: Netlist) -> BoundFaultModel:
         adjacency = ff_adjacency(netlist)
@@ -307,10 +304,7 @@ class MbuModel(FaultModel):
             )
             return InjectionPlan(flips=tuple(sorted([ff_index, *chosen])))
 
-        bound = BoundFaultModel(self, netlist, plan)
-        # Re-route the convenience accessors through the bound cache.
-        bound.neighborhood = neighborhood  # type: ignore[attr-defined]
-        return bound
+        return BoundFaultModel(self, netlist, plan)
 
 
 class StuckAtModel(FaultModel):

@@ -33,19 +33,28 @@ to the highest live lane as the pass drains, and settles only the observed
 cone (the fan-in of the criterion nets, loopback taps and relevant
 flip-flops) each cycle — same verdicts, a multiple of the throughput (see
 ``docs/performance.md``).
+
+The injector owns what a simulated cycle is, and both loops share it: the
+cycle steps (strike, loopback seeding, stimulus drive, forcing,
+observation, and the row and slot probes) are :class:`FaultInjector`
+methods, and so are the scheduled-pass kernels (the observed settle, the
+relevant-only tick and the activation loader, built on first use).  The
+naive loop runs the steps around the full settle and tick; the scheduler
+runs them around the scheduled kernels and owns only the lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..netlist.core import Netlist
 from ..obs import get_telemetry
-from ..sim.compiled import CompiledSimulator
-from ..sim.logic import set_lanes
+from ..sim.compiled import CompiledSimulator, bind_chunks, compile_chunked
+from ..sim.logic import lanes_mask, set_lanes
 from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_model
@@ -121,21 +130,18 @@ class BatchOutcome:
         return False, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LoopTap:
     """One bit of a loopback path: source output → delayed target input.
 
     ``golden_bits[c]`` is the source output's golden value during cycle *c*,
-    extracted once at injector construction — batch setup and loopback
-    divergence checks used to re-shift the packed golden output vector on
-    every call.
+    extracted once at injector construction.  The values in flight belong to
+    a run: each forward loop owns its pipelines (:meth:`FaultInjector.new_pipelines`).
     """
 
     source_value_idx: int
     target_value_idx: int
-    source_out_bit: int
     delay: int
-    slots: List[int]
     golden_bits: List[int]
 
 
@@ -156,6 +162,15 @@ class FaultInjector:
         paper's single-bit SEU.  Lanes of models whose plans carry
         per-cycle forcing (stuck-at, intermittent) are excluded from
         convergence-based early retirement.
+
+    The injector owns what one simulated cycle is.  Its cycle steps —
+    :meth:`strike`, :meth:`seed_loopback`, :meth:`drive`, :meth:`force`,
+    :meth:`observe` and the probes :meth:`diverging_rows`,
+    :meth:`diverging_row_planes` and :meth:`diverging_slots` — are the one
+    implementation both forward loops call: the naive batches
+    (:meth:`run_batch`, :meth:`run_set_batch`) and
+    :class:`~repro.faultinjection.scheduler.AdaptiveScheduler`, which owns
+    only the lanes.  Each loop owns its loopback pipelines and passes them in.
     """
 
     def __init__(
@@ -184,21 +199,20 @@ class FaultInjector:
         self.sim = CompiledSimulator(netlist, n_lanes=1)
         self._criterion = criterion.bind(netlist, self.sim)
 
-        self._input_value_idx = [self.sim.net_index[n] for n in testbench.input_names]
+        input_value_idx = [self.sim.net_index[n] for n in testbench.input_names]
         out_bit = {name: i for i, name in enumerate(netlist.outputs)}
 
-        self._taps: List[_LoopTap] = []
+        #: Resolved loopback taps, in the order of every run's pipelines.
+        self.taps: List[_LoopTap] = []
         lb_target_inputs: Set[int] = set()
         for path in testbench.loopbacks:
             for src, dst in zip(path.sources, path.targets):
                 bit = out_bit[src]
-                self._taps.append(
+                self.taps.append(
                     _LoopTap(
                         source_value_idx=self.sim.net_index[src],
                         target_value_idx=self.sim.net_index[dst],
-                        source_out_bit=bit,
                         delay=path.delay,
-                        slots=[0] * path.delay,
                         golden_bits=[(out >> bit) & 1 for out in golden.outputs],
                     )
                 )
@@ -206,7 +220,7 @@ class FaultInjector:
         # Inputs driven open-loop (everything except loopback targets).
         self._open_inputs = [
             (i, idx)
-            for i, idx in enumerate(self._input_value_idx)
+            for i, idx in enumerate(input_value_idx)
             if idx not in lb_target_inputs
         ]
 
@@ -215,47 +229,27 @@ class FaultInjector:
         ]
         relevant = relevant_flip_flops(netlist, observables)
         self.relevant_ff_names = relevant
-        self._relevant_pairs: List[Tuple[int, int]] = []
-        for ff_index, ff in enumerate(self.sim.flip_flops):
-            if ff.name in relevant:
-                q_idx = self.sim.net_index[ff.output_net()]
-                self._relevant_pairs.append((q_idx, ff_index))
+        #: Indices of the relevant flip-flops, and their Q value rows.
+        self.relevant_ffs: List[int] = [
+            ff_index
+            for ff_index, ff in enumerate(self.sim.flip_flops)
+            if ff.name in relevant
+        ]
+        self.relevant_rows: List[int] = [self.sim._ff_q[i] for i in self.relevant_ffs]
         #: ``relevant_bits[c][k]`` (0 or 1) is the golden Q of the *k*-th
         #: relevant flip-flop at the start of cycle *c*: one ``bytes`` row
-        #: per ``golden.ff_state`` entry, in relevant-pair order.
+        #: per ``golden.ff_state`` entry, in :attr:`relevant_ffs` order.
         self.relevant_bits: List[bytes] = _golden_bits_table(
-            golden.ff_state,
-            len(self.sim.flip_flops),
-            [ff_index for _q_idx, ff_index in self._relevant_pairs],
+            golden.ff_state, len(self.sim.flip_flops), self.relevant_ffs
         )
         # Resolved SET propagation order (built on first run_set_batch).
         self._set_plan: Optional[List[Tuple[Callable, int, Tuple[int, ...]]]] = None
 
     # ----------------------------------------------------------------- API
 
-    @property
-    def taps(self) -> List[_LoopTap]:
-        """Resolved loopback taps (read-only; the scheduler reuses them)."""
-        return self._taps
-
-    @property
-    def criterion_valid_pairs(self) -> List[Tuple[int, int]]:
-        """Bound criterion strobe pairs ``(value_idx, golden_bit)``."""
-        return self._criterion.valid_pairs
-
-    @property
-    def criterion_data_pairs(self) -> List[Tuple[int, int]]:
-        """Bound criterion payload pairs ``(value_idx, golden_bit)``."""
-        return self._criterion.data_pairs
-
     def ff_index(self, ff_name: str) -> int:
         """Index of a flip-flop by instance name (lane/state ordering)."""
         return self.sim.ff_index[ff_name]
-
-    @property
-    def bound_model(self) -> Optional[BoundFaultModel]:
-        """The netlist-bound fault model, or ``None`` for the SEU fast path."""
-        return self._bound_model
 
     def injection_plan(self, ff_index: int, cycle: int) -> InjectionPlan:
         """The compiled plan executed for ``(cycle, ff_index)`` — the exact
@@ -300,36 +294,13 @@ class FaultInjector:
         golden = self.golden
         if not 0 <= cycle < golden.n_cycles:
             raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")
-        bound = self._bound_model
-        plans: Optional[List[InjectionPlan]] = None
-        if bound is not None:
-            plans = [bound.plan(ff_idx, cycle) for ff_idx in ff_indices]
-
         sim = self.sim
         sim.resize_lanes(len(ff_indices))
         sim.load_ff_state_packed(golden.ff_state[cycle])
-        if plans is None:
-            for lane, ff_idx in enumerate(ff_indices):
-                sim.flip_ff(ff_idx, 1 << lane)
-        else:
-            for lane, plan in enumerate(plans):
-                for ff_idx in plan.flips:
-                    sim.flip_ff(ff_idx, 1 << lane)
-
-        # Per-lane forcing schedule: (plan, lane vector, Q rows to force).
-        force_lanes: List[Tuple[InjectionPlan, int, List[Tuple[int, int]]]] = []
-        if plans is not None:
-            ffs = sim.flip_flops
-            for lane, plan in enumerate(plans):
-                if plan.forces:
-                    rows = [
-                        (sim.net_index[ffs[f].output_net()], v)
-                        for f, v in plan.forces
-                    ]
-                    force_lanes.append((plan, 1 << lane, rows))
-
-        self._prime_taps(cycle, sim.mask)
-        return self._forward(cycle, cycle, force_lanes=force_lanes)
+        forcing = self.strike(cycle, enumerate(ff_indices))
+        pipelines = self.new_pipelines()
+        self.seed_loopback(pipelines, cycle, sim.mask)
+        return self._forward(cycle, cycle, pipelines, forcing, 0, {})
 
     def run_set_batch(
         self,
@@ -352,80 +323,62 @@ class FaultInjector:
             raise ValueError(f"injection cycle {cycle} outside trace [0, {golden.n_cycles})")
         sim = self.sim
         sim.resize_lanes(len(net_names))
-        mask = sim.mask
-        values = sim.values
-
         sim.load_ff_state_packed(golden.ff_state[cycle])
-        self._prime_taps(cycle, mask)
+        pipelines = self.new_pipelines()
+        self.seed_loopback(pipelines, cycle, sim.mask)
 
         # Injection cycle: settle fault-free, then force the struck nets and
         # re-evaluate the downstream cones with the forces held.
-        self._drive_inputs(cycle, mask)
+        self.drive(cycle, pipelines)
         sim.eval_comb()
         forces: Dict[int, int] = {}
         for lane, net in enumerate(net_names):
             idx = sim.net_index[net]
             forces[idx] = forces.get(idx, 0) | 1 << lane
-        self._propagate_forced(forces, mask)
+        self._propagate_forced(forces, sim.mask)
 
-        failed = self._criterion.evaluate(values, golden.outputs[cycle], mask)
-        for tap in self._taps:
-            tap.slots[cycle % tap.delay] = values[tap.source_value_idx]
+        failed = self.observe(cycle, pipelines)
         sim.tick()
         # Continue as a plain forward run (no forcing) from the next cycle.
         latencies = {lane: 0 for lane in set_lanes(failed)}
-        return self._forward(cycle, cycle + 1, failed, latencies)
+        return self._forward(cycle, cycle + 1, pipelines, {}, failed, latencies)
 
     def _forward(
         self,
         cycle: int,
         start: int,
-        failed: int = 0,
-        latencies: Optional[Dict[int, int]] = None,
-        force_lanes: Sequence[Tuple[InjectionPlan, int, List[Tuple[int, int]]]] = (),
+        pipelines: List[List[int]],
+        forcing: Dict[int, Tuple[InjectionPlan, int]],
+        failed: int,
+        latencies: Dict[int, int],
     ) -> BatchOutcome:
         """The per-cycle forward loop of both batch kinds: simulate lanes
-        struck at *cycle* from cycle *start* on, with state and loopback
-        pipelines loaded and *failed*/*latencies* holding the verdicts of
-        cycles already settled.  Each *force_lanes* entry ``(plan, lane
-        vector, Q rows)`` re-asserts one lane's forced values."""
-        golden = self.golden
+        struck at *cycle* from cycle *start* on, with state and *pipelines*
+        loaded and *failed*/*latencies* holding the verdicts of cycles
+        already settled.  *forcing* holds the lanes :meth:`strike` returned."""
         sim = self.sim
         mask = sim.mask
-        values = sim.values
-        end = golden.n_cycles
-        if latencies is None:
-            latencies = {}
-        force_vec = 0
-        for _plan, lv, _rows in force_lanes:
-            force_vec |= lv
-
-        criterion = self._criterion
+        end = self.golden.n_cycles
+        force_vec = lanes_mask(list(forcing))
         check = self.check_interval
         forced_writes = 0
         c = start
         while c < end:
-            self._drive_inputs(c, mask)
-            for plan, lv, rows in force_lanes:
-                # Re-assert the fault on the lane's Q rows before the settle
-                # (the latched value is corrupted for this cycle).
-                if plan.force_active(c - cycle):
-                    for q_idx, v in rows:
-                        values[q_idx] = (values[q_idx] & ~lv) | (lv if v else 0)
-                    forced_writes += 1
+            self.drive(c, pipelines)
+            if forcing:
+                forced_writes += self.force(c, forcing)
             sim.eval_comb()
-            newly = criterion.evaluate(values, golden.outputs[c], mask) & ~failed
+            newly = self.observe(c, pipelines) & ~failed
             if newly:
                 failed |= newly
                 latency = c - cycle
                 for lane in set_lanes(newly):
                     latencies[lane] = latency
-            for tap in self._taps:
-                tap.slots[c % tap.delay] = values[tap.source_value_idx]
             sim.tick()
             c += 1
             if (c - cycle) % check == 0:
-                diverged = self._divergence(c, mask) | self._loopback_divergence(c, mask)
+                diverged = self.diverging_rows(c, mask)
+                diverged |= self.diverging_slots(c, pipelines, mask)
                 # Forced lanes are only done once failed: a lane whose state
                 # matches golden right now can still be re-disturbed by a
                 # later duty-on cycle.
@@ -478,50 +431,168 @@ class FaultInjector:
                 values[out_idx] = new_value
                 dirty.add(out_idx)
 
-    # ------------------------------------------------------------ internals
+    # ---------------------------------------------------------- cycle steps
+    #
+    # A simulated cycle is drive -> force -> settle -> observe -> tick; a
+    # lane is struck (and its loopback pipeline seeded) before its first
+    # cycle, and retirement checks probe rows and slots between cycles.
+    # The settle and tick are the loop's own: the full eval_comb and tick in
+    # the naive batches, observed_settle and relevant_tick in a scheduled
+    # pass.
 
-    def _drive_inputs(self, cycle: int, mask: int) -> None:
-        """Apply *cycle*'s golden open-loop stimulus to every lane and feed
-        each loopback target from its tap's in-flight value."""
-        vec = self.golden.applied_inputs[cycle]
-        values = self.sim.values
-        for bit_pos, value_idx in self._open_inputs:
-            values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
-        for tap in self._taps:
-            values[tap.target_value_idx] = tap.slots[cycle % tap.delay]
+    def new_pipelines(self) -> List[List[int]]:
+        """Empty loopback pipelines for one run: ``delay`` slots per tap,
+        slot ``c % delay`` holding the value in flight from cycle *c*."""
+        return [[0] * tap.delay for tap in self.taps]
 
-    def _prime_taps(self, cycle: int, mask: int) -> None:
-        """Load every loopback pipeline with the golden values in flight at
-        *cycle* (zero before the trace starts)."""
-        for tap in self._taps:
+    def seed_loopback(self, pipelines: List[List[int]], cycle: int, lanes: int) -> None:
+        """Load the golden values in flight at *cycle* (zero before the
+        trace starts) into *pipelines* on the lane vector *lanes*; the other
+        lanes keep theirs."""
+        keep = lanes ^ self.sim.mask
+        for tap, pipeline in zip(self.taps, pipelines):
             golden_bits = tap.golden_bits
             for past in range(cycle - tap.delay, cycle):
+                slot = past % tap.delay
                 bit = golden_bits[past] if past >= 0 else 0
-                tap.slots[past % tap.delay] = mask if bit else 0
+                pipeline[slot] = (pipeline[slot] & keep) | (lanes if bit else 0)
 
-    def _divergence(self, cycle: int, mask: int) -> int:
-        """Per-lane mask of lanes whose relevant FF state differs from golden
-        at the start of *cycle*."""
-        diff = 0
+    def strike(
+        self, cycle: int, lane_ffs: Iterable[Tuple[int, int]]
+    ) -> Dict[int, Tuple[InjectionPlan, int]]:
+        """Inject the fault-model plan of each ``(lane, ff_index)`` struck at
+        *cycle*: its flips are applied to the lane's Q rows now.  Returns
+        ``{lane: (plan, cycle)}`` for the plans that carry forcing, the
+        schedule :meth:`force` re-asserts."""
         values = self.sim.values
-        grel = self.relevant_bits[cycle]
-        # Early-exit once every lane diverged, probing every 32 flip-flops.
-        for k, (q_idx, _ff_index) in enumerate(self._relevant_pairs):
-            golden = mask if grel[k] else 0
-            diff |= values[q_idx] ^ golden
-            if (k & 31) == 31 and diff & mask == mask:
-                return diff
-        return diff
+        ff_q = self.sim._ff_q
+        bound = self._bound_model
+        forcing: Dict[int, Tuple[InjectionPlan, int]] = {}
+        for lane, ff_index in lane_ffs:
+            if bound is None:
+                values[ff_q[ff_index]] ^= 1 << lane
+                continue
+            plan = bound.plan(ff_index, cycle)
+            for f in plan.flips:
+                values[ff_q[f]] ^= 1 << lane
+            if plan.forces:
+                forcing[lane] = (plan, cycle)
+        return forcing
 
-    def _loopback_divergence(self, next_cycle: int, mask: int) -> int:
-        """Lanes whose in-flight loopback values differ from the golden record."""
+    def drive(self, cycle: int, pipelines: List[List[int]]) -> None:
+        """Apply *cycle*'s golden open-loop stimulus to every lane, feed each
+        loopback target from its pipeline, and hold the clocks at 0."""
+        sim = self.sim
+        values = sim.values
+        mask = sim.mask
+        vec = self.golden.applied_inputs[cycle]
+        for bit_pos, value_idx in self._open_inputs:
+            values[value_idx] = mask if (vec >> bit_pos) & 1 else 0
+        for tap, pipeline in zip(self.taps, pipelines):
+            values[tap.target_value_idx] = pipeline[cycle % tap.delay]
+        for clk in sim._clock_nets:
+            values[clk] = 0
+
+    def force(self, cycle: int, forcing: Dict[int, Tuple[InjectionPlan, int]]) -> int:
+        """Re-assert every forcing plan of *forcing* (:meth:`strike`'s
+        schedule) that is on its duty at *cycle*, before the settle: the
+        latched value is corrupted for this cycle.  Returns the number of
+        lanes forced."""
+        values = self.sim.values
+        ff_q = self.sim._ff_q
+        forced = 0
+        for lane, (plan, struck) in forcing.items():
+            if plan.force_active(cycle - struck):
+                lv = 1 << lane
+                for f, v in plan.forces:
+                    q = ff_q[f]
+                    values[q] = (values[q] & ~lv) | (lv if v else 0)
+                forced += 1
+        return forced
+
+    def observe(self, cycle: int, pipelines: List[List[int]]) -> int:
+        """After the settle of *cycle*: latch each loopback source into its
+        pipeline and return the lanes the failure criterion flags."""
+        values = self.sim.values
+        for tap, pipeline in zip(self.taps, pipelines):
+            pipeline[cycle % tap.delay] = values[tap.source_value_idx]
+        return self._criterion.evaluate(values, self.golden.outputs[cycle], self.sim.mask)
+
+    def diverging_rows(self, cycle: int, lanes: int) -> int:
+        """Lanes of *lanes* whose relevant flip-flop state differs from
+        golden at the start of *cycle*
+        (:meth:`~repro.sim.compiled.CompiledSimulator.diverging_rows`)."""
+        return self.sim.diverging_rows(self.relevant_rows, self.relevant_bits[cycle], lanes)
+
+    def diverging_row_planes(self, cycle: int, lanes: int) -> Tuple[int, int, List[int]]:
+        """:meth:`diverging_rows` that also locates a lone deviating row
+        (:meth:`~repro.sim.compiled.CompiledSimulator.diverging_row_planes`)."""
+        return self.sim.diverging_row_planes(
+            self.relevant_rows, self.relevant_bits[cycle], lanes
+        )
+
+    def diverging_slots(self, cycle: int, pipelines: List[List[int]], lanes: int) -> int:
+        """Lanes of *lanes* whose loopback values in flight at *cycle*
+        differ from the golden record."""
+        mask = self.sim.mask
         diff = 0
-        golden = self.golden
-        for tap in self._taps:
+        for tap, pipeline in zip(self.taps, pipelines):
             golden_bits = tap.golden_bits
-            for past in range(max(0, next_cycle - tap.delay), next_cycle):
-                if past >= golden.n_cycles:
-                    continue
-                bit = golden_bits[past]
-                diff |= tap.slots[past % tap.delay] ^ (mask if bit else 0)
-        return diff & mask
+            for past in range(max(0, cycle - tap.delay), cycle):
+                diff |= pipeline[past % tap.delay] ^ (mask if golden_bits[past] else 0)
+        return diff & lanes
+
+    # ------------------------------------------------- scheduled-pass kernels
+
+    def observed_roots(self) -> Tuple[List[int], List[int]]:
+        """``(roots, latched)`` of :attr:`observed_settle`: the criterion
+        nets and loopback tap sources, and the relevant flip-flops (indices)
+        whose D/RN pins the settle also computes."""
+        roots = [idx for idx, _bit in self._criterion.valid_pairs]
+        roots += [idx for idx, _bit in self._criterion.data_pairs]
+        roots += [tap.source_value_idx for tap in self.taps]
+        return roots, self.relevant_ffs
+
+    @cached_property
+    def observed_settle(self) -> Callable[[List[int], int], None]:
+        """The settle of every scheduled cycle: only the cells a verdict can read.
+
+        That is the combinational fan-in of :meth:`observed_roots`, with
+        each register enable's next-state logic skipped while the enable is
+        0 on every lane
+        (:meth:`~repro.sim.compiled.CompiledSimulator.compile_cone_eval`).
+        Every other cell feeds only flip-flops outside the relevant set,
+        whose values no verdict, probe or relevant cone reads, so they are
+        left stale.  On a circuit whose every flip-flop is relevant this is
+        the simulator's own cached ``_eval``.  Built on first use, like the
+        other scheduled-pass kernels.
+        """
+        return self.sim.compile_cone_eval(*self.observed_roots())
+
+    @cached_property
+    def relevant_tick(self) -> Callable[[List[int], int], None]:
+        """The clock edge of every scheduled cycle: latches the relevant
+        flip-flops only.  The other Q rows are dead in a scheduled pass (no
+        cone the observed settle evaluates reads them), so they are never
+        latched; on a circuit whose every flip-flop is relevant this is the
+        simulator's own tick."""
+        return self.sim.compile_partial_tick(self.relevant_ffs)
+
+    @cached_property
+    def activation_loader(self) -> Callable[[List[int], int, int, bytes], None]:
+        """Generated per-lane golden-state loader (one statement per
+        relevant flip-flop).
+
+        ``_load(v, am, nam, g)`` sets, on the lanes selected by the lane
+        vectors ``am``/``nam = am ^ mask``, the Q of the *k*-th relevant
+        flip-flop to its golden bit ``g[k]`` (a row of :attr:`relevant_bits`)
+        — the scatter half of mixed-cycle activation, without a
+        per-flip-flop Python loop.  Non-relevant Q rows are dead in a
+        scheduled pass, so they are not loaded.
+        """
+        body = [
+            f"v[{q}] = (v[{q}] & nam) | (am if g[{k}] else 0)"
+            for k, q in enumerate(self.relevant_rows)
+        ]
+        filename = f"<repro-load:{self.netlist.name}>"
+        return bind_chunks(compile_chunked("_load", "v, am, nam, g", body, filename), "_load")

@@ -66,8 +66,13 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   looks for merges only when its due lanes outnumber the relevant
   flip-flops (``AdaptiveScheduler.merge_min_due``).
 
-All of this is scheduling only: each request still sees the exact cycle
-sequence :meth:`run_batch` would give it on every net a verdict reads, so
+All of this is scheduling only.  What a simulated cycle is — strike,
+loopback seeding, drive, forcing, observation, the row and slot probes,
+and the scheduled settle, tick and loader kernels — is the injector's
+(:class:`~repro.faultinjection.injector.FaultInjector`), shared with
+:meth:`run_batch`; the scheduler owns only the lanes.  Each request still
+sees the exact cycle sequence :meth:`run_batch` would give it on every
+net a verdict reads, so
 per-injection verdicts and error latencies are **bit-identical** to the
 naive batches — enforced per fuzz seed by the ``scheduled-vs-naive``
 differential mode in :mod:`repro.verify.diff` (with merging on at every
@@ -96,7 +101,6 @@ from typing import (
 
 import numpy as np
 
-from ..sim.compiled import bind_chunks, compile_chunked
 from ..sim.logic import lanes_mask, set_lanes
 from .faults import InjectionPlan
 
@@ -303,9 +307,7 @@ class AdaptiveScheduler:
         self.injector = injector
         self.max_lanes = max_lanes
         self.stats = SchedulerStats()
-        # Value rows of the relevant flip-flops, in relevant_bits order.
-        self._relevant_rows = [q_idx for q_idx, _ff in injector._relevant_pairs]
-        self.merge_min_due = len(self._relevant_rows) + 1
+        self.merge_min_due = len(injector.relevant_rows) + 1
 
     # ------------------------------------------------------------------ API
 
@@ -392,83 +394,6 @@ class AdaptiveScheduler:
 
     # ---------------------------------------------------------- cycle path
 
-    def _cached(self, attr: str, build: Callable[[], Callable]) -> Callable:
-        """The generated function cached on the injector as *attr*, built on
-        first use: each depends only on the (netlist, criterion, testbench)
-        binding, so every scheduler of the injector shares it."""
-        fn = getattr(self.injector, attr, None)
-        if fn is None:
-            fn = build()
-            setattr(self.injector, attr, fn)
-        return fn
-
-    def _settle_roots(self) -> Tuple[List[int], List[int]]:
-        """``(roots, latched)`` of the observed settle: the criterion nets
-        and loopback tap sources, and the relevant flip-flops (indices)
-        whose D/RN pins the settle also computes."""
-        injector = self.injector
-        roots = [idx for idx, _bit in injector.criterion_valid_pairs]
-        roots += [idx for idx, _bit in injector.criterion_data_pairs]
-        roots += [tap.source_value_idx for tap in injector.taps]
-        latched = [ff_index for _q_idx, ff_index in injector._relevant_pairs]
-        return roots, latched
-
-    def _observed_settle(self) -> Callable[[List[int], int, list], None]:
-        """The settle of every scheduled cycle: only the cells a verdict can read.
-
-        That is the combinational fan-in of the criterion nets, the
-        loopback tap sources and the D/RN pins of the relevant flip-flops,
-        with each register enable's next-state logic skipped while the
-        enable is 0 on every lane
-        (:meth:`~repro.sim.compiled.CompiledSimulator.compile_cone_eval`).
-        Every other cell feeds only flip-flops outside the relevant set,
-        whose values no verdict, probe or relevant cone reads, so they are
-        left stale.  On a circuit whose every flip-flop is relevant this is
-        the simulator's own cached ``_eval``.
-        """
-        return self._cached(
-            "_cached_observed_settle",
-            lambda: self.injector.sim.compile_cone_eval(*self._settle_roots()),
-        )
-
-    def _relevant_tick(self) -> Callable[[List[int], int], None]:
-        """The clock edge of every scheduled cycle: latches the relevant
-        flip-flops only.  The other Q rows are dead in a scheduled pass (no
-        cone the observed settle evaluates reads them), so they are never
-        latched; on a circuit whose every flip-flop is relevant this is the
-        simulator's own tick."""
-        sim = self.injector.sim
-        ffs = [ff_index for _q_idx, ff_index in self.injector._relevant_pairs]
-        return self._cached(
-            "_cached_relevant_tick", lambda: sim.compile_partial_tick(ffs)
-        )
-
-    def _activation_loader(self) -> Callable[[List[int], int, int, bytes], None]:
-        """Generated per-lane golden-state loader (one statement per
-        relevant flip-flop).
-
-        ``_load(v, am, nam, g)`` sets, on the lanes selected by the lane
-        vectors ``am``/``nam = am ^ mask``, the Q of the *k*-th relevant
-        flip-flop to its golden bit ``g[k]`` (a row of
-        :attr:`~repro.faultinjection.injector.FaultInjector.relevant_bits`)
-        — the scatter half of mixed-cycle activation, without a
-        per-flip-flop Python loop.  Non-relevant Q rows are dead in a
-        scheduled pass, so they are not loaded.
-        """
-
-        def build():
-            sim = self.injector.sim
-            body = [
-                f"v[{q}] = (v[{q}] & nam) | (am if g[{k}] else 0)"
-                for k, q in enumerate(self._relevant_rows)
-            ]
-            codes = compile_chunked(
-                "_load", "v, am, nam, g", body, f"<repro-load:{sim.netlist.name}>"
-            )
-            return bind_chunks(codes, "_load")
-
-        return self._cached("_cached_activation_loader", build)
-
     def _run_pass(
         self,
         pending: array,
@@ -485,11 +410,8 @@ class AdaptiveScheduler:
         """
         injector = self.injector
         sim = injector.sim
-        golden = injector.golden
-        criterion = injector._criterion
-        taps = injector.taps
         check = injector.check_interval
-        end_of_trace = golden.n_cycles
+        end_of_trace = injector.golden.n_cycles
         stats = self.stats
         cycle_of = requests.cycle
         ff_of = requests.ff
@@ -522,15 +444,12 @@ class AdaptiveScheduler:
         sim.resize_lanes(width)
         mask = sim.mask
         values = sim.values
-        ff_q = sim._ff_q
-        clock_nets = sim._clock_nets
-        fallback_cells = sim._fallback_cells
-        settle = self._observed_settle()
-        load_fn = self._activation_loader()
-        tick = self._relevant_tick()
+        settle = injector.observed_settle
+        load_fn = injector.activation_loader
+        tick = injector.relevant_tick
         relevant_bits = injector.relevant_bits
 
-        slots: List[List[int]] = [[0] * tap.delay for tap in taps]
+        pipelines = injector.new_pipelines()
         lane_key: List[Optional[int]] = [None] * width
         # Cycle at which the lane first failed; -1 while it has not.
         lane_failed_at: List[int] = [-1] * width
@@ -539,13 +458,8 @@ class AdaptiveScheduler:
         riding = 0  # live riders, summed over lanes
         free: List[int] = list(range(width))  # heap: lowest free lane first
 
-        # Fault-model state: per-lane plan compilation and force bookkeeping.
-        bound = injector.bound_model
-        ff_cells = sim.flip_flops
-        lane_force: List[
-            Optional[Tuple[InjectionPlan, int, List[Tuple[int, int]]]]
-        ] = [None] * width
-        force = 0
+        # Lanes whose fault-model plan forces: lane -> (plan, struck cycle).
+        lane_force: Dict[int, Tuple[InjectionPlan, int]] = {}
 
         active = 0  # lanes carrying an injection; always within the mask
         failed = 0  # active lanes whose injection has failed
@@ -564,13 +478,13 @@ class AdaptiveScheduler:
         def retire_lanes(retire_bits: int, early: bool = False) -> None:
             """Retire every request on the *retire_bits* lanes; *early*
             counts the unfailed ones as retired at a check."""
-            nonlocal active, failed, force, riding
+            nonlocal active, failed, riding
             for lane in set_lanes(retire_bits):
                 key = lane_key[lane]
                 riders = lane_riders[lane]
                 lane_key[lane] = None
                 lane_riders[lane] = None
-                lane_force[lane] = None
+                lane_force.pop(lane, None)
                 n_requests = 1
                 failed_at = lane_failed_at[lane]
                 give_verdict(key, failed_at)
@@ -591,7 +505,6 @@ class AdaptiveScheduler:
                 group_bits[group] &= keep
             active &= keep
             failed &= keep
-            force &= keep
 
         def merge_lanes(candidates: int, planes: List[int]) -> None:
             """Let lanes that share one differing relevant row and one
@@ -655,13 +568,12 @@ class AdaptiveScheduler:
                 lane_key.extend([None] * grown)
                 lane_failed_at.extend([-1] * grown)
                 lane_riders.extend([None] * grown)
-                lane_force.extend([None] * grown)
             else:
                 free[:] = [lane for lane in free if lane < new_width]
                 heapify(free)
                 del lane_key[new_width:], lane_failed_at[new_width:]
-                del lane_riders[new_width:], lane_force[new_width:]
-                for pipeline in slots:
+                del lane_riders[new_width:]
+                for pipeline in pipelines:
                     pipeline[:] = [vec & sim.mask for vec in pipeline]
             width = new_width
             mask = sim.mask
@@ -729,29 +641,11 @@ class AdaptiveScheduler:
                         group_bits[group] |= lanes_mask(lanes)
                 stats.refills += (activated & ever_used).bit_count()
                 ever_used |= activated
-                nam = activated ^ mask
-                load_fn(values, activated, nam, relevant_bits[c])
-                for lane in act_lanes:
-                    ff_index = ff_of[lane_key[lane]]
-                    if bound is None:
-                        values[ff_q[ff_index]] ^= 1 << lane
-                    else:
-                        iplan = bound.plan(ff_index, c)
-                        for f in iplan.flips:
-                            values[ff_q[f]] ^= 1 << lane
-                        if iplan.forces:
-                            rows = [
-                                (sim.net_index[ff_cells[f].output_net()], v)
-                                for f, v in iplan.forces
-                            ]
-                            lane_force[lane] = (iplan, c, rows)
-                            force |= 1 << lane
-                for t, tap in enumerate(taps):
-                    tap_golden = tap.golden_bits
-                    for past in range(c - tap.delay, c):
-                        bit = tap_golden[past] if past >= 0 else 0
-                        slot = slots[t][past % tap.delay]
-                        slots[t][past % tap.delay] = (slot & nam) | (activated if bit else 0)
+                load_fn(values, activated, activated ^ mask, relevant_bits[c])
+                lane_force.update(
+                    injector.strike(c, [(lane, ff_of[lane_key[lane]]) for lane in act_lanes])
+                )
+                injector.seed_loopback(pipelines, c, activated)
                 active |= activated
                 stats.activations += len(act_lanes)
 
@@ -761,36 +655,17 @@ class AdaptiveScheduler:
                 c = cycle_of[pending[ptr]]  # fast-forward over empty cycles
                 continue
 
-            # -- simulate cycle c.
-            applied = golden.applied_inputs[c]
-            for bit_pos, value_idx in injector._open_inputs:
-                values[value_idx] = mask if (applied >> bit_pos) & 1 else 0
-            for t, tap in enumerate(taps):
-                values[tap.target_value_idx] = slots[t][c % tap.delay]
-            if force:
-                # Re-assert forcing plans on their duty-on cycles, before the
-                # settle — exactly mirroring run_batch and the oracle.
-                for lane in set_lanes(force):
-                    iplan, cycle0, rows = lane_force[lane]
-                    if iplan.force_active(c - cycle0):
-                        lv = 1 << lane
-                        for q_idx, v in rows:
-                            values[q_idx] = (values[q_idx] & ~lv) | (lv if v else 0)
-                        stats.forced_cycles += 1
-
-            for clk in clock_nets:
-                values[clk] = 0
-            settle(values, mask, fallback_cells)
-            fail_c = criterion.evaluate(values, golden.outputs[c], mask)
-
-            newly = fail_c & active & ~failed
+            # -- simulate cycle c: the injector's cycle steps around the
+            # scheduled settle and tick.
+            injector.drive(c, pipelines)
+            if lane_force:
+                stats.forced_cycles += injector.force(c, lane_force)
+            settle(values, mask)
+            newly = injector.observe(c, pipelines) & active & ~failed
             if newly:
                 failed |= newly
                 for lane in set_lanes(newly):
                     lane_failed_at[lane] = c
-
-            for t, tap in enumerate(taps):
-                slots[t][c % tap.delay] = values[tap.source_value_idx]
             tick(values, mask)
 
             c += 1
@@ -812,11 +687,15 @@ class AdaptiveScheduler:
                         due_bits |= group_bits[group]
                 next_due = min(group_check)
                 look = due_bits.bit_count() >= self.merge_min_due
-                row_diff, multi, planes = self._probe_rows(c, due_bits, look)
-                slot_diff = self._probe_slots(c, due_bits, slots)
+                if look:
+                    row_diff, multi, planes = injector.diverging_row_planes(c, due_bits)
+                else:
+                    row_diff, multi, planes = injector.diverging_rows(c, due_bits), 0, []
+                slot_diff = injector.diverging_slots(c, pipelines, due_bits)
                 # A forcing lane that matches golden right now is not done —
                 # a later duty-on cycle can re-disturb it — so convergence
                 # retirement excludes live force lanes (failure still retires).
+                force = lanes_mask(list(lane_force))
                 converged = (mask ^ (row_diff | slot_diff)) & ~force
                 retire_bits = due_bits & (failed | converged)
                 if retire_bits:
@@ -833,33 +712,3 @@ class AdaptiveScheduler:
                     set_width(max(active.bit_length(), MIN_WIDTH))
 
         return deferred + pending[ptr:]
-
-    # ------------------------------------------------------------- internals
-
-    def _probe_rows(
-        self, cycle: int, active_vec: int, locate: bool
-    ) -> Tuple[int, int, List[int]]:
-        """Divergence of the relevant flip-flops on *active_vec*.
-
-        Returns ``(diff, multi, planes)``: the lanes where any relevant
-        flip-flop deviates from golden and, when *locate* is set, the lanes
-        where at least two do and the bit-planes of the deviating row's
-        position (see :meth:`CompiledSimulator.diverging_row_planes`).
-        """
-        sim = self.injector.sim
-        golden = self.injector.relevant_bits[cycle]
-        if locate:
-            return sim.diverging_row_planes(self._relevant_rows, golden, active_vec)
-        return sim.diverging_rows(self._relevant_rows, golden, active_vec), 0, []
-
-    def _probe_slots(self, cycle: int, active_vec: int, slots) -> int:
-        """Lanes of *active_vec* whose in-flight loopback slots deviate from
-        golden."""
-        diff = 0
-        mask = self.injector.sim.mask
-        for t, tap in enumerate(self.injector.taps):
-            tap_golden = tap.golden_bits
-            for past in range(max(0, cycle - tap.delay), cycle):
-                golden_vec = mask if tap_golden[past] else 0
-                diff |= (slots[t][past % tap.delay] ^ golden_vec) & active_vec
-        return diff

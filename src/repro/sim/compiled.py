@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress, count, repeat
 from operator import and_, itemgetter, or_, rshift, xor
 from types import CodeType
@@ -42,7 +42,6 @@ __all__ = [
     "bind_chunks",
     "build_eval_statements",
     "cached_codegen",
-    "cached_eval_fn",
     "compile_chunked",
 ]
 
@@ -85,11 +84,11 @@ _TEMPLATES: Dict[str, str] = {
 
 
 # Generated functions are compiled as chains of chunks of at most this many
-# statements, each its own ``compile()`` call, run in order by a small
-# generated driver.  One multi-thousand-statement function leaves the
-# compiler's arenas behind (about 22 MB for xgmac's settle, about 200 MB at
-# 10k flip-flops); bounded chunks keep that to a few MB, and a call per
-# chunk costs nothing next to the big-int gate work inside it.
+# lines, each its own ``compile()`` call, run in order by a small generated
+# driver.  One multi-thousand-statement function leaves the compiler's
+# arenas behind (about 22 MB for xgmac's settle, about 200 MB at 10k
+# flip-flops); bounded chunks keep that to a few MB, and a call per chunk
+# costs nothing next to the big-int gate work inside it.
 CHUNK_STATEMENTS = 256
 
 
@@ -98,17 +97,27 @@ def compile_chunked(
 ) -> Tuple[CodeType, ...]:
     """Compile ``def fn_name(params)`` over the statements *body*, in chunks.
 
-    Chunk *k* is ``{fn_name}_{k}(params)`` over at most
-    :data:`CHUNK_STATEMENTS` consecutive statements, each its own
-    ``compile()``; the last code object defines the driver
+    A statement may be a block of several lines (an ``if`` and its
+    indented body); blocks are never cut.  Chunk *k* is
+    ``{fn_name}_{k}(params)`` over consecutive statements of at most
+    :data:`CHUNK_STATEMENTS` lines in all (or one longer block), each its
+    own ``compile()``; the last code object defines the driver
     ``fn_name(params)``, which calls the chunks in order.  Statements
     therefore run in *body* order, but no local survives a chunk boundary.
     """
     size = CHUNK_STATEMENTS
+    parts: List[List[str]] = []
+    room = 0
+    for statement in body:
+        lines = statement.split("\n")
+        if len(lines) > room:
+            parts.append([])
+            room = size
+        parts[-1] += lines
+        room -= len(lines)
     sources = []
     calls = []
-    for k, start in enumerate(range(0, len(body), size)):
-        part = body[start:start + size]
+    for k, part in enumerate(parts):
         sources.append(
             f"def {fn_name}_{k}({params}):\n" + "\n".join("    " + s for s in part)
         )
@@ -128,15 +137,14 @@ def bind_chunks(codes: Sequence[CodeType], fn_name: str) -> Callable:
 def build_eval_statements(
     netlist: Netlist,
     net_index: Mapping[str, int],
-    fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
     cells: Optional[Sequence[str]] = None,
 ) -> List[str]:
     """Generate the statements of the combinational settle of *netlist*.
 
-    The body of ``_eval(v, m, fb)``: one statement per gate in levelized
+    The body of ``_eval(v, m)``: one statement per gate in levelized
     order, reading and writing ``v[i]`` lane vectors under the all-ones
-    mask ``m``.  Cells without a template are appended to *fallback_cells*
-    as ``(function, out_index, in_indices)`` and dispatched through ``fb``.
+    mask ``m``.  Every combinational cell type needs a template; a cell
+    without one raises :class:`ValueError`.
 
     *cells* restricts generation to a subset of combinational cells (must
     already be in a valid evaluation order) — this is how the scheduler's
@@ -150,10 +158,9 @@ def build_eval_statements(
         ins = [net_index[n] for n in cell.input_nets()]
         template = _TEMPLATES.get(cell.ctype.name)
         if template is None:
-            idx = len(fallback_cells)
-            fallback_cells.append((cell.ctype.function, out, tuple(ins)))
-            lines.append(f"v[{out}] = fb[{idx}][0]([v[i] for i in fb[{idx}][2]], m)")
-            continue
+            raise ValueError(
+                f"cell {cell_name!r}: no settle template for cell type {cell.ctype.name!r}"
+            )
         fields = {"o": out}
         for pos, in_idx in enumerate(ins):
             fields[f"i{pos}"] = in_idx
@@ -186,40 +193,13 @@ def _cache_for(netlist: Netlist) -> Dict[tuple, object]:
     return cache
 
 
-def cached_eval_fn(
-    netlist: Netlist,
-    net_index: Mapping[str, int],
-    fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
-) -> Callable:
-    """Compile-once-per-netlist settle: :func:`build_eval_statements`, chunked.
-
-    The generated code bakes fallback-dispatch indices starting at 0, so
-    *fallback_cells* must be the (empty) per-instance table the returned
-    function will be called with; the cached fallback entries are re-extended
-    into it.  The cell/net counts in the key guard against a netlist mutated
-    after its code was cached.
-    """
-    key = ("eval", CHUNK_STATEMENTS, len(netlist.cells), len(netlist.nets))
-    cache = _cache_for(netlist)
-    entry = cache.get(key)
-    if entry is None:
-        fresh: List[Tuple[Callable, int, Tuple[int, ...]]] = []
-        body = build_eval_statements(netlist, net_index, fresh)
-        codes = compile_chunked("_eval", "v, m, fb", body, f"<repro-eval:{netlist.name}>")
-        entry = (codes, tuple(fresh))
-        cache[key] = entry
-    codes, entries = entry
-    fallback_cells.extend(entries)
-    return bind_chunks(codes, "_eval")
-
-
 def cached_codegen(
     netlist: Netlist,
     key: tuple,
     fn_name: str,
     build_codes: Callable[[], Tuple[CodeType, ...]],
 ) -> Callable:
-    """Per-netlist cached compile of a generated function (the tick).
+    """Per-netlist cached compile of a generated function (the settle, the tick).
 
     *build_codes* is only invoked on a cache miss and returns the code
     objects that together define *fn_name*; the returned function is a
@@ -305,14 +285,28 @@ class CompiledSimulator:
         self._clock_nets = [self.net_index[c] for c in netlist.clocks if c in self.net_index]
         self._out_rows: List[int] = [self.net_index[name] for name in netlist.outputs]
 
-        self._fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]] = []
         self._eval_fn = self._compile_eval()
         self._tick_fn = self._compile_tick()
 
     # ------------------------------------------------------------ compiling
 
-    def _compile_eval(self) -> Callable[[List[int], int, list], None]:
-        return cached_eval_fn(self.netlist, self.net_index, self._fallback_cells)
+    def _compile_eval(self) -> Callable[[List[int], int], None]:
+        """The full settle, :func:`build_eval_statements` chunked.  The
+        cell/net counts in the key guard against a netlist mutated after
+        its code was cached."""
+        netlist = self.netlist
+        key = ("eval", len(netlist.cells), len(netlist.nets))
+        return cached_codegen(
+            netlist,
+            key,
+            "_eval",
+            lambda: compile_chunked(
+                "_eval",
+                "v, m",
+                build_eval_statements(netlist, self.net_index),
+                f"<repro-eval:{netlist.name}>",
+            ),
+        )
 
     def _build_tick(self, ffs: Optional[Sequence[int]] = None) -> Tuple[CodeType, ...]:
         """The tick: latch the D (gated by sync RN) of every flip-flop in
@@ -445,22 +439,23 @@ class CompiledSimulator:
 
     def compile_cone_eval(
         self, roots: Sequence[int], latched: Sequence[int] = ()
-    ) -> Callable[[List[int], int, list], None]:
+    ) -> Callable[[List[int], int], None]:
         """Compile an ``_eval`` over :meth:`cone_plan`'s cone, enable-gated.
 
         Calling the result settles every root and the D/RN pins of every
         *latched* flip-flop exactly as :meth:`eval_comb` would (minus the
         clock forcing) and leaves nets outside the cone untouched.  It runs
-        the ungated cells in topological order, then each enable's group
-        with one line, ``(_g{k} if v[e] else _c{k})(v, m, fb)``: ``_g{k}``
-        evaluates the group's cells, ``_c{k}`` copies each hold mux's Q to
-        its D — the mux's value while the enable is 0 on every lane — and
-        leaves the group's other nets stale, which only those muxes' data
-        inputs read.  When the cone covers every combinational cell this
-        returns the cached full ``_eval`` itself rather than compiling a
-        copy.  The plan's static shape is recorded as the gauges
-        ``sim.compiled.cone_cells``, ``sim.compiled.gated_cells`` and
-        ``sim.compiled.enable_groups``.
+        the ungated cells in topological order, then each enable *e*'s
+        group inline as ``if v[e]:`` over the group's cells and ``if not
+        v[e]:`` over copies of each hold mux's Q to its D — the mux's value
+        while the enable is 0 on every lane — leaving the group's other
+        nets stale, which only those muxes' data inputs read.  No group
+        cell feeds an enable, so a group longer than a chunk is cut into
+        several blocks that each test the enable again.  When the cone
+        covers every combinational cell this returns the cached full
+        ``_eval`` itself rather than compiling a copy.  The plan's static
+        shape is recorded as the gauges ``sim.compiled.cone_cells``,
+        ``sim.compiled.gated_cells`` and ``sim.compiled.enable_groups``.
         """
         plan = self.cone_plan(roots, latched)
         groups: Dict[int, List[str]] = {}
@@ -476,21 +471,24 @@ class CompiledSimulator:
 
         netlist = self.netlist
         index = self.net_index
-        filename = f"<repro-cone-eval:{netlist.name}>"
-        build = partial(build_eval_statements, netlist, index, self._fallback_cells)
-        body = build(cells=[name for name in plan.cells if name not in plan.gate])
-        codes: List[CodeType] = []
-        for k, (enable, members) in enumerate(groups.items()):
+        body = build_eval_statements(
+            netlist, index, [name for name in plan.cells if name not in plan.gate]
+        )
+        step = max(1, CHUNK_STATEMENTS - 1)  # a block's statements, its test aside
+        for enable, members in groups.items():
             copies = [
                 f"v[{index[netlist.cells[name].output_net()]}] = v[{plan.holds[name]}]"
                 for name in members
                 if name in plan.holds
             ]
-            codes += compile_chunked(f"_g{k}", "v, m, fb", build(cells=members), filename)
-            codes += compile_chunked(f"_c{k}", "v, m, fb", copies, filename)
-            body.append(f"(_g{k} if v[{enable}] else _c{k})(v, m, fb)")
-        codes += compile_chunked("_eval", "v, m, fb", body, filename)
-        return bind_chunks(codes, "_eval")
+            for test, block in (
+                (f"if v[{enable}]:", build_eval_statements(netlist, index, members)),
+                (f"if not v[{enable}]:", copies),
+            ):
+                for start in range(0, len(block), step):
+                    body.append("\n    ".join([test, *block[start:start + step]]))
+        filename = f"<repro-cone-eval:{netlist.name}>"
+        return bind_chunks(compile_chunked("_eval", "v, m", body, filename), "_eval")
 
     # -------------------------------------------------------------- control
 
@@ -536,7 +534,7 @@ class CompiledSimulator:
         """Propagate values through the combinational logic (one full pass)."""
         for clk in self._clock_nets:
             self.values[clk] = 0
-        self._eval_fn(self.values, self.mask, self._fallback_cells)
+        self._eval_fn(self.values, self.mask)
 
     def tick(self) -> None:
         """Rising clock edge: latch D (gated by sync RN) into every Q."""

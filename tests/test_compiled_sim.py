@@ -336,12 +336,10 @@ def test_cone_plan_gates_only_logic_behind_hold_muxes(enabled_registers):
     }
 
 
-def test_enable_gated_cone_eval_matches_eval_comb(enabled_registers):
-    """Every input and state combination, from stale random rows: the gated
-    settle gives the roots and the latched D pins their eval_comb values."""
+def _assert_gated_settle_matches_eval_comb(netlist):
     import random
 
-    sim = CompiledSimulator(enabled_registers, n_lanes=32)
+    sim = CompiledSimulator(netlist, n_lanes=32)
     index = sim.net_index
     latched = [sim.ff_index[f"ff_{q}"] for q in "rsuvp"]
     settle = sim.compile_cone_eval([index["nxt"]], latched)
@@ -358,5 +356,55 @@ def test_enable_gated_cone_eval_matches_eval_comb(enabled_registers):
         full = list(sim.values)
         sim.values[:] = start
         sim.values[index["clk"]] = 0
-        settle(sim.values, sim.mask, sim._fallback_cells)
+        settle(sim.values, sim.mask)
         assert [sim.values[row] for row in read] == [full[row] for row in read]
+
+
+def test_enable_gated_cone_eval_matches_eval_comb(enabled_registers):
+    """Every input and state combination, from stale random rows: the gated
+    settle gives the roots and the latched D pins their eval_comb values."""
+    _assert_gated_settle_matches_eval_comb(enabled_registers)
+
+
+@pytest.mark.parametrize("chunk", [3, 2, 1])
+def test_enable_gated_cone_eval_cut_at_the_chunk_bound(
+    enabled_registers, monkeypatch, chunk
+):
+    """Chunks of at most *chunk* lines cut ``en``'s three-cell group into
+    several blocks that each test the enable; the gated settle still
+    matches eval_comb on every combination."""
+    import repro.sim.compiled as compiled_mod
+
+    monkeypatch.setattr(compiled_mod, "CHUNK_STATEMENTS", chunk)
+    _assert_gated_settle_matches_eval_comb(enabled_registers)
+
+
+def test_every_library_cell_has_a_settle_template():
+    """The generated settle has no fallback dispatch: every combinational
+    and tie type of the default library has a template, and a cell type
+    without one is refused by name."""
+    from repro.netlist.cells import CellType, DEFAULT_LIBRARY, default_library
+    from repro.netlist.core import Netlist
+    from repro.sim.compiled import _TEMPLATES, build_eval_statements
+
+    assert {t.name for t in DEFAULT_LIBRARY if not t.is_sequential} <= set(_TEMPLATES)
+
+    library = default_library()
+    library.add(
+        CellType(
+            "MAJ3",
+            ("A", "B", "C"),
+            ("Z",),
+            function=lambda ins, m: (ins[0] & ins[1]) | (ins[2] & (ins[0] | ins[1])),
+        )
+    )
+    netlist = Netlist("majority", library=library)
+    for name in ("a", "b", "c"):
+        netlist.add_input(name)
+    netlist.add_cell("maj", "MAJ3", {"A": "a", "B": "b", "C": "c", "Z": "z"})
+    netlist.add_output("z")
+    index = {name: i for i, name in enumerate(netlist.nets)}
+    with pytest.raises(ValueError, match="'MAJ3'"):
+        build_eval_statements(netlist, index)
+    with pytest.raises(ValueError, match="'MAJ3'"):
+        CompiledSimulator(netlist)

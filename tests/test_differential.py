@@ -210,6 +210,17 @@ def test_verify_seed_replays_merged_lanes():
     assert report.comparisons == 2227
 
 
+@pytest.mark.parametrize("seed", [115, 119, 197])
+def test_verify_seed_replays_faults_in_flight_on_a_loopback(seed):
+    """On these seeds some retirement check finds a lane whose relevant
+    flip-flops are golden again while a corrupted value is still in flight
+    in its loopback pipeline; it fails later.  A slot probe that ignored
+    the pipelines would retire that lane as converged, and the scheduled
+    and grouped replays would then disagree with the naive batches."""
+    report = verify_seed(FUZZ_SCALES["tiny"].with_seed(seed))
+    assert report.ok, [str(d) for d in report.divergences]
+
+
 def test_generated_check_count_is_pinned():
     assert run_generated_check() == ([], 64)
 

@@ -95,6 +95,44 @@ def test_set_outside_trace_rejected(tiny_injector):
         tiny_injector.run_set_batch(10**6, ["pkt_rx_val"])
 
 
+#: SHA-256 over a SET sweep of the tiny preset: every
+#: :meth:`SetSweepModel.enumerate_sites` net struck at the 7 cycles
+#: ``range(6, 158, 25)`` of its active window, one ``[failed_mask, sorted
+#: latencies, cycles_simulated]`` record per cycle.  ``run_set_batch`` has
+#: no brute-force referee, so a change to its cycle steps (drive, loopback
+#: pipeline, forcing, probes) fails here.
+SET_SWEEP_TINY_DIGEST = "5a6046e31294b080c00501e5ffa1e3121963d698e28c9be1b864dcd38f47ff3e"
+
+
+def test_set_sweep_is_pinned():
+    from repro.campaigns.spec import CampaignSpec, build_context
+    from repro.data import DATASET_PRESETS
+    from repro.faultinjection import SetSweepModel
+
+    context = build_context(CampaignSpec.from_dataset_spec(DATASET_PRESETS["tiny"]))
+    assert context.active_window == (6, 158)
+    injector = FaultInjector(
+        context.netlist,
+        context.workload.testbench,
+        context.ensure_golden(),
+        context.criterion,
+    )
+    nets = SetSweepModel().enumerate_sites(context.netlist)
+    digest = hashlib.sha256()
+    n_failed = 0
+    for cycle in range(6, 158, 25):
+        outcome = injector.run_set_batch(cycle, nets)
+        n_failed += len(outcome.failed_lanes())
+        record = [
+            outcome.failed_mask,
+            sorted(outcome.latencies.items()),
+            outcome.cycles_simulated,
+        ]
+        digest.update(json.dumps(record).encode())
+    assert (len(nets), n_failed) == (1202, 1023)
+    assert digest.hexdigest() == SET_SWEEP_TINY_DIGEST
+
+
 # ------------------------------------------------------- net activity
 
 

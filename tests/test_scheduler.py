@@ -9,6 +9,7 @@ injection's verdict and error latency must equal a naive
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -121,7 +122,7 @@ def test_relevant_only_load_and_tick_match_naive(tiny_parts):
     n_ffs = injector.sim.n_flip_flops
     assert 0 < len(injector.relevant_ff_names) < n_ffs
     scheduler = AdaptiveScheduler(injector, max_lanes=64)
-    assert scheduler._relevant_tick() is not injector.sim._tick_fn
+    assert injector.relevant_tick is not injector.sim._tick_fn
     first, last = workload.active_window
     rng = random.Random(31)
     requests = [(rng.randrange(first, last), ff) for ff in range(n_ffs) for _ in range(2)]
@@ -138,7 +139,7 @@ def test_golden_bits_table_matches_the_packed_trace(tiny_parts):
     assert len(injector.relevant_bits) == len(golden.ff_state)
     for row, state in zip(injector.relevant_bits, golden.ff_state):
         assert row == bytes(
-            (state >> ff_index) & 1 for _q, ff_index in injector._relevant_pairs
+            (state >> ff_index) & 1 for ff_index in injector.relevant_ffs
         )
 
 
@@ -219,14 +220,14 @@ def _checked_settle(injector):
     """Install an observed settle that asserts the lane-width invariant:
     every row it reads lies in ``[0, mask]``, whatever wrote it (activation
     load, flips, forcing, growth, truncation, tick)."""
-    settle = AdaptiveScheduler(injector)._observed_settle()
+    settle = injector.observed_settle
 
-    def checked(values, mask, fb):
+    def checked(values, mask):
         assert all(0 <= value <= mask for value in values)
-        settle(values, mask, fb)
+        settle(values, mask)
         assert all(0 <= value <= mask for value in values)
 
-    injector._cached_observed_settle = checked
+    injector.observed_settle = checked
 
 
 @pytest.mark.parametrize("fault_model", [None, "stuck1", "stuck0"])
@@ -343,13 +344,111 @@ def xgmac_parts():
     return netlist, workload, golden, criterion
 
 
+# ---------------------------------------------------------------- cycle steps
+#
+# The injector's cycle steps are the one implementation both forward loops
+# (run_batch and the scheduler) call; each is checked here against a
+# per-lane reference written out in the test.
+
+
+def _bit(vec, lane):
+    return (vec >> lane) & 1
+
+
+def _golden_pipelines(injector, cycle, rng, n_lanes, flips):
+    """Pipelines seeded on every lane at *cycle*, then *flips* random
+    ``(tap, slot, lane)`` bits inverted."""
+    pipelines = injector.new_pipelines()
+    injector.seed_loopback(pipelines, cycle, injector.sim.mask)
+    for _ in range(flips):
+        t = rng.randrange(len(pipelines))
+        slot = rng.randrange(len(pipelines[t]))
+        pipelines[t][slot] ^= 1 << rng.randrange(n_lanes)
+    return pipelines
+
+
+def test_seed_loopback_touches_only_the_given_lanes(xgmac_parts):
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    assert injector.taps
+    n_lanes = 300
+    injector.sim.resize_lanes(n_lanes)
+    rng = random.Random(5)
+    for cycle in (0, 1, 40, golden.n_cycles - 1):
+        pipelines = [
+            [rng.getrandbits(n_lanes) for _ in range(tap.delay)] for tap in injector.taps
+        ]
+        before = [list(pipeline) for pipeline in pipelines]
+        lanes = rng.getrandbits(n_lanes)
+        injector.seed_loopback(pipelines, cycle, lanes)
+        for tap, old, new in zip(injector.taps, before, pipelines):
+            for past in range(cycle - tap.delay, cycle):
+                slot = past % tap.delay
+                bit = tap.golden_bits[past] if past >= 0 else 0
+                for lane in range(n_lanes):
+                    expected = bit if _bit(lanes, lane) else _bit(old[slot], lane)
+                    assert _bit(new[slot], lane) == expected
+                assert new[slot] >> n_lanes == 0
+
+
+def test_slot_probe_matches_a_per_lane_recomputation(xgmac_parts):
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    n_lanes = 200
+    injector.sim.resize_lanes(n_lanes)
+    rng = random.Random(6)
+    for cycle in (0, 1, 17, 90, golden.n_cycles - 1):
+        for flips in (0, 1, 12):
+            pipelines = _golden_pipelines(injector, cycle, rng, n_lanes, flips)
+            lanes = rng.getrandbits(n_lanes)
+            expected = 0
+            for lane in range(n_lanes):
+                if not _bit(lanes, lane):
+                    continue
+                for tap, pipeline in zip(injector.taps, pipelines):
+                    for past in range(max(0, cycle - tap.delay), cycle):
+                        if _bit(pipeline[past % tap.delay], lane) != tap.golden_bits[past]:
+                            expected |= 1 << lane
+            assert injector.diverging_slots(cycle, pipelines, lanes) == expected
+            if flips == 0 or cycle == 0:
+                assert expected == 0
+
+
+def test_row_probe_matches_a_per_row_per_lane_reference(xgmac_parts):
+    """The relevant-row probe of both loops, against the packed golden
+    state read one flip-flop and one lane at a time."""
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    sim = injector.sim
+    n_lanes = 130
+    sim.resize_lanes(n_lanes)
+    rng = random.Random(7)
+    relevant = injector.relevant_ffs
+    assert len(relevant) < sim.n_flip_flops
+    for cycle in (0, 33, golden.n_cycles):
+        state = golden.ff_state[cycle]
+        for flips in (0, 1, 5, 400):
+            sim.load_ff_state_packed(state)
+            for _ in range(flips):
+                ff = rng.randrange(sim.n_flip_flops)
+                sim.flip_ff(ff, 1 << rng.randrange(n_lanes))
+            lanes = rng.getrandbits(n_lanes)
+            expected = 0
+            for ff_index in relevant:
+                row = sim.values[sim._ff_q[ff_index]]
+                for lane in range(n_lanes):
+                    if _bit(lanes, lane) and _bit(row, lane) != (state >> ff_index) & 1:
+                        expected |= 1 << lane
+            assert injector.diverging_rows(cycle, lanes) == expected
+            assert injector.diverging_row_planes(cycle, lanes)[0] == expected
+
+
 def _read_rows(injector):
     """Every row a scheduled verdict, probe or latch reads after a settle."""
     sim = injector.sim
-    read = {idx for idx, _bit in injector.criterion_valid_pairs}
-    read |= {idx for idx, _bit in injector.criterion_data_pairs}
-    read |= {tap.source_value_idx for tap in injector.taps}
-    for _q, ff_index in injector._relevant_pairs:
+    roots, latched = injector.observed_roots()
+    read = set(roots)
+    for ff_index in latched:
         read.add(sim._ff_d[ff_index])
         if sim._ff_rn[ff_index] is not None:
             read.add(sim._ff_rn[ff_index])
@@ -364,7 +463,7 @@ def test_observed_settle_matches_full_settle_on_read_nets(xgmac_parts):
     sim = injector.sim
     non_relevant = len(sim.flip_flops) - len(injector.relevant_ff_names)
     assert non_relevant == 237
-    settle = AdaptiveScheduler(injector)._observed_settle()
+    settle = injector.observed_settle
     assert settle is not sim._eval_fn
     read = _read_rows(injector)
     rng = random.Random(3)
@@ -378,7 +477,7 @@ def test_observed_settle_matches_full_settle_on_read_nets(xgmac_parts):
             sim.values[:] = start
             for clk in sim._clock_nets:
                 sim.values[clk] = 0
-            settle(sim.values, sim.mask, sim._fallback_cells)
+            settle(sim.values, sim.mask)
             assert all(sim.values[idx] == full[idx] for idx in read)
 
 
@@ -407,9 +506,8 @@ def test_enable_gated_settle_matches_full_settle_under_forced_enables(xgmac_part
     netlist, workload, golden, criterion = xgmac_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     sim = injector.sim
-    scheduler = AdaptiveScheduler(injector)
-    enables = sorted(set(sim.cone_plan(*scheduler._settle_roots()).gate.values()))
-    settle = scheduler._observed_settle()
+    enables = sorted(set(sim.cone_plan(*injector.observed_roots()).gate.values()))
+    settle = injector.observed_settle
     read = _read_rows(injector)
     rng = random.Random(11)
     skipped = 0
@@ -436,7 +534,7 @@ def test_enable_gated_settle_matches_full_settle_under_forced_enables(xgmac_part
             gated = _ForcedRows(start, forced)
             for clk in sim._clock_nets:
                 gated[clk] = 0
-            settle(gated, mask, sim._fallback_cells)
+            settle(gated, mask)
             assert all(gated[idx] == full[idx] for idx in read)
     assert skipped > 0
 
@@ -452,7 +550,7 @@ def test_enable_gating_structure(xgmac_parts):
     netlist, workload, golden, criterion = xgmac_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     sim = injector.sim
-    roots, latched = AdaptiveScheduler(injector)._settle_roots()
+    roots, latched = injector.observed_roots()
     plan = sim.cone_plan(roots, latched)
     enables = set(plan.gate.values())
     assert not plan.full
@@ -532,7 +630,8 @@ def test_scheduled_matches_naive_across_chunk_boundaries(
     replay on a default-chunk simulator.  On ``direct_shift`` D and RN pins
     read other flip-flops' Qs, so a tick that wrote one chunk's Qs before a
     later chunk read its pins would diverge; on ``xgmac_tiny`` the
-    observed-cone settle is a strict subset of the netlist."""
+    observed-cone settle is a strict subset of the netlist, and enable
+    groups longer than a chunk are cut into several gated blocks."""
     import repro.sim.compiled as compiled_mod
 
     if circuit == "xgmac_tiny":
@@ -566,6 +665,12 @@ def test_scheduled_matches_naive_across_chunk_boundaries(
     monkeypatch.setattr(compiled_mod, "CHUNK_STATEMENTS", 3)
     injector = FaultInjector(netlist, testbench, golden, criterion)
     assert injector.sim._tick_fn is not reference.sim._tick_fn
+    if circuit == "xgmac_tiny":
+        plan = injector.sim.cone_plan(*injector.observed_roots())
+        group_sizes = Counter(plan.gate.values())
+        holds = Counter(plan.gate[name] for name in plan.holds)
+        assert max(group_sizes.values()) == 68
+        assert max(holds.values()) > 3
     outcome = AdaptiveScheduler(injector, max_lanes=8).run(requests)
     assert outcome.verdicts == expected
 
@@ -582,7 +687,7 @@ def test_observed_settle_is_the_full_eval_when_every_ff_is_relevant():
         context.criterion,
     )
     assert len(injector.relevant_ff_names) == injector.sim.n_flip_flops
-    assert AdaptiveScheduler(injector)._observed_settle() is injector.sim._eval_fn
+    assert injector.observed_settle is injector.sim._eval_fn
 
 
 # -------------------------------------------------------------- property test
