@@ -335,7 +335,7 @@ class _ShardRunner:
         registry.timer("executor.shard_seconds").observe(wall)
         if wall > 0:
             registry.gauge("sim.compiled.lane_cycles_per_sec").set(
-                (stats.lane_cycles - stats.rider_cycles) / wall
+                stats.simulated_lane_cycles() / wall
             )
         return payload
 

@@ -219,7 +219,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         f"({summary.comparisons_per_second():,.0f} comparisons/s)"
     )
 
-    def write_summary(n_generated_checked: int) -> None:
+    def write_summary(n_generated_checked: int, n_hold_run_checked: int) -> None:
         if out_dir is None:
             return
         payload = {
@@ -227,6 +227,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
             "n_comparisons": summary.n_comparisons,
             "n_injections_checked": summary.n_injections_checked,
             "n_generated_checked": n_generated_checked,
+            "n_hold_run_checked": n_hold_run_checked,
             "n_merged": summary.n_merged,
             "n_nonrelevant": summary.n_nonrelevant,
             "wall_seconds": summary.wall_seconds,
@@ -235,7 +236,7 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         (out_dir / "verify.json").write_text(json.dumps(payload, indent=2))
 
     if not summary.ok:
-        write_summary(0)
+        write_summary(0, 0)
         for report in summary.failing:
             for divergence in report.divergences:
                 print(f"  seed {report.seed}: {divergence}")
@@ -247,15 +248,15 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         return 1
     print("all engines agree with the oracle")
 
-    from ..verify.diff import run_generated_check
+    from ..verify.diff import HOLD_RUN_WORKLOADS, run_generated_check, run_hold_run_check
 
     print("=== generated === circuit=mesh_tiny", flush=True)
     gen_start = time.perf_counter()
     gen_divergences, gen_checked = run_generated_check(
         circuit="mesh_tiny", seed=args.seed
     )
-    write_summary(gen_checked)
     if gen_divergences:
+        write_summary(gen_checked, 0)
         for divergence in gen_divergences:
             print(f"  mesh_tiny: {divergence}")
         print("GENERATED DIVERGENCE — injector disagrees on generated circuit")
@@ -264,6 +265,24 @@ def run_verify_command(args, out_dir: Optional[Path]) -> int:
         f"  mesh_tiny: {gen_checked} injector+scheduler replays agree "
         f"in {time.perf_counter() - gen_start:.2f}s"
     )
+
+    print(f"=== hold runs === circuits={','.join(HOLD_RUN_WORKLOADS)}", flush=True)
+    hold_checked = 0
+    for circuit in HOLD_RUN_WORKLOADS:
+        hold_start = time.perf_counter()
+        hold_divergences, checked = run_hold_run_check(circuit)
+        hold_checked += checked
+        if hold_divergences:
+            write_summary(gen_checked, hold_checked)
+            for divergence in hold_divergences:
+                print(f"  {circuit}: {divergence}")
+            print("HOLD-RUN DIVERGENCE — a parked injection disagrees with its naive batch")
+            return 1
+        print(
+            f"  {circuit}: {checked} hold-run replays agree "
+            f"in {time.perf_counter() - hold_start:.2f}s"
+        )
+    write_summary(gen_checked, hold_checked)
 
     if args.chaos_trials > 0:
         from ..verify.chaos import ChaosTrialError, run_chaos_trials

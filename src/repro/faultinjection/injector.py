@@ -45,16 +45,18 @@ runs them around the scheduled kernels and owns only the lanes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..netlist.core import Netlist
 from ..obs import get_telemetry
-from ..sim.compiled import CompiledSimulator, bind_chunks, compile_chunked
-from ..sim.logic import lanes_mask, set_lanes
+from ..sim.compiled import CompiledSimulator, ConePlan, bind_chunks, compile_chunked
+from ..sim.logic import lane_mask, lanes_mask, set_lanes
 from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_model
@@ -62,18 +64,44 @@ from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_mode
 __all__ = ["FaultInjector", "BatchOutcome", "relevant_flip_flops"]
 
 
+def _unpack_words(words: Sequence[int], width: int) -> np.ndarray:
+    """Bit *i* of ``words[k]`` at ``[k, i]``: a ``len(words)`` × *width*
+    array of 0/1 bytes, unpacked in one NumPy pass."""
+    n_bytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(word.to_bytes(n_bytes, "little") for word in words),
+        dtype=np.uint8,
+    ).reshape(len(words), n_bytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
+
+
 def _golden_bits_table(
     ff_state: Sequence[int], n_ffs: int, ff_indices: Sequence[int]
 ) -> List[bytes]:
     """The bits *ff_indices* of every packed state in *ff_state*, one
-    ``bytes`` row of 0/1 values per state, unpacked in one NumPy pass."""
-    n_bytes = (n_ffs + 7) // 8
-    packed = np.frombuffer(
-        b"".join(state.to_bytes(n_bytes, "little") for state in ff_state),
-        dtype=np.uint8,
-    ).reshape(len(ff_state), n_bytes)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")
+    ``bytes`` row of 0/1 values per state."""
+    bits = _unpack_words(ff_state, n_ffs)
     return [row.tobytes() for row in bits[:, np.asarray(ff_indices, dtype=np.intp)]]
+
+
+def _lane_rows(words: Sequence[int], width: int) -> List[int]:
+    """The transpose of *words*: row *i* is the lane vector whose bit *k*
+    is bit *i* of ``words[k]``."""
+    rows = np.packbits(_unpack_words(words, width), axis=0, bitorder="little").T
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _run_ends(hold_bits: int, n_cycles: int, typecode: str) -> array:
+    """Entry *t*: the first cycle at or after *t* whose bit is clear in
+    *hold_bits* (bit ``n_cycles - 1`` must be clear), from one reverse
+    running minimum."""
+    held = np.unpackbits(
+        np.frombuffer(hold_bits.to_bytes((n_cycles + 7) // 8, "little"), dtype=np.uint8),
+        bitorder="little",
+    )[:n_cycles]
+    ends = np.where(held, n_cycles, np.arange(n_cycles))
+    ends = np.minimum.accumulate(ends[::-1])[::-1]
+    return array(typecode, ends.astype(np.dtype(typecode)).tobytes())
 
 
 def relevant_flip_flops(netlist: Netlist, observable_nets: Sequence[str]) -> Set[str]:
@@ -554,6 +582,13 @@ class FaultInjector:
         return roots, self.relevant_ffs
 
     @cached_property
+    def observed_plan(self) -> ConePlan:
+        """The :meth:`~repro.sim.compiled.CompiledSimulator.cone_plan` of
+        :meth:`observed_roots`, shared by :attr:`observed_settle` and
+        :attr:`release_cycles`."""
+        return self.sim.cone_plan(*self.observed_roots())
+
+    @cached_property
     def observed_settle(self) -> Callable[[List[int], int], None]:
         """The settle of every scheduled cycle: only the cells a verdict can read.
 
@@ -567,7 +602,136 @@ class FaultInjector:
         the simulator's own cached ``_eval``.  Built on first use, like the
         other scheduled-pass kernels.
         """
-        return self.sim.compile_cone_eval(*self.observed_roots())
+        return self.sim.compile_cone_eval(self.observed_plan)
+
+    @cached_property
+    def release_cycles(self) -> List[Optional[array]]:
+        """Per flip-flop, the cycle from which each injection needs a lane:
+        the verdicts the netlist decides without simulation.
+
+        For a plain SEU ``(f, t)``, entry ``release_cycles[f][t]`` is
+
+        * ``-1`` when *f* is outside the relevant set: the flip never
+          reaches a verdict, so the injection fails nowhere and needs no
+          lane at all;
+        * ``t*`` > *t* when *t* lies in a *hold run* of *f*: ``(f, t)``
+          holds the state of ``(f, t*)`` from ``t*`` on and observes golden
+          values before, so it has that injection's verdict, with ``t*`` −
+          *t* more cycles of latency;
+        * *t* otherwise.
+
+        ``None`` stands for *t* at every cycle.  Every entry is ``None``
+        under a fault model other than the plain SEU.
+
+        A cycle *t* is a *hold cycle* of a relevant *f* when its flip can
+        only pass into *t* + 1: *f* has a hold mux ``D = MUX(Q, new, en)``
+        (:attr:`observed_plan`); every cone cell reading its Q is gated,
+        so only the gating enables' hold muxes can latch the flip; Q is no
+        root and no D/RN pin; no gating enable (*f*'s own included) has Q
+        in its combinational fan-in; and at *t* every gating enable is 0
+        and *f*'s reset inactive in the golden run, and *t* + 1 is still
+        in the trace.  Then only *f*'s own D sees the flip at the tick of
+        *t*, and the state at *t* + 1 is ``(f, t + 1)``'s.  ``t*`` is the
+        first cycle at or after *t* that is no hold cycle.
+
+        Built on first use, like the scheduled-pass kernels; flip-flops
+        whose hold cycles coincide share one ``array`` (int16 while the
+        trace is shorter than 2**15 cycles).
+        """
+        sim = self.sim
+        n_cycles = self.golden.n_cycles
+        table: List[Optional[array]] = [None] * len(sim.flip_flops)
+        if self._bound_model is not None:
+            return table
+        typecode = "h" if n_cycles < 1 << 15 else "q"
+        never = array(typecode, [-1]) * n_cycles
+        for f in set(range(len(table))).difference(self.relevant_ffs):
+            table[f] = never
+        enables_of = self._hold_enables()
+        if not enables_of:
+            return table
+        rows = self._golden_rows()
+        runs: Dict[int, array] = {}
+        for f, enables in enables_of.items():
+            hold_bits = lane_mask(n_cycles) >> 1 & ~reduce(or_, map(rows.__getitem__, enables))
+            rn = sim._ff_rn[f]
+            if rn is not None:
+                hold_bits &= rows[rn]
+            if hold_bits:
+                if hold_bits not in runs:
+                    runs[hold_bits] = _run_ends(hold_bits, n_cycles, typecode)
+                table[f] = runs[hold_bits]
+        return table
+
+    def _hold_enables(self) -> Dict[int, List[int]]:
+        """The relevant flip-flops that can have hold cycles
+        (:attr:`release_cycles`), each with its gating enables (rows)."""
+        sim = self.sim
+        plan = self.observed_plan
+        roots, latched = self.observed_roots()
+        pins = set(roots).union(sim._ff_d[i] for i in latched)
+        pins.update(sim._ff_rn[i] for i in latched if sim._ff_rn[i] is not None)
+        netlist = self.netlist
+        index = sim.net_index
+        held = set(plan.holds.values()).difference(pins)
+        # The enables gating each held Q's cone readers; None for a reader
+        # no enable gates.
+        enables_of: Dict[int, Set[Optional[int]]] = {q: set() for q in held}
+        for name in plan.cells:
+            for net in netlist.cells[name].input_nets():
+                enables = enables_of.get(index[net])
+                if enables is not None:
+                    enables.add(plan.gate.get(name))
+        candidates: Dict[int, List[int]] = {}
+        for f in self.relevant_ffs:
+            enables = enables_of.get(sim._ff_q[f])
+            if enables is not None and None not in enables:
+                candidates[f] = sorted(enables)
+        # Backward closure of each enable to the Q rows it reads: a flip of
+        # one of those would change the enable itself.
+        names = list(netlist.nets)
+        fanin: Dict[int, Set[int]] = {}
+        for enable in {e for enables in candidates.values() for e in enables}:
+            seen = {enable}
+            stack = [enable]
+            q_rows = fanin[enable] = set()
+            while stack:
+                row = stack.pop()
+                driver = netlist.nets[names[row]].driver
+                if driver is None:
+                    continue
+                cell = netlist.cells[driver.cell]
+                if cell.is_sequential:
+                    q_rows.add(row)
+                    continue
+                for net in cell.input_nets():
+                    if index[net] not in seen:
+                        seen.add(index[net])
+                        stack.append(index[net])
+        return {
+            f: enables
+            for f, enables in candidates.items()
+            if not any(sim._ff_q[f] in fanin[e] for e in enables)
+        }
+
+    def _golden_rows(self) -> List[int]:
+        """Every net's golden value in every cycle, one lane per cycle: bit
+        *c* of row *i* is net *i* after the settle of cycle *c*.  One full
+        settle with lane *c* loaded with cycle *c*'s golden state and
+        applied inputs (loopback targets included)."""
+        sim = self.sim
+        golden = self.golden
+        n_cycles = golden.n_cycles
+        values = [0] * len(sim.values)
+        for q, row in zip(sim._ff_q, _lane_rows(golden.ff_state[:n_cycles], len(sim._ff_q))):
+            values[q] = row
+        inputs = [sim.net_index[name] for name in golden.input_names]
+        for i, row in zip(inputs, _lane_rows(golden.applied_inputs, len(inputs))):
+            values[i] = row
+        for clk in sim._clock_nets:
+            values[clk] = 0
+        sim._eval_fn(values, lane_mask(n_cycles))
+        return values
 
     @cached_property
     def relevant_tick(self) -> Callable[[List[int], int], None]:

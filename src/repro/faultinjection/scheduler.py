@@ -65,6 +65,15 @@ per-cycle batches with one long-lived forward simulation per *pass*:
   requests, riders included, so only the allocated width falls.  A check
   looks for merges only when its due lanes outnumber the relevant
   flip-flops (``AdaptiveScheduler.merge_min_due``).
+* **structural verdicts** — a plain-SEU request whose verdict the netlist
+  decides gets no lane of its own
+  (:attr:`~repro.faultinjection.injector.FaultInjector.release_cycles`):
+  one on a flip-flop outside the relevant set retires unfailed at its
+  group's next check, and one inside a hold run rides the lane struck at
+  the run's end.  Each is admitted and counted at its own cycle, and its
+  verdict reaches ``on_verdict`` at the check where its own lane would
+  have retired, so caps, deferral, grids, hook order and ``lane_cycles``
+  are unchanged; cycles with only such requests live are not simulated.
 
 All of this is scheduling only.  What a simulated cycle is — strike,
 loopback seeding, drive, forcing, observation, the row and slot probes,
@@ -176,6 +185,16 @@ class SchedulerStats:
     ``early_retired`` count riders like any other request, so they equal
     an unmerged run's; merging lowers the allocated width
     (``width_cycles``) and changes which lanes get reused (``refills``).
+
+    Requests the netlist answers (structural verdicts,
+    :attr:`~repro.faultinjection.injector.FaultInjector.release_cycles`)
+    count in ``activations``, ``lane_cycles`` and ``early_retired`` as if
+    they had a lane from their own cycle: ``nonrelevant`` counts the
+    requests on a flip-flop outside the relevant set, which never get one,
+    ``hold_riders`` the requests admitted inside a hold run that ride a
+    lane struck at the run's end, and ``parked_cycles`` the lane-cycles
+    requests spent without a lane.  ``cycles_simulated`` counts only the
+    cycles some lane was simulated in.
     """
 
     n_injections: int = 0
@@ -192,19 +211,27 @@ class SchedulerStats:
     forced_cycles: int = 0
     merged: int = 0
     rider_cycles: int = 0
+    nonrelevant: int = 0
+    hold_riders: int = 0
+    parked_cycles: int = 0
+
+    def simulated_lane_cycles(self) -> int:
+        """Lane-cycles a lane was simulated for with a request of its own:
+        ``lane_cycles`` less the riders' and the parked requests'."""
+        return self.lane_cycles - self.rider_cycles - self.parked_cycles
 
     def lane_occupancy(self) -> float:
         """Live lane-cycles as a fraction of the allocated lane-cycles.
 
-        ``(lane_cycles - rider_cycles) / width_cycles``: the share of the
-        lane slots the passes actually paid for that carried a live
-        injection (a naive drained batch decays toward 1/width).  Riders
-        share their lane, so this stays at most 1.  0.0 when nothing was
-        simulated.
+        ``simulated_lane_cycles() / width_cycles``: the share of the lane
+        slots the passes actually paid for that carried a live injection
+        (a naive drained batch decays toward 1/width).  Riders share their
+        lane and parked requests have none, so this stays at most 1.  0.0
+        when nothing was simulated.
         """
         if not self.width_cycles:
             return 0.0
-        return (self.lane_cycles - self.rider_cycles) / self.width_cycles
+        return self.simulated_lane_cycles() / self.width_cycles
 
     def record_to(self, registry) -> None:
         """Report this run's totals into a metrics registry
@@ -223,6 +250,9 @@ class SchedulerStats:
             "forced_cycles",
             "merged",
             "rider_cycles",
+            "nonrelevant",
+            "hold_riders",
+            "parked_cycles",
         ):
             value = getattr(self, name)
             if value:
@@ -382,9 +412,9 @@ class AdaptiveScheduler:
 
         registry = get_telemetry().registry
         self.stats.record_to(registry)
-        # Riders share their lane's simulated slot.
+        # Riders share their lane's simulated slot; parked requests have none.
         registry.counter("sim.compiled.lane_cycles").inc(
-            self.stats.lane_cycles - self.stats.rider_cycles
+            self.stats.simulated_lane_cycles()
         )
         if self.injector.fault_model is not None:
             registry.counter(
@@ -407,6 +437,16 @@ class AdaptiveScheduler:
         Lane bookkeeping touches width-sized ints once per cycle, not once
         per lane: set lanes are listed with :func:`set_lanes` and the
         activation masks are built with :func:`lanes_mask`.
+
+        Requests the injector's
+        :attr:`~repro.faultinjection.injector.FaultInjector.release_cycles`
+        decides are admitted and counted at their own cycle but *parked*
+        without a lane: a non-relevant one until its group's next check
+        (or the end of the trace), where it retires unfailed as its lane
+        would have; one inside a hold run until the run's end ``t*``, where
+        it rides the group's lane struck at ``(f, t*)`` or takes its own.
+        Cycles in which only parked requests are live are not simulated,
+        but every group check in them still runs.
         """
         injector = self.injector
         sim = injector.sim
@@ -448,6 +488,7 @@ class AdaptiveScheduler:
         load_fn = injector.activation_loader
         tick = injector.relevant_tick
         relevant_bits = injector.relevant_bits
+        release_of = injector.release_cycles
 
         pipelines = injector.new_pipelines()
         lane_key: List[Optional[int]] = [None] * width
@@ -460,6 +501,15 @@ class AdaptiveScheduler:
 
         # Lanes whose fault-model plan forces: lane -> (plan, struck cycle).
         lane_force: Dict[int, Tuple[InjectionPlan, int]] = {}
+
+        # Parked requests: non-relevant keys waiting for their group's next
+        # check, and hold-run keys by the cycle that ends their run.
+        waiting: List[List[int]] = [[] for _ in range(n_groups)]
+        held: Dict[int, List[int]] = {}
+        held_ends: List[int] = []  # heap of held's cycles
+        parked = 0
+        # (group, ff) -> the first key struck at a cycle where hold runs end.
+        struck: Dict[Tuple[int, int], int] = {}
 
         active = 0  # lanes carrying an injection; always within the mask
         failed = 0  # active lanes whose injection has failed
@@ -505,6 +555,21 @@ class AdaptiveScheduler:
                 group_bits[group] &= keep
             active &= keep
             failed &= keep
+
+        def retire_waiting(group: int, early: bool) -> None:
+            """Give the unfailed verdict to every non-relevant request of
+            *group* parked since its last check."""
+            nonlocal parked
+            keys = waiting[group]
+            for key in keys:
+                give_verdict(key, -1)
+            if early:
+                stats.early_retired += len(keys)
+            parked -= len(keys)
+            group_live[group] -= len(keys)
+            if not group_live[group]:
+                emptied.append(group)
+            waiting[group] = []
 
         def merge_lanes(candidates: int, planes: List[int]) -> None:
             """Let lanes that share one differing relevant row and one
@@ -583,7 +648,9 @@ class AdaptiveScheduler:
         while True:
             # -- activate pending injections scheduled for this cycle.
             regrid = False
-            act_lanes: List[int] = []
+            loading: List[int] = []  # keys that take a lane at c
+            # Requests admitted now release later, so this holds all cycle.
+            releasing = bool(held_ends) and held_ends[0] == c
             while ptr < n_pending:
                 key = pending[ptr]
                 if cycle_of[key] != c:
@@ -608,16 +675,55 @@ class AdaptiveScheduler:
                     deferred.append(key)  # no free lane: next pass
                     stats.deferred += 1
                     continue
-                if not free:
-                    set_width(min(2 * width, cap))
                 if group_check[group] == _IDLE:
                     # The group's check grid starts at its (re)activation.
                     group_check[group] = c + check
                     regrid = True
                 group_live[group] += 1
+                stats.activations += 1
+                releases = release_of[ff_of[key]]
+                if releases is not None:
+                    release = releases[c]
+                    if release < 0:
+                        waiting[group].append(key)
+                        stats.nonrelevant += 1
+                        parked += 1
+                        continue
+                    if release != c:
+                        if release in held:
+                            held[release].append(key)
+                        else:
+                            held[release] = [key]
+                            heappush(held_ends, release)
+                        parked += 1
+                        continue
+                    if releasing:
+                        struck.setdefault((group, ff_of[key]), key)
+                loading.append(key)
+            rides: Dict[int, List[int]] = {}
+            if releasing:
+                # Hold runs ending at c: each request rides its group's first
+                # request struck at (ff, c), or takes a lane of its own.
+                heappop(held_ends)
+                keys = held.pop(c)
+                parked -= len(keys)
+                for key in keys:
+                    host = struck.setdefault((group_of[key], ff_of[key]), key)
+                    if host == key:
+                        loading.append(key)
+                    else:
+                        rides.setdefault(host, []).append(key)
+                        riding += 1
+                        stats.hold_riders += 1
+                struck.clear()
+            act_lanes: List[int] = []
+            for key in loading:
+                if not free:
+                    set_width(min(2 * width, cap))
                 lane = heappop(free)
                 lane_key[lane] = key
                 lane_failed_at[lane] = -1
+                lane_riders[lane] = rides.get(key)
                 act_lanes.append(lane)
             if emptied:
                 # A group still empty after this cycle's activations idles:
@@ -647,67 +753,87 @@ class AdaptiveScheduler:
                 )
                 injector.seed_loopback(pipelines, c, activated)
                 active |= activated
-                stats.activations += len(act_lanes)
 
-            if not active:
-                if ptr >= n_pending:
-                    break
+            if active:
+                # -- simulate cycle c: the injector's cycle steps around the
+                # scheduled settle and tick.
+                injector.drive(c, pipelines)
+                if lane_force:
+                    stats.forced_cycles += injector.force(c, lane_force)
+                settle(values, mask)
+                newly = injector.observe(c, pipelines) & active & ~failed
+                if newly:
+                    failed |= newly
+                    for lane in set_lanes(newly):
+                        lane_failed_at[lane] = c
+                tick(values, mask)
+
+                c += 1
+                stats.cycles_simulated += 1
+                stats.lane_cycles += active.bit_count() + riding + parked
+                stats.rider_cycles += riding
+                stats.parked_cycles += parked
+                stats.width_cycles += width
+            elif parked:
+                # Only parked requests are live: skip to the next check,
+                # release, activation or the end of the trace.
+                upto = min(next_due, end_of_trace)
+                if held_ends:
+                    upto = min(upto, held_ends[0])
+                if ptr < n_pending:
+                    upto = min(upto, cycle_of[pending[ptr]])
+                stats.lane_cycles += parked * (upto - c)
+                stats.parked_cycles += parked * (upto - c)
+                c = upto
+            elif ptr < n_pending:
                 c = cycle_of[pending[ptr]]  # fast-forward over empty cycles
                 continue
-
-            # -- simulate cycle c: the injector's cycle steps around the
-            # scheduled settle and tick.
-            injector.drive(c, pipelines)
-            if lane_force:
-                stats.forced_cycles += injector.force(c, lane_force)
-            settle(values, mask)
-            newly = injector.observe(c, pipelines) & active & ~failed
-            if newly:
-                failed |= newly
-                for lane in set_lanes(newly):
-                    lane_failed_at[lane] = c
-            tick(values, mask)
-
-            c += 1
-            stats.cycles_simulated += 1
-            stats.lane_cycles += active.bit_count() + riding
-            stats.rider_cycles += riding
-            stats.width_cycles += width
+            else:
+                break
 
             # -- retirement check / merge / truncation.
             if c >= end_of_trace:
                 retire_lanes(active)
+                for group in range(n_groups):
+                    if waiting[group]:
+                        retire_waiting(group, early=False)
                 break
             if c == next_due:
-                # Only the groups whose check is due retire lanes here.
+                # Only the groups whose check is due retire requests here.
                 due_bits = 0
                 for group in range(n_groups):
                     if group_check[group] == c:
                         group_check[group] = c + check
                         due_bits |= group_bits[group]
+                        if waiting[group]:
+                            retire_waiting(group, early=True)
                 next_due = min(group_check)
-                look = due_bits.bit_count() >= self.merge_min_due
-                if look:
-                    row_diff, multi, planes = injector.diverging_row_planes(c, due_bits)
-                else:
-                    row_diff, multi, planes = injector.diverging_rows(c, due_bits), 0, []
-                slot_diff = injector.diverging_slots(c, pipelines, due_bits)
-                # A forcing lane that matches golden right now is not done —
-                # a later duty-on cycle can re-disturb it — so convergence
-                # retirement excludes live force lanes (failure still retires).
-                force = lanes_mask(list(lane_force))
-                converged = (mask ^ (row_diff | slot_diff)) & ~force
-                retire_bits = due_bits & (failed | converged)
-                if retire_bits:
-                    retire_lanes(retire_bits, early=True)
-                    if not active:
-                        continue  # drained: fast-forward (or end) above
-                if look:
-                    candidates = _merge_candidates(
-                        row_diff, multi, slot_diff, failed | force, active
-                    )
-                    if candidates & (candidates - 1):
-                        merge_lanes(candidates, planes)
+                if due_bits:
+                    look = due_bits.bit_count() >= self.merge_min_due
+                    if look:
+                        row_diff, multi, planes = injector.diverging_row_planes(
+                            c, due_bits
+                        )
+                    else:
+                        row_diff, multi = injector.diverging_rows(c, due_bits), 0
+                    slot_diff = injector.diverging_slots(c, pipelines, due_bits)
+                    # A forcing lane that matches golden right now is not
+                    # done — a later duty-on cycle can re-disturb it — so
+                    # convergence retirement excludes live force lanes
+                    # (failure still retires).
+                    force = lanes_mask(list(lane_force))
+                    converged = (mask ^ (row_diff | slot_diff)) & ~force
+                    retire_bits = due_bits & (failed | converged)
+                    if retire_bits:
+                        retire_lanes(retire_bits, early=True)
+                    if look and active:
+                        candidates = _merge_candidates(
+                            row_diff, multi, slot_diff, failed | force, active
+                        )
+                        if candidates & (candidates - 1):
+                            merge_lanes(candidates, planes)
+                if not active:
+                    continue  # drained: fast-forward (or end) above
                 if width > MIN_WIDTH and active.bit_length() <= width // 2:
                     set_width(max(active.bit_length(), MIN_WIDTH))
 

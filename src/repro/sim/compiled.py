@@ -437,27 +437,26 @@ class CompiledSimulator:
                 gate[name] = enables.pop()
         return ConePlan(cone, False, holds, gate)
 
-    def compile_cone_eval(
-        self, roots: Sequence[int], latched: Sequence[int] = ()
-    ) -> Callable[[List[int], int], None]:
-        """Compile an ``_eval`` over :meth:`cone_plan`'s cone, enable-gated.
+    def compile_cone_eval(self, plan: ConePlan) -> Callable[[List[int], int], None]:
+        """Compile an ``_eval`` over the cone of *plan* (a :meth:`cone_plan`),
+        enable-gated.
 
         Calling the result settles every root and the D/RN pins of every
-        *latched* flip-flop exactly as :meth:`eval_comb` would (minus the
-        clock forcing) and leaves nets outside the cone untouched.  It runs
-        the ungated cells in topological order, then each enable *e*'s
-        group inline as ``if v[e]:`` over the group's cells and ``if not
-        v[e]:`` over copies of each hold mux's Q to its D — the mux's value
-        while the enable is 0 on every lane — leaving the group's other
-        nets stale, which only those muxes' data inputs read.  No group
-        cell feeds an enable, so a group longer than a chunk is cut into
-        several blocks that each test the enable again.  When the cone
-        covers every combinational cell this returns the cached full
-        ``_eval`` itself rather than compiling a copy.  The plan's static
-        shape is recorded as the gauges ``sim.compiled.cone_cells``,
-        ``sim.compiled.gated_cells`` and ``sim.compiled.enable_groups``.
+        latched flip-flop of the plan exactly as :meth:`eval_comb` would
+        (minus the clock forcing) and leaves nets outside the cone
+        untouched.  It runs the ungated cells in topological order, then
+        each enable *e*'s group inline as ``if v[e]:`` over the group's
+        cells and ``if not v[e]:`` over copies of each hold mux's Q to its
+        D — the mux's value while the enable is 0 on every lane — leaving
+        the group's other nets stale, which only those muxes' data inputs
+        read.  No group cell feeds an enable, so a group longer than a
+        chunk is cut into several blocks that each test the enable again.
+        When the cone covers every combinational cell this returns the
+        cached full ``_eval`` itself rather than compiling a copy.  The
+        plan's static shape is recorded as the gauges
+        ``sim.compiled.cone_cells``, ``sim.compiled.gated_cells`` and
+        ``sim.compiled.enable_groups``.
         """
-        plan = self.cone_plan(roots, latched)
         groups: Dict[int, List[str]] = {}
         for name in plan.cells:
             if name in plan.gate:

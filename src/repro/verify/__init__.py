@@ -26,6 +26,7 @@ from .chaos import (
 )
 from .diff import (
     FAULT_MODEL_CHECK_SPECS,
+    HOLD_RUN_WORKLOADS,
     Divergence,
     SeedReport,
     VerifySummary,
@@ -35,6 +36,7 @@ from .diff import (
     run_event_differential,
     run_fault_model_check,
     run_generated_check,
+    run_hold_run_check,
     run_injector_check,
     run_lane_differential,
     run_scheduler_check,
@@ -64,12 +66,14 @@ __all__ = [
     "SeedReport",
     "VerifySummary",
     "FAULT_MODEL_CHECK_SPECS",
+    "HOLD_RUN_WORKLOADS",
     "brute_force_fault",
     "bruteforce_verdicts",
     "naive_verdicts",
     "run_event_differential",
     "run_fault_model_check",
     "run_generated_check",
+    "run_hold_run_check",
     "run_injector_check",
     "run_lane_differential",
     "run_scheduler_check",

@@ -39,12 +39,17 @@ optimisations).  Any verdict or error-latency mismatch is a divergence:
   scheduler vs. brute force under every registered non-SEU model;
 * **generated-circuit check** (:func:`run_generated_check`) — batches vs.
   brute force and the scheduler vs. batches on a generated composite
-  circuit's own workload.
+  circuit's own workload;
+* **hold-run replay** (:func:`run_hold_run_check`) — every injection the
+  injector's table parks in a hold run
+  (:attr:`~repro.faultinjection.injector.FaultInjector.release_cycles`)
+  vs. its own naive batch: both the verdict the table implies and the
+  scheduler's, on the MAC's tiny and full netlists.
 
 ``verify_seed``/``verify_seeds`` run the first two differentials and the
 three fuzz replay modes over fuzzed circuits and are what ``python -m
 repro.experiments verify`` and the CI fuzz stage drive; the CLI then runs
-the generated-circuit check once.
+the generated-circuit check and the hold-run replay once.
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ __all__ = [
     "bruteforce_verdicts",
     "FAULT_MODEL_CHECK_SPECS",
     "run_generated_check",
+    "HOLD_RUN_WORKLOADS",
+    "run_hold_run_check",
     "verify_seed",
     "verify_seeds",
 ]
@@ -128,8 +135,8 @@ class SeedReport:
     #: summed over its single-group and its three-group run.
     merged: int = 0
     #: Requests of the scheduled-vs-naive replay that strike a flip-flop
-    #: outside the relevant set (a Q row a scheduled pass never loads or
-    #: latches), counted once per request.
+    #: outside the relevant set (answered without a lane; a Q row a
+    #: scheduled pass never loads or latches), counted once per request.
     nonrelevant: int = 0
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -590,6 +597,65 @@ def run_generated_check(
         yield "generated-scheduled-vs-naive", requests, scheduled.verdicts, naive
 
     return _report(netlist, comparisons(), stop_at_first)
+
+
+# ------------------------------------------------------------ hold runs
+
+#: The workloads of :func:`run_hold_run_check`, by MAC preset: the tiny
+#: preset as the test suite builds it, and the full MAC on three short
+#: frames.
+HOLD_RUN_WORKLOADS: Dict[str, Dict[str, int]] = {
+    "xgmac_tiny": {"n_frames": 4, "min_len": 2, "max_len": 3, "gap": 12, "seed": 7},
+    "xgmac": {"n_frames": 3, "min_len": 4, "max_len": 7},
+}
+
+
+def run_hold_run_check(circuit: str) -> Tuple[List[Divergence], int]:
+    """Replay every injection a hold run parks against its own naive batch.
+
+    Builds the MAC preset *circuit* with its :data:`HOLD_RUN_WORKLOADS`
+    workload under the packet-interface criterion and takes every ``(t,
+    f)`` whose
+    :attr:`~repro.faultinjection.injector.FaultInjector.release_cycles`
+    entry ``t*`` is later than *t*.  Two verdicts of each must equal its
+    :func:`naive_verdicts` one: the verdict the table implies — the naive
+    verdict of ``(t*, f)``, with ``t* - t`` more cycles of latency — and
+    the scheduler's, which parks the request until ``t*``.  The fuzzed
+    circuits rarely have hold muxes, so this is where the rule meets a
+    referee.  Returns ``(divergences, comparisons)``, two per injection,
+    up to the first divergence.
+    """
+    from ..circuits import build_xgmac_workload, make_xgmac
+    from ..faultinjection.classify import PacketInterfaceCriterion
+
+    netlist = make_xgmac(circuit)
+    workload = build_xgmac_workload(netlist, **HOLD_RUN_WORKLOADS[circuit])
+    golden = workload.testbench.run_golden()
+    criterion = PacketInterfaceCriterion(workload.valid_nets, workload.data_nets)
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    table = injector.release_cycles
+    requests = [
+        (t, f)
+        for f, ends in enumerate(table)
+        if ends is not None
+        for t, end in enumerate(ends)
+        if end > t
+    ]
+
+    def comparisons() -> Iterator[Comparison]:
+        naive = naive_verdicts(injector, requests)
+        run_ends = sorted({(table[f][t], f) for t, f in requests})
+        at_end = dict(zip(run_ends, naive_verdicts(injector, run_ends)))
+        implied = []
+        for t, f in requests:
+            end = table[f][t]
+            failed, latency = at_end[(end, f)]
+            implied.append((True, latency + end - t) if failed else (False, None))
+        yield "hold-run-vs-naive", requests, implied, naive
+        scheduled = AdaptiveScheduler(injector).run(requests).verdicts
+        yield "scheduled-hold-run-vs-naive", requests, scheduled, naive
+
+    return _report(netlist, comparisons(), stop_at_first=True)
 
 
 # --------------------------------------------------------- fault-model check

@@ -98,9 +98,11 @@ def counter_digest(result) -> str:
 #: shard starts its retirement-check grid at its own first cycle, so
 #: lane-cycles depend on the layout; riders count in them, so merging
 #: leaves them as an unmerged run has them and lowers only the width.
+#: Requests parked without a lane (structural verdicts) count in them as
+#: well, and lower the width and the lanes left to merge.
 LEGACY_TINY_WORK = {
-    None: (1, 631_699, 347_879, 5_423),
-    SHARDS_PER_JOB: (4, 631_110, 503_592, 4_957),
+    None: (1, 631_699, 173_894, 3_560),
+    SHARDS_PER_JOB: (4, 631_110, 362_918, 3_242),
 }
 
 

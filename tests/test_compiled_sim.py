@@ -342,7 +342,7 @@ def _assert_gated_settle_matches_eval_comb(netlist):
     sim = CompiledSimulator(netlist, n_lanes=32)
     index = sim.net_index
     latched = [sim.ff_index[f"ff_{q}"] for q in "rsuvp"]
-    settle = sim.compile_cone_eval([index["nxt"]], latched)
+    settle = sim.compile_cone_eval(sim.cone_plan([index["nxt"]], latched))
     assert settle is not sim._eval_fn
     read = [index["nxt"]] + [sim._ff_d[i] for i in latched]
     sources = [index[name] for name in ("a", "b", "c", "r", "s", "u", "v", "p")]

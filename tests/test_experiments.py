@@ -205,6 +205,7 @@ def test_cli_verify_command(tmp_path, capsys):
     assert payload["failing_seeds"] == []
     assert payload["n_comparisons"] > 0
     assert payload["n_generated_checked"] == 64
+    assert payload["n_hold_run_checked"] == 170_084
     assert "n_merged" in payload
     assert "n_nonrelevant" in payload
 

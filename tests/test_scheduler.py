@@ -85,8 +85,15 @@ def test_drained_passes_match_naive(tiny_parts, monkeypatch, elastic_width):
     rng = random.Random(11)
     n_ffs = injector.sim.n_flip_flops
     # Injections bunched at the start of the window: every pass takes its
-    # lanes at once, then drains with no request left to refill it.
-    requests = [(first + rng.randrange(4), rng.randrange(n_ffs)) for _ in range(400)]
+    # lanes at once, then drains with no request left to refill it.  None
+    # lies inside a hold run or on a flip-flop outside the relevant set:
+    # those requests take their lanes later, at the run's end, or never.
+    releases = injector.release_cycles
+    requests = []
+    while len(requests) < 400:
+        cycle, ff = first + rng.randrange(4), rng.randrange(n_ffs)
+        if releases[ff] is None or releases[ff][cycle] == cycle:
+            requests.append((cycle, ff))
     expected = naive_verdicts(injector, requests)
     sim = injector.sim
     changes = []
@@ -299,7 +306,8 @@ def test_lane_occupancy_is_live_over_allocated_lane_cycles(tiny_parts):
     """Occupancy divides by the lane slots the passes allocated, not by
     ``cycles_simulated * peak_width``: a burst that grows one pass wide and
     then truncates must not read as a nearly empty batch.  Requests riding
-    a merged lane share its slot, so they count once."""
+    a merged lane share its slot, so they count once, and parked requests
+    have none."""
     netlist, workload, golden, criterion = tiny_parts
     injector = FaultInjector(netlist, workload.testbench, golden, criterion)
     first, last = workload.active_window
@@ -308,8 +316,8 @@ def test_lane_occupancy_is_live_over_allocated_lane_cycles(tiny_parts):
     burst = [(first, ff) for ff in range(n_ffs)] * 2
     trickle = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(20)]
     stats = AdaptiveScheduler(injector).run(burst + trickle).stats
-    live = stats.lane_cycles - stats.rider_cycles
-    assert stats.merged > 0 and stats.rider_cycles > 0
+    live = stats.lane_cycles - stats.rider_cycles - stats.parked_cycles
+    assert stats.merged > 0 and stats.rider_cycles > 0 and stats.parked_cycles > 0
     assert stats.lane_occupancy() == live / stats.width_cycles
     assert stats.width_cycles < stats.cycles_simulated * stats.peak_width
     peak_bound = live / (stats.cycles_simulated * stats.peak_width)
@@ -588,7 +596,7 @@ def test_enable_gating_structure(xgmac_parts):
             assert reader not in plan.holds or pos == 1
 
     with use_telemetry(Telemetry()) as telemetry:
-        sim.compile_cone_eval(roots, latched)
+        sim.compile_cone_eval(plan)
     gauges = telemetry.registry
     assert gauges.gauge("sim.compiled.cone_cells").value == len(plan.cells)
     assert gauges.gauge("sim.compiled.gated_cells").value == 1483
@@ -688,6 +696,193 @@ def test_observed_settle_is_the_full_eval_when_every_ff_is_relevant():
     )
     assert len(injector.relevant_ff_names) == injector.sim.n_flip_flops
     assert injector.observed_settle is injector.sim._eval_fn
+
+
+# -------------------------------------------------------- structural verdicts
+
+#: Cycles in which the hand-built circuits' enable ``en`` is set, and the
+#: one cycle in which their reset ``rn`` is active.
+_HOLD_ENABLES = (5, 14, 22)
+_HOLD_RESET = 9
+
+
+def _hold_run_injector(variant):
+    """An injector on a register ``r`` behind a hold mux ``D = MUX(r, ~r,
+    en)`` whose only other reader is ``s``'s hold mux on the same enable
+    (``s`` is the output), plus what *variant* adds:
+
+    * ``"reset"`` — ``r`` has a sync reset, active in one cycle of ``en = 0``;
+    * ``"self_enable"`` — a register ``g`` whose own Q is its enable and
+      the enable of an output register ``u``;
+    * ``"reader"`` — an ungated XOR reads ``r`` into the D pin of an output
+      register;
+    * ``"root"`` — ``r`` is itself an output the criterion reads;
+    * ``"pin"`` — ``r`` is the D pin of an output register.
+
+    A free-running register ``z`` that no output reads keeps the observed
+    cone short of every cell: a cone covering them all is not gated, and
+    then has no hold muxes.
+    """
+    from repro.netlist.core import Netlist
+
+    netlist = Netlist(f"hold_{variant}")
+    netlist.add_input("clk", is_clock=True)
+    for name in ("en", "b", "rn"):
+        netlist.add_input(name)
+    cells = [
+        ("nr", "INV", {"A": "r", "Z": "nr"}),
+        ("mux_r", "MUX2", {"A": "r", "B": "nr", "S": "en", "Z": "d_r"}),
+        ("mux_s", "MUX2", {"A": "s", "B": "r", "S": "en", "Z": "d_s"}),
+        ("nz", "INV", {"A": "z", "Z": "nz"}),
+    ]
+    ffs = [("ff_s", "d_s", "s"), ("ff_z", "nz", "z")]
+    outputs = ["s"]
+    if variant == "self_enable":
+        cells.append(("mux_g", "MUX2", {"A": "g", "B": "b", "S": "g", "Z": "d_g"}))
+        cells.append(("mux_u", "MUX2", {"A": "u", "B": "b", "S": "g", "Z": "d_u"}))
+        ffs += [("ff_g", "d_g", "g"), ("ff_u", "d_u", "u")]
+        outputs.append("u")
+    elif variant == "reader":
+        cells.append(("x", "XOR2", {"A": "r", "B": "b", "Z": "x"}))
+        ffs.append(("ff_w", "x", "w"))
+        outputs.append("w")
+    elif variant == "root":
+        outputs.append("r")
+    elif variant == "pin":
+        ffs.append(("ff_p", "r", "p"))
+        outputs.append("p")
+    for name, ctype, pins in cells:
+        netlist.add_cell(name, ctype, pins)
+    if variant == "reset":
+        netlist.add_cell("ff_r", "DFFR", {"D": "d_r", "RN": "rn", "CK": "clk", "Q": "r"})
+    else:
+        netlist.add_cell("ff_r", "DFF", {"D": "d_r", "CK": "clk", "Q": "r"})
+    for name, d, q in ffs:
+        netlist.add_cell(name, "DFF", {"D": d, "CK": "clk", "Q": q})
+    for name in outputs:
+        netlist.add_output(name)
+
+    sb = ScheduleBuilder(netlist.inputs)
+    sb.drive(0, "b", 1)
+    sb.drive(0, "rn", 1)
+    for cycle in _HOLD_ENABLES:
+        sb.pulse(cycle, "en")
+    sb.drive(_HOLD_RESET, "rn", 0)
+    sb.drive(_HOLD_RESET + 1, "rn", 1)
+    testbench = Testbench(netlist, sb.compile(30))
+    golden = testbench.run_golden()
+    criterion = AnyOutputCriterion.all_outputs(netlist)
+    return FaultInjector(netlist, testbench, golden, criterion, check_interval=3)
+
+
+def _every_request(injector):
+    return [
+        (c, f)
+        for c in range(injector.golden.n_cycles)
+        for f in range(injector.sim.n_flip_flops)
+    ]
+
+
+def test_hold_runs_share_the_verdict_of_their_end():
+    """In the plain circuit every cycle of ``en = 0`` before the last is a
+    hold cycle of ``r``: its injection has the verdict of the run's end,
+    the next enabled cycle, with the cycles between added to the
+    latency.  Scheduled with those requests parked, every verdict is the
+    naive one."""
+    injector = _hold_run_injector("plain")
+    r = injector.ff_index("ff_r")
+    n_cycles = injector.golden.n_cycles
+    ends = list(_HOLD_ENABLES) + [n_cycles - 1]
+    expected_runs = [min(e for e in ends if e >= t) for t in range(n_cycles)]
+    assert list(injector.release_cycles[r]) == expected_runs
+    requests = _every_request(injector)
+    naive = naive_verdicts(injector, requests)
+    verdict = dict(zip(requests, naive))
+    for t, end in enumerate(expected_runs):
+        failed, latency = verdict[(end, r)]
+        assert verdict[(t, r)] == (failed, latency + end - t if failed else None)
+    outcome = AdaptiveScheduler(injector, max_lanes=4).run(requests)
+    assert outcome.verdicts == naive
+    assert outcome.stats.hold_riders > 0
+
+
+@pytest.mark.parametrize(
+    "variant, cycle",
+    [
+        ("reset", _HOLD_RESET),
+        ("self_enable", 2),
+        ("reader", 2),
+        ("root", 2),
+        ("pin", 2),
+    ],
+)
+def test_each_hold_condition_decides_a_verdict(variant, cycle):
+    """Each condition of the hold-run rule, left out, would give a wrong
+    verdict: the injection at *cycle* of the flip-flop it concerns (``r``,
+    or ``g`` for the self-enable) differs from the next cycle's by more
+    than a cycle of latency.  The table leaves it at its own cycle, and
+    the scheduled verdicts of every injection equal the naive ones."""
+    injector = _hold_run_injector(variant)
+    f = injector.ff_index("ff_g" if variant == "self_enable" else "ff_r")
+    assert injector.release_cycles[f] is None or injector.release_cycles[f][cycle] == cycle
+    requests = _every_request(injector)
+    naive = naive_verdicts(injector, requests)
+    verdict = dict(zip(requests, naive))
+    (now_failed, now_latency), (next_failed, next_latency) = (
+        verdict[(cycle, f)],
+        verdict[(cycle + 1, f)],
+    )
+    assert (now_failed, now_latency) != (
+        next_failed,
+        next_latency + 1 if next_failed else None,
+    )
+    outcome = AdaptiveScheduler(injector, max_lanes=4).run(requests)
+    assert outcome.verdicts == naive
+
+
+def test_cycle_parallel_settle_reproduces_the_golden_outputs(xgmac_parts):
+    """The table's golden enable and reset rows come from one settle with
+    lane *c* loaded with cycle *c*: its outputs are the recorded golden
+    outputs of every cycle."""
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    rows = injector._golden_rows()
+    outputs = [injector.sim.net_index[name] for name in netlist.outputs]
+    for c in range(golden.n_cycles):
+        packed = sum(((rows[row] >> c) & 1) << k for k, row in enumerate(outputs))
+        assert packed == golden.outputs[c], c
+
+
+def test_release_table_on_xgmac(xgmac_parts):
+    """The table on ``xgmac``: flip-flops outside the relevant set never
+    take a lane, 344 relevant ones have hold runs, and a hold run always
+    ends at a cycle that is none.  Fault models other than the plain SEU
+    get no table."""
+    netlist, workload, golden, criterion = xgmac_parts
+    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
+    table = injector.release_cycles
+    relevant = set(injector.relevant_ffs)
+    n_cycles = golden.n_cycles
+    held = 0
+    for f, runs in enumerate(table):
+        if f not in relevant:
+            assert list(runs) == [-1] * n_cycles
+            continue
+        if runs is None:
+            continue
+        held += 1
+        for t, end in enumerate(runs):
+            assert t <= end < n_cycles and runs[end] == end
+    assert held == 344
+    assert sum(
+        sum(end != t for t, end in enumerate(runs))
+        for f, runs in enumerate(table)
+        if f in relevant and runs is not None
+    ) == 71_994
+    mbu = FaultInjector(
+        netlist, workload.testbench, golden, criterion, fault_model="mbu:size=3,radius=1,seed=0"
+    )
+    assert mbu.release_cycles == [None] * len(table)
 
 
 # -------------------------------------------------------------- property test
@@ -863,7 +1058,7 @@ def test_grouped_run_equals_one_solo_run_per_group(
 #: the check grid restarting after a drain, deferral at the cap with one
 #: admit call, retirement timing.
 GATED_RUN_PINS = {
-    3: (1148, 338, 10, 8, 3, 10, 33),
+    3: (1148, 335, 10, 8, 3, 10, 33),
 }
 
 
@@ -906,6 +1101,78 @@ def _assert_gated_run_pins(tiny_parts, check_interval):
         if key not in skipped:
             assert outcome.verdicts[key] == verdict, key
     return stats
+
+
+#: SHA-256 of :func:`_gated_verdict_log` (the gate event log of a
+#: three-group gated run on the tiny preset) and of the run's verdicts.
+#: Recorded before the scheduler answered any request without a lane of
+#: its own, so it pins that such answers reach the gates at the retirement
+#: checks where their own lanes would have retired.
+GATED_VERDICT_ORDER_DIGEST = "cc09aba99c9ddbec6a47d760056931477585a13b767b30f409c43459816e4733"
+
+
+def _gated_verdict_log(tiny_parts):
+    """Run 900 requests in three gated groups; return the event log (admits
+    and verdicts, each retirement check's verdicts sorted) and the verdicts."""
+    netlist, workload, golden, criterion = tiny_parts
+    injector = FaultInjector(
+        netlist, workload.testbench, golden, criterion, check_interval=3
+    )
+    first, last = workload.active_window
+    n_ffs = injector.sim.n_flip_flops
+    rng = random.Random(53)
+    requests = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(900)]
+    groups = [rng.randrange(3) for _ in requests]
+    n_real = len(requests)
+    # A fourth group holds one request per cycle from the window's start to
+    # the trace's end, and every one is rejected.  Its admit call comes
+    # after the retirement check of its cycle, so the log is cut at every
+    # check of the first pass.
+    ticks = range(first, golden.n_cycles)
+    requests += [(c, 0) for c in ticks]
+    groups += [3] * len(ticks)
+    gates = [CountingGate(f"order:{g}", n_ffs) for g in range(3)]
+    log = []
+
+    def admit(key):
+        if key >= n_real:
+            log.append(("tick", requests[key][0]))
+            return False
+        admitted = gates[groups[key]].admit(requests[key][1])
+        log.append(("admit", key, admitted))
+        return admitted
+
+    def on_verdict(key, failed):
+        gates[groups[key]].record(requests[key][1], failed)
+        log.append(("verdict", key, failed))
+
+    outcome = AdaptiveScheduler(injector, max_lanes=24).run(
+        requests, admit=admit, on_verdict=on_verdict, groups=groups
+    )
+    normalized, batch = [], []
+    for event in log:
+        if event[0] == "verdict":
+            batch.append(event)
+            continue
+        normalized += sorted(batch) + [event]
+        batch = []
+    normalized += sorted(batch)
+    skipped = set(outcome.skipped)
+    verdicts = [outcome.verdict(k) for k in range(n_real) if k not in skipped]
+    return normalized, verdicts, outcome.stats
+
+
+def test_gated_verdict_order_is_pinned(tiny_parts):
+    """A gated three-group run with deferral gives its gates every verdict
+    at the same retirement check, and every admit after the same
+    verdicts, as the run the digest was recorded from."""
+    import hashlib
+    import json
+
+    log, verdicts, stats = _gated_verdict_log(tiny_parts)
+    assert stats.deferred > 0 and stats.policy_skipped > 0
+    digest = hashlib.sha256(json.dumps([log, verdicts]).encode()).hexdigest()
+    assert digest == GATED_VERDICT_ORDER_DIGEST
 
 
 def test_groups_share_one_sweep_per_pass(tiny_parts):
