@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
 from ..netlist.core import Netlist
-from ..netlist.levelize import ff_spread_masks
+from ..netlist.levelize import ff_spread_masks, iter_bits, transpose_masks
 
 __all__ = [
     "InjectionPlan",
@@ -211,14 +211,8 @@ def ff_adjacency(netlist: Netlist) -> List[int]:
     explicitly).
     """
     spread = ff_spread_masks(netlist)
-    adjacency = list(spread)
-    for i, mask in enumerate(spread):
-        m = mask
-        while m:
-            low = m & -m
-            adjacency[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    return [mask & ~(1 << i) for i, mask in enumerate(adjacency)]
+    back = transpose_masks(spread, len(spread))
+    return [(a | b) & ~(1 << i) for i, (a, b) in enumerate(zip(spread, back))]
 
 
 def _ball(adjacency: List[int], anchor: int, radius: int) -> List[int]:
@@ -227,23 +221,14 @@ def _ball(adjacency: List[int], anchor: int, radius: int) -> List[int]:
     frontier = ball
     for _ in range(radius):
         grown = 0
-        m = frontier
-        while m:
-            low = m & -m
-            grown |= adjacency[low.bit_length() - 1]
-            m ^= low
+        for i in iter_bits(frontier):
+            grown |= adjacency[i]
         grown &= ~ball
         if not grown:
             break
         ball |= grown
         frontier = grown
-    ball &= ~(1 << anchor)
-    members = []
-    while ball:
-        low = ball & -ball
-        members.append(low.bit_length() - 1)
-        ball ^= low
-    return members
+    return list(iter_bits(ball & ~(1 << anchor)))
 
 
 class MbuModel(FaultModel):

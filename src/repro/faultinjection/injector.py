@@ -56,7 +56,7 @@ import numpy as np
 from ..netlist.core import Netlist
 from ..obs import get_telemetry
 from ..sim.compiled import CompiledSimulator, ConePlan, bind_chunks, compile_chunked
-from ..sim.logic import lane_mask, lanes_mask, set_lanes
+from ..sim.logic import lane_mask, lanes_mask, set_lanes, unpack_words
 from ..sim.testbench import GoldenTrace, Testbench
 from .classify import FailureCriterion
 from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_model
@@ -64,31 +64,13 @@ from .faults import BoundFaultModel, FaultModel, InjectionPlan, parse_fault_mode
 __all__ = ["FaultInjector", "BatchOutcome", "relevant_flip_flops"]
 
 
-def _unpack_words(words: Sequence[int], width: int) -> np.ndarray:
-    """Bit *i* of ``words[k]`` at ``[k, i]``: a ``len(words)`` × *width*
-    array of 0/1 bytes, unpacked in one NumPy pass."""
-    n_bytes = (width + 7) // 8
-    packed = np.frombuffer(
-        b"".join(word.to_bytes(n_bytes, "little") for word in words),
-        dtype=np.uint8,
-    ).reshape(len(words), n_bytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
-
-
 def _golden_bits_table(
     ff_state: Sequence[int], n_ffs: int, ff_indices: Sequence[int]
 ) -> List[bytes]:
     """The bits *ff_indices* of every packed state in *ff_state*, one
     ``bytes`` row of 0/1 values per state."""
-    bits = _unpack_words(ff_state, n_ffs)
+    bits = unpack_words(ff_state, n_ffs)
     return [row.tobytes() for row in bits[:, np.asarray(ff_indices, dtype=np.intp)]]
-
-
-def _lane_rows(words: Sequence[int], width: int) -> List[int]:
-    """The transpose of *words*: row *i* is the lane vector whose bit *k*
-    is bit *i* of ``words[k]``."""
-    rows = np.packbits(_unpack_words(words, width), axis=0, bitorder="little").T
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _run_ends(hold_bits: int, n_cycles: int, typecode: str) -> array:
@@ -650,7 +632,7 @@ class FaultInjector:
         enables_of = self._hold_enables()
         if not enables_of:
             return table
-        rows = self._golden_rows()
+        rows = self.golden.net_rows(sim)
         runs: Dict[int, array] = {}
         for f, enables in enables_of.items():
             hold_bits = lane_mask(n_cycles) >> 1 & ~reduce(or_, map(rows.__getitem__, enables))
@@ -713,25 +695,6 @@ class FaultInjector:
             for f, enables in candidates.items()
             if not any(sim._ff_q[f] in fanin[e] for e in enables)
         }
-
-    def _golden_rows(self) -> List[int]:
-        """Every net's golden value in every cycle, one lane per cycle: bit
-        *c* of row *i* is net *i* after the settle of cycle *c*.  One full
-        settle with lane *c* loaded with cycle *c*'s golden state and
-        applied inputs (loopback targets included)."""
-        sim = self.sim
-        golden = self.golden
-        n_cycles = golden.n_cycles
-        values = [0] * len(sim.values)
-        for q, row in zip(sim._ff_q, _lane_rows(golden.ff_state[:n_cycles], len(sim._ff_q))):
-            values[q] = row
-        inputs = [sim.net_index[name] for name in golden.input_names]
-        for i, row in zip(inputs, _lane_rows(golden.applied_inputs, len(inputs))):
-            values[i] = row
-        for clk in sim._clock_nets:
-            values[clk] = 0
-        sim._eval_fn(values, lane_mask(n_cycles))
-        return values
 
     @cached_property
     def relevant_tick(self) -> Callable[[List[int], int], None]:

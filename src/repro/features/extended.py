@@ -26,11 +26,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..netlist.core import Netlist
-from ..netlist.levelize import sink_masks, source_masks
+from ..netlist.levelize import iter_bits, sink_masks, source_masks
 from ..sim.activity import NetActivity, collect_net_activity
 from ..sim.testbench import GoldenTrace
 from .dataset import Dataset
-from .vectorized import _iter_bits
 
 __all__ = ["EXTENDED_FEATURES", "comb_cones", "extract_extended", "extend_dataset"]
 
@@ -61,9 +60,9 @@ def comb_cones(netlist: Netlist) -> Tuple[List[List[str]], List[List[str]]]:
         if cell.is_tie:
             continue
         out = cell.output_net()
-        for i in _iter_bits(ff_sink_mask.get(out, 0)):
+        for i in iter_bits(ff_sink_mask.get(out, 0)):
             input_cones[i].append(cell.name)
-        for i in _iter_bits(net_ff_mask.get(out, 0)):
+        for i in iter_bits(net_ff_mask.get(out, 0)):
             output_cones[i].append(cell.name)
     return input_cones, output_cones
 

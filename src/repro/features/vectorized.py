@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..netlist.core import Netlist
-from ..netlist.levelize import sink_masks, source_masks
+from ..netlist.levelize import iter_bits, sink_masks, source_masks, transpose_masks
+from ..sim.logic import unpack_words
 
 __all__ = ["CircuitStats", "compute_circuit_stats"]
 
@@ -72,35 +71,6 @@ class CircuitStats:
 # ------------------------------------------------------------------ helpers
 
 
-def _popcount_columns(masks: List[int], n_bits: int) -> List[int]:
-    """``counts[i]`` = number of *masks* with bit *i* set (NumPy unpack)."""
-    if not masks or n_bits == 0:
-        return [0] * n_bits
-    n_bytes = (n_bits + 7) // 8
-    buf = b"".join(m.to_bytes(n_bytes, "little") for m in masks)
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), n_bytes)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :n_bits]
-    return bits.sum(axis=0, dtype=np.int64).tolist()
-
-
-def _iter_bits(mask: int):
-    """Yield set bit positions of *mask*, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _transpose_masks(masks: List[int], n_cols: int) -> List[int]:
-    """Bit-transpose: result[j] has bit i set iff masks[i] has bit j set."""
-    out = [0] * n_cols
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        for j in _iter_bits(mask):
-            out[j] |= bit
-    return out
-
-
 def _strongly_connected_components(succ: List[int]) -> Tuple[List[int], List[List[int]]]:
     """Iterative Tarjan over adjacency bitsets.
 
@@ -120,7 +90,7 @@ def _strongly_connected_components(succ: List[int]) -> Tuple[List[int], List[Lis
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, iter(_iter_bits(succ[root])))]
+        work = [(root, iter_bits(succ[root]))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -134,7 +104,7 @@ def _strongly_connected_components(succ: List[int]) -> Tuple[List[int], List[Lis
                     counter += 1
                     stack.append(nxt)
                     on_stack[nxt] = True
-                    work.append((nxt, iter(_iter_bits(succ[nxt]))))
+                    work.append((nxt, iter_bits(succ[nxt])))
                     advanced = True
                     break
                 if on_stack[nxt]:
@@ -167,10 +137,10 @@ def _bfs_distances(
     visited = frontier
     dist = 1
     while frontier:
-        for i in _iter_bits(frontier):
+        for i in iter_bits(frontier):
             record[i].append(dist)
         nxt = 0
-        for i in _iter_bits(frontier):
+        for i in iter_bits(frontier):
             nxt |= adjacency[i]
         frontier = nxt & ~visited
         visited |= frontier
@@ -212,21 +182,21 @@ def compute_circuit_stats(netlist: Netlist) -> CircuitStats:
     # Cone-membership counts over combinational cells (ties counted apart).
     comb_cells = [c for c in netlist.combinational_cells() if not c.is_tie]
     tie_cells = [c for c in netlist.combinational_cells() if c.is_tie]
-    comb_fan_in = _popcount_columns(
+    comb_fan_in = unpack_words(
         [ff_sink_mask.get(c.output_net(), 0) for c in comb_cells], n_ff
-    )
-    comb_fan_out = _popcount_columns(
+    ).sum(axis=0).tolist()
+    comb_fan_out = unpack_words(
         [net_ff_mask.get(c.output_net(), 0) for c in comb_cells], n_ff
-    )
+    ).sum(axis=0).tolist()
     const_drivers = [0] * n_ff
     for tie in tie_cells:
-        for i in _iter_bits(ff_sink_mask.get(tie.output_net(), 0)):
+        for i in iter_bits(ff_sink_mask.get(tie.output_net(), 0)):
             const_drivers[i] += 1
 
     # Flip-flop-level graph as adjacency bitsets: edge i -> j iff i's Q lies
     # in the combinational fan-in cone of j's D/RN.
     pred = in_ff_mask
-    succ = _transpose_masks(pred, n_ff)
+    succ = transpose_masks(pred, n_ff)
 
     # Transitive closure on the SCC condensation (bitset DP, as before).
     scc_of, components = _strongly_connected_components(succ)
@@ -235,24 +205,24 @@ def compute_circuit_stats(netlist: Netlist) -> CircuitStats:
     scc_succ = [0] * n_scc
     for i in range(n_ff):
         si = scc_of[i]
-        for j in _iter_bits(succ[i]):
+        for j in iter_bits(succ[i]):
             sj = scc_of[j]
             if sj != si:
                 scc_succ[si] |= 1 << sj
-    scc_pred = _transpose_masks(scc_succ, n_scc)
+    scc_pred = transpose_masks(scc_succ, n_scc)
 
     # Components arrive successors-first, so reach_down resolves in emitted
     # order and reach_up in the reverse.
     reach_down = [0] * n_scc
     for s in range(n_scc):
         bits = 0
-        for t in _iter_bits(scc_succ[s]):
+        for t in iter_bits(scc_succ[s]):
             bits |= reach_down[t] | (1 << t)
         reach_down[s] = bits
     reach_up = [0] * n_scc
     for s in range(n_scc - 1, -1, -1):
         bits = 0
-        for t in _iter_bits(scc_pred[s]):
+        for t in iter_bits(scc_pred[s]):
             bits |= reach_up[t] | (1 << t)
         reach_up[s] = bits
 
@@ -266,7 +236,7 @@ def compute_circuit_stats(netlist: Netlist) -> CircuitStats:
 
     def population(bits: int) -> int:
         total = (bits & singletons).bit_count()
-        for s in _iter_bits(bits & multi_member):
+        for s in iter_bits(bits & multi_member):
             total += sizes[s]
         return total
 
@@ -286,7 +256,7 @@ def compute_circuit_stats(netlist: Netlist) -> CircuitStats:
 
     # Stage distances: one bitset BFS per (non-clock) primary input over the
     # successor masks, one per primary output over the predecessor masks.
-    pi_direct = _transpose_masks(in_pi_mask, len(netlist.inputs))
+    pi_direct = transpose_masks(in_pi_mask, len(netlist.inputs))
     pi_distances: List[List[int]] = [[] for _ in range(n_ff)]
     for p, net in enumerate(netlist.inputs):
         if net in clock_nets:
@@ -310,7 +280,7 @@ def compute_circuit_stats(netlist: Netlist) -> CircuitStats:
         while frontier:
             depth += 1
             nxt = 0
-            for j in _iter_bits(frontier):
+            for j in iter_bits(frontier):
                 nxt |= succ[j]
             if (nxt >> i) & 1:
                 feedback_depth[i] = depth

@@ -11,6 +11,9 @@ golden traces or criteria:
   the source masks: which flip-flops a diverging flip-flop can disturb at
   the next clock edge.
 
+:func:`transpose_masks` (with :func:`iter_bits`) turns any such mask table
+around, sources into sinks; it stays sparse, one step per set bit.
+
 The vectorized feature extractor (:mod:`repro.features.vectorized`) builds
 its cone features on the first two; the MBU fault model
 (:mod:`repro.faultinjection.faults`) places its clusters with the third.
@@ -24,9 +27,29 @@ from .core import Netlist
 
 __all__ = [
     "ff_spread_masks",
+    "iter_bits",
     "source_masks",
     "sink_masks",
+    "transpose_masks",
 ]
+
+
+def iter_bits(mask: int):
+    """Yield set bit positions of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def transpose_masks(masks: List[int], n_cols: int) -> List[int]:
+    """Bit-transpose: result[j] has bit i set iff masks[i] has bit j set."""
+    out = [0] * n_cols
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        for j in iter_bits(mask):
+            out[j] |= bit
+    return out
 
 
 def source_masks(netlist: Netlist) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -117,16 +140,12 @@ def ff_spread_masks(netlist: Netlist) -> List[int]:
     """
     net_ff_mask, _net_input_mask = source_masks(netlist)
     flip_flops = netlist.flip_flops()
-    masks = [0] * len(flip_flops)
-    for j, ff in enumerate(flip_flops):
+    cones = []
+    for ff in flip_flops:
         cone = 0
         for pin in ("D", "RN"):
             net = ff.connections.get(pin)
             if net is not None:
                 cone |= net_ff_mask.get(net, 0)
-        target = 1 << j
-        while cone:
-            low = cone & -cone
-            masks[low.bit_length() - 1] |= target
-            cone ^= low
-    return masks
+        cones.append(cone)
+    return transpose_masks(cones, len(flip_flops))

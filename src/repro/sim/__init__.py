@@ -9,7 +9,7 @@ The package also holds the testbench framework and activity tracing.  See
 from .activity import ActivityTrace, NetActivity, collect_net_activity
 from .compiled import CompiledSimulator
 from .event import ClockGenerator, EventDrivenSimulator
-from .logic import ONE, X, ZERO, broadcast, eval3, extract_lane, lane_mask, popcount
+from .logic import ONE, X, ZERO, broadcast, eval3, extract_lane, lane_mask
 from .testbench import GoldenTrace, LoopbackPath, ScheduleBuilder, Testbench
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "eval3",
     "extract_lane",
     "lane_mask",
-    "popcount",
     "GoldenTrace",
     "LoopbackPath",
     "ScheduleBuilder",

@@ -38,31 +38,14 @@ class ActivityTrace:
 
     @classmethod
     def from_golden(cls, trace: GoldenTrace) -> "ActivityTrace":
-        """Derive activity statistics from a recorded golden trajectory.
-
-        The result is cached on the trace object: dynamic-feature extraction
-        and dataset assembly may ask for the same statistics several times,
-        and the bit-sweep over the packed state vectors is the expensive
-        part.  Golden traces are immutable once recorded, so the cache can
-        never go stale.
-        """
-        cached = getattr(trace, "_activity_cache", None)
-        if cached is not None:
-            return cached
-        activity = cls._compute(trace)
-        trace._activity_cache = activity  # type: ignore[attr-defined]
-        return activity
-
-    @classmethod
-    def _compute(cls, trace: GoldenTrace) -> "ActivityTrace":
+        """Derive activity statistics from a recorded golden trajectory."""
         ones = trace.ff_ones_counts()
-        toggles = trace.ff_toggle_counts()
         n = max(trace.n_cycles, 1)
         return cls(
             ff_names=list(trace.ff_names),
             at_zero=[(n - c) / n for c in ones],
             at_one=[c / n for c in ones],
-            state_changes=toggles,
+            state_changes=trace.ff_toggle_counts(),
             n_cycles=trace.n_cycles,
         )
 
@@ -78,32 +61,21 @@ class NetActivity:
 def collect_net_activity(netlist: Netlist, golden: GoldenTrace) -> Dict[str, NetActivity]:
     """Per-net @1 ratios and toggle rates over a fault-free workload run.
 
-    The flip-flop-level golden trace only records register outputs; this
-    pass replays the trace's applied inputs (loopback values included)
-    open loop and observes *every* net (including internal combinational
-    ones), which the extended feature set uses to estimate signal
-    probabilities in a flip-flop's fan-in cone.
+    The flip-flop-level golden trace only records register outputs; the
+    extended feature set also needs *every* net (internal combinational ones
+    included) to estimate signal probabilities in a flip-flop's fan-in cone.
+    Each net's golden row (:meth:`GoldenTrace.net_rows`) gives its cycles at
+    1; a toggle is a cycle whose value differs from the cycle before, the
+    first cycle's from the reset-settled value.
     """
     sim = CompiledSimulator(netlist, n_lanes=1)
     sim.reset()
-    n_nets = len(sim.values)
-    ones = [0] * n_nets
-    toggles = [0] * n_nets
-    previous = list(sim.values)
-    for vector in golden.applied_inputs:
-        for i, name in enumerate(golden.input_names):
-            sim.set_input(name, (vector >> i) & 1)
-        sim.eval_comb()
-        values = sim.values
-        for idx in range(n_nets):
-            value = values[idx]
-            ones[idx] += value
-            if value != previous[idx]:
-                toggles[idx] += 1
-                previous[idx] = value
-        sim.tick()
+    rows = golden.net_rows(sim)
+    mask = (1 << golden.n_cycles) - 1
     n = max(golden.n_cycles, 1)
-    return {
-        name: NetActivity(at_one=ones[idx] / n, toggle_rate=toggles[idx] / n)
-        for name, idx in sim.net_index.items()
-    }
+    activity = {}
+    for name, idx in sim.net_index.items():
+        row = rows[idx]
+        changed = (row ^ (row << 1 | sim.values[idx])) & mask
+        activity[name] = NetActivity(row.bit_count() / n, changed.bit_count() / n)
+    return activity

@@ -28,9 +28,10 @@ __all__ = [
     "lane_mask",
     "broadcast",
     "extract_lane",
-    "popcount",
     "set_lanes",
     "lanes_mask",
+    "unpack_words",
+    "lane_rows",
 ]
 
 ZERO = 0
@@ -60,11 +61,6 @@ def extract_lane(value: int, lane: int) -> int:
     return (value >> lane) & 1
 
 
-def popcount(value: int) -> int:
-    """Number of set bits (lanes) in *value*."""
-    return bin(value).count("1")
-
-
 def set_lanes(bits: int) -> List[int]:
     """Indices of the set bits (lanes) of *bits*, ascending.
 
@@ -89,6 +85,24 @@ def lanes_mask(lanes: Sequence[int]) -> int:
     flags = np.zeros((max(lanes) >> 3) + 1 << 3, dtype=np.uint8)
     flags[lanes] = 1
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def unpack_words(words: Sequence[int], width: int) -> np.ndarray:
+    """Bit *i* of ``words[k]`` at ``[k, i]``: a ``len(words)`` × *width*
+    array of 0/1 bytes, unpacked in one NumPy pass."""
+    n_bytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(word.to_bytes(n_bytes, "little") for word in words),
+        dtype=np.uint8,
+    ).reshape(len(words), n_bytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
+
+
+def lane_rows(words: Sequence[int], width: int) -> List[int]:
+    """The transpose of *words*: row *i* is the lane vector whose bit *k*
+    is bit *i* of ``words[k]``."""
+    rows = np.packbits(unpack_words(words, width), axis=0, bitorder="little").T
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 _EVAL3_CACHE: Dict[Tuple[str, Tuple[LogicValue, ...]], LogicValue] = {}

@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..netlist.core import Netlist
 from .compiled import CompiledSimulator
+from .logic import lane_rows
 
 __all__ = ["ScheduleBuilder", "LoopbackPath", "GoldenTrace", "Testbench"]
 
@@ -128,27 +129,41 @@ class GoldenTrace:
     def ff_bit(self, ff_index: int, cycle: int) -> int:
         return (self.ff_state[cycle] >> ff_index) & 1
 
+    def ff_rows(self) -> List[int]:
+        """Every flip-flop's trajectory, one lane per state: bit *c* of row
+        *i* is flip-flop *i* in ``ff_state[c]`` (``n_cycles + 1`` lanes)."""
+        return lane_rows(self.ff_state, len(self.ff_names))
+
     def ff_toggle_counts(self) -> List[int]:
         """Per flip-flop: number of 0→1 and 1→0 transitions over the run."""
-        counts = [0] * len(self.ff_names)
-        for cycle in range(self.n_cycles):
-            changed = self.ff_state[cycle] ^ self.ff_state[cycle + 1]
-            while changed:
-                low = changed & -changed
-                counts[low.bit_length() - 1] += 1
-                changed ^= low
-        return counts
+        mask = (1 << self.n_cycles) - 1
+        return [((row ^ row >> 1) & mask).bit_count() for row in self.ff_rows()]
 
     def ff_ones_counts(self) -> List[int]:
         """Per flip-flop: number of cycles spent at logic 1."""
-        counts = [0] * len(self.ff_names)
-        for cycle in range(self.n_cycles):
-            state = self.ff_state[cycle]
-            while state:
-                low = state & -state
-                counts[low.bit_length() - 1] += 1
-                state ^= low
-        return counts
+        mask = (1 << self.n_cycles) - 1
+        return [(row & mask).bit_count() for row in self.ff_rows()]
+
+    def net_rows(self, sim: CompiledSimulator) -> List[int]:
+        """Every net's golden value in every cycle, one lane per cycle: bit
+        *c* of row *i* is net *i* of *sim* (built on this trace's netlist)
+        after the settle of cycle *c*.
+
+        One full settle with lane *c* loaded with cycle *c*'s golden state
+        and applied inputs (loopback targets included); *sim*'s own values
+        are left alone.
+        """
+        mask = (1 << self.n_cycles) - 1
+        values = [0] * len(sim.values)
+        for q, row in zip(sim._ff_q, self.ff_rows()):
+            values[q] = row & mask
+        inputs = [sim.net_index[name] for name in self.input_names]
+        for i, row in zip(inputs, lane_rows(self.applied_inputs, len(inputs))):
+            values[i] = row
+        for clk in sim._clock_nets:
+            values[clk] = 0
+        sim._eval_fn(values, mask)
+        return values
 
 
 class Testbench:

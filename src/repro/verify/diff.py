@@ -180,12 +180,11 @@ def run_lane_differential(
     netlist: Netlist,
     spec: FuzzSpec,
     n_lanes: int = 3,
-    stop_at_first: bool = True,
 ) -> Tuple[List[Divergence], int]:
     """The compiled simulator (one stimulus per lane) vs. one oracle per lane.
 
-    Returns ``(divergences, comparisons)``; with ``stop_at_first`` the run
-    ends at the first mismatching (net, cycle, lane).
+    Returns ``(divergences, comparisons)``; the run ends at the first
+    mismatching (net, cycle, lane).
     """
     schedules = [generate_schedule(netlist, spec, lane=j) for j in range(n_lanes)]
     sim = CompiledSimulator(netlist, n_lanes=n_lanes)
@@ -227,8 +226,7 @@ def run_lane_differential(
                             detail=f"lane {j} of {n_lanes}",
                         )
                     )
-                    if stop_at_first:
-                        return divergences, comparisons
+                    return divergences, comparisons
         sim.tick()
         for oracle in oracles:
             oracle.tick()
@@ -239,9 +237,7 @@ def run_lane_differential(
 
 
 def run_event_differential(
-    netlist: Netlist,
-    spec: FuzzSpec,
-    stop_at_first: bool = True,
+    netlist: Netlist, spec: FuzzSpec
 ) -> Tuple[List[Divergence], int]:
     """Event-driven engine vs. oracle on the lane-0 stimulus.
 
@@ -290,8 +286,7 @@ def run_event_differential(
                         values={"event": resolved, "oracle": oracle.values[name]},
                     )
                 )
-                if stop_at_first:
-                    return divergences, comparisons
+                return divergences, comparisons
         event.schedule(t_base + half, CLOCK_NET, ONE)
         event.run_until(t_base + period - 1)
         oracle.tick()
@@ -396,6 +391,10 @@ def bruteforce_verdicts(
     ]
 
 
+#: The lane cap of every scheduled replay: small enough that activation
+#: refill and deferral across passes both trigger on a fuzzed circuit.
+CHECK_MAX_LANES = 5
+
 #: One referee comparison: ``(kind, requests, got, want)`` — the
 #: divergence label ``"<got engine>-vs-<want engine>"``, the ``(cycle,
 #: ff_index)`` requests and both engines' per-request verdicts.
@@ -403,13 +402,13 @@ Comparison = Tuple[str, Sequence[Tuple[int, int]], Sequence[Verdict], Sequence[V
 
 
 def _report(
-    netlist: Netlist, comparisons: Iterable[Comparison], stop_at_first: bool
+    netlist: Netlist, comparisons: Iterable[Comparison]
 ) -> Tuple[List[Divergence], int]:
     """Compare each request's two verdicts across a mode's *comparisons*.
 
-    Returns ``(divergences, comparisons made)``.  With *stop_at_first* the
-    count ends at the first divergence and no later comparison is drawn
-    from *comparisons* — a lazy mode simulates nothing past it.
+    Returns ``(divergences, comparisons made)``.  The count ends at the
+    first divergence and no later comparison is drawn from *comparisons* —
+    a lazy mode simulates nothing past it.
     """
     flip_flops = netlist.flip_flops()
     divergences: List[Divergence] = []
@@ -428,8 +427,7 @@ def _report(
                         detail=f"request {k} verdict/latency mismatch",
                     )
                 )
-                if stop_at_first:
-                    return divergences, checked
+                return divergences, checked
     return divergences, checked
 
 
@@ -454,7 +452,6 @@ def run_injector_check(
     netlist: Netlist,
     spec: FuzzSpec,
     n_injection_cycles: int = 3,
-    stop_at_first: bool = True,
 ) -> Tuple[List[Divergence], int]:
     """Replay ``FaultInjector.run_batch`` verdicts against brute force.
 
@@ -471,27 +468,21 @@ def run_injector_check(
     requests = [(c, f) for c in cycles for f in range(len(netlist.flip_flops()))]
     naive = naive_verdicts(injector, requests)
     reference = bruteforce_verdicts(injector, requests)
-    return _report(
-        netlist, [("injector-vs-bruteforce", requests, naive, reference)], stop_at_first
-    )
+    return _report(netlist, [("injector-vs-bruteforce", requests, naive, reference)])
 
 
 # ------------------------------------------------------ scheduled-vs-naive
 
 
 def run_scheduler_check(
-    netlist: Netlist,
-    spec: FuzzSpec,
-    n_injection_cycles: int = 3,
-    stop_at_first: bool = True,
-    max_lanes: int = 5,
+    netlist: Netlist, spec: FuzzSpec
 ) -> Tuple[List[Divergence], int]:
     """Replay :class:`AdaptiveScheduler` verdicts against naive batches.
 
     Every flip-flop is injected at a handful of seed-drawn cycles.  The
-    whole mixed-cycle request set runs through the scheduler — with a
-    deliberately tiny ``max_lanes`` so activation refill and deferral across
-    passes both trigger — and each verdict/latency is compared to
+    whole mixed-cycle request set runs through the scheduler — with the
+    tiny :data:`CHECK_MAX_LANES` cap so activation refill and deferral
+    across passes both trigger — and each verdict/latency is compared to
     :func:`naive_verdicts` (itself cross-checked against brute force by
     :func:`run_injector_check`).  The requests then run again split at
     random into three request groups (one shared sweep per pass, each group
@@ -520,7 +511,7 @@ def run_scheduler_check(
     )
     injector = FaultInjector(netlist, testbench, golden, criterion, check_interval=4)
     rng = random.Random(f"schedule:{spec.seed}")
-    cycles = _draw_cycles(rng, n_injection_cycles, golden)
+    cycles = _draw_cycles(rng, 3, golden)
     requests = [(c, f) for c in cycles for f in range(len(netlist.flip_flops()))]
     if not requests:
         return [], 0
@@ -531,7 +522,7 @@ def run_scheduler_check(
     )
 
     def merging_scheduler() -> AdaptiveScheduler:
-        scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
+        scheduler = AdaptiveScheduler(injector, max_lanes=CHECK_MAX_LANES)
         scheduler.merge_min_due = 1  # every check looks for lanes to merge
         return scheduler
 
@@ -543,7 +534,7 @@ def run_scheduler_check(
         grouped = merging_scheduler().run(requests, groups=groups)
         yield "grouped-vs-single", requests, grouped.verdicts, scheduled
 
-    return _report(netlist, comparisons(), stop_at_first)
+    return _report(netlist, comparisons())
 
 
 # ------------------------------------------------------- generated circuits
@@ -554,8 +545,6 @@ def run_generated_check(
     n_injection_cycles: int = 2,
     n_ffs_sample: int = 16,
     seed: int = 0,
-    stop_at_first: bool = True,
-    max_lanes: int = 5,
 ) -> Tuple[List[Divergence], int]:
     """Differential checks on a generated composite circuit.
 
@@ -593,10 +582,10 @@ def run_generated_check(
         naive = naive_verdicts(injector, requests)
         reference = bruteforce_verdicts(injector, requests)
         yield "generated-injector-vs-bruteforce", requests, naive, reference
-        scheduled = AdaptiveScheduler(injector, max_lanes=max_lanes).run(requests)
+        scheduled = AdaptiveScheduler(injector, max_lanes=CHECK_MAX_LANES).run(requests)
         yield "generated-scheduled-vs-naive", requests, scheduled.verdicts, naive
 
-    return _report(netlist, comparisons(), stop_at_first)
+    return _report(netlist, comparisons())
 
 
 # ------------------------------------------------------------ hold runs
@@ -655,7 +644,7 @@ def run_hold_run_check(circuit: str) -> Tuple[List[Divergence], int]:
         scheduled = AdaptiveScheduler(injector).run(requests).verdicts
         yield "scheduled-hold-run-vs-naive", requests, scheduled, naive
 
-    return _report(netlist, comparisons(), stop_at_first=True)
+    return _report(netlist, comparisons())
 
 
 # --------------------------------------------------------- fault-model check
@@ -674,17 +663,13 @@ FAULT_MODEL_CHECK_SPECS: Tuple[str, ...] = (
 
 
 def run_fault_model_check(
-    netlist: Netlist,
-    spec: FuzzSpec,
-    model_specs: Sequence[str] = FAULT_MODEL_CHECK_SPECS,
-    n_injection_cycles: int = 2,
-    stop_at_first: bool = True,
-    max_lanes: int = 5,
+    netlist: Netlist, spec: FuzzSpec
 ) -> Tuple[List[Divergence], int]:
     """Replay every registered fault model against the brute-force oracle.
 
-    For each model spec, every flip-flop is injected at a couple of
-    seed-drawn cycles.  Two comparisons per injection:
+    For each of :data:`FAULT_MODEL_CHECK_SPECS`, every flip-flop is
+    injected at a couple of seed-drawn cycles.  Two comparisons per
+    injection:
 
     * the :meth:`FaultInjector.run_batch` verdict/latency vs. a
       single-lane :func:`brute_force_fault` replay of the *same*
@@ -692,8 +677,8 @@ def run_fault_model_check(
       shared contract — the oracle applies it with none of the engine's
       lane packing, early retirement or force vectorization);
     * the adaptive scheduler's mixed-cycle verdicts vs. the brute-force
-      reference, with a tiny ``max_lanes`` so refill and deferral across
-      passes trigger under forcing models.
+      reference, with the tiny :data:`CHECK_MAX_LANES` cap so refill and
+      deferral across passes trigger under forcing models.
     """
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()
@@ -703,7 +688,7 @@ def run_fault_model_check(
         return [], 0
 
     def comparisons() -> Iterator[Comparison]:
-        for model_spec in model_specs:
+        for model_spec in FAULT_MODEL_CHECK_SPECS:
             injector = FaultInjector(
                 netlist,
                 testbench,
@@ -713,39 +698,32 @@ def run_fault_model_check(
                 fault_model=model_spec,
             )
             rng = random.Random(f"fault:{model_spec}:{spec.seed}")
-            cycles = _draw_cycles(rng, n_injection_cycles, golden)
+            cycles = _draw_cycles(rng, 2, golden)
             requests = [(c, f) for c in cycles for f in range(n_ffs)]
             reference = bruteforce_verdicts(injector, requests)
             naive = naive_verdicts(injector, requests)
             yield f"{model_spec}-vs-bruteforce", requests, naive, reference
-            scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
+            scheduler = AdaptiveScheduler(injector, max_lanes=CHECK_MAX_LANES)
             scheduled = scheduler.run(requests).verdicts
             yield f"{model_spec}-scheduled-vs-bruteforce", requests, scheduled, reference
 
-    return _report(netlist, comparisons(), stop_at_first)
+    return _report(netlist, comparisons())
 
 
 # ------------------------------------------------------------------ seed sweep
 
 
-def verify_seed(
-    spec: FuzzSpec,
-    with_event: bool = True,
-    with_injector: bool = True,
-    with_scheduler: bool = True,
-    with_fault_models: bool = True,
-    n_lanes: int = 3,
-) -> SeedReport:
+def verify_seed(spec: FuzzSpec) -> SeedReport:
     """Run every differential check on one fuzzed circuit.
 
-    By default the compiled simulator is lane-diffed against the oracle,
-    the injector is replayed against brute force, the adaptive scheduler's
-    mixed-cycle verdicts are replayed against naive batches, and every
-    registered fault model (MBU clusters, stuck-at, intermittent) is
-    replayed batch- and scheduler-side against its own brute-force oracle
-    (:func:`run_fault_model_check`) — so a fuzz sweep certifies the whole
-    simulation substrate, naive and scheduled, across all fault models at
-    once.
+    The compiled simulator (three lanes) and the event engine are diffed
+    against the oracle, the injector is replayed against brute force, the
+    adaptive scheduler's mixed-cycle verdicts are replayed against naive
+    batches, and every registered fault model (MBU clusters, stuck-at,
+    intermittent) is replayed batch- and scheduler-side against its own
+    brute-force oracle (:func:`run_fault_model_check`) — so a fuzz sweep
+    certifies the whole simulation substrate, naive and scheduled, across
+    all fault models at once.
     """
     netlist = generate_netlist(spec)
     stats = netlist.stats()
@@ -755,31 +733,27 @@ def verify_seed(
         n_ffs=stats.n_sequential,
         n_cycles=spec.n_cycles,
     )
-    divergences, comparisons = run_lane_differential(netlist, spec, n_lanes=n_lanes)
+    divergences, comparisons = run_lane_differential(netlist, spec)
     report.divergences.extend(divergences)
     report.comparisons += comparisons
-    if with_event:
-        divergences, comparisons = run_event_differential(netlist, spec)
-        report.divergences.extend(divergences)
-        report.comparisons += comparisons
-    if with_injector:
-        divergences, checked = run_injector_check(netlist, spec)
-        report.divergences.extend(divergences)
-        report.injections_checked = checked
-    if with_scheduler:
-        registry = get_telemetry().registry
-        merged = registry.counter("scheduler.merged")
-        nonrelevant = registry.counter("verify.nonrelevant_requests")
-        before = merged.value, nonrelevant.value
-        divergences, checked = run_scheduler_check(netlist, spec)
-        report.divergences.extend(divergences)
-        report.injections_checked += checked
-        report.merged = merged.value - before[0]
-        report.nonrelevant = nonrelevant.value - before[1]
-    if with_fault_models:
-        divergences, checked = run_fault_model_check(netlist, spec)
-        report.divergences.extend(divergences)
-        report.injections_checked += checked
+    divergences, comparisons = run_event_differential(netlist, spec)
+    report.divergences.extend(divergences)
+    report.comparisons += comparisons
+    divergences, checked = run_injector_check(netlist, spec)
+    report.divergences.extend(divergences)
+    report.injections_checked = checked
+    registry = get_telemetry().registry
+    merged = registry.counter("scheduler.merged")
+    nonrelevant = registry.counter("verify.nonrelevant_requests")
+    before = merged.value, nonrelevant.value
+    divergences, checked = run_scheduler_check(netlist, spec)
+    report.divergences.extend(divergences)
+    report.injections_checked += checked
+    report.merged = merged.value - before[0]
+    report.nonrelevant = nonrelevant.value - before[1]
+    divergences, checked = run_fault_model_check(netlist, spec)
+    report.divergences.extend(divergences)
+    report.injections_checked += checked
     return report
 
 
@@ -787,17 +761,15 @@ def verify_seeds(
     n_seeds: int,
     scale: str = "mini",
     seed_base: int = 0,
-    spec: Optional[FuzzSpec] = None,
     progress=None,
 ) -> VerifySummary:
     """Sweep ``seed_base .. seed_base + n_seeds - 1`` at the given scale."""
-    if spec is None:
-        try:
-            spec = FUZZ_SCALES[scale]
-        except KeyError:
-            raise ValueError(
-                f"unknown fuzz scale {scale!r}; pick one of {sorted(FUZZ_SCALES)}"
-            ) from None
+    try:
+        spec = FUZZ_SCALES[scale]
+    except KeyError:
+        raise ValueError(
+            f"unknown fuzz scale {scale!r}; pick one of {sorted(FUZZ_SCALES)}"
+        ) from None
     summary = VerifySummary()
     start = time.monotonic()
     for offset in range(n_seeds):

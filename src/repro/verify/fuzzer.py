@@ -300,11 +300,11 @@ def rebuild_netlist(
     return rebuilt
 
 
-def shrink_netlist(
-    netlist: Netlist,
-    predicate: Callable[[Netlist], bool],
-    max_steps: int = 200,
-) -> Netlist:
+#: The most candidate netlists one :func:`shrink_netlist` call tries.
+SHRINK_MAX_STEPS = 200
+
+
+def shrink_netlist(netlist: Netlist, predicate: Callable[[Netlist], bool]) -> Netlist:
     """Greedy deterministic shrink: smallest netlist still failing *predicate*.
 
     *predicate* returns ``True`` while the interesting behaviour (usually "the
@@ -316,7 +316,8 @@ def shrink_netlist(
        input (its cone often dies with it).
 
     Candidates are explored in netlist insertion order, so shrinking is
-    fully deterministic for a given input.
+    fully deterministic for a given input.  At most
+    :data:`SHRINK_MAX_STEPS` candidates are tried.
     """
     current = rebuild_netlist(netlist)
     if not predicate(current):
@@ -324,7 +325,7 @@ def shrink_netlist(
 
     steps = 0
     improved = True
-    while improved and steps < max_steps:
+    while improved and steps < SHRINK_MAX_STEPS:
         improved = False
         for out in list(current.outputs):
             if len(current.outputs) <= 1:

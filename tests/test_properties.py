@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.faultinjection import CampaignResult, FlipFlopResult, wilson_interval
 from repro.netlist import DEFAULT_LIBRARY
 from repro.sim import CompiledSimulator, eval3, lane_mask
-from repro.sim.logic import X, broadcast, extract_lane, popcount
+from repro.sim.logic import X, broadcast, extract_lane
 from repro.synth import Module, Sig, synthesize
 from repro.synth.expr import And, Const, Mux, Not, Or, Xor
 
@@ -121,7 +121,7 @@ def test_eval3_is_sound_abstraction(name, code):
 @settings(max_examples=30, deadline=None)
 def test_lane_mask_and_broadcast(n):
     mask = lane_mask(n)
-    assert popcount(mask) == n
+    assert mask.bit_count() == n
     assert broadcast(1, mask) == mask
     assert broadcast(0, mask) == 0
     for lane in (0, n - 1):

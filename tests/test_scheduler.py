@@ -840,19 +840,6 @@ def test_each_hold_condition_decides_a_verdict(variant, cycle):
     assert outcome.verdicts == naive
 
 
-def test_cycle_parallel_settle_reproduces_the_golden_outputs(xgmac_parts):
-    """The table's golden enable and reset rows come from one settle with
-    lane *c* loaded with cycle *c*: its outputs are the recorded golden
-    outputs of every cycle."""
-    netlist, workload, golden, criterion = xgmac_parts
-    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
-    rows = injector._golden_rows()
-    outputs = [injector.sim.net_index[name] for name in netlist.outputs]
-    for c in range(golden.n_cycles):
-        packed = sum(((rows[row] >> c) & 1) << k for k, row in enumerate(outputs))
-        assert packed == golden.outputs[c], c
-
-
 def test_release_table_on_xgmac(xgmac_parts):
     """The table on ``xgmac``: flip-flops outside the relevant set never
     take a lane, 344 relevant ones have hold runs, and a hold run always
